@@ -20,9 +20,9 @@ Two harnesses share this file:
   equivalence plus a fixed peak-RSS budget at the current
   ``REPRO_SCALE`` (the CI configuration) for both the serial streamed
   fold and the pipelined fold (``stream_workers=2``); the full run
-  sweeps chunk sizes plus the sharded (``shards=2``) and pipelined
-  modes across scales 0.25/0.5/1.0 on all four scenes and records
-  fragments/s and peak RSS in ``BENCH_streaming.json``.
+  sweeps chunk sizes plus the pipelined mode across scales
+  0.25/0.5/1.0 on all four scenes and records fragments/s and peak RSS
+  in ``BENCH_streaming.json``.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _stream_configs(scale: float) -> list:
 
 
 def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
-                  shards: int, stream_workers: int = 0) -> dict:
+                  stream_workers: int = 0) -> dict:
     """One cold pipeline (render -> profiles -> curve -> 3C) in this
     process; returns everything the parent compares and records."""
     import resource
@@ -153,9 +153,9 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
     spec = TraceSpec(scene=scene, scale=scale, order=paper_order_spec(scene))
     engine = Engine()
     start = time.perf_counter()
-    if mode in ("streamed", "sharded", "pipelined"):
+    streaming = mode in ("streamed", "pipelined")
+    if streaming:
         streams = engine.streamed(spec, STREAM_LAYOUT, chunk_size=chunk_size,
-                                  shards=shards,
                                   stream_workers=stream_workers)
         # Fold every profile the row needs in one pass over the blocks
         # (classify set profiles + the fully-associative curve/3C
@@ -192,13 +192,11 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
         shutdown_stream_pool()
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    streaming = mode in ("streamed", "sharded", "pipelined")
     return {
         "scene": scene,
         "scale": scale,
         "mode": mode,
         "chunk_size": chunk_size if streaming else None,
-        "shards": shards if streaming else 0,
         "stream_workers": stream_workers if streaming else 0,
         "n_accesses": int(classify[0].accesses),
         "n_fragments": int(n_fragments),
@@ -206,7 +204,7 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
         "fragments_per_s": round(n_fragments / max(elapsed, 1e-9)),
         "maxrss_mb": round(maxrss_kb / 1024, 1),
         # Largest single-process peak among forked children (stream
-        # pool workers, shard folders); 0 when none ran.
+        # pool workers); 0 when none ran.
         "maxrss_children_mb": round(children_kb / 1024, 1),
         "miss_rates": [float(rate) for rate in curve.miss_rates],
         "classify": [[stats.misses, stats.cold_misses,
@@ -216,8 +214,7 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
 
 
 def _spawn_worker(scene: str, scale: float, mode: str,
-                  chunk_size: int = 0, shards: int = 0,
-                  stream_workers: int = 0) -> dict:
+                  chunk_size: int = 0, stream_workers: int = 0) -> dict:
     """Run one measurement in a fresh subprocess over a fresh cold
     store, so ``ru_maxrss`` (a per-process high-water mark) is that
     pipeline's own peak and no run warms another."""
@@ -229,7 +226,7 @@ def _spawn_worker(scene: str, scale: float, mode: str,
         result = subprocess.run(
             [sys.executable, __file__, "--worker", "--scene", scene,
              "--scale-value", repr(scale), "--mode", mode,
-             "--chunk", str(chunk_size), "--shards", str(shards),
+             "--chunk", str(chunk_size),
              "--stream-workers", str(stream_workers)],
             env=env, capture_output=True, text=True)
     if result.returncode != 0:
@@ -240,7 +237,8 @@ def _spawn_worker(scene: str, scale: float, mode: str,
 
 def _assert_identical(baseline: dict, candidate: dict) -> None:
     label = (f"{candidate['scene']}@{candidate['scale']} "
-             f"chunk={candidate['chunk_size']} shards={candidate['shards']}")
+             f"chunk={candidate['chunk_size']} "
+             f"stream_workers={candidate['stream_workers']}")
     if candidate["miss_rates"] != baseline["miss_rates"]:
         raise AssertionError(f"{label}: miss-rate curve diverges from in-RAM")
     if candidate["classify"] != baseline["classify"]:
@@ -295,16 +293,14 @@ def measure_streaming() -> dict:
                       f"{streamed['elapsed_s']:7.1f} s  "
                       f"{streamed['maxrss_mb']:7.1f} MB  "
                       f"{streamed['fragments_per_s']:>9,} frag/s")
-            for mode, kwargs in (("sharded", dict(shards=2)),
-                                 ("pipelined", dict(stream_workers=2))):
-                row = _spawn_worker(scene, scale, mode,
-                                    chunk_size=CHUNK_SIZES[0], **kwargs)
-                _assert_identical(baseline, row)
-                rows.append(row)
-                print(f"{scene:8s} scale {scale:4}  {mode:9s} "
-                      f"{row['elapsed_s']:7.1f} s  "
-                      f"{row['maxrss_mb']:7.1f} MB  "
-                      f"{row['fragments_per_s']:>9,} frag/s")
+            row = _spawn_worker(scene, scale, "pipelined",
+                                chunk_size=CHUNK_SIZES[0], stream_workers=2)
+            _assert_identical(baseline, row)
+            rows.append(row)
+            print(f"{scene:8s} scale {scale:4}  pipelined "
+                  f"{row['elapsed_s']:7.1f} s  "
+                  f"{row['maxrss_mb']:7.1f} MB  "
+                  f"{row['fragments_per_s']:>9,} frag/s")
     streaming_rows = [row for row in rows if row["mode"] != "ram"]
     ram_rows = [row for row in rows if row["mode"] == "ram"]
     return {
@@ -315,7 +311,6 @@ def measure_streaming() -> dict:
             "chunk_sizes": list(CHUNK_SIZES),
             "layout": list(STREAM_LAYOUT),
             "line_size": STREAM_LINE_SIZE,
-            "shards": 2,
             "stream_workers": 2,
             "equivalence": "bit-identical miss-rate curves and 3C "
                            "classifications vs the in-RAM pipeline, "
@@ -345,15 +340,13 @@ def main(argv=None) -> int:
     parser.add_argument("--scale-value", default=None, help=argparse.SUPPRESS)
     parser.add_argument("--mode", default="ram", help=argparse.SUPPRESS)
     parser.add_argument("--chunk", type=int, default=0, help=argparse.SUPPRESS)
-    parser.add_argument("--shards", type=int, default=0,
-                        help=argparse.SUPPRESS)
     parser.add_argument("--stream-workers", type=int, default=0,
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.worker:
         row = _run_pipeline(args.scene, float(args.scale_value), args.mode,
-                            args.chunk, args.shards, args.stream_workers)
+                            args.chunk, args.stream_workers)
         print(json.dumps(row))
         return 0
     if args.smoke:

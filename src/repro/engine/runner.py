@@ -9,28 +9,24 @@ memos, then against the on-disk :class:`~repro.engine.artifacts.ArtifactStore`,
 so warm processes perform zero renders.
 
 :func:`run_experiment` executes a declarative
-:class:`~repro.engine.spec.ExperimentSpec` grid through one engine,
-optionally fanning the expensive render/trace stage out across
-``multiprocessing`` workers that warm the shared store in parallel.
+:class:`~repro.engine.spec.ExperimentSpec` grid through one engine:
+in RAM by default, or as a constant-memory streaming fold
+(:mod:`repro.engine.streaming`) whose one parallel form is the
+supervised pipelined pool behind ``stream_workers``
+(:mod:`repro.engine.pipelined`).
 
 Fault tolerance
 ---------------
 Store misses compute under the store's per-fingerprint single-flight
-lock, so N racing processes produce one render per fingerprint.  The
-parallel warm-up submits tasks individually, captures worker
-exceptions, retries each failed task with exponential backoff and
-jitter, and finally falls back to in-process execution; the outcome is
-summarized in a :class:`WarmReport` on the :class:`ExperimentResult`
-instead of a first worker crash killing the whole run.  An unwritable
-store demotes itself (see :mod:`repro.engine.artifacts`) and the
-engine transparently continues on its in-memory memos.
+lock, so N racing processes produce one render per fingerprint.  An
+unwritable store demotes itself (see :mod:`repro.engine.artifacts`)
+and the engine transparently continues on its in-memory memos.
+Worker failures in the pipelined fold are retried per range and
+reported on :attr:`ExperimentResult.stream_report`.
 """
 
 from __future__ import annotations
 
-import os
-import random
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,14 +51,6 @@ from .spec import ExperimentSpec, TraceSpec, layout_from_spec, order_from_spec
 #: Number of actual scene renders performed by this process (cache
 #: misses only).  Tests assert warm runs leave this untouched.
 RENDER_CALLS = 0
-
-#: Warm-pool fault policy: how many retry rounds a failed task gets in
-#: pool workers before falling back to in-process execution, the base
-#: backoff between rounds (doubled each round, with jitter), and how
-#: long one task may run before it is presumed hung and retried.
-WARM_RETRIES = 2
-WARM_BACKOFF_S = 0.25
-WARM_TIMEOUT_S = 600.0
 
 
 def render_calls() -> int:
@@ -166,35 +154,11 @@ class StoredTraceStreams(TraceStreams):
         return self._set_profiles[key]
 
 
-@dataclass
-class WarmReport:
-    """Outcome of one parallel store-warming phase.
-
-    ``attempts`` counts every task submission to the worker pool,
-    ``retries`` the resubmissions after a failure, ``fallbacks`` the
-    tasks that only succeeded in-process after exhausting pool retries,
-    and ``errors`` the (task label, error) pairs that failed everywhere
-    -- those cells will recompute (and surface any real error) during
-    in-process assembly.
-    """
-
-    tasks: int = 0
-    attempts: int = 0
-    retries: int = 0
-    fallbacks: int = 0
-    errors: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 class Engine:
     """Memoized, store-backed access to every pipeline stage."""
 
     def __init__(self, store: Optional[ArtifactStore] = None):
         self.store = store if store is not None else ArtifactStore()
-        self.last_warm_report: Optional[WarmReport] = None
         #: Aggregated recovery report of the last pipelined run
         #: (:class:`~repro.engine.pipelined.StreamReport`), ``None``
         #: when the last run did not pipeline.
@@ -309,52 +273,43 @@ class Engine:
         return self._streams[key]
 
     def streamed(self, trace_spec: TraceSpec, layout_spec,
-                 chunk_size: Optional[int] = None, shards: int = 0,
-                 stream_workers: int = 0):
+                 chunk_size: Optional[int] = None, stream_workers: int = 0):
         """Constant-memory :class:`~repro.engine.streaming.StreamedProfiles`
         for (trace, layout), memoized.  Same profiles (bit for bit) as
         :meth:`streams`, computed as a fold over bounded fragment
         blocks instead of materialized arrays.  ``stream_workers >= 2``
         runs the fold through the pipelined persistent pool
         (:mod:`repro.engine.pipelined`): cold renders are partitioned
-        across workers and folded as they stream back."""
+        across workers, each folding the blocks it renders."""
         from .streaming import DEFAULT_CHUNK_SIZE, StreamedProfiles
         chunk = int(chunk_size) if chunk_size else DEFAULT_CHUNK_SIZE
-        key = (trace_spec, tuple(layout_spec), chunk, int(shards),
-               int(stream_workers))
+        key = (trace_spec, tuple(layout_spec), chunk, int(stream_workers))
         if key not in self._streamed:
             self._streamed[key] = StreamedProfiles(
-                self.store, trace_spec, layout_spec,
-                chunk_size=chunk, shards=int(shards),
+                self.store, trace_spec, layout_spec, chunk_size=chunk,
                 stream_workers=int(stream_workers))
         return self._streamed[key]
 
     # -- experiment execution --------------------------------------------
 
-    def run(self, experiment: ExperimentSpec, workers: int = 0,
-            kernel: str = "vectorized", chunk_size: Optional[int] = None,
-            shards: int = 0, stream_workers: int = 0,
+    def run(self, experiment: ExperimentSpec, kernel: str = "vectorized",
+            chunk_size: Optional[int] = None, stream_workers: int = 0,
             audit_parts: int = 0) -> "ExperimentResult":
         """Execute every cell of ``experiment``.
 
-        ``workers > 1`` warms the store's render/address/profile
-        artifacts with a multiprocessing pool first (one task per
-        scene/order/layout), then assembles results from the warm
-        store in this process; worker failures are retried and fall
-        back in-process (see :class:`WarmReport`) rather than aborting
-        the run.  ``kernel`` selects the LRU simulation path: the
-        default reads every finite associativity off a store-backed
-        per-set distance profile; ``"reference"`` runs the sequential
+        ``kernel`` selects the LRU simulation path: the default reads
+        every finite associativity off a store-backed per-set distance
+        profile; ``"reference"`` runs the sequential
         :class:`~repro.core.cache.LRUCache` simulator.
 
-        ``chunk_size`` and/or ``shards > 0`` switch the profile stage
-        to the streaming fold (:mod:`repro.engine.streaming`): the
-        trace is never materialized, peak memory is bounded by the
-        chunk size independent of trace length, and ``shards`` fans
-        the fold over a process pool.  ``stream_workers >= 2``
-        pipelines the fold instead (:mod:`repro.engine.pipelined`):
-        cold renders are partitioned across a persistent worker pool
-        and folded as blocks stream back through shared memory.
+        ``chunk_size`` and/or ``stream_workers > 0`` switch the profile
+        stage to the streaming fold (:mod:`repro.engine.streaming`):
+        the trace is never materialized and peak memory is bounded by
+        the chunk size independent of trace length.
+        ``stream_workers >= 2`` pipelines the fold
+        (:mod:`repro.engine.pipelined`): cold renders are partitioned
+        across a persistent worker pool, each worker folds the blocks
+        it renders, and the parent merges the per-range states.
         Streaming produces bit-identical rows and requires the
         vectorized kernel (the reference simulator needs the in-RAM
         stream).
@@ -367,24 +322,20 @@ class Engine:
         :attr:`ExperimentResult.audit_reports`.
         """
         check_kernel(kernel)
-        # Any shard/pipeline request counts as streaming (a single
-        # shard folds serially) so combining one with the reference
-        # kernel fails loudly instead of silently running the
-        # non-streamed vectorized path.
-        streaming = bool(chunk_size) or shards > 0 or stream_workers > 0
+        # Any pipeline request counts as streaming (a single worker
+        # folds serially) so combining one with the reference kernel
+        # fails loudly instead of silently running the non-streamed
+        # vectorized path.
+        streaming = bool(chunk_size) or stream_workers > 0
         if streaming and kernel != "vectorized":
             raise ValueError(
-                "streaming execution (chunk_size/shards/stream_workers) "
+                "streaming execution (chunk_size/stream_workers) "
                 "requires the vectorized kernel; the reference simulator "
                 "replays the materialized stream")
         if audit_parts and not streaming:
             raise ValueError(
                 "audit_parts spot-audits the streaming fold; enable "
-                "streaming (chunk_size/shards/stream_workers) to use it")
-        warm_report = None
-        if workers and workers > 1:
-            warm_report = self._warm_parallel(experiment, workers)
-            self.last_warm_report = warm_report
+                "streaming (chunk_size/stream_workers) to use it")
         rows = []
         audit_reports = []
         stream_reports = []
@@ -393,7 +344,6 @@ class Engine:
                 if streaming:
                     streams = self.streamed(trace_spec, layout_spec,
                                             chunk_size=chunk_size,
-                                            shards=shards,
                                             stream_workers=stream_workers)
                     # Per-run recovery accounting: the memoized
                     # StreamedProfiles would otherwise re-report a
@@ -427,7 +377,6 @@ class Engine:
                 stream_report.absorb(partial)
         self.last_stream_report = stream_report
         return ExperimentResult(spec=experiment, rows=rows,
-                                warm_report=warm_report,
                                 stream_report=stream_report,
                                 audit_reports=tuple(audit_reports))
 
@@ -470,59 +419,6 @@ class Engine:
                     layout=tuple(layout_spec), stats=stats))
         return rows
 
-    def _warm_parallel(self, experiment: ExperimentSpec,
-                       workers: int) -> WarmReport:
-        """Warm the store in pool workers, absorbing worker failures.
-
-        Each task is submitted individually; failures are retried for
-        :data:`WARM_RETRIES` rounds with exponential backoff + jitter
-        (a fresh pool per round, so even a wedged pool cannot take the
-        run down), then fall back to in-process execution.  Tasks that
-        fail everywhere are recorded in the report and recomputed --
-        surfacing their real error -- during assembly.
-        """
-        import multiprocessing
-
-        pairs = tuple(sorted(_profile_pairs(experiment)))
-        tasks = [(str(self.store.root), trace_spec, tuple(layout_spec),
-                  pairs)
-                 for trace_spec, layout_spec in experiment.stream_specs()]
-        report = WarmReport(tasks=len(tasks))
-        pending = tasks
-        failures = []
-        for round_index in range(WARM_RETRIES + 1):
-            if not pending:
-                break
-            if round_index:
-                report.retries += len(pending)
-                delay = WARM_BACKOFF_S * (2 ** (round_index - 1))
-                time.sleep(delay * (0.5 + random.random()))
-            failures = []
-            with multiprocessing.Pool(
-                    processes=min(workers, len(pending))) as pool:
-                handles = [(task, pool.apply_async(_warm_task, (task,)))
-                           for task in pending]
-                for task, handle in handles:
-                    report.attempts += 1
-                    try:
-                        handle.get(timeout=WARM_TIMEOUT_S)
-                    except Exception as fault:
-                        failures.append(
-                            (task, f"{type(fault).__name__}: {fault}"))
-            pending = [task for task, _ in failures]
-        errors = []
-        for task, pool_error in failures:
-            try:
-                _warm_task(task)
-            except Exception as fault:
-                errors.append((_task_label(task),
-                               f"{type(fault).__name__}: {fault} "
-                               f"(pool: {pool_error})"))
-            else:
-                report.fallbacks += 1
-        report.errors = tuple(errors)
-        return report
-
 
 def _profile_pairs(experiment: ExperimentSpec) -> set:
     """Every ``(line_size, n_sets)`` profile the grid's vectorized
@@ -537,51 +433,6 @@ def _profile_pairs(experiment: ExperimentSpec) -> set:
                     config = CacheConfig(int(size), int(line_size), assoc)
                     pairs.add((int(line_size), config.n_sets))
     return pairs
-
-
-def _task_label(task) -> str:
-    _, trace_spec, layout_spec, _ = task
-    return f"{trace_spec.scene}/{'-'.join(map(str, trace_spec.order))}" \
-           f"/{'-'.join(map(str, layout_spec))}"
-
-
-def _maybe_inject_warm_fault() -> None:
-    """Fault-injection hook for the warm pool (used by tests/CI only).
-
-    ``REPRO_FAULT_WARM=once:<path>`` makes exactly one task raise (the
-    first to atomically create ``<path>``), exercising the retry path;
-    ``REPRO_FAULT_WARM=workers`` makes every task raise inside pool
-    workers while in-process fallback execution succeeds.
-    """
-    spec = os.environ.get("REPRO_FAULT_WARM")
-    if not spec:
-        return
-    if spec == "workers":
-        import multiprocessing
-        if multiprocessing.current_process().name != "MainProcess":
-            raise RuntimeError("injected warm-pool worker fault")
-        return
-    if spec.startswith("once:"):
-        try:
-            os.close(os.open(spec[len("once:"):],
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return
-        raise RuntimeError("injected one-shot warm-pool fault")
-
-
-def _warm_task(task) -> None:
-    """Worker: populate the shared store for one (trace, layout) pair.
-
-    Warms the *whole grid's* profile pairs (fully associative and
-    per-set), so assembly in the parent is a pure tier read.  Both the
-    addresses and the scene resolve lazily: a task whose profiles are
-    all store-resident verifies a few envelopes and exits without
-    building SceneData or reading the trace."""
-    _maybe_inject_warm_fault()
-    root, trace_spec, layout_spec, pairs = task
-    engine = Engine(store=ArtifactStore(root))
-    engine.streams(trace_spec, layout_spec).prefetch(pairs)
 
 
 @dataclass(frozen=True)
@@ -604,10 +455,9 @@ class ExperimentResult:
 
     spec: ExperimentSpec
     rows: list
-    warm_report: Optional[WarmReport] = field(default=None)
     #: Aggregated :class:`~repro.engine.pipelined.StreamReport` when
     #: the run used pipelined streaming (``stream_workers >= 2``);
-    #: ``None`` for serial/sharded runs.
+    #: ``None`` otherwise.
     stream_report: object = field(default=None)
     #: One :class:`~repro.engine.streaming.StreamAuditReport` per
     #: streamed (trace, layout) pair when ``audit_parts`` was set.
@@ -637,17 +487,14 @@ class ExperimentResult:
 def run_experiment(experiment: ExperimentSpec,
                    store: Optional[ArtifactStore] = None,
                    engine: Optional[Engine] = None,
-                   workers: int = 0,
                    kernel: str = "vectorized",
                    chunk_size: Optional[int] = None,
-                   shards: int = 0,
                    stream_workers: int = 0,
                    audit_parts: int = 0) -> ExperimentResult:
     """Convenience wrapper: run ``experiment`` on ``engine`` (or a
     fresh one over ``store``)."""
     if engine is None:
         engine = Engine(store=store)
-    return engine.run(experiment, workers=workers, kernel=kernel,
-                      chunk_size=chunk_size, shards=shards,
+    return engine.run(experiment, kernel=kernel, chunk_size=chunk_size,
                       stream_workers=stream_workers,
                       audit_parts=audit_parts)

@@ -16,6 +16,7 @@ from repro.engine import (
     fingerprint,
     render_calls,
     run_experiment,
+    shutdown_stream_pool,
 )
 from repro.pipeline.trace import TexelTrace
 from repro.texture.layout import BlockedLayout, WilliamsLayout
@@ -170,16 +171,22 @@ class TestExperimentRunner:
         run_experiment(experiment, store=ArtifactStore(tmp_path))
         assert render_calls() == before + 1
 
-    def test_parallel_workers_warm_the_store(self, tmp_path):
+    def test_pipelined_workers_warm_the_store(self, tmp_path):
         experiment = ExperimentSpec(
             scenes=("goblet",), orders=(("horizontal",), ("vertical",)),
             layouts=(("blocked", 4),), cache_sizes=(1024, 4096),
             line_sizes=(32,), scale=0.1)
-        store = ArtifactStore(tmp_path)
-        result = run_experiment(experiment, store=store, workers=2)
-        # Workers rendered in subprocesses; this process stayed cold.
+        try:
+            result = run_experiment(experiment, store=ArtifactStore(tmp_path),
+                                    chunk_size=4096, stream_workers=2)
+        finally:
+            shutdown_stream_pool()
         assert len(result.rows) == 2 * 2
+        # Workers rendered in subprocesses and the parent published the
+        # profiles: an in-RAM run over the same store renders nothing.
+        before = render_calls()
         serial = run_experiment(experiment, store=ArtifactStore(tmp_path))
+        assert render_calls() == before
         for row, expected in zip(result.rows, serial.rows):
             assert row.stats.miss_rate == expected.stats.miss_rate
 

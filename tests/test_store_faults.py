@@ -4,7 +4,7 @@ Covers the failure model end to end: checksummed envelopes catching
 every corruption class on all four artifact kinds, quarantine + repair
 self-healing, kill-resilience of interrupted writers, degraded
 (read-only / full-disk) store modes, single-flight locking across
-racing processes, and the fault-tolerant parallel warm pool.
+racing processes, and resumable parts of interrupted pipelined runs.
 """
 
 import errno
@@ -30,7 +30,6 @@ from repro.engine import (
     set_profile_payload,
 )
 from repro.engine import artifacts as artifacts_module
-from repro.engine import runner as runner_module
 
 from tests import fault_injection as faults
 
@@ -430,51 +429,6 @@ class TestSingleFlight:
         assert counts[0][1] == counts[1][1] > 0
         # And the store holds the one published, verified artifact.
         assert ArtifactStore(root).verify()["ok"] == 1
-
-
-class TestWarmPoolFaults:
-    EXPERIMENT = ExperimentSpec(
-        scenes=("goblet",), orders=(("horizontal",), ("vertical",)),
-        layouts=(LAYOUT,), cache_sizes=(1024, 4096), line_sizes=(32,),
-        scale=0.1)
-
-    def test_worker_crash_is_retried(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner_module, "WARM_BACKOFF_S", 0.01)
-        monkeypatch.setenv("REPRO_FAULT_WARM",
-                           f"once:{tmp_path / 'crash-marker'}")
-        result = run_experiment(self.EXPERIMENT,
-                                store=ArtifactStore(tmp_path / "store"),
-                                workers=2)
-        report = result.warm_report
-        assert report.tasks == 2
-        assert report.retries >= 1
-        assert report.attempts >= report.tasks + 1
-        assert report.ok and report.fallbacks == 0
-
-        monkeypatch.delenv("REPRO_FAULT_WARM")
-        serial = run_experiment(self.EXPERIMENT,
-                                store=ArtifactStore(tmp_path / "serial"))
-        assert serial.warm_report is None
-        assert [r.stats.miss_rate for r in result.rows] == \
-            [r.stats.miss_rate for r in serial.rows]
-
-    def test_hopeless_workers_fall_back_in_process(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setattr(runner_module, "WARM_BACKOFF_S", 0.01)
-        monkeypatch.setattr(runner_module, "WARM_RETRIES", 1)
-        monkeypatch.setenv("REPRO_FAULT_WARM", "workers")
-        result = run_experiment(self.EXPERIMENT,
-                                store=ArtifactStore(tmp_path / "store"),
-                                workers=2)
-        report = result.warm_report
-        assert report.tasks == 2
-        assert report.attempts == 4  # 2 tasks x (first round + 1 retry)
-        assert report.retries == 2
-        assert report.fallbacks == 2  # every task completed in-process
-        assert report.ok
-        assert len(result.rows) == 2 * 2
-        for row in result.rows:
-            assert 0.0 <= row.stats.miss_rate <= 1.0
 
 
 class TestCacheCLIVerifyRepair:

@@ -3,7 +3,7 @@
 The streaming fold (render blocks -> per-block addresses -> mergeable
 per-set profiles) must reproduce the materialized pipeline exactly:
 same rendered stream, same store artifacts, same miss-rate curves and
-3C classifications -- serially, sharded, and through ``Engine.run``.
+3C classifications -- serially, pipelined, and through ``Engine.run``.
 Also covers the chunked trace representation in the artifact store and
 its orphaned-part litter lifecycle.
 """
@@ -167,31 +167,22 @@ class TestEngineRunStreaming:
             exp, chunk_size=4096)
         assert self.rows(ram) == self.rows(streamed)
 
-    def test_sharded_run_bit_identical(self, tmp_path):
-        exp = ExperimentSpec(**self.GRID)
-        ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
-        sharded = Engine(store=ArtifactStore(tmp_path / "b")).run(
-            exp, shards=2)
-        assert self.rows(ram) == self.rows(sharded)
-        # Sharding went through the chunked representation.
-        store = ArtifactStore(tmp_path / "b")
-        assert store.open_render_blocks(exp.trace_specs()[0]) is not None
-
     def test_streaming_rejects_reference_kernel(self, tmp_path):
         exp = ExperimentSpec(scenes=(SCENE,), layouts=(LAYOUT,), scale=SCALE)
         with pytest.raises(ValueError):
             Engine(store=ArtifactStore(tmp_path / "a")).run(
                 exp, chunk_size=4096, kernel="reference")
 
-    def test_shards_reject_reference_kernel(self, tmp_path):
-        # Any shard count (even 1, which folds serially) requests
+    def test_stream_workers_reject_reference_kernel(self, tmp_path):
+        # Any worker count (even 1, which folds serially) requests
         # streaming, so combining it with the reference simulator must
         # fail loudly rather than silently running vectorized-only.
         exp = ExperimentSpec(scenes=(SCENE,), layouts=(LAYOUT,), scale=SCALE)
         engine = Engine(store=ArtifactStore(tmp_path / "a"))
-        for shards in (1, 2):
+        for stream_workers in (1, 2):
             with pytest.raises(ValueError, match="vectorized"):
-                engine.run(exp, shards=shards, kernel="reference")
+                engine.run(exp, stream_workers=stream_workers,
+                           kernel="reference")
 
     def test_collapsed_runs_match_materialized(self, tmp_path):
         # Block-folded run collapse (with boundary stitching) must
@@ -223,11 +214,13 @@ class TestEngineRunStreaming:
         store = ArtifactStore(tmp_path / "b")
         assert store.open_render_blocks(exp.trace_specs()[0]) is not None
 
-    def test_single_shard_streams(self, tmp_path):
+    def test_single_stream_worker_streams(self, tmp_path):
+        # One worker has nothing to pipeline: the serial streamed fold
+        # runs, through the chunked representation.
         exp = ExperimentSpec(**self.GRID)
         ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
-        sharded = Engine(store=ArtifactStore(tmp_path / "b")).run(
-            exp, shards=1)
-        assert self.rows(ram) == self.rows(sharded)
+        streamed = Engine(store=ArtifactStore(tmp_path / "b")).run(
+            exp, stream_workers=1)
+        assert self.rows(ram) == self.rows(streamed)
         store = ArtifactStore(tmp_path / "b")
         assert store.open_render_blocks(exp.trace_specs()[0]) is not None
