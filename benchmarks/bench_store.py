@@ -4,7 +4,7 @@ Times ``Engine.run`` over a warm artifact store (every trace, address
 stream and profile already on disk) two ways per scene:
 
 * ``ms_before`` -- the seed's serving discipline, emulated by env
-  knobs: in-memory tier off (``REPRO_STORE_MEMORY=0``), full SHA-256
+  knobs: in-memory tier off (``REPRO_STORE_MEMORY_BYTES=0``), full SHA-256
   re-verification on every load (``REPRO_STORE_VERIFY=always``) and no
   memory-mapped payloads (``REPRO_STORE_MMAP=0``); a fresh
   :class:`~repro.engine.Engine` per run, so every artifact is re-read
@@ -16,11 +16,9 @@ stream and profile already on disk) two ways per scene:
 
 Before anything is timed the grid's result rows (miss-rate curves and
 3C classifications) are verified **bit-identical** across every tier
-configuration: seed emulation, tiered defaults, T0 off, mmap on/off
-(profiles recomputed from memory-mapped address streams), and a cold
-local store reading through a populated remote tier
-(``REPRO_STORE_REMOTE``) with zero renders.  Results land in
-``BENCH_store.json`` at the repository root with schema ``{bench,
+configuration: seed emulation, tiered defaults, T0 off, and mmap
+on/off (profiles recomputed from memory-mapped address streams).
+Results land in ``BENCH_store.json`` at the repository root with schema ``{bench,
 config, ms_before, ms_after, speedup}`` matching the other BENCH
 artifacts.
 
@@ -49,7 +47,6 @@ from repro.engine import (  # noqa: E402
     ArtifactStore,
     Engine,
     ExperimentSpec,
-    render_calls,
 )
 from repro.engine import tiers  # noqa: E402
 
@@ -61,13 +58,12 @@ ASSOCS = (None, 4)
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_store.json"
 
 #: Env knobs the bench flips; everything else is left alone.
-_TIER_KEYS = ("REPRO_STORE_MEMORY", "REPRO_STORE_MEMORY_BYTES",
-              "REPRO_STORE_VERIFY", "REPRO_STORE_MMAP",
-              "REPRO_STORE_REMOTE")
+_TIER_KEYS = ("REPRO_STORE_MEMORY_BYTES", "REPRO_STORE_VERIFY",
+              "REPRO_STORE_MMAP")
 
 #: The seed's discipline: no memory tier, hash every load, no mmap.
-SEED_ENV = {"REPRO_STORE_MEMORY": "0", "REPRO_STORE_VERIFY": "always",
-            "REPRO_STORE_MMAP": "0"}
+SEED_ENV = {"REPRO_STORE_MEMORY_BYTES": "0",
+            "REPRO_STORE_VERIFY": "always", "REPRO_STORE_MMAP": "0"}
 
 
 def grid_spec(scene: str) -> ExperimentSpec:
@@ -130,16 +126,15 @@ def verify_equivalence(scene: str, work: Path) -> int:
     """Assert the grid is bit-identical under every tier
     configuration.  Returns the number of configurations checked."""
     full = work / f"{scene}-full"
-    remote = work / f"{scene}-remote"
-    with tier_env(REPRO_STORE_REMOTE=str(remote)):
-        run_grid(full, scene)  # warm + publish to the remote tier
+    with tier_env():
+        run_grid(full, scene)  # warm the store
 
     with tier_env(**SEED_ENV):
         baseline = rows_key(run_grid(full, scene))
 
     trials = {
         "tiered defaults": (full, {}),
-        "T0 off": (full, {"REPRO_STORE_MEMORY": "0"}),
+        "T0 off": (full, {"REPRO_STORE_MEMORY_BYTES": "0"}),
         # Profiles dropped: recomputed from (mmap'd or not) addresses.
         "mmap on, profiles recomputed": (_copy_store(
             full, work / f"{scene}-mmap1",
@@ -153,17 +148,7 @@ def verify_equivalence(scene: str, work: Path) -> int:
         with tier_env(**env):
             if rows_key(run_grid(root, scene)) != baseline:
                 raise AssertionError(f"{scene}: rows diverge ({label})")
-
-    # Remote read-through: a cold local store must serve the whole
-    # grid from the remote tier without a single render.
-    with tier_env(REPRO_STORE_REMOTE=str(remote)):
-        before = render_calls()
-        cold = rows_key(run_grid(work / f"{scene}-cold", scene))
-        if render_calls() != before:
-            raise AssertionError(f"{scene}: remote read-through rendered")
-        if cold != baseline:
-            raise AssertionError(f"{scene}: rows diverge (remote tier)")
-    return len(trials) + 2
+    return len(trials) + 1
 
 
 def _timed(run) -> float:
@@ -216,7 +201,7 @@ def measure(work: Path, repeats: int = 3) -> dict:
             "estimator": "min of consecutive warm grid runs per mode",
             "seed_mode": dict(SEED_ENV),
             "equivalence": "bit-identical rows (curves + 3C) across "
-                           "seed, tiered, T0 off, mmap on/off, remote",
+                           "seed, tiered, T0 off, mmap on/off",
             "scenes_at_3x_or_better": int(scenes_over_3x),
             "per_scene": per_scene,
         },
@@ -241,8 +226,7 @@ def main(argv=None) -> int:
             for scene in SCENES:
                 configs = verify_equivalence(scene, work)
                 print(f"{scene}: identical rows across {configs} tier "
-                      "configurations (incl. zero-render remote "
-                      "read-through)")
+                      "configurations")
             print(f"smoke OK: bit-identical grids on {len(SCENES)} "
                   f"scenes at scale {SCALE}")
             return 0

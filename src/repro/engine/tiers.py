@@ -1,7 +1,7 @@
 """Process-level store tiers above the on-disk artifact directory.
 
-The on-disk :class:`~repro.engine.artifacts.ArtifactStore` (T1) is
-bracketed by two optional tiers, mirroring the paper's argument that a
+The on-disk :class:`~repro.engine.artifacts.ArtifactStore` (T1) sits
+under two in-process tiers, mirroring the paper's argument that a
 small well-placed cache absorbs almost all traffic:
 
 T0 -- :class:`MemoryTier`
@@ -11,24 +11,14 @@ T0 -- :class:`MemoryTier`
     mtime_ns, inode)`` of the files they came from (payload and
     sidecar) and re-stat on every hit, so anything rewritten,
     quarantined or cleared on disk reads as a miss instead of serving
-    stale bytes.  Budget:
-    ``REPRO_STORE_MEMORY_BYTES`` (default 256 MiB); ``REPRO_STORE_MEMORY=0``
-    disables the tier.
+    stale bytes.  Budget: ``REPRO_STORE_MEMORY_BYTES`` (default
+    256 MiB; ``0`` disables the tier).
 
 T0 -- :class:`DigestCache`
     Verify-once SHA-256 memoization keyed by the same stat identity:
     an unchanged file is hashed at most once per process, turning the
     per-load full-file re-verify into a single ``stat``.
     ``REPRO_STORE_VERIFY=always`` restores hash-every-load.
-
-T2 -- :class:`RemoteTier`
-    An optional shared read-through directory (``REPRO_STORE_REMOTE``)
-    in the same checksummed-envelope layout as the local store.  Local
-    misses fetch payload+sidecar from it (atomic-rename write-back
-    into the local tier, then the normal local verification -- remote
-    corruption quarantines locally and falls back to recompute), and
-    local publishes copy back up best-effort, so a fleet of workers
-    shares one cold render.
 
 Keeping the tiers in their own module (with no imports from
 :mod:`~repro.engine.artifacts`) lets the store, the fault-injection
@@ -40,8 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
-import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -294,92 +282,14 @@ class MemoryTier:
                     "hit_rate": self.hits / lookups if lookups else 0.0}
 
 
-class RemoteTier:
-    """Optional shared read-through tier (T2): a directory in the same
-    ``<kind>/<fingerprint>.<suffix>`` + ``.json``-sidecar layout,
-    typically on shared storage.  All transfers go through a sibling
-    temp file and ``os.replace``, so readers on either side never see
-    a torn file; every failure degrades to "not available" rather than
-    raising into the pipeline."""
-
-    def __init__(self, root):
-        self.root = Path(root)
-
-    @classmethod
-    def from_env(cls) -> Optional["RemoteTier"]:
-        raw = os.environ.get("REPRO_STORE_REMOTE")
-        return cls(raw) if raw else None
-
-    def reachable(self) -> bool:
-        try:
-            return self.root.is_dir()
-        except OSError:
-            return False
-
-    def _copy_atomic(self, source: Path, target_dir: Path,
-                     name: str) -> bool:
-        temp_name = None
-        try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            descriptor, temp_name = tempfile.mkstemp(
-                dir=target_dir, suffix=".tmp" + Path(name).suffix)
-            os.close(descriptor)
-            shutil.copyfile(source, temp_name)
-            os.replace(temp_name, target_dir / name)
-            return True
-        except OSError:
-            if temp_name is not None:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-            return False
-
-    def fetch(self, kind: str, name: str, local_dir) -> bool:
-        """Copy one remote payload/sidecar into the local store
-        directory (atomic rename).  False on any failure."""
-        source = self.root / kind / name
-        try:
-            if not source.is_file():
-                return False
-        except OSError:
-            return False
-        return self._copy_atomic(source, Path(local_dir), name)
-
-    def publish(self, kind: str, paths) -> int:
-        """Best-effort copy of locally published files up into the
-        remote tier, in the given order (payloads before their
-        sidecar, so a torn upload can never verify as complete).
-        Content-addressed names that already exist remotely are
-        skipped; the first failure stops the batch.  Returns how many
-        of ``paths`` are now present remotely."""
-        directory = self.root / kind
-        done = 0
-        for path in paths:
-            path = Path(path)
-            try:
-                if (directory / path.name).exists():
-                    done += 1
-                    continue
-            except OSError:
-                break
-            if not self._copy_atomic(path, directory, path.name):
-                break
-            done += 1
-        return done
-
-
 def _memory_budget_from_env() -> int:
     raw = os.environ.get("REPRO_STORE_MEMORY_BYTES")
-    if raw is not None:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            return DEFAULT_MEMORY_BYTES
-    toggle = os.environ.get("REPRO_STORE_MEMORY")
-    if toggle is not None and toggle.strip().lower() in _FALSY:
-        return 0
-    return DEFAULT_MEMORY_BYTES
+    if raw is None:
+        return DEFAULT_MEMORY_BYTES
+    try:
+        return max(0, int(raw))
+    except ValueError:
+        return DEFAULT_MEMORY_BYTES
 
 
 _MEMORY = MemoryTier(_memory_budget_from_env())
@@ -398,11 +308,6 @@ def memory_tier() -> MemoryTier:
 def digest_cache() -> DigestCache:
     """The process-wide verify-once digest cache."""
     return _DIGESTS
-
-
-def remote_tier() -> Optional[RemoteTier]:
-    """The configured T2, or ``None`` (``REPRO_STORE_REMOTE``)."""
-    return RemoteTier.from_env()
 
 
 def invalidate_path(path) -> None:

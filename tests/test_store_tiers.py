@@ -2,14 +2,9 @@
 
 Covers T0 (the byte-bounded in-process LRU and the verify-once digest
 cache): LRU eviction under byte pressure, stat revalidation so on-disk
-tampering is never masked by a process-level hit, and hash-at-most-once
-loads.  Covers T2 (``REPRO_STORE_REMOTE``): zero-render read-through
-into a cold local store, local quarantine + recompute on remote
-corruption, degradation when the remote root is unreachable, and
-concurrent read-throughs deduplicating into one verified local copy.
+tampering is never masked by a process-level hit, hash-at-most-once
+loads, and disabling the tier with ``REPRO_STORE_MEMORY_BYTES=0``.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -21,7 +16,6 @@ from repro.engine import (
     addresses_payload,
     fingerprint,
     profile_payload,
-    render_calls,
     tiers,
 )
 from tests import fault_injection as faults
@@ -113,7 +107,7 @@ class TestT0Integration:
         assert first is second
 
     def test_disabled_via_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_MEMORY", "0")
+        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", "0")
         warm_store(tmp_path)
         assert not tiers.memory_tier().enabled
         first = ArtifactStore(tmp_path).load_profile(PROFILE_32)
@@ -166,7 +160,7 @@ class TestT0Integration:
 class TestDigestCache:
     def test_verified_loads_hash_at_most_once(self, tmp_path, monkeypatch):
         # Disable T0 so every load goes through envelope verification.
-        monkeypatch.setenv("REPRO_STORE_MEMORY", "0")
+        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", "0")
         warm_store(tmp_path)
         tiers.clear_process_caches()
 
@@ -185,7 +179,7 @@ class TestDigestCache:
         assert after["hits"] > after_first["hits"]
 
     def test_publish_seeds_the_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_MEMORY", "0")
+        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", "0")
         warm_store(tmp_path)  # publish records digests as a side effect
         cache = tiers.digest_cache()
         before = cache.stats()
@@ -196,7 +190,7 @@ class TestDigestCache:
 
     def test_verify_always_bypasses_the_cache(self, tmp_path, monkeypatch):
         warm_store(tmp_path)
-        monkeypatch.setenv("REPRO_STORE_MEMORY", "0")
+        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", "0")
         monkeypatch.setenv("REPRO_STORE_VERIFY", "always")
         tiers.clear_process_caches()
         cache = tiers.digest_cache()
@@ -207,85 +201,3 @@ class TestDigestCache:
         after = cache.stats()
         assert after["hits"] == before["hits"]
         assert after["misses"] == before["misses"]
-
-
-class TestRemoteTier:
-    @pytest.fixture()
-    def remote_root(self, tmp_path, monkeypatch):
-        remote = tmp_path / "remote"
-        remote.mkdir()
-        monkeypatch.setenv("REPRO_STORE_REMOTE", str(remote))
-        return remote
-
-    def test_read_through_renders_nothing(self, tmp_path, remote_root):
-        _, engine = warm_store(tmp_path / "origin")
-        reference = engine.streams(SPEC, LAYOUT).profile(32)
-        assert (remote_root / "profiles").is_dir()  # publish happened
-        tiers.clear_process_caches()
-
-        cold_root = tmp_path / "cold"
-        before = render_calls()
-        fetched = Engine(store=ArtifactStore(cold_root)) \
-            .streams(SPEC, LAYOUT).profile(32)
-        assert render_calls() == before  # zero renders: T2 served it
-        np.testing.assert_array_equal(fetched.counts, reference.counts)
-        # Write-back: the cold store now holds its own verified copy.
-        report = ArtifactStore(cold_root).verify()
-        assert report["clean"] and report["ok"] >= 1
-
-    def test_remote_corruption_quarantines_locally(self, tmp_path,
-                                                   remote_root):
-        _, engine = warm_store(tmp_path / "origin")
-        reference = engine.streams(SPEC, LAYOUT).profile(32)
-        tiers.clear_process_caches()
-        digest = fingerprint(PROFILE_32)
-        faults.flip_bit(remote_root / "profiles" / (digest + ".npz"))
-
-        cold = ArtifactStore(tmp_path / "cold")
-        assert cold.load_profile(PROFILE_32) is None
-        assert "mismatch" in quarantine_reasons(cold, "profiles")
-        # ... and the engine transparently falls back to recompute.
-        recomputed = Engine(store=cold).streams(SPEC, LAYOUT).profile(32)
-        np.testing.assert_array_equal(recomputed.counts, reference.counts)
-
-    def test_unreachable_remote_degrades_to_recompute(self, tmp_path,
-                                                      monkeypatch):
-        # A path *under a file* cannot be mkdir'd into existence by a
-        # publish, unlike a merely missing directory: a dead mount.
-        blocker = tmp_path / "blocker"
-        blocker.write_bytes(b"")
-        monkeypatch.setenv("REPRO_STORE_REMOTE",
-                           str(blocker / "no-such-mount"))
-        store, engine = warm_store(tmp_path / "local")
-        assert engine.streams(SPEC, LAYOUT).profile(32) is not None
-        remote = store.stats()["remote"]
-        assert remote["configured"] and not remote["reachable"]
-
-    def test_concurrent_read_throughs_dedup(self, tmp_path, remote_root):
-        warm_store(tmp_path / "origin")
-        tiers.clear_process_caches()
-        cold_root = tmp_path / "cold"
-        results, errors = [], []
-
-        def fetch():
-            try:
-                results.append(
-                    ArtifactStore(cold_root).load_profile(PROFILE_32))
-            except Exception as fault:  # pragma: no cover
-                errors.append(fault)
-
-        threads = [threading.Thread(target=fetch) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert all(result is not None for result in results)
-        for result in results[1:]:
-            np.testing.assert_array_equal(result.counts,
-                                          results[0].counts)
-        digest = fingerprint(PROFILE_32)
-        # One verified local copy, no .tmp litter left behind.
-        assert (cold_root / "profiles" / (digest + ".npz")).is_file()
-        report = ArtifactStore(cold_root).verify()
-        assert report["clean"] and report["tmp"] == 0
