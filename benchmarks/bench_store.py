@@ -4,11 +4,10 @@ Times ``Engine.run`` over a warm artifact store (every trace, address
 stream and profile already on disk) two ways per scene:
 
 * ``ms_before`` -- the seed's serving discipline, emulated by env
-  knobs: in-memory tier off (``REPRO_STORE_MEMORY_BYTES=0``), full SHA-256
-  re-verification on every load (``REPRO_STORE_VERIFY=always``) and no
-  memory-mapped payloads (``REPRO_STORE_MMAP=0``); a fresh
-  :class:`~repro.engine.Engine` per run, so every artifact is re-read
-  and re-hashed from disk each time.
+  knobs: in-memory tier off (``REPRO_STORE_MEMORY_BYTES=0``) and full
+  SHA-256 re-verification on every load (``REPRO_STORE_VERIFY=always``);
+  a fresh :class:`~repro.engine.Engine` per run, so every artifact is
+  re-read and re-hashed from disk each time.
 * ``ms_after`` -- the tiered defaults: the process-wide T0 LRU serves
   deserialized artifacts, the verify-once digest cache turns
   re-verification into a ``stat``, and monolithic ``.npy`` payloads
@@ -16,8 +15,8 @@ stream and profile already on disk) two ways per scene:
 
 Before anything is timed the grid's result rows (miss-rate curves and
 3C classifications) are verified **bit-identical** across every tier
-configuration: seed emulation, tiered defaults, T0 off, and mmap
-on/off (profiles recomputed from memory-mapped address streams).
+configuration: seed emulation, tiered defaults, T0 off, and profiles
+recomputed from memory-mapped address streams.
 Results land in ``BENCH_store.json`` at the repository root with schema ``{bench,
 config, ms_before, ms_after, speedup}`` matching the other BENCH
 artifacts.
@@ -58,12 +57,11 @@ ASSOCS = (None, 4)
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_store.json"
 
 #: Env knobs the bench flips; everything else is left alone.
-_TIER_KEYS = ("REPRO_STORE_MEMORY_BYTES", "REPRO_STORE_VERIFY",
-              "REPRO_STORE_MMAP")
+_TIER_KEYS = ("REPRO_STORE_MEMORY_BYTES", "REPRO_STORE_VERIFY")
 
-#: The seed's discipline: no memory tier, hash every load, no mmap.
+#: The seed's discipline: no memory tier, hash every load.
 SEED_ENV = {"REPRO_STORE_MEMORY_BYTES": "0",
-            "REPRO_STORE_VERIFY": "always", "REPRO_STORE_MMAP": "0"}
+            "REPRO_STORE_VERIFY": "always"}
 
 
 def grid_spec(scene: str) -> ExperimentSpec:
@@ -135,14 +133,10 @@ def verify_equivalence(scene: str, work: Path) -> int:
     trials = {
         "tiered defaults": (full, {}),
         "T0 off": (full, {"REPRO_STORE_MEMORY_BYTES": "0"}),
-        # Profiles dropped: recomputed from (mmap'd or not) addresses.
-        "mmap on, profiles recomputed": (_copy_store(
-            full, work / f"{scene}-mmap1",
+        # Profiles dropped: recomputed from the mmap'd addresses.
+        "profiles recomputed": (_copy_store(
+            full, work / f"{scene}-recomputed",
             drop=("profiles", "set_profiles")), {}),
-        "mmap off, profiles recomputed": (_copy_store(
-            full, work / f"{scene}-mmap0",
-            drop=("profiles", "set_profiles")),
-            {"REPRO_STORE_MMAP": "0"}),
     }
     for label, (root, env) in trials.items():
         with tier_env(**env):
@@ -201,7 +195,7 @@ def measure(work: Path, repeats: int = 3) -> dict:
             "estimator": "min of consecutive warm grid runs per mode",
             "seed_mode": dict(SEED_ENV),
             "equivalence": "bit-identical rows (curves + 3C) across "
-                           "seed, tiered, T0 off, mmap on/off",
+                           "seed, tiered, T0 off, profiles recomputed",
             "scenes_at_3x_or_better": int(scenes_over_3x),
             "per_scene": per_scene,
         },

@@ -490,7 +490,8 @@ def _cache(args) -> int:
                   "`repro cache repair` purges stale ones")
         if report["orphaned_parts"]:
             print(f"note: {report['orphaned_parts']} stale orphaned "
-                  "chunked-trace part(s); `repro cache repair` purges them")
+                  "trace file(s) no sidecar lists; `repro cache repair` "
+                  "purges them")
         if report["resumable"]:
             print(f"note: {report['resumable']} resumable part(s) from an "
                   "interrupted pipelined run (verified against their "

@@ -645,7 +645,9 @@ class ArtifactStore:
         time; peak store-side memory is one block.  ``part_base``
         offsets the part numbering so several writers (one per
         pipelined range) can stream the same trace without colliding;
-        the parent renumbers densely before publishing the sidecar."""
+        the pipelined parent then publishes one sidecar listing every
+        range's parts under the names their writers gave them
+        (:meth:`publish_chunked_sidecar`)."""
         return ChunkedRenderWriter(self, spec, part_base=part_base)
 
     def publish_chunked_sidecar(self, spec: TraceSpec, parts: list,
@@ -674,26 +676,6 @@ class ArtifactStore:
                 self._path("traces", digest, ".json"),
                 lambda temp: Path(temp).write_text(json.dumps(meta, indent=1)))
         return self._guarded_write(publish)
-
-    def renumber_parts(self, spec: TraceSpec, parts: list):
-        """Rename strided part files (``part_base`` writers) into the
-        dense ``.p00000``... sequence the sidecar will list, in the
-        given order.  Returns the renamed envelopes, or ``None`` when a
-        rename failed (the caller then withholds the sidecar and the
-        strided parts age out as orphan litter)."""
-        digest = fingerprint(spec.payload())
-        renamed = []
-        for index, entry in enumerate(parts):
-            source = self.root / "traces" / entry["name"]
-            target = self._path(
-                "traces", digest, f".p{index:0{traceio.PART_DIGITS}d}.npz")
-            if source != target:
-                try:
-                    os.replace(source, target)
-                except OSError:
-                    return None
-            renamed.append({**entry, "name": target.name})
-        return renamed
 
     # -- crash-resume metadata (interrupted pipelined renders) -----------
 
@@ -829,10 +811,7 @@ class ArtifactStore:
             # A read-only map instead of a copy: every consumer derives
             # new arrays (line reduction, collapses) and never writes
             # back, so warm loads cost page-ins, not a full decompress.
-            if tiers.mmap_enabled():
-                addresses = np.load(path, mmap_mode="r")
-            else:
-                addresses = np.load(path)
+            addresses = np.load(path, mmap_mode="r")
         except (ValueError, OSError) as fault:
             self.quarantine("addresses", digest,
                             f"undecodable address stream ({fault!r})")
@@ -1078,9 +1057,10 @@ class ArtifactStore:
         """Scan every artifact's integrity envelope without modifying
         anything.  ``bad`` lists verifiable damage; ``pending`` counts
         in-flight (younger than the grace window) torn states; ``tmp``
-        lists temp-file litter; ``orphaned_parts`` lists stale part
-        files no sidecar claims (litter, not corruption -- a streaming
-        writer died before publishing its sidecar); ``resumable`` lists
+        lists temp-file litter; ``orphaned_parts`` lists stale trace
+        files no sidecar claims (litter, not corruption): parts of a
+        streaming writer that died before publishing its sidecar, and
+        the monolithic payload a re-chunk superseded; ``resumable`` lists
         stale unlisted parts that an interrupted pipelined render's
         completion records cover (envelope-verified) -- the next cold
         fold resumes from them, so they are neither damage nor litter
@@ -1098,7 +1078,7 @@ class ArtifactStore:
                 path = payloads.get(stem, self._path(kind, stem, ".npz"))
                 sidecar = self._path(kind, stem, ".json")
                 try:
-                    self._verify_envelope(kind, path, sidecar)
+                    meta = self._verify_envelope(kind, path, sidecar)
                 except CorruptArtifact as fault:
                     survivor = path if path.exists() else sidecar
                     if fault.transient and not _is_stale(survivor):
@@ -1107,8 +1087,18 @@ class ArtifactStore:
                         name = path.name if stem in payloads else sidecar.name
                         entry["bad"].append({"file": name,
                                              "reason": str(fault)})
-                else:
-                    entry["ok"] += 1
+                    continue
+                entry["ok"] += 1
+                if stem in payloads and isinstance(meta.get("parts"), list):
+                    # A re-chunk published a parts sidecar over this
+                    # monolithic payload; nothing reads it again once
+                    # no reader that verified the old envelope can
+                    # still be loading it, so the grace window runs
+                    # from the re-chunk (the sidecar's age).
+                    if _is_stale(sidecar):
+                        entry["orphaned_parts"].append(path.name)
+                    else:
+                        entry["pending"] += 1
             verified_resumable: dict = {}
             for digest, meta_paths in resume.items():
                 covered: set = set()
@@ -1159,8 +1149,9 @@ class ArtifactStore:
     def repair(self) -> dict:
         """Self-heal the store: quarantine every artifact that fails
         verification, purge stale ``*.tmp*`` litter left by killed
-        writers and stale orphaned part files left by killed streaming
-        writers.  In-flight writes (within the grace window) and
+        writers and the stale orphaned trace files :meth:`verify`
+        lists (parts of killed streaming writers, superseded monolithic
+        payloads).  In-flight writes (within the grace window) and
         resumable parts of interrupted pipelined renders -- along with
         the resume metadata that covers them -- are left alone; resume
         metadata is only purged once its artifact has published."""
@@ -1247,11 +1238,6 @@ class ChunkedRenderWriter:
         self._has_positions = False
         self._complete = True
         self._finished = False
-
-    @property
-    def part_envelopes(self) -> list:
-        """Integrity envelopes of the parts published so far."""
-        return list(self._parts)
 
     def append(self, block) -> None:
         """Atomically publish one block as the next part file."""

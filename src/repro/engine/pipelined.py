@@ -7,16 +7,27 @@ in a single process.  This module runs the same fold across a
 
     parent                          workers (persistent StreamPool)
     ------                          -------------------------------
-    submit render ranges   ----->   task queue
-    supervise: heartbeats,          render one contiguous clipped-
-    deadlines, respawn dead         triangle slice -> FragmentBlocks,
-    workers, retry failed           persist each part, fold it into
+    submit range jobs      ----->   task queue
+    (render | fold)
+    supervise: heartbeats,          render: render one contiguous
+    deadlines, respawn dead         clipped-triangle slice, persist
+    workers, retry failed           each part, fold each block into
     ranges with backoff             the range's per-pair states
-    collect range states   <-----   event queue (per-range partial
-    merge in range order            states + part envelopes)
-    renumber + publish
-    sidecar (all ranges
-    complete, or nothing)
+                                    fold: fold the named parts
+    collect range states   <-----   event queue (range_done: per-range
+    merge in range order            partial states, plus a render
+    publish sidecar over            range's part envelopes)
+    the parts as written
+    (all ranges complete,
+    or nothing)
+
+**Two job kinds.**  Every range is one job.  A ``render`` job renders
+a triangle slice; a ``fold`` job folds an explicit list of part files
+the parent has already envelope-verified -- a warm trace's parts,
+sliced from the reader the parent opened, or a resumed range's parts,
+taken from its completion record.  Workers run both through
+:func:`_run_job` and report each as one ``range_done`` event; the
+parent's residual recovery calls the same function.
 
 **Parallel cold render.**  The clipped triangle index space is cut
 into equal contiguous slices (:func:`~repro.pipeline.renderer.
@@ -37,9 +48,9 @@ block-sized data crosses a process boundary.
 own ``part_base``-offset :class:`~repro.engine.artifacts.
 ChunkedRenderWriter` (checksummed, atomically published, sidecar
 withheld).  Only the parent -- after every range reports complete --
-renumbers the strided parts into the dense ``.p00000`` sequence and
-publishes the sidecar, so a partially rendered trace can never
-verify as a complete artifact.
+publishes the sidecar, listing the parts in range order under the
+names their writers gave them, so a partially rendered trace can
+never verify as a complete artifact and no part is renamed.
 
 **Self-healing.**  A fold does not fail whole on the first fault; it
 degrades through an escalation ladder, each rung strictly cheaper
@@ -54,10 +65,10 @@ than the next:
    ``REPRO_STREAM_JOB_TIMEOUT``) is killed first.  Only the *failed
    contiguous ranges* are re-dispatched, with bounded retries and
    exponential backoff (:data:`STREAM_RETRIES`).
-2. *Residual recovery.*  A range that exhausts its retry budget is
-   rendered or folded serially in the parent -- the fold still
-   completes bit-identically, with a ``RuntimeWarning`` naming the
-   residual count.
+2. *Residual recovery.*  A range that exhausts its retry budget runs
+   its job serially in the parent -- the fold still completes
+   bit-identically, with a ``RuntimeWarning`` naming the residual
+   count.
 3. *Serial fallback.*  Only when *no* range succeeds through the pool
    (or the pipeline itself is unusable) does :class:`PipelineError`
    propagate and :class:`~repro.engine.streaming.StreamedProfiles`
@@ -69,10 +80,11 @@ kinds of resume metadata (:meth:`~repro.engine.artifacts.
 ArtifactStore.save_stream_plan` / ``save_range_record``): the range
 plan written at dispatch and one completion record per finished
 range, listing its part envelopes.  The next cold fold of the same
-spec verifies the surviving parts against those envelopes, folds the
-verified ranges *warm* (``foldparts`` jobs), re-renders only the
-missing ranges under the original plan geometry, then renumbers and
-publishes as usual -- bit-identical to an uninterrupted run.
+spec verifies the surviving parts against those envelopes, runs the
+verified ranges as ``fold`` jobs, re-renders only the missing ranges
+under the original plan geometry, then publishes as usual --
+bit-identical to an uninterrupted run.  Since publishing renames
+nothing, the records stay valid until the sidecar is on disk.
 
 **Observability.**  Every fold accounts its recovery actions in a
 :class:`StreamReport` hung off the ``StreamedProfiles`` and surfaced
@@ -84,10 +96,10 @@ instead).  Deterministic fault injection for all of the above lives
 in :mod:`repro.engine.faults` (``REPRO_FAULT_PLAN``).
 
 **Warm traces** (chunked parts already in the store) skip the render
-stage: part ranges fan out over the same pool, each worker folds its
-range into picklable partial states, and the parent merges them in
-part order under the same supervision.  A single-part trace has
-nothing to fan out and folds in the parent.
+stage: the parent slices the part names of the reader it opened into
+contiguous ``fold`` jobs under the same supervision and merges the
+results in part order.  A single-part trace has nothing to fan out
+and runs its one job in the parent.
 """
 
 from __future__ import annotations
@@ -106,13 +118,14 @@ import numpy as np
 from ..core.kernels import PartialSetProfile
 from ..pipeline import traceio
 from ..pipeline.renderer import render_trace_blocks
-from ..texture.memory import place_textures
 from . import faults
 from .artifacts import ArtifactStore, fingerprint, load_part_block
-from .spec import layout_from_spec, order_from_spec
+from .spec import order_from_spec
+from .streaming import _cached_placements, _cached_scene, _fold_blocks
 
-#: Part-index stride between ranges; the parent renumbers densely, so
-#: this only needs to exceed any single range's block count.
+#: Part-index stride between ranges: range ``i`` writes parts
+#: ``i * PART_STRIDE + 0, 1, ...`` and the sidecar lists them under
+#: those names, so this must exceed any single range's block count.
 PART_STRIDE = 100_000
 
 #: Render/fold ranges per worker: >1 so a fragment-heavy slice is
@@ -242,63 +255,7 @@ def _report_of(profiles) -> StreamReport:
     return report
 
 
-# -- fold and render helpers (workers and parent) -------------------------
-
-#: Per-worker memo of the last built scene / placements: an experiment
-#: grid re-renders and re-folds the same scene across many rows, and
-#: the pool persists across rows, so this is where scene builds
-#: amortize.  Size-one on purpose (bounded worker RSS).
-_SCENES: dict = {}
-_PLACEMENTS: dict = {}
-_READERS: dict = {}
-
-
-def _cached_scene(spec):
-    from .streaming import _build_scene
-    key = (spec.scene, float(spec.scale), float(spec.time))
-    if key not in _SCENES:
-        _SCENES.clear()
-        _PLACEMENTS.clear()
-        _SCENES[key] = _build_scene(spec)
-    return _SCENES[key]
-
-
-def _cached_placements(spec, layout_spec):
-    key = (spec.scene, float(spec.scale), float(spec.time),
-           tuple(layout_spec))
-    if key not in _PLACEMENTS:
-        _PLACEMENTS.clear()
-        _PLACEMENTS[key] = place_textures(
-            _cached_scene(spec).get_mipmaps(),
-            layout_from_spec(layout_spec))
-    return _PLACEMENTS[key]
-
-
-def _cached_reader(root: str, spec):
-    """Open (and envelope-verify) a chunked trace once per worker, not
-    once per fold job: a published trace is immutable and an experiment
-    grid folds the same trace once per profile pair, so re-verifying
-    every part's checksum on every job dominates small fold ranges."""
-    key = (root, fingerprint(spec.payload()))
-    if key not in _READERS:
-        reader = ArtifactStore(root).open_render_blocks(spec)
-        if reader is None:
-            return None  # never cache a miss: the trace may land later
-        _READERS.clear()
-        _READERS[key] = reader
-    return _READERS[key]
-
-
-def _fold_blocks(pairs, placements, blocks, beat=None) -> dict:
-    """Fold ``blocks`` in order into fresh per-pair partial states."""
-    from .streaming import _fold_block_into
-    states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
-    for block in blocks:
-        _fold_block_into(states, block.byte_addresses(placements))
-        if beat is not None:
-            beat()
-    return states
-
+# -- range jobs (workers and parent) ----------------------------------------
 
 def _merge_in_order(pairs, ranges) -> dict:
     """Merge per-range states in range order: ``merge`` is
@@ -311,42 +268,61 @@ def _merge_in_order(pairs, ranges) -> dict:
     return merged
 
 
-def _render_range(store, job: dict, placements, before_block=None) -> tuple:
+def _run_job(store, kind: str, job: dict, before_block=None) -> dict:
+    """Run one range job and return its ``range_done`` payload: the
+    range's per-pair partial states under ``"states"``, plus -- for a
+    ``render`` job -- its completion record.  Pool workers and the
+    parent's residual recovery both call this.  ``before_block(n)``
+    runs ahead of block ``n`` (worker heartbeat and, for ``render``
+    jobs, fault injection)."""
+    placements = _cached_placements(job["trace_spec"], job["layout_spec"])
+    if kind == "render":
+        return _render_range(store, job, placements, before_block)
+    if kind != "fold":
+        raise RuntimeError(f"unknown stream task {kind!r}")
+    blocks = (load_part_block(store.root, name, sequence)
+              for sequence, name in enumerate(job["parts"]))
+    return {"states": _fold_blocks(job["pairs"], placements, blocks,
+                                   before_block)}
+
+
+def _render_range(store, job: dict, placements, before_block=None) -> dict:
     """Render one triangle slice: persist its parts (strided index
     space) and fold each block into the range's per-pair states as it
-    is produced.  Returns ``(states, payload)`` with the part
-    envelopes and slice totals; a completed range also leaves a
-    completion record in the store, on disk before anyone hears the
-    range is done, so an interrupted run can resume from its parts.
-    ``before_block(n)`` runs ahead of block ``n`` (worker heartbeat
-    and fault injection)."""
-    from .streaming import _fold_block_into
+    is produced.  The payload carries the states, the part envelopes
+    and the slice totals; a completed range also leaves a completion
+    record in the store, on disk before anyone hears the range is
+    done, so an interrupted run can resume from its parts."""
     spec = job["trace_spec"]
     writer = store.open_render_writer(spec, part_base=job["part_base"])
-    states = {pair: PartialSetProfile.empty(*pair) for pair in job["pairs"]}
     totals: dict = {}
     n_blocks = 0
-    for block in render_trace_blocks(
-            _cached_scene(spec), job["chunk_size"],
-            order=order_from_spec(spec.order), raster=spec.raster,
-            record_positions=spec.record_positions,
-            max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
-            use_mipmaps=spec.use_mipmaps, totals=totals,
-            triangle_slice=(job["range"], job["n_ranges"])):
-        if before_block is not None:
-            before_block(n_blocks)
-        writer.append(block)
-        _fold_block_into(states, block.byte_addresses(placements))
-        n_blocks += 1
+
+    def persisted():
+        nonlocal n_blocks
+        for block in render_trace_blocks(
+                _cached_scene(spec), job["chunk_size"],
+                order=order_from_spec(spec.order), raster=spec.raster,
+                record_positions=spec.record_positions,
+                max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
+                use_mipmaps=spec.use_mipmaps, totals=totals,
+                triangle_slice=(job["range"], job["n_ranges"])):
+            if before_block is not None:
+                before_block(n_blocks)
+            writer.append(block)
+            n_blocks += 1
+            yield block
+
+    states = _fold_blocks(job["pairs"], placements, persisted())
     envelopes, complete, has_positions = writer.finish_parts()
     totals.pop("per_triangle_fragments", None)
     totals["has_positions"] = has_positions
-    payload = {"envelopes": envelopes, "complete": complete,
-               "totals": totals, "n_blocks": n_blocks}
+    record = {"envelopes": envelopes, "complete": complete,
+              "totals": totals, "n_blocks": n_blocks}
     if complete:
         store.save_range_record(spec, job["range"],
-                                {"range": job["range"], **payload})
-    return states, payload
+                                {"range": job["range"], **record})
+    return {"states": states, **record}
 
 
 # -- worker side -----------------------------------------------------------
@@ -367,37 +343,39 @@ def _bind_to_parent_lifetime() -> None:
 
 
 def _worker_loop(tasks, events, heartbeats, slot) -> None:
-    """Generic persistent worker: render and fold ranges until the
-    ``None`` sentinel.  A task failure is reported as an event and the
-    worker lives on; only a hard crash kills it.  The worker stamps
-    ``heartbeats[slot]`` at task pickup and per block/part so the
-    supervisor can tell wedged from slow."""
+    """Persistent worker: run ``render`` and ``fold`` jobs until the
+    ``None`` sentinel, reporting each finished job as one
+    ``range_done`` event.  A job failure is reported as an ``error``
+    event and the worker lives on; only a hard crash kills it.  The
+    worker stamps ``heartbeats[slot]`` at task pickup and per block so
+    the supervisor can tell wedged from slow."""
     _bind_to_parent_lifetime()
     while True:
         task = tasks.get()
         if task is None:
             break
         kind, job = task
+        fold, index = job.get("fold", 0), job.get("range", -1)
+        attempt = job.get("attempt", 0)
         heartbeats[slot] = time.monotonic()
-
-        def beat():
-            heartbeats[slot] = time.monotonic()
-
-        events.put(("started", job.get("fold", 0), job.get("range", -1),
-                    job.get("attempt", 0), slot, os.getpid()))
+        events.put(("started", fold, index, attempt, slot, os.getpid()))
         try:
-            if kind == "render":
-                _worker_render(job, events, beat)
-            elif kind == "fold":
-                _worker_fold(job, events, beat)
-            elif kind == "foldparts":
-                _worker_fold_parts(job, events, beat)
-            else:
-                raise RuntimeError(f"unknown stream task {kind!r}")
+            store = ArtifactStore(job["root"])
+
+            def before_block(n_blocks):
+                heartbeats[slot] = time.monotonic()
+                if kind == "render":
+                    fault = faults.maybe_fault("render-block", range=index,
+                                               block=n_blocks)
+                    if fault is not None:
+                        _run_worker_fault(fault, store)
+
+            events.put(("range_done", fold, index, attempt,
+                        _run_job(store, kind, job, before_block)))
         except Exception:
-            events.put(("error", job.get("fold", 0), job.get("range", -1),
-                        job.get("attempt", 0), traceback.format_exc()))
-        beat()
+            events.put(("error", fold, index, attempt,
+                        traceback.format_exc()))
+        heartbeats[slot] = time.monotonic()
 
 
 def _run_worker_fault(fault, store) -> None:
@@ -410,55 +388,6 @@ def _run_worker_fault(fault, store) -> None:
         # What ArtifactStore._demote does when the disk fills, minus
         # the warning: writes silently stop persisting mid-range.
         store._demoted = True
-
-
-def _worker_render(job: dict, events, beat) -> None:
-    """Render, persist and fold one triangle slice; report its part
-    envelopes and per-pair states."""
-    store = ArtifactStore(job["root"])
-
-    def before_block(n_blocks):
-        beat()
-        fault = faults.maybe_fault("render-block", range=job["range"],
-                                   block=n_blocks)
-        if fault is not None:
-            _run_worker_fault(fault, store)
-
-    states, payload = _render_range(
-        store, job, _cached_placements(job["trace_spec"], job["layout_spec"]),
-        before_block)
-    events.put(("range_done", job.get("fold", 0), job["range"],
-                job.get("attempt", 0), {**payload, "states": states}))
-
-
-def _worker_fold(job: dict, events, beat) -> None:
-    """Fold one contiguous part range of a warm chunked trace into
-    per-pair partial states (picklable; parent merges in part order)."""
-    reader = _cached_reader(job["root"], job["trace_spec"])
-    if reader is None:
-        raise RuntimeError("chunked trace vanished under the fold")
-    placements = _cached_placements(job["trace_spec"], job["layout_spec"])
-    states = _fold_blocks(
-        job["pairs"], placements,
-        (reader.read_part(index) for index in range(job["lo"], job["hi"])),
-        beat)
-    events.put(("fold_done", job.get("fold", 0), job["range"],
-                job.get("attempt", 0), states))
-
-
-def _worker_fold_parts(job: dict, events, beat) -> None:
-    """Fold the explicitly named (envelope-verified) part files of one
-    resumed range -- the crash-resume analog of :func:`_worker_fold`,
-    which cannot be used because an interrupted render has no sidecar
-    to open a reader from."""
-    placements = _cached_placements(job["trace_spec"], job["layout_spec"])
-    states = _fold_blocks(
-        job["pairs"], placements,
-        (load_part_block(job["root"], name, sequence)
-         for sequence, name in enumerate(job["parts"])),
-        beat)
-    events.put(("fold_done", job.get("fold", 0), job["range"],
-                job.get("attempt", 0), states))
 
 
 # -- the persistent pool ---------------------------------------------------
@@ -571,7 +500,7 @@ _POOL: StreamPool = None
 
 def _seed_pool_memos(spec, layout_spec, workers: int) -> None:
     """Pre-build the scene and placements in the parent when a fresh
-    pool is about to fork: children inherit the worker memos
+    pool is about to fork: children inherit the streaming scene memo
     copy-on-write, so the whole pool pays one scene build -- mipmaps
     included -- instead of one per worker.  Texture synthesis dominates
     cold time on small scenes, and the duplicated builds also contended
@@ -904,7 +833,7 @@ def fold_pipelined(profiles, pairs) -> dict:
     report.folds += 1
     respawns_before = _RESPAWNS_TOTAL
     try:
-        return _fold_dispatch(profiles, pairs)
+        return _fold(profiles, pairs)
     except PipelineError:
         _break_pool()
         raise
@@ -915,7 +844,9 @@ def fold_pipelined(profiles, pairs) -> dict:
         report.respawns += _RESPAWNS_TOTAL - respawns_before
 
 
-def _fold_dispatch(profiles, pairs) -> dict:
+def _fold(profiles, pairs) -> dict:
+    """A warm chunked trace folds as ``fold`` jobs over its parts; a
+    cold one renders under the trace's single-flight lock."""
     store = profiles.store
     spec = profiles.trace_spec
     reader = store.open_render_blocks(spec)
@@ -928,147 +859,142 @@ def _fold_dispatch(profiles, pairs) -> dict:
                 "store cannot hold the chunked representation")
     if reader is not None:
         return _fold_warm(profiles, pairs, reader)
-    return _fold_cold(profiles, pairs)
-
-
-def _fold_warm(profiles, pairs, reader) -> dict:
-    """Fan a warm chunked trace's part ranges over the pool (a
-    single-part trace has nothing to fan out: it folds here)."""
-    if len(reader) < 2:
-        return _fold_blocks(
-            pairs, _cached_placements(profiles.trace_spec,
-                                      profiles.layout_spec), reader)
-    report = _report_of(profiles)
-    _seed_pool_memos(profiles.trace_spec, profiles.layout_spec,
-                     profiles.stream_workers)
-    pool = get_pool(profiles.stream_workers)
-    n_parts = len(reader)
-    n_ranges = min(n_parts, pool.workers * RANGES_PER_WORKER)
-    bounds = np.linspace(0, n_parts, n_ranges + 1).astype(int)
-    jobs = {index: ("fold", {"range": index,
-                             "root": str(profiles.store.root),
-                             "trace_spec": profiles.trace_spec,
-                             "layout_spec": profiles.layout_spec,
-                             "lo": int(lo), "hi": int(hi), "pairs": pairs})
-            for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-            if hi > lo}
-    pool.fold_id += 1
-    supervisor = _Supervision(
-        pool, jobs, report, f"warm fold ({profiles.trace_spec.scene})")
-    results: dict = {}
-
-    def handle(kind, index, message):
-        if kind != "fold_done":
-            raise PipelineError(
-                f"unexpected {kind!r} event in warm fold")
-        if index in supervisor.complete:
-            return False  # a duplicate attempt finished too; harmless
-        results[index] = message[4]
-        supervisor.note_complete(index)
-        return True
-
-    supervisor.dispatch_all()
-    _drive(pool, supervisor, handle, what="pipelined warm fold")
-    if supervisor.residual:
-        if not supervisor.complete:
-            raise PipelineError(
-                "every warm fold range failed in the pool "
-                f"({_last_line(next(iter(supervisor.residual.values())))})")
-        _recover_residual_warm(profiles, pairs, reader, supervisor,
-                               results, report)
-    return _merge_in_order(pairs, (results[index] for index in sorted(jobs)))
-
-
-def _recover_residual_warm(profiles, pairs, reader, supervisor, results,
-                           report) -> None:
-    """Escalation rung two for the warm fold: fold the residual part
-    ranges serially in the parent."""
-    residual = sorted(supervisor.residual)
-    started = time.monotonic()
-    placements = _cached_placements(profiles.trace_spec,
-                                    profiles.layout_spec)
-    for index in residual:
-        _, job = supervisor.jobs[index]
-        results[index] = _fold_blocks(
-            pairs, placements,
-            (reader.read_part(part) for part in range(job["lo"], job["hi"])))
-        supervisor.note_complete(index)
-    report.recovery_s += time.monotonic() - started
-    warnings.warn(
-        f"pipelined warm fold recovered {len(residual)} residual "
-        "range(s) serially in the parent after the retry budget",
-        RuntimeWarning, stacklevel=6)
-
-
-def _fold_cold(profiles, pairs) -> dict:
-    """Render, persist and fold a cold trace concurrently, resuming
-    from the verified parts of a previously interrupted run."""
-    store = profiles.store
-    spec = profiles.trace_spec
-    report = _report_of(profiles)
-    _seed_pool_memos(spec, profiles.layout_spec, profiles.stream_workers)
-    pool = get_pool(profiles.stream_workers)
-    digest = fingerprint(spec.payload())
-    with store.single_flight("traces", digest):
+    with store.single_flight("traces", fingerprint(spec.payload())):
         reader = store.open_render_blocks(spec)
         if reader is not None:
             # A racing process published the trace while we waited.
             return _fold_warm(profiles, pairs, reader)
-        from . import runner
-        runner.RENDER_CALLS += 1
-        plan, resumed = _load_resume(store, spec)
-        if plan is None or not resumed:
-            # Nothing usable survives: plan this run from scratch.
-            store.discard_resume_state(spec)
-            n_ranges = pool.workers * RANGES_PER_WORKER
-            chunk_size = profiles.chunk_size
-            store.save_stream_plan(spec, {
-                "n_ranges": n_ranges, "chunk_size": int(chunk_size),
-                "part_stride": PART_STRIDE, "created_at": time.time()})
-            resumed = {}
+        return _fold_cold(profiles, pairs)
+
+
+def _job(profiles, pairs, **fields) -> dict:
+    return {"root": str(profiles.store.root),
+            "trace_spec": profiles.trace_spec,
+            "layout_spec": profiles.layout_spec, "pairs": pairs, **fields}
+
+
+def _fold_warm(profiles, pairs, reader) -> dict:
+    """Fan a warm chunked trace's parts out as contiguous ``fold``
+    jobs, naming the parts ``reader`` already verified.  A single-part
+    trace has nothing to fan out: its one job runs here."""
+    names = [entry["name"] for entry in reader.parts]
+    if len(names) < 2:
+        return _run_job(profiles.store, "fold",
+                        _job(profiles, pairs, parts=names))["states"]
+    n_ranges = min(len(names),
+                   int(profiles.stream_workers) * RANGES_PER_WORKER)
+    bounds = np.linspace(0, len(names), n_ranges + 1).astype(int)
+    jobs = {index: ("fold", _job(profiles, pairs, range=index,
+                                 parts=names[lo:hi]))
+            for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))}
+    payloads = _run_ranges(profiles, jobs, "warm")
+    return _merge_in_order(pairs, (payloads[index]["states"]
+                                   for index in range(n_ranges)))
+
+
+def _fold_cold(profiles, pairs) -> dict:
+    """Render, persist and fold a cold trace concurrently (``render``
+    jobs), folding the ranges a previously interrupted run completed
+    from their verified parts (``fold`` jobs).  Runs under the trace's
+    single-flight lock."""
+    store = profiles.store
+    spec = profiles.trace_spec
+    report = _report_of(profiles)
+    plan, resumed = _load_resume(store, spec)
+    if plan is None or not resumed:
+        # Nothing usable survives: plan this run from scratch.
+        store.discard_resume_state(spec)
+        n_ranges = int(profiles.stream_workers) * RANGES_PER_WORKER
+        chunk_size = profiles.chunk_size
+        store.save_stream_plan(spec, {
+            "n_ranges": n_ranges, "chunk_size": int(chunk_size),
+            "part_stride": PART_STRIDE, "created_at": time.time()})
+        resumed = {}
+    else:
+        # Resume MUST reuse the interrupted run's slicing geometry:
+        # the surviving parts embody its range bounds and chunk size,
+        # and only identical bounds make "fold the survivors, render
+        # the rest" bit-identical to an uninterrupted run.
+        n_ranges = int(plan["n_ranges"])
+        chunk_size = int(plan["chunk_size"])
+        report.resumed_ranges += len(resumed)
+        report.resumed_parts += sum(
+            len(record["envelopes"]) for record in resumed.values())
+        report.note(
+            f"cold fold ({spec.scene}): resumed {len(resumed)}/"
+            f"{n_ranges} range(s) from a prior interrupted render")
+    jobs = {}
+    for index in range(n_ranges):
+        if index in resumed:
+            jobs[index] = ("fold", _job(
+                profiles, pairs, range=index,
+                parts=[entry["name"]
+                       for entry in resumed[index]["envelopes"]]))
         else:
-            # Resume MUST reuse the interrupted run's slicing geometry:
-            # the surviving parts embody its range bounds and chunk
-            # size, and only identical bounds make "fold the survivors,
-            # render the rest" bit-identical to an uninterrupted run.
-            n_ranges = int(plan["n_ranges"])
-            chunk_size = int(plan["chunk_size"])
-            report.resumed_ranges += len(resumed)
-            report.resumed_parts += sum(
-                len(record["envelopes"]) for record in resumed.values())
-            report.note(
-                f"cold fold ({spec.scene}): resumed {len(resumed)}/"
-                f"{n_ranges} range(s) from a prior interrupted render")
-        common = {"root": str(store.root), "trace_spec": spec,
-                  "layout_spec": profiles.layout_spec, "pairs": pairs}
-        jobs: dict = {}
-        for index in range(n_ranges):
-            if index in resumed:
-                jobs[index] = ("foldparts", {
-                    **common, "range": index,
-                    "parts": [entry["name"]
-                              for entry in resumed[index]["envelopes"]]})
-            else:
-                jobs[index] = ("render", {
-                    **common, "range": index, "n_ranges": n_ranges,
-                    "chunk_size": chunk_size,
-                    "part_base": index * PART_STRIDE})
-        pool.fold_id += 1
-        supervisor = _Supervision(pool, jobs, report,
-                                  f"cold fold ({spec.scene})")
-        supervisor.dispatch_all()
-        states, done = _collect_cold(pool, supervisor, resumed, pairs)
-        if supervisor.residual:
-            if not supervisor.complete:
-                raise PipelineError(
-                    "every render range failed in the pool "
-                    f"({_last_line(next(iter(supervisor.residual.values())))})")
-            _recover_residual_cold(profiles, supervisor, pairs, store,
-                                   spec, states, done, report)
-        merged = _merge_in_order(pairs, (states[index]
-                                         for index in range(n_ranges)))
-        _publish_assembled(store, spec, done, n_ranges)
-    return merged
+            jobs[index] = ("render", _job(
+                profiles, pairs, range=index, n_ranges=n_ranges,
+                chunk_size=chunk_size, part_base=index * PART_STRIDE))
+    if len(resumed) < n_ranges:
+        from . import runner
+        runner.RENDER_CALLS += 1  # a fully resumed fold renders nothing
+    payloads = _run_ranges(profiles, jobs, "cold")
+    _publish(store, spec, [resumed.get(index, payloads[index])
+                           for index in range(n_ranges)])
+    return _merge_in_order(pairs, (payloads[index]["states"]
+                                   for index in range(n_ranges)))
+
+
+def _run_ranges(profiles, jobs: dict, stage: str) -> dict:
+    """Run ``jobs`` (range index -> ``(kind, job)``) on the pool under
+    supervision; returns every range's ``range_done`` payload.  A range
+    that exhausts its retry budget is recovered in the parent by the
+    same :func:`_run_job` a worker runs; :class:`PipelineError` only
+    when no range succeeded through the pool.  ``stage`` is ``"warm"``
+    or ``"cold"``; only cold folds arm the ``kill-run`` fault."""
+    report = _report_of(profiles)
+    _seed_pool_memos(profiles.trace_spec, profiles.layout_spec,
+                     profiles.stream_workers)
+    pool = get_pool(profiles.stream_workers)
+    pool.fold_id += 1
+    supervisor = _Supervision(pool, jobs, report,
+                              f"{stage} fold ({profiles.trace_spec.scene})")
+    payloads: dict = {}
+
+    def handle(kind, index, message):
+        if kind != "range_done":
+            raise PipelineError(f"unexpected {kind!r} event in {stage} fold")
+        if index in supervisor.complete:
+            return False  # a duplicate attempt finished too; harmless
+        payload = message[4]
+        if payload.get("complete") is False:
+            supervisor.fail(index, "range persisted incomplete "
+                                   "(worker store demoted)")
+            return True
+        payloads[index] = payload
+        supervisor.note_complete(index)
+        if stage == "cold":
+            _maybe_kill_run(len(supervisor.complete))
+        return True
+
+    supervisor.dispatch_all()
+    _drive(pool, supervisor, handle, what=f"pipelined {stage} fold")
+    if supervisor.residual:
+        if not supervisor.complete:
+            raise PipelineError(
+                f"every {stage} fold range failed in the pool "
+                f"({_last_line(next(iter(supervisor.residual.values())))})")
+        residual = sorted(supervisor.residual)
+        started = time.monotonic()
+        for index in residual:
+            kind, job = supervisor.jobs[index]
+            payloads[index] = _run_job(profiles.store, kind, job)
+            supervisor.note_complete(index)
+        report.recovery_s += time.monotonic() - started
+        warnings.warn(
+            f"pipelined {stage} fold recovered {len(residual)} residual "
+            "range(s) serially in the parent after the retry budget",
+            RuntimeWarning, stacklevel=6)
+    return payloads
 
 
 def _load_resume(store, spec) -> tuple:
@@ -1114,99 +1040,37 @@ def _load_resume(store, spec) -> tuple:
     return plan, resumed
 
 
-def _collect_cold(pool, supervisor, resumed, pairs) -> tuple:
-    """Drive the supervised event loop until every range is complete or
-    residual.  Render ranges arrive folded by the worker that rendered
-    them (``range_done``); resumed ranges arrive folded by ``foldparts``
-    jobs (``fold_done``) and keep their completion records."""
-    states = {index: {pair: PartialSetProfile.empty(*pair)
-                      for pair in pairs} for index in supervisor.jobs}
-    done = {index: dict(record) for index, record in resumed.items()}
-
-    def handle(kind, index, message):
-        if index in supervisor.complete:
-            return False  # a duplicate attempt finished; harmless
-        if kind == "range_done":
-            payload = message[4]
-            if not payload.get("complete"):
-                supervisor.fail(index, "range persisted incomplete "
-                                       "(worker store demoted)")
-                return True
-            states[index] = payload.pop("states")
-            done[index] = payload
-        elif kind == "fold_done":
-            states[index] = message[4]
-        else:
-            raise PipelineError(f"unexpected {kind!r} event in cold fold")
-        supervisor.note_complete(index)
-        _maybe_kill_run(len(supervisor.complete))
-        return True
-
-    _drive(pool, supervisor, handle, what="pipelined cold fold")
-    return states, done
-
-
-def _recover_residual_cold(profiles, supervisor, pairs, store, spec,
-                           states, done, report) -> None:
-    """Escalation rung two for the cold fold: render (or, for a
-    resumed range, fold) each residual range serially in the parent.
-    The parent reuses the pre-fork scene memo, so no scene rebuild."""
-    residual = sorted(supervisor.residual)
-    started = time.monotonic()
-    placements = _cached_placements(spec, profiles.layout_spec)
-    for index in residual:
-        kind, job = supervisor.jobs[index]
-        if kind == "render":
-            states[index], done[index] = _render_range(store, job,
-                                                       placements)
-        else:  # a resumed range whose foldparts job kept failing
-            states[index] = _fold_blocks(
-                pairs, placements,
-                (load_part_block(store.root, name, sequence)
-                 for sequence, name in enumerate(job["parts"])))
-        supervisor.note_complete(index)
-    report.recovery_s += time.monotonic() - started
-    warnings.warn(
-        f"pipelined cold fold recovered {len(residual)} residual "
-        "range(s) serially in the parent after the retry budget",
-        RuntimeWarning, stacklevel=6)
-
-
-def _publish_assembled(store, spec, done, n_ranges) -> bool:
+def _publish(store, spec, records) -> None:
     """Commit the sidecar over every range's parts, in range order,
-    renumbered densely -- but only when *all* ranges persisted
-    completely, so the artifact can never be partial.  Publishing (or
-    even attempting the renumber, which consumes the strided parts)
-    retires the run's crash-resume metadata; an incomplete set keeps
-    it, so the completed ranges stay resumable."""
-    infos = [done[index] for index in range(n_ranges)]
-    if not store.available or not all(info["complete"] for info in infos):
-        return False
-    if any(len(info["envelopes"]) >= PART_STRIDE for info in infos):
-        return False  # would alias another range's index space
-    envelopes = [entry for info in infos for entry in info["envelopes"]]
-    renamed = store.renumber_parts(spec, envelopes)
-    if renamed is None:
-        return False
-    store.discard_resume_state(spec)  # records point at consumed names
-    totals = dict(infos[0]["totals"])  # n_triangles_submitted is global
+    under the names their writers gave them -- but only when *all*
+    ranges persisted completely, so the artifact can never be partial.
+    Publishing retires the run's crash-resume metadata; a run that
+    does not publish keeps it, so its completed ranges stay
+    resumable."""
+    if not store.available or not all(record["complete"]
+                                       for record in records):
+        return
+    if any(len(record["envelopes"]) >= PART_STRIDE for record in records):
+        return  # would alias another range's index space
+    parts = [entry for record in records for entry in record["envelopes"]]
+    totals = dict(records[0]["totals"])  # n_triangles_submitted is global
     totals["n_triangles_rasterized"] = sum(
-        int(info["totals"]["n_triangles_rasterized"]) for info in infos)
+        int(record["totals"]["n_triangles_rasterized"])
+        for record in records)
     totals["has_positions"] = any(
-        info["totals"].get("has_positions") for info in infos)
-    published = store.publish_chunked_sidecar(spec, renamed, totals)
-    if published:
-        # Each part was hashed by the worker that wrote it; seeding
-        # the parent's verify-once cache from those envelopes means
-        # the first warm fold over this trace re-verifies with stats
-        # instead of re-hashing the whole artifact.
-        from . import tiers
-        for entry in renamed:
-            tiers.digest_cache().record(
-                store.root / "traces" / entry["name"], entry["digest"])
-    else:
+        record["totals"].get("has_positions") for record in records)
+    if not store.publish_chunked_sidecar(spec, parts, totals):
         warnings.warn(
             f"pipelined render for {spec.scene} persisted its parts but "
-            "could not publish the sidecar; the next run re-renders",
-            RuntimeWarning, stacklevel=4)
-    return published
+            "could not publish the sidecar; the next run resumes from "
+            "them", RuntimeWarning, stacklevel=4)
+        return
+    store.discard_resume_state(spec)
+    # Each part was hashed by the worker that wrote it; seeding the
+    # parent's verify-once cache from those envelopes means the first
+    # warm fold over this trace re-verifies with stats instead of
+    # re-hashing the whole artifact.
+    from . import tiers
+    for entry in parts:
+        tiers.digest_cache().record(store.root / "traces" / entry["name"],
+                                    entry["digest"])

@@ -68,8 +68,49 @@ from .spec import TraceSpec, layout_from_spec, order_from_spec
 DEFAULT_CHUNK_SIZE = 1 << 20
 
 
-def _build_scene(spec: TraceSpec):
-    return ALL_SCENES[spec.scene]().build(scale=spec.scale, time=spec.time)
+#: Size-one memo of the last built scene and its placements, shared by
+#: every streamed fold in the process: the serial fold, the pipelined
+#: pool's workers (forked after the parent seeds it, so they inherit it
+#: copy-on-write), the parent's residual recovery and the single-part
+#: warm fold.  An experiment grid folds each scene under every layout
+#: in a row, so one entry amortizes the scene build; size one bounds
+#: RSS.
+_SCENES: dict = {}
+_PLACEMENTS: dict = {}
+
+
+def _cached_scene(spec: TraceSpec):
+    key = (spec.scene, float(spec.scale), float(spec.time))
+    if key not in _SCENES:
+        _SCENES.clear()
+        _PLACEMENTS.clear()
+        _SCENES[key] = ALL_SCENES[spec.scene]().build(scale=spec.scale,
+                                                      time=spec.time)
+    return _SCENES[key]
+
+
+def _cached_placements(spec: TraceSpec, layout_spec):
+    key = (spec.scene, float(spec.scale), float(spec.time),
+           tuple(layout_spec))
+    if key not in _PLACEMENTS:
+        _PLACEMENTS.clear()
+        _PLACEMENTS[key] = place_textures(
+            _cached_scene(spec).get_mipmaps(),
+            layout_from_spec(layout_spec))
+    return _PLACEMENTS[key]
+
+
+def _fold_blocks(pairs, placements, blocks, beat=None) -> dict:
+    """Fold ``blocks`` in order into fresh per-pair partial states --
+    the one block-fold loop of the serial and pipelined folds.
+    ``beat(n)`` runs ahead of block ``n`` (a pool worker's
+    heartbeat)."""
+    states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
+    for sequence, block in enumerate(blocks):
+        if beat is not None:
+            beat(sequence)
+        _fold_block_into(states, block.byte_addresses(placements))
+    return states
 
 
 def _fold_block_into(states: dict, addresses: np.ndarray) -> None:
@@ -155,8 +196,6 @@ class StreamedProfiles:
         self._payload = addresses_payload(trace_spec, self.layout_spec)
         self._profiles = {}
         self._set_profiles = {}
-        self._scene = None
-        self._placements = None
         #: Recovery observability: attached/updated by the pipelined
         #: fold (:class:`~repro.engine.pipelined.StreamReport`); stays
         #: ``None`` when every fold ran serially and undisturbed.
@@ -199,11 +238,12 @@ class StreamedProfiles:
         built.  Feeds :func:`~repro.core.kernels.sequence_stats` for
         multi-segment (e.g. inter-frame) simulations.
         """
+        placements = _cached_placements(self.trace_spec, self.layout_spec)
         parts = []
         total = 0
         last = None
         for block in self._blocks():
-            lines = to_lines(block.byte_addresses(self._placed()), line_size)
+            lines = to_lines(block.byte_addresses(placements), line_size)
             total += len(lines)
             runs, _ = collapse_consecutive(lines)
             if last is not None and len(runs) and runs[0] == last:
@@ -251,10 +291,9 @@ class StreamedProfiles:
                     f"pipelined streaming fold failed ({fault}); "
                     "falling back to the serial streaming path",
                     RuntimeWarning, stacklevel=3)
-        states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
-        for block in self._blocks():
-            _fold_block_into(states, block.byte_addresses(self._placed()))
-        return states
+        return _fold_blocks(
+            pairs, _cached_placements(self.trace_spec, self.layout_spec),
+            self._blocks())
 
     # -- spot audit --------------------------------------------------------
 
@@ -289,11 +328,12 @@ class StreamedProfiles:
         by_line_size = {}
         for line_size, n_sets in pairs:
             by_line_size.setdefault(line_size, []).append(n_sets)
+        placements = _cached_placements(self.trace_spec, self.layout_spec)
         accesses = 0
         texels_per_access = None
         for part_index in sampled:
             block = reader.read_part(part_index)
-            addresses = block.byte_addresses(self._placed())
+            addresses = block.byte_addresses(placements)
             if block.n_accesses:
                 texels_per_access = len(addresses) // int(block.n_accesses)
             for line_size, set_counts in by_line_size.items():
@@ -375,7 +415,7 @@ class StreamedProfiles:
             writer = self.store.open_render_writer(spec)
             totals = {}
             blocks = render_trace_blocks(
-                self._built_scene(), self.chunk_size,
+                _cached_scene(spec), self.chunk_size,
                 order=order_from_spec(spec.order), raster=spec.raster,
                 record_positions=spec.record_positions,
                 max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
@@ -399,6 +439,9 @@ class StreamedProfiles:
                 reader = self.store.open_render_blocks(self.trace_spec)
                 if reader is not None:
                     return reader
+                # The monolithic payload stays on disk: a concurrent
+                # load_render may have verified its old envelope.  The
+                # store's verify() reports it as litter once stale.
                 writer = self.store.open_render_writer(self.trace_spec)
                 for block in iter_blocks(cached.trace, self.chunk_size):
                     writer.append(block)
@@ -438,20 +481,6 @@ class StreamedProfiles:
             self.store.save_set_profile(
                 set_profile_payload(self._payload, line_size, n_sets),
                 profile)
-
-    # -- scene helpers -----------------------------------------------------
-
-    def _built_scene(self):
-        if self._scene is None:
-            self._scene = _build_scene(self.trace_spec)
-        return self._scene
-
-    def _placed(self):
-        if self._placements is None:
-            self._placements = place_textures(
-                self._built_scene().get_mipmaps(),
-                layout_from_spec(self.layout_spec))
-        return self._placements
 
 
 def classify_streamed(streams: StreamedProfiles,

@@ -47,8 +47,6 @@ DIGEST_CACHE_ENTRIES = 1 << 16
 #: Sentinel distinguishing "cached None" from "not cached".
 MISS = object()
 
-_FALSY = ("0", "off", "false", "no")
-
 
 def file_digest(path) -> str:
     """SHA-256 of a file's bytes.  On Python >= 3.11
@@ -71,13 +69,6 @@ def _stat_key(path) -> Optional[tuple]:
     except OSError:
         return None
     return (status.st_size, status.st_mtime_ns, status.st_ino)
-
-
-def mmap_enabled() -> bool:
-    """Whether monolithic ``.npy`` payloads load as read-only memory
-    maps (``REPRO_STORE_MMAP``, default on)."""
-    return os.environ.get("REPRO_STORE_MMAP", "1").strip().lower() \
-        not in _FALSY
 
 
 class DigestCache:

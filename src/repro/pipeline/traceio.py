@@ -14,19 +14,16 @@ lengths, so truncated files fail loudly.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-
 import numpy as np
 
-from .trace import FragmentBlock, TexelTrace, concat_blocks
+from .trace import TexelTrace
 
 #: Bumped when the on-disk layout changes.
 FORMAT_VERSION = 1
 
-#: Chunked-trace part naming: ``<prefix>.p00000.npz`` ... plus a
-#: ``<prefix>.manifest.json`` describing and checksumming every part.
+#: Minimum digits of a chunked-trace part index in its file name
+#: (``<digest>.p00000.npz``; see :class:`~repro.engine.artifacts.
+#: ChunkedRenderWriter`).
 PART_DIGITS = 5
 
 
@@ -82,153 +79,3 @@ def load_trace(path: str) -> TexelTrace:
             if len(x) != len(columns["tu"]) or len(y) != len(columns["tu"]):
                 raise ValueError(f"{path!r} has inconsistent position columns")
     return TexelTrace(n_fragments=int(n_fragments), x=x, y=y, **columns)
-
-
-def part_name(prefix: str, index: int) -> str:
-    """Path of chunk ``index`` of the chunked trace at ``prefix``."""
-    return f"{prefix}.p{index:0{PART_DIGITS}d}.npz"
-
-
-def manifest_name(prefix: str) -> str:
-    return f"{prefix}.manifest.json"
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-class TraceWriter:
-    """Incrementally persist a trace as chunked ``.npz`` parts.
-
-    Each appended block becomes one part file (the same single-trace
-    format as :func:`save_trace`, so a part is itself a loadable
-    trace); :meth:`finish` seals the sequence with a JSON manifest
-    recording per-part sizes and SHA-256 digests plus frame totals.
-    Peak memory is one block, never the frame, which is what lets
-    traces larger than RAM round-trip through the artifact store.
-    """
-
-    def __init__(self, prefix: str):
-        self.prefix = str(prefix)
-        self.parts = []
-        self._n_accesses = 0
-        self._n_fragments = 0
-        self._has_positions = None
-        self._finished = False
-
-    def append(self, block) -> str:
-        """Write one block (any :class:`TexelTrace`-shaped chunk);
-        returns the part file's path."""
-        if self._finished:
-            raise RuntimeError("TraceWriter already finished")
-        if self._has_positions is None:
-            self._has_positions = block.has_positions
-        elif block.has_positions != self._has_positions:
-            raise ValueError("blocks disagree on position recording")
-        path = part_name(self.prefix, len(self.parts))
-        save_trace(path, block)
-        self.parts.append({
-            "name": os.path.basename(path),
-            "nbytes": os.path.getsize(path),
-            "sha256": _sha256(path),
-            "n_accesses": int(block.n_accesses),
-            "n_fragments": int(block.n_fragments),
-        })
-        self._n_accesses += int(block.n_accesses)
-        self._n_fragments += int(block.n_fragments)
-        return path
-
-    def finish(self) -> dict:
-        """Seal the chunked trace; writes and returns the manifest."""
-        if self._finished:
-            raise RuntimeError("TraceWriter already finished")
-        self._finished = True
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "n_parts": len(self.parts),
-            "n_accesses": self._n_accesses,
-            "n_fragments": self._n_fragments,
-            "has_positions": bool(self._has_positions),
-            "parts": self.parts,
-        }
-        path = manifest_name(self.prefix)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1, sort_keys=True)
-        return manifest
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.finish()
-
-
-class TraceReader:
-    """Iterate a chunked trace written by :class:`TraceWriter` one
-    :class:`FragmentBlock` at a time, verifying each part's size and
-    digest against the manifest before deserializing it."""
-
-    def __init__(self, prefix: str, verify: bool = True):
-        self.prefix = str(prefix)
-        self.verify = verify
-        with open(manifest_name(self.prefix), encoding="utf-8") as handle:
-            self.manifest = json.load(handle)
-        if self.manifest.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"chunked trace format version "
-                f"{self.manifest.get('format_version')} unsupported")
-
-    @property
-    def n_parts(self) -> int:
-        return int(self.manifest["n_parts"])
-
-    @property
-    def n_accesses(self) -> int:
-        return int(self.manifest["n_accesses"])
-
-    @property
-    def n_fragments(self) -> int:
-        return int(self.manifest["n_fragments"])
-
-    @property
-    def has_positions(self) -> bool:
-        return bool(self.manifest["has_positions"])
-
-    def part_path(self, index: int) -> str:
-        return os.path.join(os.path.dirname(self.prefix) or ".",
-                            self.manifest["parts"][index]["name"])
-
-    def read_part(self, index: int) -> FragmentBlock:
-        entry = self.manifest["parts"][index]
-        path = self.part_path(index)
-        if self.verify:
-            nbytes = os.path.getsize(path)
-            if nbytes != entry["nbytes"]:
-                raise ValueError(
-                    f"{path!r}: {nbytes} bytes on disk, manifest says "
-                    f"{entry['nbytes']}")
-            if _sha256(path) != entry["sha256"]:
-                raise ValueError(f"{path!r}: checksum mismatch")
-        trace = load_trace(path)
-        return FragmentBlock(
-            texture_id=trace.texture_id, level=trace.level,
-            tu=trace.tu, tv=trace.tv,
-            tu_raw=trace.tu_raw, tv_raw=trace.tv_raw,
-            kind=trace.kind, n_fragments=trace.n_fragments,
-            x=trace.x, y=trace.y, index=index)
-
-    def __iter__(self):
-        for index in range(self.n_parts):
-            yield self.read_part(index)
-
-    def __len__(self) -> int:
-        return self.n_parts
-
-    def read_all(self) -> TexelTrace:
-        """Materialize the whole trace in RAM (compatibility path)."""
-        return concat_blocks(self)

@@ -67,21 +67,6 @@ def _level_dims(width0, height0, levels: np.ndarray) -> tuple:
     return widths, heights
 
 
-def _corner_coords(u, v, widths, heights):
-    """The 2x2 bilinear footprint at per-fragment level dims.
-
-    Returns raw (unwrapped) integer coordinate arrays of shape
-    ``(n, 4)`` ordered (i0,j0), (i1,j0), (i0,j1), (i1,j1).
-    """
-    x = u * widths - 0.5
-    y = v * heights - 0.5
-    i0 = np.floor(x).astype(np.int64)
-    j0 = np.floor(y).astype(np.int64)
-    tu_raw = np.stack([i0, i0 + 1, i0, i0 + 1], axis=1)
-    tv_raw = np.stack([j0, j0, j0 + 1, j0 + 1], axis=1)
-    return tu_raw, tv_raw
-
-
 def _wrap(raw, dims):
     """GL_REPEAT wrap: power-of-two dims allow a mask."""
     return raw & (dims - 1)

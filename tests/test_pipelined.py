@@ -110,20 +110,34 @@ class TestTriangleSlices:
 
 
 class TestPipelinedRun:
-    def test_cold_pipelined_run_bit_identical(self, tmp_path):
+    def test_cold_pipelined_run_bit_identical(self, tmp_path, monkeypatch):
+        # Snapshot the range records as the parent retires them on
+        # publish (the records are deleted right after).
+        records = {}
+        retire = ArtifactStore.discard_resume_state
+
+        def snapshot(store, spec):
+            records.update(store.load_range_records(spec))
+            retire(store, spec)
+
+        monkeypatch.setattr(ArtifactStore, "discard_resume_state", snapshot)
         exp = ExperimentSpec(**GRID)
         ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
         pipe_store = ArtifactStore(tmp_path / "b")
         piped = Engine(store=pipe_store).run(exp, chunk_size=4096,
                                              stream_workers=2)
         assert rows(ram) == rows(piped)
-        # The parallel render committed a dense, verifiable chunked
-        # trace: p00000..p{n-1}, sidecar published, checksums intact.
+        # The parallel render committed a verifiable chunked trace whose
+        # sidecar lists exactly the parts the range records named, in
+        # range order, under the names the workers wrote.
         reader = pipe_store.open_render_blocks(exp.trace_specs()[0])
         assert reader is not None and len(reader) > 1
-        names = [entry["name"] for entry in reader.meta["parts"]]
-        assert [int(re.search(r"\.p(\d+)\.npz$", name).group(1))
-                for name in names] == list(range(len(names)))
+        assert sorted(records) == list(range(len(records)))
+        assert reader.meta["parts"] == [
+            entry for index in sorted(records)
+            for entry in records[index]["envelopes"]]
+        assert any(int(re.search(r"\.p(\d+)\.npz$", entry["name"]).group(1))
+                   >= pipelined.PART_STRIDE for entry in reader.meta["parts"])
         scan = pipe_store.verify()
         assert scan["clean"] and scan["bad"] == 0
 

@@ -28,6 +28,7 @@ from repro.engine import (
     Engine,
     ExperimentSpec,
     StreamReport,
+    render_calls,
 )
 from repro.engine import faults as chaos
 from repro.engine import pipelined
@@ -223,6 +224,7 @@ class TestCrashResume:
         store = ArtifactStore(store_root)
         assert not list(Path(store.root, "traces").glob("*.plan.json"))
         assert not list(Path(store.root, "traces").glob("*.done.json"))
+        return result
 
     def test_in_process_crash_resumes_from_parts(self, tmp_path):
         reference = ram_rows(tmp_path)
@@ -240,6 +242,20 @@ class TestCrashResume:
                 piped_run(tmp_path / "piped")
         shutdown_stream_pool()
         self.assert_resumed(tmp_path, reference, tmp_path / "piped")
+
+    def test_fully_resumed_fold_renders_nothing(self, tmp_path):
+        # A crash after every range finished (2 workers x 2 ranges):
+        # the rerun folds all four ranges from their parts, renders no
+        # triangle, and so must not count as a render.
+        reference = ram_rows(tmp_path)
+        with injection.fault_plan("kill-run:after=4,mode=raise"):
+            with pytest.raises(chaos.InjectedCrash):
+                piped_run(tmp_path / "piped")
+        shutdown_stream_pool()
+        before = render_calls()
+        result = self.assert_resumed(tmp_path, reference, tmp_path / "piped")
+        assert result.stream_report.resumed_ranges == 4
+        assert render_calls() == before
 
     def test_hard_exit_crash_resumes_across_processes(self, tmp_path):
         # The SIGKILL-equivalent: a subprocess os._exit(42)s mid-fold

@@ -596,3 +596,55 @@ class TestResumableParts:
         assert f"kept {len(recorded)} resumable part(s)" in out
         assert main(["cache", "stats", "--dir", root]) == 0
         assert "resumable" in capsys.readouterr().out
+
+
+class TestChunkedTraces:
+    """The chunked representation streaming writes: part damage is
+    caught by the sidecar's envelopes, and a re-chunked monolithic
+    trace leaves its old payload behind only as litter."""
+
+    def test_corrupt_part_quarantines_the_trace(self, tmp_path):
+        from repro.engine import StreamedProfiles
+
+        store = ArtifactStore(tmp_path)
+        StreamedProfiles(store, SPEC, LAYOUT, chunk_size=4096).prefetch(
+            [(32, 1)])
+        reader = store.open_render_blocks(SPEC)
+        assert reader is not None and len(reader) > 1
+        faults.flip_bit(Path(store.root) / "traces" /
+                        reader.parts[1]["name"])
+        assert store.open_render_blocks(SPEC) is None
+        assert "digest mismatch" in quarantine_reasons(store, "traces")
+
+    def test_rechunked_monolithic_payload_is_purged_once_stale(
+            self, tmp_path):
+        from repro.engine import StreamedProfiles, fingerprint
+
+        store = ArtifactStore(tmp_path)
+        Engine(store=store).render(SPEC)
+        # audit() needs parts, so it re-chunks the monolithic trace
+        # under the same digest.
+        StreamedProfiles(store, SPEC, LAYOUT, chunk_size=4096).audit(
+            [(32, 1)], parts=1)
+        traces = Path(store.root) / "traces"
+        payload = traces / (fingerprint(SPEC.payload()) + ".npz")
+        sidecar = payload.with_suffix(".json")
+        assert "parts" in json.loads(sidecar.read_text())
+        # Kept while a reader that verified the old envelope may still
+        # be loading it ...
+        scan = store.verify()
+        assert scan["clean"] and scan["orphaned_parts"] == 0
+        assert scan["pending"] == 1
+        assert store.repair()["purged_parts"] == []
+        assert payload.exists()
+        # ... and litter once the re-chunk is older than the grace
+        # window.
+        for path in (payload, sidecar):
+            faults.backdate(path, 2 * artifacts_module.TORN_GRACE_S)
+        scan = store.verify()
+        assert scan["clean"]
+        assert scan["kinds"]["traces"]["orphaned_parts"] == [payload.name]
+        assert store.repair()["purged_parts"] == [f"traces/{payload.name}"]
+        assert not payload.exists()
+        assert store.verify()["orphaned_parts"] == 0
+        assert store.open_render_blocks(SPEC) is not None

@@ -224,3 +224,25 @@ class TestEngineRunStreaming:
         assert self.rows(ram) == self.rows(streamed)
         store = ArtifactStore(tmp_path / "b")
         assert store.open_render_blocks(exp.trace_specs()[0]) is not None
+
+    def test_serial_grid_builds_each_scene_once(self, tmp_path,
+                                                monkeypatch):
+        # The streamed folds share one scene memo, so a grid that folds
+        # each scene under three layouts builds it once, not per layout.
+        from repro.engine import streaming
+        from repro.scenes import ALL_SCENES
+
+        built = []
+        for cls in ALL_SCENES.values():
+            def counted(self, *args, _build=cls.build, **kwargs):
+                built.append(type(self).__name__)
+                return _build(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "build", counted)
+        monkeypatch.setattr(streaming, "_SCENES", {})
+        monkeypatch.setattr(streaming, "_PLACEMENTS", {})
+        exp = ExperimentSpec(
+            scenes=("goblet", "town"), scale=SCALE, cache_sizes=SIZES,
+            line_sizes=(32,), assocs=(None, 2),
+            layouts=(("nonblocked",), ("blocked", 4), ("blocked", 8)))
+        Engine(store=ArtifactStore(tmp_path / "a")).run(exp, chunk_size=4096)
+        assert sorted(built) == ["GobletScene", "TownScene"]

@@ -2,8 +2,7 @@
 
 Covers the quad-structure fragment accounting (``count_fragments``,
 ``fragment_starts``, the ``TexelTrace.slice`` n_fragments fix),
-``iter_blocks``/``concat_blocks`` round trips, and the chunked
-``TraceWriter``/``TraceReader`` persistence format.
+and ``iter_blocks``/``concat_blocks`` round trips.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from repro.pipeline.trace import (
     fragment_starts,
     iter_blocks,
 )
-from repro.pipeline.traceio import TraceReader, TraceWriter
 from repro.raster.order import make_order
 from repro.scenes import make_scene
 
@@ -106,34 +104,3 @@ class TestBlockStreaming:
     def test_empty_concat(self):
         assert concat_blocks([]).n_accesses == 0
 
-
-class TestTraceWriterReader:
-    def test_round_trip(self, rendered, tmp_path):
-        trace = rendered.trace
-        prefix = str(tmp_path / "frame")
-        with TraceWriter(prefix) as writer:
-            for block in iter_blocks(trace, 500):
-                writer.append(block)
-        reader = TraceReader(prefix)
-        assert reader.n_accesses == trace.n_accesses
-        assert reader.n_fragments == trace.n_fragments
-        assert_traces_equal(reader.read_all(), trace)
-        rebuilt = concat_blocks(reader)
-        assert_traces_equal(rebuilt, trace)
-
-    def test_part_corruption_detected(self, rendered, tmp_path):
-        prefix = str(tmp_path / "frame")
-        with TraceWriter(prefix) as writer:
-            for block in iter_blocks(rendered.trace, 500):
-                writer.append(block)
-        reader = TraceReader(prefix)
-        victim = reader.part_path(1)
-        payload = bytearray(open(victim, "rb").read())
-        payload[len(payload) // 2] ^= 0xFF
-        with open(victim, "wb") as handle:
-            handle.write(payload)
-        with pytest.raises(ValueError):
-            reader.read_part(1)
-        # Unverified reads are the caller's own risk but must not lie
-        # about which part they came from.
-        assert TraceReader(prefix, verify=False).read_part(0).index == 0
