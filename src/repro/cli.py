@@ -490,7 +490,7 @@ def _cache(args) -> int:
                   "`repro cache repair` purges stale ones")
         if report["orphaned_parts"]:
             print(f"note: {report['orphaned_parts']} stale orphaned "
-                  "trace file(s) no sidecar lists; `repro cache repair` "
+                  "trace part(s) no sidecar lists; `repro cache repair` "
                   "purges them")
         if report["resumable"]:
             print(f"note: {report['resumable']} resumable part(s) from an "

@@ -25,6 +25,7 @@ Quickstart::
 """
 
 from .artifacts import (
+    DEFAULT_CHUNK_SIZE,
     ArtifactStore,
     CorruptArtifact,
     PIPELINE_VERSION,
@@ -61,7 +62,6 @@ from .runner import (
     run_experiment,
 )
 from .streaming import (
-    DEFAULT_CHUNK_SIZE,
     StreamAuditReport,
     StreamedProfiles,
     StreamingAuditError,

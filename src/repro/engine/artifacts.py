@@ -14,14 +14,18 @@ produced by an older pipeline (or different parameters) simply never
 match and stale data self-invalidates.  Four artifact kinds exist:
 
 ``traces/``
-    Rendered :class:`~repro.pipeline.trace.TexelTrace` archives
-    (``.npz`` via :mod:`repro.pipeline.traceio`) plus a ``.json``
-    sidecar carrying the render counters and the human-readable key.
-    A trace may instead be stored *chunked* as ``<digest>.pNNNNN.npz``
-    part files (one :class:`~repro.pipeline.trace.FragmentBlock` each)
-    whose sidecar lists a per-part integrity envelope -- the streaming
-    pipeline's representation, written and read one block at a time so
-    traces larger than RAM round-trip through the store.
+    Rendered :class:`~repro.pipeline.trace.TexelTrace` streams stored
+    as a *part list*: ``<digest>.pNNNNN.npz`` part files (one
+    :class:`~repro.pipeline.trace.FragmentBlock` each, via
+    :mod:`repro.pipeline.traceio`) and a ``.json`` sidecar listing
+    every part's integrity envelope in stream order, plus the render
+    counters and the human-readable key.  Parts are written and read
+    one block at a time, so traces larger than RAM round-trip through
+    the store.  A trace saved from RAM is cut at
+    :data:`DEFAULT_CHUNK_SIZE` accesses and deflated; a streamed render
+    writes stored (deflate-free) parts.  A trace sidecar without a part
+    list (the older single-archive format) fails verification as
+    legacy.
 ``addresses/``
     Per-layout byte-address streams (``.npy``).
 ``profiles/``
@@ -102,7 +106,7 @@ from ..core.kernels import SetDistanceProfile
 from ..core.stackdist import DistanceProfile
 from ..pipeline import traceio
 from ..pipeline.renderer import RenderResult
-from ..pipeline.trace import FragmentBlock, concat_blocks
+from ..pipeline.trace import FragmentBlock, concat_blocks, iter_blocks
 from . import tiers
 from .spec import TraceSpec
 
@@ -128,7 +132,12 @@ TORN_GRACE_S = 60.0
 LOCK_TIMEOUT_S = 300.0
 LOCK_POLL_S = 0.05
 
-#: Chunked-trace part files: ``<digest>.pNNNNN.npz`` (the stem a
+#: Default block bound in texel accesses (~8 MB of trace columns): the
+#: part size :meth:`ArtifactStore.save_render` cuts in-RAM traces into,
+#: and the streaming fold's default chunk size.
+DEFAULT_CHUNK_SIZE = 1 << 20
+
+#: Trace part files: ``<digest>.pNNNNN.npz`` (the stem a
 #: ``Path`` reports is ``<digest>.pNNNNN``).  Parts are only artifacts
 #: through the sidecar that lists them; a part no sidecar claims is
 #: litter, like a stale ``*.tmp*``.
@@ -289,10 +298,10 @@ def _object_nbytes(value) -> int:
 
 
 def load_part_block(root, name: str, index: int) -> FragmentBlock:
-    """Deserialize one chunked-trace part file into a
+    """Deserialize one trace part file into a
     :class:`~repro.pipeline.trace.FragmentBlock` -- the loader shared
-    by :class:`ChunkedRenderReader` and the pipelined resume fold
-    (which works from range-record envelopes instead of a sidecar)."""
+    by :class:`ChunkedRenderReader` and the pipelined ``fold`` jobs
+    (which name their parts instead of reading a sidecar)."""
     trace = traceio.load_trace(str(Path(root) / "traces" / name))
     return FragmentBlock(
         texture_id=trace.texture_id, level=trace.level,
@@ -409,9 +418,9 @@ class ArtifactStore:
         """Check one artifact's envelope; returns the sidecar meta or
         raises :class:`CorruptArtifact` describing the damage.
 
-        Chunked artifacts (sidecars with a ``parts`` list instead of a
-        monolithic ``envelope``) verify every listed part's size and
-        digest; the monolithic payload path is not consulted."""
+        Traces (sidecars with a ``parts`` list instead of a payload
+        ``envelope``) verify every listed part's size and digest; a
+        trace sidecar without a part list is legacy."""
         if not sidecar.exists():
             if not path.exists():
                 raise CorruptArtifact("orphaned sidecar (payload missing)",
@@ -426,6 +435,8 @@ class ArtifactStore:
         if isinstance(meta, dict) and isinstance(meta.get("parts"), list):
             self._verify_parts(kind, meta["parts"])
             return meta
+        if kind == "traces":
+            raise CorruptArtifact("legacy trace (no part list)")
         if not path.exists():
             raise CorruptArtifact("orphaned sidecar (payload missing)",
                                   transient=True)
@@ -575,7 +586,8 @@ class ArtifactStore:
     # -- rendered traces -------------------------------------------------
 
     def load_render(self, spec: TraceSpec) -> Optional[RenderResult]:
-        """The cached render for ``spec``, or ``None`` on a miss.
+        """The cached render for ``spec`` (its verified parts,
+        concatenated in stream order), or ``None`` on a miss.
 
         Reconstructed results carry the trace and the triangle/fragment
         counters; the framebuffer and per-triangle breakdown are only
@@ -585,87 +597,90 @@ class ArtifactStore:
         cached = self._memory_get("traces", digest)
         if cached is not tiers.MISS:
             return cached
-        checked = self._open_verified("traces", digest, ".npz")
-        if checked is None:
+        reader = self.open_render_blocks(spec)
+        if reader is None:
             return None
-        path, meta = checked
-        chunked = isinstance(meta.get("parts"), list)
         try:
-            if chunked:
-                # Chunked representation: materialize for callers that
-                # want the whole trace (streaming consumers iterate
-                # open_render_blocks instead and never do this).
-                trace = concat_blocks(
-                    traceio.load_trace(
-                        str(self.root / "traces" / entry["name"]))
-                    for entry in meta["parts"])
-            else:
-                trace = traceio.load_trace(str(path))
-            submitted = int(meta["n_triangles_submitted"])
-            rasterized = int(meta["n_triangles_rasterized"])
+            trace = concat_blocks(reader)
+            # The sidecar's count is exact; parts cut from RAM only
+            # bound it under anisotropic filtering.
+            trace.n_fragments = reader.n_fragments
+            result = RenderResult(
+                trace=trace,
+                framebuffer=None,
+                n_fragments=trace.n_fragments,
+                n_triangles_submitted=reader.n_triangles_submitted,
+                n_triangles_rasterized=reader.n_triangles_rasterized,
+            )
         except (ValueError, OSError, KeyError, TypeError,
                 zipfile.BadZipFile) as fault:
             self.quarantine("traces", digest,
                             f"undecodable trace artifact ({fault!r})")
             return None
-        result = RenderResult(
-            trace=trace,
-            framebuffer=None,
-            n_fragments=trace.n_fragments,
-            n_triangles_submitted=submitted,
-            n_triangles_rasterized=rasterized,
-        )
-        # Chunked artifacts anchor T0 revalidation on the sidecar (the
-        # one file whose identity covers the whole part set).
-        self._memory_put("traces", digest,
-                         ".json" if chunked else ".npz",
-                         result, _object_nbytes(trace))
+        # T0 revalidates on the sidecar, the one file whose identity
+        # covers the whole part list.
+        self._memory_put("traces", digest, ".json", result,
+                         _object_nbytes(trace))
         return result
 
     def save_render(self, spec: TraceSpec, result: RenderResult) -> Path:
-        digest = fingerprint(spec.payload())
-        path = self._path("traces", digest, ".npz")
+        """Store ``result``'s trace as a part list cut at
+        :data:`DEFAULT_CHUNK_SIZE` accesses, unless the store already
+        holds the trace.  Parts written from RAM are deflated: unlike a
+        streamed fold's, their encode time is small next to the render,
+        and they take about 1/70 of the space of stored parts.  Callers
+        hold the trace's single-flight lock.  Returns the sidecar
+        path."""
+        sidecar = self._path("traces", fingerprint(spec.payload()), ".json")
+        if self.open_render_blocks(spec) is not None:
+            # Every writer stores the same stream, though perhaps cut
+            # differently; rewriting the parts would change what a
+            # reader that already verified them goes on to read.
+            return sidecar
+        writer = self.open_render_writer(spec, compress=True)
+        for block in iter_blocks(result.trace, DEFAULT_CHUNK_SIZE):
+            writer.append(block)
+        writer.finish({
+            "n_fragments": int(result.trace.n_fragments),
+            "n_triangles_submitted": int(result.n_triangles_submitted),
+            "n_triangles_rasterized": int(result.n_triangles_rasterized),
+        })
+        return sidecar
 
-        def publish():
-            _atomic_write(path,
-                          lambda temp: traceio.save_trace(temp, result.trace))
-            self._write_sidecar("traces", digest, path, spec.payload(), {
-                "n_triangles_submitted": int(result.n_triangles_submitted),
-                "n_triangles_rasterized": int(result.n_triangles_rasterized),
-            })
-        self._guarded_write(publish)
-        return path
+    # -- trace parts -----------------------------------------------------
 
-    # -- chunked (streaming) traces --------------------------------------
-
-    def open_render_writer(self, spec: TraceSpec,
-                           part_base: int = 0) -> "ChunkedRenderWriter":
+    def open_render_writer(self, spec: TraceSpec, part_base: int = 0,
+                           compress: bool = False) -> "ChunkedRenderWriter":
         """A :class:`ChunkedRenderWriter` that persists ``spec``'s
         render one :class:`~repro.pipeline.trace.FragmentBlock` at a
         time; peak store-side memory is one block.  ``part_base``
         offsets the part numbering so several writers (one per
         pipelined range) can stream the same trace without colliding;
-        the pipelined parent then publishes one sidecar listing every
-        range's parts under the names their writers gave them
-        (:meth:`publish_chunked_sidecar`)."""
-        return ChunkedRenderWriter(self, spec, part_base=part_base)
+        :mod:`~repro.engine.pipelined` then publishes one sidecar
+        listing every range's parts under the names their writers gave
+        them (:meth:`publish_chunked_sidecar`).  ``compress`` deflates
+        the parts (:meth:`save_render`); streamed parts are stored."""
+        return ChunkedRenderWriter(self, spec, part_base=part_base,
+                                   compress=compress)
 
     def publish_chunked_sidecar(self, spec: TraceSpec, parts: list,
                                 counters: dict) -> bool:
         """Publish the sidecar that turns already-written part files
-        into a complete chunked trace artifact -- the single commit
-        point shared by the serial :class:`ChunkedRenderWriter` and
-        the pipelined parent assembling parts from several writers.
-        ``counters`` must carry ``n_triangles_submitted`` /
-        ``n_triangles_rasterized`` (and optionally ``has_positions``);
-        access/fragment totals come from the part envelopes."""
+        into a complete trace artifact -- the single commit point of
+        :meth:`save_render` (through :class:`ChunkedRenderWriter`) and
+        of :mod:`~repro.engine.pipelined` assembling parts from several
+        writers.  ``counters`` must carry ``n_triangles_submitted`` /
+        ``n_triangles_rasterized`` (and optionally ``has_positions``
+        and the frame's exact ``n_fragments``); the access total, and
+        the fragment total by default, come from the part envelopes."""
         digest = fingerprint(spec.payload())
         meta = {
             "key": spec.payload(),
             "parts": list(parts),
             "n_parts": len(parts),
             "n_accesses": sum(int(entry["n_accesses"]) for entry in parts),
-            "n_fragments": sum(int(entry["n_fragments"]) for entry in parts),
+            "n_fragments": int(counters.get("n_fragments", sum(
+                int(entry["n_fragments"]) for entry in parts))),
             "has_positions": bool(counters.get("has_positions", False)),
             "n_triangles_submitted": int(counters["n_triangles_submitted"]),
             "n_triangles_rasterized": int(counters["n_triangles_rasterized"]),
@@ -779,22 +794,20 @@ class ArtifactStore:
         return True
 
     def open_render_blocks(self, spec: TraceSpec):
-        """A :class:`ChunkedRenderReader` over ``spec``'s chunked trace
-        parts, or ``None`` when the store holds no chunked
-        representation (monolithic artifact, miss, or damage -- damage
-        is quarantined exactly as :meth:`load_render` would).
+        """A :class:`ChunkedRenderReader` over ``spec``'s trace parts,
+        or ``None`` on a miss or damage (damage, a legacy trace
+        included, is quarantined).
 
         Every part's integrity envelope is verified up front (constant
         memory); parts then deserialize lazily, one block per
         :meth:`ChunkedRenderReader.read_part`."""
-        digest = fingerprint(spec.payload())
-        checked = self._open_verified("traces", digest, ".npz")
+        # ".npz" also catches a legacy single-archive payload left
+        # without its sidecar.
+        checked = self._open_verified(
+            "traces", fingerprint(spec.payload()), ".npz")
         if checked is None:
             return None
-        _, meta = checked
-        if not isinstance(meta.get("parts"), list):
-            return None
-        return ChunkedRenderReader(self, meta)
+        return ChunkedRenderReader(self, checked[1])
 
     # -- byte-address streams --------------------------------------------
 
@@ -1058,9 +1071,8 @@ class ArtifactStore:
         anything.  ``bad`` lists verifiable damage; ``pending`` counts
         in-flight (younger than the grace window) torn states; ``tmp``
         lists temp-file litter; ``orphaned_parts`` lists stale trace
-        files no sidecar claims (litter, not corruption): parts of a
-        streaming writer that died before publishing its sidecar, and
-        the monolithic payload a re-chunk superseded; ``resumable`` lists
+        parts no sidecar claims (litter, not corruption): parts of a
+        writer that died before publishing its sidecar; ``resumable`` lists
         stale unlisted parts that an interrupted pipelined render's
         completion records cover (envelope-verified) -- the next cold
         fold resumes from them, so they are neither damage nor litter
@@ -1078,7 +1090,7 @@ class ArtifactStore:
                 path = payloads.get(stem, self._path(kind, stem, ".npz"))
                 sidecar = self._path(kind, stem, ".json")
                 try:
-                    meta = self._verify_envelope(kind, path, sidecar)
+                    self._verify_envelope(kind, path, sidecar)
                 except CorruptArtifact as fault:
                     survivor = path if path.exists() else sidecar
                     if fault.transient and not _is_stale(survivor):
@@ -1089,16 +1101,6 @@ class ArtifactStore:
                                              "reason": str(fault)})
                     continue
                 entry["ok"] += 1
-                if stem in payloads and isinstance(meta.get("parts"), list):
-                    # A re-chunk published a parts sidecar over this
-                    # monolithic payload; nothing reads it again once
-                    # no reader that verified the old envelope can
-                    # still be loading it, so the grace window runs
-                    # from the re-chunk (the sidecar's age).
-                    if _is_stale(sidecar):
-                        entry["orphaned_parts"].append(path.name)
-                    else:
-                        entry["pending"] += 1
             verified_resumable: dict = {}
             for digest, meta_paths in resume.items():
                 covered: set = set()
@@ -1148,10 +1150,10 @@ class ArtifactStore:
 
     def repair(self) -> dict:
         """Self-heal the store: quarantine every artifact that fails
-        verification, purge stale ``*.tmp*`` litter left by killed
-        writers and the stale orphaned trace files :meth:`verify`
-        lists (parts of killed streaming writers, superseded monolithic
-        payloads).  In-flight writes (within the grace window) and
+        verification (legacy traces included), purge stale ``*.tmp*``
+        litter left by killed writers and the stale orphaned trace
+        parts :meth:`verify` lists.  In-flight writes (within the grace
+        window) and
         resumable parts of interrupted pipelined renders -- along with
         the resume metadata that covers them -- are left alone; resume
         metadata is only purged once its artifact has published."""
@@ -1222,19 +1224,18 @@ class ChunkedRenderWriter:
     :meth:`ArtifactStore.repair` once stale.  On a demoted store every
     method is a no-op and :meth:`finish` returns ``False``; if any
     single part fails to publish, the sidecar is withheld so a partial
-    trace can never verify as complete.
+    trace can never verify as complete.  ``compress`` selects deflated
+    parts over stored ones.
     """
 
     def __init__(self, store: ArtifactStore, spec: TraceSpec,
-                 part_base: int = 0):
+                 part_base: int = 0, compress: bool = False):
         self._store = store
         self._spec = spec
-        self._payload = spec.payload()
-        self._digest = fingerprint(self._payload)
+        self._digest = fingerprint(spec.payload())
         self._part_base = int(part_base)
+        self._compress = bool(compress)
         self._parts = []
-        self._n_accesses = 0
-        self._n_fragments = 0
         self._has_positions = False
         self._complete = True
         self._finished = False
@@ -1250,11 +1251,11 @@ class ChunkedRenderWriter:
             f".p{index:0{traceio.PART_DIGITS}d}.npz")
 
         def publish():
-            # Stored (uncompressed) npz: the part's integrity lives in
-            # its envelope digest, and skipping deflate roughly triples
-            # cold streamed throughput on trace-bound scenes.
+            # The part's integrity lives in its envelope digest, not the
+            # container; skipping deflate roughly triples cold streamed
+            # throughput on trace-bound scenes.
             _atomic_write(path, lambda temp: traceio.save_trace(
-                temp, block, compress=False))
+                temp, block, compress=self._compress))
         if not store._guarded_write(publish):
             self._complete = False
             return
@@ -1274,16 +1275,13 @@ class ChunkedRenderWriter:
             self._complete = False
             return
         self._parts.append(envelope)
-        self._n_accesses += int(block.n_accesses)
-        self._n_fragments += int(block.n_fragments)
         self._has_positions = bool(block.has_positions)
 
     def finish(self, counters: dict) -> bool:
         """Publish the sidecar listing every part.  ``counters`` must
-        carry ``n_triangles_submitted``/``n_triangles_rasterized`` (the
-        ``totals`` dict filled by
-        :func:`~repro.pipeline.renderer.render_trace_blocks` works).
-        Returns whether the artifact is now complete on disk."""
+        carry ``n_triangles_submitted``/``n_triangles_rasterized`` (see
+        :meth:`ArtifactStore.publish_chunked_sidecar`).  Returns
+        whether the artifact is now complete on disk."""
         parts, complete, has_positions = self.finish_parts()
         if not complete:
             return False
@@ -1310,8 +1308,7 @@ class ChunkedRenderReader:
 
     Obtained from :meth:`ArtifactStore.open_render_blocks`, which has
     already verified every part's integrity envelope; reading holds
-    one part in memory.  Carries the render counters the monolithic
-    sidecar would."""
+    one part in memory.  Carries the sidecar's render counters."""
 
     def __init__(self, store: ArtifactStore, meta: dict):
         self._root = store.root

@@ -1,9 +1,11 @@
-"""Pipelined parallel streaming: overlap render, persist and fold.
+"""Every streamed fold, run as range jobs; pipelined over a pool.
 
-The serial streaming fold (:mod:`repro.engine.streaming`) renders
-blocks, persists parts and folds profiles strictly one after another
-in a single process.  This module runs the same fold across a
-**persistent** pool of worker processes, with bit-identical results::
+Every fold of :mod:`repro.engine.streaming` runs here as range jobs.
+With ``stream_workers < 2`` no pool starts and the parent runs the
+jobs itself -- that is the serial fold: a cold trace is one
+``render`` range, a stored one a single ``fold`` job.  With more
+workers it overlaps render, persist and fold across a **persistent**
+pool of worker processes, with bit-identical results::
 
     parent                          workers (persistent StreamPool)
     ------                          -------------------------------
@@ -27,7 +29,8 @@ the parent has already envelope-verified -- a warm trace's parts,
 sliced from the reader the parent opened, or a resumed range's parts,
 taken from its completion record.  Workers run both through
 :func:`_run_job` and report each as one ``range_done`` event; the
-parent's residual recovery calls the same function.
+parent runs the same function in one loop for a fold with no pool,
+for residual ranges and after a serial fallback.
 
 **Parallel cold render.**  The clipped triangle index space is cut
 into equal contiguous slices (:func:`~repro.pipeline.renderer.
@@ -44,13 +47,15 @@ right after persisting them and ships only its range's tiny partial
 states: render and fold both parallelize across the whole pool and no
 block-sized data crosses a process boundary.
 
-**Persistence.**  Each worker writes its slice's parts through its
+**Persistence.**  Each range writes its slice's parts through its
 own ``part_base``-offset :class:`~repro.engine.artifacts.
 ChunkedRenderWriter` (checksummed, atomically published, sidecar
-withheld).  Only the parent -- after every range reports complete --
-publishes the sidecar, listing the parts in range order under the
-names their writers gave them, so a partially rendered trace can
-never verify as a complete artifact and no part is renamed.
+withheld; range 0 starts at ``.p00000``).  Only the parent -- after
+every range reports complete -- publishes the sidecar
+(:func:`_publish`), listing the parts in range order under the names
+their writers gave them, so a partially rendered trace can never
+verify as a complete artifact and no part is renamed.  Serial and
+pipelined folds commit the same way.
 
 **Self-healing.**  A fold does not fail whole on the first fault; it
 degrades through an escalation ladder, each rung strictly cheaper
@@ -70,9 +75,11 @@ than the next:
    bit-identically, with a ``RuntimeWarning`` naming the residual
    count.
 3. *Serial fallback.*  Only when *no* range succeeds through the pool
-   (or the pipeline itself is unusable) does :class:`PipelineError`
-   propagate and :class:`~repro.engine.streaming.StreamedProfiles`
-   rerun the entire serial path.
+   (or the pipeline itself is unusable, :class:`PipelineError`) does
+   :func:`fold_pipelined` tear the pool down, warn that it is falling
+   back, and rerun the fold's jobs in the parent -- resuming the
+   ranges the pool completed from their parts instead of rendering
+   them again.
 
 **Crash-resume.**  A cold fold killed mid-run (SIGKILL of the parent,
 ENOSPC demotion) leaves checksummed strided parts behind plus two
@@ -80,26 +87,28 @@ kinds of resume metadata (:meth:`~repro.engine.artifacts.
 ArtifactStore.save_stream_plan` / ``save_range_record``): the range
 plan written at dispatch and one completion record per finished
 range, listing its part envelopes.  The next cold fold of the same
-spec verifies the surviving parts against those envelopes, runs the
+spec -- serial or pipelined, whichever of them wrote the plan --
+verifies the surviving parts against those envelopes, runs the
 verified ranges as ``fold`` jobs, re-renders only the missing ranges
 under the original plan geometry, then publishes as usual --
 bit-identical to an uninterrupted run.  Since publishing renames
 nothing, the records stay valid until the sidecar is on disk.
 
-**Observability.**  Every fold accounts its recovery actions in a
-:class:`StreamReport` hung off the ``StreamedProfiles`` and surfaced
-on ``ExperimentResult`` and in the CLI: respawns, retried/residual/
+**Observability.**  Every fold, serial or pipelined, accounts its
+recovery actions in a :class:`StreamReport` hung off the
+``StreamedProfiles`` and surfaced on ``ExperimentResult`` and in the
+CLI: respawns, retried/residual/
 resumed ranges, serial fallbacks and recovery wall-clock (time from a
 range's first failure to its recovery, plus respawn and residual
 work; resumed work is *saved* time and is counted by range/part
 instead).  Deterministic fault injection for all of the above lives
 in :mod:`repro.engine.faults` (``REPRO_FAULT_PLAN``).
 
-**Warm traces** (chunked parts already in the store) skip the render
-stage: the parent slices the part names of the reader it opened into
-contiguous ``fold`` jobs under the same supervision and merges the
-results in part order.  A single-part trace has nothing to fan out
-and runs its one job in the parent.
+**Warm traces** (parts already in the store, however they were
+written) skip the render stage: the parent slices the part names of
+the reader it opened into contiguous ``fold`` jobs under the same
+supervision and merges the results in part order.  A single-part
+trace has nothing to fan out and runs its one job in the parent.
 """
 
 from __future__ import annotations
@@ -117,11 +126,9 @@ import numpy as np
 
 from ..core.kernels import PartialSetProfile
 from ..pipeline import traceio
-from ..pipeline.renderer import render_trace_blocks
 from . import faults
 from .artifacts import ArtifactStore, fingerprint, load_part_block
-from .spec import order_from_spec
-from .streaming import _cached_placements, _cached_scene, _fold_blocks
+from .streaming import _cached_placements, _fold_blocks, _render_blocks
 
 #: Part-index stride between ranges: range ``i`` writes parts
 #: ``i * PART_STRIDE + 0, 1, ...`` and the sidecar lists them under
@@ -170,13 +177,14 @@ def _job_timeout_s() -> float:
 
 
 class PipelineError(RuntimeError):
-    """The pipelined fold could not run or finish; callers degrade to
-    the serial streaming path (results stay bit-identical)."""
+    """The pool could not run or finish a fold; :func:`fold_pipelined`
+    falls back to running its jobs in the parent (results stay
+    bit-identical)."""
 
 
 @dataclass
 class StreamReport:
-    """Recovery accounting for the pipelined streaming engine.  One
+    """Recovery accounting for streamed folds.  One
     report accumulates across every fold of a ``StreamedProfiles`` (an
     experiment row folds once per trace/layout); ``recovery_s`` is the
     wall-clock from each range's first failure to its recovery plus
@@ -222,8 +230,7 @@ class StreamReport:
 
     def summary(self) -> str:
         if self.clean:
-            return (f"stream: {self.folds} pipelined fold(s), "
-                    "no recovery needed")
+            return f"stream: {self.folds} fold(s), no recovery needed"
         parts = [f"stream: {self.folds} fold(s)"]
         if self.respawns:
             parts.append(f"{self.respawns} worker respawn(s)")
@@ -272,7 +279,7 @@ def _run_job(store, kind: str, job: dict, before_block=None) -> dict:
     """Run one range job and return its ``range_done`` payload: the
     range's per-pair partial states under ``"states"``, plus -- for a
     ``render`` job -- its completion record.  Pool workers and the
-    parent's residual recovery both call this.  ``before_block(n)``
+    parent (:func:`_run_ranges`) both call this.  ``before_block(n)``
     runs ahead of block ``n`` (worker heartbeat and, for ``render``
     jobs, fault injection)."""
     placements = _cached_placements(job["trace_spec"], job["layout_spec"])
@@ -300,13 +307,8 @@ def _render_range(store, job: dict, placements, before_block=None) -> dict:
 
     def persisted():
         nonlocal n_blocks
-        for block in render_trace_blocks(
-                _cached_scene(spec), job["chunk_size"],
-                order=order_from_spec(spec.order), raster=spec.raster,
-                record_positions=spec.record_positions,
-                max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
-                use_mipmaps=spec.use_mipmaps, totals=totals,
-                triangle_slice=(job["range"], job["n_ranges"])):
+        for block in _render_blocks(spec, job["chunk_size"], totals,
+                                    (job["range"], job["n_ranges"])):
             if before_block is not None:
                 before_block(n_blocks)
             writer.append(block)
@@ -822,49 +824,56 @@ def _maybe_kill_run(done_count: int) -> None:
 def fold_pipelined(profiles, pairs) -> dict:
     """Compute every pair's :class:`PartialSetProfile` for
     ``profiles`` (a :class:`~repro.engine.streaming.StreamedProfiles`)
-    through the pipelined pool, self-healing per range.  Raises
-    :class:`PipelineError` -- with the pool torn down -- only when the
-    pipeline is unusable or no range succeeded, so the caller can
-    rerun the serial path."""
+    -- the one entry point of every streamed fold.  With ``stream_workers
+    >= 2`` the jobs run on the pool, self-healing per range; when the
+    pool is unusable or no range succeeds there, the pool is torn down
+    and the fold falls back to running its jobs in this process,
+    resuming the ranges the pool completed.  With fewer workers they
+    run here from the start."""
     pairs = tuple(pairs)
-    if int(profiles.stream_workers) < 2:
-        raise PipelineError("pipelined fold needs stream_workers >= 2")
+    workers = int(profiles.stream_workers)
     report = _report_of(profiles)
     report.folds += 1
     respawns_before = _RESPAWNS_TOTAL
     try:
-        return _fold(profiles, pairs)
-    except PipelineError:
-        _break_pool()
-        raise
-    except Exception as fault:
-        _break_pool()
-        raise PipelineError(f"{type(fault).__name__}: {fault}") from fault
+        if workers >= 2:
+            try:
+                return _fold(profiles, pairs, workers)
+            except Exception as fault:
+                _break_pool()
+                why = (fault if isinstance(fault, PipelineError)
+                       else f"{type(fault).__name__}: {fault}")
+                report.fallbacks += 1
+                report.note(f"serial fallback: {why}")
+                warnings.warn(
+                    f"pipelined streaming fold failed ({why}); "
+                    "falling back to the serial streaming path",
+                    RuntimeWarning, stacklevel=4)
+        return _fold(profiles, pairs, 0)
     finally:
         report.respawns += _RESPAWNS_TOTAL - respawns_before
 
 
-def _fold(profiles, pairs) -> dict:
-    """A warm chunked trace folds as ``fold`` jobs over its parts; a
-    cold one renders under the trace's single-flight lock."""
+def _fold(profiles, pairs, workers: int) -> dict:
+    """A stored trace folds as ``fold`` jobs over its parts; a cold one
+    renders under the trace's single-flight lock."""
     store = profiles.store
     spec = profiles.trace_spec
     reader = store.open_render_blocks(spec)
-    if reader is None and store.load_render(spec) is not None:
-        # Monolithic artifact: re-chunk it (serial, IO-bound) so the
-        # warm parallel fold below has parts to fan out.
-        reader = profiles._ensure_chunked()
-        if reader is None:
-            raise PipelineError(
-                "store cannot hold the chunked representation")
     if reader is not None:
-        return _fold_warm(profiles, pairs, reader)
+        return _fold_warm(profiles, pairs, reader, workers)
     with store.single_flight("traces", fingerprint(spec.payload())):
         reader = store.open_render_blocks(spec)
         if reader is not None:
             # A racing process published the trace while we waited.
-            return _fold_warm(profiles, pairs, reader)
-        return _fold_cold(profiles, pairs)
+            return _fold_warm(profiles, pairs, reader, workers)
+        return _fold_cold(profiles, pairs, workers)
+
+
+def _n_ranges(workers: int) -> int:
+    """Ranges to cut a fold into: one per job the pool can balance, or
+    a single range when the fold runs in the parent."""
+    return workers * RANGES_PER_WORKER if workers >= 2 else 1
 
 
 def _job(profiles, pairs, **fields) -> dict:
@@ -873,29 +882,24 @@ def _job(profiles, pairs, **fields) -> dict:
             "layout_spec": profiles.layout_spec, "pairs": pairs, **fields}
 
 
-def _fold_warm(profiles, pairs, reader) -> dict:
-    """Fan a warm chunked trace's parts out as contiguous ``fold``
-    jobs, naming the parts ``reader`` already verified.  A single-part
-    trace has nothing to fan out: its one job runs here."""
+def _fold_warm(profiles, pairs, reader, workers: int) -> dict:
+    """Fold a stored trace as contiguous ``fold`` jobs, naming the parts
+    ``reader`` already verified."""
     names = [entry["name"] for entry in reader.parts]
-    if len(names) < 2:
-        return _run_job(profiles.store, "fold",
-                        _job(profiles, pairs, parts=names))["states"]
-    n_ranges = min(len(names),
-                   int(profiles.stream_workers) * RANGES_PER_WORKER)
+    n_ranges = max(1, min(len(names), _n_ranges(workers)))
     bounds = np.linspace(0, len(names), n_ranges + 1).astype(int)
     jobs = {index: ("fold", _job(profiles, pairs, range=index,
                                  parts=names[lo:hi]))
             for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))}
-    payloads = _run_ranges(profiles, jobs, "warm")
+    payloads = _run_ranges(profiles, jobs, "warm", workers)
     return _merge_in_order(pairs, (payloads[index]["states"]
                                    for index in range(n_ranges)))
 
 
-def _fold_cold(profiles, pairs) -> dict:
-    """Render, persist and fold a cold trace concurrently (``render``
-    jobs), folding the ranges a previously interrupted run completed
-    from their verified parts (``fold`` jobs).  Runs under the trace's
+def _fold_cold(profiles, pairs, workers: int) -> dict:
+    """Render, persist and fold a cold trace (``render`` jobs), folding
+    the ranges a previously interrupted run completed from their
+    verified parts (``fold`` jobs).  Runs under the trace's
     single-flight lock."""
     store = profiles.store
     spec = profiles.trace_spec
@@ -904,7 +908,7 @@ def _fold_cold(profiles, pairs) -> dict:
     if plan is None or not resumed:
         # Nothing usable survives: plan this run from scratch.
         store.discard_resume_state(spec)
-        n_ranges = int(profiles.stream_workers) * RANGES_PER_WORKER
+        n_ranges = _n_ranges(workers)
         chunk_size = profiles.chunk_size
         store.save_stream_plan(spec, {
             "n_ranges": n_ranges, "chunk_size": int(chunk_size),
@@ -937,28 +941,56 @@ def _fold_cold(profiles, pairs) -> dict:
     if len(resumed) < n_ranges:
         from . import runner
         runner.RENDER_CALLS += 1  # a fully resumed fold renders nothing
-    payloads = _run_ranges(profiles, jobs, "cold")
+    payloads = _run_ranges(profiles, jobs, "cold", workers)
     _publish(store, spec, [resumed.get(index, payloads[index])
                            for index in range(n_ranges)])
     return _merge_in_order(pairs, (payloads[index]["states"]
                                    for index in range(n_ranges)))
 
 
-def _run_ranges(profiles, jobs: dict, stage: str) -> dict:
-    """Run ``jobs`` (range index -> ``(kind, job)``) on the pool under
-    supervision; returns every range's ``range_done`` payload.  A range
-    that exhausts its retry budget is recovered in the parent by the
-    same :func:`_run_job` a worker runs; :class:`PipelineError` only
-    when no range succeeded through the pool.  ``stage`` is ``"warm"``
-    or ``"cold"``; only cold folds arm the ``kill-run`` fault."""
+def _run_ranges(profiles, jobs: dict, stage: str, workers: int) -> dict:
+    """Run ``jobs`` (range index -> ``(kind, job)``) and return every
+    range's ``range_done`` payload.  With fewer than two workers, or a
+    single job, every job runs in the parent; otherwise on the pool
+    (:func:`_run_on_pool`), and a range that exhausts its retry budget
+    then runs in the parent -- the same loop, by the same
+    :func:`_run_job` a worker runs.  ``stage`` is ``"warm"`` or
+    ``"cold"``; only cold folds arm the ``kill-run`` fault, wherever
+    their ranges ran."""
+    payloads: dict = {}
+    supervisor = None
+    in_parent = sorted(jobs)
+    if workers >= 2 and len(jobs) > 1:
+        supervisor = _run_on_pool(profiles, jobs, stage, workers, payloads)
+        in_parent = sorted(supervisor.residual)
+    started = time.monotonic()
+    for index in in_parent:
+        kind, job = jobs[index]
+        payloads[index] = _run_job(profiles.store, kind, job)
+        if supervisor is not None:
+            supervisor.note_complete(index)
+        if stage == "cold":
+            _maybe_kill_run(len(payloads))
+    if supervisor is not None and in_parent:
+        _report_of(profiles).recovery_s += time.monotonic() - started
+        warnings.warn(
+            f"pipelined {stage} fold recovered {len(in_parent)} residual "
+            "range(s) serially in the parent after the retry budget",
+            RuntimeWarning, stacklevel=6)
+    return payloads
+
+
+def _run_on_pool(profiles, jobs: dict, stage: str, workers: int,
+                 payloads: dict) -> _Supervision:
+    """Run ``jobs`` on the pool under supervision, filling ``payloads``;
+    returns the supervisor, whose ``residual`` ranges exhausted their
+    retry budget.  :class:`PipelineError` when no range succeeded."""
     report = _report_of(profiles)
-    _seed_pool_memos(profiles.trace_spec, profiles.layout_spec,
-                     profiles.stream_workers)
-    pool = get_pool(profiles.stream_workers)
+    _seed_pool_memos(profiles.trace_spec, profiles.layout_spec, workers)
+    pool = get_pool(workers)
     pool.fold_id += 1
     supervisor = _Supervision(pool, jobs, report,
                               f"{stage} fold ({profiles.trace_spec.scene})")
-    payloads: dict = {}
 
     def handle(kind, index, message):
         if kind != "range_done":
@@ -978,23 +1010,11 @@ def _run_ranges(profiles, jobs: dict, stage: str) -> dict:
 
     supervisor.dispatch_all()
     _drive(pool, supervisor, handle, what=f"pipelined {stage} fold")
-    if supervisor.residual:
-        if not supervisor.complete:
-            raise PipelineError(
-                f"every {stage} fold range failed in the pool "
-                f"({_last_line(next(iter(supervisor.residual.values())))})")
-        residual = sorted(supervisor.residual)
-        started = time.monotonic()
-        for index in residual:
-            kind, job = supervisor.jobs[index]
-            payloads[index] = _run_job(profiles.store, kind, job)
-            supervisor.note_complete(index)
-        report.recovery_s += time.monotonic() - started
-        warnings.warn(
-            f"pipelined {stage} fold recovered {len(residual)} residual "
-            "range(s) serially in the parent after the retry budget",
-            RuntimeWarning, stacklevel=6)
-    return payloads
+    if supervisor.residual and not supervisor.complete:
+        raise PipelineError(
+            f"every {stage} fold range failed in the pool "
+            f"({_last_line(next(iter(supervisor.residual.values())))})")
+    return supervisor
 
 
 def _load_resume(store, spec) -> tuple:
@@ -1050,18 +1070,18 @@ def _publish(store, spec, records) -> None:
     if not store.available or not all(record["complete"]
                                        for record in records):
         return
-    if any(len(record["envelopes"]) >= PART_STRIDE for record in records):
+    if len(records) > 1 and any(len(record["envelopes"]) >= PART_STRIDE
+                                for record in records):
         return  # would alias another range's index space
     parts = [entry for record in records for entry in record["envelopes"]]
     totals = dict(records[0]["totals"])  # n_triangles_submitted is global
-    totals["n_triangles_rasterized"] = sum(
-        int(record["totals"]["n_triangles_rasterized"])
-        for record in records)
+    for key in ("n_fragments", "n_triangles_rasterized"):
+        totals[key] = sum(int(record["totals"][key]) for record in records)
     totals["has_positions"] = any(
         record["totals"].get("has_positions") for record in records)
     if not store.publish_chunked_sidecar(spec, parts, totals):
         warnings.warn(
-            f"pipelined render for {spec.scene} persisted its parts but "
+            f"streamed render for {spec.scene} persisted its parts but "
             "could not publish the sidecar; the next run resumes from "
             "them", RuntimeWarning, stacklevel=4)
         return

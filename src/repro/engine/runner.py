@@ -21,8 +21,9 @@ Store misses compute under the store's per-fingerprint single-flight
 lock, so N racing processes produce one render per fingerprint.  An
 unwritable store demotes itself (see :mod:`repro.engine.artifacts`)
 and the engine transparently continues on its in-memory memos.
-Worker failures in the pipelined fold are retried per range and
-reported on :attr:`ExperimentResult.stream_report`.
+Worker failures in the pipelined fold are retried per range, and
+every streamed run reports its folds and recoveries on
+:attr:`ExperimentResult.stream_report`.
 """
 
 from __future__ import annotations
@@ -143,7 +144,11 @@ class StoredTraceStreams(TraceStreams):
     def set_profile(self, line_size: int, n_sets: int) -> SetDistanceProfile:
         key = (line_size, n_sets)
         if key not in self._set_profiles:
-            if not self._backed():
+            if not self._backed() or n_sets == 1:
+                # One set is the fully-associative profile: the base
+                # class derives it from profile(), whose profiles/
+                # artifact the streamed path shares, so it is never
+                # stored twice.
                 return super().set_profile(line_size, n_sets)
             compute = super().set_profile
             self._set_profiles[key] = self._through_store(
@@ -159,9 +164,9 @@ class Engine:
 
     def __init__(self, store: Optional[ArtifactStore] = None):
         self.store = store if store is not None else ArtifactStore()
-        #: Aggregated recovery report of the last pipelined run
-        #: (:class:`~repro.engine.pipelined.StreamReport`), ``None``
-        #: when the last run did not pipeline.
+        #: Aggregated fold and recovery report of the last streamed
+        #: run (:class:`~repro.engine.pipelined.StreamReport`), ``None``
+        #: when the last run did not stream.
         self.last_stream_report = None
         self._scenes = {}
         self._renders = {}
@@ -184,16 +189,19 @@ class Engine:
                fresh: bool = False) -> RenderResult:
         """The render for ``spec``: memoized, then store-backed, then
         fresh.  ``produce_image=True`` always renders (framebuffers are
-        not cached) but still persists the trace for later warm runs;
-        ``fresh=True`` also skips the memo and store so the result
-        carries real ``phase_ms`` timings (``render --profile``).
+        not cached) but still persists the trace for later warm runs
+        when the store lacks it; ``fresh=True`` also skips the memo and
+        store so the result carries real ``phase_ms`` timings
+        (``render --profile``).
 
-        Store misses render under the per-fingerprint single-flight
-        lock: of N racing processes one renders, the rest load its
-        published artifact."""
+        Store misses render, and every trace saves, under the
+        per-fingerprint single-flight lock: of N racing processes one
+        renders, the rest load its published artifact."""
         if produce_image or fresh:
             result = self._render_fresh(spec, produce_image=produce_image)
-            self.store.save_render(spec, result)
+            with self.store.single_flight("traces",
+                                          fingerprint(spec.payload())):
+                self.store.save_render(spec, result)
             return result
         if spec not in self._renders:
             result = self.store.load_render(spec)
@@ -277,10 +285,11 @@ class Engine:
         """Constant-memory :class:`~repro.engine.streaming.StreamedProfiles`
         for (trace, layout), memoized.  Same profiles (bit for bit) as
         :meth:`streams`, computed as a fold over bounded fragment
-        blocks instead of materialized arrays.  ``stream_workers >= 2``
-        runs the fold through the pipelined persistent pool
-        (:mod:`repro.engine.pipelined`): cold renders are partitioned
-        across workers, each folding the blocks it renders."""
+        blocks instead of materialized arrays, as the range jobs of
+        :mod:`repro.engine.pipelined`.  ``stream_workers >= 2`` runs
+        them on the persistent pool: cold renders are
+        partitioned across workers, each folding the blocks it
+        renders."""
         from .streaming import DEFAULT_CHUNK_SIZE, StreamedProfiles
         chunk = int(chunk_size) if chunk_size else DEFAULT_CHUNK_SIZE
         key = (trace_spec, tuple(layout_spec), chunk, int(stream_workers))
@@ -305,12 +314,15 @@ class Engine:
         ``chunk_size`` and/or ``stream_workers > 0`` switch the profile
         stage to the streaming fold (:mod:`repro.engine.streaming`):
         the trace is never materialized and peak memory is bounded by
-        the chunk size independent of trace length.
-        ``stream_workers >= 2`` pipelines the fold
-        (:mod:`repro.engine.pipelined`): cold renders are partitioned
-        across a persistent worker pool, each worker folds the blocks
-        it renders, and the parent merges the per-range states.
-        Streaming produces bit-identical rows and requires the
+        the chunk size independent of trace length.  Every fold runs
+        as the range jobs of :mod:`repro.engine.pipelined`, which
+        commits a cold trace as a part list and resumes an
+        interrupted one.  With ``stream_workers < 2`` it runs in this
+        process; ``stream_workers >= 2`` pipelines it: cold renders
+        are partitioned across a persistent worker pool, each worker
+        folds the blocks it renders, and the parent merges the
+        per-range states.  Streaming produces bit-identical rows, sets
+        :attr:`ExperimentResult.stream_report`, and requires the
         vectorized kernel (the reference simulator needs the in-RAM
         stream).
 
@@ -338,7 +350,10 @@ class Engine:
                 "streaming (chunk_size/stream_workers) to use it")
         rows = []
         audit_reports = []
-        stream_reports = []
+        stream_report = None
+        if streaming:
+            from .pipelined import StreamReport
+            stream_report = StreamReport()
         for trace_spec in experiment.trace_specs():
             for layout_spec in experiment.layouts:
                 if streaming:
@@ -352,8 +367,8 @@ class Engine:
                     # One pass over the blocks computes the whole
                     # grid's profiles (instead of one pass per pair).
                     streams.prefetch(_profile_pairs(experiment))
-                    if getattr(streams, "stream_report", None) is not None:
-                        stream_reports.append(streams.stream_report)
+                    if streams.stream_report is not None:
+                        stream_report.absorb(streams.stream_report)
                     if audit_parts:
                         audit_reports.append(streams.audit(
                             _profile_pairs(experiment),
@@ -369,12 +384,6 @@ class Engine:
                         rows.extend(self._sweep_sizes(
                             trace_spec, layout_spec, streams, line_size,
                             assoc, experiment.cache_sizes, kernel))
-        stream_report = None
-        if stream_reports:
-            from .pipelined import StreamReport
-            stream_report = StreamReport()
-            for partial in stream_reports:
-                stream_report.absorb(partial)
         self.last_stream_report = stream_report
         return ExperimentResult(spec=experiment, rows=rows,
                                 stream_report=stream_report,
@@ -455,9 +464,9 @@ class ExperimentResult:
 
     spec: ExperimentSpec
     rows: list
-    #: Aggregated :class:`~repro.engine.pipelined.StreamReport` when
-    #: the run used pipelined streaming (``stream_workers >= 2``);
-    #: ``None`` otherwise.
+    #: Aggregated :class:`~repro.engine.pipelined.StreamReport` of
+    #: every fold and recovery whenever the run streamed (``chunk_size``
+    #: or ``stream_workers`` set); ``None`` for an in-RAM run.
     stream_report: object = field(default=None)
     #: One :class:`~repro.engine.streaming.StreamAuditReport` per
     #: streamed (trace, layout) pair when ``audit_parts`` was set.

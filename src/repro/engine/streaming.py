@@ -21,16 +21,18 @@ number (miss-rate curves, 3C classification) is bit-identical to the
 in-RAM path.
 
 Peak RSS is bounded by ``O(chunk_size + distinct lines + scene
-textures)``, independent of trace length.  ``stream_workers >= 2``
-runs the same fold through the supervised persistent pool of
-:mod:`repro.engine.pipelined`; per-range partial states merge
-associatively in stream order, so the pipelined result is
-bit-identical too.
+textures)``, independent of trace length.  Every fold runs as the
+range jobs of :mod:`repro.engine.pipelined`: with ``stream_workers <
+2`` this process runs them itself (a cold trace is one ``render``
+range), with more it fans them out over the supervised persistent
+pool.  Per-range partial states merge associatively in stream order,
+so every form is bit-identical too, and a cold fold publishes the
+trace as the same part list :meth:`~repro.engine.artifacts.
+ArtifactStore.save_render` writes, which every later fold reads.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,20 +54,16 @@ from ..core.kernels import (
 )
 from ..core.stackdist import DistanceProfile
 from ..pipeline.renderer import render_trace_blocks
-from ..pipeline.trace import iter_blocks
 from ..scenes import ALL_SCENES
 from ..texture.memory import place_textures
 from .artifacts import (
+    DEFAULT_CHUNK_SIZE,
     ArtifactStore,
     addresses_payload,
-    fingerprint,
     profile_payload,
     set_profile_payload,
 )
 from .spec import TraceSpec, layout_from_spec, order_from_spec
-
-#: Default block bound in texel accesses (~8 MB of trace columns).
-DEFAULT_CHUNK_SIZE = 1 << 20
 
 
 #: Size-one memo of the last built scene and its placements, shared by
@@ -100,11 +98,24 @@ def _cached_placements(spec: TraceSpec, layout_spec):
     return _PLACEMENTS[key]
 
 
+def _render_blocks(spec: TraceSpec, chunk_size: int, totals=None,
+                   triangle_slice=None):
+    """``spec``'s render off the memoized scene as a block stream (one
+    ``(index, count)`` triangle slice of it, given ``triangle_slice``);
+    ``totals`` receives the render counters once it is exhausted."""
+    return render_trace_blocks(
+        _cached_scene(spec), chunk_size, order=order_from_spec(spec.order),
+        raster=spec.raster, record_positions=spec.record_positions,
+        max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
+        use_mipmaps=spec.use_mipmaps, totals=totals,
+        triangle_slice=triangle_slice)
+
+
 def _fold_blocks(pairs, placements, blocks, beat=None) -> dict:
     """Fold ``blocks`` in order into fresh per-pair partial states --
-    the one block-fold loop of the serial and pipelined folds.
-    ``beat(n)`` runs ahead of block ``n`` (a pool worker's
-    heartbeat)."""
+    the one block-fold loop of every range job, in a pool worker or
+    in the parent.  ``beat(n)`` runs ahead of block ``n`` (a pool
+    worker's heartbeat)."""
     states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
     for sequence, block in enumerate(blocks):
         if beat is not None:
@@ -196,9 +207,9 @@ class StreamedProfiles:
         self._payload = addresses_payload(trace_spec, self.layout_spec)
         self._profiles = {}
         self._set_profiles = {}
-        #: Recovery observability: attached/updated by the pipelined
-        #: fold (:class:`~repro.engine.pipelined.StreamReport`); stays
-        #: ``None`` when every fold ran serially and undisturbed.
+        #: Fold and recovery accounting
+        #: (:class:`~repro.engine.pipelined.StreamReport`), attached by
+        #: the first fold; ``None`` until this object folds.
         self.stream_report = None
 
     # -- TraceStreams duck interface --------------------------------------
@@ -238,11 +249,15 @@ class StreamedProfiles:
         built.  Feeds :func:`~repro.core.kernels.sequence_stats` for
         multi-segment (e.g. inter-frame) simulations.
         """
+        reader = self._ensure_chunked()
+        # A demoted store holds no parts to read back: render instead.
+        blocks = (reader if reader is not None
+                  else _render_blocks(self.trace_spec, self.chunk_size))
         placements = _cached_placements(self.trace_spec, self.layout_spec)
         parts = []
         total = 0
         last = None
-        for block in self._blocks():
+        for block in blocks:
             lines = to_lines(block.byte_addresses(placements), line_size)
             total += len(lines)
             runs, _ = collapse_consecutive(lines)
@@ -279,21 +294,8 @@ class StreamedProfiles:
             self._set_profiles[pair] = profile
 
     def _fold(self, pairs) -> dict:
-        if self.stream_workers > 1:
-            from . import pipelined
-            try:
-                return pipelined.fold_pipelined(self, pairs)
-            except pipelined.PipelineError as fault:
-                report = pipelined._report_of(self)
-                report.fallbacks += 1
-                report.note(f"serial fallback: {fault}")
-                warnings.warn(
-                    f"pipelined streaming fold failed ({fault}); "
-                    "falling back to the serial streaming path",
-                    RuntimeWarning, stacklevel=3)
-        return _fold_blocks(
-            pairs, _cached_placements(self.trace_spec, self.layout_spec),
-            self._blocks())
+        from . import pipelined
+        return pipelined.fold_pipelined(self, pairs)
 
     # -- spot audit --------------------------------------------------------
 
@@ -320,7 +322,7 @@ class StreamedProfiles:
         reader = self._ensure_chunked()
         if reader is None:
             raise StreamingAuditError(
-                "spot audit needs the chunked trace in the store "
+                "spot audit needs the trace's parts in the store "
                 "(store demoted?)")
         n_parts = len(reader)
         sampled = sorted({int(index) for index in np.linspace(
@@ -386,72 +388,15 @@ class StreamedProfiles:
                 f"{label}: partial profile disagrees with the "
                 "sequential oracle's histogram")
 
-    # -- block sources -----------------------------------------------------
-
-    def _blocks(self):
-        """Yield the trace's blocks at constant memory: chunked store
-        parts, a re-chunked monolithic artifact, or a fresh streaming
-        render persisted part by part as it is consumed."""
-        reader = self.store.open_render_blocks(self.trace_spec)
-        if reader is not None:
-            yield from reader
-            return
-        cached = self.store.load_render(self.trace_spec)
-        if cached is not None:
-            yield from iter_blocks(cached.trace, self.chunk_size)
-            return
-        yield from self._render_fresh_blocks()
-
-    def _render_fresh_blocks(self):
-        spec = self.trace_spec
-        digest = fingerprint(spec.payload())
-        with self.store.single_flight("traces", digest):
-            reader = self.store.open_render_blocks(spec)
-            if reader is not None:  # a racing process published it
-                yield from reader
-                return
-            from . import runner
-            runner.RENDER_CALLS += 1
-            writer = self.store.open_render_writer(spec)
-            totals = {}
-            blocks = render_trace_blocks(
-                _cached_scene(spec), self.chunk_size,
-                order=order_from_spec(spec.order), raster=spec.raster,
-                record_positions=spec.record_positions,
-                max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
-                use_mipmaps=spec.use_mipmaps, totals=totals)
-            for block in blocks:
-                writer.append(block)
-                yield block
-            writer.finish(totals)
-
     def _ensure_chunked(self):
-        """The chunked-parts reader, rendering and/or re-chunking into
-        the store first if needed; ``None`` when the store cannot hold
-        it (demoted)."""
+        """The reader over the trace's stored parts, rendering and
+        publishing them first (a fold with no pairs) on a miss;
+        ``None`` when the store cannot hold them (demoted)."""
         reader = self.store.open_render_blocks(self.trace_spec)
-        if reader is not None:
-            return reader
-        cached = self.store.load_render(self.trace_spec)
-        if cached is not None:
-            digest = fingerprint(self.trace_spec.payload())
-            with self.store.single_flight("traces", digest):
-                reader = self.store.open_render_blocks(self.trace_spec)
-                if reader is not None:
-                    return reader
-                # The monolithic payload stays on disk: a concurrent
-                # load_render may have verified its old envelope.  The
-                # store's verify() reports it as litter once stale.
-                writer = self.store.open_render_writer(self.trace_spec)
-                for block in iter_blocks(cached.trace, self.chunk_size):
-                    writer.append(block)
-                writer.finish({
-                    "n_triangles_submitted": cached.n_triangles_submitted,
-                    "n_triangles_rasterized": cached.n_triangles_rasterized})
-        else:
-            for _ in self._render_fresh_blocks():
-                pass  # the generator persists parts as a side effect
-        return self.store.open_render_blocks(self.trace_spec)
+        if reader is None and self.store.available:
+            self._fold(())
+            reader = self.store.open_render_blocks(self.trace_spec)
+        return reader
 
     # -- store round trip --------------------------------------------------
 

@@ -58,6 +58,18 @@ class TestArtifactStore:
         assert second.n_triangles_submitted == first.n_triangles_submitted
         assert second.n_triangles_rasterized == first.n_triangles_rasterized
 
+    def test_anisotropic_render_keeps_its_fragment_count(self, tmp_path):
+        # Parts cut from RAM can only bound the fragments of an
+        # anisotropic trace (each probe looks like a fragment start);
+        # the warm load must still report the render's exact count.
+        spec = TraceSpec(scene="goblet", scale=0.1, order=("horizontal",),
+                         max_anisotropy=8)
+        cold = Engine(store=ArtifactStore(tmp_path)).render(spec)
+        warm = Engine(store=ArtifactStore(tmp_path)).render(spec)
+        assert warm.n_fragments == warm.trace.n_fragments == \
+            cold.trace.n_fragments
+        assert_traces_equal(warm.trace, cold.trace)
+
     def test_warm_streams_skip_render_and_scene_build(self, tmp_path):
         cold = Engine(store=ArtifactStore(tmp_path))
         cold_addresses = cold.addresses(SPEC, ("blocked", 4))

@@ -8,13 +8,17 @@ exact integer rows of a small grid over the four paper scenes --
 accesses, misses and the cold/capacity/conflict split of every cell --
 plus the SHA-256 of each scene's byte-address stream.  The paths:
 
-* in-RAM vectorized (the default);
+* in-RAM vectorized (the default), whose stored traces also read back
+  part by part with the pinned address digests;
 * the sequential oracles, ``kernel="reference"`` with
   ``raster="reference"``;
 * the serial streamed fold (``chunk_size=4096``);
 * the pipelined fold (``stream_workers=2``);
+* serial and ``stream_workers=2`` folds over the traces the in-RAM
+  path stored, rendering nothing;
 * a pipelined fold resumed after an injected parent crash
-  (``kill-run:after=2,mode=raise``);
+  (``kill-run:after=2,mode=raise``), and a serial streamed fold of one
+  scene resumed after ``kill-run:after=1,mode=raise``;
 * a warm re-serve from a filled store with the in-process memory tier
   off (``REPRO_STORE_MEMORY_BYTES=0``).
 
@@ -26,6 +30,7 @@ regenerates the pin from the in-RAM path::
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +59,9 @@ COLUMNS = ["scene", "size", "line", "assoc", "accesses", "misses", "cold",
            "capacity", "conflict"]
 
 
-def experiment(**overrides) -> ExperimentSpec:
+def experiment(scenes=tuple(GRID["scenes"]), **overrides) -> ExperimentSpec:
     return ExperimentSpec(
-        scenes=tuple(GRID["scenes"]), layouts=(tuple(GRID["layout"]),),
+        scenes=tuple(scenes), layouts=(tuple(GRID["layout"]),),
         cache_sizes=tuple(GRID["cache_sizes"]),
         line_sizes=tuple(GRID["line_sizes"]),
         assocs=tuple(None if assoc == "full" else assoc
@@ -165,6 +170,23 @@ class TestGoldenPin:
     def test_in_ram_vectorized(self, filled_store):
         pass  # the fixture compares the rows and address digests
 
+    def test_in_ram_traces_read_back_as_parts(self, filled_store, pin):
+        assert chunked_digests(ArtifactStore(filled_store)) == \
+            pin["address_sha256"]
+
+    @pytest.mark.parametrize("stream_workers", [0, 2])
+    def test_folds_over_in_ram_traces(self, filled_store, tmp_path, pin,
+                                      no_pool, stream_workers):
+        root = tmp_path / "store"
+        shutil.copytree(filled_store, root)
+        for kind in ("profiles", "set_profiles"):
+            shutil.rmtree(root / kind)
+        before = render_calls()
+        result = Engine(store=ArtifactStore(root)).run(
+            experiment(), chunk_size=4096, stream_workers=stream_workers)
+        assert canonical_rows(result.rows) == pin["rows"]
+        assert render_calls() == before
+
     def test_reference_oracles(self, tmp_path, pin):
         result = Engine(store=ArtifactStore(tmp_path)).run(
             experiment(raster="reference"), kernel="reference")
@@ -197,6 +219,21 @@ class TestGoldenPin:
         assert result.stream_report.resumed_ranges >= 1
         assert canonical_rows(result.rows) == pin["rows"]
         assert chunked_digests(store) == pin["address_sha256"]
+
+    def test_serial_streamed_resumed_after_crash(self, tmp_path, pin,
+                                                 no_pool):
+        scene = GRID["scenes"][1]
+        with injection.fault_plan("kill-run:after=1,mode=raise"):
+            with pytest.raises(chaos.InjectedCrash):
+                Engine(store=ArtifactStore(tmp_path)).run(
+                    experiment([scene]), chunk_size=4096)
+        before = render_calls()
+        result = Engine(store=ArtifactStore(tmp_path)).run(
+            experiment([scene]), chunk_size=4096)
+        assert result.stream_report.resumed_ranges == 1
+        assert render_calls() == before
+        assert canonical_rows(result.rows) == [
+            row for row in pin["rows"] if row[0] == scene]
 
     def test_warm_reserve_without_memory_tier(self, filled_store, pin,
                                               monkeypatch):

@@ -122,16 +122,22 @@ class TestPipelinedRun:
 
         monkeypatch.setattr(ArtifactStore, "discard_resume_state", snapshot)
         exp = ExperimentSpec(**GRID)
-        ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
+        ram_engine = Engine(store=ArtifactStore(tmp_path / "a"))
+        ram = ram_engine.run(exp)
         pipe_store = ArtifactStore(tmp_path / "b")
         piped = Engine(store=pipe_store).run(exp, chunk_size=4096,
                                              stream_workers=2)
         assert rows(ram) == rows(piped)
         # The parallel render committed a verifiable chunked trace whose
         # sidecar lists exactly the parts the range records named, in
-        # range order, under the names the workers wrote.
+        # range order, under the names the workers wrote, with the
+        # frame's totals summed over the ranges.
         reader = pipe_store.open_render_blocks(exp.trace_specs()[0])
         assert reader is not None and len(reader) > 1
+        rendered = ram_engine.render(exp.trace_specs()[0])
+        assert reader.n_fragments == rendered.n_fragments
+        assert reader.n_triangles_rasterized == \
+            rendered.n_triangles_rasterized
         assert sorted(records) == list(range(len(records)))
         assert reader.meta["parts"] == [
             entry for index in sorted(records)

@@ -53,10 +53,10 @@ def ram_rows(tmp_path):
         ExperimentSpec(**GRID)))
 
 
-def piped_run(root, **kwargs):
+def piped_run(root, stream_workers=2, **kwargs):
     return Engine(store=ArtifactStore(root)).run(
-        ExperimentSpec(**GRID), chunk_size=4096, stream_workers=2,
-        **kwargs)
+        ExperimentSpec(**GRID), chunk_size=4096,
+        stream_workers=stream_workers, **kwargs)
 
 
 @contextlib.contextmanager
@@ -206,13 +206,35 @@ class TestWorkerFaults:
         assert scan["clean"] and scan["bad"] == 0
 
 
+    def test_stalled_pool_falls_back_resuming_completed_ranges(
+            self, tmp_path, monkeypatch):
+        # Range 1's worker wedges (the job deadline stays at its 600 s
+        # default) while the other worker finishes ranges 0, 2 and 3;
+        # the pool then stalls.  The fallback runs the fold's jobs in
+        # the parent, folding the three completed ranges from their
+        # parts and rendering only range 1.
+        reference = ram_rows(tmp_path)
+        monkeypatch.setattr(pipelined, "NO_PROGRESS_TIMEOUT_S", 5.0)
+        with injection.fault_plan("wedge-worker:range=1,block=0,seconds=120"):
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                result = piped_run(tmp_path / "piped")
+        assert rows(result) == reference
+        report = result.stream_report
+        assert report.fallbacks == 1
+        assert report.resumed_ranges == 3
+        assert pipelined._POOL is None
+        scan = ArtifactStore(tmp_path / "piped").verify()
+        assert scan["clean"] and scan["bad"] == 0
+
+
 class TestCrashResume:
-    def assert_resumed(self, tmp_path, reference, store_root):
+    def assert_resumed(self, tmp_path, reference, store_root,
+                       stream_workers=2):
         """A second run over the crashed store must resume from the
         published parts, re-render only the missing ranges, and publish
         bit-identically."""
         with no_fallback_warning():
-            result = piped_run(store_root)
+            result = piped_run(store_root, stream_workers=stream_workers)
         assert rows(result) == reference
         report = result.stream_report
         assert report is not None
@@ -256,6 +278,20 @@ class TestCrashResume:
         result = self.assert_resumed(tmp_path, reference, tmp_path / "piped")
         assert result.stream_report.resumed_ranges == 4
         assert render_calls() == before
+
+    def test_pipelined_crash_resumes_in_a_serial_fold(self, tmp_path):
+        # The range records belong to the fold, not the pool: a serial
+        # rerun (chunk_size only) resumes the ranges the crashed
+        # 2-worker fold completed and renders the rest in the parent.
+        reference = ram_rows(tmp_path)
+        with injection.fault_plan("kill-run:after=2,mode=raise"):
+            with pytest.raises(chaos.InjectedCrash):
+                piped_run(tmp_path / "piped")
+        shutdown_stream_pool()
+        result = self.assert_resumed(tmp_path, reference,
+                                     tmp_path / "piped", stream_workers=0)
+        assert result.stream_report.resumed_ranges >= 2
+        assert pipelined._POOL is None
 
     def test_hard_exit_crash_resumes_across_processes(self, tmp_path):
         # The SIGKILL-equivalent: a subprocess os._exit(42)s mid-fold

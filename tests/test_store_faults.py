@@ -23,6 +23,7 @@ from repro.engine import (
     ExperimentSpec,
     TraceSpec,
     addresses_payload,
+    fingerprint,
     profile_payload,
     render_calls,
     reset_render_calls,
@@ -55,6 +56,11 @@ def assert_traces_equal(a, b):
     assert a.n_fragments == b.n_fragments
 
 
+def trace_sidecar(store) -> Path:
+    """The sidecar listing SPEC's trace parts."""
+    return store._path("traces", fingerprint(SPEC.payload()), ".json")
+
+
 def quarantine_reasons(store, kind):
     """Concatenated reason records for one kind's quarantine."""
     directory = Path(store.root) / "quarantine" / kind
@@ -70,6 +76,17 @@ class TestEnvelope:
         for kind in artifacts_module.KINDS:
             payloads = faults.payload_files(store, kind)
             assert payloads, f"no {kind} artifact written"
+            if kind == "traces":
+                # A trace's envelopes sit in its sidecar's part list.
+                sidecar = json.loads(trace_sidecar(store).read_text())
+                assert "key" in sidecar
+                assert [entry["name"] for entry in sidecar["parts"]] == \
+                    [part.name for part in payloads]
+                for entry, part in zip(sidecar["parts"], payloads):
+                    assert entry["nbytes"] == part.stat().st_size
+                    assert entry["digest"] == \
+                        artifacts_module._file_digest(part)
+                continue
             for payload in payloads:
                 sidecar = json.loads(
                     payload.with_suffix(".json").read_text())
@@ -97,12 +114,14 @@ class TestCorruptionRecovery:
     def test_truncated_trace_archive(self, tmp_path):
         store, engine = warm_store(tmp_path)
         reference = engine.render(SPEC)
-        [victim] = faults.payload_files(store, "traces")
+        [victim] = faults.payload_files(store, "traces")  # the one part
         faults.truncate(victim)
 
         assert ArtifactStore(tmp_path).load_render(SPEC) is None
-        assert "mismatch" in quarantine_reasons(store, "traces")
+        assert f"part {victim.name}: size mismatch" in \
+            quarantine_reasons(store, "traces")
         assert not victim.exists()  # moved into quarantine
+        assert not trace_sidecar(store).exists()  # with its sidecar
 
         before = render_calls()
         recomputed = Engine(store=ArtifactStore(tmp_path)).render(SPEC)
@@ -162,27 +181,62 @@ class TestCorruptionRecovery:
 
 class TestLegacyAndForeignSidecars:
     def test_legacy_sidecar_without_counters_is_a_miss(self, tmp_path):
-        # Regression: a legacy/foreign traces sidecar missing the
-        # render counters used to crash load_render with KeyError.
+        # A traces sidecar without a part list (or render counters)
+        # is legacy: a quarantining miss, never a KeyError.
         store, engine = warm_store(tmp_path)
-        [victim] = faults.payload_files(store, "traces")
-        sidecar = victim.with_suffix(".json")
-        sidecar.write_text(json.dumps({"key": SPEC.payload()}))
+        trace_sidecar(store).write_text(json.dumps({"key": SPEC.payload()}))
 
         fresh = ArtifactStore(tmp_path)
         assert fresh.load_render(SPEC) is None  # no KeyError
-        assert "legacy sidecar" in quarantine_reasons(store, "traces")
+        assert "legacy trace" in quarantine_reasons(store, "traces")
 
     def test_enveloped_sidecar_missing_counters_is_a_miss(self, tmp_path):
+        # Every part verifies, but the counters are gone: undecodable.
         store, engine = warm_store(tmp_path)
-        [victim] = faults.payload_files(store, "traces")
-        digest = victim.name.split(".")[0]
-        sidecar = victim.with_suffix(".json")
-        sidecar.write_text(json.dumps({"key": SPEC.payload()}))
-        faults.restamp(store, "traces", digest, ".npz")
+        sidecar = trace_sidecar(store)
+        meta = json.loads(sidecar.read_text())
+        del meta["n_triangles_submitted"], meta["n_triangles_rasterized"]
+        sidecar.write_text(json.dumps(meta))
 
         assert ArtifactStore(tmp_path).load_render(SPEC) is None
         assert "undecodable" in quarantine_reasons(store, "traces")
+
+    def test_single_archive_trace_is_legacy(self, tmp_path):
+        # The older trace format -- one traces/<digest>.npz with an
+        # enveloped sidecar -- verifies as legacy: verify() reports it,
+        # repair() quarantines it, and a load quarantines it and
+        # renders again.
+        from repro.pipeline import traceio
+
+        reference = Engine(store=ArtifactStore(tmp_path / "ref")).render(SPEC)
+
+        def legacy_store(root):
+            store = ArtifactStore(root)
+            digest = fingerprint(SPEC.payload())
+            payload = store._path("traces", digest, ".npz")
+            payload.parent.mkdir(parents=True)
+            traceio.save_trace(str(payload), reference.trace)
+            store._write_sidecar("traces", digest, payload, SPEC.payload(), {
+                "n_triangles_submitted": reference.n_triangles_submitted,
+                "n_triangles_rasterized": reference.n_triangles_rasterized})
+            return store
+
+        store = legacy_store(tmp_path / "repair")
+        scan = store.verify()
+        [problem] = scan["kinds"]["traces"]["bad"]
+        assert "legacy trace" in problem["reason"]
+        assert store.repair()["quarantined"] == [f"traces/{problem['file']}"]
+        assert store.verify()["clean"]
+        assert not list((store.root / "traces").glob("*"))
+
+        store = legacy_store(tmp_path / "load")
+        before = render_calls()
+        recomputed = Engine(store=store).render(SPEC)
+        assert render_calls() == before + 1
+        assert "legacy trace" in quarantine_reasons(store, "traces")
+        assert_traces_equal(recomputed.trace, reference.trace)
+        assert store.open_render_blocks(SPEC) is not None
+        assert store.verify()["clean"]
 
     def test_stale_orphaned_sidecar_quarantined(self, tmp_path):
         store, _ = warm_store(tmp_path)
@@ -195,18 +249,43 @@ class TestLegacyAndForeignSidecars:
         assert "payload missing" in quarantine_reasons(store, "addresses")
         assert not sidecar.exists()
 
-    def test_fresh_torn_state_is_left_alone(self, tmp_path):
-        # Within the grace window a payload-without-sidecar is a
-        # concurrent writer mid-publish: miss, but no quarantine.
+    def test_stale_payload_without_sidecar_quarantined(self, tmp_path):
+        # A payload whose sidecar never landed is a writer mid-publish
+        # while fresh, and damage once stale.
         store, _ = warm_store(tmp_path)
-        [victim] = faults.payload_files(store, "traces")
+        [victim] = faults.payload_files(store, "addresses")
         victim.with_suffix(".json").unlink()
 
-        assert ArtifactStore(tmp_path).load_render(SPEC) is None
+        assert ArtifactStore(tmp_path).load_addresses(ADDR_PAYLOAD) is None
         assert victim.exists()
+        assert store.verify()["pending"] == 1
+        faults.backdate(victim, 2 * artifacts_module.TORN_GRACE_S)
+        repaired = ArtifactStore(tmp_path).repair()
+        assert repaired["quarantined"] == [f"addresses/{victim.name}"]
+        assert "missing sidecar" in quarantine_reasons(store, "addresses")
+
+    def test_fresh_torn_state_is_left_alone(self, tmp_path):
+        # Within the grace window parts without their sidecar are a
+        # concurrent writer mid-publish: miss, but no quarantine.  Once
+        # stale they are orphaned parts, which repair() purges.
+        store, _ = warm_store(tmp_path)
+        parts = faults.payload_files(store, "traces")
+        trace_sidecar(store).unlink()
+
+        assert ArtifactStore(tmp_path).load_render(SPEC) is None
+        assert all(part.exists() for part in parts)
         assert quarantine_reasons(store, "traces") == ""
         scan = store.verify()
-        assert scan["clean"] and scan["pending"] == 1
+        assert scan["clean"] and scan["pending"] == len(parts)
+        assert store.repair()["purged_parts"] == []
+
+        for part in parts:
+            faults.backdate(part, 2 * artifacts_module.TORN_GRACE_S)
+        scan = store.verify()
+        assert scan["clean"] and scan["orphaned_parts"] == len(parts)
+        assert sorted(store.repair()["purged_parts"]) == sorted(
+            f"traces/{part.name}" for part in parts)
+        assert not any(part.exists() for part in parts)
 
 
 class TestStatsRobustness:
@@ -300,7 +379,7 @@ class TestKillResilience:
                 Engine(store=ArtifactStore(root)).render(SPEC)
 
         published = faults.payload_files(ArtifactStore(root), "traces")
-        assert len(published) == 1  # payload landed, sidecar did not
+        assert len(published) == 1  # the part landed, the sidecar did not
 
         # Fresh torn state: read as a miss, and the recompute republishes
         # both files over it.
@@ -311,13 +390,13 @@ class TestKillResilience:
         final = ArtifactStore(root).verify()
         assert final["clean"] and final["ok"] >= 1
 
-        # Aged instead, the same state is damage: repair quarantines it.
-        [payload] = faults.payload_files(store, "traces")
-        payload.with_suffix(".json").unlink()
-        faults.backdate(payload, 2 * artifacts_module.TORN_GRACE_S)
+        # Aged instead, the unlisted part is litter: repair purges it.
+        [part] = faults.payload_files(store, "traces")
+        trace_sidecar(store).unlink()
+        faults.backdate(part, 2 * artifacts_module.TORN_GRACE_S)
         repaired = ArtifactStore(root).repair()
-        assert any("traces/" in name for name in repaired["quarantined"])
-        assert "missing sidecar" in quarantine_reasons(store, "traces")
+        assert repaired["quarantined"] == []
+        assert repaired["purged_parts"] == [f"traces/{part.name}"]
 
 
 class TestDegradedModes:
@@ -375,6 +454,32 @@ class TestDegradedModes:
             engine.streams(SPEC, LAYOUT).profile(32)
         assert render_calls() == before
         assert engine.store.available  # no save was ever needed
+
+    def test_streamed_fold_on_unwritable_store_publishes_nothing(
+            self, tmp_path):
+        # The streamed fold and collapsed_runs still compute on a store
+        # that cannot persist anything, and publish nothing.
+        from repro.core.cache import collapse_consecutive, to_lines
+        from repro.engine import StreamedProfiles
+
+        healthy = Engine(store=ArtifactStore(tmp_path / "ok"))
+        want = healthy.streams(SPEC, LAYOUT).set_profile(32, 8)
+        want_runs, want_duplicates = collapse_consecutive(
+            to_lines(healthy.addresses(SPEC, LAYOUT), 32))
+        store = ArtifactStore(tmp_path / "broken")
+        with faults.disk_full():
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                streamed = StreamedProfiles(store, SPEC, LAYOUT,
+                                            chunk_size=4096)
+                got = streamed.set_profile(32, 8)
+                runs, duplicates = streamed.collapsed_runs(32)
+        assert not store.available
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert got.cold == want.cold
+        np.testing.assert_array_equal(runs, want_runs)
+        assert duplicates == want_duplicates
+        assert store.stats()["total_files"] == 0
 
     def test_experiment_completes_on_unwritable_store(self, tmp_path):
         experiment = ExperimentSpec(
@@ -599,14 +704,14 @@ class TestResumableParts:
 
 
 class TestChunkedTraces:
-    """The chunked representation streaming writes: part damage is
-    caught by the sidecar's envelopes, and a re-chunked monolithic
-    trace leaves its old payload behind only as litter."""
+    """Part damage in a streamed trace is caught by the sidecar's
+    envelopes, and the recompute is bit-identical."""
 
     def test_corrupt_part_quarantines_the_trace(self, tmp_path):
         from repro.engine import StreamedProfiles
 
-        store = ArtifactStore(tmp_path)
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
         StreamedProfiles(store, SPEC, LAYOUT, chunk_size=4096).prefetch(
             [(32, 1)])
         reader = store.open_render_blocks(SPEC)
@@ -616,35 +721,26 @@ class TestChunkedTraces:
         assert store.open_render_blocks(SPEC) is None
         assert "digest mismatch" in quarantine_reasons(store, "traces")
 
-    def test_rechunked_monolithic_payload_is_purged_once_stale(
-            self, tmp_path):
-        from repro.engine import StreamedProfiles, fingerprint
+        reference = Engine(store=ArtifactStore(tmp_path / "ref")).render(SPEC)
+        recomputed = Engine(store=ArtifactStore(root)).render(SPEC)
+        assert_traces_equal(recomputed.trace, reference.trace)
+        assert ArtifactStore(root).verify()["clean"]
+
+    def test_fresh_render_keeps_a_stored_trace(self, tmp_path):
+        # A render that always runs (an image was asked for) finds the
+        # streamed trace stored and leaves its parts and sidecar alone:
+        # rewriting them, cut another way, would change what a reader
+        # that already verified them reads.
+        from repro.engine import StreamedProfiles
 
         store = ArtifactStore(tmp_path)
-        Engine(store=store).render(SPEC)
-        # audit() needs parts, so it re-chunks the monolithic trace
-        # under the same digest.
-        StreamedProfiles(store, SPEC, LAYOUT, chunk_size=4096).audit(
-            [(32, 1)], parts=1)
+        StreamedProfiles(store, SPEC, LAYOUT, chunk_size=4096).prefetch(
+            [(32, 1)])
         traces = Path(store.root) / "traces"
-        payload = traces / (fingerprint(SPEC.payload()) + ".npz")
-        sidecar = payload.with_suffix(".json")
-        assert "parts" in json.loads(sidecar.read_text())
-        # Kept while a reader that verified the old envelope may still
-        # be loading it ...
-        scan = store.verify()
-        assert scan["clean"] and scan["orphaned_parts"] == 0
-        assert scan["pending"] == 1
-        assert store.repair()["purged_parts"] == []
-        assert payload.exists()
-        # ... and litter once the re-chunk is older than the grace
-        # window.
-        for path in (payload, sidecar):
-            faults.backdate(path, 2 * artifacts_module.TORN_GRACE_S)
-        scan = store.verify()
-        assert scan["clean"]
-        assert scan["kinds"]["traces"]["orphaned_parts"] == [payload.name]
-        assert store.repair()["purged_parts"] == [f"traces/{payload.name}"]
-        assert not payload.exists()
-        assert store.verify()["orphaned_parts"] == 0
-        assert store.open_render_blocks(SPEC) is not None
+        before = {path.name: path.stat().st_mtime_ns
+                  for path in traces.iterdir()}
+        assert len(before) > 2  # several parts and the sidecar
+        result = Engine(store=store).render(SPEC, produce_image=True)
+        assert result.framebuffer is not None
+        assert {path.name: path.stat().st_mtime_ns
+                for path in traces.iterdir()} == before

@@ -91,6 +91,25 @@ class TestChunkedStore:
         assert np.array_equal(loaded.trace.kind, result.trace.kind)
         assert loaded.n_triangles_rasterized == result.n_triangles_rasterized
 
+    def test_parts_from_ram_deflate_and_streamed_parts_store(self, stores):
+        # Both paths write part lists; only the encoding differs.
+        import zipfile
+
+        ram_store, st_store = stores
+        spec = town_spec()
+        Engine(store=ram_store).render(spec)
+        StreamedProfiles(st_store, spec, LAYOUT, chunk_size=4096).prefetch(
+            [(64, 1)])
+        for store, encoding in ((ram_store, zipfile.ZIP_DEFLATED),
+                                (st_store, zipfile.ZIP_STORED)):
+            reader = store.open_render_blocks(spec)
+            assert reader is not None
+            for entry in reader.parts:
+                with zipfile.ZipFile(store.root / "traces" /
+                                     entry["name"]) as archive:
+                    assert {info.compress_type for info in
+                            archive.infolist()} == {encoding}
+
     def test_orphaned_parts_are_litter_not_corruption(self, stores):
         _, store = stores
         stray = store.root / "traces" / ("ab" * 32 + ".p00000.npz")
@@ -133,6 +152,37 @@ class TestStreamedProfiles:
         streamed = StreamedProfiles(st_store, town_spec(), LAYOUT)
         with pytest.raises(RuntimeError):
             streamed.stream(64)
+
+    def test_warm_in_ram_run_over_streamed_store_saves_nothing(
+            self, tmp_path, monkeypatch):
+        # The one-set profile (1 KB, 128 B lines, 8-way) is the
+        # fully-associative one: the in-RAM path reads it from the
+        # profiles/ artifact the streamed fold wrote, so a warm run
+        # stores nothing -- and a read-only store keeps serving.
+        import errno
+        import warnings
+
+        from tests import fault_injection as faults
+
+        exp = ExperimentSpec(scenes=("goblet",), layouts=(LAYOUT,),
+                             cache_sizes=(1024,), line_sizes=(128,),
+                             assocs=(1, 2, 4, 8, None), scale=SCALE)
+        root = tmp_path / "st"
+        streamed = Engine(store=ArtifactStore(root)).run(exp, chunk_size=4096)
+        saves = []
+        for name in ("save_render", "save_addresses", "save_profile",
+                     "save_set_profile"):
+            def record(self, *args, _name=name, **kwargs):
+                saves.append(_name)
+            monkeypatch.setattr(ArtifactStore, name, record)
+        engine = Engine(store=ArtifactStore(root))
+        with faults.disk_full(errno.EROFS), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warm = engine.run(exp)
+        assert saves == []
+        assert engine.store.available
+        assert [row.stats for row in warm.rows] == \
+            [row.stats for row in streamed.rows]
 
     def test_streamed_artifacts_warm_the_in_ram_path(self, stores):
         _, st_store = stores
@@ -213,6 +263,37 @@ class TestEngineRunStreaming:
         assert self.rows(ram) == self.rows(piped)
         store = ArtifactStore(tmp_path / "b")
         assert store.open_render_blocks(exp.trace_specs()[0]) is not None
+
+    def test_serial_run_commits_like_the_pool(self, tmp_path, monkeypatch):
+        # No workers: no pool starts, yet each cold trace commits as
+        # one render range (parts from .p00000) through _publish, and
+        # the run carries a StreamReport.
+        from repro.engine import pipelined
+
+        def no_pool(workers):
+            raise AssertionError("a serial fold started a pool")
+
+        published = []
+        publish = pipelined._publish
+
+        def recorded(store, spec, records):
+            published.append([entry["name"] for record in records
+                              for entry in record["envelopes"]])
+            publish(store, spec, records)
+
+        monkeypatch.setattr(pipelined, "get_pool", no_pool)
+        monkeypatch.setattr(pipelined, "_publish", recorded)
+        exp = ExperimentSpec(**self.GRID)
+        result = Engine(store=ArtifactStore(tmp_path)).run(exp,
+                                                           chunk_size=4096)
+        [names] = published  # one cold trace, then one warm layout
+        assert names[0].endswith(".p00000.npz") and len(names) > 1
+        report = result.stream_report
+        assert report is not None and report.clean
+        assert report.folds == len(self.GRID["layouts"])
+        reader = ArtifactStore(tmp_path).open_render_blocks(
+            exp.trace_specs()[0])
+        assert [entry["name"] for entry in reader.parts] == names
 
     def test_single_stream_worker_streams(self, tmp_path):
         # One worker has nothing to pipeline: the serial streamed fold
