@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CacheConfig, CacheStats, LineStream, collapse_consecutive, to_lines
+from .stackdist import DistanceProfile
 
 #: Distance value recorded for cold (first-touch) accesses; mirrors
 #: :data:`repro.core.stackdist.COLD`.
@@ -434,26 +435,20 @@ def miss_stream(addresses: np.ndarray, config: CacheConfig) -> np.ndarray:
 
 
 @dataclass
-class SetDistanceProfile:
+class SetDistanceProfile(DistanceProfile):
     """Per-set stack-distance summary of one trace, keyed by
     ``(line_size, n_sets)``.
 
     One profile yields the exact miss count of **every** LRU cache
     organization sharing its line size and set count -- associativity
-    ``w`` means capacity ``n_sets * w * line_size`` -- via
-    :meth:`misses_at`.  ``n_sets == 1`` coincides with the
-    fully-associative :class:`~repro.core.stackdist.DistanceProfile`.
+    ``w`` means capacity ``n_sets * w * line_size`` -- via the inherited
+    :meth:`~repro.core.stackdist.DistanceProfile.misses_at` with
+    ``capacity_lines = w`` (lines per set).  With ``n_sets == 1`` it
+    *is* the fully-associative profile.
     """
 
     line_size: int
     n_sets: int
-    counts: np.ndarray
-    cold: int
-    duplicate_hits: int
-
-    @property
-    def total_accesses(self) -> int:
-        return int(self.counts.sum()) + self.cold + self.duplicate_hits
 
     @classmethod
     def from_stream(cls, stream: LineStream, n_sets: int,
@@ -480,15 +475,6 @@ class SetDistanceProfile:
             state = state.merge(PartialSetProfile.from_lines(
                 block, line_size, n_sets))
         return state.finalize()
-
-    def misses_at(self, ways: int) -> int:
-        """Exact miss count for the ``ways``-associative LRU cache of
-        ``n_sets * ways * line_size`` bytes."""
-        if ways < 1:
-            raise ValueError("ways must be at least one line per set")
-        upto = min(ways + 1, len(self.counts))
-        hits_within = int(self.counts[:upto].sum())
-        return int(self.counts.sum()) - hits_within + self.cold
 
     def stats_pair(self, config: CacheConfig) -> tuple:
         """``(misses, cold_misses)`` for ``config``, which must share

@@ -81,7 +81,9 @@ class DistanceProfile:
 
     ``counts[d]`` is the number of accesses with stack distance ``d``
     (``d >= 1``); ``cold`` counts first touches; ``duplicate_hits``
-    re-adds the collapsed consecutive repeats (distance 1).
+    re-adds the collapsed consecutive repeats (distance 1).  The
+    per-set :class:`~repro.core.kernels.SetDistanceProfile` is one of
+    these, with its distances counted within each set.
     """
 
     counts: np.ndarray
@@ -113,7 +115,8 @@ class DistanceProfile:
 
     def misses_at(self, capacity_lines: int) -> int:
         """Miss count for a fully-associative LRU cache holding
-        ``capacity_lines`` lines."""
+        ``capacity_lines`` lines (per set, for a per-set profile: its
+        associativity)."""
         if capacity_lines < 1:
             raise ValueError("capacity must be at least one line")
         upto = min(capacity_lines + 1, len(self.counts))

@@ -67,13 +67,14 @@ class TraceStreams:
         return self._previous[line_size]
 
     def profile(self, line_size: int) -> DistanceProfile:
+        """The fully-associative profile: on the vectorized kernel the
+        one-set :class:`SetDistanceProfile`, on the reference kernel
+        the Fenwick-tree :class:`DistanceProfile`."""
         if line_size not in self._profiles:
             stream = self.stream(line_size)
             if self.kernel == "vectorized":
-                counts, cold = kernels.set_distance_histogram(
-                    stream.run_lines, 1, prev=self.previous(line_size))
-                built = DistanceProfile(counts=counts, cold=cold,
-                                        duplicate_hits=stream.duplicate_hits)
+                built = SetDistanceProfile.from_stream(
+                    stream, 1, prev=self.previous(line_size))
             else:
                 built = DistanceProfile.from_stream(stream, kernel=self.kernel)
             self._profiles[line_size] = built
@@ -81,21 +82,15 @@ class TraceStreams:
 
     def set_profile(self, line_size: int, n_sets: int) -> SetDistanceProfile:
         """The per-set distance profile for ``(line_size, n_sets)``,
-        serving every associativity that shares it."""
+        serving every associativity that shares it.  One set is the
+        fully-associative :meth:`profile`."""
+        if n_sets == 1:
+            return self.profile(line_size)
         key = (line_size, n_sets)
         if key not in self._set_profiles:
-            if n_sets == 1:
-                # One set = fully associative: reuse the distance
-                # profile rather than running a second identical pass.
-                profile = self.profile(line_size)
-                built = SetDistanceProfile(
-                    line_size=line_size, n_sets=1, counts=profile.counts,
-                    cold=profile.cold, duplicate_hits=profile.duplicate_hits)
-            else:
-                built = SetDistanceProfile.from_stream(
-                    self.stream(line_size), n_sets,
-                    prev=self.previous(line_size))
-            self._set_profiles[key] = built
+            self._set_profiles[key] = SetDistanceProfile.from_stream(
+                self.stream(line_size), n_sets,
+                prev=self.previous(line_size))
         return self._set_profiles[key]
 
 

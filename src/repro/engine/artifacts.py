@@ -29,11 +29,19 @@ match and stale data self-invalidates.  Four artifact kinds exist:
 ``addresses/``
     Per-layout byte-address streams (``.npy``).
 ``profiles/``
-    LRU stack-distance summaries per line size (``.npz``).
+    Fully-associative LRU stack-distance summaries per line size
+    (``.npz``), loaded as the one-set
+    :class:`~repro.core.kernels.SetDistanceProfile` of the key's line
+    size.
 ``set_profiles/``
-    Per-set stack-distance summaries per ``(line_size, n_sets)``
-    (``.npz``); one answers every associativity sharing that set
-    count, so warm sessions sweep whole grids without a distance pass.
+    Per-set stack-distance summaries per ``(line_size, n_sets)`` with
+    more than one set (``.npz``); one answers every associativity
+    sharing that set count, so warm sessions sweep whole grids without
+    a distance pass.
+
+Address streams and profiles share one read (T0 lookup, verified
+open, decode -- quarantined when it fails -- and T0 fill) and one
+publish (payload, sidecar, T0 write-through).
 
 The root directory defaults to ``benchmarks/.cache/`` and is
 overridable with the ``REPRO_CACHE_DIR`` environment variable.
@@ -65,6 +73,11 @@ next read.  Its defenses:
   EROFS, EACCES, ...) demotes the store: one warning, writes become
   no-ops, reads keep working (a warm read-only store still serves
   artifacts) and callers fall back to their in-memory memos.
+* **Resume records.**  An interrupted cold fold leaves its finished
+  ranges' parts and one record per range (the fold's range geometry
+  and the parts' envelopes) -- the whole resume state.  Maintenance
+  keeps record-covered parts for the next fold, and purges resume
+  files that outlived their artifact or cover no verified part.
 
 Tiered reads
 ------------
@@ -143,13 +156,14 @@ DEFAULT_CHUNK_SIZE = 1 << 20
 #: litter, like a stale ``*.tmp*``.
 _PART_STEM = re.compile(r"^([0-9a-f]{64})\.p(\d+)$")
 
-#: Crash-resume metadata of an interrupted pipelined render:
-#: ``<digest>.plan.json`` (the range plan written at dispatch) and
-#: ``<digest>.rNNNNN.done.json`` (one completion record per finished
-#: range).  Their presence marks the digest's strided orphan parts as
-#: *resumable* -- the next cold fold re-verifies and folds them warm
-#: instead of re-rendering -- so maintenance must not mistake them for
-#: damaged artifacts or purge the parts they cover.
+#: Crash-resume metadata of an interrupted cold fold:
+#: ``<digest>.rNNNNN.done.json``, one completion record per finished
+#: range, carrying the fold's range geometry (``<digest>.plan.json`` is
+#: the range plan older runs wrote beside them).  A record marks the
+#: strided orphan parts it lists as *resumable* -- the next cold fold
+#: re-verifies and folds them warm instead of re-rendering -- so
+#: maintenance must not mistake resume files for artifact sidecars or
+#: purge the parts they cover.
 _RESUME_STEM = re.compile(r"^([0-9a-f]{64})\.(plan|r\d+\.done)$")
 _RANGE_RECORD_INDEX = re.compile(r"\.r(\d+)\.done\.json$")
 
@@ -295,6 +309,43 @@ def _object_nbytes(value) -> int:
         if isinstance(field, np.ndarray):
             total += field.nbytes
     return total
+
+
+def _payload_nbytes(value) -> int:
+    """T0 footprint of an address stream or a profile: its array bytes
+    (a profile's histogram plus a small fixed overhead)."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    return value.counts.nbytes + 64
+
+
+def _profile_writer(profile: DistanceProfile, geometry: tuple):
+    """Writer of a profile payload: ``counts`` plus ``meta`` =
+    ``geometry`` (``(line_size, n_sets)`` for a ``set_profiles/``
+    payload, empty for a ``profiles/`` one) then ``(cold,
+    duplicate_hits)``.  Stored (uncompressed) npz, like the chunked
+    parts: the envelope digest already guards integrity, and skipping
+    deflate keeps both publish and warm load IO-bound."""
+    meta = np.array([*geometry, profile.cold, profile.duplicate_hits],
+                    dtype=np.int64)
+    return lambda temp: np.savez(temp, counts=profile.counts, meta=meta)
+
+
+def _decode_profile(path: Path, payload: dict) -> SetDistanceProfile:
+    """Decode a :func:`_profile_writer` payload keyed by ``payload``; a
+    ``profiles/`` payload is the one-set profile of its key's line
+    size."""
+    with np.load(path) as archive:
+        counts = archive["counts"]
+        meta = archive["meta"].tolist()
+    if "n_sets" in payload:
+        line_size, n_sets, cold, duplicate_hits = meta
+    else:
+        line_size, n_sets = payload["line_size"], 1
+        cold, duplicate_hits = meta
+    return SetDistanceProfile(
+        line_size=int(line_size), n_sets=int(n_sets), counts=counts,
+        cold=int(cold), duplicate_hits=int(duplicate_hits))
 
 
 def load_part_block(root, name: str, index: int) -> FragmentBlock:
@@ -692,35 +743,17 @@ class ArtifactStore:
                 lambda temp: Path(temp).write_text(json.dumps(meta, indent=1)))
         return self._guarded_write(publish)
 
-    # -- crash-resume metadata (interrupted pipelined renders) -----------
-
-    def save_stream_plan(self, spec: TraceSpec, plan: dict) -> bool:
-        """Record the range plan of a pipelined cold render before the
-        first block is dispatched: how the clipped-triangle space was
-        cut (``n_ranges``, ``chunk_size``, ``part_stride``).  A later
-        run killed mid-render re-reads this to reuse the *same* slicing
-        geometry, so surviving parts stay valid verbatim."""
-        digest = fingerprint(spec.payload())
-        meta = {"key": spec.payload(), **plan}
-        return self._guarded_write(lambda: _atomic_write(
-            self._path("traces", digest, ".plan.json"),
-            lambda temp: Path(temp).write_text(json.dumps(meta, indent=1))))
-
-    def load_stream_plan(self, spec: TraceSpec) -> Optional[dict]:
-        try:
-            return json.loads(
-                self._path("traces", fingerprint(spec.payload()),
-                           ".plan.json").read_text())
-        except (OSError, ValueError):
-            return None
+    # -- crash-resume metadata (interrupted cold folds) --------------------
 
     def save_range_record(self, spec: TraceSpec, index: int,
                           payload: dict) -> bool:
-        """Atomically record one completed range of a pipelined render:
-        its part envelopes and render totals.  The record is what makes
-        the range's strided parts *resumable* -- a future run verifies
-        the envelopes and folds the parts warm instead of re-rendering
-        the slice."""
+        """Atomically record one completed range of a cold fold: the
+        fold's range geometry (``n_ranges``, ``chunk_size``,
+        ``part_stride``), the range's part envelopes and its render
+        totals.  The record is what makes the range's strided parts
+        *resumable* -- a future run verifies the envelopes and folds
+        the parts warm instead of re-rendering the slice, cutting the
+        other ranges with the recorded geometry."""
         digest = fingerprint(spec.payload())
         return self._guarded_write(lambda: _atomic_write(
             self._path("traces", digest, f".r{int(index):05d}.done.json"),
@@ -767,21 +800,20 @@ class ArtifactStore:
                 pass
 
     def discard_resume_state(self, spec: TraceSpec) -> None:
-        """Drop every resume-metadata file of ``spec`` (plan and range
-        records) -- called after the assembled artifact publishes, when
-        there is nothing left to resume.  Part files are not touched:
-        published ones belong to the artifact, unpublished ones age out
-        as orphan litter."""
+        """Drop every resume-metadata file of ``spec`` -- called after
+        the assembled artifact publishes, when there is nothing left to
+        resume.  Part files are not touched: published ones belong to
+        the artifact, unpublished ones age out as orphan litter."""
         digest = fingerprint(spec.payload())
         directory = self.root / "traces"
         if not directory.is_dir():
             return
-        for path in [directory / (digest + ".plan.json"),
-                     *directory.glob(digest + ".r*.done.json")]:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        for path in directory.glob(digest + ".*.json"):
+            if _RESUME_STEM.match(path.stem):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
 
     def verify_part_list(self, kind: str, parts: list) -> bool:
         """Whether every part envelope in ``parts`` matches the file on
@@ -809,137 +841,79 @@ class ArtifactStore:
             return None
         return ChunkedRenderReader(self, checked[1])
 
-    # -- byte-address streams --------------------------------------------
+    # -- payload artifacts: address streams and profiles ------------------
 
-    def load_addresses(self, payload: dict) -> Optional[np.ndarray]:
+    def _read(self, kind: str, payload: dict, suffix: str, decode, what: str):
+        """The one read of every single-payload artifact: T0, else the
+        verified disk payload through ``decode(path)`` -- quarantined
+        as undecodable ``what`` when that fails -- filling T0."""
         digest = fingerprint(payload)
-        cached = self._memory_get("addresses", digest)
+        cached = self._memory_get(kind, digest)
         if cached is not tiers.MISS:
             return cached
-        checked = self._open_verified("addresses", digest, ".npy")
+        checked = self._open_verified(kind, digest, suffix)
         if checked is None:
             return None
-        path, _ = checked
         try:
-            # A read-only map instead of a copy: every consumer derives
-            # new arrays (line reduction, collapses) and never writes
-            # back, so warm loads cost page-ins, not a full decompress.
-            addresses = np.load(path, mmap_mode="r")
-        except (ValueError, OSError) as fault:
-            self.quarantine("addresses", digest,
-                            f"undecodable address stream ({fault!r})")
-            return None
-        self._memory_put("addresses", digest, ".npy", addresses,
-                         addresses.nbytes)
-        return addresses
-
-    def save_addresses(self, payload: dict, addresses: np.ndarray) -> Path:
-        digest = fingerprint(payload)
-        path = self._path("addresses", digest, ".npy")
-
-        def publish():
-            _atomic_write(path, lambda temp: np.save(temp, addresses))
-            self._write_sidecar("addresses", digest, path, payload)
-        if self._guarded_write(publish):
-            self._memory_put("addresses", digest, ".npy", addresses,
-                             addresses.nbytes)
-        return path
-
-    # -- stack-distance profiles -----------------------------------------
-
-    def load_profile(self, payload: dict) -> Optional[DistanceProfile]:
-        digest = fingerprint(payload)
-        cached = self._memory_get("profiles", digest)
-        if cached is not tiers.MISS:
-            return cached
-        checked = self._open_verified("profiles", digest, ".npz")
-        if checked is None:
-            return None
-        path, _ = checked
-        try:
-            with np.load(path) as archive:
-                counts = archive["counts"]
-                cold, duplicate_hits = archive["meta"].tolist()
+            value = decode(checked[0])
         except (ValueError, OSError, KeyError,
                 zipfile.BadZipFile) as fault:
-            self.quarantine("profiles", digest,
-                            f"undecodable profile ({fault!r})")
+            self.quarantine(kind, digest, f"undecodable {what} ({fault!r})")
             return None
-        profile = DistanceProfile(counts=counts, cold=int(cold),
-                                  duplicate_hits=int(duplicate_hits))
-        self._memory_put("profiles", digest, ".npz", profile,
-                         counts.nbytes + 64)
-        return profile
+        self._memory_put(kind, digest, suffix, value, _payload_nbytes(value))
+        return value
 
-    def save_profile(self, payload: dict, profile: DistanceProfile) -> Path:
+    def _publish(self, kind: str, payload: dict, suffix: str, write,
+                 value) -> Path:
+        """The one atomic publish of every single-payload artifact:
+        ``write(temp)`` the payload, then its sidecar, then write
+        ``value`` through to T0."""
         digest = fingerprint(payload)
-        path = self._path("profiles", digest, ".npz")
-
-        def write(temp):
-            # Stored (uncompressed) npz, like the chunked parts: the
-            # envelope digest already guards integrity, and skipping
-            # deflate keeps both publish and warm load IO-bound.
-            np.savez(
-                temp, counts=profile.counts,
-                meta=np.array([profile.cold, profile.duplicate_hits],
-                              dtype=np.int64))
+        path = self._path(kind, digest, suffix)
 
         def publish():
             _atomic_write(path, write)
-            self._write_sidecar("profiles", digest, path, payload)
+            self._write_sidecar(kind, digest, path, payload)
         if self._guarded_write(publish):
-            self._memory_put("profiles", digest, ".npz", profile,
-                             profile.counts.nbytes + 64)
+            self._memory_put(kind, digest, suffix, value,
+                             _payload_nbytes(value))
         return path
 
-    # -- per-set stack-distance profiles ---------------------------------
+    def load_addresses(self, payload: dict) -> Optional[np.ndarray]:
+        # A read-only map instead of a copy: every consumer derives
+        # new arrays (line reduction, collapses) and never writes
+        # back, so warm loads cost page-ins, not a full decompress.
+        return self._read("addresses", payload, ".npy",
+                          lambda path: np.load(path, mmap_mode="r"),
+                          "address stream")
+
+    def save_addresses(self, payload: dict, addresses: np.ndarray) -> Path:
+        return self._publish("addresses", payload, ".npy",
+                             lambda temp: np.save(temp, addresses),
+                             addresses)
+
+    def load_profile(self, payload: dict) -> Optional[SetDistanceProfile]:
+        """The fully-associative profile: the one-set per-set profile
+        of the payload's line size."""
+        return self._read("profiles", payload, ".npz",
+                          lambda path: _decode_profile(path, payload),
+                          "profile")
+
+    def save_profile(self, payload: dict, profile: DistanceProfile) -> Path:
+        return self._publish("profiles", payload, ".npz",
+                             _profile_writer(profile, ()), profile)
 
     def load_set_profile(self, payload: dict) -> Optional[SetDistanceProfile]:
-        digest = fingerprint(payload)
-        cached = self._memory_get("set_profiles", digest)
-        if cached is not tiers.MISS:
-            return cached
-        checked = self._open_verified("set_profiles", digest, ".npz")
-        if checked is None:
-            return None
-        path, _ = checked
-        try:
-            with np.load(path) as archive:
-                counts = archive["counts"]
-                line_size, n_sets, cold, duplicate_hits = \
-                    archive["meta"].tolist()
-        except (ValueError, OSError, KeyError,
-                zipfile.BadZipFile) as fault:
-            self.quarantine("set_profiles", digest,
-                            f"undecodable per-set profile ({fault!r})")
-            return None
-        profile = SetDistanceProfile(
-            line_size=int(line_size), n_sets=int(n_sets), counts=counts,
-            cold=int(cold), duplicate_hits=int(duplicate_hits))
-        self._memory_put("set_profiles", digest, ".npz", profile,
-                         counts.nbytes + 64)
-        return profile
+        return self._read("set_profiles", payload, ".npz",
+                          lambda path: _decode_profile(path, payload),
+                          "per-set profile")
 
     def save_set_profile(self, payload: dict,
                          profile: SetDistanceProfile) -> Path:
-        digest = fingerprint(payload)
-        path = self._path("set_profiles", digest, ".npz")
-
-        def write(temp):
-            # Stored (uncompressed) npz -- see save_profile.
-            np.savez(
-                temp, counts=profile.counts,
-                meta=np.array([profile.line_size, profile.n_sets,
-                               profile.cold, profile.duplicate_hits],
-                              dtype=np.int64))
-
-        def publish():
-            _atomic_write(path, write)
-            self._write_sidecar("set_profiles", digest, path, payload)
-        if self._guarded_write(publish):
-            self._memory_put("set_profiles", digest, ".npz", profile,
-                             profile.counts.nbytes + 64)
-        return path
+        return self._publish(
+            "set_profiles", payload, ".npz",
+            _profile_writer(profile, (profile.line_size, profile.n_sets)),
+            profile)
 
     # -- maintenance -----------------------------------------------------
 
@@ -948,8 +922,8 @@ class ArtifactStore:
         one kind, tolerant of files vanishing mid-scan (concurrent
         ``clear()``).  ``parts`` maps each digest to its chunked part
         files on disk (listed or not by any sidecar); ``resume`` maps
-        each digest to its crash-resume metadata files (plan and range
-        records), which must never be mistaken for artifact sidecars."""
+        each digest to its crash-resume metadata files, which must
+        never be mistaken for artifact sidecars."""
         payloads, sidecars, tmp, parts, resume = {}, set(), [], {}, {}
         directory = self.root / kind
         if not directory.is_dir():
@@ -975,27 +949,25 @@ class ArtifactStore:
                 payloads[entry.stem] = entry
         return payloads, sidecars, tmp, parts, resume
 
-    def _resumable_part_names(self, kind: str, resume_paths) -> set:
-        """Part names claimed by the readable range records among
-        ``resume_paths`` -- name-level only (cheap); deep envelope
-        verification happens in :meth:`verify` / at resume time."""
-        names = set()
-        for path in resume_paths:
-            if not path.name.endswith(".done.json"):
-                continue
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            envelopes = record.get("envelopes") \
-                if isinstance(record, dict) else None
-            if not isinstance(envelopes, list):
-                continue
-            for entry in envelopes:
-                if isinstance(entry, dict) and \
-                        isinstance(entry.get("name"), str):
-                    names.add(entry["name"])
-        return names
+    def _record_parts(self, kind: str, path: Path, verified: bool) -> list:
+        """Names of the parts the range record at ``path`` lists; with
+        ``verified``, only when every one passes its envelope check
+        (deep, unlike the cheap name-level read).  Empty for an
+        unreadable record or any other resume file."""
+        if not path.name.endswith(".done.json"):
+            return []
+        try:
+            record = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return []
+        envelopes = record.get("envelopes") \
+            if isinstance(record, dict) else None
+        if not isinstance(envelopes, list) or (
+                verified and not self.verify_part_list(kind, envelopes)):
+            return []
+        return [entry["name"] for entry in envelopes
+                if isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)]
 
     def stats(self) -> dict:
         """Per-kind artifact counts and byte totals -- chunked trace
@@ -1024,9 +996,8 @@ class ArtifactStore:
             part_files = part_bytes = orphaned = resumable = 0
             for digest, entries in parts.items():
                 listed = self._listed_part_names(kind, digest)
-                covered = (self._resumable_part_names(
-                    kind, resume.get(digest, ())) if digest in resume
-                    else set())
+                covered = {name for path in resume.get(digest, ())
+                           for name in self._record_parts(kind, path, False)}
                 for part in entries:
                     try:
                         size = part.stat().st_size
@@ -1073,10 +1044,12 @@ class ArtifactStore:
         lists temp-file litter; ``orphaned_parts`` lists stale trace
         parts no sidecar claims (litter, not corruption): parts of a
         writer that died before publishing its sidecar; ``resumable`` lists
-        stale unlisted parts that an interrupted pipelined render's
+        stale unlisted parts that an interrupted cold fold's
         completion records cover (envelope-verified) -- the next cold
         fold resumes from them, so they are neither damage nor litter
-        and :meth:`repair` keeps them."""
+        and :meth:`repair` keeps them; ``stale_resume`` lists stale
+        resume files whose artifact has published or which cover no
+        verified part."""
         report = {"root": str(self.root), "kinds": {},
                   "ok": 0, "bad": 0, "pending": 0, "tmp": 0,
                   "orphaned_parts": 0, "resumable": 0}
@@ -1105,27 +1078,15 @@ class ArtifactStore:
             for digest, meta_paths in resume.items():
                 covered: set = set()
                 for path in meta_paths:
-                    if not path.name.endswith(".done.json"):
-                        continue
-                    try:
-                        record = json.loads(path.read_text())
-                    except (OSError, ValueError):
-                        continue
-                    envelopes = record.get("envelopes") \
-                        if isinstance(record, dict) else None
-                    if isinstance(envelopes, list) \
-                            and self.verify_part_list(kind, envelopes):
-                        covered.update(
-                            item["name"] for item in envelopes
-                            if isinstance(item, dict)
-                            and isinstance(item.get("name"), str))
+                    names = self._record_parts(kind, path, True)
+                    covered.update(names)
+                    # A resume file is litter once its artifact has
+                    # published, or when it covers no verified part (a
+                    # damaged record, or a plan an older run wrote).
+                    if _is_stale(path) and (digest in sidecars
+                                            or not names):
+                        entry["stale_resume"].append(path.name)
                 verified_resumable[digest] = covered
-                if digest in sidecars:
-                    # The artifact published; leftover resume metadata
-                    # is stale litter for repair() to purge.
-                    entry["stale_resume"].extend(
-                        path.name for path in meta_paths
-                        if _is_stale(path))
             for digest in sorted(parts):
                 listed = self._listed_part_names(kind, digest) or set()
                 covered = verified_resumable.get(digest, set())
@@ -1152,11 +1113,10 @@ class ArtifactStore:
         """Self-heal the store: quarantine every artifact that fails
         verification (legacy traces included), purge stale ``*.tmp*``
         litter left by killed writers and the stale orphaned trace
-        parts :meth:`verify` lists.  In-flight writes (within the grace
-        window) and
-        resumable parts of interrupted pipelined renders -- along with
-        the resume metadata that covers them -- are left alone; resume
-        metadata is only purged once its artifact has published."""
+        parts and resume files :meth:`verify` lists.  In-flight writes
+        (within the grace window) and resumable parts of interrupted
+        cold folds -- along with the range records that cover them --
+        are left alone until their artifact publishes."""
         scan = self.verify()
         quarantined, purged, purged_parts, purged_resume = [], [], [], []
         for kind, entry in scan["kinds"].items():

@@ -82,17 +82,17 @@ than the next:
    them again.
 
 **Crash-resume.**  A cold fold killed mid-run (SIGKILL of the parent,
-ENOSPC demotion) leaves checksummed strided parts behind plus two
-kinds of resume metadata (:meth:`~repro.engine.artifacts.
-ArtifactStore.save_stream_plan` / ``save_range_record``): the range
-plan written at dispatch and one completion record per finished
-range, listing its part envelopes.  The next cold fold of the same
-spec -- serial or pipelined, whichever of them wrote the plan --
-verifies the surviving parts against those envelopes, runs the
-verified ranges as ``fold`` jobs, re-renders only the missing ranges
-under the original plan geometry, then publishes as usual --
-bit-identical to an uninterrupted run.  Since publishing renames
-nothing, the records stay valid until the sidecar is on disk.
+ENOSPC demotion) leaves checksummed strided parts behind plus one
+completion record per finished range (:meth:`~repro.engine.artifacts.
+ArtifactStore.save_range_record`), listing its part envelopes and the
+fold's range geometry (``n_ranges``, ``chunk_size``,
+``part_stride``).  The next cold fold of the same spec -- serial or
+pipelined, whichever of them wrote the records -- verifies the
+surviving parts against those envelopes, runs the verified ranges as
+``fold`` jobs, re-renders only the missing ranges under the recorded
+geometry, then publishes as usual -- bit-identical to an
+uninterrupted run.  Since publishing renames nothing, the records
+stay valid until the sidecar is on disk.
 
 **Observability.**  Every fold, serial or pipelined, accounts its
 recovery actions in a :class:`StreamReport` hung off the
@@ -322,8 +322,10 @@ def _render_range(store, job: dict, placements, before_block=None) -> dict:
     record = {"envelopes": envelopes, "complete": complete,
               "totals": totals, "n_blocks": n_blocks}
     if complete:
-        store.save_range_record(spec, job["range"],
-                                {"range": job["range"], **record})
+        store.save_range_record(spec, job["range"], {
+            "range": job["range"], "n_ranges": job["n_ranges"],
+            "chunk_size": job["chunk_size"], "part_stride": PART_STRIDE,
+            **record})
     return {"states": states, **record}
 
 
@@ -904,23 +906,16 @@ def _fold_cold(profiles, pairs, workers: int) -> dict:
     store = profiles.store
     spec = profiles.trace_spec
     report = _report_of(profiles)
-    plan, resumed = _load_resume(store, spec)
-    if plan is None or not resumed:
-        # Nothing usable survives: plan this run from scratch.
-        store.discard_resume_state(spec)
-        n_ranges = _n_ranges(workers)
-        chunk_size = profiles.chunk_size
-        store.save_stream_plan(spec, {
-            "n_ranges": n_ranges, "chunk_size": int(chunk_size),
-            "part_stride": PART_STRIDE, "created_at": time.time()})
-        resumed = {}
+    geometry, resumed = _load_resume(store, spec)
+    if not resumed:
+        # Nothing usable survives: cut this run's own ranges.
+        n_ranges, chunk_size = _n_ranges(workers), profiles.chunk_size
     else:
         # Resume MUST reuse the interrupted run's slicing geometry:
         # the surviving parts embody its range bounds and chunk size,
         # and only identical bounds make "fold the survivors, render
         # the rest" bit-identical to an uninterrupted run.
-        n_ranges = int(plan["n_ranges"])
-        chunk_size = int(plan["chunk_size"])
+        n_ranges, chunk_size = geometry
         report.resumed_ranges += len(resumed)
         report.resumed_parts += sum(
             len(record["envelopes"]) for record in resumed.values())
@@ -1018,24 +1013,16 @@ def _run_on_pool(profiles, jobs: dict, stage: str, workers: int,
 
 
 def _load_resume(store, spec) -> tuple:
-    """The interrupted-run plan and its verified completion records:
-    ``(plan, {range index: record})``.  A record only qualifies when
-    its geometry is sane and *every* part it lists passes a deep
-    envelope check (checksum + size); anything else is discarded --
-    along with its parts -- so a half-valid record can never smuggle a
-    torn part into a resumed fold."""
-    plan = store.load_stream_plan(spec)
-    if not isinstance(plan, dict):
-        return None, {}
-    try:
-        n_ranges = int(plan["n_ranges"])
-        chunk_size = int(plan["chunk_size"])
-        stride = int(plan.get("part_stride", -1))
-    except (KeyError, TypeError, ValueError):
-        return None, {}
-    if stride != PART_STRIDE or n_ranges < 1 or chunk_size < 1:
-        return None, {}
+    """The verified completion records of an interrupted cold fold and
+    the range geometry they carry: ``((n_ranges, chunk_size), {range
+    index: record})``, or ``(None, {})``.  A record only qualifies when
+    its geometry is sane and agrees with the records before it, and
+    *every* part it lists passes a deep envelope check (checksum +
+    size); anything else is discarded -- along with its parts -- so a
+    half-valid record can never smuggle a torn part into a resumed
+    fold."""
     digest = fingerprint(spec.payload())
+    geometry = None
     resumed = {}
     for index, record in sorted(store.load_range_records(spec).items()):
         envelopes = record.get("envelopes")
@@ -1045,8 +1032,17 @@ def _load_resume(store, spec) -> tuple:
         expected = [
             f"{digest}.p{index * PART_STRIDE + seq:0{traceio.PART_DIGITS}d}"
             f".npz" for seq in range(len(names))]
+        try:
+            shape = (int(record["n_ranges"]), int(record["chunk_size"]))
+            stride = int(record["part_stride"])
+        except (KeyError, TypeError, ValueError):
+            shape, stride = None, None
         valid = (
-            0 <= index < n_ranges
+            shape is not None
+            and stride == PART_STRIDE
+            and geometry in (None, shape)
+            and shape[1] >= 1
+            and 0 <= index < shape[0]
             and record.get("complete") is True
             and isinstance(envelopes, list)
             and record.get("n_blocks") == len(envelopes)
@@ -1054,10 +1050,11 @@ def _load_resume(store, spec) -> tuple:
             and names == expected
             and store.verify_part_list("traces", envelopes))
         if valid:
+            geometry = shape
             resumed[index] = record
         else:
             store.discard_range_record(spec, index, names)
-    return plan, resumed
+    return geometry, resumed
 
 
 def _publish(store, spec, records) -> None:

@@ -8,6 +8,15 @@ and stack-distance profile per line size -- first against in-memory
 memos, then against the on-disk :class:`~repro.engine.artifacts.ArtifactStore`,
 so warm processes perform zero renders.
 
+Both profile paths are one store-backed profile cache,
+:class:`StoredProfiles`: the memo, ``profile``/``set_profile``,
+batched ``prefetch`` and the one ``(line_size, n_sets)`` -> artifact
+routing (the one-set profile is the fully-associative ``profiles/``
+artifact).  They differ only in ``_compute``, which computes a batch
+of profiles the store lacks: :class:`StoredTraceStreams` off the
+in-RAM address stream, :class:`~repro.engine.streaming.
+StreamedProfiles` as one fold over fragment blocks.
+
 :func:`run_experiment` executes a declarative
 :class:`~repro.engine.spec.ExperimentSpec` grid through one engine:
 in RAM by default, or as a constant-memory streaming fold
@@ -35,7 +44,7 @@ import numpy as np
 
 from ..core.cache import CacheConfig, CacheStats, simulate
 from ..core.kernels import SetDistanceProfile, check_kernel
-from ..core.stackdist import DistanceProfile, miss_rate_curve
+from ..core.stackdist import miss_rate_curve
 from ..core.sweep import TraceStreams
 from ..pipeline.renderer import Renderer, RenderResult
 from ..scenes import ALL_SCENES
@@ -64,7 +73,63 @@ def reset_render_calls() -> None:
     RENDER_CALLS = 0
 
 
-class StoredTraceStreams(TraceStreams):
+class StoredProfiles:
+    """The store-backed profile cache of both profile paths: a memo of
+    per-set profiles keyed by ``(line_size, n_sets)`` over the artifact
+    store, with batched :meth:`prefetch`.  The fully-associative
+    :meth:`profile` is the one-set profile, the ``profiles/`` artifact;
+    every other pair is a ``set_profiles/`` artifact.  Subclasses
+    supply :meth:`_compute`."""
+
+    def __init__(self, store: ArtifactStore, key_payload: dict):
+        self.store = store
+        self._key_payload = key_payload
+        self._memo = {}
+
+    def profile(self, line_size: int) -> SetDistanceProfile:
+        return self.set_profile(line_size, 1)
+
+    def set_profile(self, line_size: int, n_sets: int) -> SetDistanceProfile:
+        key = (int(line_size), int(n_sets))
+        if key not in self._memo:
+            self.prefetch([key])
+        return self._memo[key]
+
+    def prefetch(self, pairs) -> None:
+        """Resolve every ``(line_size, n_sets)`` profile in ``pairs``:
+        one store read per distinct pair not yet memoized, then one
+        :meth:`_compute` call for the pairs the store lacks."""
+        missing = []
+        for pair in sorted({(int(line_size), int(n_sets))
+                            for line_size, n_sets in pairs}
+                           - set(self._memo)):
+            _, payload, load, _ = self._artifact(pair)
+            profile = load(payload)
+            if profile is None:
+                missing.append(pair)
+            else:
+                self._memo[pair] = profile
+        if missing:
+            self._memo.update(self._compute(missing))
+
+    def _artifact(self, pair) -> tuple:
+        """``(kind, payload, load, save)`` of the store artifact
+        holding ``pair``'s profile."""
+        line_size, n_sets = pair
+        if n_sets == 1:
+            return ("profiles", profile_payload(self._key_payload, line_size),
+                    self.store.load_profile, self.store.save_profile)
+        return ("set_profiles",
+                set_profile_payload(self._key_payload, line_size, n_sets),
+                self.store.load_set_profile, self.store.save_set_profile)
+
+    def _compute(self, pairs) -> dict:
+        """``{pair: profile}`` for ``pairs`` (none of them stored),
+        each saved to the store."""
+        raise NotImplementedError
+
+
+class StoredTraceStreams(StoredProfiles, TraceStreams):
     """:class:`TraceStreams` whose distance profiles -- fully
     associative and per-set -- round-trip through the artifact store
     (computed once per store, not once per process).
@@ -81,12 +146,14 @@ class StoredTraceStreams(TraceStreams):
                  kernel: str = "vectorized", loader=None):
         if addresses is None and loader is None:
             raise ValueError("StoredTraceStreams needs addresses or a loader")
+        if store is None or key_payload is None:
+            raise ValueError("StoredTraceStreams needs a store and the "
+                             "addresses' key payload")
+        StoredProfiles.__init__(self, store, key_payload)
         self._loader = loader
         # The dataclass base assigns self.addresses; the property
         # setter below routes that into _addresses.
-        super().__init__(addresses, kernel=kernel)
-        self._store = store
-        self._key_payload = key_payload
+        TraceStreams.__init__(self, addresses, kernel=kernel)
 
     @property
     def addresses(self):
@@ -98,65 +165,24 @@ class StoredTraceStreams(TraceStreams):
     def addresses(self, value):
         self._addresses = value
 
-    def prefetch(self, pairs) -> None:
-        """Resolve every ``(line_size, n_sets)`` profile a sweep grid
-        will read, one store round-trip per *distinct* pair (memoized
-        hits are free) -- the batched-serving mirror of
-        :meth:`~repro.engine.streaming.StreamedProfiles.prefetch`.
-        Misses compute lazily off the addresses, which materialize at
-        most once for the whole batch."""
-        for line_size, n_sets in sorted({(int(line), int(sets))
-                                         for line, sets in pairs}):
-            if n_sets == 1:
-                # What miss_rate_curve and set_profile(line, 1) both
-                # read; the per-set artifact derives from it for free.
-                self.profile(line_size)
-            else:
-                self.set_profile(line_size, n_sets)
-
-    def _backed(self) -> bool:
-        return self._store is not None and self._key_payload is not None
-
-    def _through_store(self, kind: str, payload: dict, load, save, compute):
-        """Load-or-compute one artifact with single-flight: re-check
-        the store under the lock so racing processes compute once."""
-        cached = load(payload)
-        if cached is not None:
-            return cached
-        with self._store.single_flight(kind, fingerprint(payload)):
-            cached = load(payload)
-            if cached is None:
-                cached = compute()
-                save(payload, cached)
-        return cached
-
-    def profile(self, line_size: int) -> DistanceProfile:
-        if line_size not in self._profiles:
-            if not self._backed():
-                return super().profile(line_size)
-            compute = super().profile
-            self._profiles[line_size] = self._through_store(
-                "profiles", profile_payload(self._key_payload, line_size),
-                self._store.load_profile, self._store.save_profile,
-                lambda: compute(line_size))
-        return self._profiles[line_size]
-
-    def set_profile(self, line_size: int, n_sets: int) -> SetDistanceProfile:
-        key = (line_size, n_sets)
-        if key not in self._set_profiles:
-            if not self._backed() or n_sets == 1:
-                # One set is the fully-associative profile: the base
-                # class derives it from profile(), whose profiles/
-                # artifact the streamed path shares, so it is never
-                # stored twice.
-                return super().set_profile(line_size, n_sets)
-            compute = super().set_profile
-            self._set_profiles[key] = self._through_store(
-                "set_profiles",
-                set_profile_payload(self._key_payload, line_size, n_sets),
-                self._store.load_set_profile, self._store.save_set_profile,
-                lambda: compute(line_size, n_sets))
-        return self._set_profiles[key]
+    def _compute(self, pairs) -> dict:
+        """Compute each pair off the address stream under its
+        artifact's single-flight lock, re-checking the store there so
+        racing processes compute once."""
+        computed = {}
+        for pair in pairs:
+            kind, payload, load, save = self._artifact(pair)
+            with self.store.single_flight(kind, fingerprint(payload)):
+                profile = load(payload)
+                if profile is None:
+                    line_size, n_sets = pair
+                    profile = (TraceStreams.profile(self, line_size)
+                               if n_sets == 1 else
+                               TraceStreams.set_profile(self, line_size,
+                                                        n_sets))
+                    save(payload, profile)
+            computed[pair] = profile
+        return computed
 
 
 class Engine:
@@ -354,6 +380,7 @@ class Engine:
         if streaming:
             from .pipelined import StreamReport
             stream_report = StreamReport()
+        pairs = _profile_pairs(experiment)
         for trace_spec in experiment.trace_specs():
             for layout_spec in experiment.layouts:
                 if streaming:
@@ -364,21 +391,21 @@ class Engine:
                     # StreamedProfiles would otherwise re-report a
                     # previous run's recoveries.
                     streams.stream_report = None
-                    # One pass over the blocks computes the whole
-                    # grid's profiles (instead of one pass per pair).
-                    streams.prefetch(_profile_pairs(experiment))
+                else:
+                    streams = self.streams(trace_spec, layout_spec)
+                if kernel == "vectorized":
+                    # Batched grid serving: one store round-trip per
+                    # distinct (line_size, n_sets) pair up front, and
+                    # the misses computed together (streamed: in one
+                    # pass over the blocks).  The reference kernel
+                    # simulates every cell and reads no profile.
+                    streams.prefetch(pairs)
+                if streaming:
                     if streams.stream_report is not None:
                         stream_report.absorb(streams.stream_report)
                     if audit_parts:
                         audit_reports.append(streams.audit(
-                            _profile_pairs(experiment),
-                            parts=audit_parts))
-                else:
-                    streams = self.streams(trace_spec, layout_spec)
-                    # Batched grid serving: one store round-trip per
-                    # distinct (line_size, n_sets) pair up front, not
-                    # one tier walk per grid cell during assembly.
-                    streams.prefetch(_profile_pairs(experiment))
+                            pairs, parts=audit_parts))
                 for line_size in experiment.line_sizes:
                     for assoc in experiment.assocs:
                         rows.extend(self._sweep_sizes(

@@ -10,11 +10,13 @@ chunks instead::
     render_blocks --> per-block byte addresses --> PartialSetProfile
     per (line_size, n_sets) --> merge --> finalize
 
-:class:`StreamedProfiles` duck-types the ``profile``/``set_profile``/
-``stream`` interface of :class:`~repro.core.sweep.TraceStreams` that
+:class:`StreamedProfiles` is the in-RAM path's store-backed profile
+cache (:class:`~repro.engine.runner.StoredProfiles`) with another
+``_compute``: it duck-types the ``profile``/``set_profile``/``stream``
+interface of :class:`~repro.core.sweep.TraceStreams` that
 ``miss_rate_curve`` and ``Engine._sweep_sizes`` consume, and loads or
 saves the *same* store artifacts (``profiles/``, ``set_profiles/``)
-under the same fingerprints -- so streamed and in-RAM runs warm each
+through the same routing -- so streamed and in-RAM runs warm each
 other.  Because :meth:`~repro.core.kernels.PartialSetProfile.merge` is
 exactly the profile of the concatenated stream, every downstream
 number (miss-rate curves, 3C classification) is bit-identical to the
@@ -48,21 +50,14 @@ from ..core.cache import (
 from ..core.classify import classify_misses
 from ..core.kernels import (
     PartialSetProfile,
-    SetDistanceProfile,
     per_set_distances,
     previous_occurrences,
 )
-from ..core.stackdist import DistanceProfile
 from ..pipeline.renderer import render_trace_blocks
 from ..scenes import ALL_SCENES
 from ..texture.memory import place_textures
-from .artifacts import (
-    DEFAULT_CHUNK_SIZE,
-    ArtifactStore,
-    addresses_payload,
-    profile_payload,
-    set_profile_payload,
-)
+from .artifacts import DEFAULT_CHUNK_SIZE, ArtifactStore, addresses_payload
+from .runner import StoredProfiles
 from .spec import TraceSpec, layout_from_spec, order_from_spec
 
 
@@ -183,13 +178,14 @@ def _sequential_set_distances(run_lines, n_sets: int) -> tuple:
     return distances, cold
 
 
-class StreamedProfiles:
+class StreamedProfiles(StoredProfiles):
     """Distance profiles for one ``(trace, layout)`` computed as a
     constant-memory fold over fragment blocks.
 
     Drop-in for :class:`~repro.engine.runner.StoredTraceStreams` on the
-    vectorized kernel; :meth:`stream` exists only to satisfy the duck
-    check and raises, because streaming never materializes a
+    vectorized kernel: the same store-backed profile cache, computing
+    its misses with one fold.  :meth:`stream` exists only to satisfy
+    the duck check and raises, because streaming never materializes a
     :class:`~repro.core.cache.LineStream` (the reference simulator
     needs the in-RAM path).
     """
@@ -199,42 +195,22 @@ class StreamedProfiles:
                  stream_workers: int = 0):
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        self.store = store if store is not None else ArtifactStore()
+        super().__init__(store if store is not None else ArtifactStore(),
+                         addresses_payload(trace_spec, tuple(layout_spec)))
         self.trace_spec = trace_spec
         self.layout_spec = tuple(layout_spec)
         self.chunk_size = int(chunk_size)
         self.stream_workers = int(stream_workers)
-        self._payload = addresses_payload(trace_spec, self.layout_spec)
-        self._profiles = {}
-        self._set_profiles = {}
         #: Fold and recovery accounting
         #: (:class:`~repro.engine.pipelined.StreamReport`), attached by
         #: the first fold; ``None`` until this object folds.
         self.stream_report = None
-
-    # -- TraceStreams duck interface --------------------------------------
 
     def stream(self, line_size: int) -> LineStream:
         raise RuntimeError(
             "streaming mode never materializes a LineStream; the reference "
             "kernel needs the in-RAM path (drop --chunk-size/"
             "--stream-workers)")
-
-    def profile(self, line_size: int) -> DistanceProfile:
-        """Fully-associative distance profile: the ``n_sets == 1``
-        per-set profile under another name (identical fields)."""
-        if line_size not in self._profiles:
-            base = self.set_profile(line_size, 1)
-            self._profiles[line_size] = DistanceProfile(
-                counts=base.counts, cold=base.cold,
-                duplicate_hits=base.duplicate_hits)
-        return self._profiles[line_size]
-
-    def set_profile(self, line_size: int, n_sets: int) -> SetDistanceProfile:
-        key = (int(line_size), int(n_sets))
-        if key not in self._set_profiles:
-            self.prefetch([key])
-        return self._set_profiles[key]
 
     def collapsed_runs(self, line_size: int) -> tuple:
         """The whole trace's collapsed line runs, folded block by block.
@@ -272,26 +248,15 @@ class StreamedProfiles:
 
     # -- the fold ----------------------------------------------------------
 
-    def prefetch(self, pairs) -> None:
-        """Compute (or load from the store) every ``(line_size,
-        n_sets)`` profile in ``pairs`` with at most one pass over the
-        blocks -- the way to run a whole sweep grid at one render."""
-        pairs = sorted({(int(line_size), int(n_sets))
-                        for line_size, n_sets in pairs}
-                       - set(self._set_profiles))
-        remaining = []
-        for pair in pairs:
-            cached = self._load_cached(pair)
-            if cached is not None:
-                self._set_profiles[pair] = cached
-            else:
-                remaining.append(pair)
-        if not remaining:
-            return
-        for pair, state in self._fold(remaining).items():
-            profile = state.finalize()
-            self._save_cached(pair, profile)
-            self._set_profiles[pair] = profile
+    def _compute(self, pairs) -> dict:
+        """Fold every pair in one pass over the blocks, then finalize
+        and save each profile."""
+        computed = {}
+        for pair, state in self._fold(pairs).items():
+            _, payload, _, save = self._artifact(pair)
+            computed[pair] = state.finalize()
+            save(payload, computed[pair])
+        return computed
 
     def _fold(self, pairs) -> dict:
         from . import pipelined
@@ -397,35 +362,6 @@ class StreamedProfiles:
             self._fold(())
             reader = self.store.open_render_blocks(self.trace_spec)
         return reader
-
-    # -- store round trip --------------------------------------------------
-
-    def _load_cached(self, pair):
-        line_size, n_sets = pair
-        if n_sets == 1:
-            profile = self.store.load_profile(
-                profile_payload(self._payload, line_size))
-            if profile is None:
-                return None
-            return SetDistanceProfile(
-                line_size=line_size, n_sets=1, counts=profile.counts,
-                cold=profile.cold, duplicate_hits=profile.duplicate_hits)
-        return self.store.load_set_profile(
-            set_profile_payload(self._payload, line_size, n_sets))
-
-    def _save_cached(self, pair, profile: SetDistanceProfile) -> None:
-        line_size, n_sets = pair
-        if n_sets == 1:
-            # Same artifact the in-RAM path persists, so either path
-            # warms the other.
-            self.store.save_profile(
-                profile_payload(self._payload, line_size),
-                DistanceProfile(counts=profile.counts, cold=profile.cold,
-                                duplicate_hits=profile.duplicate_hits))
-        else:
-            self.store.save_set_profile(
-                set_profile_payload(self._payload, line_size, n_sets),
-                profile)
 
 
 def classify_streamed(streams: StreamedProfiles,

@@ -191,6 +191,10 @@ class TestGoldenPin:
         result = Engine(store=ArtifactStore(tmp_path)).run(
             experiment(raster="reference"), kernel="reference")
         assert canonical_rows(result.rows) == pin["rows"]
+        # The oracle simulates every cell; a vectorized profile in the
+        # store would mean it ran the kernels it is meant to check.
+        for kind in ("profiles", "set_profiles"):
+            assert not list((tmp_path / kind).glob("*")), kind
 
     def test_serial_streamed(self, tmp_path, pin):
         store = ArtifactStore(tmp_path)

@@ -242,10 +242,10 @@ class TestCrashResume:
         assert report.resumed_parts >= 1
         scan = ArtifactStore(store_root).verify()
         assert scan["clean"] and scan["bad"] == 0
-        # Publishing retired the crash-resume metadata.
+        # Publishing retired the crash-resume metadata: range records
+        # (``<digest>.rNNNNN.done.json``), and no other resume file.
         store = ArtifactStore(store_root)
-        assert not list(Path(store.root, "traces").glob("*.plan.json"))
-        assert not list(Path(store.root, "traces").glob("*.done.json"))
+        assert not list(Path(store.root, "traces").glob("*.*.json"))
         return result
 
     def test_in_process_crash_resumes_from_parts(self, tmp_path):

@@ -571,9 +571,10 @@ class TestResumableParts:
 
     def interrupted_run(self, root):
         """The wreckage of a pipelined cold render killed mid-run:
-        range 0 completed (strided parts + completion record), the next
-        range's part landed without a record (its worker died before
-        finishing), the plan is on disk, the sidecar never published."""
+        range 0 completed (strided parts + completion record carrying
+        the fold's geometry), the next range's part landed without a
+        record (its worker died before finishing), the sidecar never
+        published."""
         from repro.engine.pipelined import PART_STRIDE
         from repro.pipeline.trace import iter_blocks
 
@@ -582,17 +583,15 @@ class TestResumableParts:
         blocks = list(iter_blocks(trace, max(1, trace.n_accesses // 4)))
         assert len(blocks) >= 3
         store = ArtifactStore(root / "store")
-        store.save_stream_plan(SPEC, {"n_ranges": 2, "chunk_size": 4096,
-                                      "part_stride": PART_STRIDE,
-                                      "created_at": 0.0})
         writer = store.open_render_writer(SPEC, part_base=0)
         writer.append(blocks[0])
         writer.append(blocks[1])
         envelopes, complete, _ = writer.finish_parts()
         assert complete and len(envelopes) == 2
         store.save_range_record(SPEC, 0, {
-            "range": 0, "envelopes": envelopes, "complete": True,
-            "totals": {}, "n_blocks": len(envelopes)})
+            "range": 0, "n_ranges": 2, "chunk_size": 4096,
+            "part_stride": PART_STRIDE, "envelopes": envelopes,
+            "complete": True, "totals": {}, "n_blocks": len(envelopes)})
         unrecorded = store.open_render_writer(SPEC, part_base=PART_STRIDE)
         unrecorded.append(blocks[2])
         orphan_envelopes, _, _ = unrecorded.finish_parts()
@@ -635,7 +634,6 @@ class TestResumableParts:
         for name in recorded:  # parts and their record both survive
             assert (Path(store.root) / "traces" / name).exists()
         assert store.load_range_records(SPEC)
-        assert store.load_stream_plan(SPEC) is not None
 
     def test_corrupt_recorded_part_is_not_resumable(self, tmp_path):
         store, recorded, orphaned = self.interrupted_run(tmp_path)
@@ -645,13 +643,65 @@ class TestResumableParts:
         corrupt = Path(store.root) / "traces" / recorded[0]
         faults.flip_bit(corrupt)  # rewriting refreshes mtime...
         faults.backdate(corrupt, 2 * artifacts_module.TORN_GRACE_S)
+        [record] = (Path(store.root) / "traces").glob("*.done.json")
+        faults.backdate(record, 2 * artifacts_module.TORN_GRACE_S)
         scan = store.verify()
         traces = scan["kinds"]["traces"]
         # The record's envelope check fails, so the whole range falls
-        # back to orphan litter instead of resuming corrupt data.
+        # back to orphan litter instead of resuming corrupt data, and
+        # the record, covering nothing, is stale litter too.
         assert traces["resumable"] == []
         assert sorted(traces["orphaned_parts"]) == sorted(
             recorded + orphaned)
+        assert traces["stale_resume"] == [record.name]
+        repaired = store.repair()
+        assert repaired["purged_resume"] == [f"traces/{record.name}"]
+        assert store.load_range_records(SPEC) == {}
+        assert not list((Path(store.root) / "traces").glob("*"))
+        assert store.verify()["clean"]
+
+    def test_records_disagreeing_on_geometry_are_discarded(self, tmp_path):
+        # Each record carries the fold's geometry; one that disagrees
+        # with the records before it cannot be resumed under theirs,
+        # so it goes, with its parts, like an invalid record.
+        from repro.engine import pipelined, tiers
+
+        store, recorded, [stray] = self.interrupted_run(tmp_path)
+        part = Path(store.root) / "traces" / stray
+        store.save_range_record(SPEC, 1, {
+            "range": 1, "n_ranges": 4, "chunk_size": 4096,
+            "part_stride": pipelined.PART_STRIDE,
+            "envelopes": [{"name": stray, "nbytes": part.stat().st_size,
+                           "digest": tiers.file_digest(part)}],
+            "complete": True, "totals": {}, "n_blocks": 1})
+        geometry, resumed = pipelined._load_resume(store, SPEC)
+        assert geometry == (2, 4096) and sorted(resumed) == [0]
+        assert sorted(store.load_range_records(SPEC)) == [0]
+        assert not part.exists()
+        for name in recorded:
+            assert (Path(store.root) / "traces" / name).exists()
+
+    def test_stale_plan_only_state_is_purged(self, tmp_path):
+        # A fold of an older version crashed before its first range
+        # completed: only its range plan is left.  It covers no part,
+        # so once stale it is litter for repair(); while fresh, a live
+        # fold may still be writing records beside it.
+        from repro.engine import fingerprint
+
+        store = ArtifactStore(tmp_path)
+        plan = (Path(store.root) / "traces" /
+                (fingerprint(SPEC.payload()) + ".plan.json"))
+        plan.parent.mkdir(parents=True)
+        plan.write_text(json.dumps({"n_ranges": 4, "chunk_size": 4096,
+                                    "part_stride": 100_000}))
+        assert store.verify()["kinds"]["traces"]["stale_resume"] == []
+        assert store.repair()["purged_resume"] == []
+        faults.backdate(plan, 3600)
+        scan = store.verify()
+        assert scan["clean"] and scan["bad"] == 0
+        assert scan["kinds"]["traces"]["stale_resume"] == [plan.name]
+        assert store.repair()["purged_resume"] == [f"traces/{plan.name}"]
+        assert not plan.exists()
 
     def test_resume_metadata_purged_once_artifact_published(self, tmp_path):
         from repro.engine import fingerprint
@@ -665,23 +715,22 @@ class TestResumableParts:
             writer.append(block)
         assert writer.finish({"n_triangles_submitted": 1,
                               "n_triangles_rasterized": 1})
-        # Leftover resume metadata from the run that published.
-        store.save_stream_plan(SPEC, {"n_ranges": 1, "chunk_size": 4096,
-                                      "part_stride": 100_000,
-                                      "created_at": 0.0})
-        store.save_range_record(SPEC, 0, {"range": 0, "envelopes": [],
-                                          "complete": True, "totals": {},
-                                          "n_blocks": 0})
-        digest = fingerprint(SPEC.payload())
-        for path in (Path(store.root) / "traces").glob(
-                digest + ".*.json"):
-            if ".plan." in path.name or ".done." in path.name:
-                faults.backdate(path, 2 * artifacts_module.TORN_GRACE_S)
+        # A leftover record from the run that published; its part
+        # verifies (the sidecar lists it), but nothing is left to
+        # resume.
+        envelope = json.loads(
+            store._path("traces", fingerprint(SPEC.payload()),
+                        ".json").read_text())["parts"][0]
+        store.save_range_record(SPEC, 0, {
+            "range": 0, "n_ranges": 1, "chunk_size": 4096,
+            "part_stride": 100_000, "envelopes": [envelope],
+            "complete": True, "totals": {}, "n_blocks": 1})
+        [record] = (Path(store.root) / "traces").glob("*.done.json")
+        faults.backdate(record, 2 * artifacts_module.TORN_GRACE_S)
         scan = store.verify()
-        assert len(scan["kinds"]["traces"]["stale_resume"]) == 2
+        assert scan["kinds"]["traces"]["stale_resume"] == [record.name]
         repaired = store.repair()
-        assert len(repaired["purged_resume"]) == 2
-        assert store.load_stream_plan(SPEC) is None
+        assert repaired["purged_resume"] == [f"traces/{record.name}"]
         assert store.load_range_records(SPEC) == {}
         assert store.verify()["clean"]
 

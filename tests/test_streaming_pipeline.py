@@ -153,12 +153,17 @@ class TestStreamedProfiles:
         with pytest.raises(RuntimeError):
             streamed.stream(64)
 
+    @pytest.mark.parametrize("fill,serve", [
+        ({"chunk_size": 4096}, {}),
+        ({}, {"chunk_size": 4096}),
+    ], ids=["streamed_fills", "in_ram_fills"])
     def test_warm_in_ram_run_over_streamed_store_saves_nothing(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, fill, serve):
         # The one-set profile (1 KB, 128 B lines, 8-way) is the
-        # fully-associative one: the in-RAM path reads it from the
-        # profiles/ artifact the streamed fold wrote, so a warm run
-        # stores nothing -- and a read-only store keeps serving.
+        # fully-associative one: both paths route it to the one
+        # profiles/ artifact, so a warm run over a store the other
+        # path filled stores nothing -- and a read-only store keeps
+        # serving.
         import errno
         import warnings
 
@@ -168,7 +173,7 @@ class TestStreamedProfiles:
                              cache_sizes=(1024,), line_sizes=(128,),
                              assocs=(1, 2, 4, 8, None), scale=SCALE)
         root = tmp_path / "st"
-        streamed = Engine(store=ArtifactStore(root)).run(exp, chunk_size=4096)
+        filled = Engine(store=ArtifactStore(root)).run(exp, **fill)
         saves = []
         for name in ("save_render", "save_addresses", "save_profile",
                      "save_set_profile"):
@@ -178,11 +183,13 @@ class TestStreamedProfiles:
         engine = Engine(store=ArtifactStore(root))
         with faults.disk_full(errno.EROFS), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            warm = engine.run(exp)
+            warm = engine.run(exp, **serve)
         assert saves == []
         assert engine.store.available
         assert [row.stats for row in warm.rows] == \
-            [row.stats for row in streamed.rows]
+            [row.stats for row in filled.rows]
+        if serve:
+            assert warm.stream_report.folds == 0
 
     def test_streamed_artifacts_warm_the_in_ram_path(self, stores):
         _, st_store = stores
