@@ -12,31 +12,38 @@ step skips many texels -- destroying the spatial locality the cache
 depends on, even though each fragment makes *fewer* fetches (4 vs 8).
 """
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import emit, fa_curve, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import miss_rate_curve
+from repro.engine import ExperimentSpec, paper_order_spec
 
 CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (1, 4, 16, 64)})
 LINE = 64
 LAYOUT = ("blocked", 4)
-SCENES = {"town": ("vertical",), "flight": ("horizontal",)}
+SCENES = ("town", "flight")  # in their paper orders: vertical, horizontal
+FILTERS = {"mipmapped trilinear": True, "GL_LINEAR level 0": False}
 
 
 def measure(bank):
-    out = {}
-    for scene_name, order in SCENES.items():
-        for label, kwargs in (("mipmapped trilinear", {}),
-                              ("GL_LINEAR level 0", {"use_mipmaps": False})):
-            result = bank.render(scene_name, order, **kwargs)
-            streams = bank.streams(scene_name, order, LAYOUT, **kwargs)
-            curve = miss_rate_curve(streams, LINE, CACHE_SIZES)
-            out[(scene_name, label)] = (result, curve)
-    return out
+    # Fetches per fragment come from the renders, miss rates from one
+    # grid per filter.
+    renders = {(scene, label): bank.render(scene, paper_order_spec(scene),
+                                           use_mipmaps=mipmaps)
+               for scene in SCENES for label, mipmaps in FILTERS.items()}
+    results = {label: bank.engine.run(ExperimentSpec(
+        scenes=SCENES, orders=("paper",), layouts=(LAYOUT,),
+        cache_sizes=CACHE_SIZES, line_sizes=(LINE,), use_mipmaps=mipmaps,
+        scale=bank.scale))
+        for label, mipmaps in FILTERS.items()}
+    return renders, results
 
 
 def test_ablation_mipmap(benchmark, bank):
-    out = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    renders, results = benchmark.pedantic(measure, args=(bank,), rounds=1,
+                                          iterations=1)
+    out = {(scene, label): (renders[(scene, label)],
+                            fa_curve([results[label]], scene=scene))
+           for scene in SCENES for label in FILTERS}
 
     rows = []
     for (scene, label), (result, curve) in out.items():

@@ -10,10 +10,10 @@ most).
 
 import numpy as np
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import emit, fa_curve, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import miss_rate_curve
+from repro.engine import ExperimentSpec
 
 CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (1, 2, 4, 8, 32)})
 LINE = 128
@@ -33,15 +33,16 @@ def order_specs(bank):
 
 
 def measure(bank):
-    curves = {}
-    for label, spec in order_specs(bank):
-        streams = bank.streams(SCENE, spec, LAYOUT)
-        curves[label] = miss_rate_curve(streams.stream(LINE), LINE, CACHE_SIZES)
-    return curves
+    return [bank.engine.run(ExperimentSpec(
+        scenes=(SCENE,), orders=tuple(spec for _, spec in order_specs(bank)),
+        layouts=(LAYOUT,), cache_sizes=CACHE_SIZES, line_sizes=(LINE,),
+        scale=bank.scale))]
 
 
 def test_ablation_order(benchmark, bank):
-    curves = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    curves = {label: fa_curve(results, order=spec)
+              for label, spec in order_specs(bank)}
 
     rows = [
         [label] + [f"{100 * r:.2f}%" for r in curve.miss_rates]

@@ -7,36 +7,37 @@ accesses.  This harness quantifies those claims against the base
 nonblocked representation on the Town scene.
 """
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import cell_stats, emit, fa_curve, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import CacheConfig, miss_rate_curve, simulate
+from repro.engine import ExperimentSpec
 
 CACHE_SIZES = [scaled_cache(1024 * k) for k in (2, 8, 32)]
 LINE = 32
 ORDER = ("vertical",)
 SCENE = "town"
+LAYOUTS = {"nonblocked": ("nonblocked",), "williams": ("williams",)}
 
 
 def measure(bank):
-    out = {}
-    for label, layout in [("nonblocked", ("nonblocked",)),
-                          ("williams", ("williams",))]:
-        streams = bank.streams(SCENE, ORDER, layout)
-        stream = streams.stream(LINE)
-        curve = miss_rate_curve(stream, LINE, CACHE_SIZES)
-        direct = [simulate(stream, CacheConfig(s, LINE, 1)).miss_rate
-                  for s in CACHE_SIZES]
-        out[label] = {
-            "fa": curve.miss_rates,
-            "direct": direct,
-            "accesses": stream.total_accesses,
-        }
-    return out
+    return [bank.engine.run(ExperimentSpec(
+        scenes=(SCENE,), orders=(ORDER,), layouts=tuple(LAYOUTS.values()),
+        cache_sizes=CACHE_SIZES, line_sizes=(LINE,), assocs=(None, 1),
+        scale=bank.scale))]
 
 
 def test_ablation_williams(benchmark, bank):
-    out = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    out = {}
+    for label, layout in LAYOUTS.items():
+        curve = fa_curve(results, layout=layout)
+        out[label] = {
+            "fa": curve.miss_rates,
+            "direct": [cell_stats(results, layout=layout, cache_size=size,
+                                  assoc=1).miss_rate
+                       for size in CACHE_SIZES],
+            "accesses": curve.total_accesses,
+        }
 
     rows = []
     for label, data in out.items():

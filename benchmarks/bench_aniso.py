@@ -11,12 +11,12 @@ Flight is the stress case: grazing-angle terrain has footprint aspect
 ratios far beyond 1.
 """
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import cell_stats, emit, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import CacheConfig, simulate
 from repro.core.bandwidth import mbytes_per_second
 from repro.core.machine import PAPER_MACHINE
+from repro.engine import ExperimentSpec
 
 SCENE = "flight"
 ORDER = ("tiled", 8)
@@ -26,18 +26,23 @@ ANISO = (1, 2, 4, 8)
 
 
 def measure(bank):
-    config = CacheConfig(scaled_cache(32 * 1024), LINE, 2)
-    results = {}
-    for aniso in ANISO:
-        result = bank.render(SCENE, ORDER, max_anisotropy=aniso)
-        addresses = bank.addresses(SCENE, ORDER, LAYOUT, max_anisotropy=aniso)
-        stats = simulate(addresses, config)
-        results[aniso] = (result, stats)
-    return results
+    # Fetches per fragment come from the renders, the miss rate from
+    # one grid per anisotropy.
+    renders = {aniso: bank.render(SCENE, ORDER, max_anisotropy=aniso)
+               for aniso in ANISO}
+    results = {aniso: bank.engine.run(ExperimentSpec(
+        scenes=(SCENE,), orders=(ORDER,), layouts=(LAYOUT,),
+        cache_sizes=(scaled_cache(32 * 1024),), line_sizes=(LINE,),
+        assocs=(2,), max_anisotropy=aniso, scale=bank.scale))
+        for aniso in ANISO}
+    return renders, results
 
 
 def test_aniso(benchmark, bank):
-    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    renders, grids = benchmark.pedantic(measure, args=(bank,), rounds=1,
+                                        iterations=1)
+    results = {aniso: (render, cell_stats([grids[aniso]]))
+               for aniso, render in renders.items()}
 
     base_accesses = results[1][0].n_accesses
     rows = []

@@ -13,10 +13,10 @@ Paper findings reproduced here:
   128-byte lines.
 """
 
-from paperbench import SCALE, emit, kb, scaled_cache
+from paperbench import SCALE, emit, fa_curve, kb, scaled_cache
 
 from repro.analysis import first_working_set, format_series, format_table, miss_rate_chart
-from repro.core import miss_rate_curve
+from repro.engine import ExperimentSpec
 from repro.scenes import ALL_SCENES
 
 PAPER_COLD_32 = {"town": 0.0055, "guitar": 0.0087, "goblet": 0.015, "flight": 0.028}
@@ -25,30 +25,34 @@ PAPER_WORKING_SET = {"flight": 4, "town": 8, "guitar": 16, "goblet": 16}  # KB, 
 
 CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (1, 2, 4, 8, 16, 32, 64, 128, 256)})
 LAYOUT = ("nonblocked",)
+DIRECTIONS = ("horizontal", "vertical")
 
 
 def measure(bank):
-    curves = {}
-    colds = {}
-    for name in ALL_SCENES:
-        for direction in ("horizontal", "vertical"):
-            streams = bank.streams(name, (direction,), LAYOUT)
-            curves[(name, direction)] = miss_rate_curve(
-                streams.stream(32), 32, CACHE_SIZES)
-        streams = bank.streams(name, ("horizontal",), LAYOUT)
-        colds[name] = (
-            miss_rate_curve(streams.stream(32), 32, [CACHE_SIZES[-1]]).cold_miss_rate,
-            miss_rate_curve(streams.stream(128), 128, [CACHE_SIZES[-1]]).cold_miss_rate,
-        )
-    return curves, colds
+    scenes = tuple(ALL_SCENES)
+    curve_grid = ExperimentSpec(
+        scenes=scenes, orders=tuple((direction,) for direction in DIRECTIONS),
+        layouts=(LAYOUT,), cache_sizes=CACHE_SIZES, line_sizes=(32,),
+        scale=bank.scale)
+    # The cold column at 128 B: cold misses are the same at every size.
+    cold_grid = ExperimentSpec(
+        scenes=scenes, orders=(("horizontal",),), layouts=(LAYOUT,),
+        cache_sizes=(CACHE_SIZES[-1],), line_sizes=(128,), scale=bank.scale)
+    return [bank.engine.run(curve_grid), bank.engine.run(cold_grid)]
 
 
 def test_fig_5_2(benchmark, bank):
-    curves, colds = benchmark.pedantic(measure, args=(bank,), rounds=1,
-                                       iterations=1)
+    results = benchmark.pedantic(measure, args=(bank,), rounds=1,
+                                 iterations=1)
+    curves = {(name, direction): fa_curve(results, scene=name,
+                                          order=(direction,), line_size=32)
+              for name in ALL_SCENES for direction in DIRECTIONS}
+    colds = {name: (curves[(name, "horizontal")].cold_miss_rate,
+                    fa_curve(results, scene=name, line_size=128).cold_miss_rate)
+             for name in ALL_SCENES}
 
     lines = []
-    for direction in ("horizontal", "vertical"):
+    for direction in DIRECTIONS:
         lines.append(f"\n(%s rasterization)" % direction)
         for name in ALL_SCENES:
             curve = curves[(name, direction)]
@@ -74,7 +78,7 @@ def test_fig_5_2(benchmark, bank):
     text += "\n\n" + format_table(
         ["scene", "measured first working set", "paper working set x scale"],
         ws_rows, title="First working sets (horizontal):")
-    for direction in ("horizontal", "vertical"):
+    for direction in DIRECTIONS:
         text += "\n\n" + miss_rate_chart(
             {name: curves[(name, direction)] for name in ALL_SCENES},
             title=f"Figure 5.2 ({direction}), nonblocked, 32B lines:")

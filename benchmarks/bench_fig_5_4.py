@@ -9,17 +9,17 @@ exploit spatial locality best); badly mismatched blocks inflate the
 working set and cause capacity misses.
 """
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import cell_stats, emit, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import miss_rate_curve
+from repro.engine import ExperimentSpec, paper_order_spec
 from repro.texture.image import TEXEL_NBYTES
 
 CACHE = scaled_cache(32 * 1024)
 LINE_SIZES = (32, 64, 128, 256)
 BLOCKS = (1, 2, 4, 8, 16)  # 1 = nonblocked
 
-SCENES = {"town": ("vertical",), "guitar": ("horizontal",)}
+SCENES = ("town", "guitar")  # in their paper orders: vertical, horizontal
 
 
 def layout_spec(block):
@@ -27,21 +27,21 @@ def layout_spec(block):
 
 
 def measure(bank):
-    rates = {}
-    for name, order in SCENES.items():
-        for block in BLOCKS:
-            streams = bank.streams(name, order, layout_spec(block))
-            for line in LINE_SIZES:
-                curve = miss_rate_curve(streams.stream(line), line, [CACHE])
-                rates[(name, block, line)] = curve.miss_rates[0]
-    return rates
+    return [bank.engine.run(ExperimentSpec(
+        scenes=SCENES, orders=("paper",),
+        layouts=tuple(layout_spec(block) for block in BLOCKS),
+        cache_sizes=(CACHE,), line_sizes=LINE_SIZES, scale=bank.scale))]
 
 
 def test_fig_5_4(benchmark, bank):
-    rates = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    rates = {(name, block, line): cell_stats(
+        results, scene=name, layout=layout_spec(block),
+        line_size=line).miss_rate
+        for name in SCENES for block in BLOCKS for line in LINE_SIZES}
 
     sections = []
-    for name, order in SCENES.items():
+    for name in SCENES:
         rows = []
         for block in BLOCKS:
             label = "nonblocked" if block == 1 else f"{block}x{block}"
@@ -53,7 +53,8 @@ def test_fig_5_4(benchmark, bank):
         sections.append(format_table(
             ["block", "block bytes"] + [f"{line}B line" for line in LINE_SIZES],
             rows,
-            title=f"{name} ({order[0]}), fully associative {kb(CACHE)} cache:",
+            title=(f"{name} ({paper_order_spec(name)[0]}), fully associative "
+                   f"{kb(CACHE)} cache:"),
         ))
     text = "\n\n".join(sections)
     text += ("\n\nPaper: the best block size matches the cache line size "

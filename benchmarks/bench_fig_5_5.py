@@ -9,10 +9,10 @@ Paper values at full scale: 32 B lines -> Flight 2.8%, Goblet 1.5%,
 Guitar 1.2%, Town 0.8%; 128 B lines -> 0.87%, 0.41%, 0.36%, 0.21%.
 """
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import cell_stats, emit, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import miss_rate_curve
+from repro.engine import ExperimentSpec
 from repro.scenes import ALL_SCENES
 
 CACHE = scaled_cache(32 * 1024)
@@ -24,18 +24,20 @@ PAPER_128B = {"flight": 0.87, "goblet": 0.41, "guitar": 0.36, "town": 0.21}
 
 
 def measure(bank):
-    rates = {}
-    for name in ALL_SCENES:
-        order = bank.paper_order_spec(name)
-        for line, block in MATCHED.items():
-            streams = bank.streams(name, order, ("blocked", block))
-            rates[(name, line)] = miss_rate_curve(
-                streams.stream(line), line, [CACHE]).miss_rates[0]
-    return rates
+    return [bank.engine.run(ExperimentSpec(
+        scenes=tuple(ALL_SCENES), orders=("paper",),
+        layouts=(("blocked", block),), cache_sizes=(CACHE,),
+        line_sizes=tuple(line for line, matched in MATCHED.items()
+                         if matched == block),
+        scale=bank.scale))
+        for block in sorted(set(MATCHED.values()))]
 
 
 def test_fig_5_5(benchmark, bank):
-    rates = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    rates = {(name, line): cell_stats(results, scene=name,
+                                      line_size=line).miss_rate
+             for name in ALL_SCENES for line in MATCHED}
 
     rows = []
     for name in ALL_SCENES:

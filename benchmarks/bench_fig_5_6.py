@@ -8,10 +8,10 @@ capacity misses for caches *smaller than the working set*; increasing
 the line size without blocking makes miss rates worse.
 """
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import emit, fa_curve, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import miss_rate_curve
+from repro.engine import ExperimentSpec
 
 CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (2, 4, 8, 16, 32, 64)})
 
@@ -29,15 +29,19 @@ ORDER = ("horizontal",)
 
 
 def measure(bank):
-    curves = {}
-    for label, line, layout in SERIES:
-        streams = bank.streams("guitar", ORDER, layout)
-        curves[label] = miss_rate_curve(streams.stream(line), line, CACHE_SIZES)
-    return curves
+    lines = {}
+    for _, line, layout in SERIES:
+        lines.setdefault(layout, []).append(line)
+    return [bank.engine.run(ExperimentSpec(
+        scenes=("guitar",), orders=(ORDER,), layouts=(layout,),
+        cache_sizes=CACHE_SIZES, line_sizes=tuple(sizes), scale=bank.scale))
+        for layout, sizes in lines.items()]
 
 
 def test_fig_5_6(benchmark, bank):
-    curves = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    curves = {label: fa_curve(results, layout=layout, line_size=line)
+              for label, line, layout in SERIES}
 
     rows = [
         [label] + [f"{100 * r:.2f}%" for r in curves[label].miss_rates]

@@ -13,29 +13,24 @@ Paper findings:
   helps at small sizes.
 """
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import cell_stats, emit, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import CacheConfig, simulate
+from repro.engine import ExperimentSpec, paper_order_spec
 
 CACHE_SIZES = [scaled_cache(1024 * k) for k in (4, 8, 16, 32, 64, 128)]
 ASSOCIATIVITIES = (1, 2, 4, 8, 16, None)
 LINE = 128
 LAYOUT = ("blocked", 8)
 
-SCENES = {"goblet": ("horizontal",), "town": ("vertical",)}
+SCENES = ("goblet", "town")  # in their paper orders: horizontal, vertical
 
 
 def measure(bank):
-    rates = {}
-    for name, order in SCENES.items():
-        streams = bank.streams(name, order, LAYOUT)
-        stream = streams.stream(LINE)
-        for size in CACHE_SIZES:
-            for assoc in ASSOCIATIVITIES:
-                stats = simulate(stream, CacheConfig(size, LINE, assoc))
-                rates[(name, size, assoc)] = stats.miss_rate
-    return rates
+    return [bank.engine.run(ExperimentSpec(
+        scenes=SCENES, orders=("paper",), layouts=(LAYOUT,),
+        cache_sizes=CACHE_SIZES, line_sizes=(LINE,), assocs=ASSOCIATIVITIES,
+        scale=bank.scale))]
 
 
 def label(assoc):
@@ -43,10 +38,14 @@ def label(assoc):
 
 
 def test_fig_5_7(benchmark, bank):
-    rates = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    rates = {(name, size, assoc): cell_stats(
+        results, scene=name, cache_size=size, assoc=assoc).miss_rate
+        for name in SCENES for size in CACHE_SIZES
+        for assoc in ASSOCIATIVITIES}
 
     sections = []
-    for name, order in SCENES.items():
+    for name in SCENES:
         rows = []
         for size in CACHE_SIZES:
             rows.append([kb(size)] + [
@@ -55,7 +54,7 @@ def test_fig_5_7(benchmark, bank):
             ])
         sections.append(format_table(
             ["cache"] + [label(a) for a in ASSOCIATIVITIES], rows,
-            title=f"{name} ({order[0]}), 8x8 blocks, {LINE}B lines:",
+            title=f"{name} ({paper_order_spec(name)[0]}), 8x8 blocks, {LINE}B lines:",
         ))
     text = "\n\n".join(sections)
     text += ("\n\nPaper: (a) Goblet -- direct-mapped >> 2-way = fully "

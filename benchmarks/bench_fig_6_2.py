@@ -11,15 +11,16 @@ cache again.  Goblet (small triangles) is shown as the
 tile-insensitive contrast.
 """
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import emit, fa_curve, kb, scaled_cache
 
 from repro.analysis import format_table, miss_rate_chart
-from repro.core import miss_rate_curve
+from repro.engine import ExperimentSpec
 
 CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (2, 4, 8, 16, 32)})
 LINE = 128
 LAYOUT = ("blocked", 8)
 TILES = (None, 2, 4, 8, 16, 32, 64, 128)  # None = nontiled horizontal
+SCENES = ("guitar", "goblet")
 
 
 def order_spec(tile):
@@ -27,20 +28,20 @@ def order_spec(tile):
 
 
 def measure(bank):
-    curves = {}
-    for scene in ("guitar", "goblet"):
-        for tile in TILES:
-            streams = bank.streams(scene, order_spec(tile), LAYOUT)
-            curves[(scene, tile)] = miss_rate_curve(
-                streams.stream(LINE), LINE, CACHE_SIZES)
-    return curves
+    return [bank.engine.run(ExperimentSpec(
+        scenes=SCENES, orders=tuple(order_spec(tile) for tile in TILES),
+        layouts=(LAYOUT,), cache_sizes=CACHE_SIZES, line_sizes=(LINE,),
+        scale=bank.scale))]
 
 
 def test_fig_6_2(benchmark, bank):
-    curves = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    curves = {(scene, tile): fa_curve(results, scene=scene,
+                                      order=order_spec(tile))
+              for scene in SCENES for tile in TILES}
 
     sections = []
-    for scene in ("guitar", "goblet"):
+    for scene in SCENES:
         rows = []
         for tile in TILES:
             name = "nontiled" if tile is None else f"{tile}x{tile}"

@@ -13,19 +13,21 @@ large textures need padding or 6D blocking on top of tiling because a
 row of blocks spans a multiple of the cache size.
 """
 
-from paperbench import emit, kb, scaled_cache
+from paperbench import cell_stats, emit, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import CacheConfig, classify_misses
+from repro.core import classify_counts
+from repro.engine import ExperimentSpec, paper_order_spec
 
 CACHE_SIZES = [scaled_cache(1024 * k) for k in (4, 8, 16, 32)]
 LINE = 128
 
+#: Tiled orders; the nontiled baseline is each scene's paper order
+#: (Town vertical, Flight horizontal).
 SCENES = {
     "town": ("tiled", 8, "col", "col"),
     "flight": ("tiled", 8),
 }
-NONTILED = {"town": ("vertical",), "flight": ("horizontal",)}
 
 
 def layout_specs(cache_bytes):
@@ -37,24 +39,44 @@ def layout_specs(cache_bytes):
 
 
 def measure(bank):
-    results = {}
+    # Every 2-way cell comes with the fully-associative cell of the
+    # same size, the 3C split's reference.
+    def run(scenes, order, layouts, sizes):
+        return bank.engine.run(ExperimentSpec(
+            scenes=scenes, orders=(order,), layouts=tuple(layouts),
+            cache_sizes=tuple(sizes), line_sizes=(LINE,), assocs=(2, None),
+            scale=bank.scale))
+
+    results = [run(tuple(SCENES), "paper", [("blocked", 8)], CACHE_SIZES)]
+    # The 6D superblock is the cache size: one tiled grid per size.
     for scene, tiled_order in SCENES.items():
         for size in CACHE_SIZES:
-            config = CacheConfig(size, LINE, 2)
-            for label, layout in layout_specs(size):
-                streams = bank.streams(scene, tiled_order, layout)
-                results[(scene, size, label)] = classify_misses(
-                    streams.stream(LINE), config,
-                    profile=streams.profile(LINE))
-            nontiled_streams = bank.streams(scene, NONTILED[scene], ("blocked", 8))
-            results[(scene, size, "nontiled blocked")] = classify_misses(
-                nontiled_streams.stream(LINE), config,
-                profile=nontiled_streams.profile(LINE))
+            results.append(run((scene,), tiled_order,
+                               [layout for _, layout in layout_specs(size)],
+                               [size]))
     return results
 
 
+def three_c(results, **criteria):
+    """The 3C split of the 2-way cell matching ``criteria``."""
+    two_way = cell_stats(results, assoc=2, **criteria)
+    full = cell_stats(results, assoc=None, **criteria)
+    return classify_counts(two_way.config, two_way.accesses, two_way.misses,
+                           two_way.cold_misses, full.misses)
+
+
 def test_fig_6_4(benchmark, bank):
-    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    grids = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    results = {}
+    for scene, tiled_order in SCENES.items():
+        for size in CACHE_SIZES:
+            for label, layout in layout_specs(size):
+                results[(scene, size, label)] = three_c(
+                    grids, scene=scene, order=tiled_order, layout=layout,
+                    cache_size=size)
+            results[(scene, size, "nontiled blocked")] = three_c(
+                grids, scene=scene, order=paper_order_spec(scene),
+                layout=("blocked", 8), cache_size=size)
 
     sections = []
     variants = ["nontiled blocked", "blocked", "padded", "6d"]

@@ -12,16 +12,11 @@ Cache sizes are scaled by REPRO_SCALE like the rest of the harness;
 bandwidths are computed at the paper's full 50 Mfragment/s machine.
 """
 
-from paperbench import SCALE, emit, kb, scaled_cache
+from paperbench import SCALE, cell_stats, emit, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import (
-    CacheConfig,
-    cached_bandwidth,
-    mbytes_per_second,
-    simulate,
-    uncached_bandwidth,
-)
+from repro.core import cached_bandwidth, mbytes_per_second, uncached_bandwidth
+from repro.engine import ExperimentSpec
 
 #: (paper cache KB, assoc) columns and the per-line block sizes.
 CACHES = [(4, 2), (32, 2), (128, 1)]
@@ -50,20 +45,25 @@ PAPER = {
 
 
 def measure(bank):
-    results = {}
-    for scene in PAPER:
-        for line, block in LINES.items():
-            streams = bank.streams(scene, ORDER, ("padded", block, 4))
-            stream = streams.stream(line)
-            for paper_kb, assoc in CACHES:
-                config = CacheConfig(scaled_cache(paper_kb * 1024), line, assoc)
-                stats = simulate(stream, config)
-                results[(scene, paper_kb, line)] = stats.miss_rate
-    return results
+    # One grid per line size and associativity: the two 2-way sizes,
+    # then the direct-mapped 128 KB class.
+    sizes = {}
+    for paper_kb, assoc in CACHES:
+        sizes.setdefault(assoc, []).append(scaled_cache(paper_kb * 1024))
+    return [bank.engine.run(ExperimentSpec(
+        scenes=tuple(PAPER), orders=(ORDER,), layouts=(("padded", block, 4),),
+        cache_sizes=tuple(assoc_sizes), line_sizes=(line,), assocs=(assoc,),
+        scale=bank.scale))
+        for line, block in LINES.items()
+        for assoc, assoc_sizes in sizes.items()]
 
 
 def test_table_7_1(benchmark, bank):
-    results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    grids = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    results = {(scene, paper_kb, line): cell_stats(
+        grids, scene=scene, cache_size=scaled_cache(paper_kb * 1024),
+        line_size=line, assoc=assoc).miss_rate
+        for scene in PAPER for paper_kb, assoc in CACHES for line in LINES}
 
     rows = []
     for scene in PAPER:

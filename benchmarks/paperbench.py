@@ -10,6 +10,17 @@ rendered traces, byte-address streams and stack-distance profiles on
 disk -- so a warm pytest-benchmark session performs **zero** renders
 and reproduces bit-identical numbers.
 
+The LRU tables and figures (Figures 5.2-6.4, Table 7.1 and the order,
+Williams, mip-map and anisotropy ablations) declare their grids as
+:class:`~repro.engine.ExperimentSpec` objects and read every number
+from the rows of :meth:`Engine.run <repro.engine.Engine.run>`, the
+path the golden pin and ``benchmarks/e2e`` check.  A warm run of the
+figure and table benches reads stored profiles only: it builds no
+scene and loads no address stream.  :func:`cell_stats` and
+:func:`fa_curve` look rows up across a bench's specs.  The per-access
+studies (hierarchy, victim, replacement, prefetch, DRAM, ...) take
+traces and streams from :class:`SceneBank`.
+
 Scale: ``REPRO_SCALE`` (default 0.25) scales the scenes as described in
 DESIGN.md; cache sizes quoted from the paper are scaled linearly with
 the same factor (working sets scale with the scan-line texel span), so
@@ -25,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import CacheStats, MissRateCurve
 from repro.engine import (
     ArtifactStore,
     Engine,
@@ -95,12 +107,6 @@ class SceneBank:
     def placements(self, name: str, layout_spec: tuple):
         return self.engine.placements(name, self.scale, layout_spec)
 
-    def addresses(self, name: str, order_spec: tuple, layout_spec: tuple,
-                  **options):
-        """Byte-address stream for (scene, order, layout), cached."""
-        return self.engine.addresses(self._spec(name, order_spec, **options),
-                                     layout_spec)
-
     def streams(self, name: str, order_spec: tuple, layout_spec: tuple,
                 **options):
         """Byte-address TraceStreams for (scene, order, layout), cached
@@ -117,6 +123,45 @@ class SceneBank:
                                     layout_spec, chunk_size=chunk_size)
 
 
+def _select(results, **criteria) -> list:
+    """The rows of every :class:`~repro.engine.ExperimentResult` in
+    ``results`` that match ``criteria`` (as in
+    :meth:`~repro.engine.ExperimentResult.select`)."""
+    return [row for result in results for row in result.select(**criteria)]
+
+
+def cell_stats(results, **criteria) -> CacheStats:
+    """The stats of the one grid cell matching ``criteria`` (a cache
+    size listed twice yields equal rows)."""
+    rows = _select(results, **criteria)
+    if not rows or any(row != rows[0] for row in rows):
+        raise LookupError(f"{len(rows)} different rows match {criteria}")
+    return rows[0].stats
+
+
+def fa_curve(results, **criteria) -> MissRateCurve:
+    """The fully-associative :class:`MissRateCurve` of the rows
+    matching ``criteria``: one trace, layout and line size, by cache
+    size."""
+    rows = sorted(_select(results, assoc=None, **criteria),
+                  key=lambda row: row.config.size)
+    if len({(row.scene, row.order, row.layout, row.config.line_size)
+            for row in rows}) != 1:
+        raise LookupError(f"{criteria} do not select one curve")
+    first = rows[0].stats
+    total = first.accesses
+    misses = np.array([row.stats.misses for row in rows], dtype=np.int64)
+    return MissRateCurve(
+        line_size=first.config.line_size,
+        sizes=np.array([row.config.size for row in rows], dtype=np.int64),
+        miss_rates=misses / total if total else np.zeros(len(rows)),
+        cold_miss_rate=first.cold_misses / total if total else 0.0,
+        total_accesses=total,
+        miss_counts=misses,
+        cold_misses=first.cold_misses,
+    )
+
+
 def emit(experiment: str, text: str) -> None:
     """Print a harness's output and persist it under results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -130,7 +175,9 @@ __all__ = [
     "SCALE",
     "RESULTS_DIR",
     "SceneBank",
+    "cell_stats",
     "emit",
+    "fa_curve",
     "kb",
     "layout_from_spec",
     "order_from_spec",

@@ -15,7 +15,10 @@ On the default vectorized kernel both numbers come from distance
 profiles -- the fully-associative count from a
 :class:`~repro.core.stackdist.DistanceProfile`, the set-associative
 count from a :class:`~repro.core.kernels.SetDistanceProfile` -- so no
-per-access Python loop runs anywhere on the LRU path.
+per-access Python loop runs anywhere on the LRU path.  The split itself
+is :func:`classify_counts`, a function of those counts alone, so a
+caller that already holds them (streamed profiles, grid rows) applies
+the same rule without a stream.
 """
 
 from __future__ import annotations
@@ -61,6 +64,15 @@ def classify_misses(trace, config: CacheConfig,
             misses, cold = set_profile.stats_pair(config)
     else:
         misses, cold = _simulate_runs(stream.run_lines, config)
+    return classify_counts(config, stream.total_accesses, misses, cold,
+                           fully_associative_misses)
+
+
+def classify_counts(config: CacheConfig, accesses: int, misses: int,
+                    cold: int, fully_associative_misses: int) -> CacheStats:
+    """The 3C split of ``config``'s miss counts over one stream, given
+    the miss count of the fully-associative LRU cache of the same size
+    and line size over the same stream."""
     capacity = fully_associative_misses - cold
     conflict = misses - fully_associative_misses
     if conflict < 0:
@@ -71,7 +83,7 @@ def classify_misses(trace, config: CacheConfig,
         conflict = 0
     return CacheStats(
         config=config,
-        accesses=stream.total_accesses,
+        accesses=accesses,
         misses=misses,
         cold_misses=cold,
         capacity_misses=capacity,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from ..core.cache import CacheConfig
 from ..core.sweep import PAPER_CACHE_SIZES
 from ..pipeline.renderer import check_raster
 from ..raster.order import TraversalOrder, make_order
@@ -146,6 +147,11 @@ class ExperimentSpec:
                 raise ValueError(f"unknown scene {scene!r}")
         for layout in self.layouts:
             layout_from_spec(layout)  # validates eagerly
+        # So does every cache cell: a bad one fails before any render.
+        for size in self.cache_sizes:
+            for line_size in self.line_sizes:
+                for assoc in self.assocs:
+                    CacheConfig(int(size), int(line_size), assoc)
         check_raster(self.raster)
 
     def trace_spec(self, scene: str, order) -> TraceSpec:

@@ -47,7 +47,7 @@ from ..core.cache import (
     collapse_consecutive,
     to_lines,
 )
-from ..core.classify import classify_misses
+from ..core.classify import classify_counts
 from ..core.kernels import (
     PartialSetProfile,
     per_set_distances,
@@ -372,11 +372,7 @@ def classify_streamed(streams: StreamedProfiles,
     streams.prefetch([(config.line_size, 1),
                       (config.line_size, config.n_sets)])
     profile = streams.profile(config.line_size)
-    set_profile = streams.set_profile(config.line_size, config.n_sets)
-    # classify_misses only needs the stream for its access count; the
-    # profiles carry everything else.
-    stub = LineStream(line_size=config.line_size,
-                      run_lines=np.empty(0, dtype=np.int64),
-                      total_accesses=profile.total_accesses)
-    return classify_misses(stub, config, profile=profile,
-                           set_profile=set_profile)
+    misses, cold = streams.set_profile(
+        config.line_size, config.n_sets).stats_pair(config)
+    return classify_counts(config, profile.total_accesses, misses, cold,
+                           profile.misses_at(config.n_lines))

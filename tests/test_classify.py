@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.cache import CacheConfig, LineStream
-from repro.core.classify import classify_misses
+from repro.core.classify import classify_counts, classify_misses
 from repro.core.stackdist import DistanceProfile
 
 
@@ -92,3 +92,13 @@ class TestClassifyMisses:
         b = classify_misses(addresses, config)
         assert (a.misses, a.cold_misses, a.capacity_misses, a.conflict_misses) == \
                (b.misses, b.cold_misses, b.capacity_misses, b.conflict_misses)
+
+    def test_counts_rule_folds_negative_conflict_into_capacity(self):
+        # 2-way LRU with fewer misses than fully-associative LRU of the
+        # same size: the rule clamps conflict at zero and keeps the sum.
+        config = CacheConfig(size=1024, line_size=32, assoc=2)
+        stats = classify_counts(config, accesses=1000, misses=90, cold=40,
+                                fully_associative_misses=100)
+        assert (stats.cold_misses, stats.capacity_misses,
+                stats.conflict_misses) == (40, 50, 0)
+        assert stats.accesses == 1000 and stats.misses == 90

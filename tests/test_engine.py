@@ -1,5 +1,6 @@
 """Tests for the shared experiment engine (repro.engine)."""
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from repro.engine import (
     ArtifactStore,
     Engine,
     ExperimentSpec,
+    StoredTraceStreams,
     TraceSpec,
     addresses_payload,
     fingerprint,
@@ -135,25 +137,36 @@ class TestTraceSaveLoad:
         assert_traces_equal(trace, TexelTrace.load(path))
 
 
+#: The figure/table benches that run their grids through Engine.run.
+FIGURE_BENCHES = ("bench_fig_5_2", "bench_fig_5_4", "bench_fig_5_5",
+                  "bench_fig_5_6", "bench_fig_5_7", "bench_fig_6_2",
+                  "bench_fig_6_4", "bench_table_7_1")
+
+
 class TestWarmHarness:
-    def test_fig_5_2_second_run_renders_nothing(self, tmp_path):
-        import bench_fig_5_2
+    @pytest.mark.parametrize("bench", FIGURE_BENCHES)
+    def test_second_run_serves_from_store(self, bench, tmp_path, monkeypatch):
         from paperbench import SceneBank
 
-        cold_bank = SceneBank(scale=0.1, store=ArtifactStore(tmp_path))
-        cold_curves, cold_colds = bench_fig_5_2.measure(cold_bank)
+        measure = importlib.import_module(bench).measure
+        cold = measure(SceneBank(scale=0.05, store=ArtifactStore(tmp_path)))
         before = render_calls()
 
-        warm_bank = SceneBank(scale=0.1, store=ArtifactStore(tmp_path))
-        warm_curves, warm_colds = bench_fig_5_2.measure(warm_bank)
+        calls = []
+        for owner, name in ((ArtifactStore, "load_addresses"),
+                            (StoredTraceStreams, "_compute")):
+            def spy(*args, _original=getattr(owner, name), _name=name,
+                    **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+
+        warm_bank = SceneBank(scale=0.05, store=ArtifactStore(tmp_path))
+        warm = measure(warm_bank)
         assert render_calls() == before
         assert not warm_bank.engine._scenes
-
-        assert cold_curves.keys() == warm_curves.keys()
-        for key in cold_curves:
-            np.testing.assert_array_equal(cold_curves[key].miss_rates,
-                                          warm_curves[key].miss_rates)
-        assert cold_colds == warm_colds
+        assert calls == []
+        assert warm == cold
 
 
 class TestExperimentRunner:
@@ -217,6 +230,16 @@ class TestSpecValidation:
             scenes=("goblet",), orders=("paper", ("horizontal",)),
             layouts=(("nonblocked",),), scale=0.1)
         assert len(experiment.trace_specs()) == 1
+
+    def test_invalid_cache_cell_rejected_before_rendering(self):
+        # 1000 B is no multiple of a 16 B line: the spec refuses it
+        # before anything renders or stores.
+        before = render_calls()
+        with pytest.raises(ValueError, match="multiple of line_size"):
+            ExperimentSpec(scenes=("goblet",), layouts=(("nonblocked",),),
+                           cache_sizes=(1000,),
+                           line_sizes=(16, 32, 64, 128, 256), scale=0.05)
+        assert render_calls() == before
 
 
 class TestAddressMapper:
