@@ -16,16 +16,16 @@ match and stale data self-invalidates.  Four artifact kinds exist:
 ``traces/``
     Rendered :class:`~repro.pipeline.trace.TexelTrace` streams stored
     as a *part list*: ``<digest>.pNNNNN.npz`` part files (one
-    :class:`~repro.pipeline.trace.FragmentBlock` each, via
-    :mod:`repro.pipeline.traceio`) and a ``.json`` sidecar listing
-    every part's integrity envelope in stream order, plus the render
-    counters and the human-readable key.  Parts are written and read
-    one block at a time, so traces larger than RAM round-trip through
-    the store.  A trace saved from RAM is cut at
-    :data:`DEFAULT_CHUNK_SIZE` accesses and deflated; a streamed render
-    writes stored (deflate-free) parts.  A trace sidecar without a part
-    list (the older single-archive format) fails verification as
-    legacy.
+    :class:`~repro.pipeline.trace.FragmentBlock` each, in the one
+    :mod:`repro.pipeline.traceio` encoding, one row per filter quad)
+    and a ``.json`` sidecar listing every part's integrity envelope in
+    stream order, plus the render counters and the human-readable key.
+    Parts are written and read one block at a time, so traces larger
+    than RAM round-trip through the store.  A trace saved from RAM is
+    cut at :data:`DEFAULT_CHUNK_SIZE` accesses; a streamed render
+    writes its blocks as they come.  :func:`part_name` is the one
+    owner of part file names.  A trace sidecar without a part list
+    (the older single-archive format) fails verification as legacy.
 ``addresses/``
     Per-layout byte-address streams (``.npy``).
 ``profiles/``
@@ -145,15 +145,17 @@ TORN_GRACE_S = 60.0
 LOCK_TIMEOUT_S = 300.0
 LOCK_POLL_S = 0.05
 
-#: Default block bound in texel accesses (~8 MB of trace columns): the
-#: part size :meth:`ArtifactStore.save_render` cuts in-RAM traces into,
-#: and the streaming fold's default chunk size.
+#: Default block bound in texel accesses (~21 MB of trace columns in
+#: RAM, at 21 bytes an access without positions): the part size
+#: :meth:`ArtifactStore.save_render` cuts in-RAM traces into, and the
+#: streaming fold's default chunk size.
 DEFAULT_CHUNK_SIZE = 1 << 20
 
-#: Trace part files: ``<digest>.pNNNNN.npz`` (the stem a
-#: ``Path`` reports is ``<digest>.pNNNNN``).  Parts are only artifacts
-#: through the sidecar that lists them; a part no sidecar claims is
-#: litter, like a stale ``*.tmp*``.
+#: Trace part files: ``<digest>.pNNNNN.npz`` (built by
+#: :func:`part_name`; the stem a ``Path`` reports is
+#: ``<digest>.pNNNNN``).  Parts are only artifacts through the sidecar
+#: that lists them; a part no sidecar claims is litter, like a stale
+#: ``*.tmp*``.
 _PART_STEM = re.compile(r"^([0-9a-f]{64})\.p(\d+)$")
 
 #: Crash-resume metadata of an interrupted cold fold:
@@ -323,9 +325,9 @@ def _profile_writer(profile: DistanceProfile, geometry: tuple):
     """Writer of a profile payload: ``counts`` plus ``meta`` =
     ``geometry`` (``(line_size, n_sets)`` for a ``set_profiles/``
     payload, empty for a ``profiles/`` one) then ``(cold,
-    duplicate_hits)``.  Stored (uncompressed) npz, like the chunked
-    parts: the envelope digest already guards integrity, and skipping
-    deflate keeps both publish and warm load IO-bound."""
+    duplicate_hits)``.  Stored (uncompressed) npz: the envelope digest
+    already guards integrity, and skipping deflate keeps both publish
+    and warm load IO-bound."""
     meta = np.array([*geometry, profile.cold, profile.duplicate_hits],
                     dtype=np.int64)
     return lambda temp: np.savez(temp, counts=profile.counts, meta=meta)
@@ -348,18 +350,19 @@ def _decode_profile(path: Path, payload: dict) -> SetDistanceProfile:
         cold=int(cold), duplicate_hits=int(duplicate_hits))
 
 
+def part_name(digest: str, index: int) -> str:
+    """File name of part ``index`` of the trace ``digest``:
+    ``<digest>.pNNNNN.npz`` (at least five digits)."""
+    return f"{digest}.p{int(index):05d}.npz"
+
+
 def load_part_block(root, name: str, index: int) -> FragmentBlock:
     """Deserialize one trace part file into a
     :class:`~repro.pipeline.trace.FragmentBlock` -- the loader shared
     by :class:`ChunkedRenderReader` and the pipelined ``fold`` jobs
     (which name their parts instead of reading a sidecar)."""
-    trace = traceio.load_trace(str(Path(root) / "traces" / name))
     return FragmentBlock(
-        texture_id=trace.texture_id, level=trace.level,
-        tu=trace.tu, tv=trace.tv,
-        tu_raw=trace.tu_raw, tv_raw=trace.tv_raw,
-        kind=trace.kind, n_fragments=trace.n_fragments,
-        x=trace.x, y=trace.y, index=index)
+        **traceio.load_columns(Path(root) / "traces" / name), index=index)
 
 
 def _is_stale(path: Path, grace_s: float = TORN_GRACE_S) -> bool:
@@ -663,8 +666,7 @@ class ArtifactStore:
                 n_triangles_submitted=reader.n_triangles_submitted,
                 n_triangles_rasterized=reader.n_triangles_rasterized,
             )
-        except (ValueError, OSError, KeyError, TypeError,
-                zipfile.BadZipFile) as fault:
+        except (ValueError, OSError, KeyError, TypeError) as fault:
             self.quarantine("traces", digest,
                             f"undecodable trace artifact ({fault!r})")
             return None
@@ -677,18 +679,15 @@ class ArtifactStore:
     def save_render(self, spec: TraceSpec, result: RenderResult) -> Path:
         """Store ``result``'s trace as a part list cut at
         :data:`DEFAULT_CHUNK_SIZE` accesses, unless the store already
-        holds the trace.  Parts written from RAM are deflated: unlike a
-        streamed fold's, their encode time is small next to the render,
-        and they take about 1/70 of the space of stored parts.  Callers
-        hold the trace's single-flight lock.  Returns the sidecar
-        path."""
+        holds the trace.  Callers hold the trace's single-flight lock.
+        Returns the sidecar path."""
         sidecar = self._path("traces", fingerprint(spec.payload()), ".json")
         if self.open_render_blocks(spec) is not None:
             # Every writer stores the same stream, though perhaps cut
             # differently; rewriting the parts would change what a
             # reader that already verified them goes on to read.
             return sidecar
-        writer = self.open_render_writer(spec, compress=True)
+        writer = self.open_render_writer(spec)
         for block in iter_blocks(result.trace, DEFAULT_CHUNK_SIZE):
             writer.append(block)
         writer.finish({
@@ -700,8 +699,8 @@ class ArtifactStore:
 
     # -- trace parts -----------------------------------------------------
 
-    def open_render_writer(self, spec: TraceSpec, part_base: int = 0,
-                           compress: bool = False) -> "ChunkedRenderWriter":
+    def open_render_writer(self, spec: TraceSpec,
+                           part_base: int = 0) -> "ChunkedRenderWriter":
         """A :class:`ChunkedRenderWriter` that persists ``spec``'s
         render one :class:`~repro.pipeline.trace.FragmentBlock` at a
         time; peak store-side memory is one block.  ``part_base``
@@ -709,10 +708,8 @@ class ArtifactStore:
         pipelined range) can stream the same trace without colliding;
         :mod:`~repro.engine.pipelined` then publishes one sidecar
         listing every range's parts under the names their writers gave
-        them (:meth:`publish_chunked_sidecar`).  ``compress`` deflates
-        the parts (:meth:`save_render`); streamed parts are stored."""
-        return ChunkedRenderWriter(self, spec, part_base=part_base,
-                                   compress=compress)
+        them (:meth:`publish_chunked_sidecar`)."""
+        return ChunkedRenderWriter(self, spec, part_base=part_base)
 
     def publish_chunked_sidecar(self, spec: TraceSpec, parts: list,
                                 counters: dict) -> bool:
@@ -1184,17 +1181,16 @@ class ChunkedRenderWriter:
     :meth:`ArtifactStore.repair` once stale.  On a demoted store every
     method is a no-op and :meth:`finish` returns ``False``; if any
     single part fails to publish, the sidecar is withheld so a partial
-    trace can never verify as complete.  ``compress`` selects deflated
-    parts over stored ones.
+    trace can never verify as complete.  A block that breaks the trace
+    encoding's 2x2 quads raises ``ValueError`` and publishes no part.
     """
 
     def __init__(self, store: ArtifactStore, spec: TraceSpec,
-                 part_base: int = 0, compress: bool = False):
+                 part_base: int = 0):
         self._store = store
         self._spec = spec
         self._digest = fingerprint(spec.payload())
         self._part_base = int(part_base)
-        self._compress = bool(compress)
         self._parts = []
         self._has_positions = False
         self._complete = True
@@ -1205,17 +1201,11 @@ class ChunkedRenderWriter:
         if self._finished:
             raise StoreError("ChunkedRenderWriter already finished")
         store = self._store
-        index = self._part_base + len(self._parts)
-        path = store._path(
-            "traces", self._digest,
-            f".p{index:0{traceio.PART_DIGITS}d}.npz")
+        path = store.root / "traces" / part_name(
+            self._digest, self._part_base + len(self._parts))
 
         def publish():
-            # The part's integrity lives in its envelope digest, not the
-            # container; skipping deflate roughly triples cold streamed
-            # throughput on trace-bound scenes.
-            _atomic_write(path, lambda temp: traceio.save_trace(
-                temp, block, compress=self._compress))
+            _atomic_write(path, lambda temp: traceio.save_trace(temp, block))
         if not store._guarded_write(publish):
             self._complete = False
             return

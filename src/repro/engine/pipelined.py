@@ -125,9 +125,8 @@ from queue import Empty
 import numpy as np
 
 from ..core.kernels import PartialSetProfile
-from ..pipeline import traceio
 from . import faults
-from .artifacts import ArtifactStore, fingerprint, load_part_block
+from .artifacts import ArtifactStore, fingerprint, load_part_block, part_name
 from .streaming import _cached_placements, _fold_blocks, _render_blocks
 
 #: Part-index stride between ranges: range ``i`` writes parts
@@ -1029,9 +1028,8 @@ def _load_resume(store, spec) -> tuple:
         names = [entry.get("name") for entry in envelopes
                  if isinstance(entry, dict)] \
             if isinstance(envelopes, list) else []
-        expected = [
-            f"{digest}.p{index * PART_STRIDE + seq:0{traceio.PART_DIGITS}d}"
-            f".npz" for seq in range(len(names))]
+        expected = [part_name(digest, index * PART_STRIDE + seq)
+                    for seq in range(len(names))]
         try:
             shape = (int(record["n_ranges"]), int(record["chunk_size"]))
             stride = int(record["part_stride"])

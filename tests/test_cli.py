@@ -46,6 +46,16 @@ class TestRender:
         with open(out_path, "rb") as handle:
             assert handle.read(2) == b"P6"
 
+    def test_save_trace_writes_the_path_given(self, tmp_path, capsys):
+        from repro.pipeline.trace import TexelTrace
+
+        path = tmp_path / "frame.trace"
+        assert main(["render", "goblet", "--scale", "0.05",
+                     "--save-trace", str(path)]) == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert TexelTrace.load(str(path)).n_accesses > 0
+
     def test_render_orders(self, capsys):
         for order in ("horizontal", "vertical", "tiled", "hilbert"):
             assert main(["render", "goblet", "--scale", "0.1",

@@ -91,24 +91,37 @@ class TestChunkedStore:
         assert np.array_equal(loaded.trace.kind, result.trace.kind)
         assert loaded.n_triangles_rasterized == result.n_triangles_rasterized
 
-    def test_parts_from_ram_deflate_and_streamed_parts_store(self, stores):
-        # Both paths write part lists; only the encoding differs.
+    def test_ram_and_streamed_parts_share_one_encoding(self, stores):
+        # Both writers store deflated quad archives (one row per 2x2
+        # filter quad) that decode to the in-RAM trace.
         import zipfile
+
+        from repro.pipeline.traceio import load_trace
 
         ram_store, st_store = stores
         spec = town_spec()
-        Engine(store=ram_store).render(spec)
+        trace = Engine(store=ram_store).render(spec).trace
         StreamedProfiles(st_store, spec, LAYOUT, chunk_size=4096).prefetch(
             [(64, 1)])
-        for store, encoding in ((ram_store, zipfile.ZIP_DEFLATED),
-                                (st_store, zipfile.ZIP_STORED)):
+        quad_rows = {name + ".npy" for name in (
+            "texture_id", "level", "kind", "i0", "j0", "tu", "tv", "meta")}
+        for store in stores:
             reader = store.open_render_blocks(spec)
             assert reader is not None
-            for entry in reader.parts:
-                with zipfile.ZipFile(store.root / "traces" /
-                                     entry["name"]) as archive:
+            paths = [store.root / "traces" / entry["name"]
+                     for entry in reader.parts]
+            for path in paths:
+                with zipfile.ZipFile(path) as archive:
                     assert {info.compress_type for info in
-                            archive.infolist()} == {encoding}
+                            archive.infolist()} == {zipfile.ZIP_DEFLATED}
+                    assert set(archive.namelist()) == quad_rows
+            rebuilt = concat_blocks(load_trace(path) for path in paths)
+            for column in ("texture_id", "level", "tu", "tv",
+                           "tu_raw", "tv_raw", "kind"):
+                got, want = getattr(rebuilt, column), getattr(trace, column)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        assert len(st_store.open_render_blocks(spec).parts) > 1
 
     def test_orphaned_parts_are_litter_not_corruption(self, stores):
         _, store = stores

@@ -1,14 +1,20 @@
 """Tests for trace persistence and render-to-texture."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import CacheConfig, LRUCache
-from repro.pipeline.renderer import Renderer
-from repro.pipeline.traceio import load_trace, save_trace
+from repro.engine import ArtifactStore, TraceSpec
+from repro.pipeline.renderer import RASTER_PATHS, Renderer
+from repro.pipeline.trace import FragmentBlock
+from repro.pipeline.traceio import FORMAT_VERSION, load_trace, save_trace
 from repro.raster.framebuffer import Framebuffer
+from repro.raster.order import make_order
 from repro.texture.rendertarget import (
     flush_for_texture_update,
     framebuffer_to_texture,
@@ -19,6 +25,48 @@ from tests.test_renderer import tiny_scene
 @pytest.fixture(scope="module")
 def rendered():
     return Renderer(produce_image=False, record_positions=True).render(tiny_scene())
+
+
+COLUMNS = ("texture_id", "level", "tu", "tv", "tu_raw", "tv_raw", "kind",
+           "x", "y")
+
+#: Every traversal order, sized for the 64x64 tiny scene.
+ORDERS = {"horizontal": {}, "vertical": {}, "tiled": {"tile_w": 4},
+          "hilbert": {"order_bits": 6}}
+
+
+def assert_same_trace(got, want):
+    assert got.n_fragments == want.n_fragments
+    for column in COLUMNS:
+        expected = getattr(want, column)
+        value = getattr(got, column)
+        if expected is None:
+            assert value is None, column
+        else:
+            assert value.dtype == expected.dtype, column
+            assert np.array_equal(value, expected), column
+
+
+def rewrite_archive(path, edit):
+    """Re-save the archive at ``path`` after ``edit(members)``."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    edit(members)
+    np.savez(path, **members)
+
+
+def wrong_version(members):
+    members["meta"][0] = FORMAT_VERSION - 1
+
+
+def broken_slice(trace):
+    return trace.slice(2, 2 + 4 * 100)
+
+
+def broken_tu_raw(trace):
+    tu_raw = trace.tu_raw.copy()
+    tu_raw[5] += 1
+    return dataclasses.replace(trace, tu_raw=tu_raw)
 
 
 class TestTraceIO:
@@ -56,6 +104,62 @@ class TestTraceIO:
         np.savez(path, stuff=np.arange(3))
         with pytest.raises(ValueError):
             load_trace(path)
+
+    @given(order=st.sampled_from(sorted(ORDERS)),
+           max_anisotropy=st.sampled_from((1, 2, 4)),
+           use_mipmaps=st.booleans(),
+           lod_bias=st.floats(-2.0, 2.0),
+           record_positions=st.booleans(),
+           raster=st.sampled_from(RASTER_PATHS),
+           camera_z=st.sampled_from((1.0, 3.0, 8.0)))
+    @settings(max_examples=25, deadline=None)
+    def test_codec_round_trips_every_render(
+            self, tmp_path_factory, order, max_anisotropy, use_mipmaps,
+            lod_bias, record_positions, raster, camera_z):
+        trace = Renderer(
+            order=make_order(order, **ORDERS[order]), produce_image=False,
+            record_positions=record_positions,
+            max_anisotropy=max_anisotropy, lod_bias=lod_bias,
+            use_mipmaps=use_mipmaps, raster=raster,
+        ).render(tiny_scene(camera_z=camera_z)).trace
+        path = tmp_path_factory.mktemp("codec") / "frame.trace.npz"
+        save_trace(path, trace)
+        assert_same_trace(load_trace(path), trace)
+
+    @pytest.mark.parametrize("edit", [
+        lambda members: members.pop("kind"),
+        lambda members: members.pop("x"),
+        wrong_version,
+        lambda members: members.update(j0=members["j0"][:-1]),
+        lambda members: members.update(tu=members["tu"].reshape(-1)),
+        lambda members: members.update(meta=members["meta"][:2]),
+    ], ids=["missing-column", "missing-x", "wrong-version",
+            "unequal-length", "wrong-shape", "malformed-meta"])
+    def test_rejects_malformed_file(self, rendered, tmp_path, edit):
+        path = tmp_path / "frame.npz"
+        save_trace(path, rendered.trace)
+        rewrite_archive(path, edit)
+        with pytest.raises(ValueError):
+            load_trace(path)
+
+    @pytest.mark.parametrize("breakage", [broken_slice, broken_tu_raw],
+                             ids=["slice-mid-quad", "changed-tu_raw"])
+    def test_refuses_traces_that_are_not_filter_quads(
+            self, rendered, tmp_path, breakage):
+        broken = breakage(rendered.trace)
+        assert broken.n_accesses % 4 == 0
+        with pytest.raises(ValueError):
+            save_trace(tmp_path / "frame.npz", broken)
+        store = ArtifactStore(tmp_path / "store")
+        writer = store.open_render_writer(
+            TraceSpec(scene="goblet", scale=0.05, order=("horizontal",)))
+        block = FragmentBlock(**{column: getattr(broken, column)
+                                 for column in COLUMNS},
+                              n_fragments=broken.n_fragments)
+        with pytest.raises(ValueError):
+            writer.append(block)
+        assert not any((tmp_path / "store").rglob("*.npz*"))
+        assert writer.finish_parts()[0] == []
 
 
 class TestFramebufferToTexture:
