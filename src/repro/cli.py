@@ -177,6 +177,13 @@ def _print_recovery(stream_report, store=None) -> None:
             print(f"  store: {event}")
 
 
+def _print_audit(report) -> None:
+    """One line per passed streamed spot audit (a failed one raises)."""
+    print(f"audit: {len(report.parts)}/{report.n_parts} parts vs "
+          f"the sequential oracle, {len(report.pairs)} pair(s), "
+          f"{report.accesses:,} accesses checked -- OK")
+
+
 def _render(args) -> int:
     engine = Engine()
     spec = _trace_spec(args)
@@ -224,12 +231,9 @@ def _simulate(args) -> int:
                                   stream_workers=args.stream_workers)
         stats = classify_streamed(streams, config)
         if args.audit_parts:
-            report = streams.audit([(config.line_size, 1),
-                                    (config.line_size, config.n_sets)],
-                                   parts=args.audit_parts)
-            print(f"audit: {len(report.parts)}/{report.n_parts} parts vs "
-                  f"the sequential oracle, {len(report.pairs)} pair(s), "
-                  f"{report.accesses:,} accesses checked -- OK")
+            _print_audit(streams.audit([(config.line_size, 1),
+                                        (config.line_size, config.n_sets)],
+                                       parts=args.audit_parts))
     elif args.audit_parts:
         print("error: --audit-parts requires streaming "
               "(--chunk-size/--stream-workers)", file=sys.stderr)
@@ -303,6 +307,8 @@ def _sweep(args) -> int:
                            title=f"{args.scene}, {layout_name}, "
                                  f"{args.cache_size // 1024}KB, "
                                  f"{args.line_size}B lines"))
+    for report in result.audit_reports:
+        _print_audit(report)
     _print_recovery(result.stream_report, engine.store)
     return 0
 

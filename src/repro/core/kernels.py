@@ -33,10 +33,32 @@ merged order is exactly its dominance contribution -- cumsum and index
 arithmetic only, no per-element Python anywhere (see
 :func:`dominance_counts`).
 
+Texture filters re-read the quads their neighbours just read, so most
+reuse windows ``w(i) = i - prev(i)`` are a few accesses long.  Written
+as ``distance(i) = w(i) - G(i)`` with ``G(i) = #{j < i : prev(j) >
+prev(i)}`` (the reuse intervals nested in i's), the dominance count
+only needs the *long* windows (see :func:`_warm_distances`):
+
+* a short window (``w(i) <= _SHORT_WINDOW``) holds at most
+  ``_SHORT_WINDOW - 2`` positions that can nest (``prev(i) + 1`` never
+  does), so ``G(i)`` is that many shifted comparisons;
+* a short ``j`` with ``prev(j) <= prev(i)`` ends before a long ``i``
+  (``j <= prev(j) + _SHORT_WINDOW < i``), so the short intervals
+  nested in a long one are two cumsums, and only the long
+  subsequence, rank-compressed, goes through :func:`dominance_counts`.
+
+On the paper scenes 59-86% of the windows are short; a stream with
+no such locality (uniform random lines) pays up to about 16% more
+than one dominance count over everything.
+
 The same ``F - prev`` identity survives concatenating the per-set
 subsequences: every position in an earlier set's block trivially
 satisfies the dominance condition, and each line address maps to
 exactly one set, so one global pass computes all per-set distances.
+The set partitions nest, too: residue(S') for a multiple S' of S is
+the stable split of residue(S) by the set bits S lacks, re-collapsed,
+so a line size's set counts are built from one another rather than
+each from the whole stream (see :func:`_set_residues`).
 
 The kernels are exact (bit-identical miss / cold / capacity / conflict
 counts versus the reference); :mod:`repro.core.cache` keeps the
@@ -185,14 +207,59 @@ def dominance_counts(prev: np.ndarray) -> np.ndarray:
     return counts
 
 
+#: Reuse windows ``i - prev[i]`` up to this long have their nested
+#: intervals counted by shifted comparisons, outside the dominance
+#: count.  Measured, not tuned per workload: histograms of the paper
+#: grid's residues took 1.3-1.6 s at 4, 0.9-1.2 s at 8 and no less at
+#: 12 or 16, where each step adds a comparison pass.
+_SHORT_WINDOW = 8
+
+
+def _warm_distances(prev: np.ndarray) -> np.ndarray:
+    """``dominance_counts(prev) - prev`` at every warm position (the
+    stack distance there); values at cold positions are unspecified.
+
+    ``distance(i) = w(i) - G(i)`` as the module docstring derives it.
+    Positions before ``prev(i) + 2`` compare false by themselves, so
+    the shifted comparisons need no window mask.  Cold ``j`` never
+    nest in a warm ``i``.  In a long window the short ``j`` nested are
+    ``#{short j < i} - #{short j : prev(j) <= prev(i)}`` and the long
+    ones come from the dominance count over the long subsequence, its
+    distinct ``prev`` values rank-compressed by a cumsum.
+    """
+    prev = np.asarray(prev, dtype=np.int64)
+    n = len(prev)
+    window = np.arange(n, dtype=np.int64) - prev
+    reach = _SHORT_WINDOW - 2
+    padded = np.concatenate([np.full(reach, -1, dtype=np.int64), prev])
+    nested = np.zeros(n, dtype=np.int64)
+    for shift in range(1, reach + 1):
+        nested += padded[reach - shift:reach - shift + n] > prev
+    warm = prev >= 0
+    short = warm & (window <= _SHORT_WINDOW)
+    long_idx = np.flatnonzero(warm & ~short)
+    if len(long_idx):
+        long_prev = prev[long_idx]
+        marks = np.zeros(n, dtype=np.int64)
+        marks[prev[short]] = 1
+        short_nested = (np.cumsum(short)[long_idx] - short[long_idx]
+                        - np.cumsum(marks)[long_prev])
+        marks[:] = 0
+        marks[long_prev] = 1
+        ranks = np.cumsum(marks)[long_prev] - 1
+        nested[long_idx] = (short_nested
+                            + np.arange(len(long_idx), dtype=np.int64)
+                            - dominance_counts(ranks))
+    return window - nested
+
+
 def stack_distances(run_lines: np.ndarray) -> np.ndarray:
     """Vectorized per-access LRU stack distances (:data:`COLD` for
     first touches); exact drop-in for the Fenwick reference
     :func:`repro.core.stackdist.stack_distances`."""
     run_lines = np.asarray(run_lines, dtype=np.int64)
     prev = previous_occurrences(run_lines)
-    counts = dominance_counts(prev)
-    return np.where(prev < 0, np.int64(COLD), counts - prev)
+    return np.where(prev < 0, np.int64(COLD), _warm_distances(prev))
 
 
 def set_partition(run_lines: np.ndarray, n_sets: int) -> np.ndarray:
@@ -213,27 +280,60 @@ def _partition_order(run_lines: np.ndarray, n_sets: int) -> np.ndarray:
     return _argsort_bounded(run_lines % n_sets, n_sets)
 
 
-def _partitioned_prev(run_lines: np.ndarray, n_sets: int,
-                      prev: np.ndarray,
-                      order: np.ndarray = None) -> np.ndarray:
-    """Previous-occurrence indices of the set-partitioned stream,
-    derived from the unpartitioned ``prev`` without a second argsort
-    over line addresses.
+def _split_residue(residue: np.ndarray, prev: np.ndarray, n_sets: int,
+                   factor: int) -> tuple:
+    """``(residue, prev, order, keep)`` for ``n_sets * factor`` sets,
+    from the residue of ``n_sets`` sets and its previous occurrences.
 
-    A line's occurrences all map to one set and the stable partition
-    preserves their relative order, so the partitioned stream's
-    previous occurrence IS the unpartitioned one relocated:
-    ``prev_part[k] = rank[prev[order[k]]]``.
+    A *residue* is the run stream stably partitioned into per-set
+    blocks with each block's consecutive repeats collapsed.  Each
+    ``n_sets`` block splits, stably, into ``factor`` finer sets by
+    ``line // n_sets % factor``; sorting the whole residue by that key
+    leaves the blocks in ``line % (n_sets * factor)`` order, and
+    collapsing the split gives the finer residue (a repeat collapsed
+    in the coarse block is still adjacent in the finer one).  ``prev``
+    relocates instead of being recomputed: a line's occurrences share
+    one set and keep their order, so each finer previous occurrence is
+    the coarse one's collapsed run head.  ``order`` (the stable split)
+    and ``keep`` (the collapse) map the finer residue back onto the
+    input's positions.
     """
-    if order is None:
-        order = _partition_order(run_lines, n_sets)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order), dtype=np.int64)
-    moved = prev[order]
+    order = _argsort_bounded(residue // n_sets % factor, factor)
+    split = residue[order]
+    keep = np.empty(len(split), dtype=bool)
+    keep[:1] = True
+    np.not_equal(split[1:], split[:-1], out=keep[1:])
+    head = np.empty(len(split), dtype=np.int64)
+    head[order] = np.cumsum(keep) - 1
+    moved = prev[order[keep]]
     warm = moved >= 0
-    out = np.full(len(order), -1, dtype=np.int64)
-    out[warm] = rank[moved[warm]]
-    return out
+    moved[warm] = head[moved[warm]]
+    return split[keep], moved, order, keep
+
+
+def _set_residues(run_lines: np.ndarray, prev: np.ndarray,
+                  set_counts) -> dict:
+    """``{n_sets: (residue, prev)}`` for every count in ``set_counts``,
+    the counts built in ascending order, each from the largest count
+    already built that divides it (the run stream itself is the
+    one-set residue, and 1 divides everything)."""
+    residues = {1: (run_lines, prev)}
+    for n_sets in sorted(set(set_counts)):
+        if n_sets not in residues:
+            parent = max(built for built in residues if n_sets % built == 0)
+            residues[n_sets] = _split_residue(
+                *residues[parent], parent, n_sets // parent)[:2]
+    return {n_sets: residues[n_sets] for n_sets in set_counts}
+
+
+def _fold_mru_hits(counts: np.ndarray, mru_hits: int) -> np.ndarray:
+    """A residue's histogram with the ``mru_hits`` accesses its
+    collapse removed folded back in at distance 1."""
+    if mru_hits:
+        if len(counts) < 2:
+            counts = np.zeros(2, dtype=np.int64)
+        counts[1] += mru_hits
+    return counts
 
 
 def set_distance_histogram(run_lines: np.ndarray, n_sets: int,
@@ -242,44 +342,38 @@ def set_distance_histogram(run_lines: np.ndarray, n_sets: int,
     collapsed run stream: ``counts[d]`` is the number of accesses at
     per-set distance ``d`` (aggregated over sets), ``cold`` the number
     of first touches.  Lines never span sets, so one concatenated pass
-    computes every set's distances at once.
+    over the set-partitioned stream computes every set's distances.
 
     MRU short-circuit: an access whose set-partitioned predecessor is
     the same line sits at the top of its set's LRU stack -- per-set
     distance exactly 1 -- and re-touching the MRU line leaves the
-    stack untouched, so collapsing those runs *before* the dominance
-    count changes no other access's distance.  Texture streams are
-    dominated by such immediate re-references once a set's worth of
-    interleaving is removed (85-99% of the partitioned stream on the
-    paper scenes), so the n-log-n dominance core runs over a small
-    residue instead of the full stream.
+    stack untouched, so collapsing those runs *before* counting
+    changes no other access's distance.  The collapsed residue (see
+    :func:`_split_residue`) never holds adjacent equal lines, so its
+    warm distances are all >= 2 and folding the collapsed hits back
+    in at distance 1 reproduces the full histogram exactly.  With
+    ``n_sets > 1`` this is the one-level case of the nested residues
+    :meth:`PartialSetProfile.from_runs` builds per line size.
 
     ``prev`` optionally supplies :func:`previous_occurrences` of the
     *unpartitioned* stream so grid sweeps (many ``n_sets``, one
     stream) pay for that argsort once.
     """
     run_lines = np.asarray(run_lines, dtype=np.int64)
-    if n_sets <= 1:
-        if prev is None:
-            prev = previous_occurrences(run_lines)
-        seq_prev = prev
-        mru_hits = 0
-    else:
-        partitioned = run_lines[_partition_order(run_lines, n_sets)]
-        reduced, mru_hits = collapse_consecutive(partitioned)
-        seq_prev = previous_occurrences(reduced)
-    warm = seq_prev >= 0
-    distances = dominance_counts(seq_prev)[warm] - seq_prev[warm]
-    if len(distances) or mru_hits:
-        # The residue never holds adjacent equal lines, so its warm
-        # distances are all >= 2 and folding the collapsed distance-1
-        # hits back in reproduces the unreduced histogram exactly.
+    if prev is None:
+        prev = previous_occurrences(run_lines)
+    if n_sets > 1:
+        residue, residue_prev, _, _ = _split_residue(run_lines, prev, 1,
+                                                     n_sets)
+        counts, cold = set_distance_histogram(residue, 1, prev=residue_prev)
+        return _fold_mru_hits(counts, len(run_lines) - len(residue)), cold
+    warm = prev >= 0
+    distances = _warm_distances(prev)[warm]
+    if len(distances):
         counts = np.bincount(distances, minlength=2)
-        counts[1] += mru_hits
     else:
         counts = np.zeros(1, dtype=np.int64)
-    cold = len(run_lines) - int(warm.sum()) - int(mru_hits)
-    return counts.astype(np.int64, copy=False), cold
+    return counts.astype(np.int64, copy=False), len(run_lines) - len(distances)
 
 
 def per_set_distances(run_lines: np.ndarray, n_sets: int,
@@ -300,22 +394,13 @@ def per_set_distances(run_lines: np.ndarray, n_sets: int,
         prev = previous_occurrences(run_lines)
     cold = prev < 0
     if n_sets <= 1:
-        return dominance_counts(prev) - prev, cold
-    order = _partition_order(run_lines, n_sets)
-    partitioned = run_lines[order]
-    # MRU short-circuit (see set_distance_histogram): an access equal
-    # to its set-partitioned predecessor is a distance-1 hit and a
-    # stack no-op, so the dominance core runs over the collapsed
-    # residue only.  First touches always survive the collapse, so
-    # the ``cold`` mask is untouched.
-    keep = np.empty(len(partitioned), dtype=bool)
-    if len(partitioned):
-        keep[0] = True
-        np.not_equal(partitioned[1:], partitioned[:-1], out=keep[1:])
-    reduced = partitioned[keep]
-    seq_prev = previous_occurrences(reduced)
-    part = np.ones(len(partitioned), dtype=np.int64)
-    part[keep] = dominance_counts(seq_prev) - seq_prev
+        return _warm_distances(prev), cold
+    # MRU short-circuit (see set_distance_histogram): the collapsed
+    # repeats are distance-1 hits, and first touches always survive
+    # the collapse, so the ``cold`` mask is untouched.
+    _, residue_prev, order, keep = _split_residue(run_lines, prev, 1, n_sets)
+    part = np.ones(len(run_lines), dtype=np.int64)
+    part[keep] = _warm_distances(residue_prev)
     distances = np.empty(len(run_lines), dtype=np.int64)
     distances[order] = part
     return distances, cold
@@ -596,47 +681,57 @@ class PartialSetProfile:
     def from_lines(cls, lines: np.ndarray, line_size: int,
                    n_sets: int) -> "PartialSetProfile":
         """State of one raw (uncollapsed) line-address block."""
-        if n_sets < 1:
-            raise ValueError("n_sets must be at least 1")
         lines = np.asarray(lines, dtype=np.int64).ravel()
         if len(lines) == 0:
             return cls.empty(line_size, n_sets)
         run_lines, duplicate_hits = collapse_consecutive(lines)
         return cls.from_runs(run_lines, previous_occurrences(run_lines),
-                             duplicate_hits, len(lines), line_size, n_sets)
+                             duplicate_hits, len(lines), line_size,
+                             (n_sets,))[n_sets]
 
     @classmethod
     def from_runs(cls, run_lines: np.ndarray, prev: np.ndarray,
                   duplicate_hits: int, total_accesses: int,
-                  line_size: int, n_sets: int) -> "PartialSetProfile":
-        """State of one collapsed run stream given its
-        :func:`previous_occurrences`.  The collapse and the prev
-        argsort depend only on the line size, so a fold computing many
-        set counts over one block pays for them once and calls this
-        per ``n_sets`` (:func:`from_lines` is the convenience form)."""
+                  line_size: int, set_counts) -> dict:
+        """``{n_sets: state}`` of one collapsed run stream, given its
+        :func:`previous_occurrences`, for every count in
+        ``set_counts`` (:func:`from_lines` is the one-count form).
+
+        The collapse and the prev argsort depend only on the line size,
+        and so do the block's first and last touches: those are
+        computed once, and only the small per-line arrays are sorted
+        by set per count.  Each count's histogram reads its nested
+        residue (:func:`_set_residues`: every count split from the
+        largest one built that divides it, so counts that do not nest,
+        such as 24 beside 32, still start from the one-set stream) as
+        one stream, plus the repeats its collapse removed.
+        """
+        if any(n_sets < 1 for n_sets in set_counts):
+            raise ValueError("n_sets must be at least 1")
         if len(run_lines) == 0:
-            return cls.empty(line_size, n_sets)
-        counts, _ = set_distance_histogram(run_lines, n_sets, prev=prev)
-        n = len(run_lines)
-        if n_sets > 1:
-            sets = run_lines % n_sets
-        else:
-            sets = np.zeros(n, dtype=np.int64)
-        open_idx = np.flatnonzero(prev < 0)
-        open_order = open_idx[_argsort_bounded(sets[open_idx], n_sets)]
-        last_mask = np.ones(n, dtype=bool)
-        last_mask[prev[prev >= 0]] = False
-        last_idx = np.flatnonzero(last_mask)[::-1]  # MRU first
-        stack_order = last_idx[_argsort_bounded(sets[last_idx], n_sets)]
-        return cls(line_size=line_size, n_sets=n_sets,
-                   counts=counts.astype(np.int64, copy=False),
-                   duplicate_hits=duplicate_hits,
-                   total_accesses=total_accesses,
-                   stack_lines=run_lines[stack_order],
-                   open_lines=run_lines[open_order],
-                   offsets=_set_offsets(sets[open_idx], n_sets),
-                   first_line=int(run_lines[0]),
-                   last_line=int(run_lines[-1]))
+            return {n_sets: cls.empty(line_size, n_sets)
+                    for n_sets in set_counts}
+        open_lines = run_lines[prev < 0]
+        last = np.ones(len(run_lines), dtype=bool)
+        last[prev[prev >= 0]] = False
+        last_lines = run_lines[last][::-1]  # MRU first
+        states = {}
+        residues = _set_residues(run_lines, prev, set_counts)
+        for n_sets, (residue, residue_prev) in residues.items():
+            counts, _ = set_distance_histogram(residue, 1, prev=residue_prev)
+            open_sets = open_lines % n_sets
+            states[n_sets] = cls(
+                line_size=line_size, n_sets=n_sets,
+                counts=_fold_mru_hits(counts, len(run_lines) - len(residue)),
+                duplicate_hits=duplicate_hits,
+                total_accesses=total_accesses,
+                stack_lines=last_lines[_argsort_bounded(last_lines % n_sets,
+                                                        n_sets)],
+                open_lines=open_lines[_argsort_bounded(open_sets, n_sets)],
+                offsets=_set_offsets(open_sets, n_sets),
+                first_line=int(run_lines[0]),
+                last_line=int(run_lines[-1]))
+        return states
 
     @classmethod
     def from_addresses(cls, addresses: np.ndarray, line_size: int,
@@ -672,7 +767,7 @@ class PartialSetProfile:
             # compress (set, depth) keys -- distinct within a set -- and
             # reuse the dominance kernel; earlier sets always dominate,
             # so subtracting each group's start rebases the count per
-            # set (the `_partitioned_prev` trick).
+            # set (the concatenation argument of the module docstring).
             m = len(hit_idx)
             if n_sets > 1:
                 hit_sets = b.open_lines[hit_idx] % n_sets  # ascending
@@ -786,7 +881,7 @@ def sequence_stats(collapsed_segments, config: CacheConfig) -> list:
         segment = segment[order]
     prev = previous_occurrences(joined)
     cold = prev < 0
-    distances = dominance_counts(prev) - prev  # only valid where warm
+    distances = _warm_distances(prev)  # only valid where warm
     miss = cold | (~cold & (distances > config.ways))
 
     n_segments = len(runs)

@@ -121,8 +121,10 @@ def _fold_blocks(pairs, placements, blocks, beat=None) -> dict:
 
 def _fold_block_into(states: dict, addresses: np.ndarray) -> None:
     """Merge one block's addresses into every ``(line_size, n_sets)``
-    partial state, sharing the line reduction, the consecutive-run
-    collapse and the previous-occurrence argsort per line size."""
+    partial state: one line reduction, consecutive-run collapse,
+    previous-occurrence argsort and nested set-count pass
+    (:meth:`~repro.core.kernels.PartialSetProfile.from_runs`) per line
+    size."""
     by_line_size = {}
     for line_size, n_sets in states:
         by_line_size.setdefault(line_size, []).append(n_sets)
@@ -131,12 +133,12 @@ def _fold_block_into(states: dict, addresses: np.ndarray) -> None:
         if len(lines) == 0:
             continue
         run_lines, duplicate_hits = collapse_consecutive(lines)
-        prev = previous_occurrences(run_lines)
-        for n_sets in set_counts:
+        partials = PartialSetProfile.from_runs(
+            run_lines, previous_occurrences(run_lines), duplicate_hits,
+            len(lines), line_size, set_counts)
+        for n_sets, partial in partials.items():
             key = (line_size, n_sets)
-            states[key] = states[key].merge(PartialSetProfile.from_runs(
-                run_lines, prev, duplicate_hits, len(lines),
-                line_size, n_sets))
+            states[key] = states[key].merge(partial)
 
 
 class StreamingAuditError(RuntimeError):

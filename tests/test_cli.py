@@ -116,6 +116,15 @@ class TestSweep:
         assert "2-way" in out
         assert "full" in out
 
+    def test_audit_parts_reports_the_audit(self, capsys):
+        assert main(["sweep", "goblet", "--scale", "0.05",
+                     "--chunk-size", "4096", "--audit-parts", "1"]) == 0
+        audits = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("audit: ")]
+        assert len(audits) == 1
+        assert "parts vs the sequential oracle" in audits[0]
+        assert audits[0].endswith("accesses checked -- OK")
+
 
 class TestParallelAndHierarchy:
     def test_parallel_subcommand(self, capsys):

@@ -4,6 +4,8 @@ reference simulator and the Fenwick stack-distance loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.cache import (
@@ -26,6 +28,7 @@ from repro.core.kernels import (
 )
 from repro.core.stackdist import stack_distances as fenwick_stack_distances
 from repro.engine import ArtifactStore, Engine, TraceSpec, set_profile_payload
+from repro.engine.streaming import _sequential_set_distances
 
 
 def random_lines(seed, n=2000, universe=256):
@@ -111,6 +114,74 @@ class TestStackDistances:
         assert distances[2] == 2 and distances[3] == 2
 
 
+@st.composite
+def planted_windows(draw):
+    """A stream over a small alphabet with reuse windows of planted
+    lengths: each planted line (outside the alphabet, so nothing else
+    re-touches it in between) comes back exactly ``window`` accesses
+    later, at the short-window threshold's edges or far beyond it."""
+    alphabet = draw(st.integers(1, 12))
+    stream = []
+    for index in range(draw(st.integers(0, 6))):
+        window = draw(st.sampled_from([7, 8, 9, 40, 300]))
+        filler = draw(st.lists(st.integers(0, alphabet - 1),
+                               min_size=window - 1, max_size=window - 1))
+        stream += [1000 + index] + filler + [1000 + index]
+        stream += draw(st.lists(st.integers(0, alphabet - 1), max_size=20))
+    return np.asarray(stream, dtype=np.int64)
+
+
+small_alphabet_streams = st.integers(1, 12).flatmap(
+    lambda alphabet: st.lists(st.integers(0, alphabet - 1), max_size=400)
+).map(lambda lines: np.asarray(lines, dtype=np.int64))
+
+
+class TestShortWindowKernel:
+    """The stack distance with short reuse windows resolved outside
+    the dominance count, against the Fenwick and sequential oracles."""
+
+    @given(lines=st.one_of(small_alphabet_streams, planted_windows()))
+    @settings(max_examples=150, deadline=None)
+    def test_stack_distances_match_fenwick(self, lines):
+        np.testing.assert_array_equal(kernels.stack_distances(lines),
+                                      fenwick_stack_distances(lines))
+
+    @given(lines=st.one_of(small_alphabet_streams, planted_windows()),
+           n_sets=st.integers(1, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_per_set_distances_match_sequential(self, lines, n_sets):
+        run_lines, _ = _collapse(lines)
+        distances, cold = kernels.per_set_distances(run_lines, n_sets)
+        reference, reference_cold = _sequential_set_distances(run_lines,
+                                                              n_sets)
+        np.testing.assert_array_equal(cold, reference_cold)
+        np.testing.assert_array_equal(distances[~cold],
+                                      reference[~reference_cold])
+
+    @pytest.mark.parametrize("lines, expected", [
+        ([], []),                                          # empty
+        ([5], [COLD]),                                     # one access
+        (list(range(20)), [COLD] * 20),                    # all cold
+        ([0, 1, 2, 3] * 5, [COLD] * 4 + [4] * 16),         # all short
+        (list(range(12)) * 3, [COLD] * 12 + [12] * 24),    # all long
+        ([3, 1, 3, 2, 1], [COLD, COLD, 2, COLD, 3]),       # under 8
+    ], ids=["empty", "one", "all-cold", "all-short", "all-long",
+            "under-threshold"])
+    def test_edge_streams(self, lines, expected):
+        lines = np.asarray(lines, dtype=np.int64)
+        np.testing.assert_array_equal(kernels.stack_distances(lines),
+                                      expected)
+        np.testing.assert_array_equal(fenwick_stack_distances(lines),
+                                      expected)
+        for n_sets in (1, 3):
+            distances, cold = kernels.per_set_distances(lines, n_sets)
+            reference, reference_cold = _sequential_set_distances(lines,
+                                                                  n_sets)
+            np.testing.assert_array_equal(cold, reference_cold)
+            np.testing.assert_array_equal(distances[~cold],
+                                          reference[~reference_cold])
+
+
 def _collapse(lines):
     keep = np.empty(len(lines), dtype=bool)
     keep[0:1] = True
@@ -128,13 +199,21 @@ class TestSetPartition:
         for s in range(8):
             np.testing.assert_array_equal(part[sets == s], lines[lines % 8 == s])
 
-    def test_partitioned_prev_matches_direct(self):
+    def test_nested_residues_match_direct(self):
+        # Each set count's residue is the set-partitioned stream with
+        # its repeats collapsed, and its relocated prev is the one a
+        # fresh argsort finds -- whether it was split from the one-set
+        # stream or from a coarser residue (24 from 12, 48 from 24).
         lines = random_lines(11, n=800, universe=96)
         prev = previous_occurrences(lines)
-        for n_sets in (2, 4, 16):
-            direct = previous_occurrences(set_partition(lines, n_sets))
-            derived = kernels._partitioned_prev(lines, n_sets, prev)
-            np.testing.assert_array_equal(derived, direct)
+        set_counts = (2, 4, 16, 3, 12, 24, 48)
+        nested = kernels._set_residues(lines, prev, set_counts)
+        for n_sets in set_counts:
+            direct, _ = _collapse(set_partition(lines, n_sets))
+            residue, residue_prev = nested[n_sets]
+            np.testing.assert_array_equal(residue, direct)
+            np.testing.assert_array_equal(residue_prev,
+                                          previous_occurrences(direct))
 
 
 class TestSetDistanceProfile:

@@ -237,6 +237,22 @@ class TestEngineRunStreaming:
             exp, chunk_size=4096)
         assert self.rows(ram) == self.rows(streamed)
 
+    def test_set_counts_that_do_not_nest_match_reference(self, tmp_path):
+        # 3, 4 and 6 KB at 32 B lines, 4-way: 24, 32 and 48 sets.  The
+        # fold builds 48 from 24, and 32 (not a multiple of 24) from
+        # the one-set stream, over several chunks.
+        exp = ExperimentSpec(scenes=("goblet",), layouts=(LAYOUT,),
+                             cache_sizes=(3072, 4096, 6144),
+                             line_sizes=(32,), assocs=(4, None),
+                             scale=SCALE)
+        reference = Engine(store=ArtifactStore(tmp_path / "a")).run(
+            exp, kernel="reference")
+        engine = Engine(store=ArtifactStore(tmp_path / "b"))
+        streamed = engine.run(exp, chunk_size=1024)
+        assert self.rows(streamed) == self.rows(reference)
+        spec = exp.trace_specs()[0]
+        assert len(engine.store.open_render_blocks(spec)) > 2
+
     def test_streaming_rejects_reference_kernel(self, tmp_path):
         exp = ExperimentSpec(scenes=(SCENE,), layouts=(LAYOUT,), scale=SCALE)
         with pytest.raises(ValueError):

@@ -13,8 +13,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import CacheConfig, LineStream, collapse_consecutive
-from repro.core.kernels import PartialSetProfile, SetDistanceProfile
+from repro.core.cache import (
+    CacheConfig,
+    LineStream,
+    LRUCache,
+    collapse_consecutive,
+)
+from repro.core.kernels import (
+    PartialSetProfile,
+    SetDistanceProfile,
+    previous_occurrences,
+)
 from repro.core.sweep import PAPER_ASSOCIATIVITIES, PAPER_LINE_SIZES
 
 lines_strategy = st.lists(st.integers(min_value=0, max_value=63),
@@ -159,3 +168,51 @@ class TestMergeAlgebra:
         assert profile.cold == 2
         # 3's re-access at distance 2 is the only closed distance.
         assert profile.counts.tolist() == [0, 0, 1]
+
+
+#: Set counts one ``from_runs`` call builds together: powers of two
+#: mixed with counts that do not nest in them (24 beside 32, 5 and 10
+#: beside 8), so some counts split from a coarser residue and others
+#: start again from the one-set stream.
+SET_COUNT_MIXES = [(1, 3, 4, 6, 12, 24), (5, 8, 10), (24, 32, 48),
+                   (1, 2, 4, 8, 16, 32, 64)]
+
+
+class TestNestedSetCounts:
+    @given(lines=st.lists(st.integers(0, 160), max_size=400),
+           repeats=st.lists(st.integers(1, 3), max_size=400),
+           set_counts=st.one_of(
+               st.sampled_from(SET_COUNT_MIXES),
+               st.lists(st.integers(1, 48), min_size=1, max_size=6,
+                        unique=True).map(tuple)),
+           line_size=st.sampled_from(PAPER_LINE_SIZES))
+    @settings(max_examples=80, deadline=None)
+    def test_one_call_matches_each_count_alone(self, lines, repeats,
+                                               set_counts, line_size):
+        # Duplicate runs make the raw stream differ from its collapse.
+        repeats = (repeats + [1] * len(lines))[:len(lines)]
+        lines = np.repeat(np.asarray(lines, dtype=np.int64), repeats)
+        runs, duplicate_hits = collapse_consecutive(lines)
+        states = PartialSetProfile.from_runs(
+            runs, previous_occurrences(runs), duplicate_hits, len(lines),
+            line_size, set_counts)
+        assert sorted(states) == sorted(set_counts)
+        for n_sets, state in states.items():
+            assert (state.line_size, state.n_sets) == (line_size, n_sets)
+            assert _states_equal(
+                state, PartialSetProfile.from_lines(lines, line_size, n_sets))
+            profile = state.finalize()
+            for ways in range(1, 9):
+                cache = LRUCache(CacheConfig(n_sets * ways * line_size,
+                                             line_size, ways))
+                for line in lines.tolist():
+                    cache.access(line)
+                assert profile.misses_at(ways) == cache.misses
+                assert profile.cold == cache.cold_misses
+
+    def test_rejects_a_count_below_one(self):
+        import pytest
+        runs = np.array([1, 2, 1], dtype=np.int64)
+        with pytest.raises(ValueError):
+            PartialSetProfile.from_runs(runs, previous_occurrences(runs), 0,
+                                        3, 32, (4, 0))
