@@ -148,7 +148,7 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
 
     from repro.core.cache import CacheConfig
     from repro.core.classify import classify_misses
-    from repro.engine import Engine, classify_streamed, paper_order_spec
+    from repro.engine import Engine, classify_profiles, paper_order_spec
 
     spec = TraceSpec(scene=scene, scale=scale, order=paper_order_spec(scene))
     engine = Engine()
@@ -164,7 +164,7 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
         pairs.update((STREAM_LINE_SIZE, CacheConfig(*config).n_sets)
                      for config in _stream_configs(scale))
         streams.prefetch(sorted(pairs))
-        classify = [classify_streamed(streams,
+        classify = [classify_profiles(streams,
                                       CacheConfig(*config))
                     for config in _stream_configs(scale)]
     else:

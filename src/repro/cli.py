@@ -48,6 +48,7 @@ from .engine import (
     Engine,
     ExperimentSpec,
     TraceSpec,
+    classify_profiles,
     layout_from_spec,
     order_from_spec,
 )
@@ -225,22 +226,24 @@ def _simulate(args) -> int:
             print("error: --chunk-size/--stream-workers require "
                   "--kernel vectorized", file=sys.stderr)
             return 2
-        from .engine import classify_streamed
         streams = engine.streamed(spec, layout_spec,
                                   chunk_size=args.chunk_size,
                                   stream_workers=args.stream_workers)
-        stats = classify_streamed(streams, config)
-        if args.audit_parts:
-            _print_audit(streams.audit([(config.line_size, 1),
-                                        (config.line_size, config.n_sets)],
-                                       parts=args.audit_parts))
     elif args.audit_parts:
         print("error: --audit-parts requires streaming "
               "(--chunk-size/--stream-workers)", file=sys.stderr)
         return 2
     else:
-        addresses = engine.addresses(spec, layout_spec)
-        stats = classify_misses(addresses, config, kernel=args.kernel)
+        streams = engine.streams(spec, layout_spec)
+    if args.kernel == "reference":
+        stats = classify_misses(engine.addresses(spec, layout_spec), config,
+                                kernel="reference")
+    else:
+        stats = classify_profiles(streams, config)
+    if args.audit_parts:
+        _print_audit(streams.audit([(config.line_size, 1),
+                                    (config.line_size, config.n_sets)],
+                                   parts=args.audit_parts))
     bandwidth = cached_bandwidth(stats.miss_rate, args.line_size)
     print(f"{args.scene} / {layout_from_spec(layout_spec).name} / "
           f"{order_from_spec(spec.order).name} / {config.label()}")

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import CacheConfig, CacheStats, LineStream, collapse_consecutive, to_lines
+from .cache import CacheConfig, CacheStats, LineStream, collapse_consecutive
 from .stackdist import DistanceProfile
 
 #: Distance value recorded for cold (first-touch) accesses; mirrors
@@ -733,12 +733,6 @@ class PartialSetProfile:
                 last_line=int(run_lines[-1]))
         return states
 
-    @classmethod
-    def from_addresses(cls, addresses: np.ndarray, line_size: int,
-                       n_sets: int) -> "PartialSetProfile":
-        return cls.from_lines(to_lines(addresses, line_size),
-                              line_size, n_sets)
-
     def merge(self, other: "PartialSetProfile") -> "PartialSetProfile":
         """State of ``self``'s stream followed by ``other``'s."""
         a, b = self, other
@@ -866,36 +860,23 @@ def sequence_stats(collapsed_segments, config: CacheConfig) -> list:
     as (distance-1) hits of the later segment.  Concatenating the
     segments reproduces the carried cache state exactly: a per-set
     stack distance never sees segment boundaries, just like the warm
-    cache it models.
+    cache it models.  So the per-access verdicts of
+    :func:`run_outcomes` over the joined stream, counted per segment,
+    are the answer.
     """
     if not collapsed_segments:
         return []
     runs = [np.asarray(r, dtype=np.int64) for r, _ in collapsed_segments]
-    lengths = np.array([len(r) for r in runs], dtype=np.int64)
-    joined = np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+    lengths = [len(r) for r in runs]
     segment = np.repeat(np.arange(len(runs), dtype=np.int64), lengths)
-
-    if config.n_sets > 1:
-        order = np.argsort(joined % config.n_sets, kind="stable")
-        joined = joined[order]
-        segment = segment[order]
-    prev = previous_occurrences(joined)
-    cold = prev < 0
-    distances = _warm_distances(prev)  # only valid where warm
-    miss = cold | (~cold & (distances > config.ways))
-
-    n_segments = len(runs)
-    miss_counts = np.bincount(segment[miss], minlength=n_segments)
-    cold_counts = np.bincount(segment[cold], minlength=n_segments)
-    stats = []
-    for index, (run_lines, duplicate_hits) in enumerate(collapsed_segments):
-        stats.append(CacheStats(
-            config=config,
-            accesses=int(lengths[index]) + int(duplicate_hits),
-            misses=int(miss_counts[index]),
-            cold_misses=int(cold_counts[index]),
-        ))
-    return stats
+    miss, cold = run_outcomes(np.concatenate(runs), config)
+    miss_counts = np.bincount(segment[miss], minlength=len(runs))
+    cold_counts = np.bincount(segment[cold], minlength=len(runs))
+    return [CacheStats(config=config,
+                       accesses=length + int(duplicate_hits),
+                       misses=int(misses), cold_misses=int(colds))
+            for length, (_, duplicate_hits), misses, colds
+            in zip(lengths, collapsed_segments, miss_counts, cold_counts)]
 
 
 __all__ = [

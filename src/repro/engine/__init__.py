@@ -57,6 +57,7 @@ from .runner import (
     ExperimentResult,
     ExperimentRow,
     StoredTraceStreams,
+    classify_profiles,
     render_calls,
     reset_render_calls,
     run_experiment,
@@ -65,7 +66,6 @@ from .streaming import (
     StreamAuditReport,
     StreamedProfiles,
     StreamingAuditError,
-    classify_streamed,
 )
 from .pipelined import (
     PipelineError,
@@ -99,6 +99,7 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRow",
     "StoredTraceStreams",
+    "classify_profiles",
     "render_calls",
     "reset_render_calls",
     "run_experiment",
@@ -106,7 +107,6 @@ __all__ = [
     "StreamAuditReport",
     "StreamedProfiles",
     "StreamingAuditError",
-    "classify_streamed",
     "PipelineError",
     "StreamReport",
     "shutdown_stream_pool",

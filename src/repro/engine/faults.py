@@ -31,8 +31,8 @@ Actions
     cleanup, like the OOM killer.
 ``wedge-worker``
     The worker sleeps ``seconds`` (default forever, by supervision
-    standards) without producing events -- a livelocked worker whose
-    heartbeat goes stale.
+    standards) without sending anything -- a livelocked worker that
+    stays silent past the job deadline.
 ``enospc``
     The worker's store demotes as if the disk filled mid-part; the
     range finishes incomplete and must be retried on a fresh store.

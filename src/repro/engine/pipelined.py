@@ -9,17 +9,19 @@ pool of worker processes, with bit-identical results::
 
     parent                          workers (persistent StreamPool)
     ------                          -------------------------------
-    submit range jobs      ----->   task queue
+    send each idle worker  ----->   one pipe per worker, one range
+    its next range job              job in flight at a time
     (render | fold)
-    supervise: heartbeats,          render: render one contiguous
-    deadlines, respawn dead         clipped-triangle slice, persist
-    workers, retry failed           each part, fold each block into
-    ranges with backoff             the range's per-pair states
-                                    fold: fold the named parts
-    collect range states   <-----   event queue (range_done: per-range
-    merge in range order            partial states, plus a render
-    publish sidecar over            range's part envelopes)
-    the parts as written
+    supervise: a pipe at            render: render one contiguous
+    end of file is a dead           clipped-triangle slice, persist
+    worker, one silent past         each part, fold each block into
+    the deadline a wedged           the range's per-pair states
+    one; respawn it, retry          fold: fold the named parts
+    only its range
+    collect range states   <-----   the same pipe (beat per block;
+    merge in range order            range_done: per-range partial
+    publish sidecar over            states, plus a render range's
+    the parts as written            part envelopes; or error)
     (all ranges complete,
     or nothing)
 
@@ -28,7 +30,7 @@ a triangle slice; a ``fold`` job folds an explicit list of part files
 the parent has already envelope-verified -- a warm trace's parts,
 sliced from the reader the parent opened, or a resumed range's parts,
 taken from its completion record.  Workers run both through
-:func:`_run_job` and report each as one ``range_done`` event; the
+:func:`_run_job` and report each as one ``range_done`` message; the
 parent runs the same function in one loop for a fold with no pool,
 for residual ranges and after a serial fallback.
 
@@ -61,25 +63,30 @@ pipelined folds commit the same way.
 degrades through an escalation ladder, each rung strictly cheaper
 than the next:
 
-1. *Supervised retry.*  The parent (:class:`_Supervision`) tracks
-   which worker owns which range through ``started`` events and a
-   shared heartbeat array.  A dead worker (SIGKILL, OOM) is detected
-   by liveness polling and respawned in place -- forked from the
-   parent, so it re-inherits the copy-on-write scene memo -- and a
-   wedged worker (heartbeat stale past the per-job deadline,
-   ``REPRO_STREAM_JOB_TIMEOUT``) is killed first.  Only the *failed
-   contiguous ranges* are re-dispatched, with bounded retries and
-   exponential backoff (:data:`STREAM_RETRIES`).
+1. *Supervised retry.*  The parent (:class:`_Supervision`) sends
+   each idle worker one range at a time down that worker's own pipe,
+   so it knows every worker's range from the moment it dispatches it.
+   A dead worker (SIGKILL, OOM) reads as end of file on its pipe; a
+   wedged one sends nothing -- no ``beat``, no result -- for the job
+   deadline (``REPRO_STREAM_JOB_TIMEOUT``) and is killed.  Either is
+   respawned in place behind a fresh pipe -- forked from the parent,
+   so it re-inherits the copy-on-write scene memo -- and only its
+   range is retried, with bounded retries and exponential backoff
+   (:data:`STREAM_RETRIES`).  Workers share no queue and no lock, so
+   a worker that dies -- idle or mid-job -- cannot leave one held for
+   its replacements; and since a range runs in at most one worker at
+   a time, a fold that finishes leaves every worker idle, while one
+   that does not (an error, a stall, a crash) breaks the pool.
 2. *Residual recovery.*  A range that exhausts its retry budget runs
    its job serially in the parent -- the fold still completes
    bit-identically, with a ``RuntimeWarning`` naming the residual
    count.
 3. *Serial fallback.*  Only when *no* range succeeds through the pool
-   (or the pipeline itself is unusable, :class:`PipelineError`) does
-   :func:`fold_pipelined` tear the pool down, warn that it is falling
-   back, and rerun the fold's jobs in the parent -- resuming the
-   ranges the pool completed from their parts instead of rendering
-   them again.
+   (or the pipeline itself is unusable, :class:`PipelineError`) is the
+   pool torn down and does :func:`fold_pipelined` warn that it is
+   falling back and rerun the fold's jobs in the parent -- resuming
+   the ranges the pool completed from their parts instead of
+   rendering them again.
 
 **Crash-resume.**  A cold fold killed mid-run (SIGKILL of the parent,
 ENOSPC demotion) leaves checksummed strided parts behind plus one
@@ -116,11 +123,11 @@ from __future__ import annotations
 import atexit
 import os
 import random
+import signal
 import time
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from queue import Empty
 
 import numpy as np
 
@@ -135,19 +142,17 @@ from .streaming import _cached_placements, _fold_blocks, _render_blocks
 PART_STRIDE = 100_000
 
 #: Render/fold ranges per worker: >1 so a fragment-heavy slice is
-#: rebalanced dynamically through the shared task queue, but low --
-#: each range pays fixed dispatch/flush costs, and on the few-core
-#: hosts this targets the smoothing won from finer slices is smaller
-#: than that overhead.
+#: rebalanced dynamically (each worker is sent the next range as it
+#: goes idle), but low -- each range pays fixed dispatch/flush costs,
+#: and on the few-core hosts this targets the smoothing won from finer
+#: slices is smaller than that overhead.
 RANGES_PER_WORKER = 2
 
-#: Event-queue poll interval.
+#: How long the supervisor waits on the workers' pipes before it
+#: checks retry backoffs, job deadlines and the stall detector.
 EVENT_POLL_S = 0.05
 
-#: How often the supervisor polls worker liveness and heartbeats.
-HEALTH_POLL_S = 0.5
-
-#: A pipeline that neither delivers an event nor recovers a range for
+#: A pipeline that neither delivers a result nor recovers a range for
 #: this long (with live workers) is declared wedged.
 NO_PROGRESS_TIMEOUT_S = 600.0
 
@@ -157,9 +162,10 @@ NO_PROGRESS_TIMEOUT_S = 600.0
 STREAM_RETRIES = 2
 STREAM_BACKOFF_S = 0.25
 
-#: A dispatched range whose worker heartbeat goes stale for this long
-#: is presumed wedged: the worker is killed, respawned, and the range
-#: retried.  Override with ``REPRO_STREAM_JOB_TIMEOUT`` (seconds).
+#: A worker that sends nothing -- no beat, no result -- for this long
+#: while it holds a range is presumed wedged: it is killed, respawned,
+#: and the range retried.  Override with ``REPRO_STREAM_JOB_TIMEOUT``
+#: (seconds).
 STREAM_JOB_TIMEOUT_S = 600.0
 
 
@@ -334,51 +340,69 @@ def _bind_to_parent_lifetime() -> None:
     """Linux: ask the kernel to SIGTERM this worker when its parent
     dies (``PR_SET_PDEATHSIG``).  A parent killed without cleanup --
     SIGKILL, ``os._exit`` -- must not leave orphaned workers blocked
-    forever on the task queue; crash-resume replaces them on the next
+    forever in ``recv``: every forked worker inherits copies of the
+    pipes' parent ends, so the parent's death alone never reads as end
+    of file.  Crash-resume replaces the orphans' work on the next
     run."""
     try:
         import ctypes
-        import signal as signals
         libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl(1, signals.SIGTERM, 0, 0, 0)  # 1 = PR_SET_PDEATHSIG
+        libc.prctl(1, signal.SIGTERM, 0, 0, 0)  # 1 = PR_SET_PDEATHSIG
     except Exception:
-        pass  # non-Linux hosts: orphans idle until their queue closes
+        pass  # non-Linux hosts: orphans idle until the host reaps them
 
 
-def _worker_loop(tasks, events, heartbeats, slot) -> None:
-    """Persistent worker: run ``render`` and ``fold`` jobs until the
-    ``None`` sentinel, reporting each finished job as one
-    ``range_done`` event.  A job failure is reported as an ``error``
-    event and the worker lives on; only a hard crash kills it.  The
-    worker stamps ``heartbeats[slot]`` at task pickup and per block so
-    the supervisor can tell wedged from slow."""
+def _worker_loop(conn) -> None:
+    """Persistent worker: run the ``(kind, job)`` range jobs the parent
+    sends down ``conn`` until ``None`` or end of file, answering each
+    with one ``range_done`` or ``error`` message.  A job failure is
+    reported and the worker lives on; only a hard crash kills it.  A
+    ``beat`` message ahead of every block lets the parent tell wedged
+    from slow."""
     _bind_to_parent_lifetime()
+    signal.signal(signal.SIGTERM, _unwind)
     while True:
-        task = tasks.get()
+        try:
+            task = conn.recv()
+        except EOFError:
+            break
         if task is None:
             break
         kind, job = task
-        fold, index = job.get("fold", 0), job.get("range", -1)
-        attempt = job.get("attempt", 0)
-        heartbeats[slot] = time.monotonic()
-        events.put(("started", fold, index, attempt, slot, os.getpid()))
         try:
             store = ArtifactStore(job["root"])
 
             def before_block(n_blocks):
-                heartbeats[slot] = time.monotonic()
+                conn.send(("beat",))
                 if kind == "render":
-                    fault = faults.maybe_fault("render-block", range=index,
+                    fault = faults.maybe_fault("render-block",
+                                               range=job["range"],
                                                block=n_blocks)
                     if fault is not None:
                         _run_worker_fault(fault, store)
 
-            events.put(("range_done", fold, index, attempt,
-                        _run_job(store, kind, job, before_block)))
+            conn.send(("range_done", _run_job(store, kind, job,
+                                              before_block)))
         except Exception:
-            events.put(("error", fold, index, attempt,
-                        traceback.format_exc()))
-        heartbeats[slot] = time.monotonic()
+            conn.send(("error", traceback.format_exc()))
+
+
+def _unwind(signum, frame) -> None:
+    """SIGTERM handler of a worker -- respawned, torn down with its
+    pool, or orphaned by its parent: exit by unwinding, so an atomic
+    write it interrupts discards its temporary file instead of leaving
+    it in the store."""
+    raise SystemExit(128 + signum)
+
+
+def _stop(process) -> None:
+    """Terminate a worker and reap it; SIGKILL one that has not
+    unwound within 5 s."""
+    process.terminate()
+    process.join(timeout=5.0)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=5.0)
 
 
 def _run_worker_fault(fault, store) -> None:
@@ -402,100 +426,66 @@ _RESPAWNS_TOTAL = 0
 
 
 class StreamPool:
-    """A persistent pool of streaming workers plus the two queues that
-    connect them to the parent.  One pool serves every fold of every
-    row of an experiment grid; individual dead workers are respawned
-    in place (:meth:`respawn_dead`) and the pool is only rebuilt when
-    the worker count changes."""
+    """A persistent pool of streaming workers, each behind its own
+    pipe: ``processes[slot]`` and ``conns[slot]``, the parent's end of
+    that slot's pipe.  No channel or lock is shared between workers,
+    so a worker that dies -- idle or mid-job -- takes down only its own
+    pipe.  One pool serves every fold of every row of an experiment
+    grid; a dead or wedged worker is respawned in place
+    (:meth:`respawn`) and the pool is only rebuilt when the worker
+    count changes."""
 
     def __init__(self, workers: int):
         import multiprocessing
         self.workers = int(workers)
         self._context = multiprocessing.get_context()
-        self.tasks = self._context.Queue()
-        # Unbounded on purpose: a bounded queue's slot semaphore is
-        # acquired at put() but only released when the parent receives
-        # the message, so a worker crashing between put() and its
-        # feeder thread's flush would leak the slot forever -- enough
-        # crashes and every future worker wedges inside put().  Events
-        # are small (per-range states and envelopes), so nothing needs
-        # the backpressure a bound would give.
-        self.events = self._context.Queue()
-        #: Worker liveness stamps (``time.monotonic`` is system-wide on
-        #: the platforms with fork, so parent and child clocks agree).
-        self.heartbeats = self._context.Array("d", self.workers)
-        #: Monotonic per-pool fold counter: events carry the fold id
-        #: they belong to, so a fold never consumes a predecessor's
-        #: stragglers (a worker may outlive the fold that queued its
-        #: task).
-        self.fold_id = 0
         self.respawns = 0
         self.processes = [None] * self.workers
+        self.conns = [None] * self.workers
         for slot in range(self.workers):
             self._spawn(slot)
 
     def _spawn(self, slot: int) -> None:
-        self.heartbeats[slot] = time.monotonic()
+        conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_worker_loop,
-            args=(self.tasks, self.events, self.heartbeats, slot),
+            target=_worker_loop, args=(child_conn,),
             name=f"stream-worker-{slot}", daemon=True)
         process.start()
+        # Only the worker may hold the child end: its death must read
+        # as end of file here.
+        child_conn.close()
         self.processes[slot] = process
+        self.conns[slot] = conn
+
+    def respawn(self, slot: int) -> None:
+        """Replace one worker -- dead, or presumed wedged and killed
+        here -- with a fresh fork of the parent (which re-inherits the
+        copy-on-write scene memo seeded before the original pool start)
+        behind a fresh pipe."""
+        global _RESPAWNS_TOTAL
+        _stop(self.processes[slot])
+        self.conns[slot].close()
+        self._spawn(slot)
+        self.respawns += 1
+        _RESPAWNS_TOTAL += 1
 
     def alive(self) -> bool:
         return all(process.is_alive() for process in self.processes)
 
-    def dead_slots(self) -> list:
-        return [slot for slot, process in enumerate(self.processes)
-                if not process.is_alive()]
-
-    def respawn_dead(self) -> int:
-        """Replace every dead worker with a fresh fork of the parent
-        (which re-inherits the copy-on-write scene memo seeded before
-        the original pool start).  Returns the number respawned."""
-        global _RESPAWNS_TOTAL
-        respawned = 0
-        for slot in self.dead_slots():
-            try:
-                self.processes[slot].join(timeout=0)  # reap the zombie
-            except Exception:
-                pass
-            self._spawn(slot)
-            respawned += 1
-        self.respawns += respawned
-        _RESPAWNS_TOTAL += respawned
-        return respawned
-
-    def kill_slot(self, slot: int) -> None:
-        """Terminate one (presumed wedged) worker so
-        :meth:`respawn_dead` can replace it."""
-        process = self.processes[slot]
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=5.0)
-
     def shutdown(self, force: bool = False) -> None:
         if not force:
-            for _ in self.processes:
+            for conn in self.conns:
                 try:
-                    self.tasks.put_nowait(None)
-                except Exception:
-                    break
+                    conn.send(None)
+                except OSError:
+                    pass  # that worker is already gone
             for process in self.processes:
                 process.join(timeout=5.0)
         for process in self.processes:
             if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        # Never read the event queue here: a terminated worker can leave
-        # an event half-written in the pipe, and reading it blocks.
-        for channel in (self.tasks, self.events):
-            try:
-                channel.close()
-                channel.cancel_join_thread()
-            except Exception:
-                pass
+                _stop(process)
+        for conn in self.conns:
+            conn.close()
 
 
 _POOL: StreamPool = None
@@ -534,7 +524,9 @@ def get_pool(workers: int) -> StreamPool:
         _POOL = None
     if _POOL is not None and not _POOL.alive():
         try:
-            _POOL.respawn_dead()
+            for slot, process in enumerate(_POOL.processes):
+                if not process.is_alive():
+                    _POOL.respawn(slot)
         except Exception:
             _POOL.shutdown(force=True)
             _POOL = None
@@ -552,8 +544,9 @@ def shutdown_stream_pool() -> None:
 
 
 def _break_pool() -> None:
-    """Hard-stop a pool in an unknown state (failed run): a clean one
-    is rebuilt on the next fold."""
+    """Hard-stop a pool in an unknown state (a fold that did not
+    finish may leave workers mid-job): a clean one is rebuilt on the
+    next fold."""
     global _POOL
     pool, _POOL = _POOL, None
     if pool is not None:
@@ -566,80 +559,112 @@ atexit.register(shutdown_stream_pool)
 # -- parent-side supervision -----------------------------------------------
 
 class _Supervision:
-    """Parent-side supervisor for one pipelined fold: tracks which
-    worker owns which range (via ``started`` events), detects dead and
-    wedged workers, respawns them, and re-dispatches only the failed
-    ranges with bounded retries and exponential backoff.  A range that
-    exhausts the budget becomes *residual* -- recovered serially by
-    the caller -- instead of failing the fold."""
+    """Parent-side supervisor for one pipelined fold.  It sends each
+    idle worker the next due range, one job in flight per worker, so it
+    knows every worker's range from the moment it dispatches it.  A
+    worker whose pipe reads as end of file died; one silent past the
+    job deadline is wedged and killed.  Either way it is respawned and
+    only its range is retried, with bounded retries and exponential
+    backoff.  A range that exhausts the budget becomes *residual* --
+    recovered serially by the caller -- instead of failing the
+    fold."""
 
-    def __init__(self, pool: StreamPool, jobs: dict,
-                 report: StreamReport, label: str):
+    def __init__(self, pool: StreamPool, jobs: dict, report: StreamReport,
+                 stage: str, scene: str, payloads: dict):
         self.pool = pool
         self.report = report
-        self.label = label
+        self.stage = stage
+        self.label = f"{stage} fold ({scene})"
         self.jobs = dict(jobs)  # range index -> (task kind, job dict)
-        self.attempt = {index: 0 for index in self.jobs}
+        self.payloads = payloads
         self.tries = {index: 0 for index in self.jobs}
-        self.dispatched_at: dict = {}
-        self.owner: dict = {}       # range index -> worker slot
-        self.slot_range: dict = {}  # worker slot -> range index
+        self.ready = sorted(self.jobs)  # ranges due, in range order
+        self.retry_at: list = []   # (due monotonic time, range index)
+        self.running: dict = {}    # worker slot -> range index
+        self.heard: dict = {}      # worker slot -> time of its last message
         self.complete: set = set()
-        self.residual: dict = {}    # range index -> first terminal reason
-        self.retry_at: list = []    # (due monotonic time, range index)
+        self.residual: dict = {}   # range index -> first terminal reason
         self.first_failed_at: dict = {}
         self.timeout = _job_timeout_s()
 
-    # -- dispatch ---------------------------------------------------------
-
-    def dispatch(self, index: int) -> None:
-        kind, job = self.jobs[index]
-        self.tries[index] += 1
-        self.dispatched_at[index] = time.monotonic()
-        self.pool.tasks.put((kind, dict(job, attempt=self.attempt[index],
-                                        fold=self.pool.fold_id)))
-
-    def dispatch_all(self) -> None:
-        for index in self.jobs:
-            self.dispatch(index)
-
-    def flush_due(self) -> bool:
-        """Dispatch retries whose backoff has elapsed (the event loop
-        stays non-blocking: the parent never sleeps a backoff)."""
-        if not self.retry_at:
-            return False
+    def dispatch(self) -> None:
+        """Move due retries to ``ready`` (the loop never sleeps a
+        backoff) and send each idle worker the next ready range."""
         now = time.monotonic()
         due = [index for when, index in self.retry_at if when <= now]
-        if not due:
+        if due:
+            self.retry_at = [(when, index) for when, index in self.retry_at
+                             if when > now]
+            self.ready = sorted(self.ready + due)
+        for slot in range(self.pool.workers):
+            if not self.ready:
+                return
+            if slot in self.running:
+                continue
+            index = self.ready.pop(0)
+            try:
+                self.pool.conns[slot].send(self.jobs[index])
+            except OSError:
+                # The worker died idle, before it could take the job.
+                self.ready.insert(0, index)
+                self.lose(slot, f"worker died (slot {slot})")
+                continue
+            self.tries[index] += 1
+            self.running[slot] = index
+            self.heard[slot] = now
+
+    def receive(self, slot: int) -> bool:
+        """Read one message from ``slot``'s worker (its pipe or its
+        process sentinel is ready).  Returns True when it was progress:
+        a result or a recovery, not a beat."""
+        conn = self.pool.conns[slot]
+        try:
+            if not conn.poll():
+                raise EOFError  # the process exited and its pipe is empty
+            message = conn.recv()
+        except (EOFError, OSError):
+            self.lose(slot, f"worker died (slot {slot})")
+            return True
+        self.heard[slot] = time.monotonic()
+        if message[0] == "beat":
             return False
-        self.retry_at = [(when, index) for when, index in self.retry_at
-                         if when > now]
-        for index in due:
-            self.dispatch(index)
+        index = self.running.pop(slot)
+        if message[0] == "error":
+            self.fail(index, f"worker task failed: {_last_line(message[1])}")
+        elif message[1].get("complete") is False:
+            self.fail(index, "range persisted incomplete "
+                             "(worker store demoted)")
+        else:
+            self.payloads[index] = message[1]
+            self.note_complete(index)
+            if self.stage == "cold":
+                _maybe_kill_run(len(self.complete))
         return True
 
-    # -- bookkeeping ------------------------------------------------------
+    def check_wedged(self) -> bool:
+        """Kill and respawn every busy worker silent for longer than
+        the job deadline, retrying its range.  Returns True when it
+        acted."""
+        now = time.monotonic()
+        wedged = [slot for slot in self.running
+                  if now - self.heard[slot] > self.timeout]
+        for slot in wedged:
+            self.lose(slot, f"worker wedged (slot {slot}: silent for "
+                            f"{self.timeout:.0f}s)")
+        return bool(wedged)
 
-    def current(self, index: int, attempt: int) -> bool:
-        """Whether an event belongs to the range's current attempt."""
-        return self.attempt.get(index) == attempt
-
-    def note_started(self, index: int, attempt: int, slot: int) -> None:
-        if index in self.complete or index in self.residual \
-                or not self.current(index, attempt):
-            return
-        previous = self.owner.get(index)
-        if previous is not None:
-            self.slot_range.pop(previous, None)
-        self.owner[index] = slot
-        self.slot_range[slot] = index
+    def lose(self, slot: int, why: str) -> None:
+        """Fail the range ``slot`` was running, if any, and replace its
+        worker behind a fresh pipe."""
+        index = self.running.pop(slot, None)
+        if index is not None:
+            self.fail(index, why)
+        started = time.monotonic()
+        self.pool.respawn(slot)
+        self.report.recovery_s += time.monotonic() - started
 
     def note_complete(self, index: int) -> None:
         self.complete.add(index)
-        self.residual.pop(index, None)  # a late success beats recovery
-        slot = self.owner.pop(index, None)
-        if slot is not None:
-            self.slot_range.pop(slot, None)
         failed_at = self.first_failed_at.pop(index, None)
         if failed_at is not None:
             self.report.recovery_s += time.monotonic() - failed_at
@@ -647,13 +672,6 @@ class _Supervision:
     def fail(self, index: int, why: str) -> None:
         """Record one attempt failure: schedule a backoff retry inside
         the budget, park the range as residual beyond it."""
-        if index in self.complete or index in self.residual \
-                or index not in self.jobs:
-            return
-        slot = self.owner.pop(index, None)
-        if slot is not None:
-            self.slot_range.pop(slot, None)
-        self.attempt[index] += 1
         self.first_failed_at.setdefault(index, time.monotonic())
         self.report.note(f"{self.label} range {index}: {why}")
         if self.tries[index] > STREAM_RETRIES:
@@ -665,73 +683,6 @@ class _Supervision:
         delay *= 0.5 + random.random()  # jitter
         self.retry_at.append((time.monotonic() + delay, index))
 
-    # -- health -----------------------------------------------------------
-
-    def check_health(self) -> bool:
-        """Detect dead and wedged workers; fail their ranges and
-        respawn replacements.  Returns True when it acted (which counts
-        as progress for the stall detector)."""
-        acted = False
-        pool = self.pool
-        dead = pool.dead_slots()
-        unattributed = 0
-        for slot in dead:
-            index = self.slot_range.get(slot)
-            if index is not None:
-                self.fail(index, f"worker died (slot {slot})")
-                acted = True
-            else:
-                unattributed += 1
-        if unattributed:
-            # A worker that crashes right after claiming a task usually
-            # kills its queue feeder thread before the "started" event
-            # flushes, so the death cannot be attributed to a range.
-            # Each dead worker held at most one task: fail the oldest
-            # in-flight unattributed ranges, one per death.  If the
-            # guess is wrong (the worker died idle, or the claim event
-            # is still in the queue), the duplicate dispatch is safe --
-            # stale attempts are filtered and duplicate part publishes
-            # are atomic replaces of identical bytes.
-            pending_retry = {index for _, index in self.retry_at}
-            candidates = sorted(
-                (index for index in self.jobs
-                 if index not in self.complete
-                 and index not in self.residual
-                 and index not in self.owner
-                 and index not in pending_retry),
-                key=lambda index: self.dispatched_at.get(index, 0.0))
-            for index in candidates[:unattributed]:
-                self.fail(index, "worker died before reporting its range")
-                acted = True
-        if dead:
-            started = time.monotonic()
-            if pool.respawn_dead():
-                self.report.recovery_s += time.monotonic() - started
-                acted = True
-        now = time.monotonic()
-        for slot, index in list(self.slot_range.items()):
-            if now - pool.heartbeats[slot] <= self.timeout:
-                continue
-            pool.kill_slot(slot)
-            self.fail(index, f"worker wedged (slot {slot}: no heartbeat "
-                             f"for {self.timeout:.0f}s)")
-            pool.respawn_dead()
-            acted = True
-        # A task dispatched but never started past the deadline has
-        # fallen out of the queue (poisoned pickle, queue feeder died
-        # with the worker); re-dispatching a duplicate is safe -- a
-        # straggler's stale-attempt events are filtered, and duplicate
-        # part publishes are atomic replaces of identical bytes.
-        pending_retry = {index for _, index in self.retry_at}
-        for index in self.jobs:
-            if index in self.complete or index in self.residual \
-                    or index in self.owner or index in pending_retry:
-                continue
-            if now - self.dispatched_at.get(index, now) > self.timeout:
-                self.fail(index, "task lost (dispatched, never started)")
-                acted = True
-        return acted
-
     def finished(self) -> bool:
         return len(self.complete) + len(self.residual) == len(self.jobs)
 
@@ -741,67 +692,30 @@ def _last_line(text: str) -> str:
     return lines[-1] if lines else str(text)
 
 
-def _receive(pool: StreamPool, supervisor: _Supervision, message,
-             handle) -> bool:
-    """Route one event-queue message: filter stale folds, apply
-    supervision events, delegate data events to the fold's handler.
-    Returns True when the message constituted progress."""
-    kind, fold, index, attempt = (message[0], message[1],
-                                  message[2], message[3])
-    if fold != pool.fold_id:
-        return False  # a straggler from an earlier fold of this pool
-    if kind == "started":
-        slot, pid = message[4], message[5]
-        process = pool.processes[slot] \
-            if 0 <= slot < len(pool.processes) else None
-        if process is None or process.pid != pid:
-            # The claim came from a previous incarnation of this slot:
-            # the claimer died (and was respawned) before its event was
-            # drained, so its range needs a retry *now* -- mapping it
-            # to the idle replacement would stall it until the job
-            # deadline.
-            if supervisor.current(index, attempt):
-                supervisor.fail(
-                    index, f"worker died at startup (slot {slot})")
-            return True
-        supervisor.note_started(index, attempt, slot)
-        return True  # liveness: the range is in flight, not stalled
-    if kind == "error":
-        if index < 0:
-            raise PipelineError(
-                f"stream worker failed:\n{message[4]}")
-        if supervisor.current(index, attempt):
-            supervisor.fail(
-                index, f"worker task failed: {_last_line(message[4])}")
-        return True
-    return handle(kind, index, message)
-
-
-def _drive(pool: StreamPool, supervisor: _Supervision, handle,
-           what: str = "pipelined fold") -> None:
-    """The supervised event loop shared by the warm and cold folds:
-    flush due retries, consume events, check worker health on a short
-    period, and declare a stall only when nothing -- events or
-    recoveries -- has progressed for :data:`NO_PROGRESS_TIMEOUT_S`."""
-    last_progress = last_health = time.monotonic()
+def _drive(supervisor: _Supervision, what: str) -> None:
+    """The supervised loop shared by the warm and cold folds: dispatch
+    to idle workers, wait on every worker's pipe and process sentinel,
+    read what is ready, kill wedged workers, and declare a stall only
+    when nothing -- results or recoveries -- has progressed for
+    :data:`NO_PROGRESS_TIMEOUT_S`."""
+    from multiprocessing.connection import wait
+    pool = supervisor.pool
+    last_progress = time.monotonic()
     while not supervisor.finished():
-        if supervisor.flush_due():
-            last_progress = time.monotonic()
-        try:
-            message = pool.events.get(timeout=EVENT_POLL_S)
-        except Empty:
-            message = None
+        supervisor.dispatch()
+        slot_of = {}
+        for slot in range(pool.workers):
+            slot_of[pool.conns[slot]] = slot
+            slot_of[pool.processes[slot].sentinel] = slot
+        ready = wait(list(slot_of), timeout=EVENT_POLL_S)
+        progress = False
+        for slot in sorted({slot_of[handle] for handle in ready}):
+            progress |= supervisor.receive(slot)
+        progress |= supervisor.check_wedged()
         now = time.monotonic()
-        if message is not None and _receive(pool, supervisor, message,
-                                            handle):
+        if progress:
             last_progress = now
-            continue
-        if now - last_health >= HEALTH_POLL_S:
-            last_health = now
-            if supervisor.check_health():
-                last_progress = now
-                continue
-        if now - last_progress > NO_PROGRESS_TIMEOUT_S:
+        elif now - last_progress > NO_PROGRESS_TIMEOUT_S:
             raise PipelineError(
                 f"{what} stalled (no progress for "
                 f"{NO_PROGRESS_TIMEOUT_S:.0f}s)")
@@ -841,7 +755,6 @@ def fold_pipelined(profiles, pairs) -> dict:
             try:
                 return _fold(profiles, pairs, workers)
             except Exception as fault:
-                _break_pool()
                 why = (fault if isinstance(fault, PipelineError)
                        else f"{type(fault).__name__}: {fault}")
                 report.fallbacks += 1
@@ -978,36 +891,23 @@ def _run_on_pool(profiles, jobs: dict, stage: str, workers: int,
                  payloads: dict) -> _Supervision:
     """Run ``jobs`` on the pool under supervision, filling ``payloads``;
     returns the supervisor, whose ``residual`` ranges exhausted their
-    retry budget.  :class:`PipelineError` when no range succeeded."""
-    report = _report_of(profiles)
-    _seed_pool_memos(profiles.trace_spec, profiles.layout_spec, workers)
-    pool = get_pool(workers)
-    pool.fold_id += 1
-    supervisor = _Supervision(pool, jobs, report,
-                              f"{stage} fold ({profiles.trace_spec.scene})")
-
-    def handle(kind, index, message):
-        if kind != "range_done":
-            raise PipelineError(f"unexpected {kind!r} event in {stage} fold")
-        if index in supervisor.complete:
-            return False  # a duplicate attempt finished too; harmless
-        payload = message[4]
-        if payload.get("complete") is False:
-            supervisor.fail(index, "range persisted incomplete "
-                                   "(worker store demoted)")
-            return True
-        payloads[index] = payload
-        supervisor.note_complete(index)
-        if stage == "cold":
-            _maybe_kill_run(len(supervisor.complete))
-        return True
-
-    supervisor.dispatch_all()
-    _drive(pool, supervisor, handle, what=f"pipelined {stage} fold")
-    if supervisor.residual and not supervisor.complete:
-        raise PipelineError(
-            f"every {stage} fold range failed in the pool "
-            f"({_last_line(next(iter(supervisor.residual.values())))})")
+    retry budget.  :class:`PipelineError` when no range succeeded.
+    Whatever leaves here unfinished -- an error, a stall, an injected
+    crash -- breaks the pool, since its workers may be mid-job; a fold
+    that finishes leaves every worker idle."""
+    try:
+        _seed_pool_memos(profiles.trace_spec, profiles.layout_spec, workers)
+        supervisor = _Supervision(get_pool(workers), jobs,
+                                  _report_of(profiles), stage,
+                                  profiles.trace_spec.scene, payloads)
+        _drive(supervisor, f"pipelined {stage} fold")
+        if supervisor.residual and not supervisor.complete:
+            raise PipelineError(
+                f"every {stage} fold range failed in the pool "
+                f"({_last_line(next(iter(supervisor.residual.values())))})")
+    except BaseException:
+        _break_pool()
+        raise
     return supervisor
 
 

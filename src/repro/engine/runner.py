@@ -43,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.cache import CacheConfig, CacheStats, simulate
+from ..core.classify import classify_counts
 from ..core.kernels import SetDistanceProfile, check_kernel
 from ..core.stackdist import miss_rate_curve
 from ..core.sweep import TraceStreams
@@ -127,6 +128,23 @@ class StoredProfiles:
         """``{pair: profile}`` for ``pairs`` (none of them stored),
         each saved to the store."""
         raise NotImplementedError
+
+
+def classify_profiles(profiles: StoredProfiles,
+                      config: CacheConfig) -> CacheStats:
+    """3C classification off stored profiles -- either path's, in RAM
+    or streamed -- bit-identical to
+    :func:`~repro.core.classify.classify_misses` over the materialized
+    address stream.  Reads the line size's fully-associative and
+    ``config``'s per-set profile, so a store that holds both runs no
+    per-access pass."""
+    profiles.prefetch([(config.line_size, 1),
+                       (config.line_size, config.n_sets)])
+    profile = profiles.profile(config.line_size)
+    misses, cold = profiles.set_profile(
+        config.line_size, config.n_sets).stats_pair(config)
+    return classify_counts(config, profile.total_accesses, misses, cold,
+                           profile.misses_at(config.n_lines))
 
 
 class StoredTraceStreams(StoredProfiles, TraceStreams):

@@ -40,14 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.cache import (
-    CacheConfig,
-    CacheStats,
-    LineStream,
-    collapse_consecutive,
-    to_lines,
-)
-from ..core.classify import classify_counts
+from ..core.cache import LineStream, collapse_consecutive, to_lines
 from ..core.kernels import (
     PartialSetProfile,
     per_set_distances,
@@ -364,17 +357,3 @@ class StreamedProfiles(StoredProfiles):
             self._fold(())
             reader = self.store.open_render_blocks(self.trace_spec)
         return reader
-
-
-def classify_streamed(streams: StreamedProfiles,
-                      config: CacheConfig) -> CacheStats:
-    """3C classification off streamed profiles -- bit-identical to
-    :func:`~repro.core.classify.classify_misses` over the materialized
-    address stream, with no per-access pass."""
-    streams.prefetch([(config.line_size, 1),
-                      (config.line_size, config.n_sets)])
-    profile = streams.profile(config.line_size)
-    misses, cold = streams.set_profile(
-        config.line_size, config.n_sets).stats_pair(config)
-    return classify_counts(config, profile.total_accesses, misses, cold,
-                           profile.misses_at(config.n_lines))

@@ -86,6 +86,24 @@ class TestSimulate:
             assert main(["simulate", "goblet", "--scale", "0.1",
                          "--layout", layout]) == 0
 
+    def test_warm_simulate_reads_the_stored_profiles(self, capsys,
+                                                     monkeypatch):
+        # An in-RAM simulate stores both profiles it reads; a second
+        # run must classify off them without a per-set distance pass.
+        args = ["simulate", "town", "--scale", "0.05", "--layout",
+                "blocked", "--block", "8", "--cache-size", "4096",
+                "--line-size", "32", "--assoc", "2"]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the warm run recomputed a profile")
+
+        monkeypatch.setattr("repro.core.kernels.set_distance_histogram",
+                            refuse)
+        assert main(args) == 0
+        assert capsys.readouterr().out == cold
+
     def test_stream_workers_reject_reference_kernel(self, capsys):
         # --stream-workers (any count) requests streaming; the reference
         # simulator cannot stream, so the CLI refuses instead of

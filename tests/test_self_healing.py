@@ -326,18 +326,47 @@ class TestCrashResume:
 
 
 class TestPoolHygiene:
-    def test_get_pool_replaces_dead_workers_in_place(self):
-        pool = pipelined.get_pool(2)
-        assert pool.alive()
-        victim = pool.processes[0]
-        victim.terminate()
-        victim.join(5)
+    def test_get_pool_replaces_dead_workers_in_place(self, tmp_path,
+                                                     monkeypatch):
+        # Workers killed while idle, between folds, are respawned in
+        # place, and the respawned pool runs the next fold cleanly: a
+        # dead worker must hold nothing its replacements wait on.  A
+        # wedged replacement would only be retried after the job
+        # deadline, so shorten it to keep a regression fast.
+        piped_run(tmp_path / "first")
+        pool = pipelined._POOL
+        assert pool is not None and pool.alive()
+        victims = list(pool.processes)
+        for victim in victims:
+            victim.terminate()
+            victim.join(5)
         assert not pool.alive()
-        again = pipelined.get_pool(2)
-        assert again is pool  # transparent respawn, not a rebuild
-        assert again.alive()
-        assert again.processes[0].pid != victim.pid
-        assert again.respawns >= 1
+        monkeypatch.setenv("REPRO_STREAM_JOB_TIMEOUT", "5")
+        goblet = ExperimentSpec(**dict(GRID, scenes=("goblet",)))
+        reference = rows(Engine(store=ArtifactStore(tmp_path / "ram")).run(
+            goblet))
+        with no_fallback_warning():
+            result = Engine(store=ArtifactStore(tmp_path / "second")).run(
+                goblet, chunk_size=4096, stream_workers=2)
+        assert rows(result) == reference
+        report = result.stream_report
+        assert report.respawns == 2
+        assert report.retried_ranges == 0 and report.residual_ranges == 0
+        assert report.fallbacks == 0
+        assert pipelined._POOL is pool  # transparent respawn, not a rebuild
+        assert pool.alive() and pool.respawns == 2
+        assert not ({process.pid for process in pool.processes}
+                    & {victim.pid for victim in victims})
+
+    def test_unfinished_fold_breaks_the_pool(self, tmp_path):
+        # A fold the parent abandons mid-run leaves workers mid-job;
+        # the pool is torn down instead of handed to the next fold.
+        pool = pipelined.get_pool(2)
+        with injection.fault_plan("kill-run:after=2,mode=raise"):
+            with pytest.raises(chaos.InjectedCrash):
+                piped_run(tmp_path / "piped")
+        assert pipelined._POOL is None
+        assert not any(process.is_alive() for process in pool.processes)
 
     def test_get_pool_rebuilds_on_worker_count_change(self):
         pool = pipelined.get_pool(2)
@@ -347,10 +376,10 @@ class TestPoolHygiene:
         assert not pool.alive()  # the old pool was shut down
 
     def test_forced_shutdown_terminates_workers(self):
-        # A broken pool is torn down without waiting on its queues:
-        # every worker is gone and the next fold builds a fresh pool.
+        # A broken pool is torn down without reading its pipes: every
+        # worker is gone and the next fold builds a fresh pool.
         pool = pipelined.get_pool(2)
-        pool.tasks.put(("render", {"range": 0}))  # a task nobody collects
+        pool.conns[0].send(("render", {"range": 0}))  # a reply nobody reads
         pipelined._break_pool()
         assert pipelined._POOL is None
         assert not any(process.is_alive() for process in pool.processes)

@@ -23,7 +23,7 @@ from repro.engine import (
     ExperimentSpec,
     StreamedProfiles,
     TraceSpec,
-    classify_streamed,
+    classify_profiles,
 )
 from repro.engine.spec import paper_order_spec
 from repro.pipeline.renderer import render_trace, render_trace_blocks
@@ -158,7 +158,8 @@ class TestStreamedProfiles:
         for assoc in (1, 2, 4):
             config = CacheConfig(8192, 64, assoc)
             expected = classify_misses(engine.addresses(spec, LAYOUT), config)
-            assert classify_streamed(streamed, config) == expected
+            assert classify_profiles(streamed, config) == expected
+            assert classify_profiles(streams, config) == expected
 
     def test_stream_materialization_refused(self, stores):
         _, st_store = stores
