@@ -44,7 +44,7 @@ from paperbench import SCALE, emit  # noqa: E402
 
 from repro.analysis import first_working_set, format_table, miss_rate_chart  # noqa: E402
 from repro.core import miss_rate_curve  # noqa: E402
-from repro.engine import TraceSpec  # noqa: E402
+from repro.engine import ArtifactStore, TraceSpec  # noqa: E402
 
 SIZES_PER_SCALE = {
     1.0: [1024 * k for k in (1, 2, 4, 8, 16, 32, 64)],
@@ -217,7 +217,10 @@ def _spawn_worker(scene: str, scale: float, mode: str,
                   chunk_size: int = 0, stream_workers: int = 0) -> dict:
     """Run one measurement in a fresh subprocess over a fresh cold
     store, so ``ru_maxrss`` (a per-process high-water mark) is that
-    pipeline's own peak and no run warms another."""
+    pipeline's own peak and no run warms another.  The store is
+    verified before it is deleted, so a run that leaves it damaged or
+    empty fails, and one line per store reports the scan."""
+    label = f"{scene}@{scale} ({mode})"
     with tempfile.TemporaryDirectory() as cache_dir:
         env = dict(os.environ, REPRO_CACHE_DIR=cache_dir)
         src = Path(__file__).resolve().parents[1] / "src"
@@ -229,9 +232,14 @@ def _spawn_worker(scene: str, scale: float, mode: str,
              "--chunk", str(chunk_size),
              "--stream-workers", str(stream_workers)],
             env=env, capture_output=True, text=True)
-    if result.returncode != 0:
-        raise RuntimeError(
-            f"worker failed for {scene}@{scale} ({mode}):\n{result.stderr}")
+        if result.returncode != 0:
+            raise RuntimeError(f"worker failed for {label}:\n{result.stderr}")
+        scan = ArtifactStore(cache_dir).verify()
+    if scan["bad"] or not scan["ok"]:
+        raise AssertionError(
+            f"{label}: store left with {scan['bad']} corrupt and "
+            f"{scan['ok']} verified artifact(s)")
+    print(f"{label}: store verified clean ({scan['ok']} artifacts)")
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 

@@ -102,21 +102,38 @@ def _add_kernel_argument(parser):
                              "kernels or the sequential reference simulator")
 
 
+def _int_at_least(least: int):
+    """An argparse ``type``: an integer no smaller than ``least``, so an
+    out-of-range value is a usage error (exit 2), not a traceback or a
+    silent in-RAM run."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least} (got {value})")
+        return value
+    return parse
+
+
 def _add_streaming_arguments(parser):
-    parser.add_argument("--chunk-size", type=int, default=None,
+    parser.add_argument("--chunk-size", type=_int_at_least(1), default=None,
                         metavar="ACCESSES",
                         help="stream the pipeline in blocks of at most this "
                              "many texel accesses: bit-identical results at "
                              "peak memory bounded by the chunk, independent "
                              "of trace length")
-    parser.add_argument("--stream-workers", type=int, default=0,
+    parser.add_argument("--stream-workers", type=_int_at_least(0), default=0,
                         help="pipeline the streaming fold: partition cold "
                              "renders across this many persistent worker "
                              "processes, each folding the blocks it "
                              "renders (implies streaming; >= 2 to engage, "
                              "falls back to the serial streamed path on "
                              "any pipeline failure)")
-    parser.add_argument("--audit-parts", type=int, default=0,
+    parser.add_argument("--audit-parts", type=_int_at_least(0), default=0,
                         metavar="N",
                         help="spot-audit N sampled parts of every streamed "
                              "trace against a sequential reference oracle "

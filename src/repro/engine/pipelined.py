@@ -69,24 +69,26 @@ than the next:
    A dead worker (SIGKILL, OOM) reads as end of file on its pipe; a
    wedged one sends nothing -- no ``beat``, no result -- for the job
    deadline (``REPRO_STREAM_JOB_TIMEOUT``) and is killed.  Either is
-   respawned in place behind a fresh pipe -- forked from the parent,
-   so it re-inherits the copy-on-write scene memo -- and only its
-   range is retried, with bounded retries and exponential backoff
-   (:data:`STREAM_RETRIES`).  Workers share no queue and no lock, so
-   a worker that dies -- idle or mid-job -- cannot leave one held for
-   its replacements; and since a range runs in at most one worker at
-   a time, a fold that finishes leaves every worker idle, while one
-   that does not (an error, a stall, a crash) breaks the pool.
+   respawned in place behind a fresh pipe, and only its range is
+   retried, with bounded retries and exponential backoff
+   (:data:`STREAM_RETRIES`).  The supervisor is the only code that
+   heals the pool: a worker that died while idle between folds is
+   found by the next fold (the send to it fails, or its pipe reads as
+   end of file) and respawned the same way.  Workers share no queue
+   and no lock, so a worker that dies -- idle or mid-job -- cannot
+   leave one held for its replacements; and since a range runs in at
+   most one worker at a time, a fold that finishes leaves every worker
+   idle, while one that does not (an error, a stall, a crash) breaks
+   the pool.
 2. *Residual recovery.*  A range that exhausts its retry budget runs
    its job serially in the parent -- the fold still completes
    bit-identically, with a ``RuntimeWarning`` naming the residual
    count.
-3. *Serial fallback.*  Only when *no* range succeeds through the pool
-   (or the pipeline itself is unusable, :class:`PipelineError`) is the
-   pool torn down and does :func:`fold_pipelined` warn that it is
-   falling back and rerun the fold's jobs in the parent -- resuming
-   the ranges the pool completed from their parts instead of
-   rendering them again.
+3. *Serial fallback.*  When the pool run fails outright -- *no* range
+   succeeds there, it stalls (:class:`PipelineError`) or the pool
+   cannot start -- the pool is torn down and :func:`_run_ranges` warns
+   that it is falling back and runs in the parent only the ranges the
+   pool did not finish; the ranges it finished keep their states.
 
 **Crash-resume.**  A cold fold killed mid-run (SIGKILL of the parent,
 ENOSPC demotion) leaves checksummed strided parts behind plus one
@@ -182,16 +184,17 @@ def _job_timeout_s() -> float:
 
 
 class PipelineError(RuntimeError):
-    """The pool could not run or finish a fold; :func:`fold_pipelined`
-    falls back to running its jobs in the parent (results stay
-    bit-identical)."""
+    """The pool could not run or finish a fold; :func:`_run_ranges`
+    falls back to running its unfinished ranges in the parent (results
+    stay bit-identical)."""
 
 
 @dataclass
 class StreamReport:
-    """Recovery accounting for streamed folds.  One
-    report accumulates across every fold of a ``StreamedProfiles`` (an
-    experiment row folds once per trace/layout); ``recovery_s`` is the
+    """Recovery accounting for streamed folds.  One report accumulates
+    across every fold it is handed: ``Engine.run`` hands its own to
+    every ``StreamedProfiles`` of the run, and a ``StreamedProfiles``
+    used directly starts with one of its own.  ``recovery_s`` is the
     wall-clock from each range's first failure to its recovery plus
     respawn and residual-recovery work, while *resumed* work -- saved,
     not lost, time -- is counted by range and part instead."""
@@ -219,20 +222,6 @@ class StreamReport:
                     or self.residual_ranges or self.resumed_ranges
                     or self.fallbacks or self.events)
 
-    def absorb(self, other: "StreamReport") -> None:
-        """Fold another report into this one (a run aggregates the
-        per-``StreamedProfiles`` reports of every trace/layout row)."""
-        self.folds += other.folds
-        self.respawns += other.respawns
-        self.retried_ranges += other.retried_ranges
-        self.residual_ranges += other.residual_ranges
-        self.resumed_ranges += other.resumed_ranges
-        self.resumed_parts += other.resumed_parts
-        self.fallbacks += other.fallbacks
-        self.recovery_s += other.recovery_s
-        for event in other.events:
-            self.note(event)
-
     def summary(self) -> str:
         if self.clean:
             return f"stream: {self.folds} fold(s), no recovery needed"
@@ -252,19 +241,6 @@ class StreamReport:
         if self.recovery_s:
             parts.append(f"recovery {self.recovery_s:.2f}s")
         return ", ".join(parts)
-
-
-def _report_of(profiles) -> StreamReport:
-    """The profiles' recovery report, created on first use (keeps
-    ``fold_pipelined`` usable on bare test doubles)."""
-    report = getattr(profiles, "stream_report", None)
-    if report is None:
-        report = StreamReport()
-        try:
-            profiles.stream_report = report
-        except AttributeError:
-            pass
-    return report
 
 
 # -- range jobs (workers and parent) ----------------------------------------
@@ -419,12 +395,6 @@ def _run_worker_fault(fault, store) -> None:
 
 # -- the persistent pool ---------------------------------------------------
 
-#: Process-wide respawn counter: folds snapshot it around their run to
-#: attribute respawns (including ones performed by ``get_pool``
-#: between folds) without double counting.
-_RESPAWNS_TOTAL = 0
-
-
 class StreamPool:
     """A persistent pool of streaming workers, each behind its own
     pipe: ``processes[slot]`` and ``conns[slot]``, the parent's end of
@@ -439,7 +409,6 @@ class StreamPool:
         import multiprocessing
         self.workers = int(workers)
         self._context = multiprocessing.get_context()
-        self.respawns = 0
         self.processes = [None] * self.workers
         self.conns = [None] * self.workers
         for slot in range(self.workers):
@@ -459,18 +428,12 @@ class StreamPool:
 
     def respawn(self, slot: int) -> None:
         """Replace one worker -- dead, or presumed wedged and killed
-        here -- with a fresh fork of the parent (which re-inherits the
-        copy-on-write scene memo seeded before the original pool start)
-        behind a fresh pipe."""
-        global _RESPAWNS_TOTAL
+        here -- with a fresh fork of the parent behind a fresh pipe.
+        Only the fold supervisor calls this (:meth:`_Supervision.lose`),
+        for a worker that a fold found dead or wedged."""
         _stop(self.processes[slot])
         self.conns[slot].close()
         self._spawn(slot)
-        self.respawns += 1
-        _RESPAWNS_TOTAL += 1
-
-    def alive(self) -> bool:
-        return all(process.is_alive() for process in self.processes)
 
     def shutdown(self, force: bool = False) -> None:
         if not force:
@@ -491,45 +454,17 @@ class StreamPool:
 _POOL: StreamPool = None
 
 
-def _seed_pool_memos(spec, layout_spec, workers: int) -> None:
-    """Pre-build the scene and placements in the parent when a fresh
-    pool is about to fork: children inherit the streaming scene memo
-    copy-on-write, so the whole pool pays one scene build -- mipmaps
-    included -- instead of one per worker.  Texture synthesis dominates
-    cold time on small scenes, and the duplicated builds also contended
-    for memory bandwidth.  Also the reason respawned workers stay
-    cheap: they fork from a parent whose memo is already warm.  No-op
-    when the pool already exists with every worker alive (the forks
-    already happened) or the start method cannot inherit parent
-    memory."""
-    import multiprocessing
-    if _POOL is not None and _POOL.workers == int(workers) \
-            and _POOL.alive():
-        return
-    if multiprocessing.get_start_method() != "fork":
-        return
-    _cached_placements(spec, layout_spec)
-
-
 def get_pool(workers: int) -> StreamPool:
-    """The process-wide persistent pool, (re)built on first use or on a
-    worker-count change.  Workers that died since the last fold are
-    respawned in place -- a cheap liveness check instead of failing the
-    first post-crash dispatch or tearing down the whole pool -- and
-    only an unrespawnable pool is replaced."""
+    """The process-wide persistent pool, built on first use and rebuilt
+    on a worker-count change.  It does not check its workers: one that
+    died while idle since the last fold is found and respawned by the
+    next fold's supervisor, whose send to it fails or whose pipe reads
+    as end of file."""
     global _POOL
     workers = int(workers)
     if _POOL is not None and _POOL.workers != workers:
-        _POOL.shutdown(force=not _POOL.alive())
+        _POOL.shutdown()
         _POOL = None
-    if _POOL is not None and not _POOL.alive():
-        try:
-            for slot, process in enumerate(_POOL.processes):
-                if not process.is_alive():
-                    _POOL.respawn(slot)
-        except Exception:
-            _POOL.shutdown(force=True)
-            _POOL = None
     if _POOL is None:
         _POOL = StreamPool(workers)
     return _POOL
@@ -661,6 +596,7 @@ class _Supervision:
             self.fail(index, why)
         started = time.monotonic()
         self.pool.respawn(slot)
+        self.report.respawns += 1
         self.report.recovery_s += time.monotonic() - started
 
     def note_complete(self, index: int) -> None:
@@ -740,32 +676,12 @@ def fold_pipelined(profiles, pairs) -> dict:
     """Compute every pair's :class:`PartialSetProfile` for
     ``profiles`` (a :class:`~repro.engine.streaming.StreamedProfiles`)
     -- the one entry point of every streamed fold.  With ``stream_workers
-    >= 2`` the jobs run on the pool, self-healing per range; when the
-    pool is unusable or no range succeeds there, the pool is torn down
-    and the fold falls back to running its jobs in this process,
-    resuming the ranges the pool completed.  With fewer workers they
-    run here from the start."""
-    pairs = tuple(pairs)
-    workers = int(profiles.stream_workers)
-    report = _report_of(profiles)
-    report.folds += 1
-    respawns_before = _RESPAWNS_TOTAL
-    try:
-        if workers >= 2:
-            try:
-                return _fold(profiles, pairs, workers)
-            except Exception as fault:
-                why = (fault if isinstance(fault, PipelineError)
-                       else f"{type(fault).__name__}: {fault}")
-                report.fallbacks += 1
-                report.note(f"serial fallback: {why}")
-                warnings.warn(
-                    f"pipelined streaming fold failed ({why}); "
-                    "falling back to the serial streaming path",
-                    RuntimeWarning, stacklevel=4)
-        return _fold(profiles, pairs, 0)
-    finally:
-        report.respawns += _RESPAWNS_TOTAL - respawns_before
+    >= 2`` the jobs run on the pool, self-healing per range, and this
+    process runs whatever the pool leaves unfinished
+    (:func:`_run_ranges`).  With fewer workers they run here from the
+    start."""
+    profiles.stream_report.folds += 1
+    return _fold(profiles, tuple(pairs), int(profiles.stream_workers))
 
 
 def _fold(profiles, pairs, workers: int) -> dict:
@@ -817,7 +733,7 @@ def _fold_cold(profiles, pairs, workers: int) -> dict:
     single-flight lock."""
     store = profiles.store
     spec = profiles.trace_spec
-    report = _report_of(profiles)
+    report = profiles.stream_report
     geometry, resumed = _load_resume(store, spec)
     if not resumed:
         # Nothing usable survives: cut this run's own ranges.
@@ -859,17 +775,32 @@ def _run_ranges(profiles, jobs: dict, stage: str, workers: int) -> dict:
     """Run ``jobs`` (range index -> ``(kind, job)``) and return every
     range's ``range_done`` payload.  With fewer than two workers, or a
     single job, every job runs in the parent; otherwise on the pool
-    (:func:`_run_on_pool`), and a range that exhausts its retry budget
-    then runs in the parent -- the same loop, by the same
-    :func:`_run_job` a worker runs.  ``stage`` is ``"warm"`` or
-    ``"cold"``; only cold folds arm the ``kill-run`` fault, wherever
-    their ranges ran."""
+    (:func:`_run_on_pool`), and the ranges the pool leaves unfinished
+    then run in the parent -- the same loop, by the same
+    :func:`_run_job` a worker runs.  Those are the ranges that
+    exhausted their retry budget or, when the pool run fails outright
+    (a serial fallback), every range it did not finish; the ranges it
+    finished keep their states.  ``stage`` is ``"warm"`` or ``"cold"``;
+    only cold folds arm the ``kill-run`` fault, wherever their ranges
+    ran."""
+    report = profiles.stream_report
     payloads: dict = {}
     supervisor = None
-    in_parent = sorted(jobs)
     if workers >= 2 and len(jobs) > 1:
-        supervisor = _run_on_pool(profiles, jobs, stage, workers, payloads)
-        in_parent = sorted(supervisor.residual)
+        try:
+            supervisor = _run_on_pool(profiles, jobs, stage, workers,
+                                      payloads)
+        except Exception as fault:
+            why = (fault if isinstance(fault, PipelineError)
+                   else f"{type(fault).__name__}: {fault}")
+            report.fallbacks += 1
+            report.note(f"serial fallback: {why}")
+            warnings.warn(
+                f"pipelined {stage} fold failed ({why}); falling back to "
+                "the serial streaming path for its "
+                f"{len(jobs) - len(payloads)} unfinished range(s)",
+                RuntimeWarning, stacklevel=6)
+    in_parent = sorted(set(jobs) - set(payloads))
     started = time.monotonic()
     for index in in_parent:
         kind, job = jobs[index]
@@ -879,7 +810,7 @@ def _run_ranges(profiles, jobs: dict, stage: str, workers: int) -> dict:
         if stage == "cold":
             _maybe_kill_run(len(payloads))
     if supervisor is not None and in_parent:
-        _report_of(profiles).recovery_s += time.monotonic() - started
+        report.recovery_s += time.monotonic() - started
         warnings.warn(
             f"pipelined {stage} fold recovered {len(in_parent)} residual "
             "range(s) serially in the parent after the retry budget",
@@ -896,9 +827,8 @@ def _run_on_pool(profiles, jobs: dict, stage: str, workers: int,
     crash -- breaks the pool, since its workers may be mid-job; a fold
     that finishes leaves every worker idle."""
     try:
-        _seed_pool_memos(profiles.trace_spec, profiles.layout_spec, workers)
         supervisor = _Supervision(get_pool(workers), jobs,
-                                  _report_of(profiles), stage,
+                                  profiles.stream_report, stage,
                                   profiles.trace_spec.scene, payloads)
         _drive(supervisor, f"pipelined {stage} fold")
         if supervisor.residual and not supervisor.complete:

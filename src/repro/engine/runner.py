@@ -378,6 +378,12 @@ class Engine:
         :attr:`ExperimentResult.audit_reports`.
         """
         check_kernel(kernel)
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be positive")
+        if stream_workers < 0:
+            raise ValueError("stream_workers must not be negative")
+        if audit_parts < 0:
+            raise ValueError("audit_parts must not be negative")
         # Any pipeline request counts as streaming (a single worker
         # folds serially) so combining one with the reference kernel
         # fails loudly instead of silently running the non-streamed
@@ -405,10 +411,10 @@ class Engine:
                     streams = self.streamed(trace_spec, layout_spec,
                                             chunk_size=chunk_size,
                                             stream_workers=stream_workers)
-                    # Per-run recovery accounting: the memoized
-                    # StreamedProfiles would otherwise re-report a
-                    # previous run's recoveries.
-                    streams.stream_report = None
+                    # Per-run recovery accounting: every fold of this
+                    # run, and none of a previous run's, lands in the
+                    # run's report.
+                    streams.stream_report = stream_report
                 else:
                     streams = self.streams(trace_spec, layout_spec)
                 if kernel == "vectorized":
@@ -418,12 +424,9 @@ class Engine:
                     # pass over the blocks).  The reference kernel
                     # simulates every cell and reads no profile.
                     streams.prefetch(pairs)
-                if streaming:
-                    if streams.stream_report is not None:
-                        stream_report.absorb(streams.stream_report)
-                    if audit_parts:
-                        audit_reports.append(streams.audit(
-                            pairs, parts=audit_parts))
+                if audit_parts:
+                    audit_reports.append(streams.audit(
+                        pairs, parts=audit_parts))
                 for line_size in experiment.line_sizes:
                     for assoc in experiment.assocs:
                         rows.extend(self._sweep_sizes(

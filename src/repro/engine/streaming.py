@@ -55,12 +55,11 @@ from .spec import TraceSpec, layout_from_spec, order_from_spec
 
 
 #: Size-one memo of the last built scene and its placements, shared by
-#: every streamed fold in the process: the serial fold, the pipelined
-#: pool's workers (forked after the parent seeds it, so they inherit it
-#: copy-on-write), the parent's residual recovery and the single-part
-#: warm fold.  An experiment grid folds each scene under every layout
-#: in a row, so one entry amortizes the scene build; size one bounds
-#: RSS.
+#: every streamed fold in the process: the serial fold, the parent's
+#: residual recovery and the single-part warm fold.  Each pipelined
+#: pool worker fills its own; the parent of a pipelined fold builds no
+#: scene.  An experiment grid folds each scene under every layout in a
+#: row, so one entry amortizes the scene build; size one bounds RSS.
 _SCENES: dict = {}
 _PLACEMENTS: dict = {}
 
@@ -188,6 +187,7 @@ class StreamedProfiles(StoredProfiles):
     def __init__(self, store: Optional[ArtifactStore], trace_spec: TraceSpec,
                  layout_spec, chunk_size: int = DEFAULT_CHUNK_SIZE,
                  stream_workers: int = 0):
+        from .pipelined import StreamReport
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         super().__init__(store if store is not None else ArtifactStore(),
@@ -197,9 +197,9 @@ class StreamedProfiles(StoredProfiles):
         self.chunk_size = int(chunk_size)
         self.stream_workers = int(stream_workers)
         #: Fold and recovery accounting
-        #: (:class:`~repro.engine.pipelined.StreamReport`), attached by
-        #: the first fold; ``None`` until this object folds.
-        self.stream_report = None
+        #: (:class:`~repro.engine.pipelined.StreamReport`);
+        #: ``Engine.run`` hands in the run's own report instead.
+        self.stream_report = StreamReport()
 
     def stream(self, line_size: int) -> LineStream:
         raise RuntimeError(

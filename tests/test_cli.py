@@ -134,6 +134,21 @@ class TestSweep:
         assert "2-way" in out
         assert "full" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--chunk-size", "0"],
+        ["--chunk-size", "-4096"],
+        ["--stream-workers", "-2"],
+        ["--chunk-size", "4096", "--audit-parts", "-1"],
+    ], ids=["chunk_zero", "chunk_negative", "workers_negative",
+            "audit_negative"])
+    def test_out_of_range_streaming_values_are_usage_errors(self, capsys,
+                                                            flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "goblet", "--scale", "0.05", "--axis", "assoc",
+                  "--cache-size", "1024", "--line-size", "128", *flags])
+        assert exit_info.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
     def test_audit_parts_reports_the_audit(self, capsys):
         assert main(["sweep", "goblet", "--scale", "0.05",
                      "--chunk-size", "4096", "--audit-parts", "1"]) == 0

@@ -215,6 +215,23 @@ class TestExperimentRunner:
         for row, expected in zip(result.rows, serial.rows):
             assert row.stats.miss_rate == expected.stats.miss_rate
 
+    @pytest.mark.parametrize("options", [
+        {"chunk_size": 0},
+        {"chunk_size": -4096},
+        {"stream_workers": -2},
+        {"chunk_size": 4096, "audit_parts": -1},
+    ], ids=["chunk_zero", "chunk_negative", "workers_negative",
+            "audit_negative"])
+    def test_out_of_range_streaming_options_rejected(self, tmp_path,
+                                                     options):
+        experiment = ExperimentSpec(
+            scenes=("goblet",), layouts=(("nonblocked",),),
+            cache_sizes=(1024,), line_sizes=(32,), scale=0.05)
+        before = render_calls()
+        with pytest.raises(ValueError, match="must"):
+            Engine(store=ArtifactStore(tmp_path)).run(experiment, **options)
+        assert render_calls() == before
+
 
 class TestSpecValidation:
     def test_unknown_scene_rejected(self):

@@ -177,7 +177,8 @@ class TestPipelinedRun:
         engine = Engine(store=ArtifactStore(tmp_path / "a"))
         engine.run(exp, chunk_size=4096, stream_workers=2)
         pool = pipelined._POOL
-        assert pool is not None and pool.alive()
+        assert pool is not None
+        assert all(process.is_alive() for process in pool.processes)
         pids = [process.pid for process in pool.processes]
         # A second grid over the same pool: different layout, so the
         # fold runs again (warm this time) instead of loading caches.
@@ -185,6 +186,18 @@ class TestPipelinedRun:
                    chunk_size=4096, stream_workers=2)
         assert pipelined._POOL is pool
         assert [process.pid for process in pool.processes] == pids
+        assert all(process.is_alive() for process in pool.processes)
+
+    def test_parent_builds_no_scene(self, tmp_path, monkeypatch):
+        # A cold pipelined fold renders and folds in the workers: the
+        # parent builds no scene of its own, not even before the pool
+        # forks.
+        monkeypatch.setattr(streaming, "_SCENES", {})
+        monkeypatch.setattr(streaming, "_PLACEMENTS", {})
+        Engine(store=ArtifactStore(tmp_path / "a")).run(
+            ExperimentSpec(**GRID), chunk_size=4096, stream_workers=2)
+        assert pipelined._POOL is not None
+        assert streaming._SCENES == {}
 
     def test_stream_workers_reject_reference_kernel(self, tmp_path):
         exp = ExperimentSpec(scenes=(SCENE,), layouts=(LAYOUT,), scale=SCALE)

@@ -115,18 +115,15 @@ class TestFaultPlanGrammar:
 
 
 class TestStreamReport:
-    def test_clean_summary_and_absorb(self):
+    def test_clean_and_recovered_summaries(self):
         report = StreamReport(folds=1)
         assert report.clean
         assert "no recovery" in report.summary()
-        other = StreamReport(folds=2, respawns=1, retried_ranges=3,
-                             resumed_ranges=2, resumed_parts=7,
-                             recovery_s=1.5)
-        other.note("range 0: worker died")
-        report.absorb(other)
+        report = StreamReport(folds=3, respawns=1, retried_ranges=3,
+                              resumed_ranges=2, resumed_parts=7,
+                              recovery_s=1.5)
+        report.note("range 0: worker died")
         assert not report.clean
-        assert report.folds == 3 and report.respawns == 1
-        assert report.retried_ranges == 3 and report.resumed_parts == 7
         summary = report.summary()
         assert "respawn" in summary and "resumed" in summary
         assert report.events == ("range 0: worker died",)
@@ -206,22 +203,29 @@ class TestWorkerFaults:
         assert scan["clean"] and scan["bad"] == 0
 
 
-    def test_stalled_pool_falls_back_resuming_completed_ranges(
+    def test_stalled_pool_falls_back_running_only_unfinished_ranges(
             self, tmp_path, monkeypatch):
         # Range 1's worker wedges (the job deadline stays at its 600 s
         # default) while the other worker finishes ranges 0, 2 and 3;
-        # the pool then stalls.  The fallback runs the fold's jobs in
-        # the parent, folding the three completed ranges from their
-        # parts and rendering only range 1.
+        # the pool then stalls.  The fallback keeps the three finished
+        # ranges' states and runs only range 1 in the parent.
         reference = ram_rows(tmp_path)
+        in_parent = []
+        run_job = pipelined._run_job
+
+        def recorded(store, kind, job, before_block=None):
+            in_parent.append(job["range"])
+            return run_job(store, kind, job, before_block)
+
+        monkeypatch.setattr(pipelined, "_run_job", recorded)
         monkeypatch.setattr(pipelined, "NO_PROGRESS_TIMEOUT_S", 5.0)
         with injection.fault_plan("wedge-worker:range=1,block=0,seconds=120"):
             with pytest.warns(RuntimeWarning, match="falling back"):
                 result = piped_run(tmp_path / "piped")
         assert rows(result) == reference
+        assert in_parent == [1]  # workers record into their own copies
         report = result.stream_report
         assert report.fallbacks == 1
-        assert report.resumed_ranges == 3
         assert pipelined._POOL is None
         scan = ArtifactStore(tmp_path / "piped").verify()
         assert scan["clean"] and scan["bad"] == 0
@@ -326,21 +330,23 @@ class TestCrashResume:
 
 
 class TestPoolHygiene:
-    def test_get_pool_replaces_dead_workers_in_place(self, tmp_path,
-                                                     monkeypatch):
-        # Workers killed while idle, between folds, are respawned in
-        # place, and the respawned pool runs the next fold cleanly: a
-        # dead worker must hold nothing its replacements wait on.  A
-        # wedged replacement would only be retried after the job
-        # deadline, so shorten it to keep a regression fast.
+    def test_supervisor_respawns_workers_that_died_idle(self, tmp_path,
+                                                        monkeypatch):
+        # Workers killed while idle, between folds, are found and
+        # respawned in place by the next fold's supervisor, which then
+        # runs that fold cleanly: a dead worker must hold nothing its
+        # replacements wait on.  A wedged replacement would only be
+        # retried after the job deadline, so shorten it to keep a
+        # regression fast.
         piped_run(tmp_path / "first")
         pool = pipelined._POOL
-        assert pool is not None and pool.alive()
+        assert pool is not None
         victims = list(pool.processes)
+        assert all(victim.is_alive() for victim in victims)
         for victim in victims:
             victim.terminate()
             victim.join(5)
-        assert not pool.alive()
+        assert not any(victim.is_alive() for victim in victims)
         monkeypatch.setenv("REPRO_STREAM_JOB_TIMEOUT", "5")
         goblet = ExperimentSpec(**dict(GRID, scenes=("goblet",)))
         reference = rows(Engine(store=ArtifactStore(tmp_path / "ram")).run(
@@ -354,7 +360,7 @@ class TestPoolHygiene:
         assert report.retried_ranges == 0 and report.residual_ranges == 0
         assert report.fallbacks == 0
         assert pipelined._POOL is pool  # transparent respawn, not a rebuild
-        assert pool.alive() and pool.respawns == 2
+        assert all(process.is_alive() for process in pool.processes)
         assert not ({process.pid for process in pool.processes}
                     & {victim.pid for victim in victims})
 
@@ -372,8 +378,10 @@ class TestPoolHygiene:
         pool = pipelined.get_pool(2)
         bigger = pipelined.get_pool(3)
         assert bigger is not pool
-        assert bigger.workers == 3 and bigger.alive()
-        assert not pool.alive()  # the old pool was shut down
+        assert bigger.workers == 3
+        assert all(process.is_alive() for process in bigger.processes)
+        # The old pool was shut down.
+        assert not any(process.is_alive() for process in pool.processes)
 
     def test_forced_shutdown_terminates_workers(self):
         # A broken pool is torn down without reading its pipes: every
