@@ -17,11 +17,24 @@ from paperbench import emit, fa_curve, kb, scaled_cache
 from repro.analysis import format_table
 from repro.engine import ExperimentSpec, paper_order_spec
 
-CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (1, 4, 16, 64)})
+PAPER_SIZES_KB = (1, 4, 16, 64)
 LINE = 64
 LAYOUT = ("blocked", 4)
 SCENES = ("town", "flight")  # in their paper orders: vertical, horizontal
 FILTERS = {"mipmapped trilinear": True, "GL_LINEAR level 0": False}
+
+
+def cache_sizes(scale):
+    return sorted({scaled_cache(1024 * k, scale) for k in PAPER_SIZES_KB})
+
+
+def grids(scale):
+    """One grid per filter, in :data:`FILTERS` order."""
+    return [ExperimentSpec(
+        scenes=SCENES, orders=("paper",), layouts=(LAYOUT,),
+        cache_sizes=cache_sizes(scale), line_sizes=(LINE,),
+        use_mipmaps=mipmaps, scale=scale)
+        for mipmaps in FILTERS.values()]
 
 
 def measure(bank):
@@ -30,11 +43,8 @@ def measure(bank):
     renders = {(scene, label): bank.render(scene, paper_order_spec(scene),
                                            use_mipmaps=mipmaps)
                for scene in SCENES for label, mipmaps in FILTERS.items()}
-    results = {label: bank.engine.run(ExperimentSpec(
-        scenes=SCENES, orders=("paper",), layouts=(LAYOUT,),
-        cache_sizes=CACHE_SIZES, line_sizes=(LINE,), use_mipmaps=mipmaps,
-        scale=bank.scale))
-        for label, mipmaps in FILTERS.items()}
+    results = dict(zip(FILTERS, (bank.engine.run(grid)
+                                 for grid in grids(bank.scale))))
     return renders, results
 
 
@@ -52,7 +62,8 @@ def test_ablation_mipmap(benchmark, bank):
             + [f"{100 * r:.2f}%" for r in curve.miss_rates]
         )
     text = format_table(
-        ["scene", "filtering", "fetch/frag"] + [kb(s) for s in CACHE_SIZES],
+        ["scene", "filtering", "fetch/frag"]
+        + [kb(s) for s in cache_sizes(bank.scale)],
         rows,
         title=f"Fully associative, {LINE}B lines, blocked 4x4:",
     )
@@ -71,7 +82,7 @@ def test_ablation_mipmap(benchmark, bank):
         # working set.  (Flight's strong minification shows 5-6x;
         # Town's near facades are magnified anyway, so its gap is
         # smaller at tiny caches.)
-        for index in range(len(CACHE_SIZES)):
+        for index in range(len(cache_sizes(bank.scale))):
             assert linear.miss_rates[index] > mip.miss_rates[index], (scene, index)
         assert linear.miss_rates[-1] > 1.8 * mip.miss_rates[-1], scene
         # Per-fragment traffic is also worse: 4 fetches at the higher

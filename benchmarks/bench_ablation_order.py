@@ -14,16 +14,20 @@ from paperbench import emit, fa_curve, kb, scaled_cache
 
 from repro.analysis import format_table
 from repro.engine import ExperimentSpec
+from repro.scenes import ALL_SCENES
 
-CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (1, 2, 4, 8, 32)})
+PAPER_SIZES_KB = (1, 2, 4, 8, 32)
 LINE = 128
 LAYOUT = ("blocked", 8)
 SCENE = "guitar"
 
 
-def order_specs(bank):
-    scene = bank.scene(SCENE)
-    bits = int(np.ceil(np.log2(max(scene.width, scene.height))))
+def cache_sizes(scale):
+    return sorted({scaled_cache(1024 * k, scale) for k in PAPER_SIZES_KB})
+
+
+def order_specs(scale):
+    bits = int(np.ceil(np.log2(max(ALL_SCENES[SCENE]().frame_size(scale)))))
     return [
         ("horizontal", ("horizontal",)),
         ("tiled 8x8", ("tiled", 8)),
@@ -32,24 +36,28 @@ def order_specs(bank):
     ]
 
 
+def grids(scale):
+    return [ExperimentSpec(
+        scenes=(SCENE,), orders=tuple(spec for _, spec in order_specs(scale)),
+        layouts=(LAYOUT,), cache_sizes=cache_sizes(scale), line_sizes=(LINE,),
+        scale=scale)]
+
+
 def measure(bank):
-    return [bank.engine.run(ExperimentSpec(
-        scenes=(SCENE,), orders=tuple(spec for _, spec in order_specs(bank)),
-        layouts=(LAYOUT,), cache_sizes=CACHE_SIZES, line_sizes=(LINE,),
-        scale=bank.scale))]
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
 
 
 def test_ablation_order(benchmark, bank):
     results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
     curves = {label: fa_curve(results, order=spec)
-              for label, spec in order_specs(bank)}
+              for label, spec in order_specs(bank.scale)}
 
     rows = [
         [label] + [f"{100 * r:.2f}%" for r in curve.miss_rates]
         for label, curve in curves.items()
     ]
     text = format_table(
-        ["order"] + [kb(s) for s in CACHE_SIZES], rows,
+        ["order"] + [kb(s) for s in cache_sizes(bank.scale)], rows,
         title=f"{SCENE}, blocked 8x8, {LINE}B lines, fully associative:",
     )
     text += ("\n\nFootnote 1 confirmed: the Hilbert path performs like the "

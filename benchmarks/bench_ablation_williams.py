@@ -12,22 +12,31 @@ from paperbench import cell_stats, emit, fa_curve, kb, scaled_cache
 from repro.analysis import format_table
 from repro.engine import ExperimentSpec
 
-CACHE_SIZES = [scaled_cache(1024 * k) for k in (2, 8, 32)]
+PAPER_SIZES_KB = (2, 8, 32)
 LINE = 32
 ORDER = ("vertical",)
 SCENE = "town"
 LAYOUTS = {"nonblocked": ("nonblocked",), "williams": ("williams",)}
 
 
-def measure(bank):
-    return [bank.engine.run(ExperimentSpec(
+def cache_sizes(scale):
+    return [scaled_cache(1024 * k, scale) for k in PAPER_SIZES_KB]
+
+
+def grids(scale):
+    return [ExperimentSpec(
         scenes=(SCENE,), orders=(ORDER,), layouts=tuple(LAYOUTS.values()),
-        cache_sizes=CACHE_SIZES, line_sizes=(LINE,), assocs=(None, 1),
-        scale=bank.scale))]
+        cache_sizes=cache_sizes(scale), line_sizes=(LINE,), assocs=(None, 1),
+        scale=scale)]
+
+
+def measure(bank):
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
 
 
 def test_ablation_williams(benchmark, bank):
     results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    sizes = cache_sizes(bank.scale)
     out = {}
     for label, layout in LAYOUTS.items():
         curve = fa_curve(results, layout=layout)
@@ -35,13 +44,13 @@ def test_ablation_williams(benchmark, bank):
             "fa": curve.miss_rates,
             "direct": [cell_stats(results, layout=layout, cache_size=size,
                                   assoc=1).miss_rate
-                       for size in CACHE_SIZES],
+                       for size in sizes],
             "accesses": curve.total_accesses,
         }
 
     rows = []
     for label, data in out.items():
-        for index, size in enumerate(CACHE_SIZES):
+        for index, size in enumerate(sizes):
             # Traffic per *texel filtered* = miss rate x accesses/texel
             # x line size; Williams makes three accesses per texel.
             per_texel = 3 if label == "williams" else 1
@@ -69,5 +78,5 @@ def test_ablation_williams(benchmark, bank):
     assert wl["accesses"] == 3 * nb["accesses"]
     # Direct-mapped traffic per filtered texel is strictly worse for
     # Williams at every size.
-    for index in range(len(CACHE_SIZES)):
+    for index in range(len(sizes)):
         assert wl["direct"][index] * 3 * LINE > nb["direct"][index] * LINE

@@ -23,6 +23,16 @@ ORDER = ("tiled", 8)
 LAYOUT = ("padded", 8, 4)
 LINE = 128
 ANISO = (1, 2, 4, 8)
+PAPER_CACHE = 32 * 1024
+
+
+def grids(scale):
+    """One grid per anisotropy, in :data:`ANISO` order."""
+    return [ExperimentSpec(
+        scenes=(SCENE,), orders=(ORDER,), layouts=(LAYOUT,),
+        cache_sizes=(scaled_cache(PAPER_CACHE, scale),), line_sizes=(LINE,),
+        assocs=(2,), max_anisotropy=aniso, scale=scale)
+        for aniso in ANISO]
 
 
 def measure(bank):
@@ -30,11 +40,8 @@ def measure(bank):
     # one grid per anisotropy.
     renders = {aniso: bank.render(SCENE, ORDER, max_anisotropy=aniso)
                for aniso in ANISO}
-    results = {aniso: bank.engine.run(ExperimentSpec(
-        scenes=(SCENE,), orders=(ORDER,), layouts=(LAYOUT,),
-        cache_sizes=(scaled_cache(32 * 1024),), line_sizes=(LINE,),
-        assocs=(2,), max_anisotropy=aniso, scale=bank.scale))
-        for aniso in ANISO}
+    results = dict(zip(ANISO, (bank.engine.run(grid)
+                               for grid in grids(bank.scale))))
     return renders, results
 
 
@@ -62,7 +69,7 @@ def test_aniso(benchmark, bank):
         ["anisotropy", "texels/fragment", "traffic vs trilinear",
          "miss rate", "bandwidth @50Mfrag/s"],
         rows,
-        title=(f"{SCENE}, {kb(scaled_cache(32 * 1024))} 2-way cache, "
+        title=(f"{SCENE}, {kb(scaled_cache(PAPER_CACHE, bank.scale))} 2-way cache, "
                f"{LINE}B lines, padded 8x8 blocks:"),
     )
     uncached_8x = (results[ANISO[-1]][0].n_accesses

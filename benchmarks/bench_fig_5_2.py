@@ -23,22 +23,26 @@ PAPER_COLD_32 = {"town": 0.0055, "guitar": 0.0087, "goblet": 0.015, "flight": 0.
 PAPER_COLD_128 = {"town": 0.0015, "guitar": 0.0025, "goblet": 0.0042, "flight": 0.011}
 PAPER_WORKING_SET = {"flight": 4, "town": 8, "guitar": 16, "goblet": 16}  # KB, horizontal
 
-CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (1, 2, 4, 8, 16, 32, 64, 128, 256)})
+PAPER_SIZES_KB = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 LAYOUT = ("nonblocked",)
 DIRECTIONS = ("horizontal", "vertical")
 
 
-def measure(bank):
+def grids(scale):
+    sizes = sorted({scaled_cache(1024 * k, scale) for k in PAPER_SIZES_KB})
     scenes = tuple(ALL_SCENES)
     curve_grid = ExperimentSpec(
         scenes=scenes, orders=tuple((direction,) for direction in DIRECTIONS),
-        layouts=(LAYOUT,), cache_sizes=CACHE_SIZES, line_sizes=(32,),
-        scale=bank.scale)
+        layouts=(LAYOUT,), cache_sizes=sizes, line_sizes=(32,), scale=scale)
     # The cold column at 128 B: cold misses are the same at every size.
     cold_grid = ExperimentSpec(
         scenes=scenes, orders=(("horizontal",),), layouts=(LAYOUT,),
-        cache_sizes=(CACHE_SIZES[-1],), line_sizes=(128,), scale=bank.scale)
-    return [bank.engine.run(curve_grid), bank.engine.run(cold_grid)]
+        cache_sizes=(sizes[-1],), line_sizes=(128,), scale=scale)
+    return [curve_grid, cold_grid]
+
+
+def measure(bank):
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
 
 
 def test_fig_5_2(benchmark, bank):

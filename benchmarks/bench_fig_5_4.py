@@ -15,7 +15,7 @@ from repro.analysis import format_table
 from repro.engine import ExperimentSpec, paper_order_spec
 from repro.texture.image import TEXEL_NBYTES
 
-CACHE = scaled_cache(32 * 1024)
+PAPER_CACHE = 32 * 1024
 LINE_SIZES = (32, 64, 128, 256)
 BLOCKS = (1, 2, 4, 8, 16)  # 1 = nonblocked
 
@@ -26,11 +26,16 @@ def layout_spec(block):
     return ("nonblocked",) if block == 1 else ("blocked", block)
 
 
-def measure(bank):
-    return [bank.engine.run(ExperimentSpec(
+def grids(scale):
+    return [ExperimentSpec(
         scenes=SCENES, orders=("paper",),
         layouts=tuple(layout_spec(block) for block in BLOCKS),
-        cache_sizes=(CACHE,), line_sizes=LINE_SIZES, scale=bank.scale))]
+        cache_sizes=(scaled_cache(PAPER_CACHE, scale),),
+        line_sizes=LINE_SIZES, scale=scale)]
+
+
+def measure(bank):
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
 
 
 def test_fig_5_4(benchmark, bank):
@@ -54,7 +59,7 @@ def test_fig_5_4(benchmark, bank):
             ["block", "block bytes"] + [f"{line}B line" for line in LINE_SIZES],
             rows,
             title=(f"{name} ({paper_order_spec(name)[0]}), fully associative "
-                   f"{kb(CACHE)} cache:"),
+                   f"{kb(scaled_cache(PAPER_CACHE, bank.scale))} cache:"),
         ))
     text = "\n\n".join(sections)
     text += ("\n\nPaper: the best block size matches the cache line size "

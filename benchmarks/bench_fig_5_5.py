@@ -15,7 +15,7 @@ from repro.analysis import format_table
 from repro.engine import ExperimentSpec
 from repro.scenes import ALL_SCENES
 
-CACHE = scaled_cache(32 * 1024)
+PAPER_CACHE = 32 * 1024
 #: line size -> matching square block (closest block footprint <= line).
 MATCHED = {16: 2, 32: 2, 64: 4, 128: 4, 256: 8}
 
@@ -23,14 +23,19 @@ PAPER_32B = {"flight": 2.8, "goblet": 1.5, "guitar": 1.2, "town": 0.8}
 PAPER_128B = {"flight": 0.87, "goblet": 0.41, "guitar": 0.36, "town": 0.21}
 
 
-def measure(bank):
-    return [bank.engine.run(ExperimentSpec(
+def grids(scale):
+    return [ExperimentSpec(
         scenes=tuple(ALL_SCENES), orders=("paper",),
-        layouts=(("blocked", block),), cache_sizes=(CACHE,),
+        layouts=(("blocked", block),),
+        cache_sizes=(scaled_cache(PAPER_CACHE, scale),),
         line_sizes=tuple(line for line, matched in MATCHED.items()
                          if matched == block),
-        scale=bank.scale))
+        scale=scale)
         for block in sorted(set(MATCHED.values()))]
+
+
+def measure(bank):
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
 
 
 def test_fig_5_5(benchmark, bank):
@@ -53,7 +58,8 @@ def test_fig_5_5(benchmark, bank):
     text = format_table(
         ["scene"] + [f"{line}B/{MATCHED[line]}x{MATCHED[line]}" for line in MATCHED],
         rows,
-        title=(f"Fully associative {kb(CACHE)} cache, matched line/block "
+        title=(f"Fully associative {kb(scaled_cache(PAPER_CACHE, bank.scale))}"
+               " cache, matched line/block "
                "(paper values at 32B and 128B in parentheses):"),
     )
     emit("fig_5_5", text)

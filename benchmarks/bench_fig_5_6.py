@@ -13,7 +13,7 @@ from paperbench import emit, fa_curve, kb, scaled_cache
 from repro.analysis import format_table
 from repro.engine import ExperimentSpec
 
-CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (2, 4, 8, 16, 32, 64)})
+PAPER_SIZES_KB = (2, 4, 8, 16, 32, 64)
 
 #: (label, line size, layout spec) series, mirroring the figure's lines.
 SERIES = [
@@ -28,14 +28,22 @@ SERIES = [
 ORDER = ("horizontal",)
 
 
-def measure(bank):
+def cache_sizes(scale):
+    return sorted({scaled_cache(1024 * k, scale) for k in PAPER_SIZES_KB})
+
+
+def grids(scale):
     lines = {}
     for _, line, layout in SERIES:
         lines.setdefault(layout, []).append(line)
-    return [bank.engine.run(ExperimentSpec(
+    return [ExperimentSpec(
         scenes=("guitar",), orders=(ORDER,), layouts=(layout,),
-        cache_sizes=CACHE_SIZES, line_sizes=tuple(sizes), scale=bank.scale))
+        cache_sizes=cache_sizes(scale), line_sizes=tuple(sizes), scale=scale)
         for layout, sizes in lines.items()]
+
+
+def measure(bank):
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
 
 
 def test_fig_5_6(benchmark, bank):
@@ -48,7 +56,7 @@ def test_fig_5_6(benchmark, bank):
         for label, _, _ in SERIES
     ]
     text = format_table(
-        ["line/block"] + [kb(s) for s in CACHE_SIZES], rows,
+        ["line/block"] + [kb(s) for s in cache_sizes(bank.scale)], rows,
         title="Guitar, fully associative caches:",
     )
     text += ("\n\nPaper: below the working set, blocking + larger lines "
@@ -56,7 +64,6 @@ def test_fig_5_6(benchmark, bank):
              "make things worse.")
     emit("fig_5_6", text)
 
-    small = CACHE_SIZES[0]
     index = 0
     # Larger lines without blocking hurt at small cache sizes...
     assert curves["128B nonblocked"].miss_rates[index] > \

@@ -18,7 +18,7 @@ from paperbench import cell_stats, emit, kb, scaled_cache
 from repro.analysis import format_table
 from repro.engine import ExperimentSpec, paper_order_spec
 
-CACHE_SIZES = [scaled_cache(1024 * k) for k in (4, 8, 16, 32, 64, 128)]
+PAPER_SIZES_KB = (4, 8, 16, 32, 64, 128)
 ASSOCIATIVITIES = (1, 2, 4, 8, 16, None)
 LINE = 128
 LAYOUT = ("blocked", 8)
@@ -26,11 +26,19 @@ LAYOUT = ("blocked", 8)
 SCENES = ("goblet", "town")  # in their paper orders: horizontal, vertical
 
 
-def measure(bank):
-    return [bank.engine.run(ExperimentSpec(
+def cache_sizes(scale):
+    return [scaled_cache(1024 * k, scale) for k in PAPER_SIZES_KB]
+
+
+def grids(scale):
+    return [ExperimentSpec(
         scenes=SCENES, orders=("paper",), layouts=(LAYOUT,),
-        cache_sizes=CACHE_SIZES, line_sizes=(LINE,), assocs=ASSOCIATIVITIES,
-        scale=bank.scale))]
+        cache_sizes=cache_sizes(scale), line_sizes=(LINE,),
+        assocs=ASSOCIATIVITIES, scale=scale)]
+
+
+def measure(bank):
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
 
 
 def label(assoc):
@@ -39,15 +47,16 @@ def label(assoc):
 
 def test_fig_5_7(benchmark, bank):
     results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    sizes = cache_sizes(bank.scale)
     rates = {(name, size, assoc): cell_stats(
         results, scene=name, cache_size=size, assoc=assoc).miss_rate
-        for name in SCENES for size in CACHE_SIZES
+        for name in SCENES for size in sizes
         for assoc in ASSOCIATIVITIES}
 
     sections = []
     for name in SCENES:
         rows = []
-        for size in CACHE_SIZES:
+        for size in sizes:
             rows.append([kb(size)] + [
                 f"{100 * rates[(name, size, assoc)]:.3f}%"
                 for assoc in ASSOCIATIVITIES
@@ -65,7 +74,7 @@ def test_fig_5_7(benchmark, bank):
 
     # Goblet: direct-mapped suffers; 2-way ~ fully associative.
     goblet_gap = []
-    for size in CACHE_SIZES[:4]:
+    for size in sizes[:4]:
         direct = rates[("goblet", size, 1)]
         two_way = rates[("goblet", size, 2)]
         full = rates[("goblet", size, None)]
@@ -73,9 +82,9 @@ def test_fig_5_7(benchmark, bank):
         assert two_way < 1.6 * full + 1e-9, size
     assert max(goblet_gap) > 1.5
     # Town-vertical: 2-way still beats direct...
-    small = CACHE_SIZES[0]
+    small = sizes[0]
     assert rates[("town", small, 2)] < rates[("town", small, 1)]
     # ...but a gap to fully associative persists somewhere in the sweep.
     gaps = [rates[("town", size, 2)] - rates[("town", size, None)]
-            for size in CACHE_SIZES]
+            for size in sizes]
     assert max(gaps) > 0.0005

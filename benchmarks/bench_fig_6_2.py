@@ -16,7 +16,7 @@ from paperbench import emit, fa_curve, kb, scaled_cache
 from repro.analysis import format_table, miss_rate_chart
 from repro.engine import ExperimentSpec
 
-CACHE_SIZES = sorted({scaled_cache(1024 * k) for k in (2, 4, 8, 16, 32)})
+PAPER_SIZES_KB = (2, 4, 8, 16, 32)
 LINE = 128
 LAYOUT = ("blocked", 8)
 TILES = (None, 2, 4, 8, 16, 32, 64, 128)  # None = nontiled horizontal
@@ -27,15 +27,24 @@ def order_spec(tile):
     return ("horizontal",) if tile is None else ("tiled", tile)
 
 
-def measure(bank):
-    return [bank.engine.run(ExperimentSpec(
+def cache_sizes(scale):
+    return sorted({scaled_cache(1024 * k, scale) for k in PAPER_SIZES_KB})
+
+
+def grids(scale):
+    return [ExperimentSpec(
         scenes=SCENES, orders=tuple(order_spec(tile) for tile in TILES),
-        layouts=(LAYOUT,), cache_sizes=CACHE_SIZES, line_sizes=(LINE,),
-        scale=bank.scale))]
+        layouts=(LAYOUT,), cache_sizes=cache_sizes(scale), line_sizes=(LINE,),
+        scale=scale)]
+
+
+def measure(bank):
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
 
 
 def test_fig_6_2(benchmark, bank):
     results = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    sizes = cache_sizes(bank.scale)
     curves = {(scene, tile): fa_curve(results, scene=scene,
                                       order=order_spec(tile))
               for scene in SCENES for tile in TILES}
@@ -48,7 +57,7 @@ def test_fig_6_2(benchmark, bank):
             rows.append([name] + [
                 f"{100 * r:.2f}%" for r in curves[(scene, tile)].miss_rates])
         sections.append(format_table(
-            ["tile"] + [kb(s) for s in CACHE_SIZES], rows,
+            ["tile"] + [kb(s) for s in sizes], rows,
             title=f"{scene}, blocked 8x8, {LINE}B lines, fully associative:",
         ))
     text = "\n\n".join(sections)
@@ -71,6 +80,6 @@ def test_fig_6_2(benchmark, bank):
         assert best_medium < 0.75 * nontiled
         assert huge > best_medium
     # Goblet: spread across tile sizes stays small.
-    for size_index in range(len(CACHE_SIZES)):
+    for size_index in range(len(sizes)):
         values = [curves[("goblet", t)].miss_rates[size_index] for t in TILES]
         assert max(values) < 1.4 * min(values) + 1e-9

@@ -19,7 +19,7 @@ from repro.analysis import format_table
 from repro.core import classify_counts
 from repro.engine import ExperimentSpec, paper_order_spec
 
-CACHE_SIZES = [scaled_cache(1024 * k) for k in (4, 8, 16, 32)]
+PAPER_SIZES_KB = (4, 8, 16, 32)
 LINE = 128
 
 #: Tiled orders; the nontiled baseline is each scene's paper order
@@ -38,23 +38,32 @@ def layout_specs(cache_bytes):
     ]
 
 
-def measure(bank):
+def cache_sizes(scale):
+    return [scaled_cache(1024 * k, scale) for k in PAPER_SIZES_KB]
+
+
+def grids(scale):
     # Every 2-way cell comes with the fully-associative cell of the
     # same size, the 3C split's reference.
-    def run(scenes, order, layouts, sizes):
-        return bank.engine.run(ExperimentSpec(
+    def grid(scenes, order, layouts, sizes):
+        return ExperimentSpec(
             scenes=scenes, orders=(order,), layouts=tuple(layouts),
             cache_sizes=tuple(sizes), line_sizes=(LINE,), assocs=(2, None),
-            scale=bank.scale))
+            scale=scale)
 
-    results = [run(tuple(SCENES), "paper", [("blocked", 8)], CACHE_SIZES)]
+    sizes = cache_sizes(scale)
+    specs = [grid(tuple(SCENES), "paper", [("blocked", 8)], sizes)]
     # The 6D superblock is the cache size: one tiled grid per size.
     for scene, tiled_order in SCENES.items():
-        for size in CACHE_SIZES:
-            results.append(run((scene,), tiled_order,
-                               [layout for _, layout in layout_specs(size)],
-                               [size]))
-    return results
+        for size in sizes:
+            specs.append(grid((scene,), tiled_order,
+                              [layout for _, layout in layout_specs(size)],
+                              [size]))
+    return specs
+
+
+def measure(bank):
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
 
 
 def three_c(results, **criteria):
@@ -66,23 +75,24 @@ def three_c(results, **criteria):
 
 
 def test_fig_6_4(benchmark, bank):
-    grids = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    runs = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    sizes = cache_sizes(bank.scale)
     results = {}
     for scene, tiled_order in SCENES.items():
-        for size in CACHE_SIZES:
+        for size in sizes:
             for label, layout in layout_specs(size):
                 results[(scene, size, label)] = three_c(
-                    grids, scene=scene, order=tiled_order, layout=layout,
+                    runs, scene=scene, order=tiled_order, layout=layout,
                     cache_size=size)
             results[(scene, size, "nontiled blocked")] = three_c(
-                grids, scene=scene, order=paper_order_spec(scene),
+                runs, scene=scene, order=paper_order_spec(scene),
                 layout=("blocked", 8), cache_size=size)
 
     sections = []
     variants = ["nontiled blocked", "blocked", "padded", "6d"]
     for scene in SCENES:
         rows = []
-        for size in CACHE_SIZES:
+        for size in sizes:
             for variant in variants:
                 stats = results[(scene, size, variant)]
                 rows.append([
@@ -106,11 +116,11 @@ def test_fig_6_4(benchmark, bank):
     # Tiling reduces Town's conflicts vs nontiled-vertical at some size.
     town_gains = [conflict_rate("town", size, "nontiled blocked")
                   - conflict_rate("town", size, "blocked")
-                  for size in CACHE_SIZES]
+                  for size in sizes]
     assert max(town_gains) > 0
     # Padding and 6D blocking help Flight beyond tiling alone.
-    flight_blocked = sum(conflict_rate("flight", s, "blocked") for s in CACHE_SIZES)
-    flight_padded = sum(conflict_rate("flight", s, "padded") for s in CACHE_SIZES)
-    flight_6d = sum(conflict_rate("flight", s, "6d") for s in CACHE_SIZES)
+    flight_blocked = sum(conflict_rate("flight", s, "blocked") for s in sizes)
+    flight_padded = sum(conflict_rate("flight", s, "padded") for s in sizes)
+    flight_6d = sum(conflict_rate("flight", s, "6d") for s in sizes)
     assert flight_padded < flight_blocked
     assert flight_6d < flight_blocked

@@ -23,8 +23,9 @@ Results land in ``BENCH_prefetch_timing.json`` at the repository root
 with schema ``{bench, config, curve, ms_before, ms_after, speedup}``;
 ``curve`` holds the per-scene latency-tolerance rows.  Run directly
 (``python benchmarks/bench_prefetch_timing.py``) or through the
-benchmark suite; ``--smoke`` runs a reduced grid, skips the JSON and
-just checks equivalence.
+benchmark suite.  The equivalence itself is tier-1's:
+``tests/test_texcache.py`` sweeps each paper scene's DRAM service
+times through both kernels.
 """
 
 from __future__ import annotations
@@ -53,9 +54,6 @@ SAMPLE = 400000  # texel accesses per scene (= SAMPLE / 8 fragments)
 #: axis (and fill-cap block splits stay rare in the scan kernel).
 QUEUE_DEPTH = 128
 DEPTHS = (32, 64, 128, 256, 512, 1024)
-SMOKE_DIVISOR = 10
-SMOKE_DEPTHS = (8, 64)
-SMOKE_LATENCIES = (10, 120)
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_prefetch_timing.json"
 
@@ -95,26 +93,24 @@ def _timed(run):
     return 1000 * (time.perf_counter() - start), result
 
 
-def measure(bank, smoke: bool = False) -> dict:
+def measure(bank) -> dict:
     config = _cache_config()
     params = _params(config.line_size)
-    depths = SMOKE_DEPTHS if smoke else DEPTHS
-    latencies = list(SMOKE_LATENCIES) if smoke else _latencies()
-    sample = SAMPLE // (SMOKE_DIVISOR if smoke else 1)
+    latencies = _latencies()
     per_scene = {}
     curve = {}
     totals = {"before": 0.0, "after": 0.0}
     for scene in SCENES:
         streams = bank.streams(scene, paper_order_spec(scene), LAYOUT)
         counts, services = fragment_fill_streams(
-            streams.addresses[:sample], config, dram=PAPER_DRAM)
+            streams.addresses[:SAMPLE], config, dram=PAPER_DRAM)
         ms_before, slow = _timed(lambda: sweep_texcache(
-            counts, params, depths, latencies, services=services,
+            counts, params, DEPTHS, latencies, services=services,
             kernel="reference"))
         ms_after = None
         for _ in range(3):
             elapsed, fast = _timed(lambda: sweep_texcache(
-                counts, params, depths, latencies, services=services))
+                counts, params, DEPTHS, latencies, services=services))
             ms_after = elapsed if ms_after is None else min(ms_after, elapsed)
         _assert_grids_equal(fast, slow, scene)
         per_scene[scene] = {
@@ -140,8 +136,8 @@ def measure(bank, smoke: bool = False) -> dict:
             "scenes": list(SCENES),
             "layout": list(LAYOUT),
             "cache": config.label(),
-            "sample_accesses": sample,
-            "depths": list(depths),
+            "sample_accesses": SAMPLE,
+            "depths": list(DEPTHS),
             "latencies": list(latencies),
             "request_fifo": QUEUE_DEPTH,
             "reorder_buffer": QUEUE_DEPTH,
@@ -155,14 +151,10 @@ def measure(bank, smoke: bool = False) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced grid, equivalence check only "
-                             "(no BENCH_prefetch_timing.json)")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
 
     bank = SceneBank()
-    report = measure(bank, smoke=args.smoke)
+    report = measure(bank)
     per_scene = report["config"]["per_scene"]
     detail = ", ".join(f"{scene} {entry['speedup']:.1f}x"
                        for scene, entry in per_scene.items())
@@ -171,10 +163,6 @@ def main(argv=None) -> int:
           f"reference {report['ms_before']:.1f} ms -> vectorized "
           f"{report['ms_after']:.1f} ms "
           f"({report['speedup']:.1f}x combined; {detail})")
-    if args.smoke:
-        print("smoke OK: vectorized == reference on every metric of "
-              "every grid cell, all scenes")
-        return 0
     RESULT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {RESULT_PATH}")
     return 0

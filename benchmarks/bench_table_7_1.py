@@ -44,24 +44,28 @@ PAPER = {
 # row alignment -- treat town/guitar large-cache cells as approximate.
 
 
-def measure(bank):
+def grids(scale):
     # One grid per line size and associativity: the two 2-way sizes,
     # then the direct-mapped 128 KB class.
     sizes = {}
     for paper_kb, assoc in CACHES:
-        sizes.setdefault(assoc, []).append(scaled_cache(paper_kb * 1024))
-    return [bank.engine.run(ExperimentSpec(
+        sizes.setdefault(assoc, []).append(scaled_cache(paper_kb * 1024, scale))
+    return [ExperimentSpec(
         scenes=tuple(PAPER), orders=(ORDER,), layouts=(("padded", block, 4),),
         cache_sizes=tuple(assoc_sizes), line_sizes=(line,), assocs=(assoc,),
-        scale=bank.scale))
+        scale=scale)
         for line, block in LINES.items()
         for assoc, assoc_sizes in sizes.items()]
 
 
+def measure(bank):
+    return [bank.engine.run(grid) for grid in grids(bank.scale)]
+
+
 def test_table_7_1(benchmark, bank):
-    grids = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
+    runs = benchmark.pedantic(measure, args=(bank,), rounds=1, iterations=1)
     results = {(scene, paper_kb, line): cell_stats(
-        grids, scene=scene, cache_size=scaled_cache(paper_kb * 1024),
+        runs, scene=scene, cache_size=scaled_cache(paper_kb * 1024, bank.scale),
         line_size=line, assoc=assoc).miss_rate
         for scene in PAPER for paper_kb, assoc in CACHES for line in LINES}
 
@@ -74,7 +78,7 @@ def test_table_7_1(benchmark, bank):
                 paper_bw, paper_miss = PAPER[scene][(paper_kb, line)]
                 rows.append([
                     scene,
-                    f"{paper_kb}KB->{kb(scaled_cache(paper_kb * 1024))}"
+                    f"{paper_kb}KB->{kb(scaled_cache(paper_kb * 1024, bank.scale))}"
                     f"/{line}B/{assoc}-way",
                     f"{bandwidth:.0f} ({paper_bw})",
                     f"{100 * miss:.2f}% ({paper_miss}%)",

@@ -12,9 +12,11 @@ and reproduces bit-identical numbers.
 
 The LRU tables and figures (Figures 5.2-6.4, Table 7.1 and the order,
 Williams, mip-map and anisotropy ablations) declare their grids as
-:class:`~repro.engine.ExperimentSpec` objects and read every number
-from the rows of :meth:`Engine.run <repro.engine.Engine.run>`, the
-path the golden pin and ``benchmarks/e2e`` check.  A warm run of the
+:class:`~repro.engine.ExperimentSpec` objects -- each bench's
+``grids(scale)``, which its ``measure`` runs and
+``tests/golden/figures.json`` pins -- and read every number from the
+rows of :meth:`Engine.run <repro.engine.Engine.run>`, the path the
+golden pins and ``benchmarks/e2e`` check.  A warm run of the
 figure and table benches reads stored profiles only: it builds no
 scene and loads no address stream.  :func:`cell_stats` and
 :func:`fa_curve` look rows up across a bench's specs.  The per-access
@@ -52,14 +54,14 @@ SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
-def scaled_cache(paper_bytes: int) -> int:
-    """Scale a paper cache size, rounding to a power of two.
+def scaled_cache(paper_bytes: int, scale: float = SCALE) -> int:
+    """Scale a paper cache size to ``scale``, rounding to a power of two.
 
     Working sets scale roughly linearly with the reproduction scale
     (scan-line texel span x line size), so cache capacities quoted from
     the paper are scaled by the same factor.
     """
-    target = max(paper_bytes * SCALE, 512)
+    target = max(paper_bytes * scale, 512)
     exponent = int(round(np.log2(target)))
     return 1 << exponent
 

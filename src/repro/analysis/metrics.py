@@ -49,9 +49,6 @@ class AccessesPerTexel:
     upper: float
     bilinear: float
 
-    def as_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "bilinear": self.bilinear}
-
 
 def accesses_per_texel(trace: TexelTrace, window: int = 8192) -> AccessesPerTexel:
     """Section 3.1.2's overlap metric.

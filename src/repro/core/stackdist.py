@@ -123,10 +123,6 @@ class DistanceProfile:
         hits_within = int(self.counts[:upto].sum())
         return int(self.counts.sum()) - hits_within + self.cold
 
-    def miss_rate_at(self, capacity_lines: int) -> float:
-        total = self.total_accesses
-        return self.misses_at(capacity_lines) / total if total else 0.0
-
     @property
     def cold_miss_rate(self) -> float:
         total = self.total_accesses

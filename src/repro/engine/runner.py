@@ -335,7 +335,7 @@ class Engine:
         partitioned across workers, each folding the blocks it
         renders."""
         from .streaming import DEFAULT_CHUNK_SIZE, StreamedProfiles
-        chunk = int(chunk_size) if chunk_size else DEFAULT_CHUNK_SIZE
+        chunk = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
         key = (trace_spec, tuple(layout_spec), chunk, int(stream_workers))
         if key not in self._streamed:
             self._streamed[key] = StreamedProfiles(

@@ -190,6 +190,8 @@ class StreamedProfiles(StoredProfiles):
         from .pipelined import StreamReport
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
+        if stream_workers < 0:
+            raise ValueError("stream_workers must not be negative")
         super().__init__(store if store is not None else ArtifactStore(),
                          addresses_payload(trace_spec, tuple(layout_spec)))
         self.trace_spec = trace_spec

@@ -232,6 +232,16 @@ class TestExperimentRunner:
             Engine(store=ArtifactStore(tmp_path)).run(experiment, **options)
         assert render_calls() == before
 
+    @pytest.mark.parametrize("options", [
+        {"chunk_size": 0},
+        {"chunk_size": -4096},
+        {"stream_workers": -2},
+    ], ids=["chunk_zero", "chunk_negative", "workers_negative"])
+    def test_out_of_range_streamed_options_rejected(self, tmp_path, options):
+        with pytest.raises(ValueError, match="must"):
+            Engine(store=ArtifactStore(tmp_path)).streamed(
+                SPEC, ("nonblocked",), **options)
+
 
 class TestSpecValidation:
     def test_unknown_scene_rejected(self):

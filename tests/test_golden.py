@@ -1,12 +1,15 @@
-"""Golden pin: every surviving execution path against checked-in rows.
+"""Golden pins: the one equivalence gate that holds across commits.
 
 The other equivalence tests compare execution paths with each other
 inside one commit, so a change that moves every path together (a
 renderer, layout or scene tweak) passes all of them.  This module
-compares each path with ``tests/golden/results.json`` instead: the
-exact integer rows of a small grid over the four paper scenes --
-accesses, misses and the cold/capacity/conflict split of every cell --
-plus the SHA-256 of each scene's byte-address stream.  The paths:
+compares against checked-in results instead.  Two pins:
+
+``tests/golden/results.json`` holds the exact integer rows of a small
+grid over the four paper scenes -- accesses, misses and the
+cold/capacity/conflict split of every cell -- plus the SHA-256 of each
+scene's byte-address stream.  It is checked on every surviving
+execution path:
 
 * in-RAM vectorized (the default), whose stored traces also read back
   part by part with the pinned address digests;
@@ -14,23 +17,41 @@ plus the SHA-256 of each scene's byte-address stream.  The paths:
   ``raster="reference"``;
 * the serial streamed fold (``chunk_size=4096``);
 * the pipelined fold (``stream_workers=2``);
-* serial and ``stream_workers=2`` folds over the traces the in-RAM
-  path stored, rendering nothing;
+* in-RAM, serial and ``stream_workers=2`` folds over the traces the
+  in-RAM path stored, with the stored profiles dropped, rendering
+  nothing;
 * a pipelined fold resumed after an injected parent crash
   (``kill-run:after=2,mode=raise``), and a serial streamed fold of one
   scene resumed after ``kill-run:after=1,mode=raise``;
-* a warm re-serve from a filled store with the in-process memory tier
-  off (``REPRO_STORE_MEMORY_BYTES=0``).
+* a warm re-serve from a filled store under each store-tier setting:
+  the defaults, the in-process memory tier off
+  (``REPRO_STORE_MEMORY_BYTES=0``), and the memory tier off with every
+  load re-hashed (``REPRO_STORE_VERIFY=always``).
 
-An intentional semantic change bumps ``PIPELINE_VERSION`` and
-regenerates the pin from the in-RAM path::
+``tests/golden/figures.json`` pins every grid that the twelve LRU
+figure and table benches (Figures 5.2-6.4, Table 7.1 and the order,
+Williams, mip-map and anisotropy ablations) run, as their
+``grids(scale)`` return them, plus Figure 5.7's associativity sweep
+over all four paper scenes.  For each grid it holds the spec and the
+SHA-256 of its canonical rows at scale 0.05 (hashed as
+``benchmarks/e2e/expected.json`` hashes rows); for Figure 5.7 and
+Table 7.1 it also holds the exact rows at scale 0.25.  The specs are
+compared first, then the default path's rows, then every 0.05 grid
+under ``kernel="reference"``.
+
+Both pins record the ``PIPELINE_VERSION`` they were generated at.  An
+intentional change to results bumps it and regenerates both pins from
+the default path::
 
     PYTHONPATH=src python -m tests.test_golden
 """
 
+import dataclasses
 import hashlib
+import importlib
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +65,16 @@ from repro.engine import (
     shutdown_stream_pool,
     tiers,
 )
+from repro.engine import artifacts
 from repro.engine import faults as chaos
 
 from tests import fault_injection as injection
 
-PIN_PATH = Path(__file__).resolve().parent / "golden" / "results.json"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PIN_PATH = GOLDEN / "results.json"
+FIGURES_PATH = GOLDEN / "figures.json"
 
 GRID = {"scenes": ["flight", "goblet", "guitar", "town"],
         "layout": ["blocked", 8], "scale": 0.05,
@@ -57,6 +83,19 @@ GRID = {"scenes": ["flight", "goblet", "guitar", "town"],
 
 COLUMNS = ["scene", "size", "line", "assoc", "accesses", "misses", "cold",
            "capacity", "conflict"]
+
+#: The LRU figure and table benches, each with a ``grids(scale)``.
+FIGURE_BENCHES = ("fig_5_2", "fig_5_4", "fig_5_5", "fig_5_6", "fig_5_7",
+                  "fig_6_2", "fig_6_4", "table_7_1", "ablation_order",
+                  "ablation_williams", "ablation_mipmap", "aniso")
+#: Every grid is pinned by digest at this scale...
+FIGURE_SCALE = 0.05
+#: ...and these benches' grids by their exact rows at this one too.
+EXACT_SCALE = 0.25
+EXACT_BENCHES = ("fig_5_7", "table_7_1")
+
+FIGURE_COLUMNS = ["scene", "order", "layout", "size", "line", "assoc",
+                  "accesses", "misses", "cold"]
 
 
 def experiment(scenes=tuple(GRID["scenes"]), **overrides) -> ExperimentSpec:
@@ -118,34 +157,146 @@ def chunked_digests(store) -> dict:
     return digests
 
 
+# -- the figure pin ------------------------------------------------------
+
+
+def figure_grids(scale) -> dict:
+    """``{name: [ExperimentSpec, ...]}`` of every pinned grid family at
+    ``scale``: each bench's ``grids(scale)``, plus Figure 5.7's sweep
+    over all four paper scenes (the figure itself shows only goblet
+    and town)."""
+    grids = {name: importlib.import_module(f"bench_{name}").grids(scale)
+             for name in FIGURE_BENCHES}
+    grids["fig_5_7_four_scenes"] = [dataclasses.replace(
+        grids["fig_5_7"][0], scenes=tuple(GRID["scenes"]))]
+    return grids
+
+
+def pinned_grids() -> list:
+    """``(name, grid index, spec)`` of every grid the figure pin holds:
+    all of them at :data:`FIGURE_SCALE`, then the exact benches' at
+    :data:`EXACT_SCALE`."""
+    pinned = []
+    for scale, names in ((FIGURE_SCALE, None), (EXACT_SCALE, EXACT_BENCHES)):
+        for name, specs in figure_grids(scale).items():
+            if names is None or name in names:
+                pinned.extend((name, index, spec)
+                              for index, spec in enumerate(specs))
+    return pinned
+
+
+def spec_record(spec: ExperimentSpec) -> dict:
+    """The spec's fields as they read back from the pin's JSON."""
+    return json.loads(json.dumps(dataclasses.asdict(spec)))
+
+
+def figure_rows(rows) -> list:
+    """One list per cell in :data:`FIGURE_COLUMNS` order, sorted as
+    ``benchmarks/e2e`` sorts its canonical rows."""
+    table = []
+    for row in rows:
+        stats, config = row.stats, row.config
+        table.append([
+            row.scene, "-".join(map(str, row.order)),
+            "-".join(map(str, row.layout)), int(config.size),
+            int(config.line_size),
+            "full" if config.assoc is None else int(config.assoc),
+            int(stats.accesses), int(stats.misses), int(stats.cold_misses)])
+    return sorted(table, key=lambda cell: [str(value) for value in cell])
+
+
+def rows_digest(table: list) -> str:
+    return hashlib.sha256(json.dumps(table).encode()).hexdigest()
+
+
+def run_pinned(engine, pinned, **options) -> tuple:
+    """``(row digests, exact rows)`` of the ``pinned`` grids run on
+    ``engine``: a digest per grid, and the rows of each grid at
+    :data:`EXACT_SCALE` prefixed with its name and index."""
+    digests, exact_rows = [], []
+    for name, index, spec in pinned:
+        table = figure_rows(engine.run(spec, **options).rows)
+        digests.append(rows_digest(table))
+        if spec.scale == EXACT_SCALE:
+            exact_rows.extend([name, index] + cell for cell in table)
+    return digests, exact_rows
+
+
+def moved(pinned, digests, pin) -> list:
+    """``(name, index, scale)`` of each grid in ``pinned`` whose digest
+    differs from the pin's entry at the same position."""
+    return [(name, index, spec.scale) for (name, index, spec), digest, entry
+            in zip(pinned, digests, pin["grids"])
+            if digest != entry["sha256"]]
+
+
+def check_version(pin: dict) -> None:
+    assert pin.get("pipeline_version") == artifacts.PIPELINE_VERSION, \
+        "PIPELINE_VERSION changed: regenerate the pins"
+
+
+# -- generating and reading the pins -------------------------------------
+
+
 def generate() -> dict:
-    """The pin, computed on the in-RAM vectorized path."""
+    """The results pin, computed on the in-RAM vectorized path."""
     import tempfile
     with tempfile.TemporaryDirectory() as root:
         engine = Engine(store=ArtifactStore(root))
         rows = canonical_rows(engine.run(experiment()).rows)
-        return {"grid": GRID, "columns": COLUMNS,
+        return {"pipeline_version": artifacts.PIPELINE_VERSION,
+                "grid": GRID, "columns": COLUMNS,
                 "address_sha256": in_ram_digests(engine), "rows": rows}
 
 
+def generate_figures() -> dict:
+    """The figure pin, computed on the default path."""
+    import tempfile
+    pinned = pinned_grids()
+    with tempfile.TemporaryDirectory() as root:
+        digests, exact_rows = run_pinned(Engine(store=ArtifactStore(root)),
+                                         pinned)
+    return {"pipeline_version": artifacts.PIPELINE_VERSION,
+            "columns": ["bench", "grid"] + FIGURE_COLUMNS,
+            "grids": [{"bench": name, "grid": index,
+                       "spec": spec_record(spec), "sha256": digest}
+                      for (name, index, spec), digest in zip(pinned, digests)],
+            "rows": exact_rows}
+
+
+#: Pin entries written one item per line.
+LISTED = ("grids", "rows")
+
+
 def render_pin(pin: dict) -> str:
-    """The pin as JSON text with one grid row per line, so a change to
-    any cell shows up as a one-line diff."""
+    """The pin as JSON text with one grid or row per line, so a change
+    to any of them shows up as a one-line diff."""
     head = json.dumps({key: value for key, value in pin.items()
-                       if key != "rows"}, indent=1)
-    rows = ",\n".join(f"  {json.dumps(row)}" for row in pin["rows"])
-    return f'{head[:-2]},\n "rows": [\n{rows}\n ]\n}}\n'
-
-
-def load_pin() -> dict:
-    return json.loads(PIN_PATH.read_text())
+                       if key not in LISTED}, indent=1)
+    lists = [f' "{key}": [\n' + ",\n".join(
+        f"  {json.dumps(item)}" for item in pin[key]) + "\n ]"
+        for key in LISTED if key in pin]
+    return head[:-2] + ",\n" + ",\n".join(lists) + "\n}\n"
 
 
 @pytest.fixture(scope="module")
 def pin():
-    data = load_pin()
+    data = json.loads(PIN_PATH.read_text())
+    check_version(data)
     assert data["grid"] == GRID and data["columns"] == COLUMNS, \
         "the pinned grid differs from this module's; regenerate the pin"
+    return data
+
+
+@pytest.fixture(scope="module")
+def figures_pin():
+    data = json.loads(FIGURES_PATH.read_text())
+    check_version(data)
+    pinned = [(entry["bench"], entry["grid"], entry["spec"])
+              for entry in data["grids"]]
+    assert pinned == [(name, index, spec_record(spec))
+                      for name, index, spec in pinned_grids()], \
+        "grid changed: regenerate the pin"
     return data
 
 
@@ -166,6 +317,14 @@ def no_pool():
     shutdown_stream_pool()
 
 
+def test_pins_carry_the_pipeline_version(pin, figures_pin, monkeypatch):
+    monkeypatch.setattr(artifacts, "PIPELINE_VERSION",
+                        artifacts.PIPELINE_VERSION + 1)
+    for data in (pin, figures_pin):
+        with pytest.raises(AssertionError, match="PIPELINE_VERSION changed"):
+            check_version(data)
+
+
 class TestGoldenPin:
     def test_in_ram_vectorized(self, filled_store):
         pass  # the fixture compares the rows and address digests
@@ -174,16 +333,21 @@ class TestGoldenPin:
         assert chunked_digests(ArtifactStore(filled_store)) == \
             pin["address_sha256"]
 
-    @pytest.mark.parametrize("stream_workers", [0, 2])
+    @pytest.mark.parametrize("chunk_size, stream_workers", [
+        pytest.param(None, 0, id="in-ram"),
+        pytest.param(4096, 0, id="0"),
+        pytest.param(4096, 2, id="2"),
+    ])
     def test_folds_over_in_ram_traces(self, filled_store, tmp_path, pin,
-                                      no_pool, stream_workers):
+                                      no_pool, chunk_size, stream_workers):
         root = tmp_path / "store"
         shutil.copytree(filled_store, root)
         for kind in ("profiles", "set_profiles"):
             shutil.rmtree(root / kind)
         before = render_calls()
         result = Engine(store=ArtifactStore(root)).run(
-            experiment(), chunk_size=4096, stream_workers=stream_workers)
+            experiment(), chunk_size=chunk_size,
+            stream_workers=stream_workers)
         assert canonical_rows(result.rows) == pin["rows"]
         assert render_calls() == before
 
@@ -239,21 +403,57 @@ class TestGoldenPin:
         assert canonical_rows(result.rows) == [
             row for row in pin["rows"] if row[0] == scene]
 
-    def test_warm_reserve_without_memory_tier(self, filled_store, pin,
-                                              monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", "0")
+    @pytest.mark.parametrize("env", [
+        pytest.param({"REPRO_STORE_MEMORY_BYTES": "0",
+                      "REPRO_STORE_VERIFY": "always"}, id="verify-always"),
+        pytest.param({}, id="defaults"),
+        pytest.param({"REPRO_STORE_MEMORY_BYTES": "0"}, id="memory-tier-off"),
+    ])
+    def test_warm_reserve(self, filled_store, pin, monkeypatch, env):
+        for key in ("REPRO_STORE_MEMORY_BYTES", "REPRO_STORE_VERIFY"):
+            monkeypatch.delenv(key, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
         tiers.clear_process_caches()
-        assert not tiers.memory_tier().enabled
+        assert tiers.memory_tier().enabled == \
+            ("REPRO_STORE_MEMORY_BYTES" not in env)
         before = render_calls()
         engine = Engine(store=ArtifactStore(filled_store))
         assert canonical_rows(engine.run(experiment()).rows) == pin["rows"]
         assert render_calls() == before
-        assert not engine._scenes  # served from disk, no scene built
-        monkeypatch.delenv("REPRO_STORE_MEMORY_BYTES")
+        assert not engine._scenes  # served from the store, no scene built
+        monkeypatch.undo()
         tiers.memory_tier()  # restore the default budget
 
 
+class TestFigurePin:
+    def test_grids_are_the_pinned_ones(self, figures_pin):
+        pass  # the fixture compares the version and every grid's spec
+
+    def test_default_path(self, figures_pin, tmp_path):
+        pinned = pinned_grids()
+        digests, exact_rows = run_pinned(
+            Engine(store=ArtifactStore(tmp_path)), pinned)
+        changed = moved(pinned, digests, figures_pin)
+        assert not changed, f"grids moved: {changed}"
+        assert exact_rows == figures_pin["rows"]
+
+    def test_reference_kernel(self, figures_pin, tmp_path):
+        # Every grid at FIGURE_SCALE; they come first in the pin.
+        pinned = [entry for entry in pinned_grids()
+                  if entry[2].scale == FIGURE_SCALE]
+        digests, _ = run_pinned(Engine(store=ArtifactStore(tmp_path)),
+                                pinned, kernel="reference")
+        changed = moved(pinned, digests, figures_pin)
+        assert not changed, f"grids moved under kernel='reference': {changed}"
+        # The oracle simulates every cell and reads no profile.
+        for kind in ("profiles", "set_profiles"):
+            assert not list((tmp_path / kind).glob("*")), kind
+
+
 if __name__ == "__main__":
-    PIN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    PIN_PATH.write_text(render_pin(generate()))
-    print(f"wrote {PIN_PATH}")
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for path, pin_data in ((PIN_PATH, generate()),
+                           (FIGURES_PATH, generate_figures())):
+        path.write_text(render_pin(pin_data))
+        print(f"wrote {path}")

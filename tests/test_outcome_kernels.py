@@ -5,7 +5,8 @@ rewired onto them: hierarchy, prefetch, DRAM, victim and parallel.
 Every test here checks *exact* equality -- integer miss counts,
 per-level stats, per-fragment arrays and cycle totals -- between the
 vectorized paths and the sequential reference loops, on randomized
-streams across the paper's grids and on a real rendered scene slice.
+streams across the paper's grids, on a real rendered scene slice and
+on each paper scene's whole stream.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core.kernels import line_miss_mask, miss_mask, miss_stream
 from repro.core.prefetch import fragment_miss_counts
 from repro.core.victim import simulate_victim
 from repro.engine import Engine, TraceSpec
+from repro.scenes import ALL_SCENES
 
 SIZES = (512, 4096)
 LINE_SIZES = (16, 64)
@@ -259,12 +261,13 @@ class TestSceneSlice:
         return engine.addresses(spec, ("blocked", 4))[:60000]
 
     def test_hierarchy(self, addresses):
-        configs = [CacheConfig(1024, 32, 2), CacheConfig(8192, 128, 2)]
-        fast = simulate_hierarchy(addresses, configs)
-        slow = simulate_hierarchy(addresses, configs, kernel="reference")
-        for a, b in zip(fast.levels, slow.levels):
-            assert (a.accesses, a.misses, a.cold_misses) == \
-                   (b.accesses, b.misses, b.cold_misses)
+        for configs in ([CacheConfig(1024, 32, 2), CacheConfig(8192, 128, 2)],
+                        [CacheConfig(512, 32, 2), CacheConfig(2048, 128, 2)]):
+            fast = simulate_hierarchy(addresses, configs)
+            slow = simulate_hierarchy(addresses, configs, kernel="reference")
+            for a, b in zip(fast.levels, slow.levels):
+                assert (a.accesses, a.misses, a.cold_misses) == \
+                       (b.accesses, b.misses, b.cold_misses)
 
     def test_fragment_miss_counts(self, addresses):
         config = CacheConfig(2048, 128, 2)
@@ -294,3 +297,13 @@ class TestSceneSlice:
         stats = simulate(addresses, config)
         assert int(mask.sum()) == stats.misses
         assert len(miss_stream(addresses, config)) == stats.misses
+
+
+class TestPaperScenes(TestSceneSlice):
+    """The scene-slice checks on each paper scene's whole stream at
+    scale 0.05, in its paper order with 8x8 blocks."""
+
+    @pytest.fixture(scope="class", params=tuple(ALL_SCENES))
+    def addresses(self, request):
+        spec = TraceSpec(request.param, scale=0.05, order="paper")
+        return Engine().addresses(spec, ("blocked", 8))

@@ -18,26 +18,21 @@ from paperbench import (  # noqa: E402
 
 
 class TestScaledCache:
-    def test_identity_at_scale_one(self, monkeypatch):
-        import paperbench
-        monkeypatch.setattr(paperbench, "SCALE", 1.0)
-        assert paperbench.scaled_cache(32 * 1024) == 32 * 1024
+    def test_identity_at_scale_one(self):
+        assert scaled_cache(32 * 1024, 1.0) == 32 * 1024
 
-    def test_quarter_scale(self, monkeypatch):
-        import paperbench
-        monkeypatch.setattr(paperbench, "SCALE", 0.25)
-        assert paperbench.scaled_cache(32 * 1024) == 8 * 1024
-        assert paperbench.scaled_cache(4 * 1024) == 1024
+    def test_quarter_scale(self):
+        assert scaled_cache(32 * 1024, 0.25) == 8 * 1024
+        assert scaled_cache(4 * 1024, 0.25) == 1024
 
-    def test_floor(self, monkeypatch):
-        import paperbench
-        monkeypatch.setattr(paperbench, "SCALE", 0.1)
-        assert paperbench.scaled_cache(1024) == 512
+    def test_floor(self):
+        assert scaled_cache(1024, 0.1) == 512
 
     def test_power_of_two(self):
-        for paper in (1024, 4096, 32768, 131072):
-            size = scaled_cache(paper)
-            assert size & (size - 1) == 0
+        for scale in (0.05, 0.25, 1.0):
+            for paper in (1024, 4096, 32768, 131072):
+                size = scaled_cache(paper, scale)
+                assert size & (size - 1) == 0
 
 
 class TestSpecs:

@@ -1,10 +1,10 @@
 """Cycle-exactness of the three-queue prefetching texture cache
 (repro.core.texcache): the lag-blocked vectorized scan must agree with
 the per-event sequential reference walk to the integer cycle, on
-randomized streams (hypothesis), the sweep grid's batched rows, and a
-real rendered scene slice -- plus the edge cases the blocking logic is
-most likely to get wrong (empty stream, depth-0 FIFO, single-bank DRAM
-service times).
+randomized streams (hypothesis), the sweep grid's batched rows, a real
+rendered scene slice and each paper scene's whole stream -- plus the
+edge cases the blocking logic is most likely to get wrong (empty
+stream, depth-0 FIFO, single-bank DRAM service times).
 """
 
 import numpy as np
@@ -25,6 +25,7 @@ from repro.core.texcache import (
     sweep_texcache,
 )
 from repro.engine import Engine, TraceSpec
+from repro.scenes import ALL_SCENES
 
 FIELDS = ("n_fragments", "n_fills", "total_cycles", "ideal_cycles",
           "stall_cycles", "fragment_fifo_wait", "request_fifo_wait",
@@ -247,3 +248,31 @@ class TestSceneSlice:
         none = [fast[(0, latency)].total_cycles for latency in latencies]
         assert deep[-1] < none[-1]
         assert deep[-1] - deep[0] < none[-1] - none[0]
+
+    def test_scene_sweep_with_services(self, addresses):
+        """The sweep over a 2-way cache's page-mode DRAM service times,
+        with queues deep enough to isolate the fragment FIFO."""
+        config = CacheConfig(2048, 64, 2)
+        counts, services = fragment_fill_streams(addresses, config,
+                                                 dram=PAPER_DRAM)
+        params = PAPER_MACHINE.texcache_params(64, request_fifo=128,
+                                               reorder_buffer=128)
+        depths = (8, 64)
+        latencies = (10, 120)
+        fast = sweep_texcache(counts, params, depths, latencies,
+                              services=services)
+        slow = sweep_texcache(counts, params, depths, latencies,
+                              services=services, kernel="reference")
+        assert set(fast) == set(slow)
+        for cell in fast:
+            assert_results_equal(fast[cell], slow[cell], cell)
+
+
+class TestPaperScenes(TestSceneSlice):
+    """The scene-slice checks on each paper scene's whole stream at
+    scale 0.05, in its paper order with 8x8 blocks."""
+
+    @pytest.fixture(scope="class", params=tuple(ALL_SCENES))
+    def addresses(self, request):
+        spec = TraceSpec(request.param, scale=0.05, order="paper")
+        return Engine().addresses(spec, ("blocked", 8))
