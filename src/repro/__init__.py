@@ -45,13 +45,10 @@ from .core import (
     TraceStreams,
     cached_bandwidth,
     classify_misses,
-    fully_associative_curve,
     mbytes_per_second,
     miss_rate_curve,
     reduction_factor,
     simulate,
-    sweep_associativities,
-    sweep_cache_sizes,
     uncached_bandwidth,
 )
 from .texture import (
@@ -112,8 +109,7 @@ __all__ = [
     "CacheConfig", "CacheStats", "LineStream", "LRUCache", "DistanceProfile",
     "MissRateCurve", "MachineModel", "PAPER_MACHINE", "TraceStreams",
     "PAPER_CACHE_SIZES", "PAPER_LINE_SIZES", "PAPER_ASSOCIATIVITIES",
-    "simulate", "classify_misses", "miss_rate_curve", "fully_associative_curve",
-    "sweep_cache_sizes", "sweep_associativities",
+    "simulate", "classify_misses", "miss_rate_curve",
     "cached_bandwidth", "uncached_bandwidth", "reduction_factor", "mbytes_per_second",
     # texture
     "TextureImage", "TextureSet", "MipMap", "build_mipmaps",

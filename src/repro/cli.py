@@ -38,8 +38,9 @@ from .core import (
     CacheConfig,
     KERNELS,
     PAPER_CACHE_SIZES,
+    PAPER_LINE_SIZES,
     cached_bandwidth,
-    classify_misses,
+    classify_counts,
     mbytes_per_second,
     uncached_bandwidth,
 )
@@ -48,7 +49,6 @@ from .engine import (
     Engine,
     ExperimentSpec,
     TraceSpec,
-    classify_profiles,
     layout_from_spec,
     order_from_spec,
 )
@@ -123,9 +123,10 @@ def _add_streaming_arguments(parser):
     parser.add_argument("--chunk-size", type=_int_at_least(1), default=None,
                         metavar="ACCESSES",
                         help="stream the pipeline in blocks of at most this "
-                             "many texel accesses: bit-identical results at "
-                             "peak memory bounded by the chunk, independent "
-                             "of trace length")
+                             "many texel accesses: bit-identical results, "
+                             "and the fold holds one block plus its "
+                             "per-pair states, not the whole trace (a cold "
+                             "render also holds one triangle batch)")
     parser.add_argument("--stream-workers", type=_int_at_least(0), default=0,
                         help="pipeline the streaming fold: partition cold "
                              "renders across this many persistent worker "
@@ -138,11 +139,6 @@ def _add_streaming_arguments(parser):
                         help="spot-audit N sampled parts of every streamed "
                              "trace against a sequential reference oracle "
                              "(requires streaming)")
-
-
-def _streaming_requested(args) -> bool:
-    return bool(getattr(args, "chunk_size", None)) or \
-        getattr(args, "stream_workers", 0) > 0
 
 
 def _order_spec(args, scene_name: str) -> tuple:
@@ -232,38 +228,55 @@ def _render(args) -> int:
     return 0
 
 
+def _run_grid(engine, args, layout_spec, **cells):
+    """Run the one-scene grid of ``cells`` (``cache_sizes``,
+    ``line_sizes``, ``assocs``) that ``simulate`` and ``sweep`` print,
+    under the scene, order, filtering, raster and layout flags, with
+    the kernel and streaming flags as :meth:`Engine.run` keywords.
+    Returns ``None`` after printing the usage error of a flag
+    combination the engine refuses."""
+    streaming = args.chunk_size is not None or args.stream_workers > 0
+    if streaming and args.kernel != "vectorized":
+        print("error: --chunk-size/--stream-workers require "
+              "--kernel vectorized", file=sys.stderr)
+        return None
+    if args.audit_parts and not streaming:
+        print("error: --audit-parts requires streaming "
+              "(--chunk-size/--stream-workers)", file=sys.stderr)
+        return None
+    grid = ExperimentSpec(
+        scenes=(args.scene,), orders=(_order_spec(args, args.scene),),
+        layouts=(layout_spec,), scale=args.scale, time=args.time,
+        max_anisotropy=args.aniso, lod_bias=args.lod_bias,
+        use_mipmaps=not args.no_mipmaps, raster=args.raster, **cells)
+    return engine.run(grid, kernel=args.kernel, chunk_size=args.chunk_size,
+                      stream_workers=args.stream_workers,
+                      audit_parts=args.audit_parts)
+
+
 def _simulate(args) -> int:
     engine = Engine()
-    spec = _trace_spec(args)
     layout_spec = _layout_spec(args, cache_size=args.cache_size)
     config = CacheConfig(args.cache_size, args.line_size,
                          None if args.assoc == 0 else args.assoc)
-    if _streaming_requested(args):
-        if args.kernel != "vectorized":
-            print("error: --chunk-size/--stream-workers require "
-                  "--kernel vectorized", file=sys.stderr)
-            return 2
-        streams = engine.streamed(spec, layout_spec,
-                                  chunk_size=args.chunk_size,
-                                  stream_workers=args.stream_workers)
-    elif args.audit_parts:
-        print("error: --audit-parts requires streaming "
-              "(--chunk-size/--stream-workers)", file=sys.stderr)
+    # The fully-associative cell of the same size, then the requested
+    # one: the 3C split compares their misses.
+    result = _run_grid(engine, args, layout_spec,
+                       cache_sizes=(config.size,),
+                       line_sizes=(config.line_size,),
+                       assocs=(None,) if config.assoc is None
+                       else (None, config.assoc))
+    if result is None:
         return 2
-    else:
-        streams = engine.streams(spec, layout_spec)
-    if args.kernel == "reference":
-        stats = classify_misses(engine.addresses(spec, layout_spec), config,
-                                kernel="reference")
-    else:
-        stats = classify_profiles(streams, config)
-    if args.audit_parts:
-        _print_audit(streams.audit([(config.line_size, 1),
-                                    (config.line_size, config.n_sets)],
-                                   parts=args.audit_parts))
+    full, cell = result.rows[0].stats, result.rows[-1].stats
+    stats = classify_counts(config, cell.accesses, cell.misses,
+                            cell.cold_misses, full.misses)
+    for report in result.audit_reports:
+        _print_audit(report)
     bandwidth = cached_bandwidth(stats.miss_rate, args.line_size)
     print(f"{args.scene} / {layout_from_spec(layout_spec).name} / "
-          f"{order_from_spec(spec.order).name} / {config.label()}")
+          f"{order_from_spec(result.rows[0].order).name} / "
+          f"{config.label()}")
     print(f"  accesses        {stats.accesses:,}")
     print(f"  miss rate       {100 * stats.miss_rate:.3f}%")
     print(f"  cold misses     {stats.cold_misses:,}")
@@ -272,55 +285,41 @@ def _simulate(args) -> int:
     print(f"  bandwidth       {mbytes_per_second(bandwidth):.0f} MB/s at 50M "
           f"fragments/s ({uncached_bandwidth() / max(bandwidth, 1e-9):.1f}x "
           "less than uncached)")
-    if _streaming_requested(args):
-        _print_recovery(getattr(streams, "stream_report", None),
-                        engine.store)
+    if result.stream_report is not None:
+        _print_recovery(result.stream_report, engine.store)
     return 0
 
 
 def _sweep(args) -> int:
     engine = Engine()
-    spec = _trace_spec(args)
     layout_spec = _layout_spec(args)
     layout_name = layout_from_spec(layout_spec).name
-    grid = dict(scenes=(args.scene,), orders=(spec.order,),
-                layouts=(layout_spec,), scale=args.scale, time=args.time,
-                max_anisotropy=args.aniso, lod_bias=args.lod_bias,
-                use_mipmaps=not args.no_mipmaps)
-    if _streaming_requested(args) and args.kernel != "vectorized":
-        print("error: --chunk-size/--stream-workers require "
-              "--kernel vectorized", file=sys.stderr)
+    if args.axis == "cache":
+        cells = dict(cache_sizes=PAPER_CACHE_SIZES,
+                     line_sizes=(args.line_size,))
+    elif args.axis == "line":
+        cells = dict(cache_sizes=(args.cache_size,),
+                     line_sizes=PAPER_LINE_SIZES)
+    else:
+        cells = dict(cache_sizes=(args.cache_size,),
+                     line_sizes=(args.line_size,), assocs=(1, 2, 4, 8, None))
+    result = _run_grid(engine, args, layout_spec, **cells)
+    if result is None:
         return 2
-    if args.audit_parts and not _streaming_requested(args):
-        print("error: --audit-parts requires streaming "
-              "(--chunk-size/--stream-workers)", file=sys.stderr)
-        return 2
-    run_kwargs = dict(kernel=args.kernel, chunk_size=args.chunk_size,
-                      stream_workers=args.stream_workers,
-                      audit_parts=args.audit_parts)
 
     if args.axis == "cache":
-        result = engine.run(ExperimentSpec(
-            cache_sizes=PAPER_CACHE_SIZES, line_sizes=(args.line_size,), **grid),
-            **run_kwargs)
         rows = [[f"{row.config.size // 1024}KB",
                  f"{100 * row.stats.miss_rate:.3f}%"] for row in result.rows]
         print(format_table(["cache size", "miss rate"], rows,
                            title=f"{args.scene}, {layout_name}, fully associative, "
                                  f"{args.line_size}B lines"))
     elif args.axis == "line":
-        result = engine.run(ExperimentSpec(
-            cache_sizes=(args.cache_size,), line_sizes=(16, 32, 64, 128, 256),
-            **grid), **run_kwargs)
         rows = [[f"{row.config.line_size}B",
                  f"{100 * row.stats.miss_rate:.3f}%"] for row in result.rows]
         print(format_table(["line size", "miss rate"], rows,
                            title=f"{args.scene}, {layout_name}, "
                                  f"{args.cache_size // 1024}KB fully associative"))
     else:  # assoc
-        result = engine.run(ExperimentSpec(
-            cache_sizes=(args.cache_size,), line_sizes=(args.line_size,),
-            assocs=(1, 2, 4, 8, None), **grid), **run_kwargs)
         rows = [["full" if row.config.assoc is None else f"{row.config.assoc}-way",
                  f"{100 * row.stats.miss_rate:.3f}%"] for row in result.rows]
         print(format_table(["associativity", "miss rate"], rows,

@@ -83,9 +83,6 @@ from .sweep import (
     PAPER_CACHE_SIZES,
     PAPER_LINE_SIZES,
     TraceStreams,
-    fully_associative_curve,
-    sweep_associativities,
-    sweep_cache_sizes,
 )
 
 __all__ = [
@@ -123,9 +120,6 @@ __all__ = [
     "PAPER_CACHE_SIZES",
     "PAPER_LINE_SIZES",
     "PAPER_ASSOCIATIVITIES",
-    "fully_associative_curve",
-    "sweep_associativities",
-    "sweep_cache_sizes",
     "BankingStats",
     "N_BANKS",
     "analyze_banking",

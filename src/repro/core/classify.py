@@ -17,8 +17,8 @@ profiles -- the fully-associative count from a
 count from a :class:`~repro.core.kernels.SetDistanceProfile` -- so no
 per-access Python loop runs anywhere on the LRU path.  The split itself
 is :func:`classify_counts`, a function of those counts alone, so a
-caller that already holds them (streamed profiles, grid rows) applies
-the same rule without a stream.
+caller that already holds them applies the same rule without a stream,
+as ``repro simulate`` does with the rows of an ``Engine.run`` grid.
 """
 
 from __future__ import annotations
@@ -29,17 +29,13 @@ from .stackdist import DistanceProfile
 
 
 def classify_misses(trace, config: CacheConfig,
-                    profile: DistanceProfile = None,
-                    set_profile: "kernels.SetDistanceProfile" = None,
                     kernel: str = "vectorized") -> CacheStats:
     """Simulate ``config`` and decompose its misses into the 3C model.
 
     ``trace`` is a byte-address array or a :class:`LineStream` matching
-    the config's line size.  Pass a precomputed ``profile`` (from the
-    same stream) to amortize the fully-associative distance pass across
-    configs, and -- on the vectorized kernel -- a ``set_profile``
-    matching ``(config.line_size, config.n_sets)`` to amortize the
-    per-set pass across every associativity sharing it.
+    the config's line size.  A grid of configurations over one trace
+    runs through :meth:`Engine.run <repro.engine.Engine.run>` instead,
+    which shares each profile across every cell that reads it.
     """
     kernels.check_kernel(kernel)
     if isinstance(trace, LineStream):
@@ -49,8 +45,7 @@ def classify_misses(trace, config: CacheConfig,
     else:
         stream = LineStream.from_addresses(trace, config.line_size)
 
-    if profile is None:
-        profile = DistanceProfile.from_stream(stream, kernel=kernel)
+    profile = DistanceProfile.from_stream(stream, kernel=kernel)
     fully_associative_misses = profile.misses_at(config.n_lines)
 
     if kernel == "vectorized":
@@ -58,10 +53,8 @@ def classify_misses(trace, config: CacheConfig,
             # The set-associative cache IS the fully-associative one.
             misses, cold = fully_associative_misses, profile.cold
         else:
-            if set_profile is None:
-                set_profile = kernels.SetDistanceProfile.from_stream(
-                    stream, config.n_sets)
-            misses, cold = set_profile.stats_pair(config)
+            misses, cold = kernels.SetDistanceProfile.from_stream(
+                stream, config.n_sets).stats_pair(config)
     else:
         misses, cold = _simulate_runs(stream.run_lines, config)
     return classify_counts(config, stream.total_accesses, misses, cold,

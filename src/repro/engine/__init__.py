@@ -9,8 +9,8 @@ obtain pipeline intermediates:
 * :class:`TraceSpec` / :class:`ExperimentSpec` -- declarative
   descriptions of one render or a whole sweep grid;
 * :class:`Engine` / :func:`run_experiment` -- the runner that
-  deduplicates shared stages, in RAM or as a constant-memory streaming
-  fold, optionally pipelined across a supervised worker pool
+  deduplicates shared stages, in RAM or as a streaming fold over
+  bounded blocks, optionally pipelined across a supervised worker pool
   (``stream_workers``).
 
 Quickstart::
@@ -57,7 +57,6 @@ from .runner import (
     ExperimentResult,
     ExperimentRow,
     StoredTraceStreams,
-    classify_profiles,
     render_calls,
     reset_render_calls,
     run_experiment,
@@ -99,7 +98,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRow",
     "StoredTraceStreams",
-    "classify_profiles",
     "render_calls",
     "reset_render_calls",
     "run_experiment",

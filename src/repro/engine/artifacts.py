@@ -100,7 +100,6 @@ import json
 import os
 import re
 import shutil
-import tempfile
 import time
 import warnings
 import zipfile
@@ -266,17 +265,20 @@ def _atomic_write(path: Path, write) -> None:
 
     The temporary name keeps the real extension last so numpy's savers
     (which append ``.npy``/``.npz`` to unrecognized names) write to the
-    exact path being renamed.  OS errors that mean a broken disk are
-    raised as :class:`StoreUnavailable`.
+    exact path being renamed.  The name is chosen before the file
+    exists and the file is created inside the ``try`` that discards it,
+    so a writer unwound at any line (a pool worker turns SIGTERM into
+    ``SystemExit``) leaves no temporary file behind.  OS errors that
+    mean a broken disk are raised as :class:`StoreUnavailable`.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(dir=path.parent,
-                                                 suffix=".tmp" + path.suffix)
-        os.close(descriptor)
     except OSError as fault:
         _translate_os_error(fault)
+    temp_name = str(path.parent / f"tmp{os.urandom(8).hex()}.tmp{path.suffix}")
     try:
+        os.close(os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                         0o600))
         write(temp_name)
         _replace(temp_name, path)
     except BaseException as fault:

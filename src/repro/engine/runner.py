@@ -19,7 +19,7 @@ StreamedProfiles` as one fold over fragment blocks.
 
 :func:`run_experiment` executes a declarative
 :class:`~repro.engine.spec.ExperimentSpec` grid through one engine:
-in RAM by default, or as a constant-memory streaming fold
+in RAM by default, or as a streaming fold over bounded blocks
 (:mod:`repro.engine.streaming`) whose one parallel form is the
 supervised pipelined pool behind ``stream_workers``
 (:mod:`repro.engine.pipelined`).
@@ -43,7 +43,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.cache import CacheConfig, CacheStats, simulate
-from ..core.classify import classify_counts
 from ..core.kernels import SetDistanceProfile, check_kernel
 from ..core.stackdist import miss_rate_curve
 from ..core.sweep import TraceStreams
@@ -128,23 +127,6 @@ class StoredProfiles:
         """``{pair: profile}`` for ``pairs`` (none of them stored),
         each saved to the store."""
         raise NotImplementedError
-
-
-def classify_profiles(profiles: StoredProfiles,
-                      config: CacheConfig) -> CacheStats:
-    """3C classification off stored profiles -- either path's, in RAM
-    or streamed -- bit-identical to
-    :func:`~repro.core.classify.classify_misses` over the materialized
-    address stream.  Reads the line size's fully-associative and
-    ``config``'s per-set profile, so a store that holds both runs no
-    per-access pass."""
-    profiles.prefetch([(config.line_size, 1),
-                       (config.line_size, config.n_sets)])
-    profile = profiles.profile(config.line_size)
-    misses, cold = profiles.set_profile(
-        config.line_size, config.n_sets).stats_pair(config)
-    return classify_counts(config, profile.total_accesses, misses, cold,
-                           profile.misses_at(config.n_lines))
 
 
 class StoredTraceStreams(StoredProfiles, TraceStreams):
@@ -357,15 +339,16 @@ class Engine:
 
         ``chunk_size`` and/or ``stream_workers > 0`` switch the profile
         stage to the streaming fold (:mod:`repro.engine.streaming`):
-        the trace is never materialized and peak memory is bounded by
-        the chunk size independent of trace length.  Every fold runs
-        as the range jobs of :mod:`repro.engine.pipelined`, which
-        commits a cold trace as a part list and resumes an
-        interrupted one.  With ``stream_workers < 2`` it runs in this
-        process; ``stream_workers >= 2`` pipelines it: cold renders
-        are partitioned across a persistent worker pool, each worker
-        folds the blocks it renders, and the parent merges the
-        per-range states.  Streaming produces bit-identical rows, sets
+        the trace is never materialized, and the fold holds one block
+        plus its per-pair states (a cold render also holds one
+        triangle batch).  Every fold runs as the range jobs of
+        :mod:`repro.engine.pipelined`, which commits a cold trace as a
+        part list and resumes an interrupted one.  With
+        ``stream_workers < 2`` it runs in this process;
+        ``stream_workers >= 2`` pipelines it: cold renders are
+        partitioned across a persistent worker pool, each worker folds
+        the blocks it renders, and the parent merges the per-range
+        states.  Streaming produces bit-identical rows, sets
         :attr:`ExperimentResult.stream_report`, and requires the
         vectorized kernel (the reference simulator needs the in-RAM
         stream).

@@ -173,14 +173,3 @@ class ExperimentSpec:
                 if spec not in unique:
                     unique.append(spec)
         return unique
-
-    def stream_specs(self) -> list:
-        """Deduplicated ``(trace_spec, layout_spec)`` pairs."""
-        return [(trace_spec, layout)
-                for trace_spec in self.trace_specs()
-                for layout in self.layouts]
-
-    @property
-    def n_cells(self) -> int:
-        return (len(self.stream_specs()) * len(self.line_sizes)
-                * len(self.cache_sizes) * len(self.assocs))

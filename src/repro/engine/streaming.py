@@ -1,4 +1,4 @@
-"""Constant-memory streaming execution of the simulate pipeline.
+"""Streaming execution of the simulate pipeline over bounded blocks.
 
 The in-RAM pipeline materializes a whole frame's texel trace, its
 byte-address stream and the per-line-size collapsed streams before any
@@ -22,15 +22,21 @@ exactly the profile of the concatenated stream, every downstream
 number (miss-rate curves, 3C classification) is bit-identical to the
 in-RAM path.
 
-Peak RSS is bounded by ``O(chunk_size + distinct lines + scene
-textures)``, independent of trace length.  Every fold runs as the
-range jobs of :mod:`repro.engine.pipelined`: with ``stream_workers <
-2`` this process runs them itself (a cold trace is one ``render``
-range), with more it fans them out over the supervised persistent
-pool.  Per-range partial states merge associatively in stream order,
-so every form is bit-identical too, and a cold fold publishes the
-trace as the same part list :meth:`~repro.engine.artifacts.
-ArtifactStore.save_render` writes, which every later fold reads.
+A fold holds one block plus its per-pair partial states, which grow
+with the distinct lines the trace touches, not with its length; a
+cold fold also holds the renderer's current triangle batch, and the
+scene's textures stay resident.  ``tests/test_streaming_pipeline.py``
+bounds a warm fold's traced peak by a quarter of the trace's column
+bytes.
+
+Every fold runs as the range jobs of :mod:`repro.engine.pipelined`:
+with ``stream_workers < 2`` this process runs them itself (a cold
+trace is one ``render`` range), with more it fans them out over the
+supervised persistent pool.  Per-range partial states merge
+associatively in stream order, so every form is bit-identical too,
+and a cold fold publishes the trace as the same part list
+:meth:`~repro.engine.artifacts.ArtifactStore.save_render` writes,
+which every later fold reads.
 """
 
 from __future__ import annotations
@@ -174,7 +180,7 @@ def _sequential_set_distances(run_lines, n_sets: int) -> tuple:
 
 class StreamedProfiles(StoredProfiles):
     """Distance profiles for one ``(trace, layout)`` computed as a
-    constant-memory fold over fragment blocks.
+    fold over bounded fragment blocks.
 
     Drop-in for :class:`~repro.engine.runner.StoredTraceStreams` on the
     vectorized kernel: the same store-backed profile cache, computing

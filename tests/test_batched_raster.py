@@ -127,6 +127,31 @@ class TestOrdersAndModes:
             Renderer(raster="scanline")
         assert set(RASTER_PATHS) == {"batched", "reference"}
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["sweep", "--axis", "assoc"],
+    ], ids=lambda command: command[0])
+    def test_cli_raster_flag_picks_the_path(self, tmp_path, monkeypatch,
+                                            command):
+        # Both LRU commands render a cold trace on the path --raster
+        # names.
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        used = []
+        for raster in RASTER_PATHS:
+            method = getattr(Renderer, f"_render_{raster}")
+
+            def recorded(self, *args, _raster=raster, _method=method,
+                         **kwargs):
+                used.append(_raster)
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(Renderer, f"_render_{raster}", recorded)
+        assert main([command[0], "goblet", "--scale", "0.05",
+                     "--cache-size", "1024", "--line-size", "128",
+                     *command[1:], "--raster", "reference"]) == 0
+        assert used == ["reference"]
+
 
 def per_group_argsort(order, x, y, group):
     """The scalar-API oracle: argsort each group, concatenate."""

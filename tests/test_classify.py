@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from repro.core.cache import CacheConfig, LineStream
+from repro.core.cache import CacheConfig
 from repro.core.classify import classify_counts, classify_misses
-from repro.core.stackdist import DistanceProfile
 
 
 class TestClassifyMisses:
@@ -52,16 +51,6 @@ class TestClassifyMisses:
         assert stats.capacity_misses == 144
         assert stats.conflict_misses == 0
 
-    def test_profile_reuse(self):
-        addresses = np.arange(0, 8192, 4)
-        stream = LineStream.from_addresses(addresses, 32)
-        profile = DistanceProfile.from_stream(stream)
-        a = classify_misses(stream, CacheConfig(size=512, line_size=32, assoc=2),
-                            profile=profile)
-        b = classify_misses(addresses, CacheConfig(size=512, line_size=32, assoc=2))
-        assert (a.misses, a.capacity_misses, a.conflict_misses) == \
-               (b.misses, b.capacity_misses, b.conflict_misses)
-
     def test_conflict_never_negative(self):
         rng = np.random.default_rng(13)
         for seed in range(5):
@@ -81,17 +70,6 @@ class TestClassifyMisses:
                         fast.conflict_misses) == \
                        (slow.misses, slow.cold_misses, slow.capacity_misses,
                         slow.conflict_misses)
-
-    def test_set_profile_reuse(self):
-        from repro.core.kernels import SetDistanceProfile
-        addresses = np.random.default_rng(3).integers(0, 2048, size=2000) * 8
-        config = CacheConfig(size=1024, line_size=32, assoc=2)
-        stream = LineStream.from_addresses(addresses, 32)
-        set_profile = SetDistanceProfile.from_stream(stream, config.n_sets)
-        a = classify_misses(stream, config, set_profile=set_profile)
-        b = classify_misses(addresses, config)
-        assert (a.misses, a.cold_misses, a.capacity_misses, a.conflict_misses) == \
-               (b.misses, b.cold_misses, b.capacity_misses, b.conflict_misses)
 
     def test_counts_rule_folds_negative_conflict_into_capacity(self):
         # 2-way LRU with fewer misses than fully-associative LRU of the

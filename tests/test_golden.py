@@ -36,8 +36,9 @@ over all four paper scenes.  For each grid it holds the spec and the
 SHA-256 of its canonical rows at scale 0.05 (hashed as
 ``benchmarks/e2e/expected.json`` hashes rows); for Figure 5.7 and
 Table 7.1 it also holds the exact rows at scale 0.25.  The specs are
-compared first, then the default path's rows, then every 0.05 grid
-under ``kernel="reference"``.
+compared first, then the default path's rows, then the 0.25 rows on
+the serial streamed and the pipelined fold, then every 0.05 grid under
+``kernel="reference"``.
 
 Both pins record the ``PIPELINE_VERSION`` they were generated at.  An
 intentional change to results bumps it and regenerates both pins from
@@ -436,6 +437,21 @@ class TestFigurePin:
             Engine(store=ArtifactStore(tmp_path)), pinned)
         changed = moved(pinned, digests, figures_pin)
         assert not changed, f"grids moved: {changed}"
+        assert exact_rows == figures_pin["rows"]
+
+    @pytest.mark.parametrize("stream_workers", [
+        pytest.param(0, id="serial"),
+        pytest.param(2, id="pipelined"),
+    ])
+    def test_exact_rows_streamed(self, figures_pin, tmp_path, no_pool,
+                                 stream_workers):
+        # The exact EXACT_SCALE rows on the serial streamed and the
+        # pipelined fold, cut into 65536-access blocks.
+        pinned = [entry for entry in pinned_grids()
+                  if entry[2].scale == EXACT_SCALE]
+        _, exact_rows = run_pinned(
+            Engine(store=ArtifactStore(tmp_path)), pinned,
+            chunk_size=65536, stream_workers=stream_workers)
         assert exact_rows == figures_pin["rows"]
 
     def test_reference_kernel(self, figures_pin, tmp_path):

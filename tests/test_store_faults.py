@@ -11,6 +11,7 @@ import errno
 import json
 import multiprocessing
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -397,6 +398,35 @@ class TestKillResilience:
         repaired = ArtifactStore(root).repair()
         assert repaired["quarantined"] == []
         assert repaired["purged_parts"] == [f"traces/{part.name}"]
+
+    def test_writer_unwound_as_its_temp_file_appears(self, tmp_path):
+        # A pool worker turns SIGTERM into SystemExit at whatever line
+        # it is running.  Raised at the first line the writer runs once
+        # its temporary file exists, the unwind must still discard it.
+        target = tmp_path / "traces" / "artifact.json"
+        code = artifacts_module._atomic_write.__code__
+        fired = []
+
+        def on_line(frame, event, arg):
+            if event == "line" and not fired and \
+                    list(target.parent.glob("*.tmp*")):
+                fired.append(frame.f_lineno)
+                raise SystemExit(143)
+            return on_line
+
+        def on_call(frame, event, arg):
+            return on_line if frame.f_code is code else None
+
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            with pytest.raises(SystemExit):
+                artifacts_module._atomic_write(
+                    target, lambda temp: Path(temp).write_text("{}"))
+        finally:
+            sys.settrace(previous)
+        assert fired
+        assert list(target.parent.iterdir()) == []
 
 
 class TestDegradedModes:

@@ -15,15 +15,13 @@ import numpy as np
 import pytest
 
 from repro.core.cache import CacheConfig
-from repro.core.classify import classify_misses
-from repro.core.stackdist import miss_rate_curve
+from repro.core.classify import classify_counts, classify_misses
 from repro.engine import (
     ArtifactStore,
     Engine,
     ExperimentSpec,
     StreamedProfiles,
     TraceSpec,
-    classify_profiles,
 )
 from repro.engine.spec import paper_order_spec
 from repro.pipeline.renderer import render_trace, render_trace_blocks
@@ -145,21 +143,28 @@ class TestChunkedStore:
 
 class TestStreamedProfiles:
     def test_bit_identical_profiles_and_classification(self, stores):
+        # The in-RAM and streamed grids agree cell for cell, and the 3C
+        # split of a streamed cell against the fully-associative cell
+        # of its size equals classify_misses over the address stream.
         ram_store, st_store = stores
         spec = town_spec()
+        exp = ExperimentSpec(scenes=(SCENE,), layouts=(LAYOUT,),
+                             cache_sizes=SIZES + (8192,), line_sizes=(64,),
+                             assocs=(None, 1, 2, 4), scale=SCALE)
         engine = Engine(store=ram_store)
-        streams = engine.streams(spec, LAYOUT)
-        streamed = StreamedProfiles(st_store, spec, LAYOUT, chunk_size=4096)
+        ram = engine.run(exp)
+        streamed = Engine(store=st_store).run(exp, chunk_size=4096)
+        assert [row.stats for row in streamed.rows] == \
+            [row.stats for row in ram.rows]
 
-        curve_ram = miss_rate_curve(streams, 64, sorted(SIZES))
-        curve_st = miss_rate_curve(streamed, 64, sorted(SIZES))
-        assert np.array_equal(curve_ram.miss_rates, curve_st.miss_rates)
-
+        [full] = streamed.select(cache_size=8192, assoc=None)
         for assoc in (1, 2, 4):
             config = CacheConfig(8192, 64, assoc)
+            [cell] = streamed.select(cache_size=8192, assoc=assoc)
             expected = classify_misses(engine.addresses(spec, LAYOUT), config)
-            assert classify_profiles(streamed, config) == expected
-            assert classify_profiles(streams, config) == expected
+            assert classify_counts(config, cell.stats.accesses,
+                                   cell.stats.misses, cell.stats.cold_misses,
+                                   full.stats.misses) == expected
 
     def test_stream_materialization_refused(self, stores):
         _, st_store = stores
@@ -364,3 +369,39 @@ class TestEngineRunStreaming:
             layouts=(("nonblocked",), ("blocked", 4), ("blocked", 8)))
         Engine(store=ArtifactStore(tmp_path / "a")).run(exp, chunk_size=4096)
         assert sorted(built) == ["GobletScene", "TownScene"]
+
+
+class TestFoldMemory:
+    #: Bytes of trace columns per access without positions (the figure
+    #: behind DEFAULT_CHUNK_SIZE's "~21 MB" per million accesses).
+    COLUMN_BYTES = 21
+
+    def test_warm_fold_holds_one_block_not_the_trace(self, tmp_path):
+        # A warm fold reads the stored parts one block at a time, so its
+        # traced peak is one block plus the per-pair states, far below
+        # the trace's columns.  A fold that gathered its blocks first
+        # would hold them all.  Pool workers run the same
+        # _run_job/_fold_blocks loop, so this bounds them too.
+        import shutil
+        import tracemalloc
+
+        from repro.engine import streaming
+
+        spec = TraceSpec(scene=SCENE, scale=0.25,
+                         order=paper_order_spec(SCENE))
+        pairs = [(64, 1), (64, 64)]
+        StreamedProfiles(ArtifactStore(tmp_path), spec, LAYOUT,
+                         chunk_size=16384).prefetch(pairs)
+        for kind in ("profiles", "set_profiles"):
+            shutil.rmtree(tmp_path / kind)
+        streaming._cached_placements(spec, LAYOUT)
+        warm = StreamedProfiles(ArtifactStore(tmp_path), spec, LAYOUT)
+        n_accesses = warm.store.open_render_blocks(spec).n_accesses
+        tracemalloc.start()
+        try:
+            warm.prefetch(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert warm.stream_report.folds == 1
+        assert peak < n_accesses * self.COLUMN_BYTES / 4

@@ -1,16 +1,15 @@
-"""Unit tests for sweep helpers (repro.core.sweep)."""
+"""Unit tests for the per-trace profile memos (repro.core.sweep)."""
 
 import numpy as np
 import pytest
 
 from repro.core.cache import CacheConfig, simulate
+from repro.core.classify import classify_misses
+from repro.core.stackdist import miss_rate_curve
 from repro.core.sweep import (
     PAPER_ASSOCIATIVITIES,
     PAPER_CACHE_SIZES,
     TraceStreams,
-    fully_associative_curve,
-    sweep_associativities,
-    sweep_cache_sizes,
 )
 
 
@@ -52,42 +51,56 @@ class TestTraceStreams:
 
 
 class TestSweeps:
+    """The sweeps ``Engine.run`` reads off a :class:`TraceStreams` --
+    the fully-associative curve and each size's per-set profile --
+    against the sequential simulator."""
+
+    @staticmethod
+    def sweep(streams, line_size, sizes, assoc):
+        """Stats per size off ``streams``, the way ``Engine.run`` reads
+        each finite-associativity cell."""
+        configs = [CacheConfig(size, line_size, assoc) for size in sizes]
+        return [streams.set_profile(line_size, config.n_sets)
+                .stats_for(config) for config in configs]
+
     def test_fully_associative_sweep_matches_simulation(self, addresses):
-        stats = sweep_cache_sizes(addresses, 32, [1024, 8192], assoc=None)
-        for entry in stats:
+        curve = miss_rate_curve(TraceStreams(addresses), 32, [1024, 8192])
+        for entry in curve.as_stats():
             direct = simulate(addresses, entry.config)
             assert entry.misses == direct.misses
 
     def test_finite_assoc_sweep(self, addresses):
-        stats = sweep_cache_sizes(addresses, 32, [1024, 4096], assoc=2)
+        stats = self.sweep(TraceStreams(addresses), 32, [1024, 4096], 2)
         assert [s.config.size for s in stats] == [1024, 4096]
         assert stats[0].misses >= stats[1].misses
 
     def test_associativity_sweep_matches_direct_simulation(self, addresses):
-        stats = sweep_associativities(addresses, 4096, 64,
-                                      associativities=(1, 2, None))
-        assert [s.config.assoc for s in stats] == [1, 2, None]
-        for entry in stats:
+        streams = TraceStreams(addresses)
+        for assoc in (1, 2, None):
+            [entry] = self.sweep(streams, 64, [4096], assoc)
             assert entry.misses == simulate(addresses, entry.config).misses
 
     def test_associativity_removes_pathological_conflicts(self):
         # Alternating same-set lines: direct-mapped thrashes, 2-way
         # holds both (Section 5.3.3's Mip-level conflict scenario).
         addresses = np.tile([0, 4096], 100).astype(np.int64) * 1
-        stats = sweep_associativities(addresses, 4096, 64,
-                                      associativities=(1, 2))
-        assert stats[0].misses == 200
-        assert stats[1].misses == 2
+        streams = TraceStreams(addresses)
+        for assoc, misses in ((1, 200), (2, 2)):
+            config = CacheConfig(4096, 64, assoc)
+            [entry] = self.sweep(streams, 64, [4096], assoc)
+            assert entry.misses == misses
+            assert simulate(addresses, config, kernel="reference").misses \
+                == misses
 
     def test_associativity_sweep_classified(self, addresses):
-        stats = sweep_associativities(addresses, 2048, 64,
-                                      associativities=(1, 2), classify=True)
-        for entry in stats:
+        stream = TraceStreams(addresses).stream(64)
+        for assoc in (1, 2):
+            entry = classify_misses(stream, CacheConfig(2048, 64, assoc))
             assert entry.conflict_misses is not None
             assert entry.cold_misses + entry.capacity_misses + entry.conflict_misses == entry.misses
 
     def test_curve_helper(self, addresses):
-        curve = fully_associative_curve(addresses, 32, [1024, 2048])
+        curve = miss_rate_curve(TraceStreams(addresses), 32, [1024, 2048])
         assert len(curve.miss_rates) == 2
 
     def test_paper_grids(self):
@@ -95,30 +108,36 @@ class TestSweeps:
         assert None in PAPER_ASSOCIATIVITIES
 
     def test_kernels_agree_across_size_sweep(self, addresses):
+        # Both kernels' profiles serve the fully-associative cells; the
+        # finite ones compare with the sequential simulator.
+        fast = TraceStreams(addresses)
+        slow = TraceStreams(addresses, kernel="reference")
+        sizes = [1024, 4096, 16384]
+        assert np.array_equal(
+            miss_rate_curve(fast, 32, sizes).miss_counts,
+            miss_rate_curve(slow, 32, sizes).miss_counts)
         for assoc in (None, 1, 4):
-            fast = sweep_cache_sizes(addresses, 32, [1024, 4096, 16384],
-                                     assoc=assoc)
-            slow = sweep_cache_sizes(addresses, 32, [1024, 4096, 16384],
-                                     assoc=assoc, kernel="reference")
-            for a, b in zip(fast, slow):
+            for a in self.sweep(fast, 32, sizes, assoc):
+                b = simulate(addresses, a.config, kernel="reference")
                 assert (a.accesses, a.misses, a.cold_misses) == \
                        (b.accesses, b.misses, b.cold_misses)
 
     def test_kernels_agree_across_assoc_sweep(self, addresses):
-        for classify in (False, True):
-            fast = sweep_associativities(addresses, 4096, 32,
-                                         classify=classify)
-            slow = sweep_associativities(addresses, 4096, 32,
-                                         classify=classify,
-                                         kernel="reference")
-            for a, b in zip(fast, slow):
-                assert (a.misses, a.cold_misses, a.capacity_misses,
-                        a.conflict_misses) == \
-                       (b.misses, b.cold_misses, b.capacity_misses,
-                        b.conflict_misses)
+        streams = TraceStreams(addresses)
+        for assoc in PAPER_ASSOCIATIVITIES:
+            [a] = self.sweep(streams, 32, [4096], assoc)
+            b = simulate(addresses, a.config, kernel="reference")
+            assert (a.misses, a.cold_misses) == (b.misses, b.cold_misses)
+            fast = classify_misses(streams.stream(32), a.config)
+            slow = classify_misses(streams.stream(32), a.config,
+                                   kernel="reference")
+            assert (fast.misses, fast.cold_misses, fast.capacity_misses,
+                    fast.conflict_misses) == \
+                   (slow.misses, slow.cold_misses, slow.capacity_misses,
+                    slow.conflict_misses)
 
     def test_fully_associative_stats_are_exact_integers(self, addresses):
-        curve = fully_associative_curve(addresses, 32, [1024, 8192])
+        curve = miss_rate_curve(TraceStreams(addresses), 32, [1024, 8192])
         assert curve.miss_counts is not None
         for entry in curve.as_stats():
             direct = simulate(addresses, entry.config)
