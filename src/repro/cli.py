@@ -129,11 +129,11 @@ def _add_streaming_arguments(parser):
                              "render also holds one triangle batch)")
     parser.add_argument("--stream-workers", type=_int_at_least(0), default=0,
                         help="pipeline the streaming fold: partition cold "
-                             "renders across this many persistent worker "
-                             "processes, each folding the blocks it "
-                             "renders (implies streaming; >= 2 to engage, "
-                             "falls back to the serial streamed path on "
-                             "any pipeline failure)")
+                             "renders across this many worker processes, "
+                             "one pool for the whole grid, each folding "
+                             "the blocks it renders (implies streaming; "
+                             ">= 2 to engage, falls back to the serial "
+                             "streamed path on any pipeline failure)")
     parser.add_argument("--audit-parts", type=_int_at_least(0), default=0,
                         metavar="N",
                         help="spot-audit N sampled parts of every streamed "
@@ -285,8 +285,7 @@ def _simulate(args) -> int:
     print(f"  bandwidth       {mbytes_per_second(bandwidth):.0f} MB/s at 50M "
           f"fragments/s ({uncached_bandwidth() / max(bandwidth, 1e-9):.1f}x "
           "less than uncached)")
-    if result.stream_report is not None:
-        _print_recovery(result.stream_report, engine.store)
+    _print_recovery(result.stream_report, engine.store)
     return 0
 
 

@@ -1,17 +1,18 @@
 """Every streamed fold, run as range jobs; pipelined over a pool.
 
-Every fold of :mod:`repro.engine.streaming` runs here as range jobs.
-With ``stream_workers < 2`` no pool starts and the parent runs the
-jobs itself -- that is the serial fold: a cold trace is one
-``render`` range, a stored one a single ``fold`` job.  With more
-workers it overlaps render, persist and fold across a **persistent**
-pool of worker processes, with bit-identical results::
+Every fold of :mod:`repro.engine.streaming` runs here as range jobs,
+all folds of one request in one :func:`fold_pipelined` call.  With
+``stream_workers < 2`` no pool starts and the parent runs the jobs
+itself, fold after fold -- that is the serial fold: a cold trace is
+one ``render`` range, a stored one a single ``fold`` job.  With more
+workers it overlaps render, persist and fold across a pool of worker
+processes that lives for the call, with bit-identical results::
 
-    parent                          workers (persistent StreamPool)
-    ------                          -------------------------------
+    parent                          workers (one StreamPool per call)
+    ------                          ---------------------------------
     send each idle worker  ----->   one pipe per worker, one range
-    its next range job              job in flight at a time
-    (render | fold)
+    the next range job, in          job in flight at a time
+    trace then range order          (render | fold)
     supervise: a pipe at            render: render one contiguous
     end of file is a dead           clipped-triangle slice, persist
     worker, one silent past         each part, fold each block into
@@ -19,11 +20,10 @@ pool of worker processes, with bit-identical results::
     one; respawn it, retry          fold: fold the named parts
     only its range
     collect range states   <-----   the same pipe (beat per block;
-    merge in range order            range_done: per-range partial
-    publish sidecar over            states, plus a render range's
-    the parts as written            part envelopes; or error)
-    (all ranges complete,
-    or nothing)
+    merge them in range             range_done: per-range partial
+    order; once a trace's           states, plus a render range's
+    are all in, publish it          part envelopes; or error)
+    and save its profiles
 
 **Two job kinds.**  Every range is one job.  A ``render`` job renders
 a triangle slice; a ``fold`` job folds an explicit list of part files
@@ -31,8 +31,17 @@ the parent has already envelope-verified -- a warm trace's parts,
 sliced from the reader the parent opened, or a resumed range's parts,
 taken from its completion record.  Workers run both through
 :func:`_run_job` and report each as one ``range_done`` message; the
-parent runs the same function in one loop for a fold with no pool,
-for residual ranges and after a serial fallback.
+parent runs the same function in one loop for a call with no pool, for
+residual ranges and after a serial fallback.
+
+**One run per call.**  :class:`_Supervision` sends every job of the
+call in trace order, then range order, so a worker that finishes one
+trace's last range takes the next trace's first.  A cold trace's folds
+under other layouts are planned once it is published, and join the
+same run as ``fold`` jobs over its parts.  The call takes the
+single-flight locks of all its cold traces up front, in fingerprint
+order, so two processes that share traces cannot deadlock.  A call
+that does not finish breaks its pool: its workers may be mid-job.
 
 **Parallel cold render.**  The clipped triangle index space is cut
 into equal contiguous slices (:func:`~repro.pipeline.renderer.
@@ -59,7 +68,7 @@ their writers gave them, so a partially rendered trace can never
 verify as a complete artifact and no part is renamed.  Serial and
 pipelined folds commit the same way.
 
-**Self-healing.**  A fold does not fail whole on the first fault; it
+**Self-healing.**  A call does not fail whole on the first fault; it
 degrades through an escalation ladder, each rung strictly cheaper
 than the next:
 
@@ -71,24 +80,19 @@ than the next:
    deadline (``REPRO_STREAM_JOB_TIMEOUT``) and is killed.  Either is
    respawned in place behind a fresh pipe, and only its range is
    retried, with bounded retries and exponential backoff
-   (:data:`STREAM_RETRIES`).  The supervisor is the only code that
-   heals the pool: a worker that died while idle between folds is
-   found by the next fold (the send to it fails, or its pipe reads as
-   end of file) and respawned the same way.  Workers share no queue
-   and no lock, so a worker that dies -- idle or mid-job -- cannot
-   leave one held for its replacements; and since a range runs in at
-   most one worker at a time, a fold that finishes leaves every worker
-   idle, while one that does not (an error, a stall, a crash) breaks
-   the pool.
+   (:data:`STREAM_RETRIES`).  A worker that dies while idle is found
+   by the next send to it, or by its pipe reading as end of file, and
+   respawned the same way.  Workers share no queue and no lock, so a
+   dead worker cannot leave one held for its replacements.
 2. *Residual recovery.*  A range that exhausts its retry budget runs
-   its job serially in the parent -- the fold still completes
-   bit-identically, with a ``RuntimeWarning`` naming the residual
-   count.
+   its job serially in the parent once the pool run ends -- the call
+   still completes bit-identically, with a ``RuntimeWarning`` naming
+   the residual count.
 3. *Serial fallback.*  When the pool run fails outright -- *no* range
    succeeds there, it stalls (:class:`PipelineError`) or the pool
-   cannot start -- the pool is torn down and :func:`_run_ranges` warns
-   that it is falling back and runs in the parent only the ranges the
-   pool did not finish; the ranges it finished keep their states.
+   cannot start -- the pool is torn down, :meth:`_Supervision.run`
+   warns that it is falling back, and the parent runs only the ranges
+   the pool did not finish; the ranges it finished keep their states.
 
 **Crash-resume.**  A cold fold killed mid-run (SIGKILL of the parent,
 ENOSPC demotion) leaves checksummed strided parts behind plus one
@@ -101,28 +105,25 @@ surviving parts against those envelopes, runs the verified ranges as
 ``fold`` jobs, re-renders only the missing ranges under the recorded
 geometry, then publishes as usual -- bit-identical to an
 uninterrupted run.  Since publishing renames nothing, the records
-stay valid until the sidecar is on disk.
+stay valid until the sidecar is on disk.  Resume is per trace.
 
 **Observability.**  Every fold, serial or pipelined, accounts its
-recovery actions in a :class:`StreamReport` hung off the
-``StreamedProfiles`` and surfaced on ``ExperimentResult`` and in the
-CLI: respawns, retried/residual/
-resumed ranges, serial fallbacks and recovery wall-clock (time from a
-range's first failure to its recovery, plus respawn and residual
-work; resumed work is *saved* time and is counted by range/part
-instead).  Deterministic fault injection for all of the above lives
-in :mod:`repro.engine.faults` (``REPRO_FAULT_PLAN``).
+recovery actions in a :class:`StreamReport`, surfaced on
+``ExperimentResult`` and in the CLI (see its docstring).
+Deterministic fault injection for all of the above lives in
+:mod:`repro.engine.faults` (``REPRO_FAULT_PLAN``).
 
 **Warm traces** (parts already in the store, however they were
 written) skip the render stage: the parent slices the part names of
-the reader it opened into contiguous ``fold`` jobs under the same
-supervision and merges the results in part order.  A single-part
-trace has nothing to fan out and runs its one job in the parent.
+the reader it opened into contiguous ``fold`` jobs.  A call with a
+single job -- a single-part trace, say -- runs it in the parent.
 """
 
 from __future__ import annotations
 
-import atexit
+import bisect
+import collections
+import contextlib
 import os
 import random
 import signal
@@ -184,7 +185,7 @@ def _job_timeout_s() -> float:
 
 
 class PipelineError(RuntimeError):
-    """The pool could not run or finish a fold; :func:`_run_ranges`
+    """The pool could not run or finish a fold; :meth:`_Supervision.run`
     falls back to running its unfinished ranges in the parent (results
     stay bit-identical)."""
 
@@ -245,22 +246,11 @@ class StreamReport:
 
 # -- range jobs (workers and parent) ----------------------------------------
 
-def _merge_in_order(pairs, ranges) -> dict:
-    """Merge per-range states in range order: ``merge`` is
-    associative-exact but not commutative, and range order is stream
-    order."""
-    merged = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
-    for states in ranges:
-        for pair in pairs:
-            merged[pair] = merged[pair].merge(states[pair])
-    return merged
-
-
 def _run_job(store, kind: str, job: dict, before_block=None) -> dict:
     """Run one range job and return its ``range_done`` payload: the
     range's per-pair partial states under ``"states"``, plus -- for a
     ``render`` job -- its completion record.  Pool workers and the
-    parent (:func:`_run_ranges`) both call this.  ``before_block(n)``
+    parent (:meth:`_Supervision.run`) both call this.  ``before_block(n)``
     runs ahead of block ``n`` (worker heartbeat and, for ``render``
     jobs, fault injection)."""
     placements = _cached_placements(job["trace_spec"], job["layout_spec"])
@@ -329,7 +319,7 @@ def _bind_to_parent_lifetime() -> None:
 
 
 def _worker_loop(conn) -> None:
-    """Persistent worker: run the ``(kind, job)`` range jobs the parent
+    """Pool worker: run the ``(kind, job)`` range jobs the parent
     sends down ``conn`` until ``None`` or end of file, answering each
     with one ``range_done`` or ``error`` message.  A job failure is
     reported and the worker lives on; only a hard crash kills it.  A
@@ -393,17 +383,16 @@ def _run_worker_fault(fault, store) -> None:
         store._demoted = True
 
 
-# -- the persistent pool ---------------------------------------------------
+# -- the pool of one call --------------------------------------------------
 
 class StreamPool:
-    """A persistent pool of streaming workers, each behind its own
-    pipe: ``processes[slot]`` and ``conns[slot]``, the parent's end of
-    that slot's pipe.  No channel or lock is shared between workers,
-    so a worker that dies -- idle or mid-job -- takes down only its own
-    pipe.  One pool serves every fold of every row of an experiment
-    grid; a dead or wedged worker is respawned in place
-    (:meth:`respawn`) and the pool is only rebuilt when the worker
-    count changes."""
+    """The streaming workers of one :func:`fold_pipelined` call, each
+    behind its own pipe: ``processes[slot]`` and ``conns[slot]``, the
+    parent's end of that slot's pipe.  No channel or lock is shared
+    between workers, so a worker that dies -- idle or mid-job -- takes
+    down only its own pipe.  The call's :class:`_Supervision` starts
+    it, respawns a dead or wedged worker in place (:meth:`respawn`)
+    and shuts it down before the call returns."""
 
     def __init__(self, workers: int):
         import multiprocessing
@@ -429,8 +418,7 @@ class StreamPool:
     def respawn(self, slot: int) -> None:
         """Replace one worker -- dead, or presumed wedged and killed
         here -- with a fresh fork of the parent behind a fresh pipe.
-        Only the fold supervisor calls this (:meth:`_Supervision.lose`),
-        for a worker that a fold found dead or wedged."""
+        Only the supervisor calls this (:meth:`_Supervision.lose`)."""
         _stop(self.processes[slot])
         self.conns[slot].close()
         self._spawn(slot)
@@ -451,84 +439,142 @@ class StreamPool:
             conn.close()
 
 
-_POOL: StreamPool = None
-
-
-def get_pool(workers: int) -> StreamPool:
-    """The process-wide persistent pool, built on first use and rebuilt
-    on a worker-count change.  It does not check its workers: one that
-    died while idle since the last fold is found and respawned by the
-    next fold's supervisor, whose send to it fails or whose pipe reads
-    as end of file."""
-    global _POOL
-    workers = int(workers)
-    if _POOL is not None and _POOL.workers != workers:
-        _POOL.shutdown()
-        _POOL = None
-    if _POOL is None:
-        _POOL = StreamPool(workers)
-    return _POOL
-
-
 def shutdown_stream_pool() -> None:
-    """Tear down the persistent pool (idempotent; re-created lazily)."""
-    global _POOL
-    pool, _POOL = _POOL, None
-    if pool is not None:
-        pool.shutdown()
-
-
-def _break_pool() -> None:
-    """Hard-stop a pool in an unknown state (a fold that did not
-    finish may leave workers mid-job): a clean one is rebuilt on the
-    next fold."""
-    global _POOL
-    pool, _POOL = _POOL, None
-    if pool is not None:
-        pool.shutdown(force=True)
-
-
-atexit.register(shutdown_stream_pool)
+    """Nothing to stop: each pool shuts down before the
+    :func:`fold_pipelined` call that started it returns."""
 
 
 # -- parent-side supervision -----------------------------------------------
 
 class _Supervision:
-    """Parent-side supervisor for one pipelined fold.  It sends each
-    idle worker the next due range, one job in flight per worker, so it
-    knows every worker's range from the moment it dispatches it.  A
-    worker whose pipe reads as end of file died; one silent past the
-    job deadline is wedged and killed.  Either way it is respawned and
-    only its range is retried, with bounded retries and exponential
-    backoff.  A range that exhausts the budget becomes *residual* --
-    recovered serially by the caller -- instead of failing the
-    fold."""
+    """The one run of every range job of a :func:`fold_pipelined`
+    call, each keyed ``(fold position, range index)`` and sent in that
+    order, one job in flight per idle worker.  A dead or wedged worker
+    is respawned and only its range retried, with bounded retries and
+    exponential backoff; a range beyond the budget is *residual* and
+    runs in the parent once the pool run ends.  :meth:`settle` merges
+    the ranges that landed, saves each fold whose ranges are all in
+    and plans the folds waiting on its trace."""
 
-    def __init__(self, pool: StreamPool, jobs: dict, report: StreamReport,
-                 stage: str, scene: str, payloads: dict):
-        self.pool = pool
+    def __init__(self, folds, workers: int, report: StreamReport):
+        self.folds = folds
+        self.workers = workers
         self.report = report
-        self.stage = stage
-        self.label = f"{stage} fold ({scene})"
-        self.jobs = dict(jobs)  # range index -> (task kind, job dict)
-        self.payloads = payloads
-        self.tries = {index: 0 for index in self.jobs}
-        self.ready = sorted(self.jobs)  # ranges due, in range order
-        self.retry_at: list = []   # (due monotonic time, range index)
-        self.running: dict = {}    # worker slot -> range index
+        self.pool = None
+        self.jobs: dict = {}       # key -> (task kind, job dict)
+        self.tries = collections.Counter()
+        self.ready: list = []      # keys due, in trace then range order
+        self.retry_at: list = []   # (due monotonic time, key)
+        self.running: dict = {}    # worker slot -> key
         self.heard: dict = {}      # worker slot -> time of its last message
         self.complete: set = set()
-        self.residual: dict = {}   # range index -> first terminal reason
+        self.residual: dict = {}   # key -> first terminal reason
         self.first_failed_at: dict = {}
         self.timeout = _job_timeout_s()
+        self.open: list = []       # folds planned, not yet saved
+        self.waiting: dict = {}    # trace spec -> its folds not planned
+        for fold in folds:
+            self.waiting.setdefault(fold.spec, []).append(fold)
+        for spec in list(self.waiting):
+            self.plan(spec)
+
+    def plan(self, spec) -> None:
+        """Plan ``spec``'s waiting folds in order, up to and including
+        the first cold one: the folds behind it fold the parts it
+        publishes, so they are planned once it has."""
+        waiting = self.waiting[spec]
+        while waiting:
+            fold = waiting.pop(0)
+            for index, job in fold.plan(self.workers).items():
+                key = (fold.position, index)
+                self.jobs[key] = job
+                bisect.insort(self.ready, key)
+            self.open.append(fold)
+            if fold.stage == "cold":
+                return
+
+    def run(self) -> None:
+        """Run every job: on a pool when there are at least two workers
+        and two jobs, then here every job the pool did not finish -- all
+        of them without a pool.  A pool run that ends stops the pool;
+        any other exit -- an error, a stall, an injected crash -- breaks
+        it, since its workers may be mid-job."""
+        pooled = self.workers >= 2 and len(self.jobs) > 1
+        if pooled:
+            try:
+                self.pool = StreamPool(self.workers)
+                self.drive()
+                if self.residual and not self.complete:
+                    raise PipelineError(
+                        "every fold range failed in the pool ("
+                        f"{_last_line(next(iter(self.residual.values())))})")
+                self.pool.shutdown()
+            except BaseException as fault:
+                if self.pool is not None:
+                    self.pool.shutdown(force=True)
+                if not isinstance(fault, Exception):
+                    raise
+                pooled = False
+                why = (fault if isinstance(fault, PipelineError)
+                       else f"{type(fault).__name__}: {fault}")
+                self.report.fallbacks += 1
+                self.report.note(f"serial fallback: {why}")
+                warnings.warn(
+                    f"pipelined fold failed ({why}); falling back to the "
+                    "serial streaming path for its "
+                    f"{len(self.jobs) - len(self.complete)} unfinished "
+                    "range(s)", RuntimeWarning, stacklevel=4)
+        started = time.monotonic()
+        self.settle()  # a fold a failed pool run could not save
+        while len(self.complete) < len(self.jobs):
+            key = min(set(self.jobs) - self.complete)
+            kind, job = self.jobs[key]
+            self.land(key, _run_job(self.folds[key[0]].profiles.store,
+                                    kind, job))
+            self.settle()
+        if pooled and self.residual:
+            self.report.recovery_s += time.monotonic() - started
+            warnings.warn(
+                f"pipelined fold recovered {len(self.residual)} residual "
+                "range(s) serially in the parent after the retry budget",
+                RuntimeWarning, stacklevel=4)
+
+    def drive(self) -> None:
+        """Until no job is due, retrying or running: dispatch, wait on
+        every worker's pipe and process sentinel, read what is ready,
+        kill wedged workers, dispatch again, then settle what landed.
+        A stall is no progress for :data:`NO_PROGRESS_TIMEOUT_S`."""
+        from multiprocessing.connection import wait
+        pool = self.pool
+        last_progress = time.monotonic()
+        while self.ready or self.retry_at or self.running:
+            self.dispatch()
+            slot_of = {}
+            for slot in range(pool.workers):
+                slot_of[pool.conns[slot]] = slot
+                slot_of[pool.processes[slot].sentinel] = slot
+            ready = wait(list(slot_of), timeout=EVENT_POLL_S)
+            progress = False
+            for slot in sorted({slot_of[handle] for handle in ready}):
+                progress |= self.receive(slot)
+            progress |= self.check_wedged()
+            self.dispatch()
+            self.settle()
+            now = time.monotonic()
+            if progress:
+                last_progress = now
+            elif now - last_progress > NO_PROGRESS_TIMEOUT_S:
+                raise PipelineError(
+                    "pipelined fold stalled (no progress for "
+                    f"{NO_PROGRESS_TIMEOUT_S:.0f}s)")
 
     def dispatch(self) -> None:
         """Move due retries to ``ready`` (the loop never sleeps a
-        backoff) and send each idle worker the next ready range."""
+        backoff) and send each idle worker the next ready job."""
         now = time.monotonic()
-        due = [index for when, index in self.retry_at if when <= now]
+        due = [key for when, key in self.retry_at if when <= now]
         if due:
-            self.retry_at = [(when, index) for when, index in self.retry_at
+            self.retry_at = [(when, key) for when, key in self.retry_at
                              if when > now]
             self.ready = sorted(self.ready + due)
         for slot in range(self.pool.workers):
@@ -536,16 +582,16 @@ class _Supervision:
                 return
             if slot in self.running:
                 continue
-            index = self.ready.pop(0)
+            key = self.ready.pop(0)
             try:
-                self.pool.conns[slot].send(self.jobs[index])
+                self.pool.conns[slot].send(self.jobs[key])
             except OSError:
                 # The worker died idle, before it could take the job.
-                self.ready.insert(0, index)
+                self.ready.insert(0, key)
                 self.lose(slot, f"worker died (slot {slot})")
                 continue
-            self.tries[index] += 1
-            self.running[slot] = index
+            self.tries[key] += 1
+            self.running[slot] = key
             self.heard[slot] = now
 
     def receive(self, slot: int) -> bool:
@@ -563,17 +609,14 @@ class _Supervision:
         self.heard[slot] = time.monotonic()
         if message[0] == "beat":
             return False
-        index = self.running.pop(slot)
+        key = self.running.pop(slot)
         if message[0] == "error":
-            self.fail(index, f"worker task failed: {_last_line(message[1])}")
+            self.fail(key, f"worker task failed: {_last_line(message[1])}")
         elif message[1].get("complete") is False:
-            self.fail(index, "range persisted incomplete "
-                             "(worker store demoted)")
+            self.fail(key, "range persisted incomplete "
+                           "(worker store demoted)")
         else:
-            self.payloads[index] = message[1]
-            self.note_complete(index)
-            if self.stage == "cold":
-                _maybe_kill_run(len(self.complete))
+            self.land(key, message[1])
         return True
 
     def check_wedged(self) -> bool:
@@ -591,36 +634,46 @@ class _Supervision:
     def lose(self, slot: int, why: str) -> None:
         """Fail the range ``slot`` was running, if any, and replace its
         worker behind a fresh pipe."""
-        index = self.running.pop(slot, None)
-        if index is not None:
-            self.fail(index, why)
+        key = self.running.pop(slot, None)
+        if key is not None:
+            self.fail(key, why)
         started = time.monotonic()
         self.pool.respawn(slot)
         self.report.respawns += 1
         self.report.recovery_s += time.monotonic() - started
 
-    def note_complete(self, index: int) -> None:
-        self.complete.add(index)
-        failed_at = self.first_failed_at.pop(index, None)
+    def land(self, key, payload: dict) -> None:
+        """Hand one range's ``range_done`` payload to its fold."""
+        self.complete.add(key)
+        failed_at = self.first_failed_at.pop(key, None)
         if failed_at is not None:
             self.report.recovery_s += time.monotonic() - failed_at
+        self.folds[key[0]].land(key[1], payload)
 
-    def fail(self, index: int, why: str) -> None:
+    def fail(self, key, why: str) -> None:
         """Record one attempt failure: schedule a backoff retry inside
         the budget, park the range as residual beyond it."""
-        self.first_failed_at.setdefault(index, time.monotonic())
-        self.report.note(f"{self.label} range {index}: {why}")
-        if self.tries[index] > STREAM_RETRIES:
-            self.residual[index] = why
+        fold = self.folds[key[0]]
+        self.first_failed_at.setdefault(key, time.monotonic())
+        self.report.note(f"{fold.stage} fold ({fold.spec.scene}) range "
+                         f"{key[1]}: {why}")
+        if self.tries[key] > STREAM_RETRIES:
+            self.residual[key] = why
             self.report.residual_ranges += 1
             return
         self.report.retried_ranges += 1
-        delay = STREAM_BACKOFF_S * (2 ** (self.tries[index] - 1))
+        delay = STREAM_BACKOFF_S * (2 ** (self.tries[key] - 1))
         delay *= 0.5 + random.random()  # jitter
-        self.retry_at.append((time.monotonic() + delay, index))
+        self.retry_at.append((time.monotonic() + delay, key))
 
-    def finished(self) -> bool:
-        return len(self.complete) + len(self.residual) == len(self.jobs)
+    def settle(self) -> None:
+        """Merge what landed; publish and save each fold whose ranges
+        are all merged, then plan the folds waiting on its trace."""
+        for fold in list(self.open):
+            if fold.merge_landed():
+                fold.finish()
+                self.open.remove(fold)
+                self.plan(fold.spec)
 
 
 def _last_line(text: str) -> str:
@@ -628,39 +681,10 @@ def _last_line(text: str) -> str:
     return lines[-1] if lines else str(text)
 
 
-def _drive(supervisor: _Supervision, what: str) -> None:
-    """The supervised loop shared by the warm and cold folds: dispatch
-    to idle workers, wait on every worker's pipe and process sentinel,
-    read what is ready, kill wedged workers, and declare a stall only
-    when nothing -- results or recoveries -- has progressed for
-    :data:`NO_PROGRESS_TIMEOUT_S`."""
-    from multiprocessing.connection import wait
-    pool = supervisor.pool
-    last_progress = time.monotonic()
-    while not supervisor.finished():
-        supervisor.dispatch()
-        slot_of = {}
-        for slot in range(pool.workers):
-            slot_of[pool.conns[slot]] = slot
-            slot_of[pool.processes[slot].sentinel] = slot
-        ready = wait(list(slot_of), timeout=EVENT_POLL_S)
-        progress = False
-        for slot in sorted({slot_of[handle] for handle in ready}):
-            progress |= supervisor.receive(slot)
-        progress |= supervisor.check_wedged()
-        now = time.monotonic()
-        if progress:
-            last_progress = now
-        elif now - last_progress > NO_PROGRESS_TIMEOUT_S:
-            raise PipelineError(
-                f"{what} stalled (no progress for "
-                f"{NO_PROGRESS_TIMEOUT_S:.0f}s)")
-
-
 def _maybe_kill_run(done_count: int) -> None:
-    """Chaos hook: crash the *parent* after ``after`` ranges completed
-    (``kill-run`` in ``REPRO_FAULT_PLAN``) -- the deterministic stand-in
-    for SIGKILL in crash-resume tests."""
+    """Chaos hook: crash the *parent* after ``after`` ranges of one
+    cold fold completed (``kill-run`` in ``REPRO_FAULT_PLAN``) -- the
+    deterministic stand-in for SIGKILL in crash-resume tests."""
     fault = faults.maybe_fault("range-complete", after=done_count)
     if fault is None:
         return
@@ -672,173 +696,133 @@ def _maybe_kill_run(done_count: int) -> None:
 
 # -- parent-side drivers ---------------------------------------------------
 
-def fold_pipelined(profiles, pairs) -> dict:
-    """Compute every pair's :class:`PartialSetProfile` for
-    ``profiles`` (a :class:`~repro.engine.streaming.StreamedProfiles`)
-    -- the one entry point of every streamed fold.  With ``stream_workers
-    >= 2`` the jobs run on the pool, self-healing per range, and this
-    process runs whatever the pool leaves unfinished
-    (:func:`_run_ranges`).  With fewer workers they run here from the
-    start."""
-    profiles.stream_report.folds += 1
-    return _fold(profiles, tuple(pairs), int(profiles.stream_workers))
+def fold_pipelined(folds) -> None:
+    """Fold every ``(profiles, pairs)`` of ``folds`` -- a
+    :class:`~repro.engine.streaming.StreamedProfiles` and the pairs it
+    lacks, in trace order, sharing the first one's store, worker count
+    and :class:`StreamReport` -- and save each one's profiles once its
+    ranges are in: the one entry point of every streamed fold, one
+    call per request (see the module docstring)."""
+    folds = [_Fold(position, profiles, pairs)
+             for position, (profiles, pairs) in enumerate(folds)]
+    head = folds[0].profiles
+    head.stream_report.folds += len(folds)
+    cold = sorted({fingerprint(spec.payload())
+                   for spec in {fold.spec for fold in folds}
+                   if head.store.open_render_blocks(spec) is None})
+    with contextlib.ExitStack() as locks:
+        # Every cold trace's lock, in fingerprint order, before any
+        # job runs: two calls that share traces cannot deadlock.
+        for digest in cold:
+            locks.enter_context(head.store.single_flight("traces", digest))
+        _Supervision(folds, int(head.stream_workers),
+                     head.stream_report).run()
 
 
-def _fold(profiles, pairs, workers: int) -> dict:
-    """A stored trace folds as ``fold`` jobs over its parts; a cold one
-    renders under the trace's single-flight lock."""
-    store = profiles.store
-    spec = profiles.trace_spec
-    reader = store.open_render_blocks(spec)
-    if reader is not None:
-        return _fold_warm(profiles, pairs, reader, workers)
-    with store.single_flight("traces", fingerprint(spec.payload())):
-        reader = store.open_render_blocks(spec)
-        if reader is not None:
-            # A racing process published the trace while we waited.
-            return _fold_warm(profiles, pairs, reader, workers)
-        return _fold_cold(profiles, pairs, workers)
+class _Fold:
+    """One ``(trace, layout)`` fold of a call: its range jobs
+    (:meth:`plan`), the range states that landed ahead of their turn
+    and the states merged so far, in range order."""
+
+    def __init__(self, position: int, profiles, pairs):
+        self.position = position
+        self.profiles = profiles
+        self.pairs = tuple(pairs)
+        self.spec = profiles.trace_spec
+        self.stage = "warm"
+        self.n_ranges = 0
+        self.landed = {}   # range index -> states not merged yet
+        self.records = {}  # range index -> completion record (cold)
+        self.merged = {pair: PartialSetProfile.empty(*pair)
+                       for pair in self.pairs}
+        self.next = 0      # ranges merged
+
+    def land(self, index: int, payload: dict) -> None:
+        self.landed[index] = payload.pop("states")
+        self.records.setdefault(index, payload)  # resumed: its record
+        if self.stage == "cold":
+            _maybe_kill_run(self.next + len(self.landed))
+
+    def merge_landed(self) -> bool:
+        """Merge, and drop, each landed range next in range order
+        (``merge`` is not commutative); True once all are merged."""
+        while self.next in self.landed:
+            states = self.landed.pop(self.next)
+            for pair in self.pairs:
+                self.merged[pair] = self.merged[pair].merge(states[pair])
+            self.next += 1
+        return self.next == self.n_ranges
+
+    def finish(self) -> None:
+        """Publish a cold trace, then finalize and save the profiles;
+        the call holds the states of the folds in flight only."""
+        if self.stage == "cold":
+            _publish(self.profiles.store, self.spec,
+                     [self.records[index] for index in range(self.n_ranges)])
+        self.profiles._keep(self.merged)
+        self.merged = None
+
+    def job(self, **fields) -> dict:
+        return {"root": str(self.profiles.store.root),
+                "trace_spec": self.spec, "pairs": self.pairs,
+                "layout_spec": self.profiles.layout_spec, **fields}
+
+    def plan(self, workers: int) -> dict:
+        """Range index -> ``(kind, job)``: contiguous ``fold`` jobs over
+        the parts of a stored trace that the reader verified, else
+        :meth:`plan_cold`."""
+        reader = self.profiles.store.open_render_blocks(self.spec)
+        if reader is None:
+            return self.plan_cold(workers)
+        names = [entry["name"] for entry in reader.parts]
+        self.n_ranges = max(1, min(len(names), _n_ranges(workers)))
+        bounds = np.linspace(0, len(names), self.n_ranges + 1).astype(int)
+        return {index: ("fold", self.job(range=index, parts=names[lo:hi]))
+                for index, (lo, hi) in enumerate(zip(bounds[:-1],
+                                                     bounds[1:]))}
+
+    def plan_cold(self, workers: int) -> dict:
+        """``render`` jobs for a cold trace, and ``fold`` jobs over the
+        verified parts of the ranges a previously interrupted run
+        completed.  Planned under the trace's single-flight lock."""
+        report = self.profiles.stream_report
+        geometry, resumed = _load_resume(self.profiles.store, self.spec)
+        if not resumed:
+            # Nothing usable survives: cut this run's own ranges.
+            n_ranges, chunk_size = _n_ranges(workers), self.profiles.chunk_size
+        else:
+            # Resume MUST reuse the interrupted run's slicing geometry:
+            # the surviving parts embody its range bounds and chunk size,
+            # and only identical bounds make "fold the survivors, render
+            # the rest" bit-identical to an uninterrupted run.
+            n_ranges, chunk_size = geometry
+            report.resumed_ranges += len(resumed)
+            report.resumed_parts += sum(
+                len(record["envelopes"]) for record in resumed.values())
+            report.note(
+                f"cold fold ({self.spec.scene}): resumed {len(resumed)}/"
+                f"{n_ranges} range(s) from a prior interrupted render")
+        self.stage, self.n_ranges, self.records = "cold", n_ranges, resumed
+        jobs = {}
+        for index in range(n_ranges):
+            if index in resumed:
+                jobs[index] = ("fold", self.job(
+                    range=index, parts=[entry["name"] for entry
+                                        in resumed[index]["envelopes"]]))
+            else:
+                jobs[index] = ("render", self.job(
+                    range=index, n_ranges=n_ranges, chunk_size=chunk_size,
+                    part_base=index * PART_STRIDE))
+        if len(resumed) < n_ranges:
+            from . import runner
+            runner.RENDER_CALLS += 1  # a fully resumed fold renders nothing
+        return jobs
 
 
 def _n_ranges(workers: int) -> int:
     """Ranges to cut a fold into: one per job the pool can balance, or
     a single range when the fold runs in the parent."""
     return workers * RANGES_PER_WORKER if workers >= 2 else 1
-
-
-def _job(profiles, pairs, **fields) -> dict:
-    return {"root": str(profiles.store.root),
-            "trace_spec": profiles.trace_spec,
-            "layout_spec": profiles.layout_spec, "pairs": pairs, **fields}
-
-
-def _fold_warm(profiles, pairs, reader, workers: int) -> dict:
-    """Fold a stored trace as contiguous ``fold`` jobs, naming the parts
-    ``reader`` already verified."""
-    names = [entry["name"] for entry in reader.parts]
-    n_ranges = max(1, min(len(names), _n_ranges(workers)))
-    bounds = np.linspace(0, len(names), n_ranges + 1).astype(int)
-    jobs = {index: ("fold", _job(profiles, pairs, range=index,
-                                 parts=names[lo:hi]))
-            for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))}
-    payloads = _run_ranges(profiles, jobs, "warm", workers)
-    return _merge_in_order(pairs, (payloads[index]["states"]
-                                   for index in range(n_ranges)))
-
-
-def _fold_cold(profiles, pairs, workers: int) -> dict:
-    """Render, persist and fold a cold trace (``render`` jobs), folding
-    the ranges a previously interrupted run completed from their
-    verified parts (``fold`` jobs).  Runs under the trace's
-    single-flight lock."""
-    store = profiles.store
-    spec = profiles.trace_spec
-    report = profiles.stream_report
-    geometry, resumed = _load_resume(store, spec)
-    if not resumed:
-        # Nothing usable survives: cut this run's own ranges.
-        n_ranges, chunk_size = _n_ranges(workers), profiles.chunk_size
-    else:
-        # Resume MUST reuse the interrupted run's slicing geometry:
-        # the surviving parts embody its range bounds and chunk size,
-        # and only identical bounds make "fold the survivors, render
-        # the rest" bit-identical to an uninterrupted run.
-        n_ranges, chunk_size = geometry
-        report.resumed_ranges += len(resumed)
-        report.resumed_parts += sum(
-            len(record["envelopes"]) for record in resumed.values())
-        report.note(
-            f"cold fold ({spec.scene}): resumed {len(resumed)}/"
-            f"{n_ranges} range(s) from a prior interrupted render")
-    jobs = {}
-    for index in range(n_ranges):
-        if index in resumed:
-            jobs[index] = ("fold", _job(
-                profiles, pairs, range=index,
-                parts=[entry["name"]
-                       for entry in resumed[index]["envelopes"]]))
-        else:
-            jobs[index] = ("render", _job(
-                profiles, pairs, range=index, n_ranges=n_ranges,
-                chunk_size=chunk_size, part_base=index * PART_STRIDE))
-    if len(resumed) < n_ranges:
-        from . import runner
-        runner.RENDER_CALLS += 1  # a fully resumed fold renders nothing
-    payloads = _run_ranges(profiles, jobs, "cold", workers)
-    _publish(store, spec, [resumed.get(index, payloads[index])
-                           for index in range(n_ranges)])
-    return _merge_in_order(pairs, (payloads[index]["states"]
-                                   for index in range(n_ranges)))
-
-
-def _run_ranges(profiles, jobs: dict, stage: str, workers: int) -> dict:
-    """Run ``jobs`` (range index -> ``(kind, job)``) and return every
-    range's ``range_done`` payload.  With fewer than two workers, or a
-    single job, every job runs in the parent; otherwise on the pool
-    (:func:`_run_on_pool`), and the ranges the pool leaves unfinished
-    then run in the parent -- the same loop, by the same
-    :func:`_run_job` a worker runs.  Those are the ranges that
-    exhausted their retry budget or, when the pool run fails outright
-    (a serial fallback), every range it did not finish; the ranges it
-    finished keep their states.  ``stage`` is ``"warm"`` or ``"cold"``;
-    only cold folds arm the ``kill-run`` fault, wherever their ranges
-    ran."""
-    report = profiles.stream_report
-    payloads: dict = {}
-    supervisor = None
-    if workers >= 2 and len(jobs) > 1:
-        try:
-            supervisor = _run_on_pool(profiles, jobs, stage, workers,
-                                      payloads)
-        except Exception as fault:
-            why = (fault if isinstance(fault, PipelineError)
-                   else f"{type(fault).__name__}: {fault}")
-            report.fallbacks += 1
-            report.note(f"serial fallback: {why}")
-            warnings.warn(
-                f"pipelined {stage} fold failed ({why}); falling back to "
-                "the serial streaming path for its "
-                f"{len(jobs) - len(payloads)} unfinished range(s)",
-                RuntimeWarning, stacklevel=6)
-    in_parent = sorted(set(jobs) - set(payloads))
-    started = time.monotonic()
-    for index in in_parent:
-        kind, job = jobs[index]
-        payloads[index] = _run_job(profiles.store, kind, job)
-        if supervisor is not None:
-            supervisor.note_complete(index)
-        if stage == "cold":
-            _maybe_kill_run(len(payloads))
-    if supervisor is not None and in_parent:
-        report.recovery_s += time.monotonic() - started
-        warnings.warn(
-            f"pipelined {stage} fold recovered {len(in_parent)} residual "
-            "range(s) serially in the parent after the retry budget",
-            RuntimeWarning, stacklevel=6)
-    return payloads
-
-
-def _run_on_pool(profiles, jobs: dict, stage: str, workers: int,
-                 payloads: dict) -> _Supervision:
-    """Run ``jobs`` on the pool under supervision, filling ``payloads``;
-    returns the supervisor, whose ``residual`` ranges exhausted their
-    retry budget.  :class:`PipelineError` when no range succeeded.
-    Whatever leaves here unfinished -- an error, a stall, an injected
-    crash -- breaks the pool, since its workers may be mid-job; a fold
-    that finishes leaves every worker idle."""
-    try:
-        supervisor = _Supervision(get_pool(workers), jobs,
-                                  profiles.stream_report, stage,
-                                  profiles.trace_spec.scene, payloads)
-        _drive(supervisor, f"pipelined {stage} fold")
-        if supervisor.residual and not supervisor.complete:
-            raise PipelineError(
-                f"every {stage} fold range failed in the pool "
-                f"({_last_line(next(iter(supervisor.residual.values())))})")
-    except BaseException:
-        _break_pool()
-        raise
-    return supervisor
 
 
 def _load_resume(store, spec) -> tuple:

@@ -21,7 +21,7 @@ StreamedProfiles` as one fold over fragment blocks.
 :class:`~repro.engine.spec.ExperimentSpec` grid through one engine:
 in RAM by default, or as a streaming fold over bounded blocks
 (:mod:`repro.engine.streaming`) whose one parallel form is the
-supervised pipelined pool behind ``stream_workers``
+supervised pool of one request behind ``stream_workers``
 (:mod:`repro.engine.pipelined`).
 
 Fault tolerance
@@ -97,8 +97,16 @@ class StoredProfiles:
 
     def prefetch(self, pairs) -> None:
         """Resolve every ``(line_size, n_sets)`` profile in ``pairs``:
-        one store read per distinct pair not yet memoized, then one
-        :meth:`_compute` call for the pairs the store lacks."""
+        the stored ones (:meth:`missing`), then one :meth:`_compute`
+        call for the pairs the store lacks."""
+        missing = self.missing(pairs)
+        if missing:
+            self._memo.update(self._compute(missing))
+
+    def missing(self, pairs) -> list:
+        """Memoize every profile of ``pairs`` the store holds, one store
+        read per distinct pair not yet memoized; return the pairs it
+        lacks, sorted."""
         missing = []
         for pair in sorted({(int(line_size), int(n_sets))
                             for line_size, n_sets in pairs}
@@ -109,8 +117,7 @@ class StoredProfiles:
                 missing.append(pair)
             else:
                 self._memo[pair] = profile
-        if missing:
-            self._memo.update(self._compute(missing))
+        return missing
 
     def _artifact(self, pair) -> tuple:
         """``(kind, payload, load, save)`` of the store artifact
@@ -313,7 +320,7 @@ class Engine:
         :meth:`streams`, computed as a fold over bounded fragment
         blocks instead of materialized arrays, as the range jobs of
         :mod:`repro.engine.pipelined`.  ``stream_workers >= 2`` runs
-        them on the persistent pool: cold renders are
+        them on a pool that lives for the fold call: cold renders are
         partitioned across workers, each folding the blocks it
         renders."""
         from .streaming import DEFAULT_CHUNK_SIZE, StreamedProfiles
@@ -343,12 +350,16 @@ class Engine:
         plus its per-pair states (a cold render also holds one
         triangle batch).  Every fold runs as the range jobs of
         :mod:`repro.engine.pipelined`, which commits a cold trace as a
-        part list and resumes an interrupted one.  With
-        ``stream_workers < 2`` it runs in this process;
-        ``stream_workers >= 2`` pipelines it: cold renders are
-        partitioned across a persistent worker pool, each worker folds
-        the blocks it renders, and the parent merges the per-range
-        states.  Streaming produces bit-identical rows, sets
+        part list and resumes an interrupted one.  Every stored profile
+        of the grid resolves first; then every (trace, layout) that
+        still lacks some folds in one call.  With ``stream_workers <
+        2`` the folds run in this process, one after another;
+        ``stream_workers >= 2`` pipelines them over one worker pool
+        that lives for the call: cold renders are partitioned across
+        it, each worker folds the blocks it renders, and the parent
+        merges the per-range states.  A grid whose profiles are all
+        stored starts no pool and takes no lock.  Streaming produces
+        bit-identical rows, sets
         :attr:`ExperimentResult.stream_report`, and requires the
         vectorized kernel (the reference simulator needs the in-RAM
         stream).
@@ -384,37 +395,41 @@ class Engine:
         rows = []
         audit_reports = []
         stream_report = None
-        if streaming:
-            from .pipelined import StreamReport
-            stream_report = StreamReport()
         pairs = _profile_pairs(experiment)
-        for trace_spec in experiment.trace_specs():
-            for layout_spec in experiment.layouts:
-                if streaming:
-                    streams = self.streamed(trace_spec, layout_spec,
-                                            chunk_size=chunk_size,
-                                            stream_workers=stream_workers)
-                    # Per-run recovery accounting: every fold of this
-                    # run, and none of a previous run's, lands in the
-                    # run's report.
-                    streams.stream_report = stream_report
-                else:
-                    streams = self.streams(trace_spec, layout_spec)
-                if kernel == "vectorized":
-                    # Batched grid serving: one store round-trip per
-                    # distinct (line_size, n_sets) pair up front, and
-                    # the misses computed together (streamed: in one
-                    # pass over the blocks).  The reference kernel
-                    # simulates every cell and reads no profile.
-                    streams.prefetch(pairs)
-                if audit_parts:
-                    audit_reports.append(streams.audit(
-                        pairs, parts=audit_parts))
-                for line_size in experiment.line_sizes:
-                    for assoc in experiment.assocs:
-                        rows.extend(self._sweep_sizes(
-                            trace_spec, layout_spec, streams, line_size,
-                            assoc, experiment.cache_sizes, kernel))
+        cells = [(trace_spec, layout_spec)
+                 for trace_spec in experiment.trace_specs()
+                 for layout_spec in experiment.layouts]
+        if streaming:
+            from .pipelined import StreamReport, fold_pipelined
+            stream_report = StreamReport()
+            profiles = [self.streamed(*cell, chunk_size=chunk_size,
+                                      stream_workers=stream_workers)
+                        for cell in cells]
+            for streams in profiles:
+                # Every fold of this run, and none of a previous run's,
+                # lands in the run's report.
+                streams.stream_report = stream_report
+            folds = {streams: streams.missing(pairs) for streams in profiles}
+            if any(folds.values()):
+                fold_pipelined([fold for fold in folds.items() if fold[1]])
+        else:
+            profiles = [self.streams(*cell) for cell in cells]
+        for (trace_spec, layout_spec), streams in zip(cells, profiles):
+            if kernel == "vectorized":
+                # Batched grid serving: one store round-trip per
+                # distinct (line_size, n_sets) pair up front, and the
+                # misses computed together (streamed: already folded
+                # above).  The reference kernel simulates every cell
+                # and reads no profile.
+                streams.prefetch(pairs)
+            if audit_parts:
+                audit_reports.append(streams.audit(pairs,
+                                                   parts=audit_parts))
+            for line_size in experiment.line_sizes:
+                for assoc in experiment.assocs:
+                    rows.extend(self._sweep_sizes(
+                        trace_spec, layout_spec, streams, line_size,
+                        assoc, experiment.cache_sizes, kernel))
         self.last_stream_report = stream_report
         return ExperimentResult(spec=experiment, rows=rows,
                                 stream_report=stream_report,

@@ -27,16 +27,16 @@ with the distinct lines the trace touches, not with its length; a
 cold fold also holds the renderer's current triangle batch, and the
 scene's textures stay resident.  ``tests/test_streaming_pipeline.py``
 bounds a warm fold's traced peak by a quarter of the trace's column
-bytes.
+bytes, and a cold fold's by three quarters.
 
-Every fold runs as the range jobs of :mod:`repro.engine.pipelined`:
-with ``stream_workers < 2`` this process runs them itself (a cold
-trace is one ``render`` range), with more it fans them out over the
-supervised persistent pool.  Per-range partial states merge
-associatively in stream order, so every form is bit-identical too,
-and a cold fold publishes the trace as the same part list
-:meth:`~repro.engine.artifacts.ArtifactStore.save_render` writes,
-which every later fold reads.
+Every fold runs as the range jobs of :mod:`repro.engine.pipelined`,
+one call per request: with ``stream_workers < 2`` this process runs
+them itself (a cold trace is one ``render`` range), with more it fans
+them out over a supervised pool that lives for the call.  Per-range
+partial states merge associatively in stream order, so every form is
+bit-identical too, and a cold fold publishes the trace as the same
+part list :meth:`~repro.engine.artifacts.ArtifactStore.save_render`
+writes, which every later fold reads.
 """
 
 from __future__ import annotations
@@ -252,18 +252,18 @@ class StreamedProfiles(StoredProfiles):
     # -- the fold ----------------------------------------------------------
 
     def _compute(self, pairs) -> dict:
-        """Fold every pair in one pass over the blocks, then finalize
-        and save each profile."""
-        computed = {}
-        for pair, state in self._fold(pairs).items():
-            _, payload, _, save = self._artifact(pair)
-            computed[pair] = state.finalize()
-            save(payload, computed[pair])
-        return computed
+        """Fold every pair in one pass over the blocks, a request of
+        its own (``Engine.run`` folds a grid's pairs in one call)."""
+        from .pipelined import fold_pipelined
+        fold_pipelined([(self, pairs)])
+        return {pair: self._memo[pair] for pair in pairs}
 
-    def _fold(self, pairs) -> dict:
-        from . import pipelined
-        return pipelined.fold_pipelined(self, pairs)
+    def _keep(self, states: dict) -> None:
+        """Finalize, memoize and save each folded pair's profile."""
+        for pair, state in states.items():
+            _, payload, _, save = self._artifact(pair)
+            self._memo[pair] = state.finalize()
+            save(payload, self._memo[pair])
 
     # -- spot audit --------------------------------------------------------
 
@@ -362,6 +362,6 @@ class StreamedProfiles(StoredProfiles):
         ``None`` when the store cannot hold them (demoted)."""
         reader = self.store.open_render_blocks(self.trace_spec)
         if reader is None and self.store.available:
-            self._fold(())
+            self._compute(())
             reader = self.store.open_render_blocks(self.trace_spec)
         return reader

@@ -491,7 +491,8 @@ class Renderer:
                           dtype=np.int64).reshape(-1, 2)
         m = clipped.n_triangles if hi is None else hi
         begin = lo
-        guess = 256
+        # The first batch too is sized by the chunk: it can set the peak.
+        guess = min(256, max(16, chunk_size // 1024))
         seen_triangles = 0
         seen_accesses = 0
         while begin < m:
@@ -630,7 +631,7 @@ class _BlockAccumulator:
                 break
             if n < self.chunk_size and not final:
                 break
-            if final and n <= self.chunk_size:
+            if n <= self.chunk_size:  # pieces end on fragment boundaries
                 cut = n
             else:
                 # Largest fragment boundary at or below the chunk size;

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import errno
 import os
 
 import pytest
 
 from repro.cli import main
+
+from tests import fault_injection as injection
 
 
 class TestScenesAndCosts:
@@ -103,6 +106,17 @@ class TestSimulate:
                             refuse)
         assert main(args) == 0
         assert capsys.readouterr().out == cold
+
+    def test_in_ram_simulate_reports_store_degradation(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # A disk that cannot keep the run's artifacts demotes the store;
+        # an in-RAM simulate says so, as sweep does, instead of hiding
+        # that nothing was stored.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        with injection.disk_full(errno.ENOSPC), \
+                pytest.warns(RuntimeWarning, match="unavailable"):
+            assert main(["simulate", "goblet", "--scale", "0.05"]) == 0
+        assert "artifact store degraded" in capsys.readouterr().out
 
     def test_stream_workers_reject_reference_kernel(self, capsys):
         # --stream-workers (any count) requests streaming; the reference

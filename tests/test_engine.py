@@ -18,7 +18,6 @@ from repro.engine import (
     fingerprint,
     render_calls,
     run_experiment,
-    shutdown_stream_pool,
 )
 from repro.pipeline.trace import TexelTrace
 from repro.texture.layout import BlockedLayout, WilliamsLayout
@@ -201,11 +200,8 @@ class TestExperimentRunner:
             scenes=("goblet",), orders=(("horizontal",), ("vertical",)),
             layouts=(("blocked", 4),), cache_sizes=(1024, 4096),
             line_sizes=(32,), scale=0.1)
-        try:
-            result = run_experiment(experiment, store=ArtifactStore(tmp_path),
-                                    chunk_size=4096, stream_workers=2)
-        finally:
-            shutdown_stream_pool()
+        result = run_experiment(experiment, store=ArtifactStore(tmp_path),
+                                chunk_size=4096, stream_workers=2)
         assert len(result.rows) == 2 * 2
         # Workers rendered in subprocesses and the parent published the
         # profiles: an in-RAM run over the same store renders nothing.

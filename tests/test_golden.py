@@ -63,7 +63,6 @@ from repro.engine import (
     Engine,
     ExperimentSpec,
     render_calls,
-    shutdown_stream_pool,
     tiers,
 )
 from repro.engine import artifacts
@@ -311,13 +310,6 @@ def filled_store(tmp_path_factory, pin):
     return root
 
 
-@pytest.fixture()
-def no_pool():
-    shutdown_stream_pool()
-    yield
-    shutdown_stream_pool()
-
-
 def test_pins_carry_the_pipeline_version(pin, figures_pin, monkeypatch):
     monkeypatch.setattr(artifacts, "PIPELINE_VERSION",
                         artifacts.PIPELINE_VERSION + 1)
@@ -340,7 +332,7 @@ class TestGoldenPin:
         pytest.param(4096, 2, id="2"),
     ])
     def test_folds_over_in_ram_traces(self, filled_store, tmp_path, pin,
-                                      no_pool, chunk_size, stream_workers):
+                                      chunk_size, stream_workers):
         root = tmp_path / "store"
         shutil.copytree(filled_store, root)
         for kind in ("profiles", "set_profiles"):
@@ -367,7 +359,7 @@ class TestGoldenPin:
         assert canonical_rows(result.rows) == pin["rows"]
         assert chunked_digests(store) == pin["address_sha256"]
 
-    def test_pipelined(self, tmp_path, pin, no_pool):
+    def test_pipelined(self, tmp_path, pin):
         store = ArtifactStore(tmp_path)
         result = Engine(store=store).run(experiment(), chunk_size=4096,
                                          stream_workers=2)
@@ -376,12 +368,11 @@ class TestGoldenPin:
         assert result.stream_report.fallbacks == 0
         assert chunked_digests(store) == pin["address_sha256"]
 
-    def test_pipelined_resumed_after_crash(self, tmp_path, pin, no_pool):
+    def test_pipelined_resumed_after_crash(self, tmp_path, pin):
         with injection.fault_plan("kill-run:after=2,mode=raise"):
             with pytest.raises(chaos.InjectedCrash):
                 Engine(store=ArtifactStore(tmp_path)).run(
                     experiment(), chunk_size=4096, stream_workers=2)
-        shutdown_stream_pool()
         store = ArtifactStore(tmp_path)
         result = Engine(store=store).run(experiment(), chunk_size=4096,
                                          stream_workers=2)
@@ -389,8 +380,7 @@ class TestGoldenPin:
         assert canonical_rows(result.rows) == pin["rows"]
         assert chunked_digests(store) == pin["address_sha256"]
 
-    def test_serial_streamed_resumed_after_crash(self, tmp_path, pin,
-                                                 no_pool):
+    def test_serial_streamed_resumed_after_crash(self, tmp_path, pin):
         scene = GRID["scenes"][1]
         with injection.fault_plan("kill-run:after=1,mode=raise"):
             with pytest.raises(chaos.InjectedCrash):
@@ -443,7 +433,7 @@ class TestFigurePin:
         pytest.param(0, id="serial"),
         pytest.param(2, id="pipelined"),
     ])
-    def test_exact_rows_streamed(self, figures_pin, tmp_path, no_pool,
+    def test_exact_rows_streamed(self, figures_pin, tmp_path,
                                  stream_workers):
         # The exact EXACT_SCALE rows on the serial streamed and the
         # pipelined fold, cut into 65536-access blocks.

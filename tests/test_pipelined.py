@@ -1,12 +1,13 @@
 """Pipelined parallel streaming: bit-identity, fallbacks, auditing.
 
 The pipelined fold (:mod:`repro.engine.pipelined`) partitions cold
-renders across a persistent worker pool; each worker folds the slice
-it renders and ships only per-range partial states.  Every path must
-reproduce the in-RAM pipeline bit for bit; every failure mode must
-degrade to the serial streamed path with a warning, never a wrong
-answer.  Also covers the ``audit_parts`` sequential-oracle spot check
-and the ``REPRO_STREAM_JOB_TIMEOUT`` parser.
+renders across a worker pool that lives for one request; each worker
+folds the slice it renders and ships only per-range partial states.
+Every path must reproduce the in-RAM pipeline bit for bit; every
+failure mode must degrade to the serial streamed path with a warning,
+never a wrong answer.  Also covers the ``audit_parts``
+sequential-oracle spot check and the ``REPRO_STREAM_JOB_TIMEOUT``
+parser.
 """
 
 import contextlib
@@ -26,7 +27,6 @@ from repro.engine import (
     TraceSpec,
 )
 from repro.engine import pipelined, streaming
-from repro.engine.pipelined import shutdown_stream_pool
 from repro.engine.spec import paper_order_spec
 from repro.pipeline.renderer import (
     render_trace,
@@ -64,14 +64,19 @@ def no_fallback_warning():
     assert not fallbacks, [str(w.message) for w in fallbacks]
 
 
-@pytest.fixture(autouse=True)
-def fresh_pool():
-    """Workers inherit the environment at spawn, so every test starts
-    (and leaves) with no pool: fault-injection env vars set by one test
-    must never leak into another test's persistent workers."""
-    shutdown_stream_pool()
-    yield
-    shutdown_stream_pool()
+@pytest.fixture
+def pools(monkeypatch):
+    """Every :class:`~repro.engine.pipelined.StreamPool` the test
+    starts, in order."""
+    started = []
+    init = pipelined.StreamPool.__init__
+
+    def recorded(self, workers):
+        started.append(self)
+        init(self, workers)
+
+    monkeypatch.setattr(pipelined.StreamPool, "__init__", recorded)
+    return started
 
 
 class TestTriangleSlices:
@@ -172,23 +177,7 @@ class TestPipelinedRun:
             assert got.cold == want.cold
             assert got.duplicate_hits == want.duplicate_hits
 
-    def test_pool_persists_across_folds(self, tmp_path):
-        exp = ExperimentSpec(**GRID)
-        engine = Engine(store=ArtifactStore(tmp_path / "a"))
-        engine.run(exp, chunk_size=4096, stream_workers=2)
-        pool = pipelined._POOL
-        assert pool is not None
-        assert all(process.is_alive() for process in pool.processes)
-        pids = [process.pid for process in pool.processes]
-        # A second grid over the same pool: different layout, so the
-        # fold runs again (warm this time) instead of loading caches.
-        engine.run(ExperimentSpec(**{**GRID, "layouts": (("nonblocked",),)}),
-                   chunk_size=4096, stream_workers=2)
-        assert pipelined._POOL is pool
-        assert [process.pid for process in pool.processes] == pids
-        assert all(process.is_alive() for process in pool.processes)
-
-    def test_parent_builds_no_scene(self, tmp_path, monkeypatch):
+    def test_parent_builds_no_scene(self, tmp_path, monkeypatch, pools):
         # A cold pipelined fold renders and folds in the workers: the
         # parent builds no scene of its own, not even before the pool
         # forks.
@@ -196,7 +185,7 @@ class TestPipelinedRun:
         monkeypatch.setattr(streaming, "_PLACEMENTS", {})
         Engine(store=ArtifactStore(tmp_path / "a")).run(
             ExperimentSpec(**GRID), chunk_size=4096, stream_workers=2)
-        assert pipelined._POOL is not None
+        assert len(pools) == 1
         assert streaming._SCENES == {}
 
     def test_stream_workers_reject_reference_kernel(self, tmp_path):
@@ -239,14 +228,12 @@ class TestFallbacks:
         assert rows(ram) == rows(piped)
         assert piped.stream_report.fallbacks == 1
 
-    def test_single_part_trace_folds_without_fallback(self, tmp_path):
+    def test_single_part_trace_folds_without_fallback(self, tmp_path,
+                                                      pools):
         # A trace stored as one part has nothing to fan out: it folds
-        # in the parent, and the pool, warnings and report stay clean.
+        # in the parent, no pool starts, and warnings and report stay
+        # clean.
         engine = Engine(store=ArtifactStore(tmp_path / "a"))
-        engine.run(ExperimentSpec(**GRID), chunk_size=4096,
-                   stream_workers=2)
-        pool = pipelined._POOL
-        assert pool is not None
         goblet = dict(GRID, scenes=("goblet",))
         # A chunk larger than the trace stores it as a single part ...
         engine.run(ExperimentSpec(**goblet), chunk_size=1 << 20)
@@ -258,11 +245,11 @@ class TestFallbacks:
             piped = engine.run(other, chunk_size=4096, stream_workers=2)
         assert piped.stream_report is not None
         assert piped.stream_report.clean
-        assert pipelined._POOL is pool
+        assert not pools
         ram = Engine(store=ArtifactStore(tmp_path / "ram")).run(other)
         assert rows(ram) == rows(piped)
 
-    def test_single_worker_request_stays_serial(self, tmp_path):
+    def test_single_worker_request_stays_serial(self, tmp_path, pools):
         # stream_workers=1 requests streaming but there is nothing to
         # pipeline; the serial fold runs without any fallback warning.
         exp = ExperimentSpec(**GRID)
@@ -271,7 +258,7 @@ class TestFallbacks:
             piped = Engine(store=ArtifactStore(tmp_path / "b")).run(
                 exp, stream_workers=1)
         assert rows(ram) == rows(piped)
-        assert pipelined._POOL is None
+        assert not pools
 
 
 class TestAudit:

@@ -15,6 +15,7 @@ crash-resume from published parts (in-process and across a hard
 """
 
 import contextlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -28,11 +29,13 @@ from repro.engine import (
     Engine,
     ExperimentSpec,
     StreamReport,
+    fingerprint,
     render_calls,
+    tiers,
 )
 from repro.engine import faults as chaos
 from repro.engine import pipelined
-from repro.engine.pipelined import shutdown_stream_pool
+from repro.engine.runner import StoredTraceStreams
 
 from tests import fault_injection as injection
 
@@ -66,15 +69,6 @@ def no_fallback_warning():
         yield
     fallbacks = [w for w in caught if "falling back" in str(w.message)]
     assert not fallbacks, [str(w.message) for w in fallbacks]
-
-
-@pytest.fixture(autouse=True)
-def fresh_pool():
-    """Chaos env vars must never leak into another test's persistent
-    workers: every test starts (and leaves) with no pool."""
-    shutdown_stream_pool()
-    yield
-    shutdown_stream_pool()
 
 
 class TestFaultPlanGrammar:
@@ -226,7 +220,7 @@ class TestWorkerFaults:
         assert in_parent == [1]  # workers record into their own copies
         report = result.stream_report
         assert report.fallbacks == 1
-        assert pipelined._POOL is None
+        assert not multiprocessing.active_children()
         scan = ArtifactStore(tmp_path / "piped").verify()
         assert scan["clean"] and scan["bad"] == 0
 
@@ -257,7 +251,6 @@ class TestCrashResume:
         with injection.fault_plan("kill-run:after=2,mode=raise"):
             with pytest.raises(chaos.InjectedCrash):
                 piped_run(tmp_path / "piped")
-        shutdown_stream_pool()  # drop the crashed run's pool state
         self.assert_resumed(tmp_path, reference, tmp_path / "piped")
 
     def test_crash_after_one_range_resumes_from_parts(self, tmp_path):
@@ -266,7 +259,6 @@ class TestCrashResume:
         with injection.fault_plan("kill-run:after=1,mode=raise"):
             with pytest.raises(chaos.InjectedCrash):
                 piped_run(tmp_path / "piped")
-        shutdown_stream_pool()
         self.assert_resumed(tmp_path, reference, tmp_path / "piped")
 
     def test_fully_resumed_fold_renders_nothing(self, tmp_path):
@@ -277,7 +269,6 @@ class TestCrashResume:
         with injection.fault_plan("kill-run:after=4,mode=raise"):
             with pytest.raises(chaos.InjectedCrash):
                 piped_run(tmp_path / "piped")
-        shutdown_stream_pool()
         before = render_calls()
         result = self.assert_resumed(tmp_path, reference, tmp_path / "piped")
         assert result.stream_report.resumed_ranges == 4
@@ -291,11 +282,10 @@ class TestCrashResume:
         with injection.fault_plan("kill-run:after=2,mode=raise"):
             with pytest.raises(chaos.InjectedCrash):
                 piped_run(tmp_path / "piped")
-        shutdown_stream_pool()
         result = self.assert_resumed(tmp_path, reference,
                                      tmp_path / "piped", stream_workers=0)
         assert result.stream_report.resumed_ranges >= 2
-        assert pipelined._POOL is None
+        assert not multiprocessing.active_children()
 
     def test_hard_exit_crash_resumes_across_processes(self, tmp_path):
         # The SIGKILL-equivalent: a subprocess os._exit(42)s mid-fold
@@ -332,63 +322,162 @@ class TestCrashResume:
 class TestPoolHygiene:
     def test_supervisor_respawns_workers_that_died_idle(self, tmp_path,
                                                         monkeypatch):
-        # Workers killed while idle, between folds, are found and
-        # respawned in place by the next fold's supervisor, which then
-        # runs that fold cleanly: a dead worker must hold nothing its
-        # replacements wait on.  A wedged replacement would only be
-        # retried after the job deadline, so shorten it to keep a
-        # regression fast.
-        piped_run(tmp_path / "first")
-        pool = pipelined._POOL
-        assert pool is not None
-        victims = list(pool.processes)
-        assert all(victim.is_alive() for victim in victims)
-        for victim in victims:
-            victim.terminate()
-            victim.join(5)
-        assert not any(victim.is_alive() for victim in victims)
+        # A worker killed while idle mid-request -- after it reports a
+        # range, before its next dispatch -- is found by the next send
+        # to it and respawned in place, and the request finishes
+        # cleanly: a dead worker must hold nothing its replacement
+        # waits on.  A wedged replacement would only be retried after
+        # the job deadline, so shorten it to keep a regression fast.
+        victims = []
+        receive = pipelined._Supervision.receive
+
+        def kill_after_first_range(self, slot):
+            progress = receive(self, slot)
+            if not victims and self.complete and slot not in self.running:
+                victim = self.pool.processes[slot]
+                victim.kill()
+                victim.join(5)
+                victims.append(victim)
+            return progress
+
+        monkeypatch.setattr(pipelined._Supervision, "receive",
+                            kill_after_first_range)
         monkeypatch.setenv("REPRO_STREAM_JOB_TIMEOUT", "5")
-        goblet = ExperimentSpec(**dict(GRID, scenes=("goblet",)))
+        grid = ExperimentSpec(**dict(GRID, scenes=("goblet", SCENE)))
         reference = rows(Engine(store=ArtifactStore(tmp_path / "ram")).run(
-            goblet))
+            grid))
         with no_fallback_warning():
-            result = Engine(store=ArtifactStore(tmp_path / "second")).run(
-                goblet, chunk_size=4096, stream_workers=2)
+            result = Engine(store=ArtifactStore(tmp_path / "piped")).run(
+                grid, chunk_size=4096, stream_workers=2)
         assert rows(result) == reference
+        assert len(victims) == 1 and not victims[0].is_alive()
         report = result.stream_report
-        assert report.respawns == 2
+        assert report.respawns == 1
         assert report.retried_ranges == 0 and report.residual_ranges == 0
         assert report.fallbacks == 0
-        assert pipelined._POOL is pool  # transparent respawn, not a rebuild
-        assert all(process.is_alive() for process in pool.processes)
-        assert not ({process.pid for process in pool.processes}
-                    & {victim.pid for victim in victims})
+        assert not multiprocessing.active_children()
 
     def test_unfinished_fold_breaks_the_pool(self, tmp_path):
-        # A fold the parent abandons mid-run leaves workers mid-job;
-        # the pool is torn down instead of handed to the next fold.
-        pool = pipelined.get_pool(2)
+        # A request the parent abandons mid-run leaves workers mid-job;
+        # its pool is torn down before the crash leaves the call, so no
+        # worker outlives the request.
         with injection.fault_plan("kill-run:after=2,mode=raise"):
             with pytest.raises(chaos.InjectedCrash):
                 piped_run(tmp_path / "piped")
-        assert pipelined._POOL is None
-        assert not any(process.is_alive() for process in pool.processes)
+        assert not multiprocessing.active_children()
 
-    def test_get_pool_rebuilds_on_worker_count_change(self):
-        pool = pipelined.get_pool(2)
-        bigger = pipelined.get_pool(3)
-        assert bigger is not pool
-        assert bigger.workers == 3
-        assert all(process.is_alive() for process in bigger.processes)
-        # The old pool was shut down.
-        assert not any(process.is_alive() for process in pool.processes)
+    def test_one_pool_run_serves_the_request(self, tmp_path, monkeypatch):
+        # Two cold scenes under two layouts: every range of the four
+        # folds runs in one supervised run on one pool, every profile
+        # is saved, and no worker is left once Engine.run returns.
+        grid = ExperimentSpec(**dict(GRID, scenes=("goblet", SCENE),
+                                     layouts=(LAYOUT, ("nonblocked",))))
+        runs, pools = [], []
+        for cls, seen in ((pipelined._Supervision, runs),
+                          (pipelined.StreamPool, pools)):
+            def recorded(self, *args, _init=cls.__init__, _seen=seen):
+                _seen.append(self)
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", recorded)
+        reference = rows(Engine(store=ArtifactStore(tmp_path / "ram")).run(
+            grid))
+        with no_fallback_warning():
+            result = Engine(store=ArtifactStore(tmp_path / "piped")).run(
+                grid, chunk_size=4096, stream_workers=2)
+        assert rows(result) == reference
+        assert result.stream_report.folds == 4
+        assert len(runs) == 1 and len(pools) == 1
+        assert {position for position, _ in runs[0].jobs} == {0, 1, 2, 3}
+        assert runs[0].complete == set(runs[0].jobs)
+        assert not multiprocessing.active_children()
+        assert not any(process.is_alive() for process in pools[0].processes)
 
-    def test_forced_shutdown_terminates_workers(self):
-        # A broken pool is torn down without reading its pipes: every
-        # worker is gone and the next fold builds a fresh pool.
-        pool = pipelined.get_pool(2)
-        pool.conns[0].send(("render", {"range": 0}))  # a reply nobody reads
-        pipelined._break_pool()
-        assert pipelined._POOL is None
-        assert not any(process.is_alive() for process in pool.processes)
-        assert pipelined.get_pool(2) is not pool
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fully stored grid folded or locked")
+
+        # Every profile was saved: the grid serves from the store, in
+        # RAM and pipelined, with no fold, no pool and no lock.
+        tiers.clear_process_caches()
+        monkeypatch.setattr(StoredTraceStreams, "_compute", refuse)
+        monkeypatch.setattr(pipelined, "fold_pipelined", refuse)
+        monkeypatch.setattr(ArtifactStore, "single_flight", refuse)
+        for options in ({}, {"chunk_size": 4096, "stream_workers": 2}):
+            served = Engine(store=ArtifactStore(tmp_path / "piped")).run(
+                grid, **options)
+            assert rows(served) == reference
+        assert len(pools) == 1
+
+
+    def test_fold_the_parent_could_not_save_is_saved_after_fallback(
+            self, tmp_path, monkeypatch):
+        # The parent publishes and saves each trace inside the pool run;
+        # an error there fails that run, and the fold is saved once the
+        # parent has finished the rest -- never dropped.
+        from repro.engine import StreamedProfiles
+
+        keep = StreamedProfiles._keep
+        failed = []
+
+        def fail_once(self, states):
+            if not failed:
+                failed.append(self.trace_spec.scene)
+                raise RuntimeError("injected save failure")
+            keep(self, states)
+
+        monkeypatch.setattr(StreamedProfiles, "_keep", fail_once)
+        grid = ExperimentSpec(**dict(GRID, scenes=("goblet", SCENE)))
+        reference = rows(Engine(store=ArtifactStore(tmp_path / "ram")).run(
+            grid))
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            result = Engine(
+                store=ArtifactStore(tmp_path / "piped")).run(
+                    grid, chunk_size=4096, stream_workers=2)
+        assert failed == ["goblet"]
+        assert rows(result) == reference
+        assert result.stream_report.fallbacks == 1
+        assert not multiprocessing.active_children()
+        tiers.clear_process_caches()
+        monkeypatch.setattr(pipelined, "fold_pipelined", None)
+        served = Engine(store=ArtifactStore(tmp_path / "piped")).run(
+            grid, chunk_size=4096, stream_workers=2)
+        assert rows(served) == reference
+
+
+class TestLockOrder:
+    def test_cold_traces_locked_once_in_fingerprint_order(self, tmp_path,
+                                                          monkeypatch):
+        # flock locks belong to the open file, so a second single_flight
+        # on a trace this process holds would wait out LOCK_TIMEOUT_S.
+        # A request takes every cold trace's lock once, in fingerprint
+        # order (so two processes cannot deadlock), before it sends any
+        # range -- whatever order the grid lists its scenes in.
+        events = []
+        single_flight = ArtifactStore.single_flight
+        dispatch = pipelined._Supervision.dispatch
+
+        def recorded_lock(self, kind, digest, *args, **kwargs):
+            if kind == "traces":
+                events.append(digest)
+            return single_flight(self, kind, digest, *args, **kwargs)
+
+        def recorded_dispatch(self):
+            before = len(self.running)
+            dispatch(self)
+            if len(self.running) > before:
+                events.append("dispatch")
+
+        monkeypatch.setattr(ArtifactStore, "single_flight", recorded_lock)
+        monkeypatch.setattr(pipelined._Supervision, "dispatch",
+                            recorded_dispatch)
+        scenes = ("goblet", "guitar", SCENE)
+        digests = {scene: fingerprint(ExperimentSpec(
+            **dict(GRID, scenes=(scene,))).trace_specs()[0].payload())
+            for scene in scenes}
+        against = sorted(scenes, key=digests.get, reverse=True)
+        grid = ExperimentSpec(**dict(GRID, scenes=tuple(against),
+                                     layouts=(LAYOUT, ("nonblocked",))))
+        Engine(store=ArtifactStore(tmp_path)).run(grid, chunk_size=4096,
+                                                  stream_workers=2)
+        locks = events[:events.index("dispatch")]
+        assert locks == sorted(digests.values())
+        assert [event for event in events if event != "dispatch"] == locks

@@ -294,14 +294,10 @@ class TestEngineRunStreaming:
             assert got_dup == want_dup
 
     def test_pipelined_run_bit_identical(self, tmp_path):
-        from repro.engine import shutdown_stream_pool
         exp = ExperimentSpec(**self.GRID)
         ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
-        try:
-            piped = Engine(store=ArtifactStore(tmp_path / "b")).run(
-                exp, chunk_size=4096, stream_workers=2)
-        finally:
-            shutdown_stream_pool()
+        piped = Engine(store=ArtifactStore(tmp_path / "b")).run(
+            exp, chunk_size=4096, stream_workers=2)
         assert self.rows(ram) == self.rows(piped)
         store = ArtifactStore(tmp_path / "b")
         assert store.open_render_blocks(exp.trace_specs()[0]) is not None
@@ -312,7 +308,7 @@ class TestEngineRunStreaming:
         # the run carries a StreamReport.
         from repro.engine import pipelined
 
-        def no_pool(workers):
+        def no_pool(pool, workers):
             raise AssertionError("a serial fold started a pool")
 
         published = []
@@ -323,7 +319,7 @@ class TestEngineRunStreaming:
                               for entry in record["envelopes"]])
             publish(store, spec, records)
 
-        monkeypatch.setattr(pipelined, "get_pool", no_pool)
+        monkeypatch.setattr(pipelined.StreamPool, "__init__", no_pool)
         monkeypatch.setattr(pipelined, "_publish", recorded)
         exp = ExperimentSpec(**self.GRID)
         result = Engine(store=ArtifactStore(tmp_path)).run(exp,
@@ -405,3 +401,28 @@ class TestFoldMemory:
             tracemalloc.stop()
         assert warm.stream_report.folds == 1
         assert peak < n_accesses * self.COLUMN_BYTES / 4
+
+    def test_cold_fold_holds_one_triangle_batch_not_the_trace(self,
+                                                              tmp_path):
+        # A cold fold also holds the renderer's current triangle batch,
+        # sized from the chunk -- the first one too.  Measured on town
+        # at 0.25 with 16K-access chunks: 13.2 MiB, against 29.2 MiB
+        # (more than the trace's 24.4 MiB of columns) when the first
+        # batch was 256 triangles whatever the chunk.
+        import tracemalloc
+
+        from repro.engine import streaming
+
+        spec = TraceSpec(scene=SCENE, scale=0.25,
+                         order=paper_order_spec(SCENE))
+        streaming._cached_placements(spec, LAYOUT)
+        cold = StreamedProfiles(ArtifactStore(tmp_path), spec, LAYOUT,
+                                chunk_size=16384)
+        tracemalloc.start()
+        try:
+            cold.prefetch([(64, 1), (64, 64)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_accesses = cold.store.open_render_blocks(spec).n_accesses
+        assert peak < n_accesses * self.COLUMN_BYTES * 3 / 4

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.engine.spec import paper_order_spec
-from repro.pipeline.renderer import render_trace
+from repro.pipeline.renderer import _BlockAccumulator, render_trace
 from repro.pipeline.trace import (
     concat_blocks,
     count_fragments,
@@ -96,6 +96,29 @@ class TestBlockStreaming:
             if end < trace.n_accesses:
                 assert owners[end - 1] != owners[end]
             begin = end
+
+    def test_block_cuts_do_not_depend_on_the_pieces(self, rendered):
+        # The renderer hands over triangle batches of varying size; a
+        # block ends at the largest fragment boundary within the chunk
+        # whatever they are -- a piece that ends exactly at the chunk
+        # size ends on such a boundary.
+        trace = rendered.trace
+        starts = fragment_starts(trace.kind)
+        chunk = int(starts[len(starts) // 2])
+
+        def block_sizes(bounds):
+            accumulator = _BlockAccumulator(chunk)
+            sizes = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                piece = trace.slice(lo, hi)
+                accumulator.add(piece, fragment_starts(piece.kind))
+                sizes += [block.n_accesses for block in accumulator.drain()]
+            return sizes + [block.n_accesses
+                            for block in accumulator.drain(final=True)]
+
+        whole = block_sizes([0, trace.n_accesses])
+        assert whole[0] == chunk
+        assert block_sizes([0, chunk, trace.n_accesses]) == whole
 
     def test_rejects_nonpositive_chunk(self, rendered):
         with pytest.raises(ValueError):
