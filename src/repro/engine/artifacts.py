@@ -30,14 +30,14 @@ match and stale data self-invalidates.  Four artifact kinds exist:
     Per-layout byte-address streams (``.npy``).
 ``profiles/``
     Fully-associative LRU stack-distance summaries per line size
-    (``.npz``), loaded as the one-set
-    :class:`~repro.core.kernels.SetDistanceProfile` of the key's line
-    size.
+    (``.i64``: raw int64 words, see :func:`_profile_writer`), loaded as
+    the one-set :class:`~repro.core.kernels.SetDistanceProfile` of the
+    key's line size.
 ``set_profiles/``
     Per-set stack-distance summaries per ``(line_size, n_sets)`` with
-    more than one set (``.npz``); one answers every associativity
-    sharing that set count, so warm sessions sweep whole grids without
-    a distance pass.
+    more than one set (``.i64`` likewise); one answers every
+    associativity sharing that set count, so warm sessions sweep whole
+    grids without a distance pass.
 
 Address streams and profiles share one read (T0 lookup, verified
 open, decode -- quarantined when it fails -- and T0 fill) and one
@@ -129,6 +129,15 @@ PIPELINE_VERSION = 1
 
 #: Artifact kinds, also the store's subdirectory names.
 KINDS = ("traces", "addresses", "profiles", "set_profiles")
+
+#: Payload suffix of both profile kinds, and the encoding stamp of
+#: their keys: the ``.npz`` profiles of older stores sit under other
+#: fingerprints, so none is ever decoded as raw words.
+PROFILE_SUFFIX = ".i64"
+PROFILE_ENCODING = "i64"
+#: Word type of a profile payload, and its header length in words.
+_PROFILE_WORD = np.dtype("<i8")
+_PROFILE_HEADER = 5
 
 #: Maintenance subdirectories (never fingerprint-addressed).
 QUARANTINE_DIR = "quarantine"
@@ -229,14 +238,15 @@ def addresses_payload(trace_spec: TraceSpec, layout_spec, alignment: int = 16) -
 
 def profile_payload(address_payload: dict, line_size: int) -> dict:
     """Fingerprint payload for a stack-distance profile."""
-    return {"addresses": address_payload, "line_size": line_size}
+    return {"addresses": address_payload, "line_size": line_size,
+            "encoding": PROFILE_ENCODING}
 
 
 def set_profile_payload(address_payload: dict, line_size: int,
                         n_sets: int) -> dict:
     """Fingerprint payload for a per-set stack-distance profile."""
     return {"addresses": address_payload, "line_size": line_size,
-            "n_sets": n_sets}
+            "n_sets": n_sets, "encoding": PROFILE_ENCODING}
 
 
 def _replace(source: str, destination) -> None:
@@ -323,33 +333,44 @@ def _payload_nbytes(value) -> int:
     return value.counts.nbytes + 64
 
 
-def _profile_writer(profile: DistanceProfile, geometry: tuple):
-    """Writer of a profile payload: ``counts`` plus ``meta`` =
-    ``geometry`` (``(line_size, n_sets)`` for a ``set_profiles/``
-    payload, empty for a ``profiles/`` one) then ``(cold,
-    duplicate_hits)``.  Stored (uncompressed) npz: the envelope digest
-    already guards integrity, and skipping deflate keeps both publish
-    and warm load IO-bound."""
-    meta = np.array([*geometry, profile.cold, profile.duplicate_hits],
-                    dtype=np.int64)
-    return lambda temp: np.savez(temp, counts=profile.counts, meta=meta)
+def _profile_geometry(payload: dict) -> tuple:
+    """``(line_size, n_sets)`` of a profile key; one set for a
+    ``profiles/`` key."""
+    return int(payload["line_size"]), int(payload.get("n_sets", 1))
+
+
+def _profile_writer(profile: DistanceProfile, payload: dict):
+    """Writer of the profile keyed by ``payload``: raw little-endian
+    int64 words, the header ``(line_size, n_sets, cold,
+    duplicate_hits, n)`` with the key's geometry, then the ``n``
+    histogram counts.  The envelope digest guards integrity; the
+    header ties the payload to its key."""
+    words = np.concatenate((
+        [*_profile_geometry(payload), profile.cold, profile.duplicate_hits,
+         len(profile.counts)], profile.counts)).astype(_PROFILE_WORD)
+    return lambda temp: Path(temp).write_bytes(words.tobytes())
 
 
 def _decode_profile(path: Path, payload: dict) -> SetDistanceProfile:
-    """Decode a :func:`_profile_writer` payload keyed by ``payload``; a
-    ``profiles/`` payload is the one-set profile of its key's line
-    size."""
-    with np.load(path) as archive:
-        counts = archive["counts"]
-        meta = archive["meta"].tolist()
-    if "n_sets" in payload:
-        line_size, n_sets, cold, duplicate_hits = meta
-    else:
-        line_size, n_sets = payload["line_size"], 1
-        cold, duplicate_hits = meta
+    """Decode a :func:`_profile_writer` payload keyed by ``payload``.
+    Raises ``ValueError`` for a size other than ``8 * (5 + n)``, a
+    negative word or a geometry other than the key's."""
+    words = np.frombuffer(path.read_bytes(), dtype=_PROFILE_WORD)
+    header = words[:_PROFILE_HEADER].tolist()
+    if len(header) < _PROFILE_HEADER or \
+            len(words) != _PROFILE_HEADER + header[-1]:
+        raise ValueError(f"{words.nbytes} bytes are not a profile header "
+                         "and the counts it declares")
+    if (words < 0).any():
+        raise ValueError("negative profile word")
+    line_size, n_sets, cold, duplicate_hits, _ = header
+    if (line_size, n_sets) != _profile_geometry(payload):
+        raise ValueError(f"profile of {(line_size, n_sets)} under the key "
+                         f"of {_profile_geometry(payload)}")
     return SetDistanceProfile(
-        line_size=int(line_size), n_sets=int(n_sets), counts=counts,
-        cold=int(cold), duplicate_hits=int(duplicate_hits))
+        line_size=line_size, n_sets=n_sets, cold=cold,
+        duplicate_hits=duplicate_hits,
+        counts=words[_PROFILE_HEADER:].astype(np.int64))
 
 
 def part_name(digest: str, index: int) -> str:
@@ -894,25 +915,23 @@ class ArtifactStore:
     def load_profile(self, payload: dict) -> Optional[SetDistanceProfile]:
         """The fully-associative profile: the one-set per-set profile
         of the payload's line size."""
-        return self._read("profiles", payload, ".npz",
+        return self._read("profiles", payload, PROFILE_SUFFIX,
                           lambda path: _decode_profile(path, payload),
                           "profile")
 
     def save_profile(self, payload: dict, profile: DistanceProfile) -> Path:
-        return self._publish("profiles", payload, ".npz",
-                             _profile_writer(profile, ()), profile)
+        return self._publish("profiles", payload, PROFILE_SUFFIX,
+                             _profile_writer(profile, payload), profile)
 
     def load_set_profile(self, payload: dict) -> Optional[SetDistanceProfile]:
-        return self._read("set_profiles", payload, ".npz",
+        return self._read("set_profiles", payload, PROFILE_SUFFIX,
                           lambda path: _decode_profile(path, payload),
                           "per-set profile")
 
     def save_set_profile(self, payload: dict,
                          profile: SetDistanceProfile) -> Path:
-        return self._publish(
-            "set_profiles", payload, ".npz",
-            _profile_writer(profile, (profile.line_size, profile.n_sets)),
-            profile)
+        return self._publish("set_profiles", payload, PROFILE_SUFFIX,
+                             _profile_writer(profile, payload), profile)
 
     # -- maintenance -----------------------------------------------------
 

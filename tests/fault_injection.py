@@ -75,27 +75,22 @@ def disk_full(code: int = errno.ENOSPC):
 
 @contextmanager
 def failing_numpy_save(code: int = errno.ENOSPC):
-    """``np.save``/``np.savez``/``np.savez_compressed`` and
+    """``np.save`` (the address-stream writer) and
     ``numpy.lib.format.write_array`` (the trace codec's array writer)
     raise ``OSError(code)``, simulating the disk filling up
     mid-payload-write."""
-    real_save, real_savez = np.save, np.savez
-    real_savez_compressed = np.savez_compressed
+    real_save = np.save
     real_write_array = npy_format.write_array
 
     def boom(*args, **kwargs):
         raise OSError(code, os.strerror(code))
 
     np.save = boom
-    np.savez = boom
-    np.savez_compressed = boom
     npy_format.write_array = boom
     try:
         yield
     finally:
         np.save = real_save
-        np.savez = real_savez
-        np.savez_compressed = real_savez_compressed
         npy_format.write_array = real_write_array
 
 

@@ -362,8 +362,9 @@ class TestStoreRoundTrip:
         store = ArtifactStore(tmp_path)
         payload = set_profile_payload({"addresses": "test"}, 32, 8)
         assert store.load_set_profile(payload) is None
-        from repro.engine.artifacts import fingerprint
-        path = store._path("set_profiles", fingerprint(payload), ".npz")
+        from repro.engine.artifacts import PROFILE_SUFFIX, fingerprint
+        path = store._path("set_profiles", fingerprint(payload),
+                           PROFILE_SUFFIX)
         path.parent.mkdir(parents=True)
-        path.write_bytes(b"not an npz")
+        path.write_bytes(b"not a profile")
         assert store.load_set_profile(payload) is None

@@ -11,6 +11,7 @@ import errno
 import json
 import multiprocessing
 import os
+import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.kernels import SetDistanceProfile
 from repro.engine import (
     ArtifactStore,
     Engine,
@@ -30,8 +32,10 @@ from repro.engine import (
     reset_render_calls,
     run_experiment,
     set_profile_payload,
+    tiers,
 )
 from repro.engine import artifacts as artifacts_module
+from repro.engine.artifacts import PROFILE_SUFFIX
 
 from tests import fault_injection as faults
 
@@ -167,8 +171,10 @@ class TestCorruptionRecovery:
         reference = engine.streams(SPEC, LAYOUT).set_profile(32, 8)
         [victim] = faults.payload_files(store, "set_profiles")
         digest = victim.name.split(".")[0]
-        np.savez(victim, unrelated=np.arange(3))
-        faults.restamp(store, "set_profiles", digest, ".npz")
+        foreign = tmp_path / "foreign.npz"
+        np.savez(foreign, unrelated=np.arange(3))
+        victim.write_bytes(foreign.read_bytes())
+        faults.restamp(store, "set_profiles", digest, PROFILE_SUFFIX)
 
         payload = set_profile_payload(ADDR_PAYLOAD, 32, 8)
         assert ArtifactStore(tmp_path).load_set_profile(payload) is None
@@ -178,6 +184,155 @@ class TestCorruptionRecovery:
             SPEC, LAYOUT).set_profile(32, 8)
         np.testing.assert_array_equal(recomputed.counts, reference.counts)
         assert recomputed.cold == reference.cold
+
+
+GRID = dict(scenes=("goblet",), layouts=(("blocked", 8),),
+            cache_sizes=(1024, 2048), scale=0.05)
+
+
+def grid_rows(store, experiment):
+    """``(label, misses, cold)`` of every cell of a fresh engine's run."""
+    result = Engine(store=store).run(experiment)
+    return [(row.config.label(), row.stats.misses, row.stats.cold_misses)
+            for row in result.rows]
+
+
+def profile_keys(store, kind) -> dict:
+    """``{(line_size, n_sets): (digest, key payload)}`` of one profile
+    kind's artifacts, read from their sidecars."""
+    keys = {}
+    for sidecar in (Path(store.root) / kind).glob("*.json"):
+        key = json.loads(sidecar.read_text())["key"]
+        keys[key["line_size"], key.get("n_sets", 1)] = (sidecar.stem, key)
+    return keys
+
+
+def load_stored(store, key):
+    """The stored profile of a profile key payload, of either kind."""
+    return (store.load_set_profile if "n_sets" in key
+            else store.load_profile)(key)
+
+
+class TestProfilePayload:
+    """The raw profile encoding: a checksummed payload under the wrong
+    key or with a malformed body is quarantined and recomputed."""
+
+    @pytest.mark.parametrize("kind, experiment, source, target", [
+        pytest.param("profiles", ExperimentSpec(line_sizes=(32, 64), **GRID),
+                     (64, 1), (32, 1), id="line-64-over-32"),
+        pytest.param("set_profiles",
+                     ExperimentSpec(line_sizes=(32,), assocs=(4,), **GRID),
+                     (32, 8), (32, 16), id="8-sets-over-16"),
+    ])
+    def test_profile_under_another_pairs_key(self, tmp_path, kind,
+                                             experiment, source, target):
+        # Copying payload and sidecar keeps the envelope valid; only the
+        # payload's own geometry tells the two pairs apart.
+        reference = grid_rows(ArtifactStore(tmp_path), experiment)
+        keys = profile_keys(ArtifactStore(tmp_path), kind)
+        (source_digest, _), (target_digest, target_key) = \
+            keys[source], keys[target]
+        directory = tmp_path / kind
+        for path in directory.glob(source_digest + ".*"):
+            shutil.copyfile(path, directory / path.name.replace(
+                source_digest, target_digest))
+        tiers.clear_process_caches()
+
+        store = ArtifactStore(tmp_path)
+        assert grid_rows(store, experiment) == reference
+        reasons = quarantine_reasons(store, kind)
+        assert "undecodable" in reasons and str(source) in reasons
+        tiers.clear_process_caches()
+        recomputed = load_stored(ArtifactStore(tmp_path), target_key)
+        assert (recomputed.line_size, recomputed.n_sets) == target
+        assert ArtifactStore(tmp_path).verify()["clean"]
+
+    @pytest.mark.parametrize("kind, pair", [("profiles", (32, 1)),
+                                            ("set_profiles", (32, 8))])
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda words: words.tobytes() + b"\0\0\0",
+                     id="size-not-words"),
+        pytest.param(lambda words: np.concatenate(
+            (words[:4], words[4:5] + 1, words[5:])).tobytes(),
+            id="declared-n-disagrees"),
+        pytest.param(lambda words: np.concatenate(
+            (words[:5], [-1], words[6:])).astype("<i8").tobytes(),
+            id="negative-count"),
+    ])
+    def test_restamped_malformed_payload(self, tmp_path, kind, pair, damage):
+        store, engine = warm_store(tmp_path)
+        reference = engine.streams(SPEC, LAYOUT).set_profile(*pair)
+        digest, key = profile_keys(store, kind)[pair]
+        victim = store._path(kind, digest, PROFILE_SUFFIX)
+        victim.write_bytes(damage(np.fromfile(victim, dtype="<i8")))
+        faults.restamp(store, kind, digest, PROFILE_SUFFIX)
+
+        assert load_stored(ArtifactStore(tmp_path), key) is None
+        assert "undecodable" in quarantine_reasons(store, kind)
+        recomputed = Engine(store=ArtifactStore(tmp_path)).streams(
+            SPEC, LAYOUT).set_profile(*pair)
+        np.testing.assert_array_equal(recomputed.counts, reference.counts)
+        assert (recomputed.cold, recomputed.duplicate_hits) == \
+            (reference.cold, reference.duplicate_hits)
+
+    @pytest.mark.parametrize("n_sets", [1, 8])
+    @pytest.mark.parametrize("counts", [[0], [7], [2**40 - 1, 2**40,
+                                                   2**40 + 1]])
+    def test_edge_histograms_round_trip(self, tmp_path, n_sets, counts):
+        profile = SetDistanceProfile(
+            line_size=64, n_sets=n_sets, counts=np.array(counts, np.int64),
+            cold=2**40 + 3, duplicate_hits=2**40 + 5)
+        store = ArtifactStore(tmp_path)
+        if n_sets == 1:
+            payload = profile_payload(ADDR_PAYLOAD, 64)
+            store.save_profile(payload, profile)
+        else:
+            payload = set_profile_payload(ADDR_PAYLOAD, 64, n_sets)
+            store.save_set_profile(payload, profile)
+        tiers.clear_process_caches()  # decode from disk, not T0
+
+        loaded = load_stored(ArtifactStore(tmp_path), payload)
+        assert (loaded.line_size, loaded.n_sets, loaded.cold,
+                loaded.duplicate_hits) == (64, n_sets, 2**40 + 3, 2**40 + 5)
+        assert loaded.counts.dtype == np.int64
+        assert loaded.counts.flags.writeable
+        np.testing.assert_array_equal(loaded.counts, counts)
+
+    def test_older_npz_profiles_are_left_alone(self, tmp_path):
+        # A store an older build filled holds .npz archives under keys
+        # without the encoding stamp: they keep verifying, and no load
+        # ever opens one.
+        experiment = ExperimentSpec(line_sizes=(32,), assocs=(None, 4),
+                                    **GRID)
+        reference = grid_rows(ArtifactStore(tmp_path), experiment)
+        planted = 0
+        for kind in ("profiles", "set_profiles"):
+            for (line_size, n_sets), (_, key) in \
+                    profile_keys(ArtifactStore(tmp_path), kind).items():
+                profile = load_stored(ArtifactStore(tmp_path), key)
+                older = {name: value for name, value in key.items()
+                         if name != "encoding"}
+                geometry = [line_size, n_sets] if "n_sets" in older else []
+                digest = fingerprint(older)
+                path = tmp_path / kind / (digest + ".npz")
+                np.savez(path, counts=profile.counts, meta=np.array(
+                    [*geometry, profile.cold, profile.duplicate_hits]))
+                path.with_suffix(".json").write_text(json.dumps({
+                    "key": older, "envelope": {
+                        "kind": kind, "nbytes": path.stat().st_size,
+                        "digest": artifacts_module._file_digest(path)}}))
+                planted += 1
+        assert planted == 3  # (32, 1), (32, 8) and (32, 16)
+        tiers.clear_process_caches()
+
+        store = ArtifactStore(tmp_path)
+        assert grid_rows(store, experiment) == reference
+        assert store.recovery_events == []
+        assert not (tmp_path / "quarantine").exists()
+        report = store.verify()
+        assert report["clean"]
+        assert report["kinds"]["profiles"]["ok"] == 2
+        assert report["kinds"]["set_profiles"]["ok"] == 4
 
 
 class TestLegacyAndForeignSidecars:

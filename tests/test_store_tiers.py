@@ -18,6 +18,7 @@ from repro.engine import (
     profile_payload,
     tiers,
 )
+from repro.engine.artifacts import PROFILE_SUFFIX
 from tests import fault_injection as faults
 
 SPEC = TraceSpec(scene="goblet", scale=0.1, order=("horizontal",))
@@ -136,7 +137,7 @@ class TestT0Integration:
         store, engine = warm_store(tmp_path)
         reference = ArtifactStore(tmp_path).load_profile(PROFILE_32)
         digest = fingerprint(PROFILE_32)
-        victim = store.root / "profiles" / (digest + ".npz")
+        victim = store.root / "profiles" / (digest + PROFILE_SUFFIX)
         faults.flip_bit(victim)
 
         assert store.load_profile(PROFILE_32) is None
@@ -149,9 +150,9 @@ class TestT0Integration:
         decode layer must still quarantine, not serve a stale T0 hit."""
         store, _ = warm_store(tmp_path)
         digest = fingerprint(PROFILE_32)
-        victim = store.root / "profiles" / (digest + ".npz")
+        victim = store.root / "profiles" / (digest + PROFILE_SUFFIX)
         faults.truncate(victim)
-        faults.restamp(store, "profiles", digest, ".npz")
+        faults.restamp(store, "profiles", digest, PROFILE_SUFFIX)
 
         assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is None
         assert "undecodable" in quarantine_reasons(store, "profiles")
