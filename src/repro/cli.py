@@ -363,6 +363,7 @@ def _parallel(args) -> int:
         title=(f"{args.scene}: {args.generators} generators, private "
                f"{config.label()} caches"),
     ))
+    _print_recovery(None, engine.store)
     return 0
 
 
@@ -384,6 +385,7 @@ def _hierarchy(args) -> int:
         print(f"  L{level + 1}: local miss {100 * level_stats.miss_rate:.3f}%  "
               f"-> {boundary} traffic {bandwidth / 2**20:.0f} MB/s")
     print(f"  memory miss rate {100 * stats.memory_miss_rate:.3f}% of all accesses")
+    _print_recovery(None, engine.store)
     return 0
 
 
@@ -451,8 +453,7 @@ def _timing(args) -> int:
         print(f"  fragment rate   {result.fragments_per_second / 1e6:.1f}M/s "
               f"({100 * result.efficiency:.1f}% of the stall-free "
               "pipeline)")
-    _print_recovery(getattr(engine, "last_stream_report", None),
-                    engine.store)
+    _print_recovery(None, engine.store)
     return 0
 
 
@@ -487,13 +488,11 @@ def _cache(args) -> int:
             print(f"note: {report['quarantined']} file(s) in quarantine/ "
                   "(see the *.reason.json records alongside them)")
         memory = report["memory"]
-        state = "" if memory["enabled"] else " [disabled]"
         print(f"memory tier (T0): {memory['entries']} entries, "
               f"{memory['bytes'] / 2**20:.2f} MB of "
               f"{memory['max_bytes'] / 2**20:.0f} MB, "
               f"hit rate {memory['hit_rate']:.0%} "
-              f"({memory['hits']} hits / {memory['misses']} misses)"
-              f"{state}")
+              f"({memory['hits']} hits / {memory['misses']} misses)")
         digests = report["digest_cache"]
         print(f"digest cache: {digests['entries']} entries, "
               f"hit rate {digests['hit_rate']:.0%} (verify-once loads)")
@@ -539,18 +538,10 @@ def _cache(args) -> int:
         for name in report["quarantined"]:
             print(f"  quarantined {name}")
     else:  # clear
-        tier = getattr(args, "tier", None)
-        report = store.clear(tier=tier)
-        if tier == "memory":
-            memory = report["memory"]
-            print(f"cleared {memory['entries']} in-memory tier entries "
-                  f"({memory['bytes'] / 2**20:.2f} MB) and the digest "
-                  f"cache; disk artifacts at {report['root']} kept")
-        else:
-            scope = " (disk tier only)" if tier == "disk" else ""
-            print(f"cleared {report['total_files']} artifacts "
-                  f"({report['total_bytes'] / 2**20:.2f} MB) "
-                  f"from {report['root']}{scope}")
+        report = store.clear()
+        print(f"cleared {report['total_files']} artifacts "
+              f"({report['total_bytes'] / 2**20:.2f} MB) "
+              f"from {report['root']}")
     return 0
 
 
@@ -682,10 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "envelope (exit 1 on corruption); repair = "
                             "quarantine corrupt artifacts and purge stale "
                             "temp litter; clear = delete all")
-    cache.add_argument("--tier", choices=["memory", "disk"], default=None,
-                       help="scope `clear` to one tier: the in-process "
-                            "memory tier (T0 + digest cache) or the "
-                            "on-disk artifact directory (default: both)")
     cache.add_argument("--dir", default=None,
                        help="store directory (default: REPRO_CACHE_DIR or "
                             "benchmarks/.cache)")

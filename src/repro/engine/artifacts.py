@@ -27,7 +27,8 @@ match and stale data self-invalidates.  Four artifact kinds exist:
     owner of part file names.  A trace sidecar without a part list
     (the older single-archive format) fails verification as legacy.
 ``addresses/``
-    Per-layout byte-address streams (``.npy``).
+    Per-layout byte-address streams: one-dimensional integer ``.npy``
+    arrays, loaded as read-only maps.
 ``profiles/``
     Fully-associative LRU stack-distance summaries per line size
     (``.i64``: raw int64 words, see :func:`_profile_writer`), loaded as
@@ -57,13 +58,18 @@ next read.  Its defenses:
   half-written file, only litter (which :meth:`ArtifactStore.repair`
   purges once it is stale).
 * **Integrity envelopes.**  Every payload's ``.json`` sidecar records
-  a SHA-256 content digest and byte size.  Every load re-verifies
-  them; anything torn, truncated, bit-rotted, foreign or legacy
-  (pre-envelope) is moved to ``quarantine/`` with a reason record and
-  reported as a miss, so the caller transparently recomputes.
-  Missing-counterpart states younger than :data:`TORN_GRACE_S` are
-  treated as in-flight writes (a concurrent saver between its two
-  publishes) and skipped without quarantining.
+  the artifact's key, a SHA-256 content digest and byte size.  Every
+  load reads the sidecar once, requires its key to equal the
+  requested one (the fingerprint only picks the file, as a cache's
+  index picks a line; the key is the tag), then stats the payload
+  once and re-verifies size and digest.  Anything torn, truncated,
+  bit-rotted, foreign (a checksummed artifact under another key's
+  name) or legacy (pre-envelope) is moved to ``quarantine/`` with a
+  reason record and reported as a miss, so the caller transparently
+  recomputes.  Missing-counterpart states younger than
+  :data:`TORN_GRACE_S` are treated as in-flight writes (a concurrent
+  saver between its two publishes) and skipped without quarantining;
+  :meth:`ArtifactStore.verify` applies the same rule.
 * **Single-flight locks.**  :meth:`ArtifactStore.single_flight` takes
   a per-fingerprint ``fcntl`` advisory lock so N racing processes
   perform one render instead of N.  Locks die with their holder; a
@@ -83,11 +89,12 @@ Tiered reads
 ------------
 The directory above is tier T1 of a read-through hierarchy (see
 :mod:`~repro.engine.tiers`).  Loads consult the process-wide
-in-memory tier (T0) first -- deserialized artifacts in a byte-bounded
-LRU, revalidated against the payload's ``(size, mtime_ns, inode)`` on
-every hit -- and fill it on a verified disk read; integrity
-verification consults a verify-once digest cache keyed the same way,
-so an unchanged file is SHA-256-hashed at most once per process.
+in-memory tier (T0) first -- deserialized artifacts in a 256 MiB LRU,
+revalidated against the ``(size, mtime_ns, inode)`` of their payload
+and sidecar on every hit -- and fill it on a verified disk read;
+integrity verification consults a verify-once digest cache keyed the
+same way, so an unchanged file is SHA-256-hashed at most once per
+process.
 Neither changes fingerprints or bytes: both serve exactly what the
 disk tier verified.
 """
@@ -102,12 +109,12 @@ import re
 import shutil
 import time
 import warnings
-import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 try:
     import fcntl
@@ -194,14 +201,21 @@ class StoreError(Exception):
 class CorruptArtifact(StoreError):
     """An artifact failed integrity verification.
 
-    ``transient`` marks states a concurrent writer passes through
-    (payload published, sidecar not yet) which only count as damage
-    once they are older than :data:`TORN_GRACE_S`.
+    ``survivor`` names the one file left of a state a concurrent writer
+    passes through (payload published, sidecar not yet, or the
+    reverse); such a state only counts as damage once that file is
+    older than :data:`TORN_GRACE_S`.
     """
 
-    def __init__(self, message: str, transient: bool = False):
+    def __init__(self, message: str, survivor: Optional[Path] = None):
         super().__init__(message)
-        self.transient = transient
+        self.survivor = survivor
+
+    @property
+    def in_flight(self) -> bool:
+        """Whether this is a concurrent writer mid-publish, not damage:
+        the one rule of loads and :meth:`ArtifactStore.verify`."""
+        return self.survivor is not None and not _is_stale(self.survivor)
 
 
 class StoreUnavailable(StoreError):
@@ -298,17 +312,12 @@ def _atomic_write(path: Path, write) -> None:
         raise
 
 
-def _file_digest(path: Path) -> str:
-    """SHA-256 of a file's bytes (:func:`hashlib.file_digest` on
-    Python >= 3.11, streamed 1 MiB blocks otherwise)."""
-    return tiers.file_digest(path)
-
-
-def _cached_digest(path: Path) -> str:
-    """SHA-256 of a file's bytes through the process-wide verify-once
-    cache: an unchanged file (same size/mtime_ns/inode) is hashed at
-    most once per process."""
-    return tiers.digest_cache().digest(path)
+def _same_key(recorded, requested) -> bool:
+    """Whether a sidecar's recorded key equals the requested payload as
+    a JSON value (a tuple and the list it was recorded as compare
+    equal)."""
+    return recorded == requested or \
+        recorded == json.loads(json.dumps(requested))
 
 
 def _object_nbytes(value) -> int:
@@ -331,6 +340,17 @@ def _payload_nbytes(value) -> int:
     if isinstance(value, np.ndarray):
         return value.nbytes
     return value.counts.nbytes + 64
+
+
+def _decode_addresses(path: Path) -> np.ndarray:
+    """A read-only map of the address stream at ``path``.  Raises
+    ``ValueError`` for anything but a one-dimensional integer ``.npy``
+    array."""
+    addresses = npy_format.open_memmap(path, mode="r")
+    if addresses.ndim != 1 or addresses.dtype.kind not in "iu":
+        raise ValueError(f"a {addresses.dtype} array of shape "
+                         f"{addresses.shape} is not an address stream")
+    return addresses
 
 
 def _profile_geometry(payload: dict) -> tuple:
@@ -474,7 +494,7 @@ class ArtifactStore:
                        key_payload: dict, extra: Optional[dict] = None) -> None:
         """Publish the ``.json`` sidecar: human-readable key, integrity
         envelope of the just-written payload, and kind-specific meta."""
-        digest_value = _file_digest(payload_path)
+        digest_value = tiers.file_digest(payload_path)
         # The publisher just hashed the final payload: seed the
         # verify-once cache so the first load costs one stat().
         tiers.digest_cache().record(payload_path, digest_value)
@@ -491,52 +511,63 @@ class ArtifactStore:
         _atomic_write(self._path(kind, digest, ".json"),
                       lambda temp: Path(temp).write_text(json.dumps(meta, indent=1)))
 
-    def _verify_envelope(self, kind: str, path: Path, sidecar: Path) -> dict:
-        """Check one artifact's envelope; returns the sidecar meta or
-        raises :class:`CorruptArtifact` describing the damage.
+    def _verify_envelope(self, kind: str, path: Path, sidecar: Path,
+                         key: Optional[dict] = None) -> Optional[dict]:
+        """Check one artifact in one pass over its files: the sidecar
+        meta, ``None`` when neither file exists, or
+        :class:`CorruptArtifact` describing the damage.
 
+        The sidecar is read once.  With ``key`` its recorded key must
+        equal ``key`` (:func:`_same_key`), which tells a foreign
+        artifact under this fingerprint's name from the requested one.
         Traces (sidecars with a ``parts`` list instead of a payload
         ``envelope``) verify every listed part's size and digest; a
-        trace sidecar without a part list is legacy."""
-        if not sidecar.exists():
-            if not path.exists():
-                raise CorruptArtifact("orphaned sidecar (payload missing)",
-                                      transient=True)
-            raise CorruptArtifact(
-                "missing sidecar (legacy artifact or torn write)",
-                transient=True)
+        trace sidecar without a part list is legacy.  Any other
+        payload is stat'd once for its size, then digest-checked."""
         try:
             meta = json.loads(sidecar.read_text())
+        except FileNotFoundError:
+            try:
+                path.stat()
+            except FileNotFoundError:
+                return None
+            raise CorruptArtifact(
+                "missing sidecar (legacy artifact or torn write)",
+                survivor=path) from None
         except (OSError, ValueError) as fault:
             raise CorruptArtifact(f"unreadable sidecar ({fault})") from fault
-        if isinstance(meta, dict) and isinstance(meta.get("parts"), list):
-            self._verify_parts(kind, meta["parts"])
+        if not isinstance(meta, dict):
+            raise CorruptArtifact("legacy sidecar (no integrity envelope)")
+        if key is not None and not _same_key(meta.get("key"), key):
+            raise CorruptArtifact(
+                "foreign artifact (its sidecar records another key)")
+        if isinstance(meta.get("parts"), list):
+            self._verify_parts(kind, meta["parts"], sidecar)
             return meta
         if kind == "traces":
             raise CorruptArtifact("legacy trace (no part list)")
-        if not path.exists():
-            raise CorruptArtifact("orphaned sidecar (payload missing)",
-                                  transient=True)
-        envelope = meta.get("envelope") if isinstance(meta, dict) else None
+        envelope = meta.get("envelope")
         if not isinstance(envelope, dict):
             raise CorruptArtifact("legacy sidecar (no integrity envelope)")
         try:
             nbytes = path.stat().st_size
         except OSError:
-            raise CorruptArtifact("payload vanished during verification",
-                                  transient=True)
+            raise CorruptArtifact("orphaned sidecar (payload missing)",
+                                  survivor=sidecar) from None
         if nbytes != envelope.get("nbytes"):
             raise CorruptArtifact(
                 f"size mismatch ({nbytes} bytes on disk, "
                 f"{envelope.get('nbytes')} recorded -- truncated or torn)")
-        if _cached_digest(path) != envelope.get("digest"):
+        if tiers.digest_cache().digest(path) != envelope.get("digest"):
             raise CorruptArtifact(
                 "content digest mismatch (bit rot or foreign payload)")
         return meta
 
-    def _verify_parts(self, kind: str, parts: list) -> None:
+    def _verify_parts(self, kind: str, parts: list,
+                      sidecar: Optional[Path] = None) -> None:
         """Check every part of a chunked artifact against its recorded
-        envelope; raises :class:`CorruptArtifact` on the first defect."""
+        envelope; raises :class:`CorruptArtifact` on the first defect.
+        A missing part is in flight while ``sidecar`` is young."""
         for entry in parts:
             name = entry.get("name") if isinstance(entry, dict) else None
             if (not isinstance(name, str) or os.sep in name
@@ -547,12 +578,13 @@ class ArtifactStore:
             try:
                 nbytes = part.stat().st_size
             except OSError:
-                raise CorruptArtifact(f"missing part {name}", transient=True)
+                raise CorruptArtifact(f"missing part {name}",
+                                      survivor=sidecar) from None
             if nbytes != entry.get("nbytes"):
                 raise CorruptArtifact(
                     f"part {name}: size mismatch ({nbytes} bytes on disk, "
                     f"{entry.get('nbytes')} recorded -- truncated or torn)")
-            if _cached_digest(part) != entry.get("digest"):
+            if tiers.digest_cache().digest(part) != entry.get("digest"):
                 raise CorruptArtifact(
                     f"part {name}: content digest mismatch "
                     "(bit rot or foreign payload)")
@@ -570,23 +602,21 @@ class ArtifactStore:
         return {entry.get("name") for entry in parts
                 if isinstance(entry, dict)}
 
-    def _open_verified(self, kind: str, digest: str, suffix: str):
-        """``(path, meta)`` for a verified artifact, or ``None`` on a
-        miss.  Damage is quarantined; in-flight writes (younger than
-        the grace window) read as a plain miss."""
+    def _open_verified(self, kind: str, digest: str, suffix: str,
+                       key: dict):
+        """``(path, meta)`` for the verified artifact ``digest`` whose
+        sidecar records ``key``, or ``None`` on a miss.  Damage, a
+        foreign key included, is quarantined; in-flight writes read as
+        a plain miss."""
         path = self._path(kind, digest, suffix)
-        sidecar = self._path(kind, digest, ".json")
-        if not path.exists() and not sidecar.exists():
-            return None
         try:
-            meta = self._verify_envelope(kind, path, sidecar)
+            meta = self._verify_envelope(
+                kind, path, self._path(kind, digest, ".json"), key)
         except CorruptArtifact as fault:
-            survivor = path if path.exists() else sidecar
-            if fault.transient and not _is_stale(survivor):
-                return None  # concurrent writer mid-publish
-            self.quarantine(kind, digest, str(fault))
+            if not fault.in_flight:
+                self.quarantine(kind, digest, str(fault))
             return None
-        return path, meta
+        return None if meta is None else (path, meta)
 
     def quarantine(self, kind: str, digest: str, reason: str) -> None:
         """Move an artifact's files to ``quarantine/<kind>/`` alongside
@@ -855,8 +885,9 @@ class ArtifactStore:
         :meth:`ChunkedRenderReader.read_part`."""
         # ".npz" also catches a legacy single-archive payload left
         # without its sidecar.
-        checked = self._open_verified(
-            "traces", fingerprint(spec.payload()), ".npz")
+        key = spec.payload()
+        checked = self._open_verified("traces", fingerprint(key), ".npz",
+                                      key)
         if checked is None:
             return None
         return ChunkedRenderReader(self, checked[1])
@@ -871,13 +902,12 @@ class ArtifactStore:
         cached = self._memory_get(kind, digest)
         if cached is not tiers.MISS:
             return cached
-        checked = self._open_verified(kind, digest, suffix)
+        checked = self._open_verified(kind, digest, suffix, payload)
         if checked is None:
             return None
         try:
             value = decode(checked[0])
-        except (ValueError, OSError, KeyError,
-                zipfile.BadZipFile) as fault:
+        except (ValueError, OSError, KeyError) as fault:
             self.quarantine(kind, digest, f"undecodable {what} ({fault!r})")
             return None
         self._memory_put(kind, digest, suffix, value, _payload_nbytes(value))
@@ -903,8 +933,7 @@ class ArtifactStore:
         # A read-only map instead of a copy: every consumer derives
         # new arrays (line reduction, collapses) and never writes
         # back, so warm loads cost page-ins, not a full decompress.
-        return self._read("addresses", payload, ".npy",
-                          lambda path: np.load(path, mmap_mode="r"),
+        return self._read("addresses", payload, ".npy", _decode_addresses,
                           "address stream")
 
     def save_addresses(self, payload: dict, addresses: np.ndarray) -> Path:
@@ -1057,17 +1086,19 @@ class ArtifactStore:
 
     def verify(self) -> dict:
         """Scan every artifact's integrity envelope without modifying
-        anything.  ``bad`` lists verifiable damage; ``pending`` counts
-        in-flight (younger than the grace window) torn states; ``tmp``
-        lists temp-file litter; ``orphaned_parts`` lists stale trace
-        parts no sidecar claims (litter, not corruption): parts of a
-        writer that died before publishing its sidecar; ``resumable`` lists
-        stale unlisted parts that an interrupted cold fold's
-        completion records cover (envelope-verified) -- the next cold
-        fold resumes from them, so they are neither damage nor litter
-        and :meth:`repair` keeps them; ``stale_resume`` lists stale
-        resume files whose artifact has published or which cover no
-        verified part."""
+        anything.  Keys are not compared: the scan requests none, and
+        an artifact of an older :data:`PIPELINE_VERSION` is unreachable
+        but not damaged.  ``bad`` lists verifiable damage; ``pending``
+        counts in-flight (younger than the grace window) torn states;
+        ``tmp`` lists temp-file litter; ``orphaned_parts`` lists stale
+        trace parts no sidecar claims (litter, not corruption): parts
+        of a writer that died before publishing its sidecar;
+        ``resumable`` lists stale unlisted parts that an interrupted
+        cold fold's completion records cover (envelope-verified) -- the
+        next cold fold resumes from them, so they are neither damage
+        nor litter and :meth:`repair` keeps them; ``stale_resume``
+        lists stale resume files whose artifact has published or which
+        cover no verified part."""
         report = {"root": str(self.root), "kinds": {},
                   "ok": 0, "bad": 0, "pending": 0, "tmp": 0,
                   "orphaned_parts": 0, "resumable": 0}
@@ -1081,17 +1112,17 @@ class ArtifactStore:
                 path = payloads.get(stem, self._path(kind, stem, ".npz"))
                 sidecar = self._path(kind, stem, ".json")
                 try:
-                    self._verify_envelope(kind, path, sidecar)
+                    meta = self._verify_envelope(kind, path, sidecar)
                 except CorruptArtifact as fault:
-                    survivor = path if path.exists() else sidecar
-                    if fault.transient and not _is_stale(survivor):
+                    if fault.in_flight:
                         entry["pending"] += 1
                     else:
                         name = path.name if stem in payloads else sidecar.name
                         entry["bad"].append({"file": name,
                                              "reason": str(fault)})
                     continue
-                entry["ok"] += 1
+                if meta is not None:  # else both files vanished mid-scan
+                    entry["ok"] += 1
             verified_resumable: dict = {}
             for digest, meta_paths in resume.items():
                 covered: set = set()
@@ -1169,21 +1200,13 @@ class ArtifactStore:
                 "purged_resume": purged_resume,
                 "kept_resumable": scan["resumable"]}
 
-    def clear(self, tier: Optional[str] = None) -> dict:
-        """Delete artifacts; returns the pre-clear :meth:`stats`.
-
-        ``tier=None`` clears everything: the disk tier (including
-        quarantine, locks and temp litter) and this store's entries in
-        the process tiers.  ``tier="disk"`` touches only the on-disk
-        files; ``tier="memory"`` only drops the in-process T0 and
-        digest-cache entries, leaving disk intact."""
-        if tier not in (None, "memory", "disk"):
-            raise ValueError(f"unknown tier {tier!r} "
-                             "(expected 'memory' or 'disk')")
+    def clear(self) -> dict:
+        """Delete every artifact, quarantine, locks and temp litter
+        included, and this store's entries in the process tiers;
+        returns the pre-clear :meth:`stats`."""
         report = self.stats()
-        if tier in (None, "disk"):
-            for kind in KINDS + (QUARANTINE_DIR, LOCKS_DIR):
-                shutil.rmtree(self.root / kind, ignore_errors=True)
+        for kind in KINDS + (QUARANTINE_DIR, LOCKS_DIR):
+            shutil.rmtree(self.root / kind, ignore_errors=True)
         # Cleared disk entries could only ever read as stat-mismatch
         # misses anyway; dropping them keeps the byte budget honest.
         tiers.memory_tier().invalidate_store(str(self.root))
@@ -1231,7 +1254,7 @@ class ChunkedRenderWriter:
             self._complete = False
             return
         try:
-            digest_value = _file_digest(path)
+            digest_value = tiers.file_digest(path)
             # Hashed at publish: the writer's own warm folds (and any
             # reader in this process) verify this part with a stat().
             tiers.digest_cache().record(path, digest_value)

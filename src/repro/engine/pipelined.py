@@ -77,7 +77,7 @@ than the next:
    so it knows every worker's range from the moment it dispatches it.
    A dead worker (SIGKILL, OOM) reads as end of file on its pipe; a
    wedged one sends nothing -- no ``beat``, no result -- for the job
-   deadline (``REPRO_STREAM_JOB_TIMEOUT``) and is killed.  Either is
+   deadline (:data:`STREAM_JOB_TIMEOUT_S`) and is killed.  Either is
    respawned in place behind a fresh pipe, and only its range is
    retried, with bounded retries and exponential backoff
    (:data:`STREAM_RETRIES`).  A worker that dies while idle is found
@@ -166,22 +166,9 @@ STREAM_RETRIES = 2
 STREAM_BACKOFF_S = 0.25
 
 #: A worker that sends nothing -- no beat, no result -- for this long
-#: while it holds a range is presumed wedged: it is killed, respawned,
-#: and the range retried.  Override with ``REPRO_STREAM_JOB_TIMEOUT``
-#: (seconds).
+#: (seconds) while it holds a range is presumed wedged: it is killed,
+#: respawned, and the range retried.
 STREAM_JOB_TIMEOUT_S = 600.0
-
-
-def _job_timeout_s() -> float:
-    """``REPRO_STREAM_JOB_TIMEOUT`` when it parses to a number > 0,
-    else :data:`STREAM_JOB_TIMEOUT_S`.  A zero or negative deadline
-    would declare every busy worker wedged, and ``nan`` fails every
-    comparison, so both are treated like unparsable values."""
-    try:
-        value = float(os.environ.get("REPRO_STREAM_JOB_TIMEOUT", ""))
-    except ValueError:
-        return STREAM_JOB_TIMEOUT_S
-    return value if value > 0 else STREAM_JOB_TIMEOUT_S
 
 
 class PipelineError(RuntimeError):
@@ -470,7 +457,7 @@ class _Supervision:
         self.complete: set = set()
         self.residual: dict = {}   # key -> first terminal reason
         self.first_failed_at: dict = {}
-        self.timeout = _job_timeout_s()
+        self.timeout = STREAM_JOB_TIMEOUT_S
         self.open: list = []       # folds planned, not yet saved
         self.waiting: dict = {}    # trace spec -> its folds not planned
         for fold in folds:

@@ -11,14 +11,12 @@ T0 -- :class:`MemoryTier`
     mtime_ns, inode)`` of the files they came from (payload and
     sidecar) and re-stat on every hit, so anything rewritten,
     quarantined or cleared on disk reads as a miss instead of serving
-    stale bytes.  Budget: ``REPRO_STORE_MEMORY_BYTES`` (default
-    256 MiB; ``0`` disables the tier).
+    stale bytes.  Budget: :data:`DEFAULT_MEMORY_BYTES`.
 
 T0 -- :class:`DigestCache`
     Verify-once SHA-256 memoization keyed by the same stat identity:
     an unchanged file is hashed at most once per process, turning the
     per-load full-file re-verify into a single ``stat``.
-    ``REPRO_STORE_VERIFY=always`` restores hash-every-load.
 
 Keeping the tiers in their own module (with no imports from
 :mod:`~repro.engine.artifacts`) lets the store, the fault-injection
@@ -35,8 +33,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
 
-#: Default T0 budget.  Profiles and address streams at reproduction
-#: scale are a few MB each, so this holds a whole experiment grid.
+#: T0 budget.  Profiles and address streams at reproduction scale are
+#: a few MB each, so this holds a whole experiment grid.
 DEFAULT_MEMORY_BYTES = 256 * 1024 * 1024
 
 #: Bound on digest-cache entries (each ~100 bytes); far above any real
@@ -85,8 +83,6 @@ class DigestCache:
     def digest(self, path) -> str:
         """The file's SHA-256, hashed at most once per (unchanged)
         file per process."""
-        if os.environ.get("REPRO_STORE_VERIFY") == "always":
-            return file_digest(path)
         key = str(path)
         stat = _stat_key(key)
         if stat is not None:
@@ -175,10 +171,6 @@ class MemoryTier:
         self.evictions = 0
         self.invalidations = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.max_bytes > 0
-
     def get(self, key):
         """The cached value, or :data:`MISS`.  A hit whose backing
         files changed identity on disk is dropped and reads as a
@@ -210,7 +202,7 @@ class MemoryTier:
         least-recently-used entries past the byte budget.  A value
         larger than the whole budget is not cached."""
         nbytes = int(nbytes)
-        if not self.enabled or nbytes > self.max_bytes:
+        if nbytes > self.max_bytes:
             return
         if isinstance(paths, (str, Path)):
             paths = (paths,)
@@ -253,46 +245,23 @@ class MemoryTier:
             for key in [k for k in self._entries if k[0] == wanted]:
                 self._bytes -= self._entries.pop(key).nbytes
 
-    def resize(self, max_bytes: int) -> None:
-        """Change the byte budget, evicting down to it."""
-        with self._lock:
-            self.max_bytes = int(max_bytes)
-            while self._bytes > self.max_bytes and self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self.evictions += 1
-
     def stats(self) -> dict:
         with self._lock:
             lookups = self.hits + self.misses
-            return {"enabled": self.enabled, "max_bytes": self.max_bytes,
-                    "bytes": self._bytes, "entries": len(self._entries),
+            return {"max_bytes": self.max_bytes, "bytes": self._bytes,
+                    "entries": len(self._entries),
                     "hits": self.hits, "misses": self.misses,
                     "evictions": self.evictions,
                     "invalidations": self.invalidations,
                     "hit_rate": self.hits / lookups if lookups else 0.0}
 
 
-def _memory_budget_from_env() -> int:
-    raw = os.environ.get("REPRO_STORE_MEMORY_BYTES")
-    if raw is None:
-        return DEFAULT_MEMORY_BYTES
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MEMORY_BYTES
-
-
-_MEMORY = MemoryTier(_memory_budget_from_env())
+_MEMORY = MemoryTier()
 _DIGESTS = DigestCache()
 
 
 def memory_tier() -> MemoryTier:
-    """The process-wide T0, re-reading the environment budget so tests
-    and benchmarks can resize/disable it between runs."""
-    budget = _memory_budget_from_env()
-    if budget != _MEMORY.max_bytes:
-        _MEMORY.resize(budget)
+    """The process-wide T0."""
     return _MEMORY
 
 

@@ -159,7 +159,7 @@ def restamp(store, kind: str, digest: str, suffix: str) -> None:
     meta = json.loads(sidecar.read_text())
     meta["envelope"] = {
         "kind": kind,
-        "digest": artifacts._file_digest(payload_path),
+        "digest": tiers.file_digest(payload_path),
         "nbytes": payload_path.stat().st_size,
     }
     sidecar.write_text(json.dumps(meta, indent=1))

@@ -107,17 +107,6 @@ class TestSimulate:
         assert main(args) == 0
         assert capsys.readouterr().out == cold
 
-    def test_in_ram_simulate_reports_store_degradation(self, tmp_path,
-                                                       monkeypatch, capsys):
-        # A disk that cannot keep the run's artifacts demotes the store;
-        # an in-RAM simulate says so, as sweep does, instead of hiding
-        # that nothing was stored.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-        with injection.disk_full(errno.ENOSPC), \
-                pytest.warns(RuntimeWarning, match="unavailable"):
-            assert main(["simulate", "goblet", "--scale", "0.05"]) == 0
-        assert "artifact store degraded" in capsys.readouterr().out
-
     def test_stream_workers_reject_reference_kernel(self, capsys):
         # --stream-workers (any count) requests streaming; the reference
         # simulator cannot stream, so the CLI refuses instead of
@@ -127,6 +116,21 @@ class TestSimulate:
                          *args[1:], "--stream-workers", "1",
                          "--kernel", "reference"]) == 2
             assert "vectorized" in capsys.readouterr().err
+
+
+class TestStoreRecoveryNote:
+    @pytest.mark.parametrize("command", ["render", "simulate", "sweep",
+                                         "timing", "hierarchy", "parallel"])
+    def test_command_reports_store_degradation(self, tmp_path, monkeypatch,
+                                               capsys, command):
+        # A disk that cannot keep the run's artifacts demotes the store;
+        # every command that reads the store says so instead of hiding
+        # that nothing was stored.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        with injection.disk_full(errno.ENOSPC), \
+                pytest.warns(RuntimeWarning, match="unavailable"):
+            assert main([command, "goblet", "--scale", "0.05"]) == 0
+        assert "artifact store degraded" in capsys.readouterr().out
 
 
 class TestSweep:

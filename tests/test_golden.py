@@ -23,10 +23,9 @@ execution path:
 * a pipelined fold resumed after an injected parent crash
   (``kill-run:after=2,mode=raise``), and a serial streamed fold of one
   scene resumed after ``kill-run:after=1,mode=raise``;
-* a warm re-serve from a filled store under each store-tier setting:
-  the defaults, the in-process memory tier off
-  (``REPRO_STORE_MEMORY_BYTES=0``), and the memory tier off with every
-  load re-hashed (``REPRO_STORE_VERIFY=always``).
+* a warm re-serve from a filled store, first with the process tiers
+  emptied (every artifact read and verified from disk), then from a
+  filled in-process memory tier, each recording no recovery event.
 
 ``tests/golden/figures.json`` pins every grid that the twelve LRU
 figure and table benches (Figures 5.2-6.4, Table 7.1 and the order,
@@ -394,27 +393,23 @@ class TestGoldenPin:
         assert canonical_rows(result.rows) == [
             row for row in pin["rows"] if row[0] == scene]
 
-    @pytest.mark.parametrize("env", [
-        pytest.param({"REPRO_STORE_MEMORY_BYTES": "0",
-                      "REPRO_STORE_VERIFY": "always"}, id="verify-always"),
-        pytest.param({}, id="defaults"),
-        pytest.param({"REPRO_STORE_MEMORY_BYTES": "0"}, id="memory-tier-off"),
+    @pytest.mark.parametrize("serves", [
+        pytest.param(1, id="defaults"),
+        pytest.param(2, id="t0-hot"),
     ])
-    def test_warm_reserve(self, filled_store, pin, monkeypatch, env):
-        for key in ("REPRO_STORE_MEMORY_BYTES", "REPRO_STORE_VERIFY"):
-            monkeypatch.delenv(key, raising=False)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    def test_warm_reserve(self, filled_store, pin, serves):
+        # The first serve reads every artifact from disk through the
+        # verified read; a second one is served from the memory tier.
         tiers.clear_process_caches()
-        assert tiers.memory_tier().enabled == \
-            ("REPRO_STORE_MEMORY_BYTES" not in env)
-        before = render_calls()
-        engine = Engine(store=ArtifactStore(filled_store))
-        assert canonical_rows(engine.run(experiment()).rows) == pin["rows"]
-        assert render_calls() == before
-        assert not engine._scenes  # served from the store, no scene built
-        monkeypatch.undo()
-        tiers.memory_tier()  # restore the default budget
+        for _ in range(serves):
+            before = render_calls()
+            store = ArtifactStore(filled_store)
+            engine = Engine(store=store)
+            assert canonical_rows(engine.run(experiment()).rows) == \
+                pin["rows"]
+            assert render_calls() == before
+            assert not engine._scenes  # served from the store
+            assert store.recovery_events == []  # nothing quarantined
 
 
 class TestFigurePin:

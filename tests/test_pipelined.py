@@ -6,8 +6,7 @@ folds the slice it renders and ships only per-range partial states.
 Every path must reproduce the in-RAM pipeline bit for bit; every
 failure mode must degrade to the serial streamed path with a warning,
 never a wrong answer.  Also covers the ``audit_parts``
-sequential-oracle spot check and the ``REPRO_STREAM_JOB_TIMEOUT``
-parser.
+sequential-oracle spot check.
 """
 
 import contextlib
@@ -199,20 +198,6 @@ class TestPipelinedRun:
         with pytest.raises(ValueError, match="streaming"):
             Engine(store=ArtifactStore(tmp_path / "a")).run(
                 exp, audit_parts=2)
-
-
-class TestJobTimeout:
-    @pytest.mark.parametrize("value,expected", [
-        ("0", pipelined.STREAM_JOB_TIMEOUT_S),
-        ("-5", pipelined.STREAM_JOB_TIMEOUT_S),
-        ("nan", pipelined.STREAM_JOB_TIMEOUT_S),
-        ("abc", pipelined.STREAM_JOB_TIMEOUT_S),
-        ("5", 5.0),
-    ])
-    def test_only_positive_deadlines_override_the_default(
-            self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_STREAM_JOB_TIMEOUT", value)
-        assert pipelined._job_timeout_s() == expected
 
 
 class TestFallbacks:

@@ -149,7 +149,7 @@ class TestWorkerFaults:
     def test_wedged_worker_is_killed_and_range_retried(self, tmp_path,
                                                        monkeypatch):
         reference = ram_rows(tmp_path)
-        monkeypatch.setenv("REPRO_STREAM_JOB_TIMEOUT", "5")
+        monkeypatch.setattr(pipelined, "STREAM_JOB_TIMEOUT_S", 5.0)
         with injection.fault_plan(
                 "wedge-worker:range=0,block=0,seconds=60,scope=once",
                 tmp_path / "plan"):
@@ -342,7 +342,7 @@ class TestPoolHygiene:
 
         monkeypatch.setattr(pipelined._Supervision, "receive",
                             kill_after_first_range)
-        monkeypatch.setenv("REPRO_STREAM_JOB_TIMEOUT", "5")
+        monkeypatch.setattr(pipelined, "STREAM_JOB_TIMEOUT_S", 5.0)
         grid = ExperimentSpec(**dict(GRID, scenes=("goblet", SCENE)))
         reference = rows(Engine(store=ArtifactStore(tmp_path / "ram")).run(
             grid))

@@ -90,7 +90,7 @@ class TestEnvelope:
                 for entry, part in zip(sidecar["parts"], payloads):
                     assert entry["nbytes"] == part.stat().st_size
                     assert entry["digest"] == \
-                        artifacts_module._file_digest(part)
+                        tiers.file_digest(part)
                 continue
             for payload in payloads:
                 sidecar = json.loads(
@@ -99,7 +99,7 @@ class TestEnvelope:
                 assert envelope["kind"] == kind
                 assert envelope["nbytes"] == payload.stat().st_size
                 assert envelope["digest"] == \
-                    artifacts_module._file_digest(payload)
+                    tiers.file_digest(payload)
                 assert "key" in sidecar
 
     def test_verify_reports_clean_store(self, tmp_path):
@@ -188,6 +188,11 @@ class TestCorruptionRecovery:
 
 GRID = dict(scenes=("goblet",), layouts=(("blocked", 8),),
             cache_sizes=(1024, 2048), scale=0.05)
+TWO_LAYOUTS = dict(GRID, layouts=(("blocked", 8), ("blocked", 4)))
+FRAME_0 = TraceSpec(scene="goblet", scale=0.05, order="paper")
+FRAME_HALF = TraceSpec(scene="goblet", scale=0.05, order="paper", time=0.5)
+BLOCKED_8 = addresses_payload(FRAME_0, ("blocked", 8))
+BLOCKED_4 = addresses_payload(FRAME_0, ("blocked", 4))
 
 
 def grid_rows(store, experiment):
@@ -214,24 +219,52 @@ def load_stored(store, key):
 
 
 class TestProfilePayload:
-    """The raw profile encoding: a checksummed payload under the wrong
-    key or with a malformed body is quarantined and recomputed."""
+    """Foreign and malformed payloads: a checksummed artifact of any
+    kind copied under another key, or a profile or address stream whose
+    body does not decode, is quarantined and recomputed."""
 
-    @pytest.mark.parametrize("kind, experiment, source, target", [
-        pytest.param("profiles", ExperimentSpec(line_sizes=(32, 64), **GRID),
-                     (64, 1), (32, 1), id="line-64-over-32"),
+    @pytest.mark.parametrize("kind, experiments, source, target, dropped", [
+        pytest.param("profiles", [ExperimentSpec(line_sizes=(32, 64), **GRID)],
+                     profile_payload(BLOCKED_8, 64),
+                     profile_payload(BLOCKED_8, 32), (), id="line-64-over-32"),
         pytest.param("set_profiles",
-                     ExperimentSpec(line_sizes=(32,), assocs=(4,), **GRID),
-                     (32, 8), (32, 16), id="8-sets-over-16"),
+                     [ExperimentSpec(line_sizes=(32,), assocs=(4,), **GRID)],
+                     set_profile_payload(BLOCKED_8, 32, 8),
+                     set_profile_payload(BLOCKED_8, 32, 16), (),
+                     id="8-sets-over-16"),
+        pytest.param("profiles",
+                     [ExperimentSpec(line_sizes=(32,), **TWO_LAYOUTS)],
+                     profile_payload(BLOCKED_8, 32),
+                     profile_payload(BLOCKED_4, 32), (),
+                     id="layout-8-over-4"),
+        pytest.param("set_profiles",
+                     [ExperimentSpec(line_sizes=(32,), assocs=(4,),
+                                     **TWO_LAYOUTS)],
+                     set_profile_payload(BLOCKED_8, 32, 8),
+                     set_profile_payload(BLOCKED_4, 32, 8), (),
+                     id="sets-of-layout-8-over-4"),
+        pytest.param("addresses",
+                     [ExperimentSpec(line_sizes=(32,), **TWO_LAYOUTS)],
+                     BLOCKED_8, BLOCKED_4, ("profiles",),
+                     id="addresses-of-layout-8-over-4"),
+        pytest.param("traces",
+                     [ExperimentSpec(line_sizes=(32,), **GRID),
+                      ExperimentSpec(line_sizes=(32,), time=0.5, **GRID)],
+                     FRAME_0.payload(), FRAME_HALF.payload(),
+                     ("addresses", "profiles"),
+                     id="frame-0-over-0.5"),
     ])
     def test_profile_under_another_pairs_key(self, tmp_path, kind,
-                                             experiment, source, target):
+                                             experiments, source, target,
+                                             dropped):
         # Copying payload and sidecar keeps the envelope valid; only the
-        # payload's own geometry tells the two pairs apart.
-        reference = grid_rows(ArtifactStore(tmp_path), experiment)
-        keys = profile_keys(ArtifactStore(tmp_path), kind)
-        (source_digest, _), (target_digest, target_key) = \
-            keys[source], keys[target]
+        # key the sidecar records tells the two artifacts apart.  The
+        # dropped kinds make the run read this one.
+        reference = [grid_rows(ArtifactStore(tmp_path), experiment)
+                     for experiment in experiments]
+        for name in dropped:
+            shutil.rmtree(tmp_path / name)
+        source_digest, target_digest = fingerprint(source), fingerprint(target)
         directory = tmp_path / kind
         for path in directory.glob(source_digest + ".*"):
             shutil.copyfile(path, directory / path.name.replace(
@@ -239,12 +272,13 @@ class TestProfilePayload:
         tiers.clear_process_caches()
 
         store = ArtifactStore(tmp_path)
-        assert grid_rows(store, experiment) == reference
-        reasons = quarantine_reasons(store, kind)
-        assert "undecodable" in reasons and str(source) in reasons
-        tiers.clear_process_caches()
-        recomputed = load_stored(ArtifactStore(tmp_path), target_key)
-        assert (recomputed.line_size, recomputed.n_sets) == target
+        assert [grid_rows(store, experiment)
+                for experiment in experiments] == reference
+        [event] = store.recovery_events
+        assert f"{kind}/{target_digest[:12]}" in event
+        assert "sidecar records another key" in event
+        sidecar = directory / (target_digest + ".json")
+        assert json.loads(sidecar.read_text())["key"] == target  # recomputed
         assert ArtifactStore(tmp_path).verify()["clean"]
 
     @pytest.mark.parametrize("kind, pair", [("profiles", (32, 1)),
@@ -258,6 +292,9 @@ class TestProfilePayload:
         pytest.param(lambda words: np.concatenate(
             (words[:5], [-1], words[6:])).astype("<i8").tobytes(),
             id="negative-count"),
+        pytest.param(lambda words: np.concatenate(
+            ([2 * words[0]], words[1:])).astype("<i8").tobytes(),
+            id="another-pairs-geometry"),
     ])
     def test_restamped_malformed_payload(self, tmp_path, kind, pair, damage):
         store, engine = warm_store(tmp_path)
@@ -274,6 +311,31 @@ class TestProfilePayload:
         np.testing.assert_array_equal(recomputed.counts, reference.counts)
         assert (recomputed.cold, recomputed.duplicate_hits) == \
             (reference.cold, reference.duplicate_hits)
+
+    @pytest.mark.parametrize("write", [
+        pytest.param(lambda handle, addresses: np.savez(
+            handle, addresses=addresses), id="npz-archive"),
+        pytest.param(lambda handle, addresses: np.save(
+            handle, addresses[:, None]), id="two-dimensional"),
+        pytest.param(lambda handle, addresses: np.save(
+            handle, addresses.astype(np.float64)), id="float"),
+    ])
+    def test_restamped_malformed_address_stream(self, tmp_path, write):
+        store, engine = warm_store(tmp_path)
+        reference = np.array(engine.addresses(SPEC, LAYOUT))
+        [victim] = faults.payload_files(store, "addresses")
+        foreign = tmp_path / "foreign"
+        with open(foreign, "wb") as handle:
+            write(handle, reference)
+        victim.write_bytes(foreign.read_bytes())
+        faults.restamp(store, "addresses", victim.stem, ".npy")
+
+        assert ArtifactStore(tmp_path).load_addresses(ADDR_PAYLOAD) is None
+        assert "undecodable address stream" in \
+            quarantine_reasons(store, "addresses")
+        recomputed = Engine(store=ArtifactStore(tmp_path)).addresses(
+            SPEC, LAYOUT)
+        np.testing.assert_array_equal(recomputed, reference)
 
     @pytest.mark.parametrize("n_sets", [1, 8])
     @pytest.mark.parametrize("counts", [[0], [7], [2**40 - 1, 2**40,
@@ -320,7 +382,7 @@ class TestProfilePayload:
                 path.with_suffix(".json").write_text(json.dumps({
                     "key": older, "envelope": {
                         "kind": kind, "nbytes": path.stat().st_size,
-                        "digest": artifacts_module._file_digest(path)}}))
+                        "digest": tiers.file_digest(path)}}))
                 planted += 1
         assert planted == 3  # (32, 1), (32, 8) and (32, 16)
         tiers.clear_process_caches()

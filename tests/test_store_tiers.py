@@ -2,8 +2,8 @@
 
 Covers T0 (the byte-bounded in-process LRU and the verify-once digest
 cache): LRU eviction under byte pressure, stat revalidation so on-disk
-tampering is never masked by a process-level hit, hash-at-most-once
-loads, and disabling the tier with ``REPRO_STORE_MEMORY_BYTES=0``.
+tampering is never masked by a process-level hit, and hash-at-most-once
+loads.
 """
 
 import numpy as np
@@ -107,21 +107,11 @@ class TestT0Integration:
         # root share one deserialized artifact, no disk read.
         assert first is second
 
-    def test_disabled_via_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", "0")
-        warm_store(tmp_path)
-        assert not tiers.memory_tier().enabled
-        first = ArtifactStore(tmp_path).load_profile(PROFILE_32)
-        second = ArtifactStore(tmp_path).load_profile(PROFILE_32)
-        assert first is not second
-        np.testing.assert_array_equal(first.counts, second.counts)
-
     def test_byte_budget_bounds_resident_set(self, tmp_path, monkeypatch):
         store, _ = warm_store(tmp_path)
         reference = ArtifactStore(tmp_path).load_profile(PROFILE_32)
         budget = reference.counts.nbytes + 64  # exactly one profile
-        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", str(budget))
-        tiers.clear_process_caches()
+        monkeypatch.setattr(tiers, "_MEMORY", tiers.MemoryTier(budget))
 
         fresh = ArtifactStore(tmp_path)
         fresh.load_profile(PROFILE_32)
@@ -159,9 +149,7 @@ class TestT0Integration:
 
 
 class TestDigestCache:
-    def test_verified_loads_hash_at_most_once(self, tmp_path, monkeypatch):
-        # Disable T0 so every load goes through envelope verification.
-        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", "0")
+    def test_verified_loads_hash_at_most_once(self, tmp_path):
         warm_store(tmp_path)
         tiers.clear_process_caches()
 
@@ -173,32 +161,20 @@ class TestDigestCache:
         assert hashed >= 1  # payload actually hashed once
 
         for _ in range(3):
+            # Empty T0 alone, so every load verifies its envelope.
+            tiers.memory_tier().invalidate(None)
             assert ArtifactStore(tmp_path).load_profile(PROFILE_32) \
                 is not None
         after = cache.stats()
         assert after["misses"] == after_first["misses"]  # never re-hashed
         assert after["hits"] > after_first["hits"]
 
-    def test_publish_seeds_the_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", "0")
+    def test_publish_seeds_the_cache(self, tmp_path):
         warm_store(tmp_path)  # publish records digests as a side effect
+        tiers.memory_tier().invalidate(None)  # the load verifies on disk
         cache = tiers.digest_cache()
         before = cache.stats()
         assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is not None
         after = cache.stats()
         # The very first verified load costs a stat, not a hash.
-        assert after["misses"] == before["misses"]
-
-    def test_verify_always_bypasses_the_cache(self, tmp_path, monkeypatch):
-        warm_store(tmp_path)
-        monkeypatch.setenv("REPRO_STORE_MEMORY_BYTES", "0")
-        monkeypatch.setenv("REPRO_STORE_VERIFY", "always")
-        tiers.clear_process_caches()
-        cache = tiers.digest_cache()
-        before = cache.stats()
-        for _ in range(2):
-            assert ArtifactStore(tmp_path).load_profile(PROFILE_32) \
-                is not None
-        after = cache.stats()
-        assert after["hits"] == before["hits"]
         assert after["misses"] == before["misses"]
