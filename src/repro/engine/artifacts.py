@@ -28,7 +28,7 @@ match and stale data self-invalidates.  Four artifact kinds exist:
     (the older single-archive format) fails verification as legacy.
 ``addresses/``
     Per-layout byte-address streams: one-dimensional integer ``.npy``
-    arrays, loaded as read-only maps.
+    arrays, loaded as read-only arrays over a map of the file.
 ``profiles/``
     Fully-associative LRU stack-distance summaries per line size
     (``.i64``: raw int64 words, see :func:`_profile_writer`), loaded as
@@ -40,9 +40,10 @@ match and stale data self-invalidates.  Four artifact kinds exist:
     associativity sharing that set count, so warm sessions sweep whole
     grids without a distance pass.
 
-Address streams and profiles share one read (T0 lookup, verified
-open, decode -- quarantined when it fails -- and T0 fill) and one
-publish (payload, sidecar, T0 write-through).
+Address streams and profiles share one read (T0 lookup, one verified
+pass over the two files, decode of the bytes that pass read --
+quarantined when it fails -- and T0 fill) and one publish (payload,
+sidecar, T0 write-through).
 
 The root directory defaults to ``benchmarks/.cache/`` and is
 overridable with the ``REPRO_CACHE_DIR`` environment variable.
@@ -61,15 +62,15 @@ next read.  Its defenses:
   the artifact's key, a SHA-256 content digest and byte size.  Every
   load reads the sidecar once, requires its key to equal the
   requested one (the fingerprint only picks the file, as a cache's
-  index picks a line; the key is the tag), then stats the payload
-  once and re-verifies size and digest.  Anything torn, truncated,
-  bit-rotted, foreign (a checksummed artifact under another key's
-  name) or legacy (pre-envelope) is moved to ``quarantine/`` with a
-  reason record and reported as a miss, so the caller transparently
-  recomputes.  Missing-counterpart states younger than
-  :data:`TORN_GRACE_S` are treated as in-flight writes (a concurrent
-  saver between its two publishes) and skipped without quarantining;
-  :meth:`ArtifactStore.verify` applies the same rule.
+  index picks a line; the key is the tag), then re-verifies the
+  payload's size and digest (:func:`_check_envelope`).  Anything
+  torn, truncated, bit-rotted, foreign (a checksummed artifact under
+  another key's name) or legacy (pre-envelope) is moved to
+  ``quarantine/`` with a reason record and reported as a miss, so the
+  caller transparently recomputes.  Missing-counterpart states
+  younger than :data:`TORN_GRACE_S` are treated as in-flight writes (a
+  concurrent saver between its two publishes) and skipped without
+  quarantining; :meth:`ArtifactStore.verify` applies the same rule.
 * **Single-flight locks.**  :meth:`ArtifactStore.single_flight` takes
   a per-fingerprint ``fcntl`` advisory lock so N racing processes
   perform one render instead of N.  Locks die with their holder; a
@@ -91,19 +92,26 @@ The directory above is tier T1 of a read-through hierarchy (see
 :mod:`~repro.engine.tiers`).  Loads consult the process-wide
 in-memory tier (T0) first -- deserialized artifacts in a 256 MiB LRU,
 revalidated against the ``(size, mtime_ns, inode)`` of their payload
-and sidecar on every hit -- and fill it on a verified disk read;
-integrity verification consults a verify-once digest cache keyed the
-same way, so an unchanged file is SHA-256-hashed at most once per
-process.
-Neither changes fingerprints or bytes: both serve exactly what the
-disk tier verified.
+and sidecar on every hit.  A T0 miss of an address stream or a profile
+is one pass over each file, with no ``stat`` call
+(:func:`_read_payload`): the sidecar is read once, and the payload is
+opened once, ``fstat``'d for its size check, read (an address stream:
+mapped), digest-checked and decoded from those bytes.  The digest
+check consults a verify-once digest cache keyed by that ``fstat``
+identity, so an unchanged file is SHA-256-hashed at most once per
+process, and T0 is filled with the identities the read took, so a file
+replaced after the read reads as a T0 miss.
+Neither tier changes fingerprints or bytes: both serve exactly what
+the disk tier verified.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
+import io
 import json
+import mmap
 import os
 import re
 import shutil
@@ -207,7 +215,7 @@ class CorruptArtifact(StoreError):
     older than :data:`TORN_GRACE_S`.
     """
 
-    def __init__(self, message: str, survivor: Optional[Path] = None):
+    def __init__(self, message: str, survivor=None):
         super().__init__(message)
         self.survivor = survivor
 
@@ -342,15 +350,29 @@ def _payload_nbytes(value) -> int:
     return value.counts.nbytes + 64
 
 
-def _decode_addresses(path: Path) -> np.ndarray:
-    """A read-only map of the address stream at ``path``.  Raises
-    ``ValueError`` for anything but a one-dimensional integer ``.npy``
-    array."""
-    addresses = npy_format.open_memmap(path, mode="r")
-    if addresses.ndim != 1 or addresses.dtype.kind not in "iu":
-        raise ValueError(f"a {addresses.dtype} array of shape "
-                         f"{addresses.shape} is not an address stream")
-    return addresses
+#: ``.npy`` header readers by format version (``np.save`` writes 1.0,
+#: and 2.0 only for headers past 64 KiB), and the prefix of a payload
+#: that holds any header numpy accepts (it refuses those over 10000
+#: bytes).
+_NPY_HEADERS = {(1, 0): npy_format.read_array_header_1_0,
+                (2, 0): npy_format.read_array_header_2_0}
+_NPY_HEAD_BYTES = 1 << 14
+
+
+def _decode_addresses(data) -> np.ndarray:
+    """A read-only array over ``data``, the bytes (or the map) of an
+    ``.npy`` address stream.  Raises ``ValueError`` for anything but a
+    one-dimensional integer array."""
+    head = io.BytesIO(data[:_NPY_HEAD_BYTES])
+    version = npy_format.read_magic(head)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f".npy format {version} is not an address stream")
+    shape, _, dtype = _NPY_HEADERS[version](head)
+    if len(shape) != 1 or shape[0] < 0 or dtype.kind not in "iu":
+        raise ValueError(f"a {dtype} array of shape {shape} is not an "
+                         "address stream")
+    return np.frombuffer(data, dtype=dtype, count=shape[0],
+                         offset=head.tell())
 
 
 def _profile_geometry(payload: dict) -> tuple:
@@ -371,11 +393,12 @@ def _profile_writer(profile: DistanceProfile, payload: dict):
     return lambda temp: Path(temp).write_bytes(words.tobytes())
 
 
-def _decode_profile(path: Path, payload: dict) -> SetDistanceProfile:
-    """Decode a :func:`_profile_writer` payload keyed by ``payload``.
-    Raises ``ValueError`` for a size other than ``8 * (5 + n)``, a
-    negative word or a geometry other than the key's."""
-    words = np.frombuffer(path.read_bytes(), dtype=_PROFILE_WORD)
+def _decode_profile(data, payload: dict) -> SetDistanceProfile:
+    """Decode the bytes of a :func:`_profile_writer` payload keyed by
+    ``payload``.  Raises ``ValueError`` for a size other than
+    ``8 * (5 + n)``, a negative word or a geometry other than the
+    key's."""
+    words = np.frombuffer(data, dtype=_PROFILE_WORD)
     header = words[:_PROFILE_HEADER].tolist()
     if len(header) < _PROFILE_HEADER or \
             len(words) != _PROFILE_HEADER + header[-1]:
@@ -408,13 +431,109 @@ def load_part_block(root, name: str, index: int) -> FragmentBlock:
         **traceio.load_columns(Path(root) / "traces" / name), index=index)
 
 
-def _is_stale(path: Path, grace_s: float = TORN_GRACE_S) -> bool:
+def _is_stale(path, grace_s: float = TORN_GRACE_S) -> bool:
     """Whether ``path`` is old enough that no live writer can still be
     mid-publish around it."""
     try:
-        return time.time() - path.stat().st_mtime >= grace_s
+        return time.time() - os.stat(path).st_mtime >= grace_s
     except OSError:
         return True  # vanished: nothing left to protect
+
+
+def _read_sidecar(sidecar, path, key: Optional[dict] = None) -> tuple:
+    """``(meta, identity)`` of an artifact's sidecar, opened once:
+    ``meta`` is ``None`` when neither it nor the payload ``path``
+    exists, and ``identity`` is the sidecar's ``fstat`` identity.
+    Raises :class:`CorruptArtifact` for a payload without a sidecar, an
+    unreadable or legacy sidecar and, given ``key``, a recorded key
+    other than ``key`` (:func:`_same_key`), which tells a foreign
+    artifact under this fingerprint's name from the requested one."""
+    try:
+        with open(sidecar, "rb", buffering=0) as handle:
+            identity = tiers.stat_identity(os.fstat(handle.fileno()))
+            meta = json.loads(handle.read())
+    except FileNotFoundError:
+        if not os.path.exists(path):
+            return None, None
+        raise CorruptArtifact(
+            "missing sidecar (legacy artifact or torn write)",
+            survivor=path) from None
+    except (OSError, ValueError) as fault:
+        raise CorruptArtifact(f"unreadable sidecar ({fault})") from fault
+    if not isinstance(meta, dict):
+        raise CorruptArtifact("legacy sidecar (no integrity envelope)")
+    if key is not None and not _same_key(meta.get("key"), key):
+        raise CorruptArtifact(
+            "foreign artifact (its sidecar records another key)")
+    return meta, identity
+
+
+def _payload_envelope(meta: dict) -> dict:
+    """The integrity envelope a single-payload sidecar records."""
+    envelope = meta.get("envelope")
+    if not isinstance(envelope, dict):
+        raise CorruptArtifact("legacy sidecar (no integrity envelope)")
+    return envelope
+
+
+def _check_envelope(envelope: dict, nbytes: int, digest,
+                    label: str = "") -> None:
+    """The envelope rule of every payload and trace part: the size on
+    disk, then the content digest, which ``digest()`` computes only once
+    the size matches.  Raises :class:`CorruptArtifact` for the first
+    defect, its reason prefixed with ``label``."""
+    if nbytes != envelope.get("nbytes"):
+        raise CorruptArtifact(
+            f"{label}size mismatch ({nbytes} bytes on disk, "
+            f"{envelope.get('nbytes')} recorded -- truncated or torn)")
+    if digest() != envelope.get("digest"):
+        raise CorruptArtifact(
+            f"{label}content digest mismatch (bit rot or foreign payload)")
+
+
+def _read_payload(path: str, sidecar: str, key: dict, mapped: bool):
+    """One pass over a single-payload artifact: ``(data, identities)``,
+    or ``None`` when neither file exists.
+
+    The sidecar is read once (:func:`_read_sidecar`).  The payload is
+    opened once and ``fstat``'d for the size check; then its bytes are
+    read -- ``mapped``, mapped read-only instead -- and digest-checked
+    through the digest cache under that ``fstat`` identity
+    (:func:`_check_envelope`).  ``data`` is those bytes, ``identities``
+    the two identities, payload first, each taken before its file was
+    read.  Raises :class:`CorruptArtifact` like
+    :meth:`ArtifactStore._verify_envelope`."""
+    meta, sidecar_identity = _read_sidecar(sidecar, path, key)
+    if meta is None:
+        return None
+    envelope = _payload_envelope(meta)
+    try:
+        handle = open(path, "rb", buffering=0)
+    except OSError:
+        raise CorruptArtifact("orphaned sidecar (payload missing)",
+                              survivor=sidecar) from None
+    with handle:
+        status = os.fstat(handle.fileno())
+        identity = tiers.stat_identity(status)
+        data = b""
+
+        def read_digest() -> str:
+            nonlocal data
+            try:
+                if mapped and status.st_size:
+                    data = mmap.mmap(handle.fileno(), 0,
+                                     access=mmap.ACCESS_READ)
+                else:
+                    data = handle.read()
+            except (OSError, ValueError) as fault:
+                # ValueError: a file emptied since its fstat cannot be
+                # mapped.
+                raise CorruptArtifact(
+                    f"unreadable payload ({fault})") from fault
+            return tiers.digest_cache().digest_read(path, identity, data,
+                                                    handle)
+        _check_envelope(envelope, status.st_size, read_digest)
+    return data, (identity, sidecar_identity)
 
 
 class ArtifactStore:
@@ -448,16 +567,16 @@ class ArtifactStore:
         """T0 lookup: the deserialized artifact, or ``tiers.MISS``."""
         return tiers.memory_tier().get((str(self.root), kind, digest))
 
-    def _memory_put(self, kind: str, digest: str, suffix: str, value,
-                    nbytes: int) -> None:
+    def _memory_put(self, kind: str, digest: str, paths, value,
+                    nbytes: int, identities=None) -> None:
         """T0 fill/write-through, anchored to the payload file AND the
-        ``.json`` sidecar (one file, for chunked artifacts) whose stat
+        ``.json`` sidecar (the sidecar alone, for a trace) whose stat
         identities revalidate the entry on every later hit -- so a
-        rewrite of either reads as a miss, same as the disk tier."""
-        tiers.memory_tier().put((str(self.root), kind, digest),
-                                (self._path(kind, digest, suffix),
-                                 self._path(kind, digest, ".json")),
-                                value, nbytes)
+        rewrite of either reads as a miss, same as the disk tier.  A
+        fill passes the ``identities`` its read took; a write-through
+        stats the files it just published."""
+        tiers.memory_tier().put((str(self.root), kind, digest), paths,
+                                value, nbytes, identities)
 
     # -- degraded mode ---------------------------------------------------
 
@@ -496,7 +615,7 @@ class ArtifactStore:
         envelope of the just-written payload, and kind-specific meta."""
         digest_value = tiers.file_digest(payload_path)
         # The publisher just hashed the final payload: seed the
-        # verify-once cache so the first load costs one stat().
+        # verify-once cache so this process's first load hashes nothing.
         tiers.digest_cache().record(payload_path, digest_value)
         meta = {
             "key": key_payload,
@@ -513,54 +632,32 @@ class ArtifactStore:
 
     def _verify_envelope(self, kind: str, path: Path, sidecar: Path,
                          key: Optional[dict] = None) -> Optional[dict]:
-        """Check one artifact in one pass over its files: the sidecar
-        meta, ``None`` when neither file exists, or
-        :class:`CorruptArtifact` describing the damage.
+        """Check one artifact on disk: the sidecar meta, ``None`` when
+        neither file exists, or :class:`CorruptArtifact` describing the
+        damage -- the check of traces and of :meth:`verify`.
 
-        The sidecar is read once.  With ``key`` its recorded key must
-        equal ``key`` (:func:`_same_key`), which tells a foreign
-        artifact under this fingerprint's name from the requested one.
-        Traces (sidecars with a ``parts`` list instead of a payload
-        ``envelope``) verify every listed part's size and digest; a
-        trace sidecar without a part list is legacy.  Any other
-        payload is stat'd once for its size, then digest-checked."""
-        try:
-            meta = json.loads(sidecar.read_text())
-        except FileNotFoundError:
-            try:
-                path.stat()
-            except FileNotFoundError:
-                return None
-            raise CorruptArtifact(
-                "missing sidecar (legacy artifact or torn write)",
-                survivor=path) from None
-        except (OSError, ValueError) as fault:
-            raise CorruptArtifact(f"unreadable sidecar ({fault})") from fault
-        if not isinstance(meta, dict):
-            raise CorruptArtifact("legacy sidecar (no integrity envelope)")
-        if key is not None and not _same_key(meta.get("key"), key):
-            raise CorruptArtifact(
-                "foreign artifact (its sidecar records another key)")
+        The sidecar is read once (:func:`_read_sidecar`, which compares
+        ``key`` when given).  Traces (sidecars with a ``parts`` list
+        instead of a payload ``envelope``) verify every listed part; a
+        trace sidecar without a part list is legacy.  Any other payload
+        is stat'd once for :func:`_check_envelope`, its digest through
+        the digest cache."""
+        meta, _ = _read_sidecar(sidecar, path, key)
+        if meta is None:
+            return None
         if isinstance(meta.get("parts"), list):
             self._verify_parts(kind, meta["parts"], sidecar)
             return meta
         if kind == "traces":
             raise CorruptArtifact("legacy trace (no part list)")
-        envelope = meta.get("envelope")
-        if not isinstance(envelope, dict):
-            raise CorruptArtifact("legacy sidecar (no integrity envelope)")
+        envelope = _payload_envelope(meta)
         try:
-            nbytes = path.stat().st_size
+            nbytes = os.stat(path).st_size
         except OSError:
             raise CorruptArtifact("orphaned sidecar (payload missing)",
                                   survivor=sidecar) from None
-        if nbytes != envelope.get("nbytes"):
-            raise CorruptArtifact(
-                f"size mismatch ({nbytes} bytes on disk, "
-                f"{envelope.get('nbytes')} recorded -- truncated or torn)")
-        if tiers.digest_cache().digest(path) != envelope.get("digest"):
-            raise CorruptArtifact(
-                "content digest mismatch (bit rot or foreign payload)")
+        _check_envelope(envelope, nbytes,
+                        lambda: tiers.digest_cache().digest(path))
         return meta
 
     def _verify_parts(self, kind: str, parts: list,
@@ -580,14 +677,9 @@ class ArtifactStore:
             except OSError:
                 raise CorruptArtifact(f"missing part {name}",
                                       survivor=sidecar) from None
-            if nbytes != entry.get("nbytes"):
-                raise CorruptArtifact(
-                    f"part {name}: size mismatch ({nbytes} bytes on disk, "
-                    f"{entry.get('nbytes')} recorded -- truncated or torn)")
-            if tiers.digest_cache().digest(part) != entry.get("digest"):
-                raise CorruptArtifact(
-                    f"part {name}: content digest mismatch "
-                    "(bit rot or foreign payload)")
+            _check_envelope(entry, nbytes,
+                            lambda: tiers.digest_cache().digest(part),
+                            f"part {name}: ")
 
     def _listed_part_names(self, kind: str, digest: str):
         """Part names the digest's sidecar claims, or ``None`` when
@@ -602,21 +694,16 @@ class ArtifactStore:
         return {entry.get("name") for entry in parts
                 if isinstance(entry, dict)}
 
-    def _open_verified(self, kind: str, digest: str, suffix: str,
-                       key: dict):
-        """``(path, meta)`` for the verified artifact ``digest`` whose
-        sidecar records ``key``, or ``None`` on a miss.  Damage, a
-        foreign key included, is quarantined; in-flight writes read as
-        a plain miss."""
-        path = self._path(kind, digest, suffix)
+    def _open_verified(self, kind: str, digest: str, check):
+        """``check()``, or ``None`` when it raises
+        :class:`CorruptArtifact`: damage, a foreign key included, is
+        quarantined, and an in-flight write reads as a plain miss."""
         try:
-            meta = self._verify_envelope(
-                kind, path, self._path(kind, digest, ".json"), key)
+            return check()
         except CorruptArtifact as fault:
             if not fault.in_flight:
                 self.quarantine(kind, digest, str(fault))
             return None
-        return None if meta is None else (path, meta)
 
     def quarantine(self, kind: str, digest: str, reason: str) -> None:
         """Move an artifact's files to ``quarantine/<kind>/`` alongside
@@ -725,7 +812,8 @@ class ArtifactStore:
             return None
         # T0 revalidates on the sidecar, the one file whose identity
         # covers the whole part list.
-        self._memory_put("traces", digest, ".json", result,
+        self._memory_put("traces", digest,
+                         self._path("traces", digest, ".json"), result,
                          _object_nbytes(trace))
         return result
 
@@ -886,31 +974,40 @@ class ArtifactStore:
         # ".npz" also catches a legacy single-archive payload left
         # without its sidecar.
         key = spec.payload()
-        checked = self._open_verified("traces", fingerprint(key), ".npz",
-                                      key)
-        if checked is None:
-            return None
-        return ChunkedRenderReader(self, checked[1])
+        digest = fingerprint(key)
+        meta = self._open_verified("traces", digest, lambda: (
+            self._verify_envelope(
+                "traces", self._path("traces", digest, ".npz"),
+                self._path("traces", digest, ".json"), key)))
+        return None if meta is None else ChunkedRenderReader(self, meta)
 
     # -- payload artifacts: address streams and profiles ------------------
 
-    def _read(self, kind: str, payload: dict, suffix: str, decode, what: str):
-        """The one read of every single-payload artifact: T0, else the
-        verified disk payload through ``decode(path)`` -- quarantined
-        as undecodable ``what`` when that fails -- filling T0."""
+    def _read(self, kind: str, payload: dict, suffix: str, decode, what: str,
+              mapped: bool = False):
+        """The one read of every single-payload artifact: T0, else one
+        verified pass over its two files (:func:`_read_payload`) and
+        ``decode(data)`` of the bytes it read -- quarantined as
+        undecodable ``what`` when that fails -- filling T0 with the
+        identities the pass took."""
         digest = fingerprint(payload)
         cached = self._memory_get(kind, digest)
         if cached is not tiers.MISS:
             return cached
-        checked = self._open_verified(kind, digest, suffix, payload)
-        if checked is None:
+        base = os.path.join(self.root, kind, digest)
+        paths = (base + suffix, base + ".json")
+        read = self._open_verified(
+            kind, digest, lambda: _read_payload(*paths, payload, mapped))
+        if read is None:
             return None
+        data, identities = read
         try:
-            value = decode(checked[0])
+            value = decode(data)
         except (ValueError, OSError, KeyError) as fault:
             self.quarantine(kind, digest, f"undecodable {what} ({fault!r})")
             return None
-        self._memory_put(kind, digest, suffix, value, _payload_nbytes(value))
+        self._memory_put(kind, digest, paths, value, _payload_nbytes(value),
+                         identities)
         return value
 
     def _publish(self, kind: str, payload: dict, suffix: str, write,
@@ -925,16 +1022,18 @@ class ArtifactStore:
             _atomic_write(path, write)
             self._write_sidecar(kind, digest, path, payload)
         if self._guarded_write(publish):
-            self._memory_put(kind, digest, suffix, value,
-                             _payload_nbytes(value))
+            self._memory_put(kind, digest,
+                             (path, self._path(kind, digest, ".json")),
+                             value, _payload_nbytes(value))
         return path
 
     def load_addresses(self, payload: dict) -> Optional[np.ndarray]:
         # A read-only map instead of a copy: every consumer derives
         # new arrays (line reduction, collapses) and never writes
-        # back, so warm loads cost page-ins, not a full decompress.
+        # back, so a warm load costs the page-ins its digest check
+        # makes, not a copy.
         return self._read("addresses", payload, ".npy", _decode_addresses,
-                          "address stream")
+                          "address stream", mapped=True)
 
     def save_addresses(self, payload: dict, addresses: np.ndarray) -> Path:
         return self._publish("addresses", payload, ".npy",
@@ -945,7 +1044,7 @@ class ArtifactStore:
         """The fully-associative profile: the one-set per-set profile
         of the payload's line size."""
         return self._read("profiles", payload, PROFILE_SUFFIX,
-                          lambda path: _decode_profile(path, payload),
+                          lambda data: _decode_profile(data, payload),
                           "profile")
 
     def save_profile(self, payload: dict, profile: DistanceProfile) -> Path:
@@ -954,7 +1053,7 @@ class ArtifactStore:
 
     def load_set_profile(self, payload: dict) -> Optional[SetDistanceProfile]:
         return self._read("set_profiles", payload, PROFILE_SUFFIX,
-                          lambda path: _decode_profile(path, payload),
+                          lambda data: _decode_profile(data, payload),
                           "per-set profile")
 
     def save_set_profile(self, payload: dict,

@@ -15,8 +15,12 @@ T0 -- :class:`MemoryTier`
 
 T0 -- :class:`DigestCache`
     Verify-once SHA-256 memoization keyed by the same stat identity:
-    an unchanged file is hashed at most once per process, turning the
-    per-load full-file re-verify into a single ``stat``.
+    an unchanged file is hashed at most once per process.  The store's
+    one-pass read looks the digest up under the ``fstat`` identity of
+    the descriptor it reads, so a hit costs no system call;
+    :meth:`DigestCache.digest` costs one ``stat``.  An identity is
+    taken before hashing and recorded only when it still holds after,
+    so a file rewritten mid-hash is hashed again next time.
 
 Keeping the tiers in their own module (with no imports from
 :mod:`~repro.engine.artifacts`) lets the store, the fault-injection
@@ -59,14 +63,19 @@ def file_digest(path) -> str:
         return digest.hexdigest()
 
 
+def stat_identity(status) -> tuple:
+    """The freshness identity ``(size, mtime_ns, inode)`` of a
+    ``stat`` or ``fstat`` result."""
+    return (status.st_size, status.st_mtime_ns, status.st_ino)
+
+
 def _stat_key(path) -> Optional[tuple]:
-    """The freshness identity of a file: ``(size, mtime_ns, inode)``,
-    or ``None`` when it does not exist."""
+    """The freshness identity of a file, or ``None`` when it does not
+    exist."""
     try:
-        status = os.stat(path)
+        return stat_identity(os.stat(path))
     except OSError:
         return None
-    return (status.st_size, status.st_mtime_ns, status.st_ino)
 
 
 class DigestCache:
@@ -82,41 +91,55 @@ class DigestCache:
 
     def digest(self, path) -> str:
         """The file's SHA-256, hashed at most once per (unchanged)
-        file per process."""
+        file per process; a hit costs one ``stat``."""
         key = str(path)
-        stat = _stat_key(key)
-        if stat is not None:
+        return self._digest(key, _stat_key(key), lambda: file_digest(key),
+                            lambda: _stat_key(key))
+
+    def digest_read(self, path, identity: tuple, data, handle) -> str:
+        """The SHA-256 of ``data``, the bytes just read through the open
+        ``handle`` on ``path`` whose ``fstat`` gave ``identity`` before
+        the read: a hit costs no system call."""
+        return self._digest(
+            str(path), identity, lambda: hashlib.sha256(data).hexdigest(),
+            lambda: stat_identity(os.fstat(handle.fileno())))
+
+    def _digest(self, key: str, identity, hash_now, identity_now) -> str:
+        """The digest cached for ``key`` at ``identity``, else
+        ``hash_now()``.  ``identity`` was taken before hashing and is
+        recorded only when ``identity_now()`` still equals it after: a
+        file rewritten mid-hash must not pin either version's identity
+        to a digest of the bytes read."""
+        if identity is not None:
             with self._lock:
                 entry = self._entries.get(key)
-                if entry is not None and entry[0] == stat:
+                if entry is not None and entry[0] == identity:
                     self._entries.move_to_end(key)
                     self.hits += 1
                     return entry[1]
-        value = file_digest(path)
-        # Re-stat *after* hashing: a file rewritten mid-hash must not
-        # pin its new identity to the old content's digest.
-        stat = _stat_key(key)
+        value = hash_now()
+        held = identity is not None and identity_now() == identity
         with self._lock:
             self.misses += 1
-            if stat is not None:
-                self._entries[key] = (stat, value)
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
+            if held:
+                self._remember(key, identity, value)
         return value
 
     def record(self, path, digest: str) -> None:
         """Seed the cache for a file this process just hashed while
-        publishing it, so the first verified load costs one ``stat``."""
+        publishing it, so its first verified load hashes nothing."""
         key = str(path)
         stat = _stat_key(key)
-        if stat is None:
-            return
-        with self._lock:
-            self._entries[key] = (stat, digest)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+        if stat is not None:
+            with self._lock:
+                self._remember(key, stat, digest)
+
+    def _remember(self, key: str, identity: tuple, digest: str) -> None:
+        """Record one digest; the caller holds the lock."""
+        self._entries[key] = (identity, digest)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
 
     def invalidate(self, path=None) -> None:
         """Forget one path, or everything when ``path`` is ``None``."""
@@ -196,27 +219,33 @@ class MemoryTier:
             self.hits += 1
             return entry.value
 
-    def put(self, key, paths, value, nbytes: int) -> None:
+    def put(self, key, paths, value, nbytes: int,
+            identities=None) -> None:
         """Insert (write-through or fill) one deserialized artifact,
         anchored on every file in ``paths``, evicting
         least-recently-used entries past the byte budget.  A value
-        larger than the whole budget is not cached."""
+        larger than the whole budget is not cached.
+
+        ``identities`` are the files' stat identities when ``value``
+        was read from them, one per path; a fill passes the ones its
+        read took, so a file replaced since reads as a miss.  Without
+        them each path is stat'd now."""
         nbytes = int(nbytes)
         if nbytes > self.max_bytes:
             return
         if isinstance(paths, (str, Path)):
             paths = (paths,)
-        anchors = []
-        for path in dict.fromkeys(str(p) for p in paths):
-            stat = _stat_key(path)
-            if stat is None:
-                return  # no durable file to revalidate against
-            anchors.append((path, stat))
+        if identities is None:
+            paths = dict.fromkeys(map(str, paths))
+            identities = [_stat_key(path) for path in paths]
+        if None in identities:
+            return  # no durable file to revalidate against
+        anchors = tuple(zip(map(str, paths), identities))
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old.nbytes
-            self._entries[key] = _Entry(value, nbytes, tuple(anchors))
+            self._entries[key] = _Entry(value, nbytes, anchors)
             self._bytes += nbytes
             while self._bytes > self.max_bytes and self._entries:
                 _, evicted = self._entries.popitem(last=False)

@@ -2,9 +2,13 @@
 
 Covers T0 (the byte-bounded in-process LRU and the verify-once digest
 cache): LRU eviction under byte pressure, stat revalidation so on-disk
-tampering is never masked by a process-level hit, and hash-at-most-once
-loads.
+tampering is never masked by a process-level hit, hash-at-most-once
+loads, and the one pass a first-touch load makes over its two files.
 """
+
+import builtins
+import io
+import os
 
 import numpy as np
 import pytest
@@ -14,8 +18,10 @@ from repro.engine import (
     Engine,
     TraceSpec,
     addresses_payload,
+    artifacts,
     fingerprint,
     profile_payload,
+    set_profile_payload,
     tiers,
 )
 from repro.engine.artifacts import PROFILE_SUFFIX
@@ -147,6 +153,72 @@ class TestT0Integration:
         assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is None
         assert "undecodable" in quarantine_reasons(store, "profiles")
 
+    def test_fill_anchors_the_files_that_were_read(self, tmp_path,
+                                                   monkeypatch):
+        """A payload truncated and restamped between a first-touch
+        load's read and its T0 fill: the fill keeps the identities the
+        read took, so the next load goes to disk and quarantines the
+        payload instead of serving the value T0 would have pinned."""
+        store, _ = warm_store(tmp_path)
+        tiers.clear_process_caches()
+        digest = fingerprint(PROFILE_32)
+        victim = store.root / "profiles" / (digest + PROFILE_SUFFIX)
+        decode = artifacts._decode_profile
+
+        def decode_then_tamper(*args):
+            monkeypatch.setattr(artifacts, "_decode_profile", decode)
+            value = decode(*args)
+            faults.truncate(victim)
+            faults.restamp(store, "profiles", digest, PROFILE_SUFFIX)
+            return value
+        monkeypatch.setattr(artifacts, "_decode_profile", decode_then_tamper)
+
+        assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is not None
+        assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is None
+        assert "undecodable" in quarantine_reasons(store, "profiles")
+
+
+class TestOneRead:
+    """A first-touch load opens its sidecar and its payload once each
+    and makes no ``stat`` call: the two descriptors' ``fstat``
+    identities serve the size check, the digest-cache lookup and the T0
+    anchors."""
+
+    @pytest.mark.parametrize("kind, suffix, key, load", [
+        pytest.param("set_profiles", PROFILE_SUFFIX,
+                     set_profile_payload(ADDR_PAYLOAD, 32, 8),
+                     ArtifactStore.load_set_profile, id="set-profile"),
+        pytest.param("addresses", ".npy", ADDR_PAYLOAD,
+                     ArtifactStore.load_addresses, id="addresses"),
+    ])
+    def test_first_touch_load_opens_each_file_once(
+            self, tmp_path, monkeypatch, kind, suffix, key, load):
+        warm_store(tmp_path)
+        tiers.clear_process_caches()
+        store = ArtifactStore(tmp_path)
+        opened, stats = [], []
+        real_open, real_stat = builtins.open, os.stat
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(str(path))
+            return real_stat(path, *args, **kwargs)
+        # pathlib opens through io.open, the same function as open().
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(os, "stat", counting_stat)
+        value = load(store, key)
+        monkeypatch.undo()
+
+        assert value is not None
+        base = tmp_path / kind / fingerprint(key)
+        assert sorted(opened) == sorted(
+            [str(base) + suffix, str(base) + ".json"])
+        assert stats == []
+
 
 class TestDigestCache:
     def test_verified_loads_hash_at_most_once(self, tmp_path):
@@ -176,5 +248,36 @@ class TestDigestCache:
         before = cache.stats()
         assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is not None
         after = cache.stats()
-        # The very first verified load costs a stat, not a hash.
+        # The very first verified load hashes nothing.
         assert after["misses"] == before["misses"]
+
+    def test_rewrite_mid_hash_is_hashed_again(self, tmp_path, monkeypatch):
+        """A trace part flipped in place (same size) while it is being
+        hashed: the cache must not record the rewritten file's identity
+        with the digest of the bytes read before the flip, so the next
+        scan hashes it again and finds the damage."""
+        store, _ = warm_store(tmp_path)
+        [part] = faults.payload_files(store, "traces")
+        tiers.clear_process_caches()
+        file_digest = tiers.file_digest
+
+        def hash_then_flip(path):
+            value = file_digest(path)
+            if str(path) == str(part):
+                monkeypatch.setattr(tiers, "file_digest", file_digest)
+                status = os.stat(part)
+                data = bytearray(part.read_bytes())
+                data[len(data) // 2] ^= 0x10
+                with open(part, "r+b") as handle:
+                    handle.write(data)
+                # A later mtime whatever the file system's clock tick.
+                os.utime(part, ns=(status.st_atime_ns,
+                                   status.st_mtime_ns + 10**9))
+            return value
+        monkeypatch.setattr(tiers, "file_digest", hash_then_flip)
+
+        assert store.verify()["clean"]  # hashed the bytes before the flip
+        report = store.verify()
+        [problem] = report["kinds"]["traces"]["bad"]
+        assert f"part {part.name}: content digest mismatch" in \
+            problem["reason"]
