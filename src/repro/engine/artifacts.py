@@ -31,7 +31,7 @@ match and stale data self-invalidates.  Four artifact kinds exist:
     arrays, loaded as read-only arrays over a map of the file.
 ``profiles/``
     Fully-associative LRU stack-distance summaries per line size
-    (``.i64``: raw int64 words, see :func:`_profile_writer`), loaded as
+    (``.i64``: raw int64 words, see :func:`_profile_words`), loaded as
     the one-set :class:`~repro.core.kernels.SetDistanceProfile` of the
     key's line size.
 ``set_profiles/``
@@ -40,10 +40,12 @@ match and stale data self-invalidates.  Four artifact kinds exist:
     associativity sharing that set count, so warm sessions sweep whole
     grids without a distance pass.
 
-Address streams and profiles share one read (T0 lookup, one verified
-pass over the two files, decode of the bytes that pass read --
-quarantined when it fails -- and T0 fill) and one publish (payload,
-sidecar, T0 write-through).
+Every store file is written by one publish (:func:`_publish_file`),
+which hashes the bytes it writes and reads nothing back, and checked
+by one check (:func:`_check_file`).  Address streams and profiles
+share one read (T0 lookup, one checked pass over the two files, decode
+of the bytes that pass read -- quarantined when it fails -- and T0
+fill) and one publish (payload, sidecar, T0 write-through).
 
 The root directory defaults to ``benchmarks/.cache/`` and is
 overridable with the ``REPRO_CACHE_DIR`` environment variable.
@@ -54,16 +56,18 @@ The store assumes writers can be killed at any instruction, disks can
 fill up or go read-only, and bytes can rot between a write and the
 next read.  Its defenses:
 
-* **Atomic publishes.**  Writes go to a ``*.tmp*`` sibling and are
-  moved into place with ``os.replace``; readers never observe a
-  half-written file, only litter (which :meth:`ArtifactStore.repair`
-  purges once it is stale).
+* **Atomic publishes.**  Writes go to a ``*.tmp*`` sibling the store
+  creates with ``O_EXCL`` and are moved into place with
+  ``os.replace``; readers never observe a half-written file, only
+  litter (which :meth:`ArtifactStore.repair` purges once it is stale).
 * **Integrity envelopes.**  Every payload's ``.json`` sidecar records
-  the artifact's key, a SHA-256 content digest and byte size.  Every
+  the artifact's key, and the SHA-256 digest and byte size of the
+  bytes its writer wrote -- not of a read-back, so a file another
+  writer replaced between the two publishes fails its envelope.  Every
   load reads the sidecar once, requires its key to equal the
   requested one (the fingerprint only picks the file, as a cache's
   index picks a line; the key is the tag), then re-verifies the
-  payload's size and digest (:func:`_check_envelope`).  Anything
+  payload's size and digest (:func:`_check_file`).  Anything
   torn, truncated, bit-rotted, foreign (a checksummed artifact under
   another key's name) or legacy (pre-envelope) is moved to
   ``quarantine/`` with a reason record and reported as a miss, so the
@@ -75,7 +79,9 @@ next read.  Its defenses:
   a per-fingerprint ``fcntl`` advisory lock so N racing processes
   perform one render instead of N.  Locks die with their holder; a
   hung holder is abandoned after a timeout (the waiter proceeds and
-  computes redundantly but correctly).
+  computes redundantly but correctly: a part the two writers both
+  wrote fails the envelope of the one whose sidecar lists it, and is
+  computed again).
 * **Degraded mode.**  A save that fails like a broken disk (ENOSPC,
   EROFS, EACCES, ...) demotes the store: one warning, writes become
   no-ops, reads keep working (a warm read-only store still serves
@@ -99,8 +105,10 @@ opened once, ``fstat``'d for its size check, read (an address stream:
 mapped), digest-checked and decoded from those bytes.  The digest
 check consults a verify-once digest cache keyed by that ``fstat``
 identity, so an unchanged file is SHA-256-hashed at most once per
-process, and T0 is filled with the identities the read took, so a file
-replaced after the read reads as a T0 miss.
+process; a publish records the digest of the bytes it wrote under the
+identity of the file it wrote.  T0 is filled, or written through, with
+the identities the read or the writes took from their descriptors, so
+a file replaced after the read or the write reads as a T0 miss.
 Neither tier changes fingerprints or bytes: both serve exactly what
 the disk tier verified.
 """
@@ -292,32 +300,69 @@ def _translate_os_error(fault: OSError) -> None:
     raise fault
 
 
-def _atomic_write(path: Path, write) -> None:
-    """Call ``write(temp_path)`` then atomically move into place.
+def _write_chunks(handle, chunks) -> dict:
+    """Write the bytes-like ``chunks`` to the unbuffered ``handle`` in
+    order, hashing them as they go: the ``digest`` and ``nbytes`` of the
+    bytes written.  A module-level step so fault-injection tests can
+    fail it like a full or read-only disk."""
+    hasher, nbytes = hashlib.sha256(), 0
+    for chunk in chunks:
+        view = memoryview(chunk).cast("B")
+        hasher.update(view)
+        nbytes += len(view)
+        while view:
+            view = view[handle.write(view):]
+    return {"digest": hasher.hexdigest(), "nbytes": nbytes}
 
-    The temporary name keeps the real extension last so numpy's savers
-    (which append ``.npy``/``.npz`` to unrecognized names) write to the
-    exact path being renamed.  The name is chosen before the file
-    exists and the file is created inside the ``try`` that discards it,
-    so a writer unwound at any line (a pool worker turns SIGTERM into
-    ``SystemExit``) leaves no temporary file behind.  OS errors that
-    mean a broken disk are raised as :class:`StoreUnavailable`.
-    """
+
+def _create_private(name: str):
+    """A new file ``name`` (``O_EXCL``, mode 0600) open for unbuffered
+    writing; its directory is made only when the create finds it
+    missing."""
+    def opener(path, flags):
+        return os.open(path, flags, 0o600)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as fault:
-        _translate_os_error(fault)
-    temp_name = str(path.parent / f"tmp{os.urandom(8).hex()}.tmp{path.suffix}")
+        return open(name, "xb", buffering=0, opener=opener)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(name), exist_ok=True)
+        return open(name, "xb", buffering=0, opener=opener)
+
+
+def _publish_file(path, chunks) -> tuple:
+    """The one publish of every store file: ``(envelope, identity)``.
+
+    ``chunks`` are written once (:func:`_write_chunks`) to a temporary
+    sibling that keeps the real extension last.  Its name is chosen
+    before the file exists, and the file is created
+    (:func:`_create_private`) inside the ``try`` that discards it, so a
+    writer unwound at any line (a pool worker turns SIGTERM into
+    ``SystemExit``) leaves no temporary file behind.  The descriptor's
+    ``fstat`` identity, which the rename onto ``path``
+    (:func:`_replace`) keeps, anchors the digest of the bytes written
+    in the digest cache: nothing is read back or stat'd.  OS errors
+    that mean a broken disk are raised as :class:`StoreUnavailable`."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    temp_name = os.path.join(
+        directory, f"tmp{os.urandom(8).hex()}.tmp{os.path.splitext(name)[1]}")
     try:
-        os.close(os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                         0o600))
-        write(temp_name)
+        with _create_private(temp_name) as handle:
+            envelope = _write_chunks(handle, chunks)
+            identity = tiers.stat_identity(os.fstat(handle.fileno()))
         _replace(temp_name, path)
     except BaseException as fault:
         _discard_temp(temp_name)
         if isinstance(fault, OSError):
             _translate_os_error(fault)
         raise
+    tiers.digest_cache().remember(path, identity, envelope["digest"])
+    return envelope, identity
+
+
+def _publish_json(path, record: dict) -> tuple:
+    """:func:`_publish_file` of one JSON record (a sidecar or a range
+    record)."""
+    return _publish_file(path, [json.dumps(record, indent=1).encode()])
 
 
 def _same_key(recorded, requested) -> bool:
@@ -381,20 +426,29 @@ def _profile_geometry(payload: dict) -> tuple:
     return int(payload["line_size"]), int(payload.get("n_sets", 1))
 
 
-def _profile_writer(profile: DistanceProfile, payload: dict):
-    """Writer of the profile keyed by ``payload``: raw little-endian
-    int64 words, the header ``(line_size, n_sets, cold,
+def _address_chunks(addresses: np.ndarray) -> tuple:
+    """The bytes ``np.save`` writes for an address stream: its ``.npy``
+    header, then the array's own buffer (no copy)."""
+    array = np.ascontiguousarray(addresses)
+    header = io.BytesIO()
+    npy_format.write_array_header_1_0(
+        header, npy_format.header_data_from_array_1_0(array))
+    return header.getvalue(), array
+
+
+def _profile_words(profile: DistanceProfile, payload: dict) -> np.ndarray:
+    """The payload of the profile keyed by ``payload``: raw
+    little-endian int64 words, the header ``(line_size, n_sets, cold,
     duplicate_hits, n)`` with the key's geometry, then the ``n``
     histogram counts.  The envelope digest guards integrity; the
     header ties the payload to its key."""
-    words = np.concatenate((
+    return np.concatenate((
         [*_profile_geometry(payload), profile.cold, profile.duplicate_hits,
          len(profile.counts)], profile.counts)).astype(_PROFILE_WORD)
-    return lambda temp: Path(temp).write_bytes(words.tobytes())
 
 
 def _decode_profile(data, payload: dict) -> SetDistanceProfile:
-    """Decode the bytes of a :func:`_profile_writer` payload keyed by
+    """Decode the bytes of a :func:`_profile_words` payload keyed by
     ``payload``.  Raises ``ValueError`` for a size other than
     ``8 * (5 + n)``, a negative word or a geometry other than the
     key's."""
@@ -476,64 +530,84 @@ def _payload_envelope(meta: dict) -> dict:
     return envelope
 
 
-def _check_envelope(envelope: dict, nbytes: int, digest,
-                    label: str = "") -> None:
-    """The envelope rule of every payload and trace part: the size on
-    disk, then the content digest, which ``digest()`` computes only once
-    the size matches.  Raises :class:`CorruptArtifact` for the first
-    defect, its reason prefixed with ``label``."""
-    if nbytes != envelope.get("nbytes"):
-        raise CorruptArtifact(
-            f"{label}size mismatch ({nbytes} bytes on disk, "
-            f"{envelope.get('nbytes')} recorded -- truncated or torn)")
-    if digest() != envelope.get("digest"):
-        raise CorruptArtifact(
-            f"{label}content digest mismatch (bit rot or foreign payload)")
+def _read_bytes(handle, size: int):
+    """The bytes of the open file."""
+    return handle.read()
 
 
-def _read_payload(path: str, sidecar: str, key: dict, mapped: bool):
-    """One pass over a single-payload artifact: ``(data, identities)``,
-    or ``None`` when neither file exists.
+def _map_bytes(handle, size: int):
+    """A read-only map of the open file (bytes for an empty one)."""
+    if not size:
+        return b""
+    return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
 
-    The sidecar is read once (:func:`_read_sidecar`).  The payload is
-    opened once and ``fstat``'d for the size check; then its bytes are
-    read -- ``mapped``, mapped read-only instead -- and digest-checked
-    through the digest cache under that ``fstat`` identity
-    (:func:`_check_envelope`).  ``data`` is those bytes, ``identities``
-    the two identities, payload first, each taken before its file was
-    read.  Raises :class:`CorruptArtifact` like
-    :meth:`ArtifactStore._verify_envelope`."""
-    meta, sidecar_identity = _read_sidecar(sidecar, path, key)
-    if meta is None:
-        return None
-    envelope = _payload_envelope(meta)
+
+def _check_file(path: str, envelope: dict, missing: str, survivor=None,
+                label: str = "", read=None) -> tuple:
+    """The one check of every store file against the envelope recorded
+    for it: ``(data, identity)``.
+
+    The file is opened once and ``fstat``'d.  Its size must equal the
+    envelope's ``nbytes``, then its SHA-256 its ``digest``, which the
+    digest cache answers under that ``fstat`` identity.  A miss hashes
+    the bytes, and records them only when a second ``fstat`` still
+    shows the identity.  A caller that keeps the bytes passes how to
+    ``read(handle, size)`` them (:func:`_read_bytes`, or
+    :func:`_map_bytes` for a read-only map) and gets them as ``data``;
+    without ``read``, a cache hit reads nothing and ``data`` is
+    ``None``.  ``identity`` was taken before the file was read.
+
+    Raises :class:`CorruptArtifact` for the first defect: ``missing``
+    when the file cannot be opened, in flight while ``survivor`` is
+    young, or a reason prefixed with ``label``."""
     try:
         handle = open(path, "rb", buffering=0)
     except OSError:
-        raise CorruptArtifact("orphaned sidecar (payload missing)",
-                              survivor=sidecar) from None
+        raise CorruptArtifact(missing, survivor=survivor) from None
     with handle:
         status = os.fstat(handle.fileno())
+        if status.st_size != envelope.get("nbytes"):
+            raise CorruptArtifact(
+                f"{label}size mismatch ({status.st_size} bytes on disk, "
+                f"{envelope.get('nbytes')} recorded -- truncated or torn)")
         identity = tiers.stat_identity(status)
-        data = b""
-
-        def read_digest() -> str:
-            nonlocal data
+        cache = tiers.digest_cache()
+        digest = cache.lookup(path, identity)
+        data = None
+        if read is not None or digest is None:
             try:
-                if mapped and status.st_size:
-                    data = mmap.mmap(handle.fileno(), 0,
-                                     access=mmap.ACCESS_READ)
-                else:
-                    data = handle.read()
+                data = (read or _map_bytes)(handle, status.st_size)
             except (OSError, ValueError) as fault:
                 # ValueError: a file emptied since its fstat cannot be
                 # mapped.
                 raise CorruptArtifact(
-                    f"unreadable payload ({fault})") from fault
-            return tiers.digest_cache().digest_read(path, identity, data,
-                                                    handle)
-        _check_envelope(envelope, status.st_size, read_digest)
-    return data, (identity, sidecar_identity)
+                    f"{label}unreadable payload ({fault})") from fault
+        if digest is None:
+            digest = hashlib.sha256(data).hexdigest()
+            if tiers.stat_identity(os.fstat(handle.fileno())) == identity:
+                cache.remember(path, identity, digest)
+    if digest != envelope.get("digest"):
+        raise CorruptArtifact(
+            f"{label}content digest mismatch (bit rot or foreign payload)")
+    return (data if read is not None else None), identity
+
+
+def _read_payload(path: str, sidecar: str, key: dict, read):
+    """One pass over a single-payload artifact: ``(data, anchors)``, or
+    ``None`` when neither file exists.
+
+    The sidecar is read once (:func:`_read_sidecar`) and the payload
+    checked and ``read`` once (:func:`_check_file`).  ``anchors`` pair
+    both paths, payload first, with the identities taken before each
+    file was read.  Raises :class:`CorruptArtifact` like
+    :meth:`ArtifactStore._verify_envelope`."""
+    meta, sidecar_identity = _read_sidecar(sidecar, path, key)
+    if meta is None:
+        return None
+    data, identity = _check_file(
+        path, _payload_envelope(meta), "orphaned sidecar (payload missing)",
+        sidecar, read=read)
+    return data, ((path, identity), (sidecar, sidecar_identity))
 
 
 class ArtifactStore:
@@ -567,16 +641,16 @@ class ArtifactStore:
         """T0 lookup: the deserialized artifact, or ``tiers.MISS``."""
         return tiers.memory_tier().get((str(self.root), kind, digest))
 
-    def _memory_put(self, kind: str, digest: str, paths, value,
-                    nbytes: int, identities=None) -> None:
+    def _memory_put(self, kind: str, digest: str, anchors, value,
+                    nbytes: int) -> None:
         """T0 fill/write-through, anchored to the payload file AND the
-        ``.json`` sidecar (the sidecar alone, for a trace) whose stat
-        identities revalidate the entry on every later hit -- so a
-        rewrite of either reads as a miss, same as the disk tier.  A
-        fill passes the ``identities`` its read took; a write-through
-        stats the files it just published."""
-        tiers.memory_tier().put((str(self.root), kind, digest), paths,
-                                value, nbytes, identities)
+        ``.json`` sidecar (the sidecar alone, for a trace): ``anchors``
+        pair each path with the identity that the read or the publish
+        of that file took, and revalidate the entry on every later hit
+        -- so a rewrite of either reads as a miss, same as the disk
+        tier."""
+        tiers.memory_tier().put((str(self.root), kind, digest), anchors,
+                                value, nbytes)
 
     # -- degraded mode ---------------------------------------------------
 
@@ -595,70 +669,44 @@ class ArtifactStore:
             "kept in-memory only for this process",
             RuntimeWarning, stacklevel=4)
 
-    def _guarded_write(self, publish) -> bool:
-        """Run ``publish()``; on a disk-shaped failure demote the store
-        (warn once) instead of propagating.  Returns True on success."""
+    def _guarded_write(self, publish):
+        """``publish()``, or ``None`` when the store is demoted or the
+        call fails like a broken disk, which demotes it (warn once)
+        instead of propagating."""
         if self._demoted:
-            return False
+            return None
         try:
-            publish()
-            return True
+            return publish()
         except StoreUnavailable as fault:
             self._demote(fault)
-            return False
+            return None
 
     # -- integrity envelope ----------------------------------------------
 
-    def _write_sidecar(self, kind: str, digest: str, payload_path: Path,
-                       key_payload: dict, extra: Optional[dict] = None) -> None:
-        """Publish the ``.json`` sidecar: human-readable key, integrity
-        envelope of the just-written payload, and kind-specific meta."""
-        digest_value = tiers.file_digest(payload_path)
-        # The publisher just hashed the final payload: seed the
-        # verify-once cache so this process's first load hashes nothing.
-        tiers.digest_cache().record(payload_path, digest_value)
-        meta = {
-            "key": key_payload,
-            "envelope": {
-                "kind": kind,
-                "digest": digest_value,
-                "nbytes": payload_path.stat().st_size,
-            },
-        }
-        if extra:
-            meta.update(extra)
-        _atomic_write(self._path(kind, digest, ".json"),
-                      lambda temp: Path(temp).write_text(json.dumps(meta, indent=1)))
-
     def _verify_envelope(self, kind: str, path: Path, sidecar: Path,
-                         key: Optional[dict] = None) -> Optional[dict]:
-        """Check one artifact on disk: the sidecar meta, ``None`` when
-        neither file exists, or :class:`CorruptArtifact` describing the
-        damage -- the check of traces and of :meth:`verify`.
+                         key: Optional[dict] = None):
+        """Check one artifact on disk: ``(meta, identity)`` of its
+        sidecar, ``None`` when neither file exists, or
+        :class:`CorruptArtifact` describing the damage -- the check of
+        traces and of :meth:`verify`.
 
         The sidecar is read once (:func:`_read_sidecar`, which compares
         ``key`` when given).  Traces (sidecars with a ``parts`` list
         instead of a payload ``envelope``) verify every listed part; a
         trace sidecar without a part list is legacy.  Any other payload
-        is stat'd once for :func:`_check_envelope`, its digest through
-        the digest cache."""
-        meta, _ = _read_sidecar(sidecar, path, key)
+        gets the one check (:func:`_check_file`), which reads nothing
+        for a file the digest cache knows."""
+        meta, identity = _read_sidecar(sidecar, path, key)
         if meta is None:
             return None
         if isinstance(meta.get("parts"), list):
             self._verify_parts(kind, meta["parts"], sidecar)
-            return meta
-        if kind == "traces":
+        elif kind == "traces":
             raise CorruptArtifact("legacy trace (no part list)")
-        envelope = _payload_envelope(meta)
-        try:
-            nbytes = os.stat(path).st_size
-        except OSError:
-            raise CorruptArtifact("orphaned sidecar (payload missing)",
-                                  survivor=sidecar) from None
-        _check_envelope(envelope, nbytes,
-                        lambda: tiers.digest_cache().digest(path))
-        return meta
+        else:
+            _check_file(path, _payload_envelope(meta),
+                        "orphaned sidecar (payload missing)", sidecar)
+        return meta, identity
 
     def _verify_parts(self, kind: str, parts: list,
                       sidecar: Optional[Path] = None) -> None:
@@ -671,15 +719,8 @@ class ArtifactStore:
                     or ".tmp" in name or not _PART_STEM.match(
                         name[:-len(".npz")] if name.endswith(".npz") else name)):
                 raise CorruptArtifact("malformed parts manifest")
-            part = self.root / kind / name
-            try:
-                nbytes = part.stat().st_size
-            except OSError:
-                raise CorruptArtifact(f"missing part {name}",
-                                      survivor=sidecar) from None
-            _check_envelope(entry, nbytes,
-                            lambda: tiers.digest_cache().digest(part),
-                            f"part {name}: ")
+            _check_file(os.path.join(self.root, kind, name), entry,
+                        f"missing part {name}", sidecar, f"part {name}: ")
 
     def _listed_part_names(self, kind: str, digest: str):
         """Part names the digest's sidecar claims, or ``None`` when
@@ -722,11 +763,10 @@ class ArtifactStore:
                 tiers.invalidate_path(candidate)
                 os.replace(candidate, target_dir / candidate.name)
                 moved.append(candidate.name)
-            record = {"kind": kind, "digest": digest, "reason": reason,
-                      "files": moved, "quarantined_at": time.time()}
-            (target_dir / (digest + ".reason.json")).write_text(
-                json.dumps(record, indent=1))
-        except OSError:
+            _publish_json(target_dir / (digest + ".reason.json"), {
+                "kind": kind, "digest": digest, "reason": reason,
+                "files": moved, "quarantined_at": time.time()})
+        except (OSError, StoreUnavailable):
             pass
 
     # -- single-flight locking -------------------------------------------
@@ -811,9 +851,8 @@ class ArtifactStore:
                             f"undecodable trace artifact ({fault!r})")
             return None
         # T0 revalidates on the sidecar, the one file whose identity
-        # covers the whole part list.
-        self._memory_put("traces", digest,
-                         self._path("traces", digest, ".json"), result,
+        # covers the whole part list, as the check of its parts read it.
+        self._memory_put("traces", digest, [reader.anchor], result,
                          _object_nbytes(trace))
         return result
 
@@ -875,11 +914,8 @@ class ArtifactStore:
             "n_triangles_rasterized": int(counters["n_triangles_rasterized"]),
         }
 
-        def publish():
-            _atomic_write(
-                self._path("traces", digest, ".json"),
-                lambda temp: Path(temp).write_text(json.dumps(meta, indent=1)))
-        return self._guarded_write(publish)
+        return self._guarded_write(lambda: _publish_json(
+            self._path("traces", digest, ".json"), meta)) is not None
 
     # -- crash-resume metadata (interrupted cold folds) --------------------
 
@@ -893,10 +929,9 @@ class ArtifactStore:
         the parts warm instead of re-rendering the slice, cutting the
         other ranges with the recorded geometry."""
         digest = fingerprint(spec.payload())
-        return self._guarded_write(lambda: _atomic_write(
+        return self._guarded_write(lambda: _publish_json(
             self._path("traces", digest, f".r{int(index):05d}.done.json"),
-            lambda temp: Path(temp).write_text(
-                json.dumps(payload, indent=1))))
+            payload)) is not None
 
     def load_range_records(self, spec: TraceSpec) -> dict:
         """``{range_index: record}`` for every readable completion
@@ -975,19 +1010,23 @@ class ArtifactStore:
         # without its sidecar.
         key = spec.payload()
         digest = fingerprint(key)
-        meta = self._open_verified("traces", digest, lambda: (
+        sidecar = self._path("traces", digest, ".json")
+        checked = self._open_verified("traces", digest, lambda: (
             self._verify_envelope(
-                "traces", self._path("traces", digest, ".npz"),
-                self._path("traces", digest, ".json"), key)))
-        return None if meta is None else ChunkedRenderReader(self, meta)
+                "traces", self._path("traces", digest, ".npz"), sidecar,
+                key)))
+        if checked is None:
+            return None
+        meta, identity = checked
+        return ChunkedRenderReader(self, meta, (sidecar, identity))
 
     # -- payload artifacts: address streams and profiles ------------------
 
     def _read(self, kind: str, payload: dict, suffix: str, decode, what: str,
-              mapped: bool = False):
+              read=_read_bytes):
         """The one read of every single-payload artifact: T0, else one
         verified pass over its two files (:func:`_read_payload`) and
-        ``decode(data)`` of the bytes it read -- quarantined as
+        ``decode(data)`` of the bytes it ``read`` -- quarantined as
         undecodable ``what`` when that fails -- filling T0 with the
         identities the pass took."""
         digest = fingerprint(payload)
@@ -995,37 +1034,39 @@ class ArtifactStore:
         if cached is not tiers.MISS:
             return cached
         base = os.path.join(self.root, kind, digest)
-        paths = (base + suffix, base + ".json")
-        read = self._open_verified(
-            kind, digest, lambda: _read_payload(*paths, payload, mapped))
-        if read is None:
+        checked = self._open_verified(kind, digest, lambda: _read_payload(
+            base + suffix, base + ".json", payload, read))
+        if checked is None:
             return None
-        data, identities = read
+        data, anchors = checked
         try:
             value = decode(data)
         except (ValueError, OSError, KeyError) as fault:
             self.quarantine(kind, digest, f"undecodable {what} ({fault!r})")
             return None
-        self._memory_put(kind, digest, paths, value, _payload_nbytes(value),
-                         identities)
+        self._memory_put(kind, digest, anchors, value, _payload_nbytes(value))
         return value
 
-    def _publish(self, kind: str, payload: dict, suffix: str, write,
+    def _publish(self, kind: str, payload: dict, suffix: str, chunks,
                  value) -> Path:
-        """The one atomic publish of every single-payload artifact:
-        ``write(temp)`` the payload, then its sidecar, then write
-        ``value`` through to T0."""
+        """The one publish of every single-payload artifact: the payload
+        ``chunks``, then the sidecar recording the envelope of the bytes
+        written, then ``value`` written through to T0 under the
+        identities the two writes took."""
         digest = fingerprint(payload)
-        path = self._path(kind, digest, suffix)
+        base = os.path.join(self.root, kind, digest)
+        path, sidecar = base + suffix, base + ".json"
 
         def publish():
-            _atomic_write(path, write)
-            self._write_sidecar(kind, digest, path, payload)
-        if self._guarded_write(publish):
-            self._memory_put(kind, digest,
-                             (path, self._path(kind, digest, ".json")),
-                             value, _payload_nbytes(value))
-        return path
+            envelope, identity = _publish_file(path, chunks)
+            _, sidecar_identity = _publish_json(sidecar, {
+                "key": payload, "envelope": {"kind": kind, **envelope}})
+            return (path, identity), (sidecar, sidecar_identity)
+        anchors = self._guarded_write(publish)
+        if anchors is not None:
+            self._memory_put(kind, digest, anchors, value,
+                             _payload_nbytes(value))
+        return Path(path)
 
     def load_addresses(self, payload: dict) -> Optional[np.ndarray]:
         # A read-only map instead of a copy: every consumer derives
@@ -1033,12 +1074,11 @@ class ArtifactStore:
         # back, so a warm load costs the page-ins its digest check
         # makes, not a copy.
         return self._read("addresses", payload, ".npy", _decode_addresses,
-                          "address stream", mapped=True)
+                          "address stream", read=_map_bytes)
 
     def save_addresses(self, payload: dict, addresses: np.ndarray) -> Path:
         return self._publish("addresses", payload, ".npy",
-                             lambda temp: np.save(temp, addresses),
-                             addresses)
+                             _address_chunks(addresses), addresses)
 
     def load_profile(self, payload: dict) -> Optional[SetDistanceProfile]:
         """The fully-associative profile: the one-set per-set profile
@@ -1049,7 +1089,7 @@ class ArtifactStore:
 
     def save_profile(self, payload: dict, profile: DistanceProfile) -> Path:
         return self._publish("profiles", payload, PROFILE_SUFFIX,
-                             _profile_writer(profile, payload), profile)
+                             [_profile_words(profile, payload)], profile)
 
     def load_set_profile(self, payload: dict) -> Optional[SetDistanceProfile]:
         return self._read("set_profiles", payload, PROFILE_SUFFIX,
@@ -1059,7 +1099,7 @@ class ArtifactStore:
     def save_set_profile(self, payload: dict,
                          profile: SetDistanceProfile) -> Path:
         return self._publish("set_profiles", payload, PROFILE_SUFFIX,
-                             _profile_writer(profile, payload), profile)
+                             [_profile_words(profile, payload)], profile)
 
     # -- maintenance -----------------------------------------------------
 
@@ -1211,7 +1251,7 @@ class ArtifactStore:
                 path = payloads.get(stem, self._path(kind, stem, ".npz"))
                 sidecar = self._path(kind, stem, ".json")
                 try:
-                    meta = self._verify_envelope(kind, path, sidecar)
+                    checked = self._verify_envelope(kind, path, sidecar)
                 except CorruptArtifact as fault:
                     if fault.in_flight:
                         entry["pending"] += 1
@@ -1220,7 +1260,7 @@ class ArtifactStore:
                         entry["bad"].append({"file": name,
                                              "reason": str(fault)})
                     continue
-                if meta is not None:  # else both files vanished mid-scan
+                if checked is not None:  # else both vanished mid-scan
                     entry["ok"] += 1
             verified_resumable: dict = {}
             for digest, meta_paths in resume.items():
@@ -1344,30 +1384,17 @@ class ChunkedRenderWriter:
         if self._finished:
             raise StoreError("ChunkedRenderWriter already finished")
         store = self._store
-        path = store.root / "traces" / part_name(
-            self._digest, self._part_base + len(self._parts))
-
-        def publish():
-            _atomic_write(path, lambda temp: traceio.save_trace(temp, block))
-        if not store._guarded_write(publish):
+        name = part_name(self._digest, self._part_base + len(self._parts))
+        written = store._guarded_write(lambda: _publish_file(
+            os.path.join(store.root, "traces", name),
+            [traceio.encode_trace(block)]))
+        if written is None:
             self._complete = False
             return
-        try:
-            digest_value = tiers.file_digest(path)
-            # Hashed at publish: the writer's own warm folds (and any
-            # reader in this process) verify this part with a stat().
-            tiers.digest_cache().record(path, digest_value)
-            envelope = {
-                "name": path.name,
-                "digest": digest_value,
-                "nbytes": path.stat().st_size,
-                "n_accesses": int(block.n_accesses),
-                "n_fragments": int(block.n_fragments),
-            }
-        except OSError:
-            self._complete = False
-            return
-        self._parts.append(envelope)
+        envelope, _ = written
+        self._parts.append({"name": name, **envelope,
+                            "n_accesses": int(block.n_accesses),
+                            "n_fragments": int(block.n_fragments)})
         self._has_positions = bool(block.has_positions)
 
     def finish(self, counters: dict) -> bool:
@@ -1401,12 +1428,15 @@ class ChunkedRenderReader:
 
     Obtained from :meth:`ArtifactStore.open_render_blocks`, which has
     already verified every part's integrity envelope; reading holds
-    one part in memory.  Carries the sidecar's render counters."""
+    one part in memory.  Carries the sidecar's render counters, and
+    its ``anchor``: the sidecar's path and the identity its check
+    took."""
 
-    def __init__(self, store: ArtifactStore, meta: dict):
+    def __init__(self, store: ArtifactStore, meta: dict, anchor: tuple):
         self._root = store.root
         self.meta = meta
         self.parts = meta["parts"]
+        self.anchor = anchor
 
     @property
     def n_parts(self) -> int:

@@ -882,11 +882,3 @@ def _publish(store, spec, records) -> None:
             "them", RuntimeWarning, stacklevel=4)
         return
     store.discard_resume_state(spec)
-    # Each part was hashed by the worker that wrote it; seeding the
-    # parent's verify-once cache from those envelopes means the first
-    # warm fold over this trace re-verifies with stats instead of
-    # re-hashing the whole artifact.
-    from . import tiers
-    for entry in parts:
-        tiers.digest_cache().record(store.root / "traces" / entry["name"],
-                                    entry["digest"])

@@ -7,20 +7,23 @@ small well-placed cache absorbs almost all traffic:
 T0 -- :class:`MemoryTier`
     A byte-bounded in-process LRU of *deserialized* artifacts, shared
     by every :class:`~repro.engine.runner.Engine` and store instance in
-    the process.  Entries remember the stat identities ``(size,
-    mtime_ns, inode)`` of the files they came from (payload and
-    sidecar) and re-stat on every hit, so anything rewritten,
+    the process.  Entries remember the identities ``(size, mtime_ns,
+    inode)`` of the files they stand for (payload and sidecar), as the
+    read that filled them or the publish that wrote them took them
+    from descriptors, and re-stat on every hit, so anything rewritten,
     quarantined or cleared on disk reads as a miss instead of serving
     stale bytes.  Budget: :data:`DEFAULT_MEMORY_BYTES`.
 
 T0 -- :class:`DigestCache`
-    Verify-once SHA-256 memoization keyed by the same stat identity:
-    an unchanged file is hashed at most once per process.  The store's
-    one-pass read looks the digest up under the ``fstat`` identity of
-    the descriptor it reads, so a hit costs no system call;
-    :meth:`DigestCache.digest` costs one ``stat``.  An identity is
-    taken before hashing and recorded only when it still holds after,
-    so a file rewritten mid-hash is hashed again next time.
+    Verify-once SHA-256 memoization keyed by the same identity: an
+    unchanged file is hashed at most once per process.  Identities come
+    only from descriptors: a publish records the digest of the bytes it
+    wrote under the ``fstat`` identity of the file it wrote, and the
+    store's one check looks a file up under the ``fstat`` identity of
+    the descriptor it opened, so neither costs a ``stat``.  A check
+    records a digest it hashed only when a second ``fstat`` still shows
+    the identity taken before hashing, so a file rewritten mid-hash is
+    hashed again next time.
 
 Keeping the tiers in their own module (with no imports from
 :mod:`~repro.engine.artifacts`) lets the store, the fault-injection
@@ -30,11 +33,9 @@ an import cycle.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Optional
 
 #: T0 budget.  Profiles and address streams at reproduction scale are
@@ -48,19 +49,6 @@ DIGEST_CACHE_ENTRIES = 1 << 16
 
 #: Sentinel distinguishing "cached None" from "not cached".
 MISS = object()
-
-
-def file_digest(path) -> str:
-    """SHA-256 of a file's bytes.  On Python >= 3.11
-    :func:`hashlib.file_digest` keeps the read loop in C; the fallback
-    streams 1 MiB blocks."""
-    with open(path, "rb") as handle:
-        if hasattr(hashlib, "file_digest"):
-            return hashlib.file_digest(handle, "sha256").hexdigest()
-        digest = hashlib.sha256()
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-        return digest.hexdigest()
 
 
 def stat_identity(status) -> tuple:
@@ -89,57 +77,28 @@ class DigestCache:
         self.hits = 0
         self.misses = 0
 
-    def digest(self, path) -> str:
-        """The file's SHA-256, hashed at most once per (unchanged)
-        file per process; a hit costs one ``stat``."""
+    def lookup(self, path, identity: tuple) -> Optional[str]:
+        """The digest recorded for ``path`` at ``identity``, or ``None``
+        (counted as a hit or a miss)."""
         key = str(path)
-        return self._digest(key, _stat_key(key), lambda: file_digest(key),
-                            lambda: _stat_key(key))
-
-    def digest_read(self, path, identity: tuple, data, handle) -> str:
-        """The SHA-256 of ``data``, the bytes just read through the open
-        ``handle`` on ``path`` whose ``fstat`` gave ``identity`` before
-        the read: a hit costs no system call."""
-        return self._digest(
-            str(path), identity, lambda: hashlib.sha256(data).hexdigest(),
-            lambda: stat_identity(os.fstat(handle.fileno())))
-
-    def _digest(self, key: str, identity, hash_now, identity_now) -> str:
-        """The digest cached for ``key`` at ``identity``, else
-        ``hash_now()``.  ``identity`` was taken before hashing and is
-        recorded only when ``identity_now()`` still equals it after: a
-        file rewritten mid-hash must not pin either version's identity
-        to a digest of the bytes read."""
-        if identity is not None:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None and entry[0] == identity:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return entry[1]
-        value = hash_now()
-        held = identity is not None and identity_now() == identity
         with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == identity:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[1]
             self.misses += 1
-            if held:
-                self._remember(key, identity, value)
-        return value
+            return None
 
-    def record(self, path, digest: str) -> None:
-        """Seed the cache for a file this process just hashed while
-        publishing it, so its first verified load hashes nothing."""
+    def remember(self, path, identity: tuple, digest: str) -> None:
+        """Record ``digest`` as the content of ``path`` at ``identity``,
+        an identity taken from a descriptor of the bytes hashed."""
         key = str(path)
-        stat = _stat_key(key)
-        if stat is not None:
-            with self._lock:
-                self._remember(key, stat, digest)
-
-    def _remember(self, key: str, identity: tuple, digest: str) -> None:
-        """Record one digest; the caller holds the lock."""
-        self._entries[key] = (identity, digest)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        with self._lock:
+            self._entries[key] = (identity, digest)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
 
     def invalidate(self, path=None) -> None:
         """Forget one path, or everything when ``path`` is ``None``."""
@@ -170,7 +129,7 @@ class _Entry:
     def __init__(self, value, nbytes, anchors):
         self.value = value
         self.nbytes = nbytes
-        #: tuple of (path, stat_key) pairs; every one must still match
+        #: tuple of (path, identity) pairs; every one must still match
         #: on disk for the entry to count as fresh.
         self.anchors = anchors
 
@@ -179,9 +138,9 @@ class MemoryTier:
     """Byte-bounded process-wide LRU of deserialized artifacts (T0).
 
     Keys are ``(store_root, kind, fingerprint)``; every entry carries
-    the stat identity of the payload file it was deserialized from and
-    :meth:`get` re-stats to revalidate, so on-disk tampering, clears
-    and quarantines invalidate instead of serving stale values.
+    the identities of the files it stands for and :meth:`get` re-stats
+    to revalidate, so on-disk tampering, clears and quarantines
+    invalidate instead of serving stale values.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_MEMORY_BYTES):
@@ -219,28 +178,19 @@ class MemoryTier:
             self.hits += 1
             return entry.value
 
-    def put(self, key, paths, value, nbytes: int,
-            identities=None) -> None:
+    def put(self, key, anchors, value, nbytes: int) -> None:
         """Insert (write-through or fill) one deserialized artifact,
-        anchored on every file in ``paths``, evicting
-        least-recently-used entries past the byte budget.  A value
-        larger than the whole budget is not cached.
+        evicting least-recently-used entries past the byte budget.  A
+        value larger than the whole budget is not cached.
 
-        ``identities`` are the files' stat identities when ``value``
-        was read from them, one per path; a fill passes the ones its
-        read took, so a file replaced since reads as a miss.  Without
-        them each path is stat'd now."""
+        ``anchors`` are the ``(path, identity)`` of every file the value
+        stands for, each identity taken from a descriptor of that file:
+        by the read that filled the value, or by the publish that wrote
+        it.  So a file replaced since reads as a miss."""
         nbytes = int(nbytes)
         if nbytes > self.max_bytes:
             return
-        if isinstance(paths, (str, Path)):
-            paths = (paths,)
-        if identities is None:
-            paths = dict.fromkeys(map(str, paths))
-            identities = [_stat_key(path) for path in paths]
-        if None in identities:
-            return  # no durable file to revalidate against
-        anchors = tuple(zip(map(str, paths), identities))
+        anchors = tuple((str(path), identity) for path, identity in anchors)
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:

@@ -5,8 +5,9 @@ The paper's methodology separates trace *capture* from cache
 the cache simulator).  These helpers give the same workflow to library
 users: render once, save the texel trace, and replay it against any
 number of layouts and cache configurations later -- or on another
-machine -- without re-rendering.  The artifact store writes every
-trace part the same way.
+machine -- without re-rendering.  The artifact store publishes every
+trace part as the bytes of :func:`encode_trace`, hashing them as it
+writes them.
 
 Format: a zip of ``.npy`` members deflated at :data:`DEFLATE_LEVEL`,
 one row per 2x2 filter quad.  The renderer emits every texel fetch as
@@ -21,6 +22,7 @@ n_fragments, has_positions)``.
 
 from __future__ import annotations
 
+import io
 import zipfile
 import zlib
 
@@ -55,11 +57,11 @@ def _expand(rows: dict) -> dict:
     return columns
 
 
-def save_trace(path, trace: TexelTrace) -> None:
-    """Write ``trace`` to exactly ``path`` (conventionally
-    ``*.trace.npz``).  Raises ``ValueError`` unless the trace is a
-    sequence of aligned 2x2 filter quads (single-texel stochastic
-    filtering is not, nor is a slice cut mid-quad)."""
+def encode_trace(trace: TexelTrace) -> bytes:
+    """The bytes of ``trace`` in this encoding.  Raises ``ValueError``
+    unless the trace is a sequence of aligned 2x2 filter quads
+    (single-texel stochastic filtering is not, nor is a slice cut
+    mid-quad)."""
     n = trace.n_accesses
     if n % 4:
         raise ValueError(f"{n} accesses do not split into 2x2 quads")
@@ -77,11 +79,21 @@ def save_trace(path, trace: TexelTrace) -> None:
                 f"trace column {name!r} breaks the 2x2 filter quads")
     rows["meta"] = np.array([FORMAT_VERSION, trace.n_fragments,
                              int(trace.has_positions)], dtype=np.int64)
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED,
+    encoded = io.BytesIO()
+    with zipfile.ZipFile(encoded, "w", zipfile.ZIP_DEFLATED,
                          compresslevel=DEFLATE_LEVEL) as archive:
         for name, row in rows.items():
             with archive.open(name + ".npy", "w", force_zip64=True) as member:
                 npy_format.write_array(member, row, allow_pickle=False)
+    return encoded.getvalue()
+
+
+def save_trace(path, trace: TexelTrace) -> None:
+    """Write :func:`encode_trace` of ``trace`` to exactly ``path``
+    (conventionally ``*.trace.npz``)."""
+    data = encode_trace(trace)
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def load_columns(path) -> dict:

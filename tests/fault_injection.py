@@ -9,16 +9,27 @@ payloads, foreign archives, and temp-file litter from dead processes.
 from __future__ import annotations
 
 import errno
+import hashlib
 import os
 import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-from numpy.lib import format as npy_format
-
 from repro.engine import artifacts, tiers
+
+
+def file_digest(path) -> str:
+    """SHA-256 of a file's bytes.  On Python >= 3.11
+    :func:`hashlib.file_digest` keeps the read loop in C; the fallback
+    streams 1 MiB blocks."""
+    with open(path, "rb") as handle:
+        if hasattr(hashlib, "file_digest"):
+            return hashlib.file_digest(handle, "sha256").hexdigest()
+        digest = hashlib.sha256()
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+        return digest.hexdigest()
 
 
 class SimulatedKill(BaseException):
@@ -74,24 +85,20 @@ def disk_full(code: int = errno.ENOSPC):
 
 
 @contextmanager
-def failing_numpy_save(code: int = errno.ENOSPC):
-    """``np.save`` (the address-stream writer) and
-    ``numpy.lib.format.write_array`` (the trace codec's array writer)
-    raise ``OSError(code)``, simulating the disk filling up
-    mid-payload-write."""
-    real_save = np.save
-    real_write_array = npy_format.write_array
+def failing_write(code: int = errno.ENOSPC):
+    """Every store file write fails like a broken disk mid-file: a few
+    bytes reach the temporary file, then ``OSError(code)``."""
+    real_write = artifacts._write_chunks
 
-    def boom(*args, **kwargs):
+    def torn(handle, chunks):
+        handle.write(b"half")
         raise OSError(code, os.strerror(code))
 
-    np.save = boom
-    npy_format.write_array = boom
+    artifacts._write_chunks = torn
     try:
         yield
     finally:
-        np.save = real_save
-        npy_format.write_array = real_write_array
+        artifacts._write_chunks = real_write
 
 
 def _forget(path) -> None:
@@ -159,7 +166,7 @@ def restamp(store, kind: str, digest: str, suffix: str) -> None:
     meta = json.loads(sidecar.read_text())
     meta["envelope"] = {
         "kind": kind,
-        "digest": tiers.file_digest(payload_path),
+        "digest": file_digest(payload_path),
         "nbytes": payload_path.stat().st_size,
     }
     sidecar.write_text(json.dumps(meta, indent=1))

@@ -90,7 +90,7 @@ class TestEnvelope:
                 for entry, part in zip(sidecar["parts"], payloads):
                     assert entry["nbytes"] == part.stat().st_size
                     assert entry["digest"] == \
-                        tiers.file_digest(part)
+                        faults.file_digest(part)
                 continue
             for payload in payloads:
                 sidecar = json.loads(
@@ -99,7 +99,7 @@ class TestEnvelope:
                 assert envelope["kind"] == kind
                 assert envelope["nbytes"] == payload.stat().st_size
                 assert envelope["digest"] == \
-                    tiers.file_digest(payload)
+                    faults.file_digest(payload)
                 assert "key" in sidecar
 
     def test_verify_reports_clean_store(self, tmp_path):
@@ -382,7 +382,7 @@ class TestProfilePayload:
                 path.with_suffix(".json").write_text(json.dumps({
                     "key": older, "envelope": {
                         "kind": kind, "nbytes": path.stat().st_size,
-                        "digest": tiers.file_digest(path)}}))
+                        "digest": faults.file_digest(path)}}))
                 planted += 1
         assert planted == 3  # (32, 1), (32, 8) and (32, 16)
         tiers.clear_process_caches()
@@ -434,9 +434,13 @@ class TestLegacyAndForeignSidecars:
             payload = store._path("traces", digest, ".npz")
             payload.parent.mkdir(parents=True)
             traceio.save_trace(str(payload), reference.trace)
-            store._write_sidecar("traces", digest, payload, SPEC.payload(), {
+            payload.with_suffix(".json").write_text(json.dumps({
+                "key": SPEC.payload(),
+                "envelope": {"kind": "traces",
+                             "digest": faults.file_digest(payload),
+                             "nbytes": payload.stat().st_size},
                 "n_triangles_submitted": reference.n_triangles_submitted,
-                "n_triangles_rasterized": reference.n_triangles_rasterized})
+                "n_triangles_rasterized": reference.n_triangles_rasterized}))
             return store
 
         store = legacy_store(tmp_path / "repair")
@@ -621,7 +625,7 @@ class TestKillResilience:
         # it is running.  Raised at the first line the writer runs once
         # its temporary file exists, the unwind must still discard it.
         target = tmp_path / "traces" / "artifact.json"
-        code = artifacts_module._atomic_write.__code__
+        code = artifacts_module._publish_file.__code__
         fired = []
 
         def on_line(frame, event, arg):
@@ -638,8 +642,7 @@ class TestKillResilience:
         sys.settrace(on_call)
         try:
             with pytest.raises(SystemExit):
-                artifacts_module._atomic_write(
-                    target, lambda temp: Path(temp).write_text("{}"))
+                artifacts_module._publish_file(target, [b"{}"])
         finally:
             sys.settrace(previous)
         assert fired
@@ -663,9 +666,11 @@ class TestDegradedModes:
         assert store.stats()["total_files"] == 0  # nothing half-written
 
     def test_numpy_save_failure_demotes(self, tmp_path):
+        # Payloads are encoded in memory, so the disk fails on the
+        # store's own write of the first file, part-way through it.
         store = ArtifactStore(tmp_path)
         engine = Engine(store=store)
-        with faults.failing_numpy_save(errno.EROFS):
+        with faults.failing_write(errno.EROFS):
             with warnings.catch_warnings(record=True):
                 warnings.simplefilter("always")
                 result = engine.render(SPEC)
@@ -919,7 +924,7 @@ class TestResumableParts:
             "range": 1, "n_ranges": 4, "chunk_size": 4096,
             "part_stride": pipelined.PART_STRIDE,
             "envelopes": [{"name": stray, "nbytes": part.stat().st_size,
-                           "digest": tiers.file_digest(part)}],
+                           "digest": faults.file_digest(part)}],
             "complete": True, "totals": {}, "n_blocks": 1})
         geometry, resumed = pipelined._load_resume(store, SPEC)
         assert geometry == (2, 4096) and sorted(resumed) == [0]
@@ -1019,6 +1024,52 @@ class TestChunkedTraces:
 
         reference = Engine(store=ArtifactStore(tmp_path / "ref")).render(SPEC)
         recomputed = Engine(store=ArtifactStore(root)).render(SPEC)
+        assert_traces_equal(recomputed.trace, reference.trace)
+        assert ArtifactStore(root).verify()["clean"]
+
+    @pytest.mark.parametrize("writer", ["save_render", "streamed"])
+    def test_part_replaced_before_its_sidecar_is_not_blessed(
+            self, tmp_path, monkeypatch, writer):
+        # Two writers of one trace (the second took over a hung lock)
+        # use the same part names but cut the parts differently.  Part 0
+        # replaced by the other writer's, right after this writer
+        # published it: the sidecar records the bytes this writer
+        # wrote, so the replacement fails its envelope.
+        from repro.engine import StreamedProfiles
+        from repro.pipeline import traceio
+        from repro.pipeline.trace import iter_blocks
+
+        reference = Engine(store=ArtifactStore(tmp_path / "ref")).render(SPEC)
+        other = tmp_path / "other.npz"
+        traceio.save_trace(other, next(iter_blocks(reference.trace, 4096)))
+        root = tmp_path / "store"
+        part = root / "traces" / artifacts_module.part_name(
+            fingerprint(SPEC.payload()), 0)
+        replace = artifacts_module._replace
+
+        def replace_then_overwrite(source, destination):
+            replace(source, destination)
+            if str(destination) == str(part):
+                monkeypatch.setattr(artifacts_module, "_replace", replace)
+                temp = part.with_name("other.tmp.npz")
+                shutil.copyfile(other, temp)
+                os.replace(temp, part)
+        monkeypatch.setattr(artifacts_module, "_replace",
+                            replace_then_overwrite)
+        store = ArtifactStore(root)
+        if writer == "save_render":
+            Engine(store=store).render(SPEC)
+        else:
+            StreamedProfiles(store, SPEC, LAYOUT, chunk_size=8192).prefetch(
+                [(32, 1)])
+        assert part.read_bytes() == other.read_bytes()
+
+        [problem] = ArtifactStore(root).verify()["kinds"]["traces"]["bad"]
+        assert problem["reason"].startswith(f"part {part.name}: ")
+        before = render_calls()
+        recomputed = Engine(store=ArtifactStore(root)).render(SPEC)
+        assert render_calls() == before + 1
+        assert f"part {part.name}: " in quarantine_reasons(store, "traces")
         assert_traces_equal(recomputed.trace, reference.trace)
         assert ArtifactStore(root).verify()["clean"]
 

@@ -3,7 +3,8 @@
 Covers T0 (the byte-bounded in-process LRU and the verify-once digest
 cache): LRU eviction under byte pressure, stat revalidation so on-disk
 tampering is never masked by a process-level hit, hash-at-most-once
-loads, and the one pass a first-touch load makes over its two files.
+loads, the one pass a first-touch load makes over its two files, and
+the one write a save makes of each.
 """
 
 import builtins
@@ -62,9 +63,10 @@ def quarantine_reasons(store, kind):
 
 class TestMemoryTier:
     def _anchor(self, tmp_path, name):
+        """The anchors of a value that stands for one new file."""
         path = tmp_path / name
         path.write_bytes(b"x")
-        return path
+        return [(path, tiers.stat_identity(os.stat(path)))]
 
     def test_lru_eviction_under_byte_pressure(self, tmp_path):
         tier = tiers.MemoryTier(max_bytes=100)
@@ -96,10 +98,9 @@ class TestMemoryTier:
 
     def test_stat_revalidation_drops_rewritten_anchor(self, tmp_path):
         tier = tiers.MemoryTier(max_bytes=100)
-        anchor = self._anchor(tmp_path, "a")
-        tier.put(("k",), anchor, "cached", 10)
+        tier.put(("k",), self._anchor(tmp_path, "a"), "cached", 10)
         assert tier.get(("k",)) == "cached"
-        anchor.write_bytes(b"different length")  # size change
+        (tmp_path / "a").write_bytes(b"different length")  # size change
         assert tier.get(("k",)) is tiers.MISS
         assert tier.stats()["entries"] == 0
 
@@ -177,6 +178,36 @@ class TestT0Integration:
         assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is None
         assert "undecodable" in quarantine_reasons(store, "profiles")
 
+    def test_write_through_anchors_the_files_written(self, tmp_path,
+                                                     monkeypatch):
+        """A payload flipped in place (same size, later mtime) right
+        after its sidecar publishes: the write-through keeps the
+        identities the writes took, so the next load goes to disk and
+        quarantines the payload instead of serving the value T0 would
+        have pinned."""
+        store, _ = warm_store(tmp_path)
+        profile = store.load_profile(PROFILE_32)
+        victim = store.root / "profiles" / (fingerprint(PROFILE_32)
+                                            + PROFILE_SUFFIX)
+        replace = artifacts._replace
+
+        def replace_then_flip(source, destination):
+            replace(source, destination)
+            if str(destination) == str(victim.with_suffix(".json")):
+                status = os.stat(victim)
+                data = bytearray(victim.read_bytes())
+                data[len(data) // 2] ^= 0x10
+                with open(victim, "r+b") as handle:
+                    handle.write(data)
+                os.utime(victim, ns=(status.st_atime_ns,
+                                     status.st_mtime_ns + 10**9))
+        monkeypatch.setattr(artifacts, "_replace", replace_then_flip)
+        store.save_profile(PROFILE_32, profile)
+        monkeypatch.undo()
+
+        assert store.load_profile(PROFILE_32) is None
+        assert "digest mismatch" in quarantine_reasons(store, "profiles")
+
 
 class TestOneRead:
     """A first-touch load opens its sidecar and its payload once each
@@ -220,6 +251,50 @@ class TestOneRead:
         assert stats == []
 
 
+class TestOneWrite:
+    """A save hashes the bytes it writes: it creates each of its two
+    files once, opens nothing for reading and makes no ``stat`` call."""
+
+    def test_save_creates_each_file_once(self, tmp_path, monkeypatch):
+        warm_store(tmp_path)
+        store = ArtifactStore(tmp_path)
+        key = set_profile_payload(ADDR_PAYLOAD, 32, 8)
+        profile = store.load_set_profile(key)
+        opened, created, stats = [], [], []
+        real_open, real_os_open, real_stat = builtins.open, os.open, os.stat
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            opened.append((str(file), mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        def counting_os_open(path, flags, *args, **kwargs):
+            created.append((str(path), flags & (os.O_CREAT | os.O_EXCL)))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(str(path))
+            return real_stat(path, *args, **kwargs)
+        # pathlib opens through io.open, the same function as open().
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(os, "open", counting_os_open)
+        monkeypatch.setattr(os, "stat", counting_stat)
+        store.save_set_profile(key, profile)
+        monkeypatch.undo()
+
+        # One temporary sibling per file, created and written once.
+        directory = str(tmp_path / "set_profiles")
+        assert [(os.path.dirname(name), os.path.splitext(name)[1], flags)
+                for name, flags in created] == [
+            (directory, suffix, os.O_CREAT | os.O_EXCL)
+            for suffix in (PROFILE_SUFFIX, ".json")]
+        assert opened == [(name, "xb") for name, _ in created]
+        assert stats == []
+        tiers.clear_process_caches()
+        reloaded = ArtifactStore(tmp_path).load_set_profile(key)
+        np.testing.assert_array_equal(reloaded.counts, profile.counts)
+
+
 class TestDigestCache:
     def test_verified_loads_hash_at_most_once(self, tmp_path):
         warm_store(tmp_path)
@@ -259,22 +334,28 @@ class TestDigestCache:
         store, _ = warm_store(tmp_path)
         [part] = faults.payload_files(store, "traces")
         tiers.clear_process_caches()
-        file_digest = tiers.file_digest
+        original = part.read_bytes()
+        real_hashlib = artifacts.hashlib
 
-        def hash_then_flip(path):
-            value = file_digest(path)
-            if str(path) == str(part):
-                monkeypatch.setattr(tiers, "file_digest", file_digest)
-                status = os.stat(part)
-                data = bytearray(part.read_bytes())
-                data[len(data) // 2] ^= 0x10
-                with open(part, "r+b") as handle:
-                    handle.write(data)
-                # A later mtime whatever the file system's clock tick.
-                os.utime(part, ns=(status.st_atime_ns,
-                                   status.st_mtime_ns + 10**9))
-            return value
-        monkeypatch.setattr(tiers, "file_digest", hash_then_flip)
+        class HashThenFlip:
+            """``hashlib`` as the store sees it: hashing the part's
+            bytes flips one of them in the file right after."""
+
+            @staticmethod
+            def sha256(data=b""):
+                hashed = real_hashlib.sha256(data)
+                if bytes(data) == original:
+                    monkeypatch.setattr(artifacts, "hashlib", real_hashlib)
+                    status = os.stat(part)
+                    flipped = bytearray(original)
+                    flipped[len(flipped) // 2] ^= 0x10
+                    with open(part, "r+b") as handle:
+                        handle.write(flipped)
+                    # A later mtime whatever the file system's clock tick.
+                    os.utime(part, ns=(status.st_atime_ns,
+                                       status.st_mtime_ns + 10**9))
+                return hashed
+        monkeypatch.setattr(artifacts, "hashlib", HashThenFlip)
 
         assert store.verify()["clean"]  # hashed the bytes before the flip
         report = store.verify()
