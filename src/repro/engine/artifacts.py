@@ -620,7 +620,10 @@ class ArtifactStore:
     """
 
     def __init__(self, root=None):
-        self.root = Path(root) if root is not None else default_cache_dir()
+        # One spelling of every path: the digest cache and T0 key
+        # files by it, whatever the working directory was called.
+        self.root = Path(root if root is not None
+                         else default_cache_dir()).absolute()
         self._demoted = False
         self._demotion_reason: Optional[str] = None
         #: Human-readable degradation log (demotions, quarantines) so

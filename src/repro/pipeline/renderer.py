@@ -12,18 +12,33 @@ tiled); every texel fetched by the trilinear/bilinear filter is
 recorded in a :class:`~repro.pipeline.trace.TexelTrace` for the cache
 simulator.
 
+One walk turns clipped triangles into texel accesses: rasterize a
+contiguous range of them in submission order, sort each triangle's
+fragments into traversal order, apply the LoD bias, count fragments
+per triangle and generate the filter's accesses.  Each rasterization
+path writes that walk once, as a generator of ``(fragments, texture
+ids, accesses)`` pieces, and draws its image in its own step.
+:meth:`Renderer.render` walks the whole clipped range (one triangle
+batch on the batched path) and draws it; :meth:`Renderer.render_blocks`
+sizes the batches from the chunk and hands the pieces to
+:func:`~repro.pipeline.trace.cut_blocks`, the cutter that
+:func:`~repro.pipeline.trace.iter_blocks` uses too.
+
 Two rasterization paths exist, selected by ``Renderer(raster=...)``:
 
 ``"batched"`` (default)
-    :mod:`repro.raster.batched` evaluates bins of triangles over flat
-    candidate arrays and generates texel accesses once per texture
-    instead of once per triangle.  Traces, framebuffers and
-    per-triangle fragment counts are **bit-identical** to the
-    reference path -- only the wall clock differs.
+    :mod:`repro.raster.batched` rasterizes a range of triangles over
+    flat candidate arrays and generates its accesses in one call with
+    per-fragment pyramid geometry; the image is one (pixel, z) resolve
+    over the frame's fragments.  Traces, framebuffers and per-triangle
+    fragment counts are **bit-identical** to the reference path --
+    only the wall clock differs.
 ``"reference"``
-    The original per-triangle loop over
-    :func:`~repro.raster.triangle.rasterize_triangle`, kept as the
-    equivalence oracle.
+    The per-triangle oracle:
+    :func:`~repro.raster.triangle.rasterize_triangle`, the traversal
+    order's per-triangle ``argsort``, access generation with one
+    triangle's scalar pyramid geometry, and the sequential z-test of
+    :meth:`~repro.raster.zbuffer.ZBuffer.test_and_write`.
 
 Both paths accumulate per-phase wall-clock timers (clip / raster /
 access-gen / filter) surfaced in :attr:`RenderResult.phase_ms` and via
@@ -52,7 +67,7 @@ from ..texture.filtering import (
     generate_accesses,
     generate_accesses_aniso,
 )
-from .trace import FragmentBlock, TexelTrace, TraceBuilder
+from .trace import TexelTrace, TraceBuilder, cut_blocks
 
 #: Selectable rasterization paths.
 RASTER_PATHS = ("batched", "reference")
@@ -100,6 +115,26 @@ class RenderResult:
     @property
     def n_accesses(self) -> int:
         return self.trace.n_accesses
+
+
+@dataclass
+class _Frame:
+    """A frame's clipped, projected triangles in submission order:
+    what either raster path's walk reads."""
+
+    mipmaps: list
+    texture_ids: np.ndarray      # (m,)
+    screen: np.ndarray           # (m, 3, 2) pixel coordinates
+    ndc_z: np.ndarray            # (m, 3)
+    inv_w: np.ndarray            # (m, 3)
+    uv: np.ndarray               # (m, 3, 2)
+    colors: Optional[np.ndarray]  # (m, 3, 3) vertex colors, when drawn
+    width: int
+    height: int
+
+    @property
+    def n_triangles(self) -> int:
+        return len(self.texture_ids)
 
 
 class Renderer:
@@ -154,14 +189,12 @@ class Renderer:
         self.use_mipmaps = use_mipmaps
         self.raster = check_raster(raster)
 
-    def _prepare(self, scene, timers) -> tuple:
+    def _prepare(self, scene, timers) -> _Frame:
         """The shared front half of a frame: lighting, clipping and
         projection, in submission order."""
         timers.start()
-        width, height = scene.width, scene.height
         mesh = scene.mesh
         mipmaps = scene.get_mipmaps()
-
         colors = mesh.colors
         if colors is None and self.lighting is not None:
             colors = light_mesh(mesh, self.lighting)
@@ -181,236 +214,64 @@ class Renderer:
         tri_attrs = vertex_attrs[mesh.triangles]  # (m, 3, k)
 
         clipped = clip_triangles_near(tri_clip, tri_attrs)
-        texture_ids = mesh.texture_ids[clipped.triangle_index]
 
         # Project all clipped vertices at once.
         flat_clip = clipped.clip.reshape(-1, 4)
-        screen, ndc_z, inv_w = ndc_to_screen(flat_clip, width, height)
-        screen = screen.reshape(-1, 3, 2)
-        ndc_z = ndc_z.reshape(-1, 3)
-        inv_w = inv_w.reshape(-1, 3)
+        screen, ndc_z, inv_w = ndc_to_screen(flat_clip, scene.width,
+                                             scene.height)
         timers.stop("clip")
-        return mipmaps, clipped, texture_ids, screen, ndc_z, inv_w, \
-            colors is not None
+        return _Frame(
+            mipmaps=mipmaps,
+            texture_ids=mesh.texture_ids[clipped.triangle_index],
+            screen=screen.reshape(-1, 3, 2), ndc_z=ndc_z.reshape(-1, 3),
+            inv_w=inv_w.reshape(-1, 3), uv=clipped.attrs[:, :, :2],
+            colors=clipped.attrs[:, :, 2:5]
+            if colors is not None and self.produce_image else None,
+            width=scene.width, height=scene.height)
+
+    def _path(self):
+        """``(piece generator, draw step)`` of this renderer's raster
+        path."""
+        if self.raster == "batched":
+            return self._batched_pieces, self._draw_batched
+        return self._reference_pieces, self._draw_reference
 
     def render(self, scene) -> RenderResult:
-        """Render ``scene`` (a :class:`repro.scenes.base.SceneData`)."""
+        """Render ``scene`` (a :class:`repro.scenes.base.SceneData`).
+
+        The raster path walks the whole clipped triangle range -- the
+        batched path as one piece, the reference path a triangle at a
+        time.  The pieces' accesses make the trace, and the path's draw
+        step resolves their fragments into the image.
+        """
         timers = _PhaseTimers()
-        mipmaps, clipped, texture_ids, screen, ndc_z, inv_w, has_colors = \
-            self._prepare(scene, timers)
-        rasterize = (self._render_batched if self.raster == "batched"
-                     else self._render_reference)
-        return rasterize(scene, mipmaps, clipped, texture_ids,
-                         screen, ndc_z, inv_w, has_colors,
-                         scene.width, scene.height, timers)
-
-    # -- per-triangle reference path -------------------------------------
-
-    def _render_reference(self, scene, mipmaps, clipped, texture_ids,
-                          screen, ndc_z, inv_w, has_colors,
-                          width, height, timers) -> RenderResult:
-        framebuffer = Framebuffer(width, height) if self.produce_image else None
-        zbuffer = ZBuffer(width, height) if self.produce_image else None
-
+        frame = self._prepare(scene, timers)
+        per_triangle = np.zeros(frame.n_triangles, dtype=np.int64)
+        pieces, draw = self._path()
         builder = TraceBuilder(record_positions=self.record_positions)
-        rasterized = 0
-        per_triangle_fragments = np.zeros(clipped.n_triangles, dtype=np.int64)
-
-        for index in range(clipped.n_triangles):
-            timers.start()
-            texture_id = int(texture_ids[index])
-            mipmap = mipmaps[texture_id]
-            tri_colors = None
-            uv = clipped.attrs[index, :, :2]
-            if has_colors:
-                tri_colors = clipped.attrs[index, :, 2:5]
-            batch = rasterize_triangle(
-                screen[index], ndc_z[index], inv_w[index], uv,
-                texture_size=mipmap.level_shape(0),
-                width=width, height=height, colors=tri_colors,
-            )
-            if batch is None or batch.n_fragments == 0:
-                timers.stop("raster")
-                continue
-            rasterized += 1
-            per_triangle_fragments[index] = batch.n_fragments
-            batch = batch.reordered(self.order.argsort(batch.x, batch.y))
-            if self.lod_bias:
-                batch.lod = batch.lod + self.lod_bias
-            timers.stop("raster")
-
-            timers.start()
-            accesses = self._triangle_accesses(batch, mipmap)
-            if self.record_positions:
-                builder.append(texture_id, accesses, batch.n_fragments,
-                               fragment_x=batch.x, fragment_y=batch.y)
-            else:
-                builder.append(texture_id, accesses, batch.n_fragments)
-            timers.stop("access_gen")
-
-            if framebuffer is not None:
-                timers.start()
-                texel_rgba = filter_colors(mipmap, batch.u, batch.v, batch.lod)
-                rgb = texel_rgba[:, :3]
-                if batch.color is not None:
-                    rgb = rgb * batch.color
-                passed = zbuffer.test_and_write(batch.x, batch.y, batch.z)
-                framebuffer.write(batch.x[passed], batch.y[passed], rgb[passed])
-                timers.stop("filter")
-
-        return RenderResult(
-            trace=builder.build(),
-            framebuffer=framebuffer,
-            n_fragments=builder.n_fragments,
-            n_triangles_submitted=scene.mesh.n_triangles,
-            n_triangles_rasterized=rasterized,
-            per_triangle_fragments=per_triangle_fragments,
-            phase_ms=timers.ms,
-        )
-
-    def _triangle_accesses(self, batch, mipmap) -> TexelAccesses:
-        """The access stream of one triangle's (reordered) fragments."""
-        if not self.use_mipmaps:
-            # GL_LINEAR: bilinear at level 0, whatever the lod.
-            return generate_accesses(
-                batch.u, batch.v, np.full(batch.n_fragments, -1.0),
-                1, *mipmap.level_shape(0),
-            )
-        if self.max_anisotropy > 1:
-            # LoD bias scales the footprint: 2**bias on derivatives.
-            bias_factor = 2.0 ** self.lod_bias if self.lod_bias else 1.0
-            return generate_accesses_aniso(
-                batch.u, batch.v,
-                batch.dudx * bias_factor, batch.dvdx * bias_factor,
-                batch.dudy * bias_factor, batch.dvdy * bias_factor,
-                mipmap.n_levels, *mipmap.level_shape(0),
-                max_aniso=self.max_anisotropy,
-            )
-        return generate_accesses(
-            batch.u, batch.v, batch.lod,
-            mipmap.n_levels, *mipmap.level_shape(0),
-        )
-
-    # -- batched path ----------------------------------------------------
-
-    def _render_batched(self, scene, mipmaps, clipped, texture_ids,
-                        screen, ndc_z, inv_w, has_colors,
-                        width, height, timers) -> RenderResult:
-        timers.start()
-        uv = clipped.attrs[:, :, :2]
-        tri_colors = clipped.attrs[:, :, 2:5] if has_colors else None
-        level0 = np.array([mipmap.level_shape(0) for mipmap in mipmaps],
-                          dtype=np.int64).reshape(-1, 2)
-        fragments = rasterize_triangles(
-            screen, ndc_z, inv_w, uv,
-            texel_w=level0[texture_ids, 0], texel_h=level0[texture_ids, 1],
-            width=width, height=height,
-            colors=tri_colors if self.produce_image else None,
-            with_z=self.produce_image,
-            with_derivatives=self.use_mipmaps and self.max_anisotropy > 1,
-        )
-        # Restore the reference stream order: triangles in submission
-        # order, fragments in traversal order within each triangle.
-        fragments = fragments.take(self.order.grouped_argsort(
-            fragments.x, fragments.y, fragments.triangle,
-            within_rowmajor=True))
-        if self.lod_bias:
-            fragments.lod = fragments.lod + self.lod_bias
-        per_triangle_fragments = np.bincount(
-            fragments.triangle, minlength=clipped.n_triangles)
-        timers.stop("raster")
-
-        timers.start()
-        builder = TraceBuilder(record_positions=self.record_positions)
-        frag_texture = texture_ids[fragments.triangle]
-        # One access-generation call over the whole fragment stream:
-        # the filtering kernels are elementwise, so per-fragment pyramid
-        # geometry arrays (gathered through the texture id) produce the
-        # same accesses as per-texture calls -- already in fragment
-        # order, with no grouping or stitch sort.
-        accesses = self._stream_accesses(fragments, frag_texture,
-                                         mipmaps, level0)
-        builder.append_stream(
-            frag_texture.astype(np.int16)[accesses.fragment_index],
-            accesses, n_fragments=fragments.n_fragments,
-            fragment_x=fragments.x, fragment_y=fragments.y)
-        timers.stop("access_gen")
-
         framebuffer = zbuffer = None
         if self.produce_image:
+            framebuffer = Framebuffer(scene.width, scene.height)
+            zbuffer = ZBuffer(scene.width, scene.height)
+        for fragments, texture, accesses in pieces(
+                frame, 0, frame.n_triangles, per_triangle, timers):
             timers.start()
-            framebuffer = Framebuffer(width, height)
-            zbuffer = ZBuffer(width, height)
-            self._resolve_image(fragments, frag_texture, mipmaps,
-                                framebuffer, zbuffer, width)
-            timers.stop("filter")
-
+            builder.append(texture, accesses, fragments.n_fragments,
+                           fragment_x=fragments.x, fragment_y=fragments.y)
+            timers.stop("access_gen")
+            if framebuffer is not None:
+                timers.start()
+                draw(frame, fragments, texture, framebuffer, zbuffer)
+                timers.stop("filter")
         return RenderResult(
             trace=builder.build(),
             framebuffer=framebuffer,
             n_fragments=builder.n_fragments,
             n_triangles_submitted=scene.mesh.n_triangles,
-            n_triangles_rasterized=int((per_triangle_fragments > 0).sum()),
-            per_triangle_fragments=per_triangle_fragments,
+            n_triangles_rasterized=int((per_triangle > 0).sum()),
+            per_triangle_fragments=per_triangle,
             phase_ms=timers.ms,
         )
-
-    def _stream_accesses(self, fragments, frag_texture, mipmaps,
-                         level0) -> TexelAccesses:
-        """Access stream of the whole (multi-texture) fragment stream,
-        the array-geometry twin of :meth:`_triangle_accesses`."""
-        width0 = level0[frag_texture, 0]
-        height0 = level0[frag_texture, 1]
-        if not self.use_mipmaps:
-            return generate_accesses(
-                fragments.u, fragments.v,
-                np.full(fragments.n_fragments, -1.0), 1, width0, height0)
-        n_levels = np.array([mipmap.n_levels for mipmap in mipmaps],
-                            dtype=np.int64)[frag_texture]
-        if self.max_anisotropy > 1:
-            bias_factor = 2.0 ** self.lod_bias if self.lod_bias else 1.0
-            return generate_accesses_aniso(
-                fragments.u, fragments.v,
-                fragments.dudx * bias_factor, fragments.dvdx * bias_factor,
-                fragments.dudy * bias_factor, fragments.dvdy * bias_factor,
-                n_levels, width0, height0,
-                max_aniso=self.max_anisotropy,
-            )
-        return generate_accesses(fragments.u, fragments.v, fragments.lod,
-                                 n_levels, width0, height0)
-
-    def _resolve_image(self, fragments, frag_texture, mipmaps,
-                       framebuffer, zbuffer, width) -> None:
-        """Filter colors per texture and resolve visibility in one pass.
-
-        The reference path z-tests triangle by triangle with a strict
-        ``z < depth`` comparison, so the surviving fragment per pixel is
-        the minimum-z fragment, earliest in the stream among equal
-        depths.  A stable lexsort over (pixel, z) picks exactly that
-        winner, reproducing the final framebuffer and depth buffer.
-        """
-        n = fragments.n_fragments
-        if n == 0:
-            return
-        rgb = np.empty((n, 3), dtype=np.float64)
-        for texture_id in np.unique(frag_texture):
-            where = np.flatnonzero(frag_texture == texture_id)
-            rgba = filter_colors(mipmaps[texture_id], fragments.u[where],
-                                 fragments.v[where], fragments.lod[where])
-            rgb[where] = rgba[:, :3]
-        if fragments.color is not None:
-            rgb = rgb * fragments.color
-        pixel = fragments.y.astype(np.int64) * width + fragments.x
-        by_depth = np.lexsort((fragments.z, pixel))
-        pixel_sorted = pixel[by_depth]
-        first = np.concatenate([[True], pixel_sorted[1:] != pixel_sorted[:-1]])
-        winners = by_depth[first]
-        zbuffer.depth[fragments.y[winners], fragments.x[winners]] = \
-            fragments.z[winners]
-        framebuffer.write(fragments.x[winners], fragments.y[winners],
-                          rgb[winners])
-
-    # -- streaming (block) path ------------------------------------------
 
     def render_blocks(self, scene, chunk_size: int, totals: dict = None,
                       triangle_slice: tuple = None):
@@ -421,11 +282,13 @@ class Renderer:
         Bit-identity: every traversal order sorts the frame's stream
         triangle-major (submission order is the most significant key),
         and per-triangle rasterization setup and access generation are
-        elementwise, so rasterizing contiguous triangle ranges and
-        concatenating their ordered streams equals
-        :meth:`render`'s trace exactly -- the blocks are that stream,
-        partitioned.  Peak memory is bounded by the chunk size (plus
-        one triangle batch), never the frame.
+        elementwise, so walking contiguous triangle ranges and
+        concatenating their ordered streams equals :meth:`render`'s
+        one-piece walk exactly -- the blocks are that stream, cut by
+        :func:`~repro.pipeline.trace.cut_blocks`.  The batched path
+        sizes its triangle batches from the chunk, so peak memory is
+        bounded by the chunk size (plus one triangle batch), never the
+        frame.
 
         ``triangle_slice=(index, count)`` renders only the ``index``-th
         of ``count`` equal contiguous slices of the clipped triangle
@@ -451,24 +314,24 @@ class Renderer:
                 "streaming render does not produce an image; construct "
                 "the Renderer with produce_image=False")
         timers = _PhaseTimers()
-        mipmaps, clipped, texture_ids, screen, ndc_z, inv_w, _ = \
-            self._prepare(scene, timers)
-        lo, hi = triangle_slice_bounds(clipped.n_triangles, triangle_slice)
-        per_triangle = np.zeros(clipped.n_triangles, dtype=np.int64)
-        if self.raster == "batched":
-            chunks = self._batched_chunk_traces(
-                mipmaps, clipped, texture_ids, screen, ndc_z, inv_w,
-                scene.width, scene.height, chunk_size, per_triangle,
-                lo, hi)
-        else:
-            chunks = self._reference_chunk_traces(
-                mipmaps, clipped, texture_ids, screen, ndc_z, inv_w,
-                scene.width, scene.height, per_triangle, lo, hi)
-        accumulator = _BlockAccumulator(chunk_size)
-        for trace, starts in chunks:
-            accumulator.add(trace, starts)
-            yield from accumulator.drain()
-        yield from accumulator.drain(final=True)
+        frame = self._prepare(scene, timers)
+        lo, hi = triangle_slice_bounds(frame.n_triangles, triangle_slice)
+        per_triangle = np.zeros(frame.n_triangles, dtype=np.int64)
+        pieces, _ = self._path()
+
+        def traces():
+            for fragments, texture, accesses in pieces(
+                    frame, lo, hi, per_triangle, timers, chunk_size):
+                builder = TraceBuilder(record_positions=self.record_positions)
+                builder.append(texture, accesses, fragments.n_fragments,
+                               fragment_x=fragments.x, fragment_y=fragments.y)
+                starts = _fragment_start_indices(accesses.fragment_index)
+                # Hold no fragments while the walk makes the next batch:
+                # a batch's fragments can set a cold fold's peak.
+                del fragments, texture, accesses
+                yield builder.build(), starts
+
+        yield from cut_blocks(traces(), chunk_size)
         if totals is not None:
             sliced = per_triangle[lo:hi]
             totals.update(
@@ -478,86 +341,193 @@ class Renderer:
                 per_triangle_fragments=per_triangle,
             )
 
-    def _batched_chunk_traces(self, mipmaps, clipped, texture_ids,
-                              screen, ndc_z, inv_w, width, height,
-                              chunk_size, per_triangle, lo=0, hi=None):
-        """Yield ``(chunk trace, fragment start indices)`` for
-        contiguous submission-order triangle ranges, sized adaptively
-        so each range generates roughly ``chunk_size`` accesses.
-        ``[lo, hi)`` restricts the walk to a contiguous clipped-triangle
-        slice (the pipelined streaming partition)."""
-        uv = clipped.attrs[:, :, :2]
-        level0 = np.array([mipmap.level_shape(0) for mipmap in mipmaps],
-                          dtype=np.int64).reshape(-1, 2)
-        m = clipped.n_triangles if hi is None else hi
-        begin = lo
-        # The first batch too is sized by the chunk: it can set the peak.
-        guess = min(256, max(16, chunk_size // 1024))
-        seen_triangles = 0
-        seen_accesses = 0
-        while begin < m:
-            end = min(m, begin + guess)
-            ids = texture_ids[begin:end]
-            fragments = rasterize_triangles(
-                screen[begin:end], ndc_z[begin:end], inv_w[begin:end],
-                uv[begin:end],
-                texel_w=level0[ids, 0], texel_h=level0[ids, 1],
-                width=width, height=height, colors=None, with_z=False,
-                with_derivatives=self.use_mipmaps and self.max_anisotropy > 1,
-            )
-            fragments = fragments.take(self.order.grouped_argsort(
-                fragments.x, fragments.y, fragments.triangle,
-                within_rowmajor=True))
-            if self.lod_bias:
-                fragments.lod = fragments.lod + self.lod_bias
-            per_triangle[begin:end] += np.bincount(
-                fragments.triangle, minlength=end - begin)
-            frag_texture = ids[fragments.triangle]
-            accesses = self._stream_accesses(fragments, frag_texture,
-                                             mipmaps, level0)
-            builder = TraceBuilder(record_positions=self.record_positions)
-            builder.append_stream(
-                frag_texture.astype(np.int16)[accesses.fragment_index],
-                accesses, n_fragments=fragments.n_fragments,
-                fragment_x=fragments.x, fragment_y=fragments.y)
-            trace = builder.build()
-            yield trace, _fragment_start_indices(accesses.fragment_index)
-            seen_triangles += end - begin
-            seen_accesses += trace.n_accesses
-            per_triangle_accesses = max(1.0, seen_accesses / seen_triangles)
-            guess = int(min(max(16, chunk_size / per_triangle_accesses),
-                            1 << 16))
-            begin = end
+    # -- per-triangle reference path -------------------------------------
 
-    def _reference_chunk_traces(self, mipmaps, clipped, texture_ids,
-                                screen, ndc_z, inv_w, width, height,
-                                per_triangle, lo=0, hi=None):
-        """Per-triangle oracle twin of :meth:`_batched_chunk_traces`."""
-        hi = clipped.n_triangles if hi is None else hi
+    def _reference_pieces(self, frame, lo, hi, per_triangle, timers,
+                          chunk_size=None):
+        """The reference walk of triangles ``[lo, hi)``: one piece
+        ``(fragments, texture id, accesses)`` per triangle that covers
+        a fragment (``chunk_size`` is not needed).  Records each
+        triangle's fragment count in ``per_triangle``."""
         for index in range(lo, hi):
-            texture_id = int(texture_ids[index])
-            mipmap = mipmaps[texture_id]
-            uv = clipped.attrs[index, :, :2]
+            timers.start()
+            texture_id = int(frame.texture_ids[index])
+            mipmap = frame.mipmaps[texture_id]
             batch = rasterize_triangle(
-                screen[index], ndc_z[index], inv_w[index], uv,
-                texture_size=mipmap.level_shape(0),
-                width=width, height=height, colors=None,
+                frame.screen[index], frame.ndc_z[index], frame.inv_w[index],
+                frame.uv[index], texture_size=mipmap.level_shape(0),
+                width=frame.width, height=frame.height,
+                colors=None if frame.colors is None else frame.colors[index],
             )
             if batch is None or batch.n_fragments == 0:
+                timers.stop("raster")
                 continue
             per_triangle[index] = batch.n_fragments
             batch = batch.reordered(self.order.argsort(batch.x, batch.y))
             if self.lod_bias:
                 batch.lod = batch.lod + self.lod_bias
+            timers.stop("raster")
+
+            timers.start()
             accesses = self._triangle_accesses(batch, mipmap)
-            builder = TraceBuilder(record_positions=self.record_positions)
-            if self.record_positions:
-                builder.append(texture_id, accesses, batch.n_fragments,
-                               fragment_x=batch.x, fragment_y=batch.y)
-            else:
-                builder.append(texture_id, accesses, batch.n_fragments)
-            yield builder.build(), _fragment_start_indices(
-                accesses.fragment_index)
+            timers.stop("access_gen")
+            yield batch, texture_id, accesses
+
+    def _triangle_accesses(self, batch, mipmap) -> TexelAccesses:
+        """The access stream of one triangle's (reordered) fragments."""
+        if not self.use_mipmaps:
+            # GL_LINEAR: bilinear at level 0, whatever the lod.
+            return generate_accesses(
+                batch.u, batch.v, np.full(batch.n_fragments, -1.0),
+                1, *mipmap.level_shape(0),
+            )
+        if self.max_anisotropy > 1:
+            # LoD bias scales the footprint: 2**bias on derivatives.
+            bias_factor = 2.0 ** self.lod_bias if self.lod_bias else 1.0
+            return generate_accesses_aniso(
+                batch.u, batch.v,
+                batch.dudx * bias_factor, batch.dvdx * bias_factor,
+                batch.dudy * bias_factor, batch.dvdy * bias_factor,
+                mipmap.n_levels, *mipmap.level_shape(0),
+                max_aniso=self.max_anisotropy,
+            )
+        return generate_accesses(
+            batch.u, batch.v, batch.lod,
+            mipmap.n_levels, *mipmap.level_shape(0),
+        )
+
+    def _draw_reference(self, frame, batch, texture_id, framebuffer,
+                        zbuffer) -> None:
+        """Shade one triangle's fragments and z-test them, in stream
+        order, against what the triangles before it wrote."""
+        rgb = filter_colors(frame.mipmaps[texture_id], batch.u, batch.v,
+                            batch.lod)[:, :3]
+        if batch.color is not None:
+            rgb = rgb * batch.color
+        passed = zbuffer.test_and_write(batch.x, batch.y, batch.z)
+        framebuffer.write(batch.x[passed], batch.y[passed], rgb[passed])
+
+    # -- batched path ----------------------------------------------------
+
+    def _batched_pieces(self, frame, lo, hi, per_triangle, timers,
+                        chunk_size=None):
+        """The batched walk of triangles ``[lo, hi)``: one piece
+        ``(fragments, per-fragment texture ids, accesses)`` per
+        contiguous triangle batch, in submission order.  Records each
+        triangle's fragment count in ``per_triangle``.
+
+        Without a ``chunk_size`` the whole range is one batch.  With
+        one, the first batch has ``min(256, max(16, chunk_size //
+        1024))`` triangles (it too can set a fold's peak), and each
+        later one is sized from the accesses per triangle seen so far
+        to generate about ``chunk_size`` accesses.
+        """
+        level0 = np.array([mipmap.level_shape(0) for mipmap in frame.mipmaps],
+                          dtype=np.int64).reshape(-1, 2)
+        size = hi - lo if chunk_size is None else \
+            min(256, max(16, chunk_size // 1024))
+        seen_accesses = 0
+        begin = lo
+        while begin < hi:
+            end = min(hi, begin + size)
+            timers.start()
+            ids = frame.texture_ids[begin:end]
+            fragments = rasterize_triangles(
+                frame.screen[begin:end], frame.ndc_z[begin:end],
+                frame.inv_w[begin:end], frame.uv[begin:end],
+                texel_w=level0[ids, 0], texel_h=level0[ids, 1],
+                width=frame.width, height=frame.height,
+                colors=None if frame.colors is None
+                else frame.colors[begin:end],
+                with_z=self.produce_image,
+                with_derivatives=self.use_mipmaps and self.max_anisotropy > 1,
+            )
+            # Restore the reference stream order: triangles in submission
+            # order, fragments in traversal order within each triangle.
+            fragments = fragments.take(self.order.grouped_argsort(
+                fragments.x, fragments.y, fragments.triangle,
+                within_rowmajor=True))
+            if self.lod_bias:
+                fragments.lod = fragments.lod + self.lod_bias
+            per_triangle[begin:end] = np.bincount(fragments.triangle,
+                                                  minlength=end - begin)
+            timers.stop("raster")
+
+            timers.start()
+            frag_texture = ids[fragments.triangle]
+            # One access-generation call over the whole fragment stream:
+            # the filtering kernels are elementwise, so per-fragment
+            # pyramid geometry arrays (gathered through the texture id)
+            # produce the same accesses as per-texture calls -- already
+            # in fragment order, with no grouping or stitch sort.
+            accesses = self._stream_accesses(fragments, frag_texture,
+                                             frame.mipmaps, level0)
+            timers.stop("access_gen")
+            yield fragments, frag_texture, accesses
+            if chunk_size is not None:
+                seen_accesses += accesses.n_accesses
+                per_triangle_accesses = max(1.0, seen_accesses / (end - lo))
+                size = int(min(max(16, chunk_size / per_triangle_accesses),
+                               1 << 16))
+            begin = end
+
+    def _stream_accesses(self, fragments, frag_texture, mipmaps,
+                         level0) -> TexelAccesses:
+        """Access stream of a whole (multi-texture) fragment stream,
+        the array-geometry twin of :meth:`_triangle_accesses`."""
+        width0 = level0[frag_texture, 0]
+        height0 = level0[frag_texture, 1]
+        if not self.use_mipmaps:
+            return generate_accesses(
+                fragments.u, fragments.v,
+                np.full(fragments.n_fragments, -1.0), 1, width0, height0)
+        n_levels = np.array([mipmap.n_levels for mipmap in mipmaps],
+                            dtype=np.int64)[frag_texture]
+        if self.max_anisotropy > 1:
+            bias_factor = 2.0 ** self.lod_bias if self.lod_bias else 1.0
+            return generate_accesses_aniso(
+                fragments.u, fragments.v,
+                fragments.dudx * bias_factor, fragments.dvdx * bias_factor,
+                fragments.dudy * bias_factor, fragments.dvdy * bias_factor,
+                n_levels, width0, height0,
+                max_aniso=self.max_anisotropy,
+            )
+        return generate_accesses(fragments.u, fragments.v, fragments.lod,
+                                 n_levels, width0, height0)
+
+    def _draw_batched(self, frame, fragments, frag_texture, framebuffer,
+                      zbuffer) -> None:
+        """Filter colors per texture and resolve visibility in one pass.
+
+        The reference path z-tests triangle by triangle with a strict
+        ``z < depth`` comparison, so the surviving fragment per pixel is
+        the minimum-z fragment, earliest in the stream among equal
+        depths.  A stable lexsort over (pixel, z) picks exactly that
+        winner, reproducing the final framebuffer and depth buffer.  It
+        writes the winners without reading the buffers, so it is valid
+        only over every fragment of the frame at once: that is why
+        :meth:`render` walks the batched path as one piece.
+        """
+        n = fragments.n_fragments
+        if n == 0:
+            return
+        rgb = np.empty((n, 3), dtype=np.float64)
+        for texture_id in np.unique(frag_texture):
+            where = np.flatnonzero(frag_texture == texture_id)
+            rgba = filter_colors(frame.mipmaps[texture_id], fragments.u[where],
+                                 fragments.v[where], fragments.lod[where])
+            rgb[where] = rgba[:, :3]
+        if fragments.color is not None:
+            rgb = rgb * fragments.color
+        pixel = fragments.y.astype(np.int64) * frame.width + fragments.x
+        by_depth = np.lexsort((fragments.z, pixel))
+        pixel_sorted = pixel[by_depth]
+        first = np.concatenate([[True], pixel_sorted[1:] != pixel_sorted[:-1]])
+        winners = by_depth[first]
+        zbuffer.depth[fragments.y[winners], fragments.x[winners]] = \
+            fragments.z[winners]
+        framebuffer.write(fragments.x[winners], fragments.y[winners],
+                          rgb[winners])
 
 
 def triangle_slice_bounds(n_triangles: int, triangle_slice: tuple = None):
@@ -584,91 +554,6 @@ def _fragment_start_indices(fragment_index: np.ndarray) -> np.ndarray:
     change[0] = True
     np.not_equal(fragment_index[1:], fragment_index[:-1], out=change[1:])
     return np.flatnonzero(change).astype(np.int64)
-
-
-class _BlockAccumulator:
-    """Re-chunks triangle-sized trace pieces into fixed-size
-    :class:`FragmentBlock` chunks, cutting only at fragment boundaries.
-
-    Pieces always end on a fragment boundary (fragments never span
-    triangles), so every pending fragment is complete and the pending
-    buffer never holds more than one emitted block plus one piece.
-    """
-
-    def __init__(self, chunk_size: int):
-        self.chunk_size = chunk_size
-        self.pending = None          # TexelTrace-shaped buffer
-        self.starts = np.empty(0, dtype=np.int64)
-        self.index = 0
-
-    def add(self, trace: TexelTrace, starts: np.ndarray) -> None:
-        if trace.n_accesses == 0:
-            return
-        if self.pending is None:
-            self.pending = trace
-            self.starts = starts
-            return
-        offset = self.pending.n_accesses
-        merged = {}
-        for column in ("texture_id", "level", "tu", "tv",
-                       "tu_raw", "tv_raw", "kind", "x", "y"):
-            left = getattr(self.pending, column)
-            if left is None:
-                merged[column] = None
-            else:
-                merged[column] = np.concatenate(
-                    [left, getattr(trace, column)])
-        self.pending = TexelTrace(
-            n_fragments=self.pending.n_fragments + trace.n_fragments,
-            **merged)
-        self.starts = np.concatenate([self.starts, starts + offset])
-
-    def drain(self, final: bool = False):
-        while self.pending is not None:
-            n = self.pending.n_accesses
-            if n == 0:
-                self.pending = None
-                break
-            if n < self.chunk_size and not final:
-                break
-            if n <= self.chunk_size:  # pieces end on fragment boundaries
-                cut = n
-            else:
-                # Largest fragment boundary at or below the chunk size;
-                # a single oversized fragment advances to the next
-                # boundary (or the end) so progress is guaranteed.
-                position = int(np.searchsorted(
-                    self.starts, self.chunk_size, side="right")) - 1
-                cut = int(self.starts[position])
-                if cut == 0:
-                    cut = int(self.starts[position + 1]) \
-                        if position + 1 < len(self.starts) else n
-            n_fragments = int(np.searchsorted(self.starts, cut, side="left"))
-            piece = self.pending
-            yield FragmentBlock(
-                texture_id=piece.texture_id[:cut],
-                level=piece.level[:cut],
-                tu=piece.tu[:cut], tv=piece.tv[:cut],
-                tu_raw=piece.tu_raw[:cut], tv_raw=piece.tv_raw[:cut],
-                kind=piece.kind[:cut], n_fragments=n_fragments,
-                x=None if piece.x is None else piece.x[:cut],
-                y=None if piece.y is None else piece.y[:cut],
-                index=self.index)
-            self.index += 1
-            if cut == n:
-                self.pending = None
-                self.starts = np.empty(0, dtype=np.int64)
-            else:
-                self.pending = TexelTrace(
-                    texture_id=piece.texture_id[cut:],
-                    level=piece.level[cut:],
-                    tu=piece.tu[cut:], tv=piece.tv[cut:],
-                    tu_raw=piece.tu_raw[cut:], tv_raw=piece.tv_raw[cut:],
-                    kind=piece.kind[cut:],
-                    n_fragments=piece.n_fragments - n_fragments,
-                    x=None if piece.x is None else piece.x[cut:],
-                    y=None if piece.y is None else piece.y[cut:])
-                self.starts = self.starts[n_fragments:] - cut
 
 
 def render_trace(scene, order: TraversalOrder = None,

@@ -13,6 +13,7 @@ order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,9 +56,21 @@ def count_fragments(kind: np.ndarray, start: int = 0,
 
 def fragment_starts(kind: np.ndarray) -> np.ndarray:
     """Access indices where a new fragment (or anisotropic probe)
-    begins; see :func:`count_fragments` for the quad structure."""
-    quad_kinds = kind[::4]
-    return np.flatnonzero(quad_kinds != KIND_UPPER).astype(np.int64) * 4
+    begins; see :func:`count_fragments` for the quad structure.  A
+    trace that opens inside a trilinear fragment covers that fragment
+    too, so a non-empty trace always starts one at index 0."""
+    opens = kind[::4] != KIND_UPPER
+    opens[:1] = True
+    return np.flatnonzero(opens).astype(np.int64) * 4
+
+
+#: The per-access columns of every trace and block, in field order,
+#: with the dtype the renderer builds each in.  ``x``/``y`` (the owning
+#: fragment's screen position) are ``None`` unless positions are
+#: recorded.
+COLUMNS = {"texture_id": np.int16, "level": np.int16, "tu": np.int32,
+           "tv": np.int32, "tu_raw": np.int32, "tv_raw": np.int32,
+           "kind": np.uint8, "x": np.int16, "y": np.int16}
 
 
 @dataclass
@@ -115,6 +128,12 @@ class TexelTrace:
         from .traceio import load_trace
         return load_trace(path)
 
+    def columns(self, index) -> dict:
+        """Every column indexed by ``index`` (a slice or a boolean
+        mask), by field name; absent positions stay ``None``."""
+        return {name: None if (column := getattr(self, name)) is None
+                else column[index] for name in COLUMNS}
+
     def slice(self, start: int, stop: int) -> "TexelTrace":
         """A sub-trace of accesses ``[start, stop)``.
 
@@ -125,35 +144,16 @@ class TexelTrace:
         yields per-piece counts that sum to the frame total whenever
         the cuts land on fragment boundaries.
         """
-        return TexelTrace(
-            texture_id=self.texture_id[start:stop],
-            level=self.level[start:stop],
-            tu=self.tu[start:stop],
-            tv=self.tv[start:stop],
-            tu_raw=self.tu_raw[start:stop],
-            tv_raw=self.tv_raw[start:stop],
-            kind=self.kind[start:stop],
-            n_fragments=count_fragments(self.kind, start, stop),
-            x=None if self.x is None else self.x[start:stop],
-            y=None if self.y is None else self.y[start:stop],
-        )
+        return TexelTrace(n_fragments=count_fragments(self.kind, start, stop),
+                          **self.columns(slice(start, stop)))
 
     def subset(self, mask: np.ndarray,
                n_fragments: Optional[int] = None) -> "TexelTrace":
         """The sub-trace selected by a boolean ``mask``, order
         preserved (used to split work among parallel generators)."""
         return TexelTrace(
-            texture_id=self.texture_id[mask],
-            level=self.level[mask],
-            tu=self.tu[mask],
-            tv=self.tv[mask],
-            tu_raw=self.tu_raw[mask],
-            tv_raw=self.tv_raw[mask],
-            kind=self.kind[mask],
             n_fragments=self.n_fragments if n_fragments is None else n_fragments,
-            x=None if self.x is None else self.x[mask],
-            y=None if self.y is None else self.y[mask],
-        )
+            **self.columns(mask))
 
 
 @dataclass
@@ -176,172 +176,143 @@ def concat_blocks(blocks) -> TexelTrace:
     """Concatenate an iterable of blocks (or traces) back into one
     in-RAM :class:`TexelTrace`; the inverse of block streaming."""
     blocks = list(blocks)
-    builder = TraceBuilder()
     if not blocks:
-        return builder.build()
-    has_positions = blocks[0].has_positions
+        return TraceBuilder().build()
 
-    def merged(column):
-        parts = [getattr(block, column) for block in blocks]
+    def joined(name):
+        parts = [getattr(block, name) for block in blocks]
+        if parts[0] is None:
+            return None
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    return TexelTrace(
-        texture_id=merged("texture_id"),
-        level=merged("level"),
-        tu=merged("tu"),
-        tv=merged("tv"),
-        tu_raw=merged("tu_raw"),
-        tv_raw=merged("tv_raw"),
-        kind=merged("kind"),
-        n_fragments=sum(block.n_fragments for block in blocks),
-        x=merged("x") if has_positions else None,
-        y=merged("y") if has_positions else None,
-    )
+    return TexelTrace(n_fragments=sum(block.n_fragments for block in blocks),
+                      **{name: joined(name) for name in COLUMNS})
+
+
+def cut_blocks(pieces, chunk_size: int):
+    """Cut one access stream, handed over in ``(trace, starts)``
+    pieces, into :class:`FragmentBlock` chunks of at most
+    ``chunk_size`` accesses each.
+
+    Every piece begins and ends on a fragment boundary, and ``starts``
+    holds the sorted indices in the piece where a fragment begins
+    (``starts[0] == 0``).  A block ends at the last fragment boundary
+    within ``chunk_size`` accesses of its start, and exceeds the chunk
+    only when a single fragment does; its ``n_fragments`` counts the
+    fragments that begin in it.  So the cuts depend only on the joined
+    stream, not on how it was split into pieces, and the cutter holds
+    no more than one piece plus what is left of the last block.
+    """
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    indices = itertools.count()
+    rest = rest_starts = None  # the accesses not cut into a block yet
+    for trace, starts in pieces:
+        if trace.n_accesses == 0:
+            continue
+        if rest is not None:
+            # Join the rest to the piece, and drop each part of it as
+            # soon as it is joined: it views the last joined piece.
+            offset = rest.n_accesses
+            trace, rest = concat_blocks([rest, trace]), None
+            starts, rest_starts = np.concatenate(
+                [rest_starts, starts + offset]), None
+        rest, rest_starts = yield from _cut(trace, starts, chunk_size,
+                                            indices, final=False)
+    if rest is not None:
+        yield from _cut(rest, rest_starts, chunk_size, indices, final=True)
+
+
+def _cut(trace, starts, chunk_size, indices, final):
+    """Yield the blocks cut from the front of ``trace`` while a whole
+    chunk is left (while any access is, when ``final``), numbered from
+    ``indices``; return what is left as ``(trace, starts)``, or
+    ``(None, None)``."""
+    n = trace.n_accesses
+    begin = first = 0  # the next block's first access and fragment
+    while n - begin >= chunk_size or (final and begin < n):
+        end = begin + chunk_size
+        if end >= n:
+            end = n
+        else:
+            # The last fragment boundary in (begin, end]; a single
+            # fragment longer than the chunk runs to the next one.
+            last = int(np.searchsorted(starts, end, side="right")) - 1
+            if starts[last] > begin:
+                end = int(starts[last])
+            else:
+                end = int(starts[last + 1]) if last + 1 < len(starts) else n
+        stop = int(np.searchsorted(starts, end))
+        yield FragmentBlock(index=next(indices), n_fragments=stop - first,
+                            **trace.columns(slice(begin, end)))
+        begin, first = end, stop
+    if begin == n:
+        return None, None
+    return TexelTrace(**trace.columns(slice(begin, None))), \
+        starts[first:] - begin
 
 
 def iter_blocks(trace: TexelTrace, chunk_size: int):
     """Stream an in-RAM (or memory-mapped) trace as
     :class:`FragmentBlock` chunks of at most ``chunk_size`` accesses,
     cut at fragment boundaries (a block only exceeds ``chunk_size``
-    when a single fragment does).
+    when a single fragment does): :func:`cut_blocks` over the whole
+    trace as one piece.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    n = trace.n_accesses
-    if n == 0:
-        return
-    starts = fragment_starts(trace.kind)
-    begin = 0
-    index = 0
-    while begin < n:
-        target = begin + chunk_size
-        if target >= n:
-            end = n
-        else:
-            # Largest fragment boundary in (begin, target]; fall
-            # forward to the next one if a single fragment overflows
-            # the chunk.
-            cut = int(np.searchsorted(starts, target, side="right")) - 1
-            end = int(starts[cut]) if starts[cut] > begin else (
-                int(starts[cut + 1]) if cut + 1 < len(starts) else n)
-        piece = trace.slice(begin, end)
-        yield FragmentBlock(
-            texture_id=piece.texture_id, level=piece.level,
-            tu=piece.tu, tv=piece.tv,
-            tu_raw=piece.tu_raw, tv_raw=piece.tv_raw,
-            kind=piece.kind, n_fragments=piece.n_fragments,
-            x=piece.x, y=piece.y, index=index)
-        index += 1
-        begin = end
+    yield from cut_blocks([(trace, fragment_starts(trace.kind))],
+                          chunk_size)
 
 
 class TraceBuilder:
-    """Accumulates per-triangle access batches into one TexelTrace."""
+    """Accumulates access batches into one :class:`TexelTrace`."""
 
     def __init__(self, record_positions: bool = False) -> None:
-        self._texture_id = []
-        self._level = []
-        self._tu = []
-        self._tv = []
-        self._tu_raw = []
-        self._tv_raw = []
-        self._kind = []
-        self._x = [] if record_positions else None
-        self._y = [] if record_positions else None
+        self.record_positions = record_positions
+        self._pieces = []
         self.n_fragments = 0
 
-    @property
-    def record_positions(self) -> bool:
-        return self._x is not None
+    def append(self, texture_id, accesses: TexelAccesses, n_fragments: int,
+               fragment_x: np.ndarray = None,
+               fragment_y: np.ndarray = None) -> None:
+        """Record the accesses of a run of fragments.
 
-    def append(self, texture_id: int, accesses: TexelAccesses, n_fragments: int,
-               fragment_x: np.ndarray = None, fragment_y: np.ndarray = None) -> None:
-        """Record the accesses of one triangle (a single texture).
-
-        ``fragment_x``/``fragment_y`` are the per-*fragment* screen
-        positions; each access inherits its owning fragment's position
-        via ``accesses.fragment_index``.
+        ``texture_id`` is one id for every fragment (a triangle) or an
+        array of per-*fragment* ids (the batched rasterizer's stream,
+        which may interleave textures); ``fragment_x``/``fragment_y``
+        are the per-fragment screen positions.  Each access inherits
+        its owning fragment's id and position via
+        ``accesses.fragment_index``.
         """
         n = accesses.n_accesses
         if n == 0:
             return
-        self._texture_id.append(np.full(n, texture_id, dtype=np.int16))
-        self._level.append(accesses.level)
-        self._tu.append(accesses.tu)
-        self._tv.append(accesses.tv)
-        self._tu_raw.append(accesses.tu_raw)
-        self._tv_raw.append(accesses.tv_raw)
-        self._kind.append(accesses.kind)
-        if self._x is not None:
+        owner = accesses.fragment_index
+        if np.ndim(texture_id) == 0:
+            texture = np.full(n, texture_id, dtype=np.int16)
+        else:
+            texture = np.asarray(texture_id).astype(np.int16)[owner]
+        x = y = None
+        if self.record_positions:
             if fragment_x is None or fragment_y is None:
                 raise ValueError("record_positions builder needs fragment_x/y")
-            self._x.append(fragment_x[accesses.fragment_index].astype(np.int16))
-            self._y.append(fragment_y[accesses.fragment_index].astype(np.int16))
-        self.n_fragments += n_fragments
-
-    def append_stream(self, texture_id: np.ndarray, accesses: TexelAccesses,
-                      n_fragments: int, fragment_x: np.ndarray = None,
-                      fragment_y: np.ndarray = None) -> None:
-        """Record a pre-stitched multi-texture access stream (the
-        batched rasterizer's path).
-
-        Identical to :meth:`append` except ``texture_id`` is a
-        per-*access* array (the stream may interleave textures) and
-        ``accesses.fragment_index`` already refers to frame-global
-        fragment positions.
-        """
-        n = accesses.n_accesses
-        if n == 0:
-            return
-        self._texture_id.append(np.asarray(texture_id, dtype=np.int16))
-        self._level.append(accesses.level)
-        self._tu.append(accesses.tu)
-        self._tv.append(accesses.tv)
-        self._tu_raw.append(accesses.tu_raw)
-        self._tv_raw.append(accesses.tv_raw)
-        self._kind.append(accesses.kind)
-        if self._x is not None:
-            if fragment_x is None or fragment_y is None:
-                raise ValueError("record_positions builder needs fragment_x/y")
-            self._x.append(fragment_x[accesses.fragment_index].astype(np.int16))
-            self._y.append(fragment_y[accesses.fragment_index].astype(np.int16))
+            x = fragment_x[owner].astype(np.int16)
+            y = fragment_y[owner].astype(np.int16)
+        self._pieces.append(TexelTrace(
+            texture_id=texture, level=accesses.level, tu=accesses.tu,
+            tv=accesses.tv, tu_raw=accesses.tu_raw, tv_raw=accesses.tv_raw,
+            kind=accesses.kind, n_fragments=n_fragments, x=x, y=y))
         self.n_fragments += n_fragments
 
     def build(self) -> TexelTrace:
-        if not self._texture_id:
-            empty32 = np.empty(0, dtype=np.int32)
-            empty16 = np.empty(0, dtype=np.int16)
-            return TexelTrace(
-                texture_id=np.empty(0, dtype=np.int16),
-                level=np.empty(0, dtype=np.int16),
-                tu=empty32, tv=empty32, tu_raw=empty32, tv_raw=empty32,
-                kind=np.empty(0, dtype=np.uint8),
-                n_fragments=0,
-                x=empty16 if self._x is not None else None,
-                y=empty16 if self._y is not None else None,
-            )
-        merge = self._merge
-        return TexelTrace(
-            texture_id=merge(self._texture_id),
-            level=merge(self._level),
-            tu=merge(self._tu),
-            tv=merge(self._tv),
-            tu_raw=merge(self._tu_raw),
-            tv_raw=merge(self._tv_raw),
-            kind=merge(self._kind),
-            n_fragments=self.n_fragments,
-            x=merge(self._x) if self._x is not None else None,
-            y=merge(self._y) if self._y is not None else None,
-        )
-
-    @staticmethod
-    def _merge(parts: list) -> np.ndarray:
-        # A single batch (the batched rasterizer's stitched stream)
-        # needs no concatenate copy.
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if self._pieces:
+            return concat_blocks(self._pieces)
+        return TexelTrace(**{
+            name: None if name in ("x", "y") and not self.record_positions
+            else np.empty(0, dtype=dtype) for name, dtype in COLUMNS.items()})
 
 
 __all__ = [
+    "COLUMNS",
     "FragmentBlock",
     "TexelTrace",
     "TraceBuilder",
@@ -350,6 +321,7 @@ __all__ = [
     "KIND_UPPER",
     "concat_blocks",
     "count_fragments",
+    "cut_blocks",
     "fragment_starts",
     "iter_blocks",
 ]

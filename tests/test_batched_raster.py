@@ -134,23 +134,25 @@ class TestOrdersAndModes:
     def test_cli_raster_flag_picks_the_path(self, tmp_path, monkeypatch,
                                             command):
         # Both LRU commands render a cold trace on the path --raster
-        # names.
+        # names: only that path's rasterizer runs.
         from repro.cli import main
+        from repro.pipeline import renderer
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        used = []
-        for raster in RASTER_PATHS:
-            method = getattr(Renderer, f"_render_{raster}")
+        used = set()
+        for raster, name in (("batched", "rasterize_triangles"),
+                             ("reference", "rasterize_triangle")):
+            rasterize = getattr(renderer, name)
 
-            def recorded(self, *args, _raster=raster, _method=method,
+            def recorded(*args, _raster=raster, _rasterize=rasterize,
                          **kwargs):
-                used.append(_raster)
-                return _method(self, *args, **kwargs)
-            monkeypatch.setattr(Renderer, f"_render_{raster}", recorded)
+                used.add(_raster)
+                return _rasterize(*args, **kwargs)
+            monkeypatch.setattr(renderer, name, recorded)
         assert main([command[0], "goblet", "--scale", "0.05",
                      "--cache-size", "1024", "--line-size", "128",
                      *command[1:], "--raster", "reference"]) == 0
-        assert used == ["reference"]
+        assert used == {"reference"}
 
 
 def per_group_argsort(order, x, y, group):

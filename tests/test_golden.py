@@ -3,7 +3,7 @@
 The other equivalence tests compare execution paths with each other
 inside one commit, so a change that moves every path together (a
 renderer, layout or scene tweak) passes all of them.  This module
-compares against checked-in results instead.  Two pins:
+compares against checked-in results instead.  Three pins:
 
 ``tests/golden/results.json`` holds the exact integer rows of a small
 grid over the four paper scenes -- accesses, misses and the
@@ -27,6 +27,15 @@ execution path:
   emptied (every artifact read and verified from disk), then from a
   filled in-process memory tier, each recording no recovery event.
 
+``tests/golden/renders.json`` pins the renderer itself: for each paper
+scene at scale 0.05 in its paper order, on both raster paths and in
+five renderer modes, the SHA-256 of a trace-only render (every trace
+column, positions included, the per-triangle fragment counts and the
+counters), of a render with its image (the same plus the framebuffer
+pixels) and of the ``render_blocks`` stream at 1000-access chunks
+(every block's columns, ``n_fragments`` and ``index``, then the
+totals).
+
 ``tests/golden/figures.json`` pins every grid that the twelve LRU
 figure and table benches (Figures 5.2-6.4, Table 7.1 and the order,
 Williams, mip-map and anisotropy ablations) run, as their
@@ -39,8 +48,8 @@ compared first, then the default path's rows, then the 0.25 rows on
 the serial streamed and the pipelined fold, then every 0.05 grid under
 ``kernel="reference"``.
 
-Both pins record the ``PIPELINE_VERSION`` they were generated at.  An
-intentional change to results bumps it and regenerates both pins from
+Every pin records the ``PIPELINE_VERSION`` it was generated at.  An
+intentional change to results bumps it and regenerates the pins from
 the default path::
 
     PYTHONPATH=src python -m tests.test_golden
@@ -64,8 +73,10 @@ from repro.engine import (
     render_calls,
     tiers,
 )
-from repro.engine import artifacts
+from repro.engine import artifacts, order_from_spec, paper_order_spec
 from repro.engine import faults as chaos
+from repro.pipeline.renderer import RASTER_PATHS, Renderer
+from repro.scenes import make_scene
 
 from tests import fault_injection as injection
 
@@ -74,6 +85,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PIN_PATH = GOLDEN / "results.json"
 FIGURES_PATH = GOLDEN / "figures.json"
+RENDERS_PATH = GOLDEN / "renders.json"
 
 GRID = {"scenes": ["flight", "goblet", "guitar", "town"],
         "layout": ["blocked", 8], "scale": 0.05,
@@ -95,6 +107,24 @@ EXACT_BENCHES = ("fig_5_7", "table_7_1")
 
 FIGURE_COLUMNS = ["scene", "order", "layout", "size", "line", "assoc",
                   "accesses", "misses", "cold"]
+
+#: The render pin renders each paper scene at this scale...
+RENDER_SCALE = 0.05
+#: ...on both raster paths, in each of these renderer modes...
+RENDER_MODES = {"default": {}, "lod_bias": {"lod_bias": 1.0},
+                "no_mipmaps": {"use_mipmaps": False},
+                "aniso4": {"max_anisotropy": 4},
+                "positions": {"record_positions": True}}
+#: ...as a trace, as a trace with its image, and as blocks of
+#: :data:`RENDER_CHUNK` accesses.
+RENDER_OUTPUTS = ("trace", "image", "blocks")
+RENDER_CHUNK = 1000
+#: What a render pin cell hashes: these columns of every trace or
+#: block, then these counters of the frame.
+RENDER_COLUMNS = ("texture_id", "level", "tu", "tv", "tu_raw", "tv_raw",
+                  "kind", "x", "y", "n_fragments", "index")
+RENDER_TOTALS = ("n_fragments", "n_triangles_submitted",
+                 "n_triangles_rasterized", "per_triangle_fragments")
 
 
 def experiment(scenes=tuple(GRID["scenes"]), **overrides) -> ExperimentSpec:
@@ -229,6 +259,59 @@ def moved(pinned, digests, pin) -> list:
             if digest != entry["sha256"]]
 
 
+# -- the render pin ------------------------------------------------------
+
+
+def render_cells() -> list:
+    """``(scene, raster, mode, output)`` of every render pin cell."""
+    return [(scene, raster, mode, output) for scene in GRID["scenes"]
+            for raster in RASTER_PATHS for mode in RENDER_MODES
+            for output in RENDER_OUTPUTS]
+
+
+def feed(digest, value) -> None:
+    """Hash an array with its dtype and shape, or an integer."""
+    if value is None:
+        digest.update(b"none;")
+    elif isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype.str}{value.shape};".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    else:
+        digest.update(f"{int(value)};".encode())
+
+
+def render_digest(scene, raster, mode, output) -> str:
+    """SHA-256 of one render pin cell of ``scene`` (built)."""
+    renderer = Renderer(
+        order=order_from_spec(paper_order_spec(scene.name)), raster=raster,
+        produce_image=output == "image", **RENDER_MODES[mode])
+    digest = hashlib.sha256()
+    if output == "blocks":
+        totals = {}
+        traces = list(renderer.render_blocks(scene, RENDER_CHUNK,
+                                             totals=totals))
+    else:
+        result = renderer.render(scene)
+        traces = [result.trace]
+        totals = {name: getattr(result, name) for name in RENDER_TOTALS}
+        if result.framebuffer is not None:
+            feed(digest, result.framebuffer.pixels)
+    for trace in traces:
+        for name in RENDER_COLUMNS:
+            feed(digest, getattr(trace, name, None))
+    for name in RENDER_TOTALS:
+        feed(digest, totals[name])
+    return digest.hexdigest()
+
+
+def render_digests() -> list:
+    """The digest of every cell of :func:`render_cells`, in order."""
+    scenes = {name: make_scene(name).build(scale=RENDER_SCALE)
+              for name in GRID["scenes"]}
+    return [render_digest(scenes[name], raster, mode, output)
+            for name, raster, mode, output in render_cells()]
+
+
 def check_version(pin: dict) -> None:
     assert pin.get("pipeline_version") == artifacts.PIPELINE_VERSION, \
         "PIPELINE_VERSION changed: regenerate the pins"
@@ -263,8 +346,19 @@ def generate_figures() -> dict:
             "rows": exact_rows}
 
 
+def generate_renders() -> dict:
+    """The render pin."""
+    return {"pipeline_version": artifacts.PIPELINE_VERSION,
+            "scale": RENDER_SCALE, "chunk_size": RENDER_CHUNK,
+            "modes": RENDER_MODES,
+            "cells": [{"scene": scene, "raster": raster, "mode": mode,
+                       "output": output, "sha256": digest}
+                      for (scene, raster, mode, output), digest
+                      in zip(render_cells(), render_digests())]}
+
+
 #: Pin entries written one item per line.
-LISTED = ("grids", "rows")
+LISTED = ("grids", "rows", "cells")
 
 
 def render_pin(pin: dict) -> str:
@@ -300,6 +394,19 @@ def figures_pin():
 
 
 @pytest.fixture(scope="module")
+def renders_pin():
+    data = json.loads(RENDERS_PATH.read_text())
+    check_version(data)
+    assert (data["scale"], data["chunk_size"], data["modes"]) == \
+        (RENDER_SCALE, RENDER_CHUNK, RENDER_MODES), \
+        "render modes changed: regenerate the pin"
+    assert [(cell["scene"], cell["raster"], cell["mode"], cell["output"])
+            for cell in data["cells"]] == render_cells(), \
+        "render cells changed: regenerate the pin"
+    return data
+
+
+@pytest.fixture(scope="module")
 def filled_store(tmp_path_factory, pin):
     """A store filled by the in-RAM path, checked against the pin."""
     root = tmp_path_factory.mktemp("golden-ram")
@@ -309,10 +416,11 @@ def filled_store(tmp_path_factory, pin):
     return root
 
 
-def test_pins_carry_the_pipeline_version(pin, figures_pin, monkeypatch):
+def test_pins_carry_the_pipeline_version(pin, figures_pin, renders_pin,
+                                        monkeypatch):
     monkeypatch.setattr(artifacts, "PIPELINE_VERSION",
                         artifacts.PIPELINE_VERSION + 1)
-    for data in (pin, figures_pin):
+    for data in (pin, figures_pin, renders_pin):
         with pytest.raises(AssertionError, match="PIPELINE_VERSION changed"):
             check_version(data)
 
@@ -452,9 +560,20 @@ class TestFigurePin:
             assert not list((tmp_path / kind).glob("*")), kind
 
 
+class TestRenderPin:
+    def test_renders_match_the_pin(self, renders_pin):
+        # Traces, framebuffers, fragment counts and block cuts of both
+        # raster paths against the checked-in digests.
+        changed = [cell for cell, digest, entry in zip(
+            render_cells(), render_digests(), renders_pin["cells"])
+                   if digest != entry["sha256"]]
+        assert not changed, f"renders moved: {changed}"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for path, pin_data in ((PIN_PATH, generate()),
-                           (FIGURES_PATH, generate_figures())):
+                           (FIGURES_PATH, generate_figures()),
+                           (RENDERS_PATH, generate_renders())):
         path.write_text(render_pin(pin_data))
         print(f"wrote {path}")

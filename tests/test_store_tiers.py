@@ -326,6 +326,27 @@ class TestDigestCache:
         # The very first verified load hashes nothing.
         assert after["misses"] == before["misses"]
 
+    def test_store_rooted_at_the_working_directory(self, tmp_path,
+                                                   monkeypatch):
+        # A store rooted at "." spells each path one way, so verify()
+        # finds the digest that the save recorded instead of hashing
+        # the payload again under a second key.
+        warm_store(tmp_path / "filled")
+        key = set_profile_payload(ADDR_PAYLOAD, 32, 8)
+        profile = ArtifactStore(tmp_path / "filled").load_set_profile(key)
+        (tmp_path / "store").mkdir()
+        monkeypatch.chdir(tmp_path / "store")
+        tiers.clear_process_caches()
+        cache = tiers.digest_cache()
+        store = ArtifactStore(".")
+        store.save_set_profile(key, profile)
+        before = cache.stats()
+        assert store.verify()["clean"]
+        after = cache.stats()
+        assert (after["hits"] - before["hits"],
+                after["misses"] - before["misses"],
+                after["entries"]) == (1, 0, 2)
+
     def test_rewrite_mid_hash_is_hashed_again(self, tmp_path, monkeypatch):
         """A trace part flipped in place (same size) while it is being
         hashed: the cache must not record the rewritten file's identity

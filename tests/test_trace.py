@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.pipeline.trace import TraceBuilder
+from repro.pipeline.trace import COLUMNS, TraceBuilder
 from repro.texture.filtering import generate_accesses
 from repro.texture.image import TextureImage
 from repro.texture.layout import BlockedLayout, NonblockedLayout, WilliamsLayout
@@ -29,10 +29,37 @@ class TestTraceBuilder:
         assert trace.texture_id[16:].tolist() == [1] * 4
         assert trace.n_fragments == 3
 
+    def test_per_fragment_ids_and_positions(self):
+        # One append of a multi-texture stream (per-fragment ids, as the
+        # batched rasterizer hands them over) equals one append per
+        # fragment with its scalar id.
+        u = np.array([0.5, 0.25, 0.75])
+        lod = np.array([1.5, -0.5, 0.5])
+        xs, ys = np.array([3, 4, 5]), np.array([7, 8, 9])
+        stream = TraceBuilder(record_positions=True)
+        stream.append(np.array([2, 0, 1]),
+                      generate_accesses(u, u, lod, 5, 16, 16), 3,
+                      fragment_x=xs, fragment_y=ys)
+        single = TraceBuilder(record_positions=True)
+        for index, texture_id in enumerate((2, 0, 1)):
+            window = slice(index, index + 1)
+            single.append(texture_id, generate_accesses(
+                u[window], u[window], lod[window], 5, 16, 16), 1,
+                fragment_x=xs[window], fragment_y=ys[window])
+        a, b = stream.build(), single.build()
+        assert a.n_fragments == b.n_fragments == 3
+        for name in COLUMNS:
+            assert getattr(a, name).dtype == getattr(b, name).dtype, name
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
     def test_empty_build(self):
         trace = TraceBuilder().build()
         assert trace.n_accesses == 0
         assert trace.n_fragments == 0
+        assert trace.x is None
+        positioned = TraceBuilder(record_positions=True).build()
+        assert {name: getattr(positioned, name).dtype for name in COLUMNS} \
+            == {name: np.dtype(dtype) for name, dtype in COLUMNS.items()}
 
     def test_empty_batches_skipped(self):
         builder = TraceBuilder()

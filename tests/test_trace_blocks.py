@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from repro.engine.spec import paper_order_spec
-from repro.pipeline.renderer import _BlockAccumulator, render_trace
+from repro.pipeline.renderer import render_trace
 from repro.pipeline.trace import (
     concat_blocks,
     count_fragments,
+    cut_blocks,
     fragment_starts,
     iter_blocks,
 )
 from repro.raster.order import make_order
+from repro.texture.filtering import KIND_UPPER
 from repro.scenes import make_scene
 
 TRACE_COLUMNS = ("texture_id", "level", "tu", "tv", "tu_raw", "tv_raw", "kind")
@@ -107,18 +109,28 @@ class TestBlockStreaming:
         chunk = int(starts[len(starts) // 2])
 
         def block_sizes(bounds):
-            accumulator = _BlockAccumulator(chunk)
-            sizes = []
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                piece = trace.slice(lo, hi)
-                accumulator.add(piece, fragment_starts(piece.kind))
-                sizes += [block.n_accesses for block in accumulator.drain()]
-            return sizes + [block.n_accesses
-                            for block in accumulator.drain(final=True)]
+            pieces = (trace.slice(lo, hi)
+                      for lo, hi in zip(bounds[:-1], bounds[1:]))
+            return [block.n_accesses for block in cut_blocks(
+                ((piece, fragment_starts(piece.kind)) for piece in pieces),
+                chunk)]
 
         whole = block_sizes([0, trace.n_accesses])
         assert whole[0] == chunk
         assert block_sizes([0, chunk, trace.n_accesses]) == whole
+
+    def test_trace_opening_inside_a_fragment(self, rendered):
+        # A slice that opens on a trilinear fragment's upper quad covers
+        # that fragment: its first block counts it, and even a chunk
+        # shorter than one fragment cuts at every boundary after it.
+        trace = rendered.trace
+        upper = int(np.flatnonzero(trace.kind[::4] == KIND_UPPER)[0]) * 4
+        piece = trace.slice(upper, upper + 4000)
+        blocks = list(iter_blocks(piece, 2))
+        assert all(block.n_fragments == 1 for block in blocks)
+        assert sum(block.n_fragments for block in blocks) == \
+            piece.n_fragments
+        assert_traces_equal(concat_blocks(blocks), piece)
 
     def test_rejects_nonpositive_chunk(self, rendered):
         with pytest.raises(ValueError):
