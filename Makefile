@@ -14,10 +14,14 @@ test:
 bench:
 	REPRO_SCALE=$(SCALE) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
+# Each run writes its images into a fresh directory, removed once every
+# example has passed; the package must be importable from there.
 examples:
-	cd /tmp && for ex in quickstart layout_explorer flight_flyover \
-		tile_tuning parallel_generators animation render_to_texture; do \
-		$(PYTHON) $(CURDIR)/examples/$$ex.py || exit 1; done
+	dir=$$(mktemp -d) && cd "$$dir" && for ex in quickstart \
+		layout_explorer flight_flyover tile_tuning parallel_generators \
+		animation render_to_texture; do \
+		$(PYTHON) $(CURDIR)/examples/$$ex.py || exit 1; done && \
+		rm -rf "$$dir"
 
 gallery:
 	$(PYTHON) examples/render_gallery.py gallery $(SCALE)

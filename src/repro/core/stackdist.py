@@ -21,7 +21,7 @@ the same distances with no per-access Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -84,15 +84,18 @@ class DistanceProfile:
     re-adds the collapsed consecutive repeats (distance 1).  The
     per-set :class:`~repro.core.kernels.SetDistanceProfile` is one of
     these, with its distances counted within each set.
+    ``total_accesses`` is counted once, when the profile is built, so
+    each cell it serves costs one reduction (:meth:`misses_at`).
     """
 
     counts: np.ndarray
     cold: int
     duplicate_hits: int
+    total_accesses: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def total_accesses(self) -> int:
-        return int(self.counts.sum()) + self.cold + self.duplicate_hits
+    def __post_init__(self) -> None:
+        self.total_accesses = (int(self.counts.sum()) + self.cold
+                               + self.duplicate_hits)
 
     @classmethod
     def from_stream(cls, stream: LineStream,
@@ -119,9 +122,7 @@ class DistanceProfile:
         associativity)."""
         if capacity_lines < 1:
             raise ValueError("capacity must be at least one line")
-        upto = min(capacity_lines + 1, len(self.counts))
-        hits_within = int(self.counts[:upto].sum())
-        return int(self.counts.sum()) - hits_within + self.cold
+        return int(self.counts[capacity_lines + 1:].sum()) + self.cold
 
     @property
     def cold_miss_rate(self) -> float:
@@ -149,8 +150,11 @@ class MissRateCurve:
     miss_counts: Optional[np.ndarray] = None
     cold_misses: Optional[int] = None
 
-    def as_stats(self) -> list:
-        """Expand the curve into per-size :class:`CacheStats`."""
+    def as_stats(self, configs=None) -> list:
+        """Expand the curve into per-size :class:`CacheStats`, one per
+        size, of ``configs`` when given: the sizes' fully-associative
+        configurations in order, which a caller serving many curves
+        builds once."""
         if self.miss_counts is not None:
             misses_per_size = [int(m) for m in self.miss_counts]
         else:
@@ -160,16 +164,12 @@ class MissRateCurve:
             cold = int(self.cold_misses)
         else:
             cold = round(self.cold_miss_rate * self.total_accesses)
-        stats = []
-        for size, misses in zip(self.sizes.tolist(), misses_per_size):
-            config = CacheConfig(size=int(size), line_size=self.line_size, assoc=None)
-            stats.append(CacheStats(
-                config=config,
-                accesses=self.total_accesses,
-                misses=misses,
-                cold_misses=cold,
-            ))
-        return stats
+        if configs is None:
+            configs = [CacheConfig(size=int(size), line_size=self.line_size,
+                                   assoc=None) for size in self.sizes.tolist()]
+        return [CacheStats(config=config, accesses=self.total_accesses,
+                           misses=misses, cold_misses=cold)
+                for config, misses in zip(configs, misses_per_size)]
 
 
 def miss_rate_curve(trace, line_size: int, cache_sizes) -> MissRateCurve:

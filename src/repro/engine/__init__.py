@@ -29,6 +29,7 @@ from .artifacts import (
     ArtifactStore,
     CorruptArtifact,
     PIPELINE_VERSION,
+    ProfileKeys,
     StoreError,
     StoreUnavailable,
     addresses_payload,
@@ -76,6 +77,7 @@ __all__ = [
     "ArtifactStore",
     "CorruptArtifact",
     "PIPELINE_VERSION",
+    "ProfileKeys",
     "StoreError",
     "StoreUnavailable",
     "addresses_payload",

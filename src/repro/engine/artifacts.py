@@ -98,7 +98,14 @@ The directory above is tier T1 of a read-through hierarchy (see
 :mod:`~repro.engine.tiers`).  Loads consult the process-wide
 in-memory tier (T0) first -- deserialized artifacts in a 256 MiB LRU,
 revalidated against the ``(size, mtime_ns, inode)`` of their payload
-and sidecar on every hit.  A T0 miss of an address stream or a profile
+and sidecar on every hit.  A T0 hit costs one dict lookup and those
+two ``stat`` calls, and encodes no key: profile keys have one owner,
+:class:`ProfileKeys`, which encodes an address stream's key once and
+derives every ``(line_size, n_sets)`` pair's payload and digest from
+that encoding, and the profile loads and saves take their pair
+through it.  T0 hands one object to every engine in the process, so
+the arrays of every value it takes are made read-only
+(:func:`_read_only`).  A T0 miss of an address stream or a profile
 is one pass over each file, with no ``stat`` call
 (:func:`_read_payload`): the sidecar is read once, and the payload is
 opened once, ``fstat``'d for its size check, read (an address stream:
@@ -127,7 +134,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -279,6 +286,68 @@ def set_profile_payload(address_payload: dict, line_size: int,
             "n_sets": n_sets, "encoding": PROFILE_ENCODING}
 
 
+class ProfileKey(NamedTuple):
+    """The key of one stored profile, as :class:`ProfileKeys` derives
+    it: the artifact ``kind``, the pair, the key ``payload`` and its
+    :func:`fingerprint` ``digest``."""
+
+    kind: str
+    line_size: int
+    n_sets: int
+    payload: dict
+    digest: str
+
+
+class ProfileKeys:
+    """The one owner of the profile keys of one address stream.
+
+    The ``(line_size, n_sets)`` profile of the stream keyed by
+    ``address_payload`` is keyed by :func:`profile_payload` for one set
+    (the fully-associative ``profiles/`` artifact) and by
+    :func:`set_profile_payload` otherwise.  The ``addresses`` member
+    sorts first in the canonical JSON that :func:`fingerprint` hashes,
+    and the pair's members sort between ``encoding`` and the version
+    stamps, so the stream's key is encoded and hashed once, here, and
+    each pair's digest hashes on from a copy of that state: bit for bit
+    the digest :func:`fingerprint` gives, with no JSON encoding.  The
+    store's profile loads and saves take their pair through an owner
+    (:meth:`key`), so no caller hands the store a digest."""
+
+    def __init__(self, address_payload: dict):
+        self.address_payload = address_payload
+        head = json.dumps({"addresses": address_payload,
+                           "encoding": PROFILE_ENCODING},
+                          sort_keys=True, separators=(",", ":"))
+        self._head = hashlib.sha256(head[:-1].encode())
+        self._stamps = (f',"pipeline_version":{PIPELINE_VERSION:d}'
+                        f',"trace_format":{traceio.FORMAT_VERSION:d}}}')
+        self._keys: dict = {}
+
+    def key(self, line_size: int, n_sets: int = 1) -> ProfileKey:
+        """The key of the ``(line_size, n_sets)`` profile, derived once
+        per pair."""
+        pair = (int(line_size), int(n_sets))
+        key = self._keys.get(pair)
+        if key is None:
+            key = self._keys[pair] = self._derive(*pair)
+        return key
+
+    def _derive(self, line_size: int, n_sets: int) -> ProfileKey:
+        members = f',"line_size":{line_size:d}'
+        if n_sets == 1:
+            kind = "profiles"
+            payload = profile_payload(self.address_payload, line_size)
+        else:
+            kind = "set_profiles"
+            members += f',"n_sets":{n_sets:d}'
+            payload = set_profile_payload(self.address_payload, line_size,
+                                          n_sets)
+        hasher = self._head.copy()
+        hasher.update((members + self._stamps).encode())
+        return ProfileKey(kind, line_size, n_sets, payload,
+                          hasher.hexdigest())
+
+
 def _replace(source: str, destination) -> None:
     """Publish step of an atomic write.  A module-level indirection so
     fault-injection tests can simulate a writer killed (or a disk
@@ -387,6 +456,19 @@ def _object_nbytes(value) -> int:
     return total
 
 
+def _read_only(value) -> None:
+    """Make the arrays of a T0 value read-only: an address stream
+    itself, a profile's counts, a render's trace columns.  A value
+    written through is the caller's own object, so its arrays turn
+    read-only for the caller too."""
+    if isinstance(value, RenderResult):
+        value = value.trace
+    for array in ([value] if isinstance(value, np.ndarray)
+                  else vars(value).values()):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+
+
 def _payload_nbytes(value) -> int:
     """T0 footprint of an address stream or a profile: its array bytes
     (a profile's histogram plus a small fixed overhead)."""
@@ -420,12 +502,6 @@ def _decode_addresses(data) -> np.ndarray:
                          offset=head.tell())
 
 
-def _profile_geometry(payload: dict) -> tuple:
-    """``(line_size, n_sets)`` of a profile key; one set for a
-    ``profiles/`` key."""
-    return int(payload["line_size"]), int(payload.get("n_sets", 1))
-
-
 def _address_chunks(addresses: np.ndarray) -> tuple:
     """The bytes ``np.save`` writes for an address stream: its ``.npy``
     header, then the array's own buffer (no copy)."""
@@ -436,20 +512,21 @@ def _address_chunks(addresses: np.ndarray) -> tuple:
     return header.getvalue(), array
 
 
-def _profile_words(profile: DistanceProfile, payload: dict) -> np.ndarray:
-    """The payload of the profile keyed by ``payload``: raw
+def _profile_words(profile: DistanceProfile, key: ProfileKey) -> np.ndarray:
+    """The payload of the profile stored under ``key``: raw
     little-endian int64 words, the header ``(line_size, n_sets, cold,
     duplicate_hits, n)`` with the key's geometry, then the ``n``
     histogram counts.  The envelope digest guards integrity; the
     header ties the payload to its key."""
     return np.concatenate((
-        [*_profile_geometry(payload), profile.cold, profile.duplicate_hits,
+        [key.line_size, key.n_sets, profile.cold, profile.duplicate_hits,
          len(profile.counts)], profile.counts)).astype(_PROFILE_WORD)
 
 
-def _decode_profile(data, payload: dict) -> SetDistanceProfile:
-    """Decode the bytes of a :func:`_profile_words` payload keyed by
-    ``payload``.  Raises ``ValueError`` for a size other than
+def _decode_profile(data, key: ProfileKey) -> SetDistanceProfile:
+    """Decode the bytes of a :func:`_profile_words` payload stored
+    under ``key``; on a little-endian host its counts are a view of
+    ``data``.  Raises ``ValueError`` for a size other than
     ``8 * (5 + n)``, a negative word or a geometry other than the
     key's."""
     words = np.frombuffer(data, dtype=_PROFILE_WORD)
@@ -461,13 +538,13 @@ def _decode_profile(data, payload: dict) -> SetDistanceProfile:
     if (words < 0).any():
         raise ValueError("negative profile word")
     line_size, n_sets, cold, duplicate_hits, _ = header
-    if (line_size, n_sets) != _profile_geometry(payload):
+    if (line_size, n_sets) != (key.line_size, key.n_sets):
         raise ValueError(f"profile of {(line_size, n_sets)} under the key "
-                         f"of {_profile_geometry(payload)}")
+                         f"of {(key.line_size, key.n_sets)}")
     return SetDistanceProfile(
         line_size=line_size, n_sets=n_sets, cold=cold,
         duplicate_hits=duplicate_hits,
-        counts=words[_PROFILE_HEADER:].astype(np.int64))
+        counts=words[_PROFILE_HEADER:].astype(np.int64, copy=False))
 
 
 def part_name(digest: str, index: int) -> str:
@@ -651,7 +728,9 @@ class ArtifactStore:
         pair each path with the identity that the read or the publish
         of that file took, and revalidate the entry on every later hit
         -- so a rewrite of either reads as a miss, same as the disk
-        tier."""
+        tier.  T0 hands ``value`` to every engine in the process, so
+        its arrays are made read-only first (:func:`_read_only`)."""
+        _read_only(value)
         tiers.memory_tier().put((str(self.root), kind, digest), anchors,
                                 value, nbytes)
 
@@ -1025,14 +1104,14 @@ class ArtifactStore:
 
     # -- payload artifacts: address streams and profiles ------------------
 
-    def _read(self, kind: str, payload: dict, suffix: str, decode, what: str,
-              read=_read_bytes):
-        """The one read of every single-payload artifact: T0, else one
+    def _read(self, kind: str, payload: dict, digest: str, suffix: str,
+              decode, what: str, read=_read_bytes):
+        """The one read of every single-payload artifact, keyed by
+        ``payload`` under its fingerprint ``digest``: T0, else one
         verified pass over its two files (:func:`_read_payload`) and
         ``decode(data)`` of the bytes it ``read`` -- quarantined as
         undecodable ``what`` when that fails -- filling T0 with the
         identities the pass took."""
-        digest = fingerprint(payload)
         cached = self._memory_get(kind, digest)
         if cached is not tiers.MISS:
             return cached
@@ -1050,13 +1129,13 @@ class ArtifactStore:
         self._memory_put(kind, digest, anchors, value, _payload_nbytes(value))
         return value
 
-    def _publish(self, kind: str, payload: dict, suffix: str, chunks,
-                 value) -> Path:
-        """The one publish of every single-payload artifact: the payload
+    def _publish(self, kind: str, payload: dict, digest: str, suffix: str,
+                 chunks, value) -> Path:
+        """The one publish of every single-payload artifact, keyed by
+        ``payload`` under its fingerprint ``digest``: the payload
         ``chunks``, then the sidecar recording the envelope of the bytes
         written, then ``value`` written through to T0 under the
         identities the two writes took."""
-        digest = fingerprint(payload)
         base = os.path.join(self.root, kind, digest)
         path, sidecar = base + suffix, base + ".json"
 
@@ -1076,33 +1155,44 @@ class ArtifactStore:
         # new arrays (line reduction, collapses) and never writes
         # back, so a warm load costs the page-ins its digest check
         # makes, not a copy.
-        return self._read("addresses", payload, ".npy", _decode_addresses,
-                          "address stream", read=_map_bytes)
+        return self._read("addresses", payload, fingerprint(payload), ".npy",
+                          _decode_addresses, "address stream",
+                          read=_map_bytes)
 
     def save_addresses(self, payload: dict, addresses: np.ndarray) -> Path:
-        return self._publish("addresses", payload, ".npy",
-                             _address_chunks(addresses), addresses)
+        return self._publish("addresses", payload, fingerprint(payload),
+                             ".npy", _address_chunks(addresses), addresses)
 
-    def load_profile(self, payload: dict) -> Optional[SetDistanceProfile]:
-        """The fully-associative profile: the one-set per-set profile
-        of the payload's line size."""
-        return self._read("profiles", payload, PROFILE_SUFFIX,
-                          lambda data: _decode_profile(data, payload),
-                          "profile")
+    def load_profile(self, keys: ProfileKeys,
+                     line_size: int) -> Optional[SetDistanceProfile]:
+        """The fully-associative profile of ``keys``' address stream:
+        the one-set per-set profile of ``line_size``."""
+        return self._read_profile(keys.key(line_size))
 
-    def save_profile(self, payload: dict, profile: DistanceProfile) -> Path:
-        return self._publish("profiles", payload, PROFILE_SUFFIX,
-                             [_profile_words(profile, payload)], profile)
+    def save_profile(self, keys: ProfileKeys, line_size: int,
+                     profile: DistanceProfile) -> Path:
+        return self._publish_profile(keys.key(line_size), profile)
 
-    def load_set_profile(self, payload: dict) -> Optional[SetDistanceProfile]:
-        return self._read("set_profiles", payload, PROFILE_SUFFIX,
-                          lambda data: _decode_profile(data, payload),
-                          "per-set profile")
+    def load_set_profile(self, keys: ProfileKeys, line_size: int,
+                         n_sets: int) -> Optional[SetDistanceProfile]:
+        """The ``(line_size, n_sets)`` profile of ``keys``' address
+        stream (one set is :meth:`load_profile`)."""
+        return self._read_profile(keys.key(line_size, n_sets))
 
-    def save_set_profile(self, payload: dict,
-                         profile: SetDistanceProfile) -> Path:
-        return self._publish("set_profiles", payload, PROFILE_SUFFIX,
-                             [_profile_words(profile, payload)], profile)
+    def save_set_profile(self, keys: ProfileKeys, line_size: int,
+                         n_sets: int, profile: SetDistanceProfile) -> Path:
+        return self._publish_profile(keys.key(line_size, n_sets), profile)
+
+    def _read_profile(self, key: ProfileKey) -> Optional[SetDistanceProfile]:
+        return self._read(key.kind, key.payload, key.digest, PROFILE_SUFFIX,
+                          lambda data: _decode_profile(data, key),
+                          "profile" if key.n_sets == 1 else "per-set profile")
+
+    def _publish_profile(self, key: ProfileKey,
+                         profile: DistanceProfile) -> Path:
+        return self._publish(key.kind, key.payload, key.digest,
+                             PROFILE_SUFFIX, [_profile_words(profile, key)],
+                             profile)
 
     # -- maintenance -----------------------------------------------------
 

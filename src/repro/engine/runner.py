@@ -10,7 +10,8 @@ so warm processes perform zero renders.
 
 Both profile paths are one store-backed profile cache,
 :class:`StoredProfiles`: the memo, ``profile``/``set_profile``,
-batched ``prefetch`` and the one ``(line_size, n_sets)`` -> artifact
+batched ``prefetch``, the one owner of the profile keys of its
+(trace, layout) and the one ``(line_size, n_sets)`` -> artifact
 routing (the one-set profile is the fully-associative ``profiles/``
 artifact).  They differ only in ``_compute``, which computes a batch
 of profiles the store lacks: :class:`StoredTraceStreams` off the
@@ -37,6 +38,7 @@ every streamed run reports its folds and recoveries on
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,10 +53,9 @@ from ..scenes import ALL_SCENES
 from ..texture.memory import place_textures
 from .artifacts import (
     ArtifactStore,
+    ProfileKeys,
     addresses_payload,
     fingerprint,
-    profile_payload,
-    set_profile_payload,
 )
 from .spec import ExperimentSpec, TraceSpec, layout_from_spec, order_from_spec
 
@@ -78,12 +79,15 @@ class StoredProfiles:
     per-set profiles keyed by ``(line_size, n_sets)`` over the artifact
     store, with batched :meth:`prefetch`.  The fully-associative
     :meth:`profile` is the one-set profile, the ``profiles/`` artifact;
-    every other pair is a ``set_profiles/`` artifact.  Subclasses
-    supply :meth:`_compute`."""
+    every other pair is a ``set_profiles/`` artifact.  ``keys``
+    (:class:`~repro.engine.artifacts.ProfileKeys`) owns every pair's
+    key: the address stream's key is encoded once per (trace, layout),
+    and each load and save hands the store its pair through it.
+    Subclasses supply :meth:`_compute`."""
 
     def __init__(self, store: ArtifactStore, key_payload: dict):
         self.store = store
-        self._key_payload = key_payload
+        self.keys = ProfileKeys(key_payload)
         self._memo = {}
 
     def profile(self, line_size: int) -> SetDistanceProfile:
@@ -111,24 +115,26 @@ class StoredProfiles:
         for pair in sorted({(int(line_size), int(n_sets))
                             for line_size, n_sets in pairs}
                            - set(self._memo)):
-            _, payload, load, _ = self._artifact(pair)
-            profile = load(payload)
+            profile = self._load(pair)
             if profile is None:
                 missing.append(pair)
             else:
                 self._memo[pair] = profile
         return missing
 
-    def _artifact(self, pair) -> tuple:
-        """``(kind, payload, load, save)`` of the store artifact
-        holding ``pair``'s profile."""
+    def _load(self, pair):
+        """``pair``'s stored profile, or ``None``."""
         line_size, n_sets = pair
         if n_sets == 1:
-            return ("profiles", profile_payload(self._key_payload, line_size),
-                    self.store.load_profile, self.store.save_profile)
-        return ("set_profiles",
-                set_profile_payload(self._key_payload, line_size, n_sets),
-                self.store.load_set_profile, self.store.save_set_profile)
+            return self.store.load_profile(self.keys, line_size)
+        return self.store.load_set_profile(self.keys, line_size, n_sets)
+
+    def _save(self, pair, profile) -> None:
+        line_size, n_sets = pair
+        if n_sets == 1:
+            self.store.save_profile(self.keys, line_size, profile)
+        else:
+            self.store.save_set_profile(self.keys, line_size, n_sets, profile)
 
     def _compute(self, pairs) -> dict:
         """``{pair: profile}`` for ``pairs`` (none of them stored),
@@ -178,16 +184,16 @@ class StoredTraceStreams(StoredProfiles, TraceStreams):
         racing processes compute once."""
         computed = {}
         for pair in pairs:
-            kind, payload, load, save = self._artifact(pair)
-            with self.store.single_flight(kind, fingerprint(payload)):
-                profile = load(payload)
+            key = self.keys.key(*pair)
+            with self.store.single_flight(key.kind, key.digest):
+                profile = self._load(pair)
                 if profile is None:
                     line_size, n_sets = pair
                     profile = (TraceStreams.profile(self, line_size)
                                if n_sets == 1 else
                                TraceStreams.set_profile(self, line_size,
                                                         n_sets))
-                    save(payload, profile)
+                    self._save(pair, profile)
             computed[pair] = profile
         return computed
 
@@ -293,24 +299,31 @@ class Engine:
         key = (trace_spec, tuple(layout_spec))
         if key not in self._streams:
             payload = addresses_payload(trace_spec, layout_spec)
+            # The loader reaches this engine's memos through a weak
+            # reference: an engine and its streams form no cycle, so a
+            # dropped engine is freed at once with the profiles it
+            # memoized.  A loader that outlives its engine computes
+            # through a fresh one over the same store.
+            owner, store = weakref.ref(self), self.store
 
             def load_or_compute():
-                addresses = self.store.load_addresses(payload)
+                addresses = store.load_addresses(payload)
                 if addresses is None:
-                    with self.store.single_flight("addresses",
-                                                  fingerprint(payload)):
-                        addresses = self.store.load_addresses(payload)
+                    with store.single_flight("addresses",
+                                             fingerprint(payload)):
+                        addresses = store.load_addresses(payload)
                         if addresses is None:
-                            addresses = self.trace(trace_spec).byte_addresses(
-                                self.placements(
+                            engine = owner() or Engine(store=store)
+                            trace = engine.trace(trace_spec)
+                            addresses = trace.byte_addresses(
+                                engine.placements(
                                     trace_spec.scene, trace_spec.scale,
                                     layout_spec, trace_spec.time))
-                            self.store.save_addresses(payload, addresses)
+                            store.save_addresses(payload, addresses)
                 return addresses
 
             self._streams[key] = StoredTraceStreams(
-                store=self.store, key_payload=payload,
-                loader=load_or_compute)
+                store=store, key_payload=payload, loader=load_or_compute)
         return self._streams[key]
 
     def streamed(self, trace_spec: TraceSpec, layout_spec,
@@ -395,7 +408,9 @@ class Engine:
         rows = []
         audit_reports = []
         stream_report = None
-        pairs = _profile_pairs(experiment)
+        sweeps = _grid_configs(experiment)
+        pairs = {(int(config.line_size), config.n_sets)
+                 for configs in sweeps for config in configs}
         cells = [(trace_spec, layout_spec)
                  for trace_spec in experiment.trace_specs()
                  for layout_spec in experiment.layouts]
@@ -425,69 +440,47 @@ class Engine:
             if audit_parts:
                 audit_reports.append(streams.audit(pairs,
                                                    parts=audit_parts))
-            for line_size in experiment.line_sizes:
-                for assoc in experiment.assocs:
-                    rows.extend(self._sweep_sizes(
-                        trace_spec, layout_spec, streams, line_size,
-                        assoc, experiment.cache_sizes, kernel))
+            layout = tuple(layout_spec)
+            for configs in sweeps:
+                rows.extend(
+                    ExperimentRow(scene=trace_spec.scene,
+                                  order=trace_spec.order, layout=layout,
+                                  stats=stats)
+                    for stats in _sweep_sizes(streams, configs, kernel))
         self.last_stream_report = stream_report
         return ExperimentResult(spec=experiment, rows=rows,
                                 stream_report=stream_report,
                                 audit_reports=tuple(audit_reports))
 
-    def _sweep_sizes(self, trace_spec, layout_spec, streams, line_size,
-                     assoc, cache_sizes, kernel: str = "vectorized") -> list:
-        rows = []
-        if assoc is None:
-            if kernel == "vectorized":
-                curve = miss_rate_curve(streams, line_size,
-                                        sorted(cache_sizes))
-                stats_per_size = curve.as_stats()
-            else:
-                # The reference oracle must really be the sequential
-                # simulator, not the vectorized profile in disguise.
-                stream = streams.stream(line_size)
-                stats_per_size = [
-                    simulate(stream, CacheConfig(int(size), line_size, None),
-                             kernel=kernel)
-                    for size in sorted(cache_sizes)]
-            for stats in stats_per_size:
-                rows.append(ExperimentRow(
-                    scene=trace_spec.scene, order=trace_spec.order,
-                    layout=tuple(layout_spec), stats=stats))
-        else:
-            # The vectorized path reads everything off per-set
-            # profiles; only the reference simulator materializes the
-            # line stream (which streaming profiles refuse to do).
-            stream = None
-            for size in sorted(cache_sizes):
-                config = CacheConfig(int(size), line_size, assoc)
-                if kernel == "vectorized":
-                    stats = streams.set_profile(
-                        line_size, config.n_sets).stats_for(config)
-                else:
-                    if stream is None:
-                        stream = streams.stream(line_size)
-                    stats = simulate(stream, config, kernel=kernel)
-                rows.append(ExperimentRow(
-                    scene=trace_spec.scene, order=trace_spec.order,
-                    layout=tuple(layout_spec), stats=stats))
-        return rows
+
+def _grid_configs(experiment: ExperimentSpec) -> list:
+    """The grid's cache configurations, built once per run and shared
+    by every trace: one list per (line size, associativity), in
+    ascending size.  Their ``(line_size, n_sets)`` pairs are every
+    profile the vectorized sweep reads (a fully-associative
+    configuration has one set)."""
+    sizes = sorted(experiment.cache_sizes)
+    return [[CacheConfig(int(size), line_size, assoc) for size in sizes]
+            for line_size in experiment.line_sizes
+            for assoc in experiment.assocs]
 
 
-def _profile_pairs(experiment: ExperimentSpec) -> set:
-    """Every ``(line_size, n_sets)`` profile the grid's vectorized
-    sweep will read -- the prefetch set for one streaming fold pass."""
-    pairs = set()
-    for line_size in experiment.line_sizes:
-        for assoc in experiment.assocs:
-            if assoc is None:
-                pairs.add((int(line_size), 1))
-            else:
-                for size in experiment.cache_sizes:
-                    config = CacheConfig(int(size), int(line_size), assoc)
-                    pairs.add((int(line_size), config.n_sets))
-    return pairs
+def _sweep_sizes(streams, configs: list, kernel: str) -> list:
+    """The :class:`CacheStats` of one trace under ``configs`` (one line
+    size and associativity, ascending sizes)."""
+    line_size = configs[0].line_size
+    if kernel != "vectorized":
+        # The reference oracle must really be the sequential simulator,
+        # not the vectorized profile in disguise; only it materializes
+        # the line stream (which streaming profiles refuse to do).
+        stream = streams.stream(line_size)
+        return [simulate(stream, config, kernel=kernel) for config in configs]
+    if configs[0].assoc is None:
+        curve = miss_rate_curve(streams, line_size,
+                                [config.size for config in configs])
+        return curve.as_stats(configs)
+    return [streams.set_profile(line_size, config.n_sets).stats_for(config)
+            for config in configs]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ chunks instead::
 cache (:class:`~repro.engine.runner.StoredProfiles`) with another
 ``_compute``: it duck-types the ``profile``/``set_profile``/``stream``
 interface of :class:`~repro.core.sweep.TraceStreams` that
-``miss_rate_curve`` and ``Engine._sweep_sizes`` consume, and loads or
+``miss_rate_curve`` and ``runner._sweep_sizes`` consume, and loads or
 saves the *same* store artifacts (``profiles/``, ``set_profiles/``)
 through the same routing -- so streamed and in-RAM runs warm each
 other.  Because :meth:`~repro.core.kernels.PartialSetProfile.merge` is
@@ -261,9 +261,8 @@ class StreamedProfiles(StoredProfiles):
     def _keep(self, states: dict) -> None:
         """Finalize, memoize and save each folded pair's profile."""
         for pair, state in states.items():
-            _, payload, _, save = self._artifact(pair)
             self._memo[pair] = state.finalize()
-            save(payload, self._memo[pair])
+            self._save(pair, self._memo[pair])
 
     # -- spot audit --------------------------------------------------------
 

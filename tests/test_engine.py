@@ -1,7 +1,9 @@
 """Tests for the shared experiment engine (repro.engine)."""
 
+import gc
 import importlib
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,36 @@ class TestExperimentRunner:
         small = result.select(order=("vertical",), layout=("blocked", 4),
                               cache_size=1024, assoc=None)[0]
         assert picked[0].stats.miss_rate <= small.stats.miss_rate + 1e-12
+
+    def test_dropped_engine_is_freed_at_once(self, tmp_path):
+        # An engine and its streams form no reference cycle: a served
+        # engine goes with its last reference, memoized profiles and
+        # all, not at the next cyclic collection.
+        experiment = ExperimentSpec(
+            scenes=("goblet",), layouts=(("blocked", 4),),
+            cache_sizes=(1024,), line_sizes=(32,), assocs=(None, 2),
+            scale=0.1)
+        engine = Engine(store=ArtifactStore(tmp_path))
+        engine.run(experiment)
+        dropped = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+    def test_streams_outlive_their_engine(self, tmp_path):
+        # A cold profile of streams whose engine is gone still computes,
+        # through a fresh engine over the same store.
+        streams = Engine(store=ArtifactStore(tmp_path)).streams(
+            SPEC, ("blocked", 4))
+        profile = streams.profile(32)
+        assert profile.total_accesses == len(streams.addresses)
+        kept = Engine(store=ArtifactStore(tmp_path)).streams(
+            SPEC, ("blocked", 4))
+        np.testing.assert_array_equal(kept.profile(32).counts,
+                                      profile.counts)
 
     def test_dedup_one_render_per_scene_order(self, tmp_path):
         before = render_calls()

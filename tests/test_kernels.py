@@ -27,7 +27,13 @@ from repro.core.kernels import (
     set_partition,
 )
 from repro.core.stackdist import stack_distances as fenwick_stack_distances
-from repro.engine import ArtifactStore, Engine, TraceSpec, set_profile_payload
+from repro.engine import (
+    ArtifactStore,
+    Engine,
+    ProfileKeys,
+    TraceSpec,
+    set_profile_payload,
+)
 from repro.engine.streaming import _sequential_set_distances
 
 
@@ -349,9 +355,9 @@ class TestStoreRoundTrip:
         stream = LineStream(line_size=32, run_lines=run_lines,
                             total_accesses=len(lines))
         profile = SetDistanceProfile.from_stream(stream, 8)
-        payload = set_profile_payload({"addresses": "test"}, 32, 8)
-        store.save_set_profile(payload, profile)
-        loaded = store.load_set_profile(payload)
+        keys = ProfileKeys({"addresses": "test"})
+        store.save_set_profile(keys, 32, 8, profile)
+        loaded = store.load_set_profile(keys, 32, 8)
         assert loaded is not None
         assert (loaded.line_size, loaded.n_sets, loaded.cold,
                 loaded.duplicate_hits) == (32, 8, profile.cold,
@@ -360,11 +366,12 @@ class TestStoreRoundTrip:
 
     def test_missing_and_torn_files_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
+        keys = ProfileKeys({"addresses": "test"})
         payload = set_profile_payload({"addresses": "test"}, 32, 8)
-        assert store.load_set_profile(payload) is None
+        assert store.load_set_profile(keys, 32, 8) is None
         from repro.engine.artifacts import PROFILE_SUFFIX, fingerprint
         path = store._path("set_profiles", fingerprint(payload),
                            PROFILE_SUFFIX)
         path.parent.mkdir(parents=True)
         path.write_bytes(b"not a profile")
-        assert store.load_set_profile(payload) is None
+        assert store.load_set_profile(keys, 32, 8) is None

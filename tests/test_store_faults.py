@@ -24,6 +24,7 @@ from repro.engine import (
     ArtifactStore,
     Engine,
     ExperimentSpec,
+    ProfileKeys,
     TraceSpec,
     addresses_payload,
     fingerprint,
@@ -154,8 +155,8 @@ class TestCorruptionRecovery:
         [victim] = faults.payload_files(store, "profiles")
         faults.flip_bit(victim)
 
-        payload = profile_payload(ADDR_PAYLOAD, 32)
-        assert ArtifactStore(tmp_path).load_profile(payload) is None
+        assert ArtifactStore(tmp_path).load_profile(
+            ProfileKeys(ADDR_PAYLOAD), 32) is None
         assert "digest mismatch" in quarantine_reasons(store, "profiles")
 
         recomputed = Engine(store=ArtifactStore(tmp_path)).streams(
@@ -176,8 +177,8 @@ class TestCorruptionRecovery:
         victim.write_bytes(foreign.read_bytes())
         faults.restamp(store, "set_profiles", digest, PROFILE_SUFFIX)
 
-        payload = set_profile_payload(ADDR_PAYLOAD, 32, 8)
-        assert ArtifactStore(tmp_path).load_set_profile(payload) is None
+        assert ArtifactStore(tmp_path).load_set_profile(
+            ProfileKeys(ADDR_PAYLOAD), 32, 8) is None
         assert "undecodable" in quarantine_reasons(store, "set_profiles")
 
         recomputed = Engine(store=ArtifactStore(tmp_path)).streams(
@@ -214,8 +215,10 @@ def profile_keys(store, kind) -> dict:
 
 def load_stored(store, key):
     """The stored profile of a profile key payload, of either kind."""
-    return (store.load_set_profile if "n_sets" in key
-            else store.load_profile)(key)
+    keys = ProfileKeys(key["addresses"])
+    if "n_sets" in key:
+        return store.load_set_profile(keys, key["line_size"], key["n_sets"])
+    return store.load_profile(keys, key["line_size"])
 
 
 class TestProfilePayload:
@@ -344,20 +347,21 @@ class TestProfilePayload:
         profile = SetDistanceProfile(
             line_size=64, n_sets=n_sets, counts=np.array(counts, np.int64),
             cold=2**40 + 3, duplicate_hits=2**40 + 5)
-        store = ArtifactStore(tmp_path)
+        store, keys = ArtifactStore(tmp_path), ProfileKeys(ADDR_PAYLOAD)
         if n_sets == 1:
             payload = profile_payload(ADDR_PAYLOAD, 64)
-            store.save_profile(payload, profile)
+            store.save_profile(keys, 64, profile)
         else:
             payload = set_profile_payload(ADDR_PAYLOAD, 64, n_sets)
-            store.save_set_profile(payload, profile)
+            store.save_set_profile(keys, 64, n_sets, profile)
         tiers.clear_process_caches()  # decode from disk, not T0
 
         loaded = load_stored(ArtifactStore(tmp_path), payload)
         assert (loaded.line_size, loaded.n_sets, loaded.cold,
                 loaded.duplicate_hits) == (64, n_sets, 2**40 + 3, 2**40 + 5)
         assert loaded.counts.dtype == np.int64
-        assert loaded.counts.flags.writeable
+        # T0 hands the decoded profile to every engine: read-only.
+        assert not loaded.counts.flags.writeable
         np.testing.assert_array_equal(loaded.counts, counts)
 
     def test_older_npz_profiles_are_left_alone(self, tmp_path):

@@ -3,20 +3,30 @@
 Covers T0 (the byte-bounded in-process LRU and the verify-once digest
 cache): LRU eviction under byte pressure, stat revalidation so on-disk
 tampering is never masked by a process-level hit, hash-at-most-once
-loads, the one pass a first-touch load makes over its two files, and
-the one write a save makes of each.
+loads, the one pass a first-touch load makes over its two files, the
+one write a save makes of each, read-only served values, and the fixed
+cost of a T0-hot grid (one key encoding per trace and layout, two
+``stat`` calls per profile load, one configuration per distinct cell
+and one reduction per cell).
 """
 
 import builtins
 import io
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.cache import CacheConfig
+from repro.core.stackdist import DistanceProfile
 from repro.engine import (
     ArtifactStore,
     Engine,
+    ExperimentSpec,
+    ProfileKeys,
     TraceSpec,
     addresses_payload,
     artifacts,
@@ -25,12 +35,14 @@ from repro.engine import (
     set_profile_payload,
     tiers,
 )
+from repro.scenes import ALL_SCENES
 from repro.engine.artifacts import PROFILE_SUFFIX
 from tests import fault_injection as faults
 
 SPEC = TraceSpec(scene="goblet", scale=0.1, order=("horizontal",))
 LAYOUT = ("blocked", 4)
 ADDR_PAYLOAD = addresses_payload(SPEC, LAYOUT)
+KEYS = ProfileKeys(ADDR_PAYLOAD)
 PROFILE_32 = profile_payload(ADDR_PAYLOAD, 32)
 
 
@@ -108,21 +120,21 @@ class TestMemoryTier:
 class TestT0Integration:
     def test_warm_load_serves_the_cached_object(self, tmp_path):
         warm_store(tmp_path)
-        first = ArtifactStore(tmp_path).load_profile(PROFILE_32)
-        second = ArtifactStore(tmp_path).load_profile(PROFILE_32)
+        first = ArtifactStore(tmp_path).load_profile(KEYS, 32)
+        second = ArtifactStore(tmp_path).load_profile(KEYS, 32)
         # T0 is process-wide: distinct store instances over the same
         # root share one deserialized artifact, no disk read.
         assert first is second
 
     def test_byte_budget_bounds_resident_set(self, tmp_path, monkeypatch):
         store, _ = warm_store(tmp_path)
-        reference = ArtifactStore(tmp_path).load_profile(PROFILE_32)
+        reference = ArtifactStore(tmp_path).load_profile(KEYS, 32)
         budget = reference.counts.nbytes + 64  # exactly one profile
         monkeypatch.setattr(tiers, "_MEMORY", tiers.MemoryTier(budget))
 
         fresh = ArtifactStore(tmp_path)
-        fresh.load_profile(PROFILE_32)
-        fresh.load_profile(profile_payload(ADDR_PAYLOAD, 64))
+        fresh.load_profile(KEYS, 32)
+        fresh.load_profile(KEYS, 64)
         stats = tiers.memory_tier().stats()
         assert stats["max_bytes"] == budget
         assert stats["bytes"] <= budget
@@ -132,12 +144,12 @@ class TestT0Integration:
         """The dangerous case: the SAME store instance that populated
         T0 must still see on-disk bit rot."""
         store, engine = warm_store(tmp_path)
-        reference = ArtifactStore(tmp_path).load_profile(PROFILE_32)
+        reference = ArtifactStore(tmp_path).load_profile(KEYS, 32)
         digest = fingerprint(PROFILE_32)
         victim = store.root / "profiles" / (digest + PROFILE_SUFFIX)
         faults.flip_bit(victim)
 
-        assert store.load_profile(PROFILE_32) is None
+        assert store.load_profile(KEYS, 32) is None
         assert "mismatch" in quarantine_reasons(store, "profiles")
         recomputed = engine.streams(SPEC, LAYOUT).profile(32)
         np.testing.assert_array_equal(recomputed.counts, reference.counts)
@@ -151,7 +163,7 @@ class TestT0Integration:
         faults.truncate(victim)
         faults.restamp(store, "profiles", digest, PROFILE_SUFFIX)
 
-        assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is None
+        assert ArtifactStore(tmp_path).load_profile(KEYS, 32) is None
         assert "undecodable" in quarantine_reasons(store, "profiles")
 
     def test_fill_anchors_the_files_that_were_read(self, tmp_path,
@@ -174,8 +186,8 @@ class TestT0Integration:
             return value
         monkeypatch.setattr(artifacts, "_decode_profile", decode_then_tamper)
 
-        assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is not None
-        assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is None
+        assert ArtifactStore(tmp_path).load_profile(KEYS, 32) is not None
+        assert ArtifactStore(tmp_path).load_profile(KEYS, 32) is None
         assert "undecodable" in quarantine_reasons(store, "profiles")
 
     def test_write_through_anchors_the_files_written(self, tmp_path,
@@ -186,7 +198,7 @@ class TestT0Integration:
         quarantines the payload instead of serving the value T0 would
         have pinned."""
         store, _ = warm_store(tmp_path)
-        profile = store.load_profile(PROFILE_32)
+        profile = store.load_profile(KEYS, 32)
         victim = store.root / "profiles" / (fingerprint(PROFILE_32)
                                             + PROFILE_SUFFIX)
         replace = artifacts._replace
@@ -202,10 +214,10 @@ class TestT0Integration:
                 os.utime(victim, ns=(status.st_atime_ns,
                                      status.st_mtime_ns + 10**9))
         monkeypatch.setattr(artifacts, "_replace", replace_then_flip)
-        store.save_profile(PROFILE_32, profile)
+        store.save_profile(KEYS, 32, profile)
         monkeypatch.undo()
 
-        assert store.load_profile(PROFILE_32) is None
+        assert store.load_profile(KEYS, 32) is None
         assert "digest mismatch" in quarantine_reasons(store, "profiles")
 
 
@@ -218,9 +230,11 @@ class TestOneRead:
     @pytest.mark.parametrize("kind, suffix, key, load", [
         pytest.param("set_profiles", PROFILE_SUFFIX,
                      set_profile_payload(ADDR_PAYLOAD, 32, 8),
-                     ArtifactStore.load_set_profile, id="set-profile"),
+                     lambda store: store.load_set_profile(KEYS, 32, 8),
+                     id="set-profile"),
         pytest.param("addresses", ".npy", ADDR_PAYLOAD,
-                     ArtifactStore.load_addresses, id="addresses"),
+                     lambda store: store.load_addresses(ADDR_PAYLOAD),
+                     id="addresses"),
     ])
     def test_first_touch_load_opens_each_file_once(
             self, tmp_path, monkeypatch, kind, suffix, key, load):
@@ -241,7 +255,7 @@ class TestOneRead:
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(os, "stat", counting_stat)
-        value = load(store, key)
+        value = load(store)
         monkeypatch.undo()
 
         assert value is not None
@@ -258,8 +272,7 @@ class TestOneWrite:
     def test_save_creates_each_file_once(self, tmp_path, monkeypatch):
         warm_store(tmp_path)
         store = ArtifactStore(tmp_path)
-        key = set_profile_payload(ADDR_PAYLOAD, 32, 8)
-        profile = store.load_set_profile(key)
+        profile = store.load_set_profile(KEYS, 32, 8)
         opened, created, stats = [], [], []
         real_open, real_os_open, real_stat = builtins.open, os.open, os.stat
 
@@ -279,7 +292,7 @@ class TestOneWrite:
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(os, "open", counting_os_open)
         monkeypatch.setattr(os, "stat", counting_stat)
-        store.save_set_profile(key, profile)
+        store.save_set_profile(KEYS, 32, 8, profile)
         monkeypatch.undo()
 
         # One temporary sibling per file, created and written once.
@@ -291,7 +304,7 @@ class TestOneWrite:
         assert opened == [(name, "xb") for name, _ in created]
         assert stats == []
         tiers.clear_process_caches()
-        reloaded = ArtifactStore(tmp_path).load_set_profile(key)
+        reloaded = ArtifactStore(tmp_path).load_set_profile(KEYS, 32, 8)
         np.testing.assert_array_equal(reloaded.counts, profile.counts)
 
 
@@ -302,7 +315,7 @@ class TestDigestCache:
 
         cache = tiers.digest_cache()
         before = cache.stats()
-        assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is not None
+        assert ArtifactStore(tmp_path).load_profile(KEYS, 32) is not None
         after_first = cache.stats()
         hashed = after_first["misses"] - before["misses"]
         assert hashed >= 1  # payload actually hashed once
@@ -310,7 +323,7 @@ class TestDigestCache:
         for _ in range(3):
             # Empty T0 alone, so every load verifies its envelope.
             tiers.memory_tier().invalidate(None)
-            assert ArtifactStore(tmp_path).load_profile(PROFILE_32) \
+            assert ArtifactStore(tmp_path).load_profile(KEYS, 32) \
                 is not None
         after = cache.stats()
         assert after["misses"] == after_first["misses"]  # never re-hashed
@@ -321,7 +334,7 @@ class TestDigestCache:
         tiers.memory_tier().invalidate(None)  # the load verifies on disk
         cache = tiers.digest_cache()
         before = cache.stats()
-        assert ArtifactStore(tmp_path).load_profile(PROFILE_32) is not None
+        assert ArtifactStore(tmp_path).load_profile(KEYS, 32) is not None
         after = cache.stats()
         # The very first verified load hashes nothing.
         assert after["misses"] == before["misses"]
@@ -332,14 +345,14 @@ class TestDigestCache:
         # finds the digest that the save recorded instead of hashing
         # the payload again under a second key.
         warm_store(tmp_path / "filled")
-        key = set_profile_payload(ADDR_PAYLOAD, 32, 8)
-        profile = ArtifactStore(tmp_path / "filled").load_set_profile(key)
+        profile = ArtifactStore(tmp_path / "filled").load_set_profile(
+            KEYS, 32, 8)
         (tmp_path / "store").mkdir()
         monkeypatch.chdir(tmp_path / "store")
         tiers.clear_process_caches()
         cache = tiers.digest_cache()
         store = ArtifactStore(".")
-        store.save_set_profile(key, profile)
+        store.save_set_profile(KEYS, 32, 8, profile)
         before = cache.stats()
         assert store.verify()["clean"]
         after = cache.stats()
@@ -383,3 +396,159 @@ class TestDigestCache:
         [problem] = report["kinds"]["traces"]["bad"]
         assert f"part {part.name}: content digest mismatch" in \
             problem["reason"]
+
+
+class TestReadOnlyT0:
+    """T0 hands one object to every engine in the process, so nothing
+    it serves can be written: a profile's counts, an address stream or
+    a trace column changed by one engine would change every other
+    engine's cells."""
+
+    GRID = ExperimentSpec(scenes=("goblet",), layouts=(("blocked", 8),),
+                          line_sizes=(64,), cache_sizes=(1024, 4096),
+                          assocs=(None, 4), scale=0.05)
+    FRAME = TraceSpec(scene="goblet", scale=0.05, order="paper")
+
+    @pytest.mark.parametrize("decoded", [False, True],
+                             ids=["written-through", "decoded"])
+    def test_served_values_are_read_only(self, tmp_path, decoded):
+        def cells():
+            result = Engine(store=ArtifactStore(tmp_path)).run(self.GRID)
+            return [(row.config, row.stats.misses) for row in result.rows]
+        reference = cells()  # cold: every value is written through
+        if decoded:
+            tiers.clear_process_caches()
+        engine = Engine(store=ArtifactStore(tmp_path))
+        streams = engine.streams(self.FRAME, ("blocked", 8))
+        served = [streams.profile(64).counts,
+                  streams.set_profile(64, 4).counts,
+                  engine.addresses(self.FRAME, ("blocked", 8)),
+                  engine.trace(self.FRAME).texture_id]
+        for array in served:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1] += 1000
+        assert cells() == reference
+
+
+HOT_GRID = ExperimentSpec(scenes=("goblet",),
+                          layouts=(("blocked", 8), ("blocked", 4)),
+                          line_sizes=(32, 64), cache_sizes=(1024, 2048, 4096),
+                          assocs=(None, 2, 4), scale=0.1)
+
+
+class TestHotServe:
+    """A T0-hot ``Engine.run`` serves each cell for a fixed amount of
+    Python: each (trace, layout) encodes its key once, each profile
+    load is one T0 lookup with two ``stat`` calls and no open, and
+    each distinct cache configuration is built once."""
+
+    @pytest.fixture
+    def hot(self, tmp_path, monkeypatch):
+        """Count what one T0-hot run of :data:`HOT_GRID` does."""
+        Engine(store=ArtifactStore(tmp_path)).run(HOT_GRID)
+        Engine(store=ArtifactStore(tmp_path)).run(HOT_GRID)
+        counts = {"encodings": 0, "stats": 0, "opens": 0, "loads": 0,
+                  "configs": []}
+        real_dumps, real_stat = json.dumps, os.stat
+        real_open, real_os_open = builtins.open, os.open
+        real_init = CacheConfig.__init__
+        real_loads = {name: getattr(ArtifactStore, name)
+                      for name in ("load_profile", "load_set_profile")}
+
+        def counting(key, call):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return call(*args, **kwargs)
+            return wrapper
+
+        def building(config, size, line_size, assoc=None):
+            counts["configs"].append((size, line_size, assoc))
+            real_init(config, size, line_size, assoc)
+        monkeypatch.setattr(json, "dumps", counting("encodings", real_dumps))
+        monkeypatch.setattr(os, "stat", counting("stats", real_stat))
+        # pathlib opens through io.open, the same function as open().
+        monkeypatch.setattr(builtins, "open", counting("opens", real_open))
+        monkeypatch.setattr(io, "open", counting("opens", real_open))
+        monkeypatch.setattr(os, "open", counting("opens", real_os_open))
+        monkeypatch.setattr(CacheConfig, "__init__", building)
+        for name, load in real_loads.items():
+            monkeypatch.setattr(ArtifactStore, name, counting("loads", load))
+        result = Engine(store=ArtifactStore(tmp_path)).run(HOT_GRID)
+        monkeypatch.undo()
+        assert len(result.rows) == 2 * 2 * 3 * 3
+        return counts
+
+    def test_one_key_encoding_per_trace_and_layout(self, hot):
+        assert 1 <= hot["encodings"] <= len(HOT_GRID.layouts)
+
+    def test_two_stats_and_no_open_per_profile_load(self, hot):
+        # Ten pairs a layout: (32|64, 1) and the 2- and 4-way set counts.
+        assert hot["loads"] == 2 * 10
+        assert hot["stats"] == 2 * hot["loads"]
+        assert hot["opens"] == 0
+
+    def test_each_distinct_config_built_once(self, hot):
+        built = hot["configs"]
+        assert len(built) == len(set(built)) == 2 * 3 * 3
+
+
+_LAYOUTS = [("blocked", 4), ("blocked", 8), ("nonblocked",),
+            ("padded", 4, 1), ("blocked6d", 4, 4096), ("williams",)]
+_ORDERS = ["paper", ("horizontal",), ("vertical",), ("tiled", 8),
+           ("hilbert", 3)]
+
+
+@st.composite
+def trace_specs(draw):
+    return TraceSpec(
+        scene=draw(st.sampled_from(sorted(ALL_SCENES))),
+        scale=draw(st.floats(0.01, 1.0)),
+        time=draw(st.floats(0.0, 10.0)),
+        order=draw(st.sampled_from(_ORDERS)),
+        max_anisotropy=draw(st.sampled_from([1, 2, 4, 8, 16])),
+        lod_bias=draw(st.floats(-2.0, 2.0)),
+        use_mipmaps=draw(st.booleans()),
+        record_positions=draw(st.booleans()))
+
+
+class TestProfileKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=trace_specs(), layout=st.sampled_from(_LAYOUTS),
+           line_size=st.sampled_from([4, 16, 32, 64, 128, 256, 1024]),
+           n_sets=st.one_of(st.just(1), st.integers(2, 1 << 16)))
+    def test_derived_digest_is_the_fingerprint(self, spec, layout,
+                                               line_size, n_sets):
+        address_payload = addresses_payload(spec, layout)
+        key = ProfileKeys(address_payload).key(line_size, n_sets)
+        if n_sets == 1:
+            kind = "profiles"
+            payload = profile_payload(address_payload, line_size)
+        else:
+            kind = "set_profiles"
+            payload = set_profile_payload(address_payload, line_size, n_sets)
+        assert (key.kind, key.line_size, key.n_sets, key.payload) == \
+            (kind, line_size, n_sets, payload)
+        assert key.digest == fingerprint(payload)
+
+
+def two_sum_misses(profile, capacity_lines):
+    """Misses at ``capacity_lines`` by the two reductions ``misses_at``
+    made before a profile counted its total once."""
+    upto = min(capacity_lines + 1, len(profile.counts))
+    return (int(profile.counts.sum()) - int(profile.counts[:upto].sum())
+            + profile.cold)
+
+
+class TestOneReduction:
+    @pytest.mark.parametrize("counts", [[0, 5, 3, 0, 2, 9], [7]],
+                             ids=["histogram", "one-bin"])
+    def test_misses_at_matches_two_sums(self, counts):
+        profile = DistanceProfile(counts=np.array(counts, np.int64),
+                                  cold=4, duplicate_hits=6)
+        end = len(counts)
+        # 1, inside, at the last bin, at and past the histogram's end.
+        for capacity in (1, end // 2 or 1, end - 1 or 1, end, end + 7):
+            assert profile.misses_at(capacity) == \
+                two_sum_misses(profile, capacity)
+        assert profile.total_accesses == sum(counts) + 4 + 6
