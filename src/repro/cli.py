@@ -476,14 +476,6 @@ def _cache(args) -> int:
         if report["tmp_files"]:
             print(f"note: {report['tmp_files']} orphaned temp file(s) from "
                   "interrupted writers; `repro cache repair` purges them")
-        if report["orphaned_parts"]:
-            print(f"note: {report['orphaned_parts']} orphaned chunked-trace "
-                  "part(s) from interrupted streaming writers; "
-                  "`repro cache repair` purges stale ones")
-        if report["resumable_parts"]:
-            print(f"note: {report['resumable_parts']} resumable part(s) "
-                  "from an interrupted pipelined run; the next cold fold "
-                  "resumes from them instead of re-rendering")
         if report["quarantined"]:
             print(f"note: {report['quarantined']} file(s) in quarantine/ "
                   "(see the *.reason.json records alongside them)")
@@ -517,9 +509,8 @@ def _cache(args) -> int:
                   "purges them")
         if report["resumable"]:
             print(f"note: {report['resumable']} resumable part(s) from an "
-                  "interrupted pipelined run (verified against their "
-                  "completion records); the next cold fold resumes from "
-                  "them")
+                  "interrupted cold fold; the next cold fold of their "
+                  "trace resumes from exactly these")
         if report["bad"]:
             print(f"{report['bad']} corrupt artifact(s); "
                   "run `repro cache repair` to quarantine them")
@@ -534,7 +525,7 @@ def _cache(args) -> int:
               f"from {report['root']}")
         if report["kept_resumable"]:
             print(f"kept {report['kept_resumable']} resumable part(s) for "
-                  "the next pipelined fold to resume from")
+                  "the next cold fold to resume from")
         for name in report["quarantined"]:
             print(f"  quarantined {name}")
     else:  # clear

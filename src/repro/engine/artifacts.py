@@ -88,9 +88,15 @@ next read.  Its defenses:
   artifacts) and callers fall back to their in-memory memos.
 * **Resume records.**  An interrupted cold fold leaves its finished
   ranges' parts and one record per range (the fold's range geometry
-  and the parts' envelopes) -- the whole resume state.  Maintenance
-  keeps record-covered parts for the next fold, and purges resume
-  files that outlived their artifact or cover no verified part.
+  and the parts' envelopes) -- the whole resume state, which this
+  module alone reads and writes.  One rule, :func:`resumable_ranges`,
+  decides which ranges resume: the fold asks it through
+  :meth:`ArtifactStore.resume`, which deletes each record it rejects
+  and nothing else, and :meth:`ArtifactStore.verify` lists as
+  resumable exactly the parts of the ranges it accepts, so
+  :meth:`ArtifactStore.repair` purges exactly what the next fold
+  would not resume.  Every trace publish (:meth:`ArtifactStore.commit`)
+  retires the trace's resume records.
 
 Tiered reads
 ------------
@@ -193,19 +199,17 @@ DEFAULT_CHUNK_SIZE = 1 << 20
 #: :func:`part_name`; the stem a ``Path`` reports is
 #: ``<digest>.pNNNNN``).  Parts are only artifacts through the sidecar
 #: that lists them; a part no sidecar claims is litter, like a stale
-#: ``*.tmp*``.
+#: ``*.tmp*``, unless a range record :func:`resumable_ranges` accepts
+#: names it.
 _PART_STEM = re.compile(r"^([0-9a-f]{64})\.p(\d+)$")
 
 #: Crash-resume metadata of an interrupted cold fold:
 #: ``<digest>.rNNNNN.done.json``, one completion record per finished
 #: range, carrying the fold's range geometry (``<digest>.plan.json`` is
-#: the range plan older runs wrote beside them).  A record marks the
-#: strided orphan parts it lists as *resumable* -- the next cold fold
-#: re-verifies and folds them warm instead of re-rendering -- so
-#: maintenance must not mistake resume files for artifact sidecars or
-#: purge the parts they cover.
-_RESUME_STEM = re.compile(r"^([0-9a-f]{64})\.(plan|r\d+\.done)$")
-_RANGE_RECORD_INDEX = re.compile(r"\.r(\d+)\.done\.json$")
+#: the range plan older runs wrote beside them; the second group is a
+#: record's range index).  Maintenance must not mistake resume files
+#: for artifact sidecars.
+_RESUME_STEM = re.compile(r"^([0-9a-f]{64})\.(?:plan|r(\d+)\.done)$")
 
 #: ``errno`` values that mean "the disk, not the data": the store
 #: demotes itself instead of failing the experiment.
@@ -547,10 +551,19 @@ def _decode_profile(data, key: ProfileKey) -> SetDistanceProfile:
         counts=words[_PROFILE_HEADER:].astype(np.int64, copy=False))
 
 
-def part_name(digest: str, index: int) -> str:
-    """File name of part ``index`` of the trace ``digest``:
-    ``<digest>.pNNNNN.npz`` (at least five digits)."""
-    return f"{digest}.p{int(index):05d}.npz"
+#: Part-index stride between the ranges of a cold fold: range ``r``
+#: writes parts ``r * PART_STRIDE + 0, 1, ...``, so that several
+#: writers stream one trace without colliding and the sidecar lists
+#: every part under the name its writer gave it.  It must exceed any
+#: single range's block count.
+PART_STRIDE = 100_000
+
+
+def part_name(digest: str, index: int, range_index: int = 0) -> str:
+    """File name of part ``index`` of range ``range_index`` of the
+    trace ``digest``: ``<digest>.pNNNNN.npz`` (at least five digits),
+    the one place the strided part index is computed."""
+    return f"{digest}.p{int(range_index) * PART_STRIDE + int(index):05d}.npz"
 
 
 def load_part_block(root, name: str, index: int) -> FragmentBlock:
@@ -687,6 +700,106 @@ def _read_payload(path: str, sidecar: str, key: dict, read):
     return data, ((path, identity), (sidecar, sidecar_identity))
 
 
+def _check_parts(directory, parts: list, sidecar=None) -> None:
+    """Check every trace part in ``directory`` against the envelope
+    ``parts`` records for it (:func:`_check_file`); raises
+    :class:`CorruptArtifact` on the first defect.  A missing part is
+    in flight while ``sidecar`` is young."""
+    for entry in parts:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if (not isinstance(name, str) or os.sep in name
+                or ".tmp" in name or not _PART_STEM.match(
+                    name[:-len(".npz")] if name.endswith(".npz") else name)):
+            raise CorruptArtifact("malformed parts manifest")
+        _check_file(os.path.join(directory, name), entry,
+                    f"missing part {name}", sidecar, f"part {name}: ")
+
+
+def resumable_ranges(directory, digest: str, records: dict) -> tuple:
+    """The one rule for which ranges of an interrupted cold fold of the
+    trace ``digest`` resume: ``(geometry, {range index: record})``,
+    with ``geometry`` the ``(n_ranges, chunk_size)`` the accepted
+    records carry (``None`` when none is).
+
+    ``records`` are keyed by the range index in their names.  In range
+    order, a record is accepted when, checked in this order, its
+    geometry is sane with ``part_stride`` :data:`PART_STRIDE`; it
+    agrees with the records accepted before it; it is ``complete``,
+    with ``n_blocks`` envelopes and its ``totals``; its part names are
+    the range's own (:func:`part_name`); and every part in
+    ``directory`` checks against its envelope.  The rule changes no
+    file: :meth:`ArtifactStore.resume` (the fold's call) and
+    :meth:`ArtifactStore.verify` both judge by it."""
+    geometry, accepted = None, {}
+    for index, record in sorted(records.items()):
+        try:
+            shape = (int(record["n_ranges"]), int(record["chunk_size"]))
+            stride = int(record["part_stride"])
+        except (KeyError, TypeError, ValueError):
+            continue
+        envelopes = record.get("envelopes")
+        if not (stride == PART_STRIDE and 0 <= index < shape[0]
+                and shape[1] >= 1
+                and geometry in (None, shape)
+                and record.get("complete") is True
+                and isinstance(envelopes, list)
+                and record.get("n_blocks") == len(envelopes)
+                and isinstance(record.get("totals"), dict)
+                and [entry.get("name") if isinstance(entry, dict) else None
+                     for entry in envelopes]
+                == [part_name(digest, sequence, index)
+                    for sequence in range(len(envelopes))]):
+            continue
+        try:
+            _check_parts(directory, envelopes)
+        except CorruptArtifact:
+            continue
+        geometry, accepted[index] = shape, record
+    return geometry, accepted
+
+
+def _judge_records(directory, digest: str, paths) -> tuple:
+    """``(geometry, accepted, kept)``: the verdict of
+    :func:`resumable_ranges` on the range records among the resume
+    files ``paths`` of the trace ``digest`` in ``directory`` (an
+    unreadable record is judged as ``None``), and the files of the
+    records it accepts."""
+    records, files = {}, {}
+    for path in paths:
+        index = _RESUME_STEM.match(path.stem).group(2)
+        if index is None:
+            continue  # a range plan an older version wrote
+        try:
+            record = json.loads(path.read_text())
+        except (OSError, ValueError):
+            record = None
+        records[int(index)], files[int(index)] = record, path
+    geometry, accepted = resumable_ranges(directory, digest, records)
+    return geometry, accepted, {files[index] for index in accepted}
+
+
+def _file_sizes(paths) -> tuple:
+    """``(files, bytes)`` of the files among ``paths`` still there."""
+    files = nbytes = 0
+    for path in paths:
+        try:
+            nbytes += path.stat().st_size
+        except OSError:
+            continue  # vanished between glob and stat
+        files += 1
+    return files, nbytes
+
+
+def _remove(paths) -> None:
+    """Delete ``paths``, passing over those already gone or not
+    deletable."""
+    for path in paths:
+        try:
+            path.unlink()
+        except OSError:
+            pass
+
+
 class ArtifactStore:
     """Content-addressed cache of pipeline intermediates on disk.
 
@@ -782,27 +895,13 @@ class ArtifactStore:
         if meta is None:
             return None
         if isinstance(meta.get("parts"), list):
-            self._verify_parts(kind, meta["parts"], sidecar)
+            _check_parts(self.root / kind, meta["parts"], sidecar)
         elif kind == "traces":
             raise CorruptArtifact("legacy trace (no part list)")
         else:
             _check_file(path, _payload_envelope(meta),
                         "orphaned sidecar (payload missing)", sidecar)
         return meta, identity
-
-    def _verify_parts(self, kind: str, parts: list,
-                      sidecar: Optional[Path] = None) -> None:
-        """Check every part of a chunked artifact against its recorded
-        envelope; raises :class:`CorruptArtifact` on the first defect.
-        A missing part is in flight while ``sidecar`` is young."""
-        for entry in parts:
-            name = entry.get("name") if isinstance(entry, dict) else None
-            if (not isinstance(name, str) or os.sep in name
-                    or ".tmp" in name or not _PART_STEM.match(
-                        name[:-len(".npz")] if name.endswith(".npz") else name)):
-                raise CorruptArtifact("malformed parts manifest")
-            _check_file(os.path.join(self.root, kind, name), entry,
-                        f"missing part {name}", sidecar, f"part {name}: ")
 
     def _listed_part_names(self, kind: str, digest: str):
         """Part names the digest's sidecar claims, or ``None`` when
@@ -940,9 +1039,10 @@ class ArtifactStore:
 
     def save_render(self, spec: TraceSpec, result: RenderResult) -> Path:
         """Store ``result``'s trace as a part list cut at
-        :data:`DEFAULT_CHUNK_SIZE` accesses, unless the store already
-        holds the trace.  Callers hold the trace's single-flight lock.
-        Returns the sidecar path."""
+        :data:`DEFAULT_CHUNK_SIZE` accesses, committed as one range
+        (:meth:`commit`), unless the store already holds the trace.
+        Callers hold the trace's single-flight lock.  Returns the
+        sidecar path."""
         sidecar = self._path("traces", fingerprint(spec.payload()), ".json")
         if self.open_render_blocks(spec) is not None:
             # Every writer stores the same stream, though perhaps cut
@@ -952,37 +1052,36 @@ class ArtifactStore:
         writer = self.open_render_writer(spec)
         for block in iter_blocks(result.trace, DEFAULT_CHUNK_SIZE):
             writer.append(block)
-        writer.finish({
+        self.commit(spec, [writer.close({
             "n_fragments": int(result.trace.n_fragments),
             "n_triangles_submitted": int(result.n_triangles_submitted),
             "n_triangles_rasterized": int(result.n_triangles_rasterized),
-        })
+        })])
         return sidecar
 
-    # -- trace parts -----------------------------------------------------
+    # -- trace parts, commits and resume state ----------------------------
 
     def open_render_writer(self, spec: TraceSpec,
-                           part_base: int = 0) -> "ChunkedRenderWriter":
-        """A :class:`ChunkedRenderWriter` that persists ``spec``'s
-        render one :class:`~repro.pipeline.trace.FragmentBlock` at a
-        time; peak store-side memory is one block.  ``part_base``
-        offsets the part numbering so several writers (one per
-        pipelined range) can stream the same trace without colliding;
-        :mod:`~repro.engine.pipelined` then publishes one sidecar
-        listing every range's parts under the names their writers gave
-        them (:meth:`publish_chunked_sidecar`)."""
-        return ChunkedRenderWriter(self, spec, part_base=part_base)
+                           range_index: int = 0) -> "ChunkedRenderWriter":
+        """A :class:`ChunkedRenderWriter` that persists range
+        ``range_index`` of ``spec``'s render one
+        :class:`~repro.pipeline.trace.FragmentBlock` at a time; peak
+        store-side memory is one block.  Each range writes its own
+        strided part names (:func:`part_name`), so the writers of one
+        fold's ranges stream the same trace without colliding and
+        :meth:`commit` lists every part under the name its writer gave
+        it."""
+        return ChunkedRenderWriter(self, spec, range_index)
 
     def publish_chunked_sidecar(self, spec: TraceSpec, parts: list,
                                 counters: dict) -> bool:
         """Publish the sidecar that turns already-written part files
-        into a complete trace artifact -- the single commit point of
-        :meth:`save_render` (through :class:`ChunkedRenderWriter`) and
-        of :mod:`~repro.engine.pipelined` assembling parts from several
-        writers.  ``counters`` must carry ``n_triangles_submitted`` /
-        ``n_triangles_rasterized`` (and optionally ``has_positions``
-        and the frame's exact ``n_fragments``); the access total, and
-        the fragment total by default, come from the part envelopes."""
+        into a complete trace artifact -- the publish step of
+        :meth:`commit`.  ``counters`` must carry
+        ``n_triangles_submitted`` / ``n_triangles_rasterized`` (and
+        optionally ``has_positions`` and the frame's exact
+        ``n_fragments``); the access total, and the fragment total by
+        default, come from the part envelopes."""
         digest = fingerprint(spec.payload())
         meta = {
             "key": spec.payload(),
@@ -999,86 +1098,55 @@ class ArtifactStore:
         return self._guarded_write(lambda: _publish_json(
             self._path("traces", digest, ".json"), meta)) is not None
 
-    # -- crash-resume metadata (interrupted cold folds) --------------------
-
-    def save_range_record(self, spec: TraceSpec, index: int,
-                          payload: dict) -> bool:
-        """Atomically record one completed range of a cold fold: the
-        fold's range geometry (``n_ranges``, ``chunk_size``,
-        ``part_stride``), the range's part envelopes and its render
-        totals.  The record is what makes the range's strided parts
-        *resumable* -- a future run verifies the envelopes and folds
-        the parts warm instead of re-rendering the slice, cutting the
-        other ranges with the recorded geometry."""
-        digest = fingerprint(spec.payload())
-        return self._guarded_write(lambda: _publish_json(
-            self._path("traces", digest, f".r{int(index):05d}.done.json"),
-            payload)) is not None
-
-    def load_range_records(self, spec: TraceSpec) -> dict:
-        """``{range_index: record}`` for every readable completion
-        record of ``spec``'s interrupted render (unverified -- callers
-        check the envelopes against the parts on disk)."""
-        digest = fingerprint(spec.payload())
-        records: dict = {}
-        directory = self.root / "traces"
-        if not directory.is_dir():
-            return records
-        for path in sorted(directory.glob(digest + ".r*.done.json")):
-            match = _RANGE_RECORD_INDEX.search(path.name)
-            if match is None:
-                continue
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if isinstance(record, dict):
-                records[int(match.group(1))] = record
-        return records
-
-    def discard_range_record(self, spec: TraceSpec, index: int,
-                             part_names=()) -> None:
-        """Drop one range's stale completion record and (optionally)
-        the part files it claimed -- the record failed verification, so
-        the range re-renders from scratch."""
-        digest = fingerprint(spec.payload())
-        candidates = [self._path("traces", digest,
-                                 f".r{int(index):05d}.done.json")]
-        for name in part_names:
-            if isinstance(name, str) and os.sep not in name \
-                    and name.startswith(digest):
-                candidates.append(self.root / "traces" / name)
-        for path in candidates:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def discard_resume_state(self, spec: TraceSpec) -> None:
-        """Drop every resume-metadata file of ``spec`` -- called after
-        the assembled artifact publishes, when there is nothing left to
-        resume.  Part files are not touched: published ones belong to
-        the artifact, unpublished ones age out as orphan litter."""
-        digest = fingerprint(spec.payload())
-        directory = self.root / "traces"
-        if not directory.is_dir():
-            return
-        for path in directory.glob(digest + ".*.json"):
-            if _RESUME_STEM.match(path.stem):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    def verify_part_list(self, kind: str, parts: list) -> bool:
-        """Whether every part envelope in ``parts`` matches the file on
-        disk (size and content digest) -- :meth:`_verify_parts` as a
-        predicate, for resume-record validation."""
-        try:
-            self._verify_parts(kind, parts)
-        except CorruptArtifact:
+    def commit(self, spec: TraceSpec, records: list) -> bool:
+        """Publish ``spec``'s trace from its ranges' records
+        (:meth:`ChunkedRenderWriter.close`), in range order: the one
+        trace commit, of :meth:`save_render` and of every streamed
+        fold.  The sidecar lists every range's parts under the names
+        their writers gave them, with the frame's totals summed over
+        the ranges.  Nothing is published unless every range persisted
+        completely, so a partial trace never verifies as complete, or
+        when a range's parts would run into the next range's index
+        space.  A publish retires the trace's resume files; a commit
+        that publishes nothing keeps them, so the finished ranges stay
+        resumable.  Returns whether the trace was published."""
+        if not all(record["complete"] for record in records) or (
+                len(records) > 1 and any(len(record["envelopes"]) >= PART_STRIDE
+                                         for record in records)):
             return False
+        totals = dict(records[0]["totals"])  # n_triangles_submitted is global
+        for key in ("n_fragments", "n_triangles_rasterized"):
+            totals[key] = sum(int(record["totals"][key]) for record in records)
+        totals["has_positions"] = any(
+            record["totals"].get("has_positions") for record in records)
+        if not self.publish_chunked_sidecar(
+                spec, [entry for record in records
+                       for entry in record["envelopes"]], totals):
+            return False
+        _remove(self._resume_files(fingerprint(spec.payload())))
         return True
+
+    def resume(self, spec: TraceSpec) -> tuple:
+        """What a cold fold of ``spec`` resumes: ``(geometry, {range
+        index: record})`` by :func:`resumable_ranges`, or ``(None,
+        {})``.  Every resume file the rule does not accept is deleted,
+        and nothing else: the parts a rejected record named stay as
+        unlisted parts, which the range's re-render overwrites under
+        the same names and :meth:`repair` purges once stale.  The fold
+        calls this under the trace's single-flight lock."""
+        digest = fingerprint(spec.payload())
+        paths = self._resume_files(digest)
+        geometry, accepted, kept = _judge_records(self.root / "traces",
+                                                  digest, paths)
+        _remove(path for path in paths if path not in kept)
+        return geometry, accepted
+
+    def _resume_files(self, digest: str) -> list:
+        """The resume files of the trace ``digest``: its range records
+        and any range plan an older version wrote."""
+        return sorted(path for path in
+                      (self.root / "traces").glob(digest + ".*.json")
+                      if _RESUME_STEM.match(path.stem))
 
     def open_render_blocks(self, spec: TraceSpec):
         """A :class:`ChunkedRenderReader` over ``spec``'s trace parts,
@@ -1228,79 +1296,32 @@ class ArtifactStore:
                 payloads[entry.stem] = entry
         return payloads, sidecars, tmp, parts, resume
 
-    def _record_parts(self, kind: str, path: Path, verified: bool) -> list:
-        """Names of the parts the range record at ``path`` lists; with
-        ``verified``, only when every one passes its envelope check
-        (deep, unlike the cheap name-level read).  Empty for an
-        unreadable record or any other resume file."""
-        if not path.name.endswith(".done.json"):
-            return []
-        try:
-            record = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return []
-        envelopes = record.get("envelopes") \
-            if isinstance(record, dict) else None
-        if not isinstance(envelopes, list) or (
-                verified and not self.verify_part_list(kind, envelopes)):
-            return []
-        return [entry["name"] for entry in envelopes
-                if isinstance(entry, dict)
-                and isinstance(entry.get("name"), str)]
-
     def stats(self) -> dict:
         """Per-kind artifact counts and byte totals -- chunked trace
-        parts reported separately -- plus orphaned ``*.tmp*`` litter,
-        orphaned part files (parts no sidecar lists, counted as
-        litter) and quarantined-file counts."""
+        parts reported separately, whatever their state -- plus
+        ``*.tmp*`` litter and quarantined-file counts.  Nothing here
+        judges a part: that takes its envelope check, which only
+        :meth:`verify` makes."""
         report = {"root": str(self.root), "kinds": {}, "total_bytes": 0,
                   "total_files": 0, "tmp_files": 0,
-                  "part_files": 0, "part_bytes": 0, "orphaned_parts": 0,
-                  "resumable_parts": 0,
+                  "part_files": 0, "part_bytes": 0,
                   "quarantined": self._count_quarantined(),
                   "memory": tiers.memory_tier().stats(),
                   "digest_cache": tiers.digest_cache().stats()}
         for kind in KINDS:
-            payloads, sidecars, tmp_names, parts, resume = \
-                self._scan_kind(kind)
-            files = nbytes = 0
-            for entry in list(payloads.values()) + [
-                    self._path(kind, stem, ".json") for stem in sidecars]:
-                try:
-                    size = entry.stat().st_size
-                except OSError:
-                    continue  # vanished between glob and stat
-                files += 1
-                nbytes += size
-            part_files = part_bytes = orphaned = resumable = 0
-            for digest, entries in parts.items():
-                listed = self._listed_part_names(kind, digest)
-                covered = {name for path in resume.get(digest, ())
-                           for name in self._record_parts(kind, path, False)}
-                for part in entries:
-                    try:
-                        size = part.stat().st_size
-                    except OSError:
-                        continue
-                    part_files += 1
-                    part_bytes += size
-                    if listed is not None and part.name in listed:
-                        continue
-                    if part.name in covered:
-                        resumable += 1
-                    else:
-                        orphaned += 1
+            payloads, sidecars, tmp_names, parts, _ = self._scan_kind(kind)
+            files, nbytes = _file_sizes(list(payloads.values()) + [
+                self._path(kind, stem, ".json") for stem in sidecars])
+            part_files, part_bytes = _file_sizes(
+                part for entries in parts.values() for part in entries)
             report["kinds"][kind] = {
                 "files": files, "bytes": nbytes, "tmp": len(tmp_names),
-                "parts": part_files, "part_bytes": part_bytes,
-                "orphaned_parts": orphaned, "resumable_parts": resumable}
+                "parts": part_files, "part_bytes": part_bytes}
             report["total_files"] += files + part_files
             report["total_bytes"] += nbytes + part_bytes
             report["tmp_files"] += len(tmp_names)
             report["part_files"] += part_files
             report["part_bytes"] += part_bytes
-            report["orphaned_parts"] += orphaned
-            report["resumable_parts"] += resumable
         return report
 
     def _count_quarantined(self) -> int:
@@ -1322,15 +1343,13 @@ class ArtifactStore:
         an artifact of an older :data:`PIPELINE_VERSION` is unreachable
         but not damaged.  ``bad`` lists verifiable damage; ``pending``
         counts in-flight (younger than the grace window) torn states;
-        ``tmp`` lists temp-file litter; ``orphaned_parts`` lists stale
-        trace parts no sidecar claims (litter, not corruption): parts
-        of a writer that died before publishing its sidecar;
-        ``resumable`` lists stale unlisted parts that an interrupted
-        cold fold's completion records cover (envelope-verified) -- the
-        next cold fold resumes from them, so they are neither damage
-        nor litter and :meth:`repair` keeps them; ``stale_resume``
-        lists stale resume files whose artifact has published or which
-        cover no verified part."""
+        ``tmp`` lists temp-file litter.  A stale trace part no sidecar
+        lists is ``resumable`` when a range record that
+        :func:`resumable_ranges` accepts names it -- exactly the parts
+        the next cold fold resumes from, which :meth:`repair` keeps --
+        and otherwise ``orphaned_parts``: litter, not corruption.
+        ``stale_resume`` lists the stale resume files that the rule
+        does not accept, or that outlived their published artifact."""
         report = {"root": str(self.root), "kinds": {},
                   "ok": 0, "bad": 0, "pending": 0, "tmp": 0,
                   "orphaned_parts": 0, "resumable": 0}
@@ -1355,28 +1374,25 @@ class ArtifactStore:
                     continue
                 if checked is not None:  # else both vanished mid-scan
                     entry["ok"] += 1
-            verified_resumable: dict = {}
-            for digest, meta_paths in resume.items():
-                covered: set = set()
-                for path in meta_paths:
-                    names = self._record_parts(kind, path, True)
-                    covered.update(names)
-                    # A resume file is litter once its artifact has
-                    # published, or when it covers no verified part (a
-                    # damaged record, or a plan an older run wrote).
-                    if _is_stale(path) and (digest in sidecars
-                                            or not names):
-                        entry["stale_resume"].append(path.name)
-                verified_resumable[digest] = covered
+            covered: dict = {}
+            for digest, paths in resume.items():
+                accepted, kept = {}, set()
+                if digest not in sidecars:  # a published trace resumes nothing
+                    _, accepted, kept = _judge_records(self.root / kind,
+                                                       digest, paths)
+                covered[digest] = {part["name"] for record in accepted.values()
+                                   for part in record["envelopes"]}
+                entry["stale_resume"].extend(
+                    path.name for path in paths
+                    if path not in kept and _is_stale(path))
             for digest in sorted(parts):
                 listed = self._listed_part_names(kind, digest) or set()
-                covered = verified_resumable.get(digest, set())
                 for part in parts[digest]:
                     if part.name in listed:
                         continue  # accounted for by its artifact above
                     if not _is_stale(part):
                         entry["pending"] += 1
-                    elif part.name in covered:
+                    elif part.name in covered.get(digest, ()):
                         entry["resumable"].append(part.name)
                     else:
                         entry["orphaned_parts"].append(part.name)
@@ -1395,9 +1411,10 @@ class ArtifactStore:
         verification (legacy traces included), purge stale ``*.tmp*``
         litter left by killed writers and the stale orphaned trace
         parts and resume files :meth:`verify` lists.  In-flight writes
-        (within the grace window) and resumable parts of interrupted
-        cold folds -- along with the range records that cover them --
-        are left alone until their artifact publishes."""
+        (within the grace window) are left alone, and so are the
+        resumable parts of interrupted cold folds with the records that
+        name them: repair purges exactly what the next cold fold would
+        not resume."""
         scan = self.verify()
         quarantined, purged, purged_parts, purged_resume = [], [], [], []
         for kind, entry in scan["kinds"].items():
@@ -1447,40 +1464,42 @@ class ArtifactStore:
 
 
 class ChunkedRenderWriter:
-    """Stream a render into the store as checksummed part files.
+    """Stream one range of a render into the store as checksummed part
+    files.
 
     Feed :meth:`append` each :class:`~repro.pipeline.trace.FragmentBlock`
-    as it is produced, then :meth:`finish` with the render counters;
-    only then is the sidecar -- the thing that makes the parts an
-    artifact -- published.  A writer killed mid-stream leaves orphaned
-    parts, which read as a plain miss and are purged by
+    as it is produced, then :meth:`close` for the range's record, which
+    :meth:`ArtifactStore.commit` turns into the sidecar -- the thing
+    that makes the parts an artifact.  A writer killed mid-stream
+    leaves unlisted parts, which read as a plain miss and are purged by
     :meth:`ArtifactStore.repair` once stale.  On a demoted store every
-    method is a no-op and :meth:`finish` returns ``False``; if any
-    single part fails to publish, the sidecar is withheld so a partial
-    trace can never verify as complete.  A block that breaks the trace
-    encoding's 2x2 quads raises ``ValueError`` and publishes no part.
+    append is a no-op; if any single part fails to publish, the record
+    is incomplete, so a partial trace can never be committed.  A block
+    that breaks the trace encoding's 2x2 quads raises ``ValueError``
+    and publishes no part.
     """
 
     def __init__(self, store: ArtifactStore, spec: TraceSpec,
-                 part_base: int = 0):
+                 range_index: int = 0):
         self._store = store
-        self._spec = spec
         self._digest = fingerprint(spec.payload())
-        self._part_base = int(part_base)
+        self._range = int(range_index)
         self._parts = []
+        self._n_blocks = 0
         self._has_positions = False
         self._complete = True
-        self._finished = False
+        self._closed = False
 
     def append(self, block) -> None:
-        """Atomically publish one block as the next part file."""
-        if self._finished:
-            raise StoreError("ChunkedRenderWriter already finished")
+        """Atomically publish one block as the range's next part file."""
+        if self._closed:
+            raise StoreError("ChunkedRenderWriter already closed")
         store = self._store
-        name = part_name(self._digest, self._part_base + len(self._parts))
+        name = part_name(self._digest, len(self._parts), self._range)
         written = store._guarded_write(lambda: _publish_file(
             os.path.join(store.root, "traces", name),
             [traceio.encode_trace(block)]))
+        self._n_blocks += 1
         if written is None:
             self._complete = False
             return
@@ -1490,29 +1509,34 @@ class ChunkedRenderWriter:
                             "n_fragments": int(block.n_fragments)})
         self._has_positions = bool(block.has_positions)
 
-    def finish(self, counters: dict) -> bool:
-        """Publish the sidecar listing every part.  ``counters`` must
-        carry ``n_triangles_submitted``/``n_triangles_rasterized`` (see
-        :meth:`ArtifactStore.publish_chunked_sidecar`).  Returns
-        whether the artifact is now complete on disk."""
-        parts, complete, has_positions = self.finish_parts()
-        if not complete:
-            return False
-        return self._store.publish_chunked_sidecar(
-            self._spec, parts, {**counters, "has_positions": has_positions})
-
-    def finish_parts(self) -> tuple:
-        """Close the writer WITHOUT publishing a sidecar; returns
-        ``(envelopes, complete, has_positions)``.  This is the
-        pipelined-range half of :meth:`finish`: each worker's writer
-        hands its envelopes to the parent, which assembles every
-        range's parts in order and commits the sidecar itself -- so a
-        partial fleet can never publish a partial trace."""
-        if self._finished:
-            raise StoreError("ChunkedRenderWriter already finished")
-        self._finished = True
-        complete = self._complete and not self._store._demoted
-        return list(self._parts), complete, self._has_positions
+    def close(self, totals: dict, geometry=None) -> dict:
+        """Close the writer and return the range's record: its part
+        ``envelopes``, whether every part published (``complete``), the
+        render ``totals`` with ``has_positions`` and its ``n_blocks``.
+        Given the cold fold's ``(n_ranges, chunk_size)``, the record
+        leads with the fold's range geometry and, when complete, is
+        saved as the range's resume record before it is returned, so a
+        fold interrupted after this range resumes it
+        (:func:`resumable_ranges`)."""
+        if self._closed:
+            raise StoreError("ChunkedRenderWriter already closed")
+        self._closed = True
+        store = self._store
+        record = {"envelopes": list(self._parts),
+                  "complete": self._complete and not store._demoted,
+                  "totals": {**totals, "has_positions": self._has_positions},
+                  "n_blocks": self._n_blocks}
+        if geometry is None:
+            return record
+        n_ranges, chunk_size = geometry
+        record = {"range": self._range, "n_ranges": n_ranges,
+                  "chunk_size": chunk_size, "part_stride": PART_STRIDE,
+                  **record}
+        if record["complete"]:
+            store._guarded_write(lambda: _publish_json(store._path(
+                "traces", self._digest, f".r{self._range:05d}.done.json"),
+                record))
+        return record
 
 
 class ChunkedRenderReader:

@@ -29,7 +29,7 @@ processes that lives for the call, with bit-identical results::
 a triangle slice; a ``fold`` job folds an explicit list of part files
 the parent has already envelope-verified -- a warm trace's parts,
 sliced from the reader the parent opened, or a resumed range's parts,
-taken from its completion record.  Workers run both through
+taken from the record the store accepted.  Workers run both through
 :func:`_run_job` and report each as one ``range_done`` message; the
 parent runs the same function in one loop for a call with no pool, for
 residual ranges and after a serial fallback.
@@ -58,15 +58,16 @@ right after persisting them and ships only its range's tiny partial
 states: render and fold both parallelize across the whole pool and no
 block-sized data crosses a process boundary.
 
-**Persistence.**  Each range writes its slice's parts through its
-own ``part_base``-offset :class:`~repro.engine.artifacts.
-ChunkedRenderWriter` (checksummed, atomically published, sidecar
-withheld; range 0 starts at ``.p00000``).  Only the parent -- after
-every range reports complete -- publishes the sidecar
-(:func:`_publish`), listing the parts in range order under the names
-their writers gave them, so a partially rendered trace can never
-verify as a complete artifact and no part is renamed.  Serial and
-pipelined folds commit the same way.
+**Persistence.**  The store owns every trace file.  Each range writes
+its slice's parts through its own :class:`~repro.engine.artifacts.
+ChunkedRenderWriter`, opened for the range's index (checksummed,
+atomically published under the range's strided part names; range 0
+starts at ``.p00000``), and hands the parent the record the writer
+closes with.  Only the parent -- after every range reports complete
+-- commits the trace (:meth:`~repro.engine.artifacts.ArtifactStore.
+commit`, the commit of every trace publish), so a partially rendered
+trace can never verify as a complete artifact and no part is renamed.
+Serial and pipelined folds commit the same way.
 
 **Self-healing.**  A call does not fail whole on the first fault; it
 degrades through an escalation ladder, each rung strictly cheaper
@@ -96,16 +97,17 @@ than the next:
 
 **Crash-resume.**  A cold fold killed mid-run (SIGKILL of the parent,
 ENOSPC demotion) leaves checksummed strided parts behind plus one
-completion record per finished range (:meth:`~repro.engine.artifacts.
-ArtifactStore.save_range_record`), listing its part envelopes and the
-fold's range geometry (``n_ranges``, ``chunk_size``,
-``part_stride``).  The next cold fold of the same spec -- serial or
-pipelined, whichever of them wrote the records -- verifies the
-surviving parts against those envelopes, runs the verified ranges as
-``fold`` jobs, re-renders only the missing ranges under the recorded
-geometry, then publishes as usual -- bit-identical to an
-uninterrupted run.  Since publishing renames nothing, the records
-stay valid until the sidecar is on disk.  Resume is per trace.
+record per finished range, which each range's writer saves before the
+range reports done (:meth:`~repro.engine.artifacts.ChunkedRenderWriter.
+close`): its part envelopes and the fold's range geometry.  The next
+cold fold of the same spec -- serial or pipelined, whichever of them
+wrote the records -- asks the store what resumes
+(:meth:`~repro.engine.artifacts.ArtifactStore.resume`, by the one
+rule ``cache verify`` also reports), runs those ranges as ``fold``
+jobs, re-renders the others under the recorded geometry, then commits
+as usual -- bit-identical to an uninterrupted run.  This module
+neither validates, discards nor commits a record itself.  Resume is
+per trace.
 
 **Observability.**  Every fold, serial or pipelined, accounts its
 recovery actions in a :class:`StreamReport`, surfaced on
@@ -136,13 +138,8 @@ import numpy as np
 
 from ..core.kernels import PartialSetProfile
 from . import faults
-from .artifacts import ArtifactStore, fingerprint, load_part_block, part_name
+from .artifacts import ArtifactStore, fingerprint, load_part_block
 from .streaming import _cached_placements, _fold_blocks, _render_blocks
-
-#: Part-index stride between ranges: range ``i`` writes parts
-#: ``i * PART_STRIDE + 0, 1, ...`` and the sidecar lists them under
-#: those names, so this must exceed any single range's block count.
-PART_STRIDE = 100_000
 
 #: Render/fold ranges per worker: >1 so a fragment-heavy slice is
 #: rebalanced dynamically (each worker is sent the next range as it
@@ -252,39 +249,29 @@ def _run_job(store, kind: str, job: dict, before_block=None) -> dict:
 
 
 def _render_range(store, job: dict, placements, before_block=None) -> dict:
-    """Render one triangle slice: persist its parts (strided index
-    space) and fold each block into the range's per-pair states as it
-    is produced.  The payload carries the states, the part envelopes
-    and the slice totals; a completed range also leaves a completion
-    record in the store, on disk before anyone hears the range is
-    done, so an interrupted run can resume from its parts."""
+    """Render one triangle slice: persist its parts through the range's
+    writer and fold each block into the range's per-pair states as it
+    is produced.  The payload carries the states and the range's
+    record; the writer saves a complete range's record in the store
+    before anyone hears the range is done, so an interrupted run can
+    resume from its parts."""
     spec = job["trace_spec"]
-    writer = store.open_render_writer(spec, part_base=job["part_base"])
+    writer = store.open_render_writer(spec, job["range"])
     totals: dict = {}
-    n_blocks = 0
 
     def persisted():
-        nonlocal n_blocks
-        for block in _render_blocks(spec, job["chunk_size"], totals,
-                                    (job["range"], job["n_ranges"])):
+        blocks = _render_blocks(spec, job["chunk_size"], totals,
+                                (job["range"], job["n_ranges"]))
+        for n_blocks, block in enumerate(blocks):
             if before_block is not None:
                 before_block(n_blocks)
             writer.append(block)
-            n_blocks += 1
             yield block
 
     states = _fold_blocks(job["pairs"], placements, persisted())
-    envelopes, complete, has_positions = writer.finish_parts()
     totals.pop("per_triangle_fragments", None)
-    totals["has_positions"] = has_positions
-    record = {"envelopes": envelopes, "complete": complete,
-              "totals": totals, "n_blocks": n_blocks}
-    if complete:
-        store.save_range_record(spec, job["range"], {
-            "range": job["range"], "n_ranges": job["n_ranges"],
-            "chunk_size": job["chunk_size"], "part_stride": PART_STRIDE,
-            **record})
-    return {"states": states, **record}
+    return {"states": states, **writer.close(
+        totals, (job["n_ranges"], job["chunk_size"]))}
 
 
 # -- worker side -----------------------------------------------------------
@@ -741,11 +728,12 @@ class _Fold:
         return self.next == self.n_ranges
 
     def finish(self) -> None:
-        """Publish a cold trace, then finalize and save the profiles;
+        """Commit a cold trace, then finalize and save the profiles;
         the call holds the states of the folds in flight only."""
         if self.stage == "cold":
-            _publish(self.profiles.store, self.spec,
-                     [self.records[index] for index in range(self.n_ranges)])
+            self.profiles.store.commit(
+                self.spec,
+                [self.records[index] for index in range(self.n_ranges)])
         self.profiles._keep(self.merged)
         self.merged = None
 
@@ -770,10 +758,10 @@ class _Fold:
 
     def plan_cold(self, workers: int) -> dict:
         """``render`` jobs for a cold trace, and ``fold`` jobs over the
-        verified parts of the ranges a previously interrupted run
-        completed.  Planned under the trace's single-flight lock."""
+        parts of the ranges of a previously interrupted run that the
+        store resumes.  Planned under the trace's single-flight lock."""
         report = self.profiles.stream_report
-        geometry, resumed = _load_resume(self.profiles.store, self.spec)
+        geometry, resumed = self.profiles.store.resume(self.spec)
         if not resumed:
             # Nothing usable survives: cut this run's own ranges.
             n_ranges, chunk_size = _n_ranges(workers), self.profiles.chunk_size
@@ -798,8 +786,7 @@ class _Fold:
                                         in resumed[index]["envelopes"]]))
             else:
                 jobs[index] = ("render", self.job(
-                    range=index, n_ranges=n_ranges, chunk_size=chunk_size,
-                    part_base=index * PART_STRIDE))
+                    range=index, n_ranges=n_ranges, chunk_size=chunk_size))
         if len(resumed) < n_ranges:
             from . import runner
             runner.RENDER_CALLS += 1  # a fully resumed fold renders nothing
@@ -810,75 +797,3 @@ def _n_ranges(workers: int) -> int:
     """Ranges to cut a fold into: one per job the pool can balance, or
     a single range when the fold runs in the parent."""
     return workers * RANGES_PER_WORKER if workers >= 2 else 1
-
-
-def _load_resume(store, spec) -> tuple:
-    """The verified completion records of an interrupted cold fold and
-    the range geometry they carry: ``((n_ranges, chunk_size), {range
-    index: record})``, or ``(None, {})``.  A record only qualifies when
-    its geometry is sane and agrees with the records before it, and
-    *every* part it lists passes a deep envelope check (checksum +
-    size); anything else is discarded -- along with its parts -- so a
-    half-valid record can never smuggle a torn part into a resumed
-    fold."""
-    digest = fingerprint(spec.payload())
-    geometry = None
-    resumed = {}
-    for index, record in sorted(store.load_range_records(spec).items()):
-        envelopes = record.get("envelopes")
-        names = [entry.get("name") for entry in envelopes
-                 if isinstance(entry, dict)] \
-            if isinstance(envelopes, list) else []
-        expected = [part_name(digest, index * PART_STRIDE + seq)
-                    for seq in range(len(names))]
-        try:
-            shape = (int(record["n_ranges"]), int(record["chunk_size"]))
-            stride = int(record["part_stride"])
-        except (KeyError, TypeError, ValueError):
-            shape, stride = None, None
-        valid = (
-            shape is not None
-            and stride == PART_STRIDE
-            and geometry in (None, shape)
-            and shape[1] >= 1
-            and 0 <= index < shape[0]
-            and record.get("complete") is True
-            and isinstance(envelopes, list)
-            and record.get("n_blocks") == len(envelopes)
-            and isinstance(record.get("totals"), dict)
-            and names == expected
-            and store.verify_part_list("traces", envelopes))
-        if valid:
-            geometry = shape
-            resumed[index] = record
-        else:
-            store.discard_range_record(spec, index, names)
-    return geometry, resumed
-
-
-def _publish(store, spec, records) -> None:
-    """Commit the sidecar over every range's parts, in range order,
-    under the names their writers gave them -- but only when *all*
-    ranges persisted completely, so the artifact can never be partial.
-    Publishing retires the run's crash-resume metadata; a run that
-    does not publish keeps it, so its completed ranges stay
-    resumable."""
-    if not store.available or not all(record["complete"]
-                                       for record in records):
-        return
-    if len(records) > 1 and any(len(record["envelopes"]) >= PART_STRIDE
-                                for record in records):
-        return  # would alias another range's index space
-    parts = [entry for record in records for entry in record["envelopes"]]
-    totals = dict(records[0]["totals"])  # n_triangles_submitted is global
-    for key in ("n_fragments", "n_triangles_rasterized"):
-        totals[key] = sum(int(record["totals"][key]) for record in records)
-    totals["has_positions"] = any(
-        record["totals"].get("has_positions") for record in records)
-    if not store.publish_chunked_sidecar(spec, parts, totals):
-        warnings.warn(
-            f"streamed render for {spec.scene} persisted its parts but "
-            "could not publish the sidecar; the next run resumes from "
-            "them", RuntimeWarning, stacklevel=4)
-        return
-    store.discard_resume_state(spec)

@@ -26,6 +26,7 @@ from repro.engine import (
     TraceSpec,
 )
 from repro.engine import pipelined, streaming
+from repro.engine.artifacts import PART_STRIDE
 from repro.engine.spec import paper_order_spec
 from repro.pipeline.renderer import (
     render_trace,
@@ -115,19 +116,19 @@ class TestTriangleSlices:
 
 class TestPipelinedRun:
     def test_cold_pipelined_run_bit_identical(self, tmp_path, monkeypatch):
-        # Snapshot the range records as the parent retires them on
-        # publish (the records are deleted right after).
-        records = {}
-        retire = ArtifactStore.discard_resume_state
+        # Snapshot the range records the parent commits (the store
+        # retires their files right after).
+        records = []
+        commit = ArtifactStore.commit
 
-        def snapshot(store, spec):
-            records.update(store.load_range_records(spec))
-            retire(store, spec)
+        def snapshot(store, spec, committed):
+            records.extend(committed)
+            return commit(store, spec, committed)
 
-        monkeypatch.setattr(ArtifactStore, "discard_resume_state", snapshot)
         exp = ExperimentSpec(**GRID)
         ram_engine = Engine(store=ArtifactStore(tmp_path / "a"))
         ram = ram_engine.run(exp)
+        monkeypatch.setattr(ArtifactStore, "commit", snapshot)
         pipe_store = ArtifactStore(tmp_path / "b")
         piped = Engine(store=pipe_store).run(exp, chunk_size=4096,
                                              stream_workers=2)
@@ -142,12 +143,12 @@ class TestPipelinedRun:
         assert reader.n_fragments == rendered.n_fragments
         assert reader.n_triangles_rasterized == \
             rendered.n_triangles_rasterized
-        assert sorted(records) == list(range(len(records)))
+        assert [record["range"] for record in records] == \
+            list(range(len(records)))
         assert reader.meta["parts"] == [
-            entry for index in sorted(records)
-            for entry in records[index]["envelopes"]]
+            entry for record in records for entry in record["envelopes"]]
         assert any(int(re.search(r"\.p(\d+)\.npz$", entry["name"]).group(1))
-                   >= pipelined.PART_STRIDE for entry in reader.meta["parts"])
+                   >= PART_STRIDE for entry in reader.meta["parts"])
         scan = pipe_store.verify()
         assert scan["clean"] and scan["bad"] == 0
 
@@ -162,9 +163,10 @@ class TestPipelinedRun:
         writer = store.open_render_writer(spec)
         for block in iter_blocks(result.trace, 3000):
             writer.append(block)
-        assert writer.finish({
+        assert store.commit(spec, [writer.close({
+            "n_fragments": result.n_fragments,
             "n_triangles_submitted": result.n_triangles_submitted,
-            "n_triangles_rasterized": result.n_triangles_rasterized})
+            "n_triangles_rasterized": result.n_triangles_rasterized})])
 
         streamed = StreamedProfiles(store, spec, LAYOUT, chunk_size=3000,
                                     stream_workers=2)

@@ -33,6 +33,7 @@ from repro.engine import (
     reset_render_calls,
     run_experiment,
     set_profile_payload,
+    StreamedProfiles,
     tiers,
 )
 from repro.engine import artifacts as artifacts_module
@@ -819,11 +820,55 @@ class TestCacheCLIVerifyRepair:
         assert "quarantine" in capsys.readouterr().out
 
 
+def edit_record(path, **changes) -> None:
+    """Rewrite the range record at ``path`` with ``changes`` applied."""
+    record = json.loads(Path(path).read_text())
+    record.update(changes)
+    Path(path).write_text(json.dumps(record))
+
+
+def backdate_store(store) -> None:
+    """Age every trace file out of the in-flight grace window."""
+    for path in (Path(store.root) / "traces").iterdir():
+        faults.backdate(path, 2 * artifacts_module.TORN_GRACE_S)
+
+
+def record_names(root) -> list:
+    """Names of the range records in the store at ``root``."""
+    return sorted(path.name for path in
+                  (Path(root) / "traces").glob("*.done.json"))
+
+
+#: The folds over a crashed store: four ranges of 1024-access blocks
+#: (several parts each), and the pairs they fold.
+CHUNK = 1024
+PAIRS = [(32, 1), (32, 8)]
+
+
+def fold(root, stream_workers=0):
+    """A cold fold of SPEC's PAIRS into the store at ``root``."""
+    profiles = StreamedProfiles(ArtifactStore(root), SPEC, LAYOUT,
+                                chunk_size=CHUNK,
+                                stream_workers=stream_workers)
+    profiles.prefetch(PAIRS)
+    return profiles
+
+
+def assert_profiles_equal(profiles, want) -> None:
+    for pair in PAIRS:
+        got = profiles.set_profile(*pair)
+        assert np.array_equal(got.counts, want[pair].counts)
+        assert (got.cold, got.duplicate_hits) == \
+            (want[pair].cold, want[pair].duplicate_hits)
+
+
 class TestResumableParts:
-    """verify/repair on a store holding an interrupted pipelined run:
+    """verify/repair on a store holding an interrupted cold fold:
     recorded strided parts are *resumable* -- pending inside the grace
     window, kept (never quarantined or purged) beyond it -- while
-    unrecorded strided parts age into ordinary orphan litter."""
+    unrecorded strided parts age into ordinary orphan litter.  One
+    rule (``artifacts.resumable_ranges``) decides what resumes, so
+    ``verify()`` reports exactly what the next fold resumes."""
 
     def interrupted_run(self, root):
         """The wreckage of a pipelined cold render killed mid-run:
@@ -831,7 +876,6 @@ class TestResumableParts:
         the fold's geometry), the next range's part landed without a
         record (its worker died before finishing), the sidecar never
         published."""
-        from repro.engine.pipelined import PART_STRIDE
         from repro.pipeline.trace import iter_blocks
 
         trace = Engine(store=ArtifactStore(root / "scratch")).render(
@@ -839,21 +883,40 @@ class TestResumableParts:
         blocks = list(iter_blocks(trace, max(1, trace.n_accesses // 4)))
         assert len(blocks) >= 3
         store = ArtifactStore(root / "store")
-        writer = store.open_render_writer(SPEC, part_base=0)
+        writer = store.open_render_writer(SPEC, 0)
         writer.append(blocks[0])
         writer.append(blocks[1])
-        envelopes, complete, _ = writer.finish_parts()
-        assert complete and len(envelopes) == 2
-        store.save_range_record(SPEC, 0, {
-            "range": 0, "n_ranges": 2, "chunk_size": 4096,
-            "part_stride": PART_STRIDE, "envelopes": envelopes,
-            "complete": True, "totals": {}, "n_blocks": len(envelopes)})
-        unrecorded = store.open_render_writer(SPEC, part_base=PART_STRIDE)
+        record = writer.close({}, (2, 4096))
+        assert record["complete"] and len(record["envelopes"]) == 2
+        unrecorded = store.open_render_writer(SPEC, 1)
         unrecorded.append(blocks[2])
-        orphan_envelopes, _, _ = unrecorded.finish_parts()
-        recorded = [entry["name"] for entry in envelopes]
-        return store, recorded, [entry["name"]
-                                 for entry in orphan_envelopes]
+        recorded = [entry["name"] for entry in record["envelopes"]]
+        return store, recorded, [entry["name"] for entry
+                                 in unrecorded.close({})["envelopes"]]
+
+    @pytest.fixture(scope="class")
+    def crashed(self, tmp_path_factory):
+        """``(root, want)``: a store whose cold 2-worker fold of SPEC
+        was killed once its four ranges had all saved their records,
+        and the profiles a fresh store folds."""
+        from repro.engine import faults as chaos
+
+        root = tmp_path_factory.mktemp("crashed")
+        with faults.fault_plan("kill-run:after=4,mode=raise"):
+            with pytest.raises(chaos.InjectedCrash):
+                fold(root, stream_workers=2)
+        assert len(record_names(root)) == 4
+        fresh = fold(tmp_path_factory.mktemp("fresh"))
+        return root, {pair: fresh.set_profile(*pair) for pair in PAIRS}
+
+    def two_ranges_recorded(self, crashed, tmp_path):
+        """A copy of the crashed store in which only ranges 0 and 1
+        kept their records: ranges 2 and 3 wrote parts, no record."""
+        root = shutil.copytree(crashed[0], tmp_path / "store")
+        traces = Path(root) / "traces"
+        for name in record_names(root)[2:]:
+            (traces / name).unlink()
+        return ArtifactStore(root), sorted(traces.glob("*.done.json"))
 
     def test_fresh_parts_report_pending_not_damage(self, tmp_path):
         store, recorded, orphaned = self.interrupted_run(tmp_path)
@@ -879,7 +942,9 @@ class TestResumableParts:
         assert scan["bad"] == 0 and scan["clean"]
         assert sorted(traces["resumable"]) == sorted(recorded)
         assert traces["orphaned_parts"] == orphaned
-        assert store.stats()["resumable_parts"] == len(recorded)
+        # stats() counts the parts and judges none of them.
+        assert store.stats()["kinds"]["traces"]["parts"] == \
+            len(recorded) + len(orphaned)
 
         repaired = store.repair()
         assert repaired["quarantined"] == []
@@ -889,7 +954,7 @@ class TestResumableParts:
             f"traces/{name}" for name in orphaned)
         for name in recorded:  # parts and their record both survive
             assert (Path(store.root) / "traces" / name).exists()
-        assert store.load_range_records(SPEC)
+        assert record_names(store.root)
 
     def test_corrupt_recorded_part_is_not_resumable(self, tmp_path):
         store, recorded, orphaned = self.interrupted_run(tmp_path)
@@ -905,45 +970,117 @@ class TestResumableParts:
         traces = scan["kinds"]["traces"]
         # The record's envelope check fails, so the whole range falls
         # back to orphan litter instead of resuming corrupt data, and
-        # the record, covering nothing, is stale litter too.
+        # the record, which nothing resumes, is stale litter too.
         assert traces["resumable"] == []
         assert sorted(traces["orphaned_parts"]) == sorted(
             recorded + orphaned)
         assert traces["stale_resume"] == [record.name]
         repaired = store.repair()
         assert repaired["purged_resume"] == [f"traces/{record.name}"]
-        assert store.load_range_records(SPEC) == {}
+        assert record_names(store.root) == []
         assert not list((Path(store.root) / "traces").glob("*"))
         assert store.verify()["clean"]
 
     def test_records_disagreeing_on_geometry_are_discarded(self, tmp_path):
         # Each record carries the fold's geometry; one that disagrees
         # with the records before it cannot be resumed under theirs,
-        # so it goes, with its parts, like an invalid record.
-        from repro.engine import pipelined, tiers
-
+        # so the fold deletes the record -- and nothing else: its part
+        # stays an unlisted part, which verify() lists as orphaned once
+        # stale and repair() purges.
         store, recorded, [stray] = self.interrupted_run(tmp_path)
         part = Path(store.root) / "traces" / stray
-        store.save_range_record(SPEC, 1, {
-            "range": 1, "n_ranges": 4, "chunk_size": 4096,
-            "part_stride": pipelined.PART_STRIDE,
-            "envelopes": [{"name": stray, "nbytes": part.stat().st_size,
-                           "digest": faults.file_digest(part)}],
-            "complete": True, "totals": {}, "n_blocks": 1})
-        geometry, resumed = pipelined._load_resume(store, SPEC)
+        path = Path(store.root) / "traces" / record_names(store.root)[0]
+        path.with_name(path.name.replace(".r00000.", ".r00001.")).write_text(
+            json.dumps({
+                "range": 1, "n_ranges": 4, "chunk_size": 4096,
+                "part_stride": artifacts_module.PART_STRIDE,
+                "envelopes": [{"name": stray,
+                               "nbytes": part.stat().st_size,
+                               "digest": faults.file_digest(part)}],
+                "complete": True, "totals": {}, "n_blocks": 1}))
+        geometry, resumed = store.resume(SPEC)
         assert geometry == (2, 4096) and sorted(resumed) == [0]
-        assert sorted(store.load_range_records(SPEC)) == [0]
+        assert record_names(store.root) == [path.name]
+        assert part.exists()
+        backdate_store(store)
+        traces = store.verify()["kinds"]["traces"]
+        assert traces["orphaned_parts"] == [stray]
+        assert sorted(traces["resumable"]) == sorted(recorded)
+        assert store.repair()["purged_parts"] == [f"traces/{stray}"]
         assert not part.exists()
         for name in recorded:
             assert (Path(store.root) / "traces" / name).exists()
+
+    @pytest.mark.parametrize("defect", [
+        "geometry", "incomplete", "n_blocks", "part_stride",
+        "foreign_names", "bit_rot"])
+    def test_verify_reports_exactly_what_the_fold_resumes(
+            self, crashed, tmp_path, defect):
+        # Ranges 0 and 1 recorded, one of the two records defective:
+        # verify() must call resumable exactly the parts of the range
+        # the fold resumes and stale exactly the record it rejects, so
+        # repair() leaves what the fold needs and no more.
+        store, (first, second) = self.two_ranges_recorded(crashed, tmp_path)
+        record = json.loads(first.read_text())
+        if defect == "geometry":
+            edit_record(second, n_ranges=8)
+        elif defect == "incomplete":
+            edit_record(first, complete=False)
+        elif defect == "n_blocks":
+            edit_record(first, n_blocks=record["n_blocks"] + 1)
+        elif defect == "part_stride":
+            edit_record(first, part_stride=1000)
+        elif defect == "foreign_names":
+            assert len(record["envelopes"]) >= 2
+            edit_record(first, envelopes=record["envelopes"][::-1])
+        else:
+            faults.flip_bit(Path(store.root) / "traces" /
+                            record["envelopes"][0]["name"])
+        backdate_store(store)
+
+        scan = store.verify()
+        traces = scan["kinds"]["traces"]
+        assert scan["clean"]
+        probe = ArtifactStore(shutil.copytree(store.root,
+                                              tmp_path / "probe"))
+        _, resumed = probe.resume(SPEC)
+        assert len(resumed) == 1
+        assert sorted(traces["resumable"]) == sorted(
+            entry["name"] for accepted in resumed.values()
+            for entry in accepted["envelopes"])
+        rejected = sorted(set(record_names(store.root))
+                          - set(record_names(probe.root)))
+        assert sorted(traces["stale_resume"]) == rejected
+
+        store.repair()
+        profiles = fold(store.root)
+        assert profiles.stream_report.resumed_ranges == 1
+        assert_profiles_equal(profiles, crashed[1])
+        scan = ArtifactStore(store.root).verify()
+        assert scan["clean"] and scan["pending"] == 0
+        assert scan["resumable"] == scan["orphaned_parts"] == 0
+        assert record_names(store.root) == []
+
+    def test_record_copied_under_another_range_resumes_its_own(
+            self, crashed, tmp_path):
+        # Range 0's record copied under range 1's name names range 0's
+        # parts.  The fold resumes range 0, deletes the copy and only
+        # the copy, and renders range 1 again: the parts of range 0
+        # are still there for the fold that resumes them.
+        store, (first, second) = self.two_ranges_recorded(crashed, tmp_path)
+        shutil.copyfile(first, second)
+        profiles = fold(store.root)
+        assert profiles.stream_report.resumed_ranges == 1
+        assert_profiles_equal(profiles, crashed[1])
+        scan = ArtifactStore(store.root).verify()
+        assert scan["clean"] and scan["orphaned_parts"] == 0
+        assert record_names(store.root) == []
 
     def test_stale_plan_only_state_is_purged(self, tmp_path):
         # A fold of an older version crashed before its first range
         # completed: only its range plan is left.  It covers no part,
         # so once stale it is litter for repair(); while fresh, a live
         # fold may still be writing records beside it.
-        from repro.engine import fingerprint
-
         store = ArtifactStore(tmp_path)
         plan = (Path(store.root) / "traces" /
                 (fingerprint(SPEC.payload()) + ".plan.json"))
@@ -960,7 +1097,6 @@ class TestResumableParts:
         assert not plan.exists()
 
     def test_resume_metadata_purged_once_artifact_published(self, tmp_path):
-        from repro.engine import fingerprint
         from repro.pipeline.trace import iter_blocks
 
         trace = Engine(store=ArtifactStore(tmp_path / "scratch")).render(
@@ -969,26 +1105,37 @@ class TestResumableParts:
         writer = store.open_render_writer(SPEC)
         for block in iter_blocks(trace, max(1, trace.n_accesses // 3)):
             writer.append(block)
-        assert writer.finish({"n_triangles_submitted": 1,
-                              "n_triangles_rasterized": 1})
+        assert store.commit(SPEC, [writer.close({
+            "n_fragments": int(trace.n_fragments),
+            "n_triangles_submitted": 1, "n_triangles_rasterized": 1})])
         # A leftover record from the run that published; its part
         # verifies (the sidecar lists it), but nothing is left to
         # resume.
         envelope = json.loads(
             store._path("traces", fingerprint(SPEC.payload()),
                         ".json").read_text())["parts"][0]
-        store.save_range_record(SPEC, 0, {
+        record = (Path(store.root) / "traces" /
+                  (fingerprint(SPEC.payload()) + ".r00000.done.json"))
+        record.write_text(json.dumps({
             "range": 0, "n_ranges": 1, "chunk_size": 4096,
             "part_stride": 100_000, "envelopes": [envelope],
-            "complete": True, "totals": {}, "n_blocks": 1})
-        [record] = (Path(store.root) / "traces").glob("*.done.json")
+            "complete": True, "totals": {}, "n_blocks": 1}))
         faults.backdate(record, 2 * artifacts_module.TORN_GRACE_S)
         scan = store.verify()
         assert scan["kinds"]["traces"]["stale_resume"] == [record.name]
         repaired = store.repair()
         assert repaired["purged_resume"] == [f"traces/{record.name}"]
-        assert store.load_range_records(SPEC) == {}
+        assert record_names(store.root) == []
         assert store.verify()["clean"]
+
+    def test_every_trace_publish_retires_its_resume_records(self, tmp_path):
+        # An in-RAM save commits like a fold, so it retires the records
+        # an interrupted fold of the same trace left behind.
+        store, _, _ = self.interrupted_run(tmp_path)
+        assert record_names(store.root)
+        Engine(store=store).render(SPEC)
+        assert store.open_render_blocks(SPEC) is not None
+        assert record_names(store.root) == []
 
     def test_cache_cli_surfaces_resumable_parts(self, tmp_path, capsys):
         from repro.cli import main
@@ -1000,12 +1147,15 @@ class TestResumableParts:
         root = str(store.root)
         assert main(["cache", "verify", "--dir", root]) == 0
         out = capsys.readouterr().out
-        assert "resumable" in out
+        assert f"note: {len(recorded)} resumable part(s)" in out
         assert main(["cache", "repair", "--dir", root]) == 0
         out = capsys.readouterr().out
         assert f"kept {len(recorded)} resumable part(s)" in out
+        # stats counts part files and judges none: only verify() checks
+        # the envelopes that make a part resumable.
         assert main(["cache", "stats", "--dir", root]) == 0
-        assert "resumable" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "resumable" not in out and "orphaned chunked" not in out
 
 
 class TestChunkedTraces:

@@ -76,9 +76,10 @@ class TestChunkedStore:
         from repro.pipeline.trace import iter_blocks
         for block in iter_blocks(result.trace, 3000):
             writer.append(block)
-        assert writer.finish({
+        assert store.commit(spec, [writer.close({
+            "n_fragments": result.n_fragments,
             "n_triangles_submitted": result.n_triangles_submitted,
-            "n_triangles_rasterized": result.n_triangles_rasterized})
+            "n_triangles_rasterized": result.n_triangles_rasterized})])
         reader = store.open_render_blocks(spec)
         assert reader is not None and len(reader) > 1
         assert reader.n_accesses == result.trace.n_accesses
@@ -133,8 +134,9 @@ class TestChunkedStore:
         backdate(stray)
         scan = store.verify()
         assert scan["clean"] and scan["orphaned_parts"] == 1
+        # stats() counts the part and judges nothing.
         stats = store.stats()
-        assert stats["orphaned_parts"] == 1
+        assert stats["part_files"] == 1 and "orphaned_parts" not in stats
         assert stats["kinds"]["traces"]["parts"] == 1
         report = store.repair()
         assert len(report["purged_parts"]) == 1
@@ -304,23 +306,23 @@ class TestEngineRunStreaming:
 
     def test_serial_run_commits_like_the_pool(self, tmp_path, monkeypatch):
         # No workers: no pool starts, yet each cold trace commits as
-        # one render range (parts from .p00000) through _publish, and
-        # the run carries a StreamReport.
+        # one render range (parts from .p00000) through the store's
+        # commit, and the run carries a StreamReport.
         from repro.engine import pipelined
 
         def no_pool(pool, workers):
             raise AssertionError("a serial fold started a pool")
 
         published = []
-        publish = pipelined._publish
+        commit = ArtifactStore.commit
 
         def recorded(store, spec, records):
             published.append([entry["name"] for record in records
                               for entry in record["envelopes"]])
-            publish(store, spec, records)
+            return commit(store, spec, records)
 
         monkeypatch.setattr(pipelined.StreamPool, "__init__", no_pool)
-        monkeypatch.setattr(pipelined, "_publish", recorded)
+        monkeypatch.setattr(ArtifactStore, "commit", recorded)
         exp = ExperimentSpec(**self.GRID)
         result = Engine(store=ArtifactStore(tmp_path)).run(exp,
                                                            chunk_size=4096)

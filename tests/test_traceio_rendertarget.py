@@ -159,7 +159,7 @@ class TestTraceIO:
         with pytest.raises(ValueError):
             writer.append(block)
         assert not any((tmp_path / "store").rglob("*.npz*"))
-        assert writer.finish_parts()[0] == []
+        assert writer.close({})["envelopes"] == []
 
 
 class TestFramebufferToTexture:
