@@ -3,7 +3,7 @@
 The other equivalence tests compare execution paths with each other
 inside one commit, so a change that moves every path together (a
 renderer, layout or scene tweak) passes all of them.  This module
-compares against checked-in results instead.  Three pins:
+compares against checked-in results instead.  Four pins:
 
 ``tests/golden/results.json`` holds the exact integer rows of a small
 grid over the four paper scenes -- accesses, misses and the
@@ -48,6 +48,18 @@ compared first, then the default path's rows, then the 0.25 rows on
 the serial streamed and the pipelined fold, then every 0.05 grid under
 ``kernel="reference"``.
 
+``tests/golden/studies.json`` pins the twelve per-access studies (the
+compression, replacement and victim ablations, banking, DRAM,
+hierarchy, interframe, locality stats, parallel, prefetch, prefetch
+timing and Table 4.1): for each bench, the configuration it runs (its
+module's upper-case constants) and the SHA-256 of the integer counters
+of its ``measure()`` at scale 0.05 -- accesses, misses, victim hits,
+cycles, stall cycles, bytes, bank conflicts.  Rates and averages are
+left out (they derive from counters, or are geometry), and so are
+timings; the replacement ablation reports rates only, so its pin holds
+the miss counts behind them.  No float is pinned as printed digits:
+the configurations write theirs as ``float.hex()``.
+
 Every pin records the ``PIPELINE_VERSION`` it was generated at.  An
 intentional change to results bumps it and regenerates the pins from
 the default path::
@@ -66,6 +78,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.cache import CacheConfig
 from repro.engine import (
     ArtifactStore,
     Engine,
@@ -86,6 +99,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PIN_PATH = GOLDEN / "results.json"
 FIGURES_PATH = GOLDEN / "figures.json"
 RENDERS_PATH = GOLDEN / "renders.json"
+STUDIES_PATH = GOLDEN / "studies.json"
 
 GRID = {"scenes": ["flight", "goblet", "guitar", "town"],
         "layout": ["blocked", 8], "scale": 0.05,
@@ -125,6 +139,16 @@ RENDER_COLUMNS = ("texture_id", "level", "tu", "tv", "tu_raw", "tv_raw",
                   "kind", "x", "y", "n_fragments", "index")
 RENDER_TOTALS = ("n_fragments", "n_triangles_submitted",
                  "n_triangles_rasterized", "per_triangle_fragments")
+
+#: The per-access study benches, each with a ``measure(bank)``...
+STUDY_BENCHES = ("ablation_compression", "ablation_replacement",
+                 "ablation_victim", "banking", "dram", "hierarchy",
+                 "interframe", "locality_stats", "parallel", "prefetch",
+                 "prefetch_timing", "table_4_1")
+#: ...measured at this scale.
+STUDY_SCALE = 0.05
+#: Wall-clock entries of a study's output, left out of its pin.
+STUDY_TIMINGS = frozenset({"ms_before", "ms_after", "speedup"})
 
 
 def experiment(scenes=tuple(GRID["scenes"]), **overrides) -> ExperimentSpec:
@@ -312,6 +336,103 @@ def render_digests() -> list:
             for name, raster, mode, output in render_cells()]
 
 
+# -- the study pin -------------------------------------------------------
+
+
+def plain(value):
+    """``value`` as JSON data: a class by its name, a dataclass by its
+    fields, a float as exact ``float.hex()`` text.  Raises
+    ``TypeError`` on anything else."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, type):
+        return value.__name__
+    if dataclasses.is_dataclass(value):
+        return plain(dataclasses.asdict(value))
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): plain(item) for key, item in value.items()}
+    raise TypeError(type(value).__name__)
+
+
+def study_config(name: str) -> dict:
+    """What a study runs: every upper-case constant of its bench module
+    that is plain data (:func:`plain`)."""
+    module = importlib.import_module(f"bench_{name}")
+    config = {}
+    for key, value in sorted(vars(module).items()):
+        if key.isupper():
+            try:
+                config[key] = plain(value)
+            except TypeError:
+                pass  # a path or a function: not what the study runs
+    return config
+
+
+def counters(value):
+    """The integer counters of a study's output, in its order: ints and
+    integral floats (cycle counts), with the dict keys, strings and
+    cache configurations that say what each one counts.  Other floats
+    are ``None``, and timing entries are dropped."""
+    if isinstance(value, CacheConfig):
+        return [value.size, value.line_size, value.assoc]
+    if dataclasses.is_dataclass(value):
+        return counters({field.name: getattr(value, field.name)
+                         for field in dataclasses.fields(value)})
+    if isinstance(value, dict):
+        return [[counters(key), counters(item)]
+                for key, item in value.items() if key not in STUDY_TIMINGS]
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [counters(item) for item in value]
+    if isinstance(value, (bool, int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return int(value) if float(value).is_integer() else None
+    if value is None or isinstance(value, str):
+        return value
+    raise TypeError(f"no counters in a {type(value).__name__}")
+
+
+def replacement_misses(bank, rates: dict) -> dict:
+    """The replacement ablation reports miss rates only: the miss
+    counts behind them, each rate times its stream's accesses (exact:
+    the rate is one correctly rounded division)."""
+    bench = importlib.import_module("bench_ablation_replacement")
+    accesses = {scene: bank.streams(scene, order, bench.LAYOUT)
+                .stream(bench.LINE).total_accesses
+                for scene, order in bench.SCENES.items()}
+    return {key: round(rate * accesses[key[0]])
+            for key, rate in rates.items()}
+
+
+def study_counters(bank) -> list:
+    """The integer counters of every study's ``measure(bank)``, in
+    :data:`STUDY_BENCHES` order."""
+    measured = []
+    for name in STUDY_BENCHES:
+        output = importlib.import_module(f"bench_{name}").measure(bank)
+        if name == "ablation_replacement":
+            output = replacement_misses(bank, output)
+        measured.append(counters(output))
+    return measured
+
+
+def integers(value) -> int:
+    """How many integer counters ``value`` (from :func:`counters`)
+    holds, keys included."""
+    if isinstance(value, list):
+        return sum(integers(item) for item in value)
+    return int(isinstance(value, int))
+
+
+def study_bank(root):
+    from paperbench import SceneBank
+    return SceneBank(scale=STUDY_SCALE, store=ArtifactStore(root))
+
+
 def check_version(pin: dict) -> None:
     assert pin.get("pipeline_version") == artifacts.PIPELINE_VERSION, \
         "PIPELINE_VERSION changed: regenerate the pins"
@@ -357,8 +478,21 @@ def generate_renders() -> dict:
                       in zip(render_cells(), render_digests())]}
 
 
+def generate_studies() -> dict:
+    """The study pin."""
+    import tempfile
+    with tempfile.TemporaryDirectory() as root:
+        measured = study_counters(study_bank(root))
+    return {"pipeline_version": artifacts.PIPELINE_VERSION,
+            "scale": STUDY_SCALE.hex(),
+            "studies": [{"bench": name, "config": study_config(name),
+                         "integers": integers(counted),
+                         "sha256": rows_digest(counted)}
+                        for name, counted in zip(STUDY_BENCHES, measured)]}
+
+
 #: Pin entries written one item per line.
-LISTED = ("grids", "rows", "cells")
+LISTED = ("grids", "rows", "cells", "studies")
 
 
 def render_pin(pin: dict) -> str:
@@ -407,6 +541,18 @@ def renders_pin():
 
 
 @pytest.fixture(scope="module")
+def studies_pin():
+    data = json.loads(STUDIES_PATH.read_text())
+    check_version(data)
+    assert data["scale"] == STUDY_SCALE.hex(), \
+        "study scale changed: regenerate the pin"
+    assert [(entry["bench"], entry["config"]) for entry in data["studies"]] \
+        == [(name, study_config(name)) for name in STUDY_BENCHES], \
+        "a study's configuration changed: regenerate the pin"
+    return data
+
+
+@pytest.fixture(scope="module")
 def filled_store(tmp_path_factory, pin):
     """A store filled by the in-RAM path, checked against the pin."""
     root = tmp_path_factory.mktemp("golden-ram")
@@ -417,10 +563,10 @@ def filled_store(tmp_path_factory, pin):
 
 
 def test_pins_carry_the_pipeline_version(pin, figures_pin, renders_pin,
-                                        monkeypatch):
+                                        studies_pin, monkeypatch):
     monkeypatch.setattr(artifacts, "PIPELINE_VERSION",
                         artifacts.PIPELINE_VERSION + 1)
-    for data in (pin, figures_pin, renders_pin):
+    for data in (pin, figures_pin, renders_pin, studies_pin):
         with pytest.raises(AssertionError, match="PIPELINE_VERSION changed"):
             check_version(data)
 
@@ -570,10 +716,27 @@ class TestRenderPin:
         assert not changed, f"renders moved: {changed}"
 
 
+class TestStudyPin:
+    def test_configs_are_the_pinned_ones(self, studies_pin):
+        pass  # the fixture compares the version, scale and configs
+
+    def test_studies_match_the_pin(self, studies_pin, tmp_path):
+        # Each study's integer counters, renders included, against the
+        # checked-in digests.
+        measured = study_counters(study_bank(tmp_path))
+        changed = [entry["bench"] for counted, entry
+                   in zip(measured, studies_pin["studies"])
+                   if rows_digest(counted) != entry["sha256"]]
+        assert not changed, f"studies moved: {changed}"
+        assert [integers(counted) for counted in measured] == \
+            [entry["integers"] for entry in studies_pin["studies"]]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for path, pin_data in ((PIN_PATH, generate()),
                            (FIGURES_PATH, generate_figures()),
-                           (RENDERS_PATH, generate_renders())):
+                           (RENDERS_PATH, generate_renders()),
+                           (STUDIES_PATH, generate_studies())):
         path.write_text(render_pin(pin_data))
         print(f"wrote {path}")
