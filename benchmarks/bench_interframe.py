@@ -30,13 +30,12 @@ def measure(bank):
     results = {}
     for name in SCENES:
         order = bank.paper_order_spec(name)
-        # Each frame streams through bounded fragment blocks; only its
-        # collapsed line runs are retained (never the full trace or
-        # byte-address array), bit-identical to the materialized path.
-        segments = [
-            bank.streamed(name, order, LAYOUT, time=t).collapsed_runs(LINE)
-            for t in (0.0, FRAME_DT)
-        ]
+        # Each frame's collapsed line stream, as the victim and
+        # replacement studies read theirs.
+        streams = [bank.streams(name, order, LAYOUT, time=t).stream(LINE)
+                   for t in (0.0, FRAME_DT)]
+        segments = [(stream.run_lines, stream.duplicate_hits)
+                    for stream in streams]
         texture_bytes = sum(p.total_nbytes
                             for p in bank.placements(name, LAYOUT))
         for size in (scaled_cache(32 * 1024), 1 << (texture_bytes - 1).bit_length()):

@@ -116,14 +116,6 @@ class SceneBank:
         return self.engine.streams(self._spec(name, order_spec, **options),
                                    layout_spec)
 
-    def streamed(self, name: str, order_spec: tuple, layout_spec: tuple,
-                 chunk_size: int = None, **options):
-        """Constant-memory :class:`~repro.engine.streaming.StreamedProfiles`
-        for (scene, order, layout): the trace is consumed as bounded
-        fragment blocks, never materialized whole."""
-        return self.engine.streamed(self._spec(name, order_spec, **options),
-                                    layout_spec, chunk_size=chunk_size)
-
 
 def _select(results, **criteria) -> list:
     """The rows of every :class:`~repro.engine.ExperimentResult` in

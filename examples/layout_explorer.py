@@ -6,10 +6,11 @@ rasterization and pits all five memory representations (Williams,
 nonblocked, blocked, padded, 6D-blocked) against each other across
 cache sizes -- the Section 5 study in one script.
 
-All pipeline stages go through :mod:`repro.engine`, so the render and
-every byte-address stream land in the content-addressed artifact store
-(``benchmarks/.cache/`` or ``$REPRO_CACHE_DIR``): a second run of this
-script performs zero renders.
+The curves are one :meth:`Engine.run <repro.engine.Engine.run>` grid,
+so the render, every byte-address stream and every profile land in the
+content-addressed artifact store (``benchmarks/.cache/`` or
+``$REPRO_CACHE_DIR``): a second run of this script performs zero
+renders.
 
 Run:  python examples/layout_explorer.py [scene] [scale]
 """
@@ -17,8 +18,7 @@ Run:  python examples/layout_explorer.py [scene] [scale]
 import sys
 
 from repro.analysis import format_table
-from repro.core import miss_rate_curve
-from repro.engine import Engine, TraceSpec
+from repro.engine import Engine, ExperimentSpec, TraceSpec
 
 LAYOUTS = [
     ("williams",),
@@ -42,12 +42,13 @@ def main() -> None:
 
     line_size = 64
     cache_sizes = [1024, 2048, 4096, 8192, 16384, 32768]
-    rows = []
-    for layout_spec in LAYOUTS:
-        streams = engine.streams(spec, layout_spec)
-        curve = miss_rate_curve(streams, line_size, cache_sizes)
-        rows.append([layout_spec[0]]
-                    + [f"{100 * r:.2f}%" for r in curve.miss_rates])
+    grid = engine.run(ExperimentSpec(
+        scenes=(scene_name,), orders=(spec.order,), layouts=tuple(LAYOUTS),
+        cache_sizes=tuple(cache_sizes), line_sizes=(line_size,),
+        scale=scale))
+    rows = [[layout_spec[0]] + [f"{100 * row.stats.miss_rate:.2f}%"
+                                for row in grid.select(layout=layout_spec)]
+            for layout_spec in LAYOUTS]
 
     headers = ["layout"] + [f"{s // 1024}KB" for s in cache_sizes]
     print(format_table(headers, rows,

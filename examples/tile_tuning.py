@@ -6,10 +6,11 @@ tile dimensions trade off against cache size -- reproducing the
 Figure 6.2 experiment interactively, plus the Hilbert-curve traversal
 the paper's footnote 1 conjectures is optimal.
 
-Each traversal order is a separate render, so this example benefits
-most from :mod:`repro.engine`: all eight renders are cached in the
-artifact store and a re-run (even across processes) replays them from
-disk.
+Each traversal order is a separate render of one
+:meth:`Engine.run <repro.engine.Engine.run>` grid, so this example
+benefits most from :mod:`repro.engine`: all eight renders are cached
+in the artifact store and a re-run (even across processes) replays
+them from disk.
 
 Run:  python examples/tile_tuning.py [scene] [scale]
 """
@@ -19,8 +20,7 @@ import sys
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import miss_rate_curve
-from repro.engine import Engine, TraceSpec
+from repro.engine import Engine, ExperimentSpec
 
 LAYOUT = ("blocked", 8)
 
@@ -39,13 +39,14 @@ def main() -> None:
 
     cache_sizes = [512, 1024, 2048, 4096, 8192]
     line_size = 128
-    rows = []
-    for order_spec in orders:
-        spec = TraceSpec(scene=scene_name, scale=scale, order=order_spec)
-        streams = engine.streams(spec, LAYOUT)
-        curve = miss_rate_curve(streams, line_size, cache_sizes)
-        name = "-".join(str(part) for part in order_spec)
-        rows.append([name] + [f"{100 * r:.2f}%" for r in curve.miss_rates])
+    grid = engine.run(ExperimentSpec(
+        scenes=(scene_name,), orders=tuple(orders), layouts=(LAYOUT,),
+        cache_sizes=tuple(cache_sizes), line_sizes=(line_size,),
+        scale=scale))
+    rows = [["-".join(str(part) for part in order_spec)]
+            + [f"{100 * row.stats.miss_rate:.2f}%"
+               for row in grid.select(order=order_spec)]
+            for order_spec in orders]
 
     headers = ["order"] + [f"{s // 1024 or s}{'KB' if s >= 1024 else 'B'}"
                            for s in cache_sizes]

@@ -38,6 +38,11 @@ class CacheConfig:
         Line (block transfer) size in bytes; must be a power of two.
     assoc:
         Ways per set; ``None`` means fully associative.
+
+    Construction derives ``n_lines`` (cache lines), ``ways`` (lines
+    per set; ``n_lines`` when fully associative) and ``n_sets``, once.
+    They are not fields: equality, hashing and pickles see only the
+    three above.
     """
 
     size: int
@@ -51,29 +56,23 @@ class CacheConfig:
             raise ValueError(
                 f"size ({self.size}) must be a positive multiple of line_size"
             )
-        if self.assoc is not None:
-            if self.assoc <= 0:
-                raise ValueError("assoc must be positive")
-            # assoc beyond n_lines degrades gracefully to fully associative.
-            if self.n_lines % self.ways != 0:
-                raise ValueError(
-                    f"{self.n_lines} lines cannot be divided into {self.assoc}-way sets"
-                )
+        if self.assoc is not None and self.assoc <= 0:
+            raise ValueError("assoc must be positive")
+        n_lines = self.size // self.line_size
+        # assoc beyond n_lines degrades gracefully to fully associative.
+        ways = n_lines if self.assoc is None else min(self.assoc, n_lines)
+        if n_lines % ways != 0:
+            raise ValueError(
+                f"{n_lines} lines cannot be divided into {self.assoc}-way sets"
+            )
+        # Set once, past the frozen dataclass's __setattr__.
+        object.__setattr__(self, "n_lines", n_lines)
+        object.__setattr__(self, "ways", ways)
+        object.__setattr__(self, "n_sets", n_lines // ways)
 
-    @property
-    def n_lines(self) -> int:
-        """Number of cache lines."""
-        return self.size // self.line_size
-
-    @property
-    def ways(self) -> int:
-        """Lines per set (= ``n_lines`` when fully associative)."""
-        return self.n_lines if self.assoc is None else min(self.assoc, self.n_lines)
-
-    @property
-    def n_sets(self) -> int:
-        """Number of sets."""
-        return self.n_lines // self.ways
+    def __reduce__(self):
+        # Unpickling runs the constructor, which derives the geometry.
+        return CacheConfig, (self.size, self.line_size, self.assoc)
 
     @property
     def fully_associative(self) -> bool:

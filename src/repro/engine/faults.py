@@ -18,8 +18,9 @@ directive fires when every matcher equals the context.  Reserved keys
 matching.
 
 ``scope=once`` fires a directive exactly once across *every* process
-of the run: firing requires atomically claiming a marker file under
-``REPRO_FAULT_DIR`` (``O_CREAT | O_EXCL``).  The default scope,
+that shares the store: firing requires atomically claiming a marker
+file in the store's ``locks/`` directory (``O_CREAT | O_EXCL``), which
+``cache clear`` empties.  The default scope,
 ``always``, refires on every match -- how a test deterministically
 exhausts a retry budget, or (``kill-worker`` with no matchers) kills
 every render attempt so the whole fold falls back to the serial path.
@@ -47,7 +48,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Tuple
+
+from .artifacts import LOCKS_DIR
 
 #: Injection point of each action; :func:`maybe_fault` only considers
 #: directives whose action belongs to the point it is called from.
@@ -141,29 +145,27 @@ def active_faults(point: str) -> tuple:
                  if ACTION_POINTS[fault.action] == point)
 
 
-def _claim_once(fault: Fault) -> bool:
-    """Atomically claim a ``scope=once`` directive across processes."""
-    directory = os.environ.get("REPRO_FAULT_DIR")
-    if not directory:
-        raise ValueError(
-            "REPRO_FAULT_PLAN: scope=once needs REPRO_FAULT_DIR "
-            "(a scratch directory shared by every process of the run)")
-    marker = os.path.join(directory, fault.token + ".fired")
+def _claim_once(fault: Fault, root) -> bool:
+    """Atomically claim a ``scope=once`` directive across the processes
+    sharing the store at ``root``."""
+    locks = Path(root) / LOCKS_DIR
+    locks.mkdir(parents=True, exist_ok=True)
     try:
-        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        os.close(os.open(locks / (fault.token + ".fired"),
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY))
     except FileExistsError:
         return False
     return True
 
 
-def maybe_fault(point: str, **context) -> Optional[Fault]:
+def maybe_fault(point: str, root, **context) -> Optional[Fault]:
     """The first armed fault at ``point`` whose matchers all equal
-    ``context``, having claimed it if ``scope=once``; ``None`` when
-    nothing fires.  The caller executes the action -- this module only
-    decides *whether*."""
+    ``context``, having claimed it under the store at ``root`` if
+    ``scope=once``; ``None`` when nothing fires.  The caller executes
+    the action -- this module only decides *whether*."""
     for fault in active_faults(point):
         if all(context.get(key) == value for key, value in fault.matchers):
-            if fault.scope == "once" and not _claim_once(fault):
+            if fault.scope == "once" and not _claim_once(fault, root):
                 continue
             return fault
     return None

@@ -1,12 +1,14 @@
 """Every streamed fold, run as range jobs; pipelined over a pool.
 
 Every fold of :mod:`repro.engine.streaming` runs here as range jobs,
-all folds of one request in one :func:`fold_pipelined` call.  With
-``stream_workers < 2`` no pool starts and the parent runs the jobs
-itself, fold after fold -- that is the serial fold: a cold trace is
-one ``render`` range, a stored one a single ``fold`` job.  With more
-workers it overlaps render, persist and fold across a pool of worker
-processes that lives for the call, with bit-identical results::
+all folds of one request in one :func:`fold_pipelined` call, which
+takes the request's chunk size, worker count and
+:class:`StreamReport`.  With fewer than two workers no pool starts and
+the parent runs the jobs itself, fold after fold -- that is the serial
+fold: a cold trace is one ``render`` range, a stored one a single
+``fold`` job.  With more workers it overlaps render, persist and fold
+across a pool of worker processes that lives for the call, with
+bit-identical results::
 
     parent                          workers (one StreamPool per call)
     ------                          ---------------------------------
@@ -110,7 +112,7 @@ neither validates, discards nor commits a record itself.  Resume is
 per trace.
 
 **Observability.**  Every fold, serial or pipelined, accounts its
-recovery actions in a :class:`StreamReport`, surfaced on
+recovery actions in the request's :class:`StreamReport`, surfaced on
 ``ExperimentResult`` and in the CLI (see its docstring).
 Deterministic fault injection for all of the above lives in
 :mod:`repro.engine.faults` (``REPRO_FAULT_PLAN``).
@@ -176,10 +178,9 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class StreamReport:
-    """Recovery accounting for streamed folds.  One report accumulates
-    across every fold it is handed: ``Engine.run`` hands its own to
-    every ``StreamedProfiles`` of the run, and a ``StreamedProfiles``
-    used directly starts with one of its own.  ``recovery_s`` is the
+    """Recovery accounting for streamed folds: one per request, which
+    every :func:`fold_pipelined` call it is handed accumulates into
+    (``Engine.run`` makes one per run).  ``recovery_s`` is the
     wall-clock from each range's first failure to its recovery plus
     respawn and residual-recovery work, while *resumed* work -- saved,
     not lost, time -- is counted by range and part instead."""
@@ -315,7 +316,7 @@ def _worker_loop(conn) -> None:
             def before_block(n_blocks):
                 conn.send(("beat",))
                 if kind == "render":
-                    fault = faults.maybe_fault("render-block",
+                    fault = faults.maybe_fault("render-block", job["root"],
                                                range=job["range"],
                                                block=n_blocks)
                     if fault is not None:
@@ -430,8 +431,10 @@ class _Supervision:
     the ranges that landed, saves each fold whose ranges are all in
     and plans the folds waiting on its trace."""
 
-    def __init__(self, folds, workers: int, report: StreamReport):
+    def __init__(self, folds, chunk_size: int, workers: int,
+                 report: StreamReport):
         self.folds = folds
+        self.chunk_size = chunk_size
         self.workers = workers
         self.report = report
         self.pool = None
@@ -459,7 +462,8 @@ class _Supervision:
         waiting = self.waiting[spec]
         while waiting:
             fold = waiting.pop(0)
-            for index, job in fold.plan(self.workers).items():
+            for index, job in fold.plan(self.workers, self.chunk_size,
+                                        self.report).items():
                 key = (fold.position, index)
                 self.jobs[key] = job
                 bisect.insort(self.ready, key)
@@ -655,11 +659,12 @@ def _last_line(text: str) -> str:
     return lines[-1] if lines else str(text)
 
 
-def _maybe_kill_run(done_count: int) -> None:
+def _maybe_kill_run(root, done_count: int) -> None:
     """Chaos hook: crash the *parent* after ``after`` ranges of one
-    cold fold completed (``kill-run`` in ``REPRO_FAULT_PLAN``) -- the
-    deterministic stand-in for SIGKILL in crash-resume tests."""
-    fault = faults.maybe_fault("range-complete", after=done_count)
+    cold fold into the store at ``root`` completed (``kill-run`` in
+    ``REPRO_FAULT_PLAN``) -- the deterministic stand-in for SIGKILL in
+    crash-resume tests."""
+    fault = faults.maybe_fault("range-complete", root, after=done_count)
     if fault is None:
         return
     if fault.param("mode", "raise") == "exit":
@@ -670,17 +675,21 @@ def _maybe_kill_run(done_count: int) -> None:
 
 # -- parent-side drivers ---------------------------------------------------
 
-def fold_pipelined(folds) -> None:
+def fold_pipelined(folds, chunk_size: int, workers: int,
+                   report: StreamReport) -> None:
     """Fold every ``(profiles, pairs)`` of ``folds`` -- a
     :class:`~repro.engine.streaming.StreamedProfiles` and the pairs it
-    lacks, in trace order, sharing the first one's store, worker count
-    and :class:`StreamReport` -- and save each one's profiles once its
-    ranges are in: the one entry point of every streamed fold, one
-    call per request (see the module docstring)."""
+    lacks, in trace order, sharing the first one's store -- and save
+    each one's profiles once its ranges are in: the one entry point of
+    every streamed fold, one call per request (see the module
+    docstring).  A cold trace renders in blocks of ``chunk_size``
+    accesses, the ranges run on a pool of ``workers`` processes when
+    there are at least two, and ``report`` accounts the folds and
+    their recoveries."""
     folds = [_Fold(position, profiles, pairs)
              for position, (profiles, pairs) in enumerate(folds)]
     head = folds[0].profiles
-    head.stream_report.folds += len(folds)
+    report.folds += len(folds)
     cold = sorted({fingerprint(spec.payload())
                    for spec in {fold.spec for fold in folds}
                    if head.store.open_render_blocks(spec) is None})
@@ -689,8 +698,7 @@ def fold_pipelined(folds) -> None:
         # job runs: two calls that share traces cannot deadlock.
         for digest in cold:
             locks.enter_context(head.store.single_flight("traces", digest))
-        _Supervision(folds, int(head.stream_workers),
-                     head.stream_report).run()
+        _Supervision(folds, chunk_size, workers, report).run()
 
 
 class _Fold:
@@ -715,7 +723,8 @@ class _Fold:
         self.landed[index] = payload.pop("states")
         self.records.setdefault(index, payload)  # resumed: its record
         if self.stage == "cold":
-            _maybe_kill_run(self.next + len(self.landed))
+            _maybe_kill_run(self.profiles.store.root,
+                            self.next + len(self.landed))
 
     def merge_landed(self) -> bool:
         """Merge, and drop, each landed range next in range order
@@ -742,13 +751,14 @@ class _Fold:
                 "trace_spec": self.spec, "pairs": self.pairs,
                 "layout_spec": self.profiles.layout_spec, **fields}
 
-    def plan(self, workers: int) -> dict:
+    def plan(self, workers: int, chunk_size: int,
+             report: StreamReport) -> dict:
         """Range index -> ``(kind, job)``: contiguous ``fold`` jobs over
         the parts of a stored trace that the reader verified, else
         :meth:`plan_cold`."""
         reader = self.profiles.store.open_render_blocks(self.spec)
         if reader is None:
-            return self.plan_cold(workers)
+            return self.plan_cold(workers, chunk_size, report)
         names = [entry["name"] for entry in reader.parts]
         self.n_ranges = max(1, min(len(names), _n_ranges(workers)))
         bounds = np.linspace(0, len(names), self.n_ranges + 1).astype(int)
@@ -756,15 +766,15 @@ class _Fold:
                 for index, (lo, hi) in enumerate(zip(bounds[:-1],
                                                      bounds[1:]))}
 
-    def plan_cold(self, workers: int) -> dict:
+    def plan_cold(self, workers: int, chunk_size: int,
+                  report: StreamReport) -> dict:
         """``render`` jobs for a cold trace, and ``fold`` jobs over the
         parts of the ranges of a previously interrupted run that the
         store resumes.  Planned under the trace's single-flight lock."""
-        report = self.profiles.stream_report
         geometry, resumed = self.profiles.store.resume(self.spec)
         if not resumed:
             # Nothing usable survives: cut this run's own ranges.
-            n_ranges, chunk_size = _n_ranges(workers), self.profiles.chunk_size
+            n_ranges = _n_ranges(workers)
         else:
             # Resume MUST reuse the interrupted run's slicing geometry:
             # the surviving parts embody its range bounds and chunk size,

@@ -8,15 +8,17 @@ and stack-distance profile per line size -- first against in-memory
 memos, then against the on-disk :class:`~repro.engine.artifacts.ArtifactStore`,
 so warm processes perform zero renders.
 
-Both profile paths are one store-backed profile cache,
-:class:`StoredProfiles`: the memo, ``profile``/``set_profile``,
-batched ``prefetch``, the one owner of the profile keys of its
-(trace, layout) and the one ``(line_size, n_sets)`` -> artifact
-routing (the one-set profile is the fully-associative ``profiles/``
-artifact).  They differ only in ``_compute``, which computes a batch
-of profiles the store lacks: :class:`StoredTraceStreams` off the
-in-RAM address stream, :class:`~repro.engine.streaming.
-StreamedProfiles` as one fold over fragment blocks.
+Both profile paths are one store-backed profile cache of one (trace,
+layout), :class:`StoredProfiles`: the memo, ``profile``/
+``set_profile``, batched ``prefetch``, the one owner of the profile
+keys of its (trace, layout) and the one ``(line_size, n_sets)`` ->
+artifact routing (the one-set profile is the fully-associative
+``profiles/`` artifact).  They differ only in ``_compute``, which
+computes a batch of profiles the store lacks:
+:class:`StoredTraceStreams` off the in-RAM address stream,
+:class:`~repro.engine.streaming.StreamedProfiles` as one fold over
+fragment blocks.  Neither holds a request's settings: :meth:`Engine.run`
+owns the kernel, chunk size, worker count and report of each run.
 
 :func:`run_experiment` executes a declarative
 :class:`~repro.engine.spec.ExperimentSpec` grid through one engine:
@@ -52,6 +54,7 @@ from ..pipeline.renderer import Renderer, RenderResult
 from ..scenes import ALL_SCENES
 from ..texture.memory import place_textures
 from .artifacts import (
+    DEFAULT_CHUNK_SIZE,
     ArtifactStore,
     ProfileKeys,
     addresses_payload,
@@ -142,41 +145,37 @@ class StoredProfiles:
         raise NotImplementedError
 
 
-class StoredTraceStreams(StoredProfiles, TraceStreams):
-    """:class:`TraceStreams` whose distance profiles -- fully
-    associative and per-set -- round-trip through the artifact store
-    (computed once per store, not once per process).
+class StoredTraceStreams(StoredProfiles):
+    """Distance profiles -- fully associative and per-set -- of one
+    in-RAM byte-address stream that round-trip through the artifact
+    store (computed once per store, not once per process).
 
-    The byte-address stream itself is lazy: pass ``loader`` instead of
-    ``addresses`` and the array is only resolved (store load, or
-    render + placement on a true miss) the first time a profile
-    actually has to be *computed*.  A pure-warm sweep -- every profile
-    store-resident -- therefore never touches the addresses artifact,
-    let alone the scene."""
+    The stream is lazy: ``loader()`` resolves it (store load, or
+    render + placement on a true miss) the first time a profile has
+    to be *computed*, or :meth:`stream` or :attr:`addresses` is read,
+    into the :class:`TraceStreams` this cache then computes with.  A
+    pure-warm sweep -- every profile store-resident -- therefore never
+    touches the addresses artifact, let alone the scene."""
 
-    def __init__(self, addresses=None, store: Optional[ArtifactStore] = None,
-                 key_payload: Optional[dict] = None,
-                 kernel: str = "vectorized", loader=None):
-        if addresses is None and loader is None:
-            raise ValueError("StoredTraceStreams needs addresses or a loader")
-        if store is None or key_payload is None:
-            raise ValueError("StoredTraceStreams needs a store and the "
-                             "addresses' key payload")
-        StoredProfiles.__init__(self, store, key_payload)
+    def __init__(self, store: ArtifactStore, key_payload: dict, loader):
+        super().__init__(store, key_payload)
         self._loader = loader
-        # The dataclass base assigns self.addresses; the property
-        # setter below routes that into _addresses.
-        TraceStreams.__init__(self, addresses, kernel=kernel)
+        self._traces = None
+
+    def _trace_streams(self) -> TraceStreams:
+        """The stream's :class:`TraceStreams`, built on first use."""
+        if self._traces is None:
+            self._traces = TraceStreams(self._loader())
+        return self._traces
 
     @property
-    def addresses(self):
-        if self._addresses is None:
-            self._addresses = self._loader()
-        return self._addresses
+    def addresses(self) -> np.ndarray:
+        return self._trace_streams().addresses
 
-    @addresses.setter
-    def addresses(self, value):
-        self._addresses = value
+    def stream(self, line_size: int):
+        """The collapsed :class:`~repro.core.cache.LineStream` at
+        ``line_size`` (the reference simulator replays it)."""
+        return self._trace_streams().stream(line_size)
 
     def _compute(self, pairs) -> dict:
         """Compute each pair off the address stream under its
@@ -188,11 +187,7 @@ class StoredTraceStreams(StoredProfiles, TraceStreams):
             with self.store.single_flight(key.kind, key.digest):
                 profile = self._load(pair)
                 if profile is None:
-                    line_size, n_sets = pair
-                    profile = (TraceStreams.profile(self, line_size)
-                               if n_sets == 1 else
-                               TraceStreams.set_profile(self, line_size,
-                                                        n_sets))
+                    profile = self._trace_streams().set_profile(*pair)
                     self._save(pair, profile)
             computed[pair] = profile
         return computed
@@ -290,7 +285,8 @@ class Engine:
         return self.streams(trace_spec, layout_spec).addresses
 
     def streams(self, trace_spec: TraceSpec, layout_spec) -> StoredTraceStreams:
-        """Store-backed :class:`TraceStreams` for (trace, layout).
+        """The in-RAM store-backed profile cache for (trace, layout),
+        memoized.
 
         The address stream resolves lazily: nothing is loaded --
         let alone rendered -- until a profile actually needs the
@@ -322,27 +318,21 @@ class Engine:
                             store.save_addresses(payload, addresses)
                 return addresses
 
-            self._streams[key] = StoredTraceStreams(
-                store=store, key_payload=payload, loader=load_or_compute)
+            self._streams[key] = StoredTraceStreams(store, payload,
+                                                    load_or_compute)
         return self._streams[key]
 
-    def streamed(self, trace_spec: TraceSpec, layout_spec,
-                 chunk_size: Optional[int] = None, stream_workers: int = 0):
+    def streamed(self, trace_spec: TraceSpec, layout_spec):
         """Constant-memory :class:`~repro.engine.streaming.StreamedProfiles`
-        for (trace, layout), memoized.  Same profiles (bit for bit) as
-        :meth:`streams`, computed as a fold over bounded fragment
-        blocks instead of materialized arrays, as the range jobs of
-        :mod:`repro.engine.pipelined`.  ``stream_workers >= 2`` runs
-        them on a pool that lives for the fold call: cold renders are
-        partitioned across workers, each folding the blocks it
-        renders."""
-        from .streaming import DEFAULT_CHUNK_SIZE, StreamedProfiles
-        chunk = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-        key = (trace_spec, tuple(layout_spec), chunk, int(stream_workers))
+        for (trace, layout), memoized like :meth:`streams`.  Same
+        profiles (bit for bit) as :meth:`streams`, computed as a fold
+        over bounded fragment blocks instead of materialized arrays,
+        under the settings of the :meth:`run` that folds them."""
+        from .streaming import StreamedProfiles
+        key = (trace_spec, tuple(layout_spec))
         if key not in self._streamed:
-            self._streamed[key] = StreamedProfiles(
-                self.store, trace_spec, layout_spec, chunk_size=chunk,
-                stream_workers=int(stream_workers))
+            self._streamed[key] = StreamedProfiles(self.store, trace_spec,
+                                                   layout_spec)
         return self._streamed[key]
 
     # -- experiment execution --------------------------------------------
@@ -360,13 +350,18 @@ class Engine:
         ``chunk_size`` and/or ``stream_workers > 0`` switch the profile
         stage to the streaming fold (:mod:`repro.engine.streaming`):
         the trace is never materialized, and the fold holds one block
-        plus its per-pair states (a cold render also holds one
-        triangle batch).  Every fold runs as the range jobs of
-        :mod:`repro.engine.pipelined`, which commits a cold trace as a
-        part list and resumes an interrupted one.  Every stored profile
-        of the grid resolves first; then every (trace, layout) that
-        still lacks some folds in one call.  With ``stream_workers <
-        2`` the folds run in this process, one after another;
+        of ``chunk_size`` accesses (default
+        :data:`~repro.engine.artifacts.DEFAULT_CHUNK_SIZE`) plus its
+        per-pair states (a cold render also holds one triangle batch).
+        These settings belong to the run, not to the memoized
+        profiles: a profile this engine already holds is served
+        whatever the run's settings.  Every fold runs as the range
+        jobs of :mod:`repro.engine.pipelined`, which commits a cold
+        trace as a part list and resumes an interrupted one.  Every
+        stored profile of the grid resolves first; then every (trace,
+        layout) that still lacks some folds in one call.  With
+        ``stream_workers < 2`` the folds run in this process, one
+        after another;
         ``stream_workers >= 2`` pipelines them over one worker pool
         that lives for the call: cold renders are partitioned across
         it, each worker folds the blocks it renders, and the parent
@@ -417,16 +412,13 @@ class Engine:
         if streaming:
             from .pipelined import StreamReport, fold_pipelined
             stream_report = StreamReport()
-            profiles = [self.streamed(*cell, chunk_size=chunk_size,
-                                      stream_workers=stream_workers)
-                        for cell in cells]
-            for streams in profiles:
-                # Every fold of this run, and none of a previous run's,
-                # lands in the run's report.
-                streams.stream_report = stream_report
+            profiles = [self.streamed(*cell) for cell in cells]
             folds = {streams: streams.missing(pairs) for streams in profiles}
             if any(folds.values()):
-                fold_pipelined([fold for fold in folds.items() if fold[1]])
+                fold_pipelined(
+                    [fold for fold in folds.items() if fold[1]],
+                    DEFAULT_CHUNK_SIZE if chunk_size is None
+                    else int(chunk_size), int(stream_workers), stream_report)
         else:
             profiles = [self.streams(*cell) for cell in cells]
         for (trace_spec, layout_spec), streams in zip(cells, profiles):

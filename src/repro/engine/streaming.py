@@ -11,16 +11,19 @@ chunks instead::
     per (line_size, n_sets) --> merge --> finalize
 
 :class:`StreamedProfiles` is the in-RAM path's store-backed profile
-cache (:class:`~repro.engine.runner.StoredProfiles`) with another
-``_compute``: it duck-types the ``profile``/``set_profile``/``stream``
-interface of :class:`~repro.core.sweep.TraceStreams` that
+cache (:class:`~repro.engine.runner.StoredProfiles`) of one (trace,
+layout) with another ``_compute``: it serves the
+``profile``/``set_profile``/``stream`` interface that
 ``miss_rate_curve`` and ``runner._sweep_sizes`` consume, and loads or
 saves the *same* store artifacts (``profiles/``, ``set_profiles/``)
 through the same routing -- so streamed and in-RAM runs warm each
-other.  Because :meth:`~repro.core.kernels.PartialSetProfile.merge` is
-exactly the profile of the concatenated stream, every downstream
-number (miss-rate curves, 3C classification) is bit-identical to the
-in-RAM path.
+other.  It holds no request setting: ``Engine.run`` hands the chunk
+size, worker count and report of each request to the one fold call
+that computes its misses.  Because
+:meth:`~repro.core.kernels.PartialSetProfile.merge` is exactly the
+profile of the concatenated stream, every downstream number
+(miss-rate curves, 3C classification) is bit-identical to the in-RAM
+path.
 
 A fold holds one block plus its per-pair partial states, which grow
 with the distinct lines the trace touches, not with its length; a
@@ -30,7 +33,7 @@ bounds a warm fold's traced peak by a quarter of the trace's column
 bytes, and a cold fold's by three quarters.
 
 Every fold runs as the range jobs of :mod:`repro.engine.pipelined`,
-one call per request: with ``stream_workers < 2`` this process runs
+one call per request: with fewer than two workers this process runs
 them itself (a cold trace is one ``render`` range), with more it fans
 them out over a supervised pool that lives for the call.  Per-range
 partial states merge associatively in stream order, so every form is
@@ -42,7 +45,6 @@ writes, which every later fold reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -182,32 +184,21 @@ class StreamedProfiles(StoredProfiles):
     """Distance profiles for one ``(trace, layout)`` computed as a
     fold over bounded fragment blocks.
 
-    Drop-in for :class:`~repro.engine.runner.StoredTraceStreams` on the
-    vectorized kernel: the same store-backed profile cache, computing
-    its misses with one fold.  :meth:`stream` exists only to satisfy
-    the duck check and raises, because streaming never materializes a
-    :class:`~repro.core.cache.LineStream` (the reference simulator
-    needs the in-RAM path).
+    Counterpart of the in-RAM
+    :class:`~repro.engine.runner.StoredTraceStreams` on the vectorized
+    kernel: the same store-backed profile cache, computing its misses
+    with one fold.  :meth:`stream`
+    exists only to satisfy the duck check and raises, because
+    streaming never materializes a :class:`~repro.core.cache.LineStream`
+    (the reference simulator needs the in-RAM path).
     """
 
-    def __init__(self, store: Optional[ArtifactStore], trace_spec: TraceSpec,
-                 layout_spec, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 stream_workers: int = 0):
-        from .pipelined import StreamReport
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        if stream_workers < 0:
-            raise ValueError("stream_workers must not be negative")
-        super().__init__(store if store is not None else ArtifactStore(),
-                         addresses_payload(trace_spec, tuple(layout_spec)))
+    def __init__(self, store: ArtifactStore, trace_spec: TraceSpec,
+                 layout_spec):
+        super().__init__(store, addresses_payload(trace_spec,
+                                                  tuple(layout_spec)))
         self.trace_spec = trace_spec
         self.layout_spec = tuple(layout_spec)
-        self.chunk_size = int(chunk_size)
-        self.stream_workers = int(stream_workers)
-        #: Fold and recovery accounting
-        #: (:class:`~repro.engine.pipelined.StreamReport`);
-        #: ``Engine.run`` hands in the run's own report instead.
-        self.stream_report = StreamReport()
 
     def stream(self, line_size: int) -> LineStream:
         raise RuntimeError(
@@ -215,47 +206,15 @@ class StreamedProfiles(StoredProfiles):
             "kernel needs the in-RAM path (drop --chunk-size/"
             "--stream-workers)")
 
-    def collapsed_runs(self, line_size: int) -> tuple:
-        """The whole trace's collapsed line runs, folded block by block.
-
-        Returns ``(run_lines, duplicate_hits)`` exactly equal to
-        :func:`~repro.core.cache.collapse_consecutive` over the
-        materialized line stream: each block collapses independently
-        and a run straddling two blocks is stitched back into one
-        (the dropped repeat is a guaranteed LRU hit, like any other
-        suppressed duplicate).  Peak memory is one block plus the runs
-        themselves -- no full trace or byte-address array is ever
-        built.  Feeds :func:`~repro.core.kernels.sequence_stats` for
-        multi-segment (e.g. inter-frame) simulations.
-        """
-        reader = self._ensure_chunked()
-        # A demoted store holds no parts to read back: render instead.
-        blocks = (reader if reader is not None
-                  else _render_blocks(self.trace_spec, self.chunk_size))
-        placements = _cached_placements(self.trace_spec, self.layout_spec)
-        parts = []
-        total = 0
-        last = None
-        for block in blocks:
-            lines = to_lines(block.byte_addresses(placements), line_size)
-            total += len(lines)
-            runs, _ = collapse_consecutive(lines)
-            if last is not None and len(runs) and runs[0] == last:
-                runs = runs[1:]
-            if len(runs):
-                last = int(runs[-1])
-                parts.append(runs)
-        run_lines = (np.concatenate(parts) if parts
-                     else np.empty(0, dtype=np.int64))
-        return run_lines, int(total - len(run_lines))
-
     # -- the fold ----------------------------------------------------------
 
     def _compute(self, pairs) -> dict:
-        """Fold every pair in one pass over the blocks, a request of
-        its own (``Engine.run`` folds a grid's pairs in one call)."""
-        from .pipelined import fold_pipelined
-        fold_pipelined([(self, pairs)])
+        """Fold every pair in one serial pass over blocks of
+        :data:`~repro.engine.artifacts.DEFAULT_CHUNK_SIZE` accesses, a
+        request of its own (``Engine.run`` folds a grid's pairs in one
+        call, under the run's settings)."""
+        from .pipelined import StreamReport, fold_pipelined
+        fold_pipelined([(self, pairs)], DEFAULT_CHUNK_SIZE, 0, StreamReport())
         return {pair: self._memo[pair] for pair in pairs}
 
     def _keep(self, states: dict) -> None:

@@ -175,27 +175,22 @@ def restamp(store, kind: str, digest: str, suffix: str) -> None:
 
 
 @contextmanager
-def fault_plan(plan: str, directory=None):
+def fault_plan(plan: str):
     """Arm the deterministic chaos harness for the duration: set
-    ``REPRO_FAULT_PLAN`` (and ``REPRO_FAULT_DIR``, needed by
-    ``scope=once`` directives to claim their cross-process marker).
+    ``REPRO_FAULT_PLAN`` (``scope=once`` directives claim their marker
+    in the store's ``locks/``).
 
     Arm *before* the stream pool spawns -- workers read the plan from
     the environment they inherit at fork."""
-    saved = {key: os.environ.get(key)
-             for key in ("REPRO_FAULT_PLAN", "REPRO_FAULT_DIR")}
+    saved = os.environ.get("REPRO_FAULT_PLAN")
     os.environ["REPRO_FAULT_PLAN"] = plan
-    if directory is not None:
-        Path(directory).mkdir(parents=True, exist_ok=True)
-        os.environ["REPRO_FAULT_DIR"] = str(directory)
     try:
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_FAULT_PLAN", None)
+        else:
+            os.environ["REPRO_FAULT_PLAN"] = saved
 
 
 def payload_files(store, kind: str):

@@ -51,6 +51,30 @@ class TestCacheConfig:
         assert CacheConfig(4096, 32).label() == "4KB/32B/full"
 
 
+    def test_geometry_derived_once_and_invisible(self):
+        # n_lines, ways and n_sets are plain values set at
+        # construction, yet equality, hashing, pickles, repr and
+        # labels see only the fields.
+        import dataclasses
+        import pickle
+
+        config = CacheConfig(size=8192, line_size=64, assoc=4)
+        assert vars(config) == {"size": 8192, "line_size": 64, "assoc": 4,
+                                "n_lines": 128, "ways": 4, "n_sets": 32}
+        assert dataclasses.asdict(config) == {"size": 8192,
+                                              "line_size": 64, "assoc": 4}
+        assert repr(config) == \
+            "CacheConfig(size=8192, line_size=64, assoc=4)"
+        fresh = CacheConfig(size=8192, line_size=64, assoc=4)
+        assert config == fresh and hash(config) == hash(fresh)
+        assert config != CacheConfig(size=8192, line_size=64, assoc=2)
+        copy = pickle.loads(pickle.dumps(config))
+        assert vars(copy) == vars(config) and copy == config
+        assert copy.label() == config.label() == "8KB/64B/4-way"
+        with pytest.raises(AttributeError):
+            config.size = 4096
+
+
 class TestToLinesAndCollapse:
     def test_to_lines(self):
         lines = to_lines(np.array([0, 31, 32, 100]), 32)

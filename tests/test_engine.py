@@ -218,6 +218,34 @@ class TestExperimentRunner:
         np.testing.assert_array_equal(kept.profile(32).counts,
                                       profile.counts)
 
+    def test_stored_streams_hold_one_trace_streams(self, tmp_path,
+                                                  monkeypatch):
+        # The in-RAM profile cache is not a TraceStreams: it loads the
+        # stored address stream once, into the TraceStreams it
+        # computes with, and serves stream() and addresses from it.
+        from repro.core.cache import LineStream
+        from repro.core.sweep import TraceStreams
+
+        Engine(store=ArtifactStore(tmp_path)).addresses(SPEC, ("blocked", 4))
+        loads = []
+        load = ArtifactStore.load_addresses
+
+        def counted(store, payload):
+            loads.append(payload)
+            return load(store, payload)
+
+        monkeypatch.setattr(ArtifactStore, "load_addresses", counted)
+        streams = Engine(store=ArtifactStore(tmp_path)).streams(
+            SPEC, ("blocked", 4))
+        assert not isinstance(streams, TraceStreams)
+        profile = streams.set_profile(32, 4)
+        stream = streams.stream(32)
+        want = LineStream.from_addresses(streams.addresses, 32)
+        np.testing.assert_array_equal(stream.run_lines, want.run_lines)
+        assert stream.total_accesses == want.total_accesses
+        assert profile.total_accesses == want.total_accesses
+        assert len(loads) == 1
+
     def test_dedup_one_render_per_scene_order(self, tmp_path):
         before = render_calls()
         experiment = ExperimentSpec(
@@ -259,16 +287,6 @@ class TestExperimentRunner:
         with pytest.raises(ValueError, match="must"):
             Engine(store=ArtifactStore(tmp_path)).run(experiment, **options)
         assert render_calls() == before
-
-    @pytest.mark.parametrize("options", [
-        {"chunk_size": 0},
-        {"chunk_size": -4096},
-        {"stream_workers": -2},
-    ], ids=["chunk_zero", "chunk_negative", "workers_negative"])
-    def test_out_of_range_streamed_options_rejected(self, tmp_path, options):
-        with pytest.raises(ValueError, match="must"):
-            Engine(store=ArtifactStore(tmp_path)).streamed(
-                SPEC, ("nonblocked",), **options)
 
 
 class TestSpecValidation:

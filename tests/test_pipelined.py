@@ -23,6 +23,7 @@ from repro.engine import (
     StreamAuditReport,
     StreamedProfiles,
     StreamingAuditError,
+    StreamReport,
     TraceSpec,
 )
 from repro.engine import pipelined, streaming
@@ -168,10 +169,13 @@ class TestPipelinedRun:
             "n_triangles_submitted": result.n_triangles_submitted,
             "n_triangles_rasterized": result.n_triangles_rasterized})])
 
-        streamed = StreamedProfiles(store, spec, LAYOUT, chunk_size=3000,
-                                    stream_workers=2)
+        streamed = StreamedProfiles(store, spec, LAYOUT)
+        pairs = ((32, 1), (32, 64), (64, 1), (64, 16))
+        report = StreamReport()
+        pipelined.fold_pipelined([(streamed, pairs)], 3000, 2, report)
+        assert report.folds == 1 and report.clean
         reference = scratch.streams(spec, LAYOUT)
-        for pair in ((32, 1), (32, 64), (64, 1), (64, 16)):
+        for pair in pairs:
             got = streamed.set_profile(*pair)
             want = reference.set_profile(*pair)
             assert np.array_equal(got.counts, want.counts)
@@ -265,10 +269,10 @@ class TestAudit:
 
     def test_audit_detects_a_broken_kernel(self, tmp_path, monkeypatch):
         store = ArtifactStore(tmp_path / "a")
-        streamed = StreamedProfiles(store, town_spec(), LAYOUT,
-                                    chunk_size=4096)
+        streamed = StreamedProfiles(store, town_spec(), LAYOUT)
         pairs = [(64, 1), (64, 16)]
-        streamed.prefetch(pairs)
+        pipelined.fold_pipelined([(streamed, pairs)], 4096, 0,
+                                 StreamReport())
         assert isinstance(streamed.audit(pairs, parts=2), StreamAuditReport)
 
         real = streaming.per_set_distances

@@ -72,17 +72,20 @@ def no_fallback_warning():
 
 
 class TestFaultPlanGrammar:
-    def test_plan_parses_matchers_and_params(self, monkeypatch):
+    def test_plan_parses_matchers_and_params(self, monkeypatch, tmp_path):
         monkeypatch.setenv(
             "REPRO_FAULT_PLAN",
             "kill-worker:range=1,block=2; kill-run:after=3,mode=exit")
-        hit = chaos.maybe_fault("render-block", range=1, block=2)
+        hit = chaos.maybe_fault("render-block", tmp_path, range=1, block=2)
         assert hit is not None and hit.action == "kill-worker"
-        assert chaos.maybe_fault("render-block", range=1, block=1) is None
-        assert chaos.maybe_fault("ship-block", range=1, block=2) is None
-        crash = chaos.maybe_fault("range-complete", after=3)
+        assert chaos.maybe_fault("render-block", tmp_path, range=1,
+                                 block=1) is None
+        assert chaos.maybe_fault("ship-block", tmp_path, range=1,
+                                 block=2) is None
+        crash = chaos.maybe_fault("range-complete", tmp_path, after=3)
         assert crash is not None and crash.param("mode") == "exit"
-        assert chaos.maybe_fault("range-complete", after=2) is None
+        assert chaos.maybe_fault("range-complete", tmp_path,
+                                 after=2) is None
 
     def test_malformed_plans_fail_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "explode-host:range=0")
@@ -95,17 +98,27 @@ class TestFaultPlanGrammar:
     def test_scope_once_fires_exactly_once(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_FAULT_PLAN",
                            "kill-worker:range=0,scope=once")
-        monkeypatch.setenv("REPRO_FAULT_DIR", str(tmp_path))
-        assert chaos.maybe_fault("render-block", range=0, block=0) \
-            is not None
-        assert chaos.maybe_fault("render-block", range=0, block=5) is None
+        assert chaos.maybe_fault("render-block", tmp_path, range=0,
+                                 block=0) is not None
+        assert chaos.maybe_fault("render-block", tmp_path, range=0,
+                                 block=5) is None
 
-    def test_scope_once_requires_a_claim_dir(self, monkeypatch):
+    def test_scope_once_claims_under_a_store_without_locks(self, monkeypatch,
+                                                          tmp_path):
+        # The store's locks/ is made on demand: the first match on a
+        # store that has none yet fires, and no later one does -- the
+        # claim is the marker file every process sharing the store
+        # sees.
         monkeypatch.setenv("REPRO_FAULT_PLAN",
-                           "kill-worker:range=0,scope=once")
-        monkeypatch.delenv("REPRO_FAULT_DIR", raising=False)
-        with pytest.raises(ValueError, match="REPRO_FAULT_DIR"):
-            chaos.maybe_fault("render-block", range=0, block=0)
+                           "kill-run:after=2,mode=exit,scope=once")
+        root = tmp_path / "store"
+        assert chaos.maybe_fault("range-complete", root, after=1) is None
+        assert not root.exists()
+        assert chaos.maybe_fault("range-complete", root, after=2) \
+            is not None
+        assert [path.name for path in (root / "locks").iterdir()] == \
+            ["fault-0-kill-run.fired"]
+        assert chaos.maybe_fault("range-complete", root, after=2) is None
 
 
 class TestStreamReport:
@@ -132,8 +145,7 @@ class TestStreamReport:
 class TestWorkerFaults:
     def test_worker_kill_retries_only_the_failed_range(self, tmp_path):
         reference = ram_rows(tmp_path)
-        with injection.fault_plan("kill-worker:range=1,block=0,scope=once",
-                                  tmp_path / "plan"):
+        with injection.fault_plan("kill-worker:range=1,block=0,scope=once"):
             with no_fallback_warning():
                 result = piped_run(tmp_path / "piped")
         assert rows(result) == reference
@@ -151,8 +163,7 @@ class TestWorkerFaults:
         reference = ram_rows(tmp_path)
         monkeypatch.setattr(pipelined, "STREAM_JOB_TIMEOUT_S", 5.0)
         with injection.fault_plan(
-                "wedge-worker:range=0,block=0,seconds=60,scope=once",
-                tmp_path / "plan"):
+                "wedge-worker:range=0,block=0,seconds=60,scope=once"):
             with no_fallback_warning():
                 result = piped_run(tmp_path / "piped")
         assert rows(result) == reference
@@ -163,8 +174,7 @@ class TestWorkerFaults:
 
     def test_enospc_demotion_retries_on_a_fresh_store(self, tmp_path):
         reference = ram_rows(tmp_path)
-        with injection.fault_plan("enospc:range=1,block=0,scope=once",
-                                  tmp_path / "plan"):
+        with injection.fault_plan("enospc:range=1,block=0,scope=once"):
             with no_fallback_warning():
                 result = piped_run(tmp_path / "piped")
         assert rows(result) == reference
@@ -273,6 +283,17 @@ class TestCrashResume:
         result = self.assert_resumed(tmp_path, reference, tmp_path / "piped")
         assert result.stream_report.resumed_ranges == 4
         assert render_calls() == before
+
+    def test_scope_once_crash_fires_on_a_fresh_store(self, tmp_path):
+        # A scope=once kill-run claims its marker in the store's locks/,
+        # which a fresh store lacks: the crash fires (no serial
+        # fallback hides a failed claim), and a rerun under the same
+        # plan finds the marker, does not crash and resumes.
+        reference = ram_rows(tmp_path)
+        with injection.fault_plan("kill-run:after=2,mode=raise,scope=once"):
+            with pytest.raises(chaos.InjectedCrash):
+                piped_run(tmp_path / "piped")
+            self.assert_resumed(tmp_path, reference, tmp_path / "piped")
 
     def test_pipelined_crash_resumes_in_a_serial_fold(self, tmp_path):
         # The range records belong to the fold, not the pool: a serial

@@ -34,15 +34,26 @@ from repro.engine import (
     run_experiment,
     set_profile_payload,
     StreamedProfiles,
+    StreamReport,
     tiers,
 )
 from repro.engine import artifacts as artifacts_module
 from repro.engine.artifacts import PROFILE_SUFFIX
+from repro.engine.pipelined import fold_pipelined
 
 from tests import fault_injection as faults
 
 SPEC = TraceSpec(scene="goblet", scale=0.1, order=("horizontal",))
 LAYOUT = ("blocked", 4)
+
+
+def streamed_fold(store, pairs, chunk_size, workers=0) -> tuple:
+    """``(profiles, report)`` of one request folding ``pairs`` of
+    (SPEC, LAYOUT) into ``store`` in blocks of ``chunk_size``
+    accesses."""
+    profiles, report = StreamedProfiles(store, SPEC, LAYOUT), StreamReport()
+    fold_pipelined([(profiles, pairs)], chunk_size, workers, report)
+    return profiles, report
 ADDR_PAYLOAD = addresses_payload(SPEC, LAYOUT)
 
 
@@ -714,28 +725,19 @@ class TestDegradedModes:
 
     def test_streamed_fold_on_unwritable_store_publishes_nothing(
             self, tmp_path):
-        # The streamed fold and collapsed_runs still compute on a store
-        # that cannot persist anything, and publish nothing.
-        from repro.core.cache import collapse_consecutive, to_lines
-        from repro.engine import StreamedProfiles
-
+        # The streamed fold still computes on a store that cannot
+        # persist anything, and publishes nothing.
         healthy = Engine(store=ArtifactStore(tmp_path / "ok"))
         want = healthy.streams(SPEC, LAYOUT).set_profile(32, 8)
-        want_runs, want_duplicates = collapse_consecutive(
-            to_lines(healthy.addresses(SPEC, LAYOUT), 32))
         store = ArtifactStore(tmp_path / "broken")
         with faults.disk_full():
             with warnings.catch_warnings(record=True):
                 warnings.simplefilter("always")
-                streamed = StreamedProfiles(store, SPEC, LAYOUT,
-                                            chunk_size=4096)
+                streamed, _ = streamed_fold(store, [(32, 8)], 4096)
                 got = streamed.set_profile(32, 8)
-                runs, duplicates = streamed.collapsed_runs(32)
         assert not store.available
         np.testing.assert_array_equal(got.counts, want.counts)
         assert got.cold == want.cold
-        np.testing.assert_array_equal(runs, want_runs)
-        assert duplicates == want_duplicates
         assert store.stats()["total_files"] == 0
 
     def test_experiment_completes_on_unwritable_store(self, tmp_path):
@@ -845,13 +847,10 @@ CHUNK = 1024
 PAIRS = [(32, 1), (32, 8)]
 
 
-def fold(root, stream_workers=0):
-    """A cold fold of SPEC's PAIRS into the store at ``root``."""
-    profiles = StreamedProfiles(ArtifactStore(root), SPEC, LAYOUT,
-                                chunk_size=CHUNK,
-                                stream_workers=stream_workers)
-    profiles.prefetch(PAIRS)
-    return profiles
+def fold(root, stream_workers=0) -> tuple:
+    """``(profiles, report)`` of a cold fold of SPEC's PAIRS into the
+    store at ``root``."""
+    return streamed_fold(ArtifactStore(root), PAIRS, CHUNK, stream_workers)
 
 
 def assert_profiles_equal(profiles, want) -> None:
@@ -906,7 +905,7 @@ class TestResumableParts:
             with pytest.raises(chaos.InjectedCrash):
                 fold(root, stream_workers=2)
         assert len(record_names(root)) == 4
-        fresh = fold(tmp_path_factory.mktemp("fresh"))
+        fresh, _ = fold(tmp_path_factory.mktemp("fresh"))
         return root, {pair: fresh.set_profile(*pair) for pair in PAIRS}
 
     def two_ranges_recorded(self, crashed, tmp_path):
@@ -1053,8 +1052,8 @@ class TestResumableParts:
         assert sorted(traces["stale_resume"]) == rejected
 
         store.repair()
-        profiles = fold(store.root)
-        assert profiles.stream_report.resumed_ranges == 1
+        profiles, report = fold(store.root)
+        assert report.resumed_ranges == 1
         assert_profiles_equal(profiles, crashed[1])
         scan = ArtifactStore(store.root).verify()
         assert scan["clean"] and scan["pending"] == 0
@@ -1069,8 +1068,8 @@ class TestResumableParts:
         # are still there for the fold that resumes them.
         store, (first, second) = self.two_ranges_recorded(crashed, tmp_path)
         shutil.copyfile(first, second)
-        profiles = fold(store.root)
-        assert profiles.stream_report.resumed_ranges == 1
+        profiles, report = fold(store.root)
+        assert report.resumed_ranges == 1
         assert_profiles_equal(profiles, crashed[1])
         scan = ArtifactStore(store.root).verify()
         assert scan["clean"] and scan["orphaned_parts"] == 0
@@ -1163,12 +1162,9 @@ class TestChunkedTraces:
     envelopes, and the recompute is bit-identical."""
 
     def test_corrupt_part_quarantines_the_trace(self, tmp_path):
-        from repro.engine import StreamedProfiles
-
         root = tmp_path / "store"
         store = ArtifactStore(root)
-        StreamedProfiles(store, SPEC, LAYOUT, chunk_size=4096).prefetch(
-            [(32, 1)])
+        streamed_fold(store, [(32, 1)], 4096)
         reader = store.open_render_blocks(SPEC)
         assert reader is not None and len(reader) > 1
         faults.flip_bit(Path(store.root) / "traces" /
@@ -1189,7 +1185,6 @@ class TestChunkedTraces:
         # replaced by the other writer's, right after this writer
         # published it: the sidecar records the bytes this writer
         # wrote, so the replacement fails its envelope.
-        from repro.engine import StreamedProfiles
         from repro.pipeline import traceio
         from repro.pipeline.trace import iter_blocks
 
@@ -1214,8 +1209,7 @@ class TestChunkedTraces:
         if writer == "save_render":
             Engine(store=store).render(SPEC)
         else:
-            StreamedProfiles(store, SPEC, LAYOUT, chunk_size=8192).prefetch(
-                [(32, 1)])
+            streamed_fold(store, [(32, 1)], 8192)
         assert part.read_bytes() == other.read_bytes()
 
         [problem] = ArtifactStore(root).verify()["kinds"]["traces"]["bad"]
@@ -1232,11 +1226,8 @@ class TestChunkedTraces:
         # streamed trace stored and leaves its parts and sidecar alone:
         # rewriting them, cut another way, would change what a reader
         # that already verified them reads.
-        from repro.engine import StreamedProfiles
-
         store = ArtifactStore(tmp_path)
-        StreamedProfiles(store, SPEC, LAYOUT, chunk_size=4096).prefetch(
-            [(32, 1)])
+        streamed_fold(store, [(32, 1)], 4096)
         traces = Path(store.root) / "traces"
         before = {path.name: path.stat().st_mtime_ns
                   for path in traces.iterdir()}

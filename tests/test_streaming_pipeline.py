@@ -21,8 +21,10 @@ from repro.engine import (
     Engine,
     ExperimentSpec,
     StreamedProfiles,
+    StreamReport,
     TraceSpec,
 )
+from repro.engine.pipelined import fold_pipelined
 from repro.engine.spec import paper_order_spec
 from repro.pipeline.renderer import render_trace, render_trace_blocks
 from repro.pipeline.trace import concat_blocks
@@ -41,6 +43,15 @@ def town_spec():
 def stores(tmp_path):
     """Two independent store roots: in-RAM reference vs streamed."""
     return (ArtifactStore(tmp_path / "ram"), ArtifactStore(tmp_path / "st"))
+
+
+def fold(store, spec, pairs, chunk_size) -> StreamReport:
+    """Fold ``pairs`` of (spec, LAYOUT) into ``store`` as one serial
+    request in blocks of ``chunk_size`` accesses; returns its report."""
+    report = StreamReport()
+    fold_pipelined([(StreamedProfiles(store, spec, LAYOUT), pairs)],
+                   chunk_size, 0, report)
+    return report
 
 
 def backdate(path, seconds=3600):
@@ -100,8 +111,7 @@ class TestChunkedStore:
         ram_store, st_store = stores
         spec = town_spec()
         trace = Engine(store=ram_store).render(spec).trace
-        StreamedProfiles(st_store, spec, LAYOUT, chunk_size=4096).prefetch(
-            [(64, 1)])
+        fold(st_store, spec, [(64, 1)], 4096)
         quad_rows = {name + ".npy" for name in (
             "texture_id", "level", "kind", "i0", "j0", "tu", "tv", "meta")}
         for store in stores:
@@ -216,8 +226,7 @@ class TestStreamedProfiles:
         _, st_store = stores
         from repro.engine import runner
         spec = town_spec()
-        streamed = StreamedProfiles(st_store, spec, LAYOUT, chunk_size=4096)
-        streamed.prefetch([(64, 1), (64, 64)])
+        fold(st_store, spec, [(64, 1), (64, 64)], 4096)
         # The fold streamed the render into the store chunk by chunk
         # and published the same profile artifacts the in-RAM path
         # keys, so a warm engine over the same root does zero renders.
@@ -278,22 +287,39 @@ class TestEngineRunStreaming:
                 engine.run(exp, stream_workers=stream_workers,
                            kernel="reference")
 
-    def test_collapsed_runs_match_materialized(self, tmp_path):
-        # Block-folded run collapse (with boundary stitching) must
-        # equal collapse_consecutive over the materialized stream.
-        from repro.core.cache import collapse_consecutive, to_lines
+    def test_run_settings_stay_with_the_run(self, tmp_path, monkeypatch):
+        # Engine.run hands its chunk size, worker count and report to
+        # its one fold call; the memoized (trace, layout) caches hold
+        # none of them, so a later run under other settings serves
+        # what the engine holds and folds nothing.  A StreamedProfiles
+        # used on its own folds serially in DEFAULT_CHUNK_SIZE blocks.
+        from repro.engine import DEFAULT_CHUNK_SIZE, pipelined
 
+        calls = []
+        fold_call = pipelined.fold_pipelined
+
+        def recorded(folds, chunk_size, workers, report):
+            calls.append((chunk_size, workers, report))
+            return fold_call(folds, chunk_size, workers, report)
+
+        monkeypatch.setattr(pipelined, "fold_pipelined", recorded)
+        exp = ExperimentSpec(**self.GRID)
+        spec = exp.trace_specs()[0]
         engine = Engine(store=ArtifactStore(tmp_path / "a"))
-        spec = town_spec()
-        addresses = engine.addresses(spec, LAYOUT)
-        for line_size in (16, 64):
-            want_runs, want_dup = collapse_consecutive(
-                to_lines(addresses, line_size))
-            # A tiny chunk forces many block boundaries (and stitches).
-            streams = engine.streamed(spec, LAYOUT, chunk_size=512)
-            got_runs, got_dup = streams.collapsed_runs(line_size)
-            assert np.array_equal(got_runs, want_runs)
-            assert got_dup == want_dup
+        first = engine.run(exp, chunk_size=4096)
+        [(chunk_size, workers, report)] = calls
+        assert (chunk_size, workers) == (4096, 0)
+        assert report is first.stream_report and report.folds == 2
+        streamed = engine.streamed(spec, LAYOUT)
+        assert not {"chunk_size", "stream_workers", "stream_report"} & \
+            set(vars(streamed))
+        second = engine.run(exp, chunk_size=1024, stream_workers=2)
+        assert len(calls) == 1 and second.stream_report.folds == 0
+        assert engine.streamed(spec, LAYOUT) is streamed
+        assert self.rows(second) == self.rows(first)
+        StreamedProfiles(ArtifactStore(tmp_path / "b"), spec,
+                         LAYOUT).profile(32)
+        assert calls[1][:2] == (DEFAULT_CHUNK_SIZE, 0)
 
     def test_pipelined_run_bit_identical(self, tmp_path):
         exp = ExperimentSpec(**self.GRID)
@@ -388,20 +414,19 @@ class TestFoldMemory:
         spec = TraceSpec(scene=SCENE, scale=0.25,
                          order=paper_order_spec(SCENE))
         pairs = [(64, 1), (64, 64)]
-        StreamedProfiles(ArtifactStore(tmp_path), spec, LAYOUT,
-                         chunk_size=16384).prefetch(pairs)
+        fold(ArtifactStore(tmp_path), spec, pairs, 16384)
         for kind in ("profiles", "set_profiles"):
             shutil.rmtree(tmp_path / kind)
         streaming._cached_placements(spec, LAYOUT)
-        warm = StreamedProfiles(ArtifactStore(tmp_path), spec, LAYOUT)
-        n_accesses = warm.store.open_render_blocks(spec).n_accesses
+        store = ArtifactStore(tmp_path)
+        n_accesses = store.open_render_blocks(spec).n_accesses
         tracemalloc.start()
         try:
-            warm.prefetch(pairs)
+            report = fold(store, spec, pairs, 16384)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert warm.stream_report.folds == 1
+        assert report.folds == 1
         assert peak < n_accesses * self.COLUMN_BYTES / 4
 
     def test_cold_fold_holds_one_triangle_batch_not_the_trace(self,
@@ -418,13 +443,12 @@ class TestFoldMemory:
         spec = TraceSpec(scene=SCENE, scale=0.25,
                          order=paper_order_spec(SCENE))
         streaming._cached_placements(spec, LAYOUT)
-        cold = StreamedProfiles(ArtifactStore(tmp_path), spec, LAYOUT,
-                                chunk_size=16384)
+        store = ArtifactStore(tmp_path)
         tracemalloc.start()
         try:
-            cold.prefetch([(64, 1), (64, 64)])
+            fold(store, spec, [(64, 1), (64, 64)], 16384)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        n_accesses = cold.store.open_render_blocks(spec).n_accesses
+        n_accesses = store.open_render_blocks(spec).n_accesses
         assert peak < n_accesses * self.COLUMN_BYTES * 3 / 4
