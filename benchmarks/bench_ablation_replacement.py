@@ -9,7 +9,7 @@ fully-associative organizations.
 from paperbench import emit, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import CacheConfig, simulate
+from repro.core import CacheConfig, LineStream, simulate
 
 CACHE_SIZES = [scaled_cache(1024 * k) for k in (4, 16)]
 LINE = 64
@@ -22,8 +22,9 @@ SCENES = {"town": ("vertical",), "goblet": ("horizontal",)}
 def measure(bank):
     rates = {}
     for scene, order in SCENES.items():
-        streams = bank.streams(scene, order, LAYOUT)
-        stream = streams.stream(LINE)
+        addresses = bank.trace(scene, order).byte_addresses(
+            bank.placements(scene, LAYOUT))
+        stream = LineStream.from_addresses(addresses, LINE)
         for size in CACHE_SIZES:
             for assoc in (2, None):
                 config = CacheConfig(size, LINE, assoc)

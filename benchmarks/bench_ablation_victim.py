@@ -11,7 +11,7 @@ match 2-way associativity on the paper's two conflict workloads.
 from paperbench import emit, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import CacheConfig, simulate
+from repro.core import CacheConfig, LineStream, simulate
 from repro.core.victim import simulate_victim
 
 LINE = 128
@@ -23,8 +23,9 @@ SCENES = {"goblet": ("horizontal",), "town": ("vertical",)}
 def measure(bank):
     out = {}
     for scene, order in SCENES.items():
-        streams = bank.streams(scene, order, LAYOUT)
-        stream = streams.stream(LINE)
+        addresses = bank.trace(scene, order).byte_addresses(
+            bank.placements(scene, LAYOUT))
+        stream = LineStream.from_addresses(addresses, LINE)
         size = scaled_cache(8 * 1024)
         direct_config = CacheConfig(size, LINE, 1)
         rows = {}

@@ -17,8 +17,9 @@ turns most of frame 2 into hits (the memory-vs-disk regime).
 from paperbench import emit, kb, scaled_cache
 
 from repro.analysis import format_table
-from repro.core import CacheConfig
+from repro.core import CacheConfig, LineStream
 from repro.core.kernels import sequence_stats
+from repro.engine import scene_placements
 
 SCENES = ("goblet", "town")
 LINE = 64
@@ -30,10 +31,14 @@ def measure(bank):
     results = {}
     for name in SCENES:
         order = bank.paper_order_spec(name)
-        # Each frame's collapsed line stream, as the victim and
-        # replacement studies read theirs.
-        streams = [bank.streams(name, order, LAYOUT, time=t).stream(LINE)
-                   for t in (0.0, FRAME_DT)]
+        # Each frame's collapsed line stream: its trace mapped through
+        # that frame's placements, as the victim and replacement
+        # studies map theirs.
+        streams = []
+        for t in (0.0, FRAME_DT):
+            addresses = bank.trace(name, order, time=t).byte_addresses(
+                scene_placements(name, bank.scale, LAYOUT, t))
+            streams.append(LineStream.from_addresses(addresses, LINE))
         segments = [(stream.run_lines, stream.duplicate_hits)
                     for stream in streams]
         texture_bytes = sum(p.total_nbytes

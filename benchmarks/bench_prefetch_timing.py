@@ -101,9 +101,10 @@ def measure(bank) -> dict:
     curve = {}
     totals = {"before": 0.0, "after": 0.0}
     for scene in SCENES:
-        streams = bank.streams(scene, paper_order_spec(scene), LAYOUT)
+        trace = bank.trace(scene, paper_order_spec(scene))
+        addresses = trace.byte_addresses(bank.placements(scene, LAYOUT))
         counts, services = fragment_fill_streams(
-            streams.addresses[:SAMPLE], config, dram=PAPER_DRAM)
+            addresses[:SAMPLE], config, dram=PAPER_DRAM)
         ms_before, slow = _timed(lambda: sweep_texcache(
             counts, params, DEPTHS, latencies, services=services,
             kernel="reference"))

@@ -2,9 +2,10 @@
 
 Every file in this directory regenerates one of the paper's tables or
 figures.  Rendering a scene is expensive, so all pipeline stages are
-obtained through :mod:`repro.engine`: a session-wide :class:`Engine`
-memoizes scenes, renders, placements and streams in memory, and the
-content-addressed :class:`~repro.engine.ArtifactStore` (default
+obtained through :mod:`repro.engine`: the process builds each scene
+and placement once, a session-wide :class:`Engine` memoizes renders
+in memory, and the content-addressed
+:class:`~repro.engine.ArtifactStore` (default
 ``benchmarks/.cache/``, relocatable via ``REPRO_CACHE_DIR``) persists
 rendered traces, byte-address streams and stack-distance profiles on
 disk -- so a warm pytest-benchmark session performs **zero** renders
@@ -21,7 +22,8 @@ figure and table benches reads stored profiles only: it builds no
 scene and loads no address stream.  :func:`cell_stats` and
 :func:`fa_curve` look rows up across a bench's specs.  The per-access
 studies (hierarchy, victim, replacement, prefetch, DRAM, ...) take
-traces and streams from :class:`SceneBank`.
+traces and placements from :class:`SceneBank` and map each trace
+through the placements themselves, so they store no address stream.
 
 Scale: ``REPRO_SCALE`` (default 0.25) scales the scenes as described in
 DESIGN.md; cache sizes quoted from the paper are scaled linearly with
@@ -46,6 +48,8 @@ from repro.engine import (
     layout_from_spec,
     order_from_spec,
     paper_order_spec,
+    scene_data,
+    scene_placements,
 )
 
 #: Reproduction scale (1.0 = the paper's resolutions).
@@ -74,11 +78,11 @@ def kb(nbytes: int) -> str:
 
 
 class SceneBank:
-    """Session-wide access to scenes, traces, placements and streams.
+    """Session-wide access to scenes, traces and placements.
 
-    A thin adapter over :class:`repro.engine.Engine` kept for the
-    harnesses' vocabulary: methods take (scene name, order spec,
-    layout spec) tuples plus optional renderer keyword arguments
+    A thin adapter over :mod:`repro.engine` kept for the harnesses'
+    vocabulary: methods take (scene name, order spec, layout spec)
+    tuples plus optional renderer keyword arguments
     (``time``, ``max_anisotropy``, ``lod_bias``, ``use_mipmaps``,
     ``record_positions``), and every artifact round-trips through the
     shared on-disk store.
@@ -93,7 +97,7 @@ class SceneBank:
                          **options)
 
     def scene(self, name: str):
-        return self.engine.scene(name, self.scale)
+        return scene_data(name, self.scale)
 
     def paper_order_spec(self, name: str) -> tuple:
         """The rasterization direction the paper reports for a scene."""
@@ -107,14 +111,7 @@ class SceneBank:
         return self.render(name, order_spec, **options).trace
 
     def placements(self, name: str, layout_spec: tuple):
-        return self.engine.placements(name, self.scale, layout_spec)
-
-    def streams(self, name: str, order_spec: tuple, layout_spec: tuple,
-                **options):
-        """Byte-address TraceStreams for (scene, order, layout), cached
-        together with its per-line-size collapsed streams/profiles."""
-        return self.engine.streams(self._spec(name, order_spec, **options),
-                                   layout_spec)
+        return scene_placements(name, self.scale, layout_spec)
 
 
 def _select(results, **criteria) -> list:

@@ -18,7 +18,7 @@ Run:  python examples/layout_explorer.py [scene] [scale]
 import sys
 
 from repro.analysis import format_table
-from repro.engine import Engine, ExperimentSpec, TraceSpec
+from repro.engine import Engine, ExperimentSpec, TraceSpec, scene_data
 
 LAYOUTS = [
     ("williams",),
@@ -35,7 +35,7 @@ def main() -> None:
 
     engine = Engine()
     spec = TraceSpec(scene=scene_name, scale=scale, order=("vertical",))
-    scene = engine.scene(scene_name, scale)
+    scene = scene_data(scene_name, scale)
     result = engine.render(spec)
     print(f"{scene_name} at {scene.width}x{scene.height}, vertical "
           f"rasterization: {result.n_accesses:,} texel fetches")

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from repro.analysis import format_table
-from repro.engine import Engine, ExperimentSpec
+from repro.engine import Engine, ExperimentSpec, scene_data
 
 LAYOUT = ("blocked", 8)
 
@@ -30,7 +30,7 @@ def main() -> None:
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.25
 
     engine = Engine()
-    scene = engine.scene(scene_name, scale)
+    scene = scene_data(scene_name, scale)
     hilbert_bits = int(np.ceil(np.log2(max(scene.width, scene.height))))
 
     orders = [("horizontal",)]

@@ -51,6 +51,8 @@ from .engine import (
     TraceSpec,
     layout_from_spec,
     order_from_spec,
+    scene_data,
+    scene_placements,
 )
 from .pipeline import fragment_cost
 from .pipeline.costs import PHASE_TABLE
@@ -212,7 +214,7 @@ def _render(args) -> int:
     if args.save_trace:
         result.trace.save(args.save_trace)
         print(f"wrote {args.save_trace}")
-    scene = engine.scene(args.scene, args.scale, args.time)
+    scene = scene_data(args.scene, args.scale, args.time)
     print(f"{scene.name}: {scene.width}x{scene.height}, "
           f"{result.n_triangles_rasterized}/{result.n_triangles_submitted} "
           f"triangles rasterized, {result.n_fragments:,} fragments, "
@@ -339,9 +341,9 @@ def _parallel(args) -> int:
     spec = _trace_spec(args, record_positions=True)
     trace = engine.trace(spec)
     layout_spec = _layout_spec(args, cache_size=args.cache_size)
-    placements = engine.placements(args.scene, args.scale, layout_spec,
-                                   time=args.time)
-    height = engine.scene(args.scene, args.scale, args.time).height
+    placements = scene_placements(args.scene, args.scale, layout_spec,
+                                  time=args.time)
+    height = scene_data(args.scene, args.scale, args.time).height
     config = CacheConfig(args.cache_size, args.line_size, 2)
     rows = []
     for distribution in (ScanlineInterleave(args.generators),

@@ -52,6 +52,8 @@ from .spec import (
     order_from_spec,
     paper_order_spec,
     resolve_order_spec,
+    scene_data,
+    scene_placements,
 )
 from .runner import (
     Engine,
@@ -96,6 +98,8 @@ __all__ = [
     "order_from_spec",
     "paper_order_spec",
     "resolve_order_spec",
+    "scene_data",
+    "scene_placements",
     "Engine",
     "ExperimentResult",
     "ExperimentRow",

@@ -43,9 +43,10 @@ match and stale data self-invalidates.  Four artifact kinds exist:
 Every store file is written by one publish (:func:`_publish_file`),
 which hashes the bytes it writes and reads nothing back, and checked
 by one check (:func:`_check_file`).  Address streams and profiles
-share one read (T0 lookup, one checked pass over the two files, decode
-of the bytes that pass read -- quarantined when it fails -- and T0
-fill) and one publish (payload, sidecar, T0 write-through).
+share one read (one checked pass over the two files, and a decode of
+the bytes that pass read, quarantined when it fails) and one publish
+(payload, then sidecar); only the profile loads and saves consult and
+fill T0 (below).
 
 The root directory defaults to ``benchmarks/.cache/`` and is
 overridable with the ``REPRO_CACHE_DIR`` environment variable.
@@ -101,17 +102,24 @@ next read.  Its defenses:
 Tiered reads
 ------------
 The directory above is tier T1 of a read-through hierarchy (see
-:mod:`~repro.engine.tiers`).  Loads consult the process-wide
-in-memory tier (T0) first -- deserialized artifacts in a 256 MiB LRU,
+:mod:`~repro.engine.tiers`).  Profile loads consult the process-wide
+in-memory tier (T0) first -- decoded profiles in a 256 MiB LRU,
 revalidated against the ``(size, mtime_ns, inode)`` of their payload
-and sidecar on every hit.  A T0 hit costs one dict lookup and those
-two ``stat`` calls, and encodes no key: profile keys have one owner,
-:class:`ProfileKeys`, which encodes an address stream's key once and
-derives every ``(line_size, n_sets)`` pair's payload and digest from
-that encoding, and the profile loads and saves take their pair
-through it.  T0 hands one object to every engine in the process, so
-the arrays of every value it takes are made read-only
-(:func:`_read_only`).  A T0 miss of an address stream or a profile
+and sidecar on every hit -- and profile saves write through to it.
+T0 holds profiles only, because only profiles are read again in one
+process: over the cold paper LRU suite (the eight figure and table
+benches at scale 0.25, one process) it answered none of 494 lookups
+while holding 55 address streams (246.8 MiB) written through, and on
+the end-to-end grids every hit was a profile served to a fresh engine
+while every trace and address-stream lookup missed.  An engine keeps
+the traces and address streams it uses, and frees them when it is
+dropped.  A T0 hit costs one dict lookup and those two ``stat`` calls,
+and encodes no key: profile keys have one owner, :class:`ProfileKeys`,
+which encodes an address stream's key once and derives every
+``(line_size, n_sets)`` pair's payload and digest from that encoding,
+and the profile loads and saves take their pair through it.  T0 hands
+one profile to every engine in the process, so its counts are made
+read-only.  A load of an address stream, or of a profile T0 misses,
 is one pass over each file, with no ``stat`` call
 (:func:`_read_payload`): the sidecar is read once, and the payload is
 opened once, ``fstat``'d for its size check, read (an address stream:
@@ -444,41 +452,6 @@ def _same_key(recorded, requested) -> bool:
     equal)."""
     return recorded == requested or \
         recorded == json.loads(json.dumps(requested))
-
-
-def _object_nbytes(value) -> int:
-    """Rough deserialized footprint of an artifact for the T0 byte
-    budget: its numpy array fields plus a small fixed overhead."""
-    total = 256
-    try:
-        fields = vars(value).values()
-    except TypeError:
-        return total
-    for field in fields:
-        if isinstance(field, np.ndarray):
-            total += field.nbytes
-    return total
-
-
-def _read_only(value) -> None:
-    """Make the arrays of a T0 value read-only: an address stream
-    itself, a profile's counts, a render's trace columns.  A value
-    written through is the caller's own object, so its arrays turn
-    read-only for the caller too."""
-    if isinstance(value, RenderResult):
-        value = value.trace
-    for array in ([value] if isinstance(value, np.ndarray)
-                  else vars(value).values()):
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
-
-
-def _payload_nbytes(value) -> int:
-    """T0 footprint of an address stream or a profile: its array bytes
-    (a profile's histogram plus a small fixed overhead)."""
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    return value.counts.nbytes + 64
 
 
 #: ``.npy`` header readers by format version (``np.save`` writes 1.0,
@@ -830,22 +803,24 @@ class ArtifactStore:
 
     # -- process tier (T0 memory) ----------------------------------------
 
-    def _memory_get(self, kind: str, digest: str):
-        """T0 lookup: the deserialized artifact, or ``tiers.MISS``."""
-        return tiers.memory_tier().get((str(self.root), kind, digest))
+    def _memory_get(self, key: ProfileKey):
+        """T0 lookup of the profile stored under ``key``: the decoded
+        profile, or ``tiers.MISS``."""
+        return tiers.memory_tier().get((str(self.root), key.kind,
+                                        key.digest))
 
-    def _memory_put(self, kind: str, digest: str, anchors, value,
-                    nbytes: int) -> None:
-        """T0 fill/write-through, anchored to the payload file AND the
-        ``.json`` sidecar (the sidecar alone, for a trace): ``anchors``
-        pair each path with the identity that the read or the publish
-        of that file took, and revalidate the entry on every later hit
-        -- so a rewrite of either reads as a miss, same as the disk
-        tier.  T0 hands ``value`` to every engine in the process, so
-        its arrays are made read-only first (:func:`_read_only`)."""
-        _read_only(value)
-        tiers.memory_tier().put((str(self.root), kind, digest), anchors,
-                                value, nbytes)
+    def _memory_put(self, key: ProfileKey, anchors,
+                    profile: DistanceProfile) -> None:
+        """T0 fill/write-through of the profile stored under ``key``,
+        anchored to the payload file AND the ``.json`` sidecar:
+        ``anchors`` pair each path with the identity that the read or
+        the publish of that file took, and revalidate the entry on
+        every later hit -- so a rewrite of either reads as a miss, same
+        as the disk tier.  T0 hands the profile to every engine in the
+        process, so its counts are made read-only first."""
+        profile.counts.flags.writeable = False
+        tiers.memory_tier().put((str(self.root), key.kind, key.digest),
+                                anchors, profile, profile.counts.nbytes + 64)
 
     # -- degraded mode ---------------------------------------------------
 
@@ -880,10 +855,10 @@ class ArtifactStore:
 
     def _verify_envelope(self, kind: str, path: Path, sidecar: Path,
                          key: Optional[dict] = None):
-        """Check one artifact on disk: ``(meta, identity)`` of its
-        sidecar, ``None`` when neither file exists, or
-        :class:`CorruptArtifact` describing the damage -- the check of
-        traces and of :meth:`verify`.
+        """Check one artifact on disk: its sidecar's record, ``None``
+        when neither file exists, or :class:`CorruptArtifact`
+        describing the damage -- the check of traces and of
+        :meth:`verify`.
 
         The sidecar is read once (:func:`_read_sidecar`, which compares
         ``key`` when given).  Traces (sidecars with a ``parts`` list
@@ -891,7 +866,7 @@ class ArtifactStore:
         trace sidecar without a part list is legacy.  Any other payload
         gets the one check (:func:`_check_file`), which reads nothing
         for a file the digest cache knows."""
-        meta, identity = _read_sidecar(sidecar, path, key)
+        meta, _ = _read_sidecar(sidecar, path, key)
         if meta is None:
             return None
         if isinstance(meta.get("parts"), list):
@@ -901,7 +876,7 @@ class ArtifactStore:
         else:
             _check_file(path, _payload_envelope(meta),
                         "orphaned sidecar (payload missing)", sidecar)
-        return meta, identity
+        return meta
 
     def _listed_part_names(self, kind: str, digest: str):
         """Part names the digest's sidecar claims, or ``None`` when
@@ -1008,10 +983,6 @@ class ArtifactStore:
         counters; the framebuffer and per-triangle breakdown are only
         available from a fresh render.
         """
-        digest = fingerprint(spec.payload())
-        cached = self._memory_get("traces", digest)
-        if cached is not tiers.MISS:
-            return cached
         reader = self.open_render_blocks(spec)
         if reader is None:
             return None
@@ -1028,13 +999,9 @@ class ArtifactStore:
                 n_triangles_rasterized=reader.n_triangles_rasterized,
             )
         except (ValueError, OSError, KeyError, TypeError) as fault:
-            self.quarantine("traces", digest,
+            self.quarantine("traces", fingerprint(spec.payload()),
                             f"undecodable trace artifact ({fault!r})")
             return None
-        # T0 revalidates on the sidecar, the one file whose identity
-        # covers the whole part list, as the check of its parts read it.
-        self._memory_put("traces", digest, [reader.anchor], result,
-                         _object_nbytes(trace))
         return result
 
     def save_render(self, spec: TraceSpec, result: RenderResult) -> Path:
@@ -1160,29 +1127,24 @@ class ArtifactStore:
         # without its sidecar.
         key = spec.payload()
         digest = fingerprint(key)
-        sidecar = self._path("traces", digest, ".json")
-        checked = self._open_verified("traces", digest, lambda: (
+        meta = self._open_verified("traces", digest, lambda: (
             self._verify_envelope(
-                "traces", self._path("traces", digest, ".npz"), sidecar,
-                key)))
-        if checked is None:
+                "traces", self._path("traces", digest, ".npz"),
+                self._path("traces", digest, ".json"), key)))
+        if meta is None:
             return None
-        meta, identity = checked
-        return ChunkedRenderReader(self, meta, (sidecar, identity))
+        return ChunkedRenderReader(self, meta)
 
     # -- payload artifacts: address streams and profiles ------------------
 
     def _read(self, kind: str, payload: dict, digest: str, suffix: str,
               decode, what: str, read=_read_bytes):
         """The one read of every single-payload artifact, keyed by
-        ``payload`` under its fingerprint ``digest``: T0, else one
-        verified pass over its two files (:func:`_read_payload`) and
-        ``decode(data)`` of the bytes it ``read`` -- quarantined as
-        undecodable ``what`` when that fails -- filling T0 with the
-        identities the pass took."""
-        cached = self._memory_get(kind, digest)
-        if cached is not tiers.MISS:
-            return cached
+        ``payload`` under its fingerprint ``digest``: one verified pass
+        over its two files (:func:`_read_payload`) and ``decode(data)``
+        of the bytes it ``read`` -- quarantined as undecodable ``what``
+        when that fails.  Returns ``(value, anchors)``, the anchors
+        being the identities the pass took, or ``None``."""
         base = os.path.join(self.root, kind, digest)
         checked = self._open_verified(kind, digest, lambda: _read_payload(
             base + suffix, base + ".json", payload, read))
@@ -1194,16 +1156,16 @@ class ArtifactStore:
         except (ValueError, OSError, KeyError) as fault:
             self.quarantine(kind, digest, f"undecodable {what} ({fault!r})")
             return None
-        self._memory_put(kind, digest, anchors, value, _payload_nbytes(value))
-        return value
+        return value, anchors
 
     def _publish(self, kind: str, payload: dict, digest: str, suffix: str,
-                 chunks, value) -> Path:
+                 chunks) -> tuple:
         """The one publish of every single-payload artifact, keyed by
         ``payload`` under its fingerprint ``digest``: the payload
         ``chunks``, then the sidecar recording the envelope of the bytes
-        written, then ``value`` written through to T0 under the
-        identities the two writes took."""
+        written.  Returns ``(path, anchors)``: the payload's path, and
+        the identities the two writes took (``None`` when the store
+        wrote nothing: it is demoted)."""
         base = os.path.join(self.root, kind, digest)
         path, sidecar = base + suffix, base + ".json"
 
@@ -1212,24 +1174,22 @@ class ArtifactStore:
             _, sidecar_identity = _publish_json(sidecar, {
                 "key": payload, "envelope": {"kind": kind, **envelope}})
             return (path, identity), (sidecar, sidecar_identity)
-        anchors = self._guarded_write(publish)
-        if anchors is not None:
-            self._memory_put(kind, digest, anchors, value,
-                             _payload_nbytes(value))
-        return Path(path)
+        return Path(path), self._guarded_write(publish)
 
     def load_addresses(self, payload: dict) -> Optional[np.ndarray]:
         # A read-only map instead of a copy: every consumer derives
         # new arrays (line reduction, collapses) and never writes
         # back, so a warm load costs the page-ins its digest check
         # makes, not a copy.
-        return self._read("addresses", payload, fingerprint(payload), ".npy",
+        read = self._read("addresses", payload, fingerprint(payload), ".npy",
                           _decode_addresses, "address stream",
                           read=_map_bytes)
+        return None if read is None else read[0]
 
     def save_addresses(self, payload: dict, addresses: np.ndarray) -> Path:
-        return self._publish("addresses", payload, fingerprint(payload),
-                             ".npy", _address_chunks(addresses), addresses)
+        path, _ = self._publish("addresses", payload, fingerprint(payload),
+                                ".npy", _address_chunks(addresses))
+        return path
 
     def load_profile(self, keys: ProfileKeys,
                      line_size: int) -> Optional[SetDistanceProfile]:
@@ -1252,15 +1212,31 @@ class ArtifactStore:
         return self._publish_profile(keys.key(line_size, n_sets), profile)
 
     def _read_profile(self, key: ProfileKey) -> Optional[SetDistanceProfile]:
-        return self._read(key.kind, key.payload, key.digest, PROFILE_SUFFIX,
+        """The profile stored under ``key``: T0, else the one read
+        (:meth:`_read`), filling T0 with the identities it took."""
+        cached = self._memory_get(key)
+        if cached is not tiers.MISS:
+            return cached
+        read = self._read(key.kind, key.payload, key.digest, PROFILE_SUFFIX,
                           lambda data: _decode_profile(data, key),
                           "profile" if key.n_sets == 1 else "per-set profile")
+        if read is None:
+            return None
+        profile, anchors = read
+        self._memory_put(key, anchors, profile)
+        return profile
 
     def _publish_profile(self, key: ProfileKey,
                          profile: DistanceProfile) -> Path:
-        return self._publish(key.kind, key.payload, key.digest,
-                             PROFILE_SUFFIX, [_profile_words(profile, key)],
-                             profile)
+        """The one publish (:meth:`_publish`) of the profile stored
+        under ``key``, written through to T0 under the identities the
+        writes took."""
+        path, anchors = self._publish(key.kind, key.payload, key.digest,
+                                      PROFILE_SUFFIX,
+                                      [_profile_words(profile, key)])
+        if anchors is not None:
+            self._memory_put(key, anchors, profile)
+        return path
 
     # -- maintenance -----------------------------------------------------
 
@@ -1545,15 +1521,12 @@ class ChunkedRenderReader:
 
     Obtained from :meth:`ArtifactStore.open_render_blocks`, which has
     already verified every part's integrity envelope; reading holds
-    one part in memory.  Carries the sidecar's render counters, and
-    its ``anchor``: the sidecar's path and the identity its check
-    took."""
+    one part in memory.  Carries the sidecar's render counters."""
 
-    def __init__(self, store: ArtifactStore, meta: dict, anchor: tuple):
+    def __init__(self, store: ArtifactStore, meta: dict):
         self._root = store.root
         self.meta = meta
         self.parts = meta["parts"]
-        self.anchor = anchor
 
     @property
     def n_parts(self) -> int:

@@ -42,7 +42,10 @@ trace's last range takes the next trace's first.  A cold trace's folds
 under other layouts are planned once it is published, and join the
 same run as ``fold`` jobs over its parts.  The call takes the
 single-flight locks of all its cold traces up front, in fingerprint
-order, so two processes that share traces cannot deadlock.  A call
+order, so two processes that share traces cannot deadlock.  It opens
+each trace once and plans all of a warm trace's folds from that
+reader; a cold trace is opened once more under its lock and once after
+it publishes, so no fold is planned cold without the lock.  A call
 that does not finish breaks its pool: its workers may be mid-job.
 
 **Parallel cold render.**  The clipped triangle index space is cut
@@ -119,7 +122,7 @@ Deterministic fault injection for all of the above lives in
 
 **Warm traces** (parts already in the store, however they were
 written) skip the render stage: the parent slices the part names of
-the reader it opened into contiguous ``fold`` jobs.  A call with a
+the trace's one reader into contiguous ``fold`` jobs.  A call with a
 single job -- a single-part trace, say -- runs it in the parent.
 """
 
@@ -141,7 +144,8 @@ import numpy as np
 from ..core.kernels import PartialSetProfile
 from . import faults
 from .artifacts import ArtifactStore, fingerprint, load_part_block
-from .streaming import _cached_placements, _fold_blocks, _render_blocks
+from .spec import scene_placements
+from .streaming import _fold_blocks, _render_blocks
 
 #: Render/fold ranges per worker: >1 so a fragment-heavy slice is
 #: rebalanced dynamically (each worker is sent the next range as it
@@ -238,7 +242,9 @@ def _run_job(store, kind: str, job: dict, before_block=None) -> dict:
     parent (:meth:`_Supervision.run`) both call this.  ``before_block(n)``
     runs ahead of block ``n`` (worker heartbeat and, for ``render``
     jobs, fault injection)."""
-    placements = _cached_placements(job["trace_spec"], job["layout_spec"])
+    spec = job["trace_spec"]
+    placements = scene_placements(spec.scene, spec.scale, job["layout_spec"],
+                                  spec.time)
     if kind == "render":
         return _render_range(store, job, placements, before_block)
     if kind != "fold":
@@ -431,7 +437,7 @@ class _Supervision:
     the ranges that landed, saves each fold whose ranges are all in
     and plans the folds waiting on its trace."""
 
-    def __init__(self, folds, chunk_size: int, workers: int,
+    def __init__(self, folds, readers: dict, chunk_size: int, workers: int,
                  report: StreamReport):
         self.folds = folds
         self.chunk_size = chunk_size
@@ -453,22 +459,26 @@ class _Supervision:
         for fold in folds:
             self.waiting.setdefault(fold.spec, []).append(fold)
         for spec in list(self.waiting):
-            self.plan(spec)
+            self.plan(spec, readers[spec])
 
-    def plan(self, spec) -> None:
-        """Plan ``spec``'s waiting folds in order, up to and including
-        the first cold one: the folds behind it fold the parts it
-        publishes, so they are planned once it has."""
+    def plan(self, spec, reader) -> None:
+        """Plan ``spec``'s waiting folds in order: each over the parts
+        of ``reader``, the trace's one open, or -- with no reader, a
+        cold trace -- the first one cold.  The folds behind a cold one
+        fold the parts it publishes, so they are planned once it has,
+        from one open of the published trace."""
         waiting = self.waiting[spec]
         while waiting:
             fold = waiting.pop(0)
-            for index, job in fold.plan(self.workers, self.chunk_size,
-                                        self.report).items():
+            jobs = (fold.plan_cold(self.workers, self.chunk_size,
+                                   self.report) if reader is None
+                    else fold.plan(reader, self.workers))
+            for index, job in jobs.items():
                 key = (fold.position, index)
                 self.jobs[key] = job
                 bisect.insort(self.ready, key)
             self.open.append(fold)
-            if fold.stage == "cold":
+            if reader is None:
                 return
 
     def run(self) -> None:
@@ -651,7 +661,10 @@ class _Supervision:
             if fold.merge_landed():
                 fold.finish()
                 self.open.remove(fold)
-                self.plan(fold.spec)
+                if self.waiting[fold.spec]:
+                    self.plan(fold.spec,
+                              fold.profiles.store.open_render_blocks(
+                                  fold.spec))
 
 
 def _last_line(text: str) -> str:
@@ -688,17 +701,23 @@ def fold_pipelined(folds, chunk_size: int, workers: int,
     their recoveries."""
     folds = [_Fold(position, profiles, pairs)
              for position, (profiles, pairs) in enumerate(folds)]
-    head = folds[0].profiles
+    store = folds[0].profiles.store
     report.folds += len(folds)
+    readers = {spec: store.open_render_blocks(spec)
+               for spec in dict.fromkeys(fold.spec for fold in folds)}
     cold = sorted({fingerprint(spec.payload())
-                   for spec in {fold.spec for fold in folds}
-                   if head.store.open_render_blocks(spec) is None})
+                   for spec, reader in readers.items() if reader is None})
     with contextlib.ExitStack() as locks:
         # Every cold trace's lock, in fingerprint order, before any
-        # job runs: two calls that share traces cannot deadlock.
+        # job runs: two calls that share traces cannot deadlock.  Under
+        # it, each is opened once more: another process may have
+        # published it meanwhile.
         for digest in cold:
-            locks.enter_context(head.store.single_flight("traces", digest))
-        _Supervision(folds, chunk_size, workers, report).run()
+            locks.enter_context(store.single_flight("traces", digest))
+        for spec, reader in readers.items():
+            if reader is None:
+                readers[spec] = store.open_render_blocks(spec)
+        _Supervision(folds, readers, chunk_size, workers, report).run()
 
 
 class _Fold:
@@ -751,14 +770,9 @@ class _Fold:
                 "trace_spec": self.spec, "pairs": self.pairs,
                 "layout_spec": self.profiles.layout_spec, **fields}
 
-    def plan(self, workers: int, chunk_size: int,
-             report: StreamReport) -> dict:
+    def plan(self, reader, workers: int) -> dict:
         """Range index -> ``(kind, job)``: contiguous ``fold`` jobs over
-        the parts of a stored trace that the reader verified, else
-        :meth:`plan_cold`."""
-        reader = self.profiles.store.open_render_blocks(self.spec)
-        if reader is None:
-            return self.plan_cold(workers, chunk_size, report)
+        the parts of the stored trace that ``reader`` verified."""
         names = [entry["name"] for entry in reader.parts]
         self.n_ranges = max(1, min(len(names), _n_ranges(workers)))
         bounds = np.linspace(0, len(names), self.n_ranges + 1).astype(int)

@@ -51,8 +51,6 @@ from ..core.kernels import SetDistanceProfile, check_kernel
 from ..core.stackdist import miss_rate_curve
 from ..core.sweep import TraceStreams
 from ..pipeline.renderer import Renderer, RenderResult
-from ..scenes import ALL_SCENES
-from ..texture.memory import place_textures
 from .artifacts import (
     DEFAULT_CHUNK_SIZE,
     ArtifactStore,
@@ -60,7 +58,13 @@ from .artifacts import (
     addresses_payload,
     fingerprint,
 )
-from .spec import ExperimentSpec, TraceSpec, layout_from_spec, order_from_spec
+from .spec import (
+    ExperimentSpec,
+    TraceSpec,
+    order_from_spec,
+    scene_data,
+    scene_placements,
+)
 
 #: Number of actual scene renders performed by this process (cache
 #: misses only).  Tests assert warm runs leave this untouched.
@@ -202,20 +206,9 @@ class Engine:
         #: run (:class:`~repro.engine.pipelined.StreamReport`), ``None``
         #: when the last run did not stream.
         self.last_stream_report = None
-        self._scenes = {}
         self._renders = {}
-        self._placements = {}
         self._streams = {}
         self._streamed = {}
-
-    # -- scene construction (cheap, never persisted) ---------------------
-
-    def scene(self, name: str, scale: float, time: float = 0.0):
-        """The built :class:`~repro.scenes.base.SceneData`, memoized."""
-        key = (name, scale, time)
-        if key not in self._scenes:
-            self._scenes[key] = ALL_SCENES[name]().build(scale=scale, time=time)
-        return self._scenes[key]
 
     # -- renders ---------------------------------------------------------
 
@@ -251,7 +244,7 @@ class Engine:
 
     def _render_fresh(self, spec: TraceSpec, produce_image: bool) -> RenderResult:
         global RENDER_CALLS
-        scene = self.scene(spec.scene, spec.scale, spec.time)
+        scene = scene_data(spec.scene, spec.scale, spec.time)
         renderer = Renderer(
             order=order_from_spec(spec.order),
             produce_image=produce_image,
@@ -267,17 +260,7 @@ class Engine:
     def trace(self, spec: TraceSpec):
         return self.render(spec).trace
 
-    # -- placements and address streams ----------------------------------
-
-    def placements(self, scene: str, scale: float, layout_spec,
-                   time: float = 0.0) -> list:
-        """Placed textures for (scene, layout), memoized."""
-        key = (scene, scale, time, tuple(layout_spec))
-        if key not in self._placements:
-            built = self.scene(scene, scale, time)
-            self._placements[key] = place_textures(
-                built.get_mipmaps(), layout_from_spec(layout_spec))
-        return self._placements[key]
+    # -- address streams -------------------------------------------------
 
     def addresses(self, trace_spec: TraceSpec, layout_spec) -> np.ndarray:
         """The byte-address stream for (trace, layout).  Warm hits load
@@ -312,7 +295,7 @@ class Engine:
                             engine = owner() or Engine(store=store)
                             trace = engine.trace(trace_spec)
                             addresses = trace.byte_addresses(
-                                engine.placements(
+                                scene_placements(
                                     trace_spec.scene, trace_spec.scale,
                                     layout_spec, trace_spec.time))
                             store.save_addresses(payload, addresses)

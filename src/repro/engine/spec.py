@@ -17,6 +17,9 @@ key both the in-memory memos and the on-disk artifact store:
 * a *layout spec* is a tuple such as ``("nonblocked",)``,
   ``("blocked", 8)``, ``("padded", 8, 4)``,
   ``("blocked6d", 8, 32768)`` or ``("williams",)``.
+
+Beside the layout builder sits the process's one memo of built scenes
+and placed textures (:func:`scene_data`, :func:`scene_placements`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from ..pipeline.renderer import check_raster
 from ..raster.order import TraversalOrder, make_order
 from ..scenes import ALL_SCENES
 from ..texture.layout import TextureLayout, make_layout
+from ..texture.memory import place_textures
 
 
 def order_from_spec(spec) -> TraversalOrder:
@@ -55,6 +59,37 @@ def layout_from_spec(spec) -> TextureLayout:
     if name == "blocked6d":
         return make_layout("blocked6d", block_w=spec[1], superblock_nbytes=spec[2])
     return make_layout(name)
+
+
+#: The process's one memo of built scenes and of their textures placed
+#: under each layout, shared by every path that needs them: the in-RAM
+#: render and address mapping, every streamed fold job (in the parent
+#: or a pool worker), the spot audit, the CLI and the benches.  So a
+#: process builds each scene at most once.  Scenes are cheap to build
+#: and never persisted; a grid's few scenes stay resident.
+_SCENE_MEMO: dict = {}
+_PLACEMENT_MEMO: dict = {}
+
+
+def scene_data(name: str, scale: float, time: float = 0.0):
+    """The built :class:`~repro.scenes.base.SceneData` of ``name`` at
+    ``scale`` and animation ``time``, memoized in the process."""
+    key = (name, scale, time)
+    if key not in _SCENE_MEMO:
+        _SCENE_MEMO[key] = ALL_SCENES[name]().build(scale=scale, time=time)
+    return _SCENE_MEMO[key]
+
+
+def scene_placements(name: str, scale: float, layout_spec,
+                     time: float = 0.0) -> list:
+    """The textures of :func:`scene_data` placed under ``layout_spec``,
+    memoized in the process."""
+    key = (name, scale, time, tuple(layout_spec))
+    if key not in _PLACEMENT_MEMO:
+        _PLACEMENT_MEMO[key] = place_textures(
+            scene_data(name, scale, time).get_mipmaps(),
+            layout_from_spec(layout_spec))
+    return _PLACEMENT_MEMO[key]
 
 
 def paper_order_spec(scene: str) -> tuple:

@@ -55,51 +55,20 @@ from ..core.kernels import (
     previous_occurrences,
 )
 from ..pipeline.renderer import render_trace_blocks
-from ..scenes import ALL_SCENES
-from ..texture.memory import place_textures
 from .artifacts import DEFAULT_CHUNK_SIZE, ArtifactStore, addresses_payload
 from .runner import StoredProfiles
-from .spec import TraceSpec, layout_from_spec, order_from_spec
-
-
-#: Size-one memo of the last built scene and its placements, shared by
-#: every streamed fold in the process: the serial fold, the parent's
-#: residual recovery and the single-part warm fold.  Each pipelined
-#: pool worker fills its own; the parent of a pipelined fold builds no
-#: scene.  An experiment grid folds each scene under every layout in a
-#: row, so one entry amortizes the scene build; size one bounds RSS.
-_SCENES: dict = {}
-_PLACEMENTS: dict = {}
-
-
-def _cached_scene(spec: TraceSpec):
-    key = (spec.scene, float(spec.scale), float(spec.time))
-    if key not in _SCENES:
-        _SCENES.clear()
-        _PLACEMENTS.clear()
-        _SCENES[key] = ALL_SCENES[spec.scene]().build(scale=spec.scale,
-                                                      time=spec.time)
-    return _SCENES[key]
-
-
-def _cached_placements(spec: TraceSpec, layout_spec):
-    key = (spec.scene, float(spec.scale), float(spec.time),
-           tuple(layout_spec))
-    if key not in _PLACEMENTS:
-        _PLACEMENTS.clear()
-        _PLACEMENTS[key] = place_textures(
-            _cached_scene(spec).get_mipmaps(),
-            layout_from_spec(layout_spec))
-    return _PLACEMENTS[key]
+from .spec import TraceSpec, order_from_spec, scene_data, scene_placements
 
 
 def _render_blocks(spec: TraceSpec, chunk_size: int, totals=None,
                    triangle_slice=None):
-    """``spec``'s render off the memoized scene as a block stream (one
-    ``(index, count)`` triangle slice of it, given ``triangle_slice``);
-    ``totals`` receives the render counters once it is exhausted."""
+    """``spec``'s render off the process's scene memo as a block stream
+    (one ``(index, count)`` triangle slice of it, given
+    ``triangle_slice``); ``totals`` receives the render counters once
+    it is exhausted."""
     return render_trace_blocks(
-        _cached_scene(spec), chunk_size, order=order_from_spec(spec.order),
+        scene_data(spec.scene, spec.scale, spec.time), chunk_size,
+        order=order_from_spec(spec.order),
         raster=spec.raster, record_positions=spec.record_positions,
         max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
         use_mipmaps=spec.use_mipmaps, totals=totals,
@@ -256,7 +225,9 @@ class StreamedProfiles(StoredProfiles):
         by_line_size = {}
         for line_size, n_sets in pairs:
             by_line_size.setdefault(line_size, []).append(n_sets)
-        placements = _cached_placements(self.trace_spec, self.layout_spec)
+        spec = self.trace_spec
+        placements = scene_placements(spec.scene, spec.scale,
+                                      self.layout_spec, spec.time)
         accesses = 0
         texels_per_access = None
         for part_index in sampled:

@@ -20,6 +20,7 @@ from repro.engine import (
     fingerprint,
     render_calls,
     run_experiment,
+    scene_data,
 )
 from repro.pipeline.trace import TexelTrace
 from repro.texture.layout import BlockedLayout, WilliamsLayout
@@ -42,7 +43,7 @@ def assert_traces_equal(a, b):
 
 
 class TestArtifactStore:
-    def test_cold_miss_then_warm_hit(self, tmp_path):
+    def test_cold_miss_then_warm_hit(self, tmp_path, scene_builds):
         cold = Engine(store=ArtifactStore(tmp_path))
         before = render_calls()
         first = cold.render(SPEC)
@@ -50,12 +51,13 @@ class TestArtifactStore:
         # Same engine: in-memory memo, still one render.
         assert cold.render(SPEC) is first
 
-        # Fresh engine over the same store: zero renders, zero scene
-        # builds, same trace and triangle counters.
+        # Fresh engine over the same store, as in a fresh process: zero
+        # renders, zero scene builds, same trace and triangle counters.
+        scene_builds.forget()
         warm = Engine(store=ArtifactStore(tmp_path))
         second = warm.render(SPEC)
         assert render_calls() == before + 1
-        assert not warm._scenes
+        assert scene_builds == []
         assert_traces_equal(first.trace, second.trace)
         assert second.n_fragments == first.n_fragments
         assert second.n_triangles_submitted == first.n_triangles_submitted
@@ -73,14 +75,16 @@ class TestArtifactStore:
             cold.trace.n_fragments
         assert_traces_equal(warm.trace, cold.trace)
 
-    def test_warm_streams_skip_render_and_scene_build(self, tmp_path):
+    def test_warm_streams_skip_render_and_scene_build(self, tmp_path,
+                                                      scene_builds):
         cold = Engine(store=ArtifactStore(tmp_path))
         cold_addresses = cold.addresses(SPEC, ("blocked", 4))
         before = render_calls()
+        scene_builds.forget()
         warm = Engine(store=ArtifactStore(tmp_path))
         warm_addresses = warm.addresses(SPEC, ("blocked", 4))
         assert render_calls() == before
-        assert not warm._scenes
+        assert scene_builds == []
         np.testing.assert_array_equal(cold_addresses, warm_addresses)
 
     def test_fingerprint_invalidation(self):
@@ -146,7 +150,8 @@ FIGURE_BENCHES = ("bench_fig_5_2", "bench_fig_5_4", "bench_fig_5_5",
 
 class TestWarmHarness:
     @pytest.mark.parametrize("bench", FIGURE_BENCHES)
-    def test_second_run_serves_from_store(self, bench, tmp_path, monkeypatch):
+    def test_second_run_serves_from_store(self, bench, tmp_path, monkeypatch,
+                                          scene_builds):
         from paperbench import SceneBank
 
         measure = importlib.import_module(bench).measure
@@ -162,10 +167,10 @@ class TestWarmHarness:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(owner, name, spy)
 
-        warm_bank = SceneBank(scale=0.05, store=ArtifactStore(tmp_path))
-        warm = measure(warm_bank)
+        scene_builds.forget()
+        warm = measure(SceneBank(scale=0.05, store=ArtifactStore(tmp_path)))
         assert render_calls() == before
-        assert not warm_bank.engine._scenes
+        assert scene_builds == []
         assert calls == []
         assert warm == cold
 
@@ -203,6 +208,22 @@ class TestExperimentRunner:
         try:
             del engine
             assert dropped() is None
+        finally:
+            gc.enable()
+
+    def test_dropped_engine_frees_its_address_streams(self, tmp_path):
+        # The process tier keeps profiles only: the address stream a
+        # cold in-RAM run computes and saves goes with its engine.
+        engine = Engine(store=ArtifactStore(tmp_path))
+        engine.run(ExperimentSpec(
+            scenes=("goblet",), orders=(SPEC.order,),
+            layouts=(("blocked", 4),), cache_sizes=(1024,),
+            line_sizes=(32,), scale=SPEC.scale))
+        addresses = weakref.ref(engine.addresses(SPEC, ("blocked", 4)))
+        gc.disable()
+        try:
+            del engine
+            assert addresses() is None
         finally:
             gc.enable()
 
@@ -319,7 +340,7 @@ class TestAddressMapper:
     def test_matches_per_access_lookup(self, tmp_path):
         engine = Engine(store=ArtifactStore(tmp_path))
         trace = engine.trace(SPEC)
-        scene = engine.scene("goblet", 0.1)
+        scene = scene_data("goblet", 0.1)
         placements = place_textures(scene.get_mipmaps(), BlockedLayout(4))
         mapped = AddressMapper(placements).map_trace(trace)
         expected = np.empty_like(mapped)
@@ -331,7 +352,7 @@ class TestAddressMapper:
     def test_williams_three_accesses_per_texel(self, tmp_path):
         engine = Engine(store=ArtifactStore(tmp_path))
         trace = engine.trace(SPEC)
-        scene = engine.scene("goblet", 0.1)
+        scene = scene_data("goblet", 0.1)
         placements = place_textures(scene.get_mipmaps(), WilliamsLayout())
         mapped = AddressMapper(placements).map_trace(trace)
         assert mapped.shape == (trace.n_accesses, 3)

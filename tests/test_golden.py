@@ -78,7 +78,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.cache import CacheConfig
+from repro.core.cache import CacheConfig, LineStream
 from repro.engine import (
     ArtifactStore,
     Engine,
@@ -86,7 +86,12 @@ from repro.engine import (
     render_calls,
     tiers,
 )
-from repro.engine import artifacts, order_from_spec, paper_order_spec
+from repro.engine import (
+    artifacts,
+    order_from_spec,
+    paper_order_spec,
+    scene_placements,
+)
 from repro.engine import faults as chaos
 from repro.pipeline.renderer import RASTER_PATHS, Renderer
 from repro.scenes import make_scene
@@ -198,13 +203,12 @@ def in_ram_digests(engine) -> dict:
 def chunked_digests(store) -> dict:
     """Address digests of the chunked traces a streamed run left in
     ``store``, folded part by part."""
-    engine = Engine(store=store)
     layout = tuple(GRID["layout"])
     digests = {}
     for spec in experiment().trace_specs():
         reader = store.open_render_blocks(spec)
         assert reader is not None, f"no chunked trace for {spec.scene}"
-        placements = engine.placements(spec.scene, spec.scale, layout)
+        placements = scene_placements(spec.scene, spec.scale, layout)
         digests[spec.scene] = stream_digest(
             block.byte_addresses(placements) for block in reader)
     return digests
@@ -401,9 +405,12 @@ def replacement_misses(bank, rates: dict) -> dict:
     counts behind them, each rate times its stream's accesses (exact:
     the rate is one correctly rounded division)."""
     bench = importlib.import_module("bench_ablation_replacement")
-    accesses = {scene: bank.streams(scene, order, bench.LAYOUT)
-                .stream(bench.LINE).total_accesses
-                for scene, order in bench.SCENES.items()}
+    accesses = {}
+    for scene, order in bench.SCENES.items():
+        addresses = bank.trace(scene, order).byte_addresses(
+            bank.placements(scene, bench.LAYOUT))
+        accesses[scene] = LineStream.from_addresses(
+            addresses, bench.LINE).total_accesses
     return {key: round(rate * accesses[key[0]])
             for key, rate in rates.items()}
 
@@ -651,7 +658,7 @@ class TestGoldenPin:
         pytest.param(1, id="defaults"),
         pytest.param(2, id="t0-hot"),
     ])
-    def test_warm_reserve(self, filled_store, pin, serves):
+    def test_warm_reserve(self, filled_store, pin, serves, scene_builds):
         # The first serve reads every artifact from disk through the
         # verified read; a second one is served from the memory tier.
         tiers.clear_process_caches()
@@ -662,7 +669,7 @@ class TestGoldenPin:
             assert canonical_rows(engine.run(experiment()).rows) == \
                 pin["rows"]
             assert render_calls() == before
-            assert not engine._scenes  # served from the store
+            assert scene_builds == []  # served from the store
             assert store.recovery_events == []  # nothing quarantined
 
 
@@ -722,8 +729,10 @@ class TestStudyPin:
 
     def test_studies_match_the_pin(self, studies_pin, tmp_path):
         # Each study's integer counters, renders included, against the
-        # checked-in digests.
+        # checked-in digests.  Every study maps its traces through the
+        # placements itself, so none stores an address stream.
         measured = study_counters(study_bank(tmp_path))
+        assert not list(tmp_path.glob("addresses/*"))
         changed = [entry["bench"] for counted, entry
                    in zip(measured, studies_pin["studies"])
                    if rows_digest(counted) != entry["sha256"]]

@@ -16,6 +16,8 @@ from paperbench import (  # noqa: E402
     scaled_cache,
 )
 
+from repro.engine import TraceSpec  # noqa: E402
+
 
 class TestScaledCache:
     def test_identity_at_scale_one(self):
@@ -73,8 +75,12 @@ class TestSceneBank:
         assert a is not c
 
     def test_streams_cached(self, bank):
-        first = bank.streams("goblet", ("horizontal",), ("blocked", 4))
-        second = bank.streams("goblet", ("horizontal",), ("blocked", 4))
+        # The studies map traces themselves; the engine's streams stay
+        # memoized per (trace, layout).
+        spec = TraceSpec(scene="goblet", scale=bank.scale,
+                         order=("horizontal",))
+        first = bank.engine.streams(spec, ("blocked", 4))
+        second = bank.engine.streams(spec, ("blocked", 4))
         assert first is second
 
     def test_paper_order_spec(self, bank):
@@ -82,5 +88,9 @@ class TestSceneBank:
         assert bank.paper_order_spec("goblet") == ("horizontal",)
 
     def test_addresses_nonempty(self, bank):
-        streams = bank.streams("goblet", ("horizontal",), ("nonblocked",))
-        assert streams.stream(32).total_accesses > 0
+        addresses = bank.trace("goblet", ("horizontal",)).byte_addresses(
+            bank.placements("goblet", ("nonblocked",)))
+        spec = TraceSpec(scene="goblet", scale=bank.scale,
+                         order=("horizontal",))
+        streams = bank.engine.streams(spec, ("nonblocked",))
+        assert len(addresses) == streams.stream(32).total_accesses > 0

@@ -28,7 +28,7 @@ from repro.engine import (
 )
 from repro.engine import pipelined, streaming
 from repro.engine.artifacts import PART_STRIDE
-from repro.engine.spec import paper_order_spec
+from repro.engine.spec import paper_order_spec, scene_data
 from repro.pipeline.renderer import (
     render_trace,
     render_trace_blocks,
@@ -96,7 +96,7 @@ class TestTriangleSlices:
             triangle_slice_bounds(10, (0, 0))
 
     def test_sliced_streams_concatenate_bit_identical(self):
-        scene = Engine().scene(SCENE, SCALE)
+        scene = scene_data(SCENE, SCALE)
         whole = render_trace(scene).trace
         blocks, totals = [], []
         for index in range(3):
@@ -182,16 +182,14 @@ class TestPipelinedRun:
             assert got.cold == want.cold
             assert got.duplicate_hits == want.duplicate_hits
 
-    def test_parent_builds_no_scene(self, tmp_path, monkeypatch, pools):
+    def test_parent_builds_no_scene(self, tmp_path, scene_builds, pools):
         # A cold pipelined fold renders and folds in the workers: the
         # parent builds no scene of its own, not even before the pool
         # forks.
-        monkeypatch.setattr(streaming, "_SCENES", {})
-        monkeypatch.setattr(streaming, "_PLACEMENTS", {})
         Engine(store=ArtifactStore(tmp_path / "a")).run(
             ExperimentSpec(**GRID), chunk_size=4096, stream_workers=2)
         assert len(pools) == 1
-        assert streaming._SCENES == {}
+        assert scene_builds == []
 
     def test_stream_workers_reject_reference_kernel(self, tmp_path):
         exp = ExperimentSpec(scenes=(SCENE,), layouts=(LAYOUT,), scale=SCALE)

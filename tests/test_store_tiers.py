@@ -399,10 +399,9 @@ class TestDigestCache:
 
 
 class TestReadOnlyT0:
-    """T0 hands one object to every engine in the process, so nothing
-    it serves can be written: a profile's counts, an address stream or
-    a trace column changed by one engine would change every other
-    engine's cells."""
+    """T0 hands one profile to every engine in the process, so nothing
+    it serves can be written: a profile's counts changed by one engine
+    would change every other engine's cells."""
 
     GRID = ExperimentSpec(scenes=("goblet",), layouts=(("blocked", 8),),
                           line_sizes=(64,), cache_sizes=(1024, 4096),
@@ -418,17 +417,31 @@ class TestReadOnlyT0:
         reference = cells()  # cold: every value is written through
         if decoded:
             tiers.clear_process_caches()
-        engine = Engine(store=ArtifactStore(tmp_path))
-        streams = engine.streams(self.FRAME, ("blocked", 8))
+        streams = Engine(store=ArtifactStore(tmp_path)).streams(
+            self.FRAME, ("blocked", 8))
         served = [streams.profile(64).counts,
-                  streams.set_profile(64, 4).counts,
-                  engine.addresses(self.FRAME, ("blocked", 8)),
-                  engine.trace(self.FRAME).texture_id]
+                  streams.set_profile(64, 4).counts]
         for array in served:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[-1] += 1000
         assert cells() == reference
+
+
+class TestT0HoldsProfiles:
+    """Only the profile loads and saves consult and fill T0: nothing in
+    a process reads a trace or an address stream back, so T0 holds
+    neither."""
+
+    def test_no_trace_or_address_stream_enters_t0(self, tmp_path):
+        frame = TestReadOnlyT0.FRAME
+        Engine(store=ArtifactStore(tmp_path)).run(TestReadOnlyT0.GRID)
+        store = ArtifactStore(tmp_path)
+        assert store.load_render(frame) is not None
+        assert store.load_addresses(
+            addresses_payload(frame, ("blocked", 8))) is not None
+        kinds = {key[1] for key in tiers.memory_tier()._entries}
+        assert kinds == {"profiles", "set_profiles"}
 
 
 HOT_GRID = ExperimentSpec(scenes=("goblet",),

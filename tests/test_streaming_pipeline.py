@@ -9,6 +9,7 @@ its orphaned-part litter lifecycle.
 """
 
 import os
+import shutil
 import time
 
 import numpy as np
@@ -23,9 +24,10 @@ from repro.engine import (
     StreamedProfiles,
     StreamReport,
     TraceSpec,
+    render_calls,
 )
 from repro.engine.pipelined import fold_pipelined
-from repro.engine.spec import paper_order_spec
+from repro.engine.spec import paper_order_spec, scene_data, scene_placements
 from repro.pipeline.renderer import render_trace, render_trace_blocks
 from repro.pipeline.trace import concat_blocks
 
@@ -61,7 +63,7 @@ def backdate(path, seconds=3600):
 
 class TestStreamingRender:
     def test_blocks_match_monolithic_render(self):
-        scene = Engine().scene(SCENE, SCALE)
+        scene = scene_data(SCENE, SCALE)
         whole = render_trace(scene)
         totals = {}
         blocks = list(render_trace_blocks(scene, 2048, totals=totals))
@@ -373,26 +375,84 @@ class TestEngineRunStreaming:
         assert store.open_render_blocks(exp.trace_specs()[0]) is not None
 
     def test_serial_grid_builds_each_scene_once(self, tmp_path,
-                                                monkeypatch):
-        # The streamed folds share one scene memo, so a grid that folds
-        # each scene under three layouts builds it once, not per layout.
-        from repro.engine import streaming
-        from repro.scenes import ALL_SCENES
-
-        built = []
-        for cls in ALL_SCENES.values():
-            def counted(self, *args, _build=cls.build, **kwargs):
-                built.append(type(self).__name__)
-                return _build(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "build", counted)
-        monkeypatch.setattr(streaming, "_SCENES", {})
-        monkeypatch.setattr(streaming, "_PLACEMENTS", {})
+                                                scene_builds):
+        # The streamed folds share the process's scene memo, so a grid
+        # that folds each scene under three layouts builds it once, not
+        # per layout.
         exp = ExperimentSpec(
             scenes=("goblet", "town"), scale=SCALE, cache_sizes=SIZES,
             line_sizes=(32,), assocs=(None, 2),
             layouts=(("nonblocked",), ("blocked", 4), ("blocked", 8)))
         Engine(store=ArtifactStore(tmp_path / "a")).run(exp, chunk_size=4096)
-        assert sorted(built) == ["GobletScene", "TownScene"]
+        assert sorted(scene_builds) == ["GobletScene", "TownScene"]
+
+    def test_in_ram_and_streamed_grids_build_a_scene_once(self, tmp_path,
+                                                          scene_builds):
+        # One memo per process: the in-RAM render and the streamed fold
+        # of the same scene, each into its own cold store, share one
+        # build.
+        exp = ExperimentSpec(scenes=("goblet",), scale=SCALE,
+                             cache_sizes=SIZES, line_sizes=(32,),
+                             layouts=(LAYOUT,))
+        ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
+        streamed = Engine(store=ArtifactStore(tmp_path / "b")).run(
+            exp, chunk_size=4096)
+        assert self.rows(ram) == self.rows(streamed)
+        assert scene_builds == ["GobletScene"]
+
+    @pytest.mark.parametrize("stream_workers", [0, 2])
+    def test_each_trace_opens_once_when_warm_thrice_when_cold(
+            self, tmp_path, monkeypatch, stream_workers):
+        # A request opens each trace once and plans all its folds from
+        # that reader; a cold one is opened again under its lock and
+        # once after it publishes -- not once more per layout.
+        opened = []
+        real_open = ArtifactStore.open_render_blocks
+
+        def counting_open(store, spec):
+            opened.append(spec.scene)
+            return real_open(store, spec)
+        monkeypatch.setattr(ArtifactStore, "open_render_blocks",
+                            counting_open)
+        exp = ExperimentSpec(
+            scenes=("goblet", "town"), scale=SCALE, cache_sizes=SIZES,
+            line_sizes=(32,), assocs=(None, 2),
+            layouts=(("nonblocked",), ("blocked", 4), ("blocked", 8)))
+
+        def request():
+            opened.clear()
+            Engine(store=ArtifactStore(tmp_path)).run(
+                exp, chunk_size=4096, stream_workers=stream_workers)
+            return sorted(opened)
+        assert request() == ["goblet"] * 3 + ["town"] * 3
+        # Without the per-set profiles, the next request folds each
+        # trace warm under all three layouts.
+        shutil.rmtree(tmp_path / "set_profiles")
+        assert request() == ["goblet", "town"]
+
+    def test_a_trace_found_warm_is_never_planned_cold(self, tmp_path,
+                                                      monkeypatch):
+        # A trace that the request found warm is folded from the parts
+        # its reader verified, even when a later open would miss: it is
+        # never planned cold, so never rendered without its lock.
+        exp = ExperimentSpec(scenes=(SCENE,), scale=SCALE,
+                             cache_sizes=SIZES, line_sizes=(32,),
+                             layouts=(LAYOUT, ("nonblocked",)))
+        reference = Engine(store=ArtifactStore(tmp_path)).run(
+            exp, chunk_size=4096)
+        shutil.rmtree(tmp_path / "profiles")
+        real_open = ArtifactStore.open_render_blocks
+        opens = []
+
+        def found_once(store, spec):
+            opens.append(spec)
+            return real_open(store, spec) if len(opens) == 1 else None
+        monkeypatch.setattr(ArtifactStore, "open_render_blocks", found_once)
+        before = render_calls()
+        again = Engine(store=ArtifactStore(tmp_path)).run(
+            exp, chunk_size=4096)
+        assert render_calls() == before
+        assert self.rows(again) == self.rows(reference)
 
 
 class TestFoldMemory:
@@ -406,10 +466,7 @@ class TestFoldMemory:
         # the trace's columns.  A fold that gathered its blocks first
         # would hold them all.  Pool workers run the same
         # _run_job/_fold_blocks loop, so this bounds them too.
-        import shutil
         import tracemalloc
-
-        from repro.engine import streaming
 
         spec = TraceSpec(scene=SCENE, scale=0.25,
                          order=paper_order_spec(SCENE))
@@ -417,7 +474,7 @@ class TestFoldMemory:
         fold(ArtifactStore(tmp_path), spec, pairs, 16384)
         for kind in ("profiles", "set_profiles"):
             shutil.rmtree(tmp_path / kind)
-        streaming._cached_placements(spec, LAYOUT)
+        scene_placements(spec.scene, spec.scale, LAYOUT)
         store = ArtifactStore(tmp_path)
         n_accesses = store.open_render_blocks(spec).n_accesses
         tracemalloc.start()
@@ -438,11 +495,9 @@ class TestFoldMemory:
         # batch was 256 triangles whatever the chunk.
         import tracemalloc
 
-        from repro.engine import streaming
-
         spec = TraceSpec(scene=SCENE, scale=0.25,
                          order=paper_order_spec(SCENE))
-        streaming._cached_placements(spec, LAYOUT)
+        scene_placements(spec.scene, spec.scale, LAYOUT)
         store = ArtifactStore(tmp_path)
         tracemalloc.start()
         try:
